@@ -20,8 +20,7 @@ context):
 Per point the harness reports the wall-clock time, the speedup vs the
 single-worker run, and the **parallel efficiency** ``t(1) / (w · t(w))``
 (1.0 = perfect scaling).  Every measured table is cross-checked against
-the sequential engine; any divergence makes the process exit non-zero
-(the same contract as ``bench_pr3_fullscan.py``).
+the sequential engine; any divergence makes the process exit non-zero.
 
 Measurements land in ``BENCH_PR4.json`` keyed by scale factor::
 

@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with its maximal validity intervals) instead of expanding point rows",
     )
     query.add_argument(
-        "--legacy-frontier",
-        action="store_true",
-        help="use the seed row-per-path frontier instead of the coalescing one",
-    )
-    query.add_argument(
         "--stream",
         default=None,
         metavar="PATH",
@@ -653,7 +648,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine = DataflowEngine(
             graph,
             workers=1 if serial else args.workers,
-            use_coalesced=not args.legacy_frontier,
             parallel_backend="thread" if serial else args.backend,
             incremental=args.stream is not None,
             deadline_seconds=args.deadline,
@@ -711,14 +705,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     f"(backoff {record['delay']}s)"
                 )
         if args.stats:
-            frontier_mode = "legacy rows" if args.legacy_frontier else "coalesced"
             print(
                 f"# interval time {result.interval_seconds:.4f}s, "
                 f"total time {result.total_seconds:.4f}s, "
                 f"output size {result.output_size}"
             )
             print(
-                f"# frontier: {frontier_mode}, {result.frontier_rows} rows, "
+                f"# frontier: coalesced, {result.frontier_rows} rows, "
                 f"{result.rows_merged} merged"
             )
             if isinstance(table, IntervalBindingTable):

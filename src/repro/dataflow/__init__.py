@@ -21,7 +21,7 @@ stars and path conditions fall back to the reference engine.
 
 from repro.dataflow.steps import compile_chain, ChainStep, condition_times
 from repro.dataflow.executor import DataflowEngine, MatchResult
-from repro.dataflow.frontier2 import (
+from repro.dataflow.frontier import (
     Frontier,
     IntervalMaterializer,
     RowFrontier,

@@ -12,14 +12,13 @@ matches through it:
   point-wise temporal bindings, enforcing the recorded temporal links;
   the combined time is ``total_seconds`` ("total time" in Table II).
 
-By default the frontier is the *coalescing*, set-at-a-time
-:class:`~repro.dataflow.frontier2.Frontier`: after every step, rows that
-agree on their binding signature are merged by unioning their validity
-interval families, and Step 3 runs on the interval-native
-:class:`~repro.dataflow.frontier2.IntervalMaterializer`.
-``use_coalesced=False`` restores the seed behaviour — one row per
-(binding, path) with point-wise link checking during materialization —
-so the regression benchmarks can measure the gap.
+There is one evaluation path.  Every step reads the per-graph compiled
+:class:`~repro.perf.graph_index.GraphIndex` (memoized condition tables,
+adjacency, fused-hop entries); the frontier is the *coalescing*,
+set-at-a-time :class:`~repro.dataflow.frontier.Frontier` — after every
+step, rows that agree on their binding signature are merged by unioning
+their validity interval families — and Step 3 runs on the
+interval-native :class:`~repro.dataflow.frontier.IntervalMaterializer`.
 
 The engine can partition the initial frontier across workers
 (``workers > 1``), mirroring the paper's Rayon-based parallelism sweep.
@@ -46,12 +45,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence, Union as TypingUnion
 
-from repro.dataflow.frontier import Group, Row, TemporalLink, initial_row
-from repro.dataflow.frontier2 import (
+from repro.dataflow.frontier import (
     Frontier,
+    Group,
     IntervalFamily,
     IntervalMaterializer,
+    Row,
     RowFrontier,
+    TemporalLink,
+    initial_row,
 )
 from repro.dataflow.steps import (
     AltStep,
@@ -62,17 +64,14 @@ from repro.dataflow.steps import (
     TemporalStep,
     TestStep,
     bind_group_indices,
-    chain_has_temporal_step,
     compile_chain,
-    condition_times,
     fuse_hops,
 )
 from repro.errors import EvaluationError, RetryBudgetExceeded
 from repro.eval.bindings import BindingTable, IntervalBindingTable
-from repro.lang.ast import AndTest, NodeTest, Test
+from repro.lang.ast import Test
 from repro.lang.parser import MatchQuery
 from repro.lang.translate import CompiledMatch, compile_match
-from repro.model.convert import tpg_to_itpg
 from repro.model.itpg import IntervalTPG
 from repro.model.tpg import TemporalPropertyGraph
 from repro.parallel.partition import chunk_weight, weighted_chunks
@@ -97,7 +96,7 @@ TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
 class MatchResult:
     """Outcome of a dataflow evaluation, including the Table-II measurements.
 
-    For coalesced single-temporal-group queries (all of Q1–Q5 and the
+    For single-temporal-group queries (all of Q1–Q5 and the
     Q9–Q12 shapes) ``table`` is an
     :class:`~repro.eval.bindings.IntervalBindingTable`: ``total_seconds``
     then covers Steps 1–3 in the interval representation only, and the
@@ -119,7 +118,7 @@ class MatchResult:
     #: them exactly).
     frontier_rows: int
     #: How many frontier rows the coalescing frontier absorbed into
-    #: signature-equal survivors across all steps (0 in legacy row mode).
+    #: signature-equal survivors across all steps.
     rows_merged: int = 0
     #: Set when a retry policy had to re-attempt or demote the backend
     #: (the :meth:`~repro.resilience.DegradationReport.to_dict` form);
@@ -184,8 +183,6 @@ class DataflowEngine:
         self,
         graph: TemporalGraph,
         workers: int = 1,
-        use_index: bool = True,
-        use_coalesced: bool = True,
         parallel_backend: str = "thread",
         start_method: str | None = None,
         incremental: bool = False,
@@ -193,11 +190,6 @@ class DataflowEngine:
         retry: RetryPolicy | None = None,
         kernel: str = "interpreted",
     ) -> None:
-        # The compiled index is shared per graph across engines and queries
-        # (index first, so a point-based graph is converted exactly once and
-        # the conversion is reused too); ``use_index=False`` keeps the
-        # uncompiled seed behaviour available so the regression benchmark can
-        # measure the gap.
         if parallel_backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown parallel backend {parallel_backend!r}: "
@@ -216,12 +208,11 @@ class DataflowEngine:
                 f"unknown kernel {kernel!r}: expected one of "
                 f"{', '.join(repr(k) for k in self.KERNELS)}"
             )
-        self._index: GraphIndex | None = graph_index_for(graph) if use_index else None
-        if self._index is not None:
-            graph = self._index.graph
-        elif isinstance(graph, TemporalPropertyGraph):
-            graph = tpg_to_itpg(graph)
-        self._graph = graph
+        # The compiled index is shared per graph across engines and queries
+        # (index first, so a point-based graph is converted exactly once and
+        # the conversion is reused too).
+        self._index: GraphIndex = graph_index_for(graph)
+        graph = self._graph = self._index.graph
         workers = int(workers)
         if workers == 0:
             # ``workers=0`` means "use every core" (mirrors the CLI).
@@ -229,9 +220,8 @@ class DataflowEngine:
         self._workers = max(1, workers)
         self._backend = parallel_backend
         self._start_method = start_method
-        self._use_coalesced = bool(use_coalesced)
         self._domain_times = IntervalSet((graph.domain,))
-        self._materializer = IntervalMaterializer(graph, self._index)
+        self._materializer = IntervalMaterializer(self._index)
         self._incremental = bool(incremental)
         #: Lazily created streaming session (``incremental=True`` only).
         self._session = None
@@ -254,17 +244,8 @@ class DataflowEngine:
         #: on this engine (``None`` when it can; per-query step-shape
         #: fallbacks are decided later, in :meth:`_columnar_plan`).
         self._kernel_unavailable: str | None = None
-        if kernel == "columnar":
-            if not columnar_kernel.available():
-                self._kernel_unavailable = "numpy is not installed"
-            elif not self._use_coalesced:
-                self._kernel_unavailable = (
-                    "columnar kernel requires the coalescing frontier"
-                )
-            elif self._index is None:
-                self._kernel_unavailable = (
-                    "columnar kernel requires the compiled graph index"
-                )
+        if kernel == "columnar" and not columnar_kernel.available():
+            self._kernel_unavailable = "numpy is not installed"
         #: Cached :class:`~repro.perf.columnar.ColumnarContext`, keyed by
         #: the index's maintenance epoch (deltas invalidate it wholesale).
         self._columnar_ctx = None
@@ -282,12 +263,8 @@ class DataflowEngine:
         return self._backend
 
     @property
-    def index(self) -> GraphIndex | None:
+    def index(self) -> GraphIndex:
         return self._index
-
-    @property
-    def use_coalesced(self) -> bool:
-        return self._use_coalesced
 
     @property
     def kernel(self) -> str:
@@ -332,7 +309,7 @@ class DataflowEngine:
     def _refresh_domain(self) -> None:
         """Re-derive domain-dependent engine state after a horizon advance."""
         self._domain_times = IntervalSet((self._graph.domain,))
-        self._materializer = IntervalMaterializer(self._graph, self._index)
+        self._materializer = IntervalMaterializer(self._index)
 
     # ------------------------------------------------------------------ #
     # Resilience: deadlines, retry, degradation
@@ -469,12 +446,9 @@ class DataflowEngine:
             frontier = self._run_chain_on(seeds, chain, stats)
         chain_seconds = time.perf_counter() - start
         if mode == "families":
-            if self._use_coalesced:
-                data: list = self._materializer.families(frontier, variables)
-            else:
-                data = legacy_families(frontier, variables)
+            data: list = self._materializer.families(frontier, variables)
         else:
-            data = self._materialize_rows(frontier, variables)
+            data = self._materializer.points(frontier, variables)
         return data, len(frontier), chain_seconds
 
     # ------------------------------------------------------------------ #
@@ -556,7 +530,7 @@ class DataflowEngine:
     ) -> TypingUnion[BindingTable, IntervalBindingTable]:
         """Evaluate a MATCH clause and return its binding table.
 
-        Single-temporal-group queries on the coalescing engine return an
+        Single-temporal-group queries return an
         :class:`~repro.eval.bindings.IntervalBindingTable` whose point
         rows expand lazily; both classes expose the same read API.
         """
@@ -710,7 +684,7 @@ class DataflowEngine:
     ) -> list[IntervalFamily]:
         """Coalesced (interval) output: one entry per binding tuple.
 
-        This is the primary output path of the coalescing engine: each
+        This is the engine's primary output path: each
         entry pairs the variable bindings with the coalesced family of
         times at which they all hold (:meth:`match` derives the point
         table from the same per-row families).  Defined whenever every
@@ -734,24 +708,12 @@ class DataflowEngine:
             compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
             chain = self._compile(compiled)
         stats = _ChainStats()
-        if not self._use_coalesced:
-            # Seed behaviour: interval output only without temporal
-            # navigation.  Rows reaching the same bindings through
-            # different paths are merged so the output is canonical —
-            # one coalesced entry per distinct binding tuple, same as
-            # the coalescing engine.
-            if chain_has_temporal_step(chain):
-                raise EvaluationError(
-                    "interval (coalesced) output is only defined for queries "
-                    "without temporal navigation"
-                )
-        else:
-            spread = bind_group_indices(chain)
-            if spread is not None and len(spread) > 1:
-                raise EvaluationError(
-                    "interval (coalesced) output is only defined when every "
-                    "variable is bound within a single temporal group"
-                )
+        spread = bind_group_indices(chain)
+        if spread is not None and len(spread) > 1:
+            raise EvaluationError(
+                "interval (coalesced) output is only defined when every "
+                "variable is bound within a single temporal group"
+            )
         self._arm_deadline()
         try:
             cplan = self._columnar_plan(chain)
@@ -773,8 +735,6 @@ class DataflowEngine:
                 )
                 return families
             frontier = self._run_chain_chunks(seeds, rest, stats)
-            if not self._use_coalesced:
-                return legacy_families(frontier, compiled.variables)
             return self._materializer.families(frontier, compiled.variables)
         finally:
             self._disarm_deadline()
@@ -845,23 +805,14 @@ class DataflowEngine:
             steps.extend(compile_chain(segment.path))
             if segment.variable:
                 steps.append(BindStep(segment.variable))
-        chain = tuple(steps)
-        if self._use_coalesced and self._index is not None:
-            # Set-at-a-time traversal core: structural hops run through the
-            # index's memoized (source → target → times) tables instead of
-            # materializing one frontier row per traversed edge.
-            chain = fuse_hops(chain, self._index.is_static)
-        return chain
+        # Set-at-a-time traversal core: structural hops run through the
+        # index's memoized (source → target → times) tables instead of
+        # materializing one frontier row per traversed edge.
+        return fuse_hops(tuple(steps), self._index.is_static)
 
     # ------------------------------------------------------------------ #
     # Steps 1 & 2: interval-based frontier processing
     # ------------------------------------------------------------------ #
-    def _new_collector(self) -> TypingUnion[Frontier, RowFrontier]:
-        if not self._use_coalesced:
-            return RowFrontier()
-        object_id = self._index.object_id if self._index is not None else None
-        return Frontier(object_id)
-
     def _collector_for(self, step: ChainStep) -> TypingUnion[Frontier, RowFrontier]:
         """The cheapest collector that preserves the frontier invariant.
 
@@ -876,8 +827,8 @@ class DataflowEngine:
         rows can converge on the same signature — pay for the
         coalescing collector.
         """
-        if self._use_coalesced and isinstance(step, (StructStep, HopStep, AltStep)):
-            return self._new_collector()
+        if isinstance(step, (StructStep, HopStep, AltStep)):
+            return Frontier(self._index.object_id)
         return RowFrontier()
 
     def _run_chain(self, chain: tuple[ChainStep, ...], stats: _ChainStats) -> list[Row]:
@@ -901,14 +852,9 @@ class DataflowEngine:
             partials = [future.result() for future in futures]
         for chunk_stat in chunk_stats:
             stats.rows_merged += chunk_stat.rows_merged
-        if not self._use_coalesced:
-            results: list[Row] = []
-            for partial in partials:
-                results.extend(partial)
-            return results
         # Signature-equal rows may have landed in different chunks; one
         # final merge restores the frontier invariant.
-        combined = self._new_collector()
+        combined = Frontier(self._index.object_id)
         for partial in partials:
             for row in partial:
                 combined.add(row)
@@ -963,12 +909,7 @@ class DataflowEngine:
             if self._kernel == "columnar" and self._kernel_unavailable is None
             else "interpreted"
         )
-        plan = plan_for(
-            self._graph,
-            self._index is not None,
-            self._use_coalesced,
-            effective_kernel,
-        )
+        plan = plan_for(self._graph, effective_kernel)
         pool = shared_pool(self._workers, self._start_method)
         chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
         packed = [pack_seeds(chunk) for chunk in chunks]
@@ -985,15 +926,8 @@ class DataflowEngine:
         return data, frontier_rows, chain_seconds
 
     def _seed_weight(self, row: Row) -> int:
-        """Chunking weight of one seed row (indexed out-degree when available)."""
-        obj = row.last.current
-        index = self._index
-        if index is not None:
-            return index.seed_weight(obj)
-        graph = self._graph
-        if graph.is_node(obj):
-            return 1 + len(graph.out_edges(obj))
-        return 2
+        """Chunking weight of one seed row (its indexed out-degree)."""
+        return self._index.seed_weight(row.last.current)
 
     @staticmethod
     def _row_cost(row: Row) -> int:
@@ -1005,23 +939,19 @@ class DataflowEngine:
     ) -> tuple[list[Row], tuple[ChainStep, ...]]:
         """Seed rows plus the chain remaining after any absorbed leading test.
 
-        With an index, a leading :class:`TestStep` is answered from the
+        A leading :class:`TestStep` is answered from the index's
         memoized condition table, so the frontier starts with only the
         objects that can match (and their satisfaction times) instead of
         every object of the graph.
         """
-        if self._index is not None and chain and isinstance(chain[0], TestStep):
+        if chain and isinstance(chain[0], TestStep):
             table = self._index.condition_table(chain[0].condition)
             seeds = [
                 Row((Group((), obj, times),), ()) for obj, times in table.items()
             ]
             return seeds, chain[1:]
-        objects: Iterable[ObjectId]
-        if chain and isinstance(chain[0], TestStep) and _requires_node(chain[0].condition):
-            objects = self._graph.nodes()
-        else:
-            objects = self._graph.objects()
-        return [initial_row(obj, self._domain_times) for obj in objects], chain
+        domain_times = self._domain_times
+        return [initial_row(obj, domain_times) for obj in self._graph.objects()], chain
 
     def _seed_rows_for(
         self, chain: tuple[ChainStep, ...], objects: Iterable[ObjectId]
@@ -1031,10 +961,10 @@ class DataflowEngine:
         incremental update never pays for the full seed table.
 
         The returned rows belong to the same frontier `_initial_frontier`
-        would produce (same absorbed-test times, same node restriction);
-        objects that would not seed this chain are simply absent.
+        would produce (same absorbed-test times); objects that would not
+        seed this chain are simply absent.
         """
-        if self._index is not None and chain and isinstance(chain[0], TestStep):
+        if chain and isinstance(chain[0], TestStep):
             table = self._index.condition_table(chain[0].condition)
             rows: dict[ObjectId, Row] = {}
             for obj in objects:
@@ -1043,19 +973,11 @@ class DataflowEngine:
                     rows[obj] = Row((Group((), obj, times),), ())
             return rows
         graph = self._graph
-        node_only = (
-            bool(chain)
-            and isinstance(chain[0], TestStep)
-            and _requires_node(chain[0].condition)
-        )
-        rows = {}
-        for obj in objects:
-            if not graph.has_object(obj):
-                continue
-            if node_only and not graph.is_node(obj):
-                continue
-            rows[obj] = initial_row(obj, self._domain_times)
-        return rows
+        return {
+            obj: initial_row(obj, self._domain_times)
+            for obj in objects
+            if graph.has_object(obj)
+        }
 
     def _run_chain_on(
         self, frontier: list[Row], chain: Sequence[ChainStep], stats: _ChainStats
@@ -1110,29 +1032,17 @@ class DataflowEngine:
         out: TypingUnion[Frontier, RowFrontier],
     ) -> None:
         deadline = self._deadline
-        index = self._index
-        if index is not None:
-            # One memoized condition table shared by every row (and every
-            # later query on the same graph) replaces a per-row AST walk.
-            table = index.condition_table(condition)
-            for row in frontier:
-                if deadline is not None:
-                    deadline.tick()
-                group = row.last
-                satisfied = table.get(group.current)
-                if satisfied is None:
-                    continue
-                times = group.times.intersect(satisfied)
-                if times.is_empty():
-                    continue
-                out.add(row.replace_last(group.with_times(times)))
-            return
-        graph = self._graph
+        # One memoized condition table shared by every row (and every
+        # later query on the same graph) replaces a per-row AST walk.
+        table = self._index.condition_table(condition)
         for row in frontier:
             if deadline is not None:
                 deadline.tick()
             group = row.last
-            times = group.times.intersect(condition_times(graph, group.current, condition))
+            satisfied = table.get(group.current)
+            if satisfied is None:
+                continue
+            times = group.times.intersect(satisfied)
             if times.is_empty():
                 continue
             out.add(row.replace_last(group.with_times(times)))
@@ -1145,38 +1055,23 @@ class DataflowEngine:
     ) -> None:
         deadline = self._deadline
         index = self._index
-        if index is not None:
-            adjacency = index.out_adjacency if forward else index.in_adjacency
-            endpoint = index.edge_target if forward else index.edge_source
-            for row in frontier:
-                if deadline is not None:
-                    deadline.tick()
-                group = row.last
-                current = group.current
-                edges = adjacency.get(current)
-                if edges is not None:
-                    for edge in edges:
-                        out.add(row.replace_last(group.with_current(edge, group.times)))
-                else:
-                    out.add(
-                        row.replace_last(
-                            group.with_current(endpoint[current], group.times)
-                        )
-                    )
-            return
-        graph = self._graph
+        adjacency = index.out_adjacency if forward else index.in_adjacency
+        endpoint = index.edge_target if forward else index.edge_source
         for row in frontier:
             if deadline is not None:
                 deadline.tick()
             group = row.last
             current = group.current
-            if graph.is_node(current):
-                edges = graph.out_edges(current) if forward else graph.in_edges(current)
+            edges = adjacency.get(current)
+            if edges is not None:
                 for edge in edges:
                     out.add(row.replace_last(group.with_current(edge, group.times)))
             else:
-                successor = graph.target(current) if forward else graph.source(current)
-                out.add(row.replace_last(group.with_current(successor, group.times)))
+                out.add(
+                    row.replace_last(
+                        group.with_current(endpoint[current], group.times)
+                    )
+                )
 
     def _apply_hop(
         self,
@@ -1184,15 +1079,9 @@ class DataflowEngine:
         step: HopStep,
         out: TypingUnion[Frontier, RowFrontier],
     ) -> None:
-        """Fused structural hop through the index's memoized entries.
-
-        Only compiled into the chain when the engine runs coalesced with
-        an index (:meth:`_compile`), so ``self._index`` is always set
-        here.
-        """
+        """Fused structural hop through the index's memoized entries."""
         deadline = self._deadline
         index = self._index
-        assert index is not None
         for row in frontier:
             if deadline is not None:
                 deadline.tick()
@@ -1217,18 +1106,13 @@ class DataflowEngine:
         step: TemporalStep,
         out: TypingUnion[Frontier, RowFrontier],
     ) -> None:
-        graph = self._graph
         index = self._index
-        domain = graph.domain
-        # Conditions fused into the step (coalesced + indexed mode only):
-        # rows whose object cannot satisfy them never reach the window
-        # arithmetic below.
-        condition_tables = ()
-        if step.target_conditions:
-            assert index is not None  # fuse_hops only runs with an index
-            condition_tables = tuple(
-                index.condition_table(c) for c in step.target_conditions
-            )
+        domain = self._graph.domain
+        # Conditions fused into the step: rows whose object cannot
+        # satisfy them never reach the window arithmetic below.
+        condition_tables = tuple(
+            index.condition_table(c) for c in step.target_conditions
+        )
         deadline = self._deadline
         for row in frontier:
             if deadline is not None:
@@ -1246,10 +1130,7 @@ class DataflowEngine:
                     )
                 if satisfied is not None and satisfied.is_empty():
                     continue
-            if index is not None:
-                existence = index.existence[group.current]
-            else:
-                existence = graph.existence(group.current)
+            existence = index.existence[group.current]
             accumulator = IntervalSetAccumulator()
             for anchor in group.times:
                 for _anchor_piece, window in reachable_window(
@@ -1291,13 +1172,13 @@ class DataflowEngine:
         """The output table, staying interval-native whenever possible.
 
         When the chain statically binds every variable within one
-        temporal group (``bind_group_indices``), the coalesced engine
+        temporal group (``bind_group_indices``), the engine
         returns an :class:`IntervalBindingTable` built directly from the
         materializer's families — no point expansion, no row sort;
         the family merge is global, so the table's one-entry-per-binding
         invariant holds and is never split across worker chunks.  All
-        other shapes (legacy mode, group-spanning or branch-dependent
-        binds) take the point-row path.
+        other shapes (group-spanning or branch-dependent binds) take the
+        point-row path.
         """
         if self._output_mode(chain) == "families":
             families = self._materializer.families(frontier, variables)
@@ -1307,98 +1188,23 @@ class DataflowEngine:
 
     def _output_mode(self, chain: tuple[ChainStep, ...]) -> str:
         """``"families"`` when the output can stay interval-native, else ``"points"``."""
-        if self._use_coalesced:
-            spread = bind_group_indices(chain)
-            if spread is not None and len(spread) <= 1:
-                return "families"
+        spread = bind_group_indices(chain)
+        if spread is not None and len(spread) <= 1:
+            return "families"
         return "points"
 
     def _materialize(self, frontier: list[Row], variables: tuple[str, ...]) -> list[tuple]:
         if not self._engages(frontier):
-            return self._materialize_rows(frontier, variables)
+            return self._materializer.points(frontier, variables)
         # Same weighted partitioner as the chain run; here the cost
         # proxy is the rows' covered time points (expansion work).
         chunks = weighted_chunks(frontier, self._workers, self._row_cost)
         out: list[tuple] = []
         with ThreadPoolExecutor(max_workers=self._workers) as pool:
             futures = [
-                pool.submit(self._materialize_rows, chunk, variables) for chunk in chunks
+                pool.submit(self._materializer.points, chunk, variables)
+                for chunk in chunks
             ]
             for future in futures:
                 out.extend(future.result())
         return out
-
-    def _materialize_rows(
-        self, frontier: list[Row], variables: tuple[str, ...]
-    ) -> list[tuple]:
-        if self._use_coalesced:
-            # Interval-native Step 3: alive/reach passes plus per-binding
-            # interval families; shared with ``match_intervals``.
-            return self._materializer.points(frontier, variables)
-        graph = self._graph
-        out: list[tuple] = []
-        for row in frontier:
-            positions = row.variable_positions()
-            missing = [v for v in variables if v not in positions]
-            if missing:
-                raise EvaluationError(f"variables {missing} were never bound")
-            for times in row.enumerate_times(graph):
-                out.append(
-                    tuple(
-                        (positions[v][1], times[positions[v][0]]) for v in variables
-                    )
-                )
-        return out
-
-
-# ------------------------------------------------------------------ #
-# Helpers
-# ------------------------------------------------------------------ #
-def legacy_families(
-    rows: Iterable[Row], variables: tuple[str, ...]
-) -> list[IntervalFamily]:
-    """Canonical ``(bindings, times)`` families of a legacy row frontier.
-
-    The seed engine's interval output (no temporal navigation, so every
-    row is single-group): rows reaching the same bindings through
-    different paths merge into one coalesced entry.  Shared between
-    :meth:`DataflowEngine.match_intervals` in legacy mode and the
-    process-backend workers running a legacy-configured plan.
-    """
-    merged: dict[tuple, IntervalSetAccumulator] = {}
-    for row in rows:
-        positions = row.variable_positions()
-        missing = [v for v in variables if v not in positions]
-        if missing:
-            raise EvaluationError(f"variables {missing} were never bound")
-        bindings = tuple((variable, positions[variable][1]) for variable in variables)
-        accumulator = merged.get(bindings)
-        if accumulator is None:
-            accumulator = merged[bindings] = IntervalSetAccumulator()
-        accumulator.add(row.last.times)
-    return [
-        (bindings, accumulator.build()) for bindings, accumulator in merged.items()
-    ]
-
-
-def _requires_node(condition: Test) -> bool:
-    """True if the condition conjunctively requires the object to be a node."""
-    if isinstance(condition, NodeTest):
-        return True
-    if isinstance(condition, AndTest):
-        return any(_requires_node(part) for part in condition.parts)
-    return False
-
-
-def _split(items: list, parts: int) -> list[list]:
-    """Split a list into at most ``parts`` contiguous chunks of similar size.
-
-    The seed count-based splitter.  The hot paths now use the
-    degree-weighted :func:`repro.parallel.partition.weighted_chunks`
-    (count slicing lets one hub-heavy chunk straggle); this stays as the
-    reference implementation its unit tests pin.
-    """
-    if parts <= 1 or len(items) <= 1:
-        return [items]
-    size = (len(items) + parts - 1) // parts
-    return [items[i : i + size] for i in range(0, len(items), size)]

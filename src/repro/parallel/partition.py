@@ -1,7 +1,7 @@
 """Cost-aware partitioning of work items across workers.
 
-The seed ``_split`` helper sliced a list into contiguous, equally-*sized*
-chunks.  That is the wrong unit for frontier work: the per-seed cost of
+Slicing a list into contiguous, equally-*sized* chunks (what the seed
+did) is the wrong unit for frontier work: the per-seed cost of
 running a chain is dominated by the out-degree of the seed object, so a
 count-based split routinely hands one worker every hub node and leaves
 the rest idle (the straggler effect the paper avoids with Rayon's work

@@ -6,8 +6,8 @@ both from bytes.  The expensive part — the graph payload — therefore
 ships **once** per ``(graph, worker)`` pair and is cached worker-side by
 a stable *token*: an :class:`ExecutionPlan` pairs that token with the
 pickled graph (serialized lazily, exactly once per graph, and reused by
-every engine and query on it) and the engine configuration the workers
-must replicate (``use_index`` / ``use_coalesced``).
+every engine and query on it) and the evaluation kernel the workers
+must replicate.
 
 Plans are memoized on the graph object itself (the same pattern as
 :func:`~repro.perf.graph_index.graph_index_for`), under a ``_repro_``
@@ -102,8 +102,6 @@ class ExecutionPlan:
 
     __slots__ = (
         "token",
-        "use_index",
-        "use_coalesced",
         "kernel",
         "store",
         "_graph",
@@ -114,15 +112,11 @@ class ExecutionPlan:
         self,
         token: str,
         graph: IntervalTPG,
-        use_index: bool,
-        use_coalesced: bool,
         cell: _PayloadCell,
         store: Optional[StoreRef] = None,
         kernel: str = "interpreted",
     ) -> None:
         self.token = token
-        self.use_index = use_index
-        self.use_coalesced = use_coalesced
         #: Evaluation kernel the workers should run ("interpreted" or
         #: "columnar").  Workers missing NumPy self-heal to interpreted;
         #: the answer is identical either way.
@@ -139,7 +133,7 @@ class ExecutionPlan:
         """The pickled graph, serialized on first use and then reused.
 
         The bytes live in a per-graph cell shared by every plan
-        (configuration) on the graph, so the graph is pickled at most
+        (kernel) on the graph, so the graph is pickled at most
         once no matter how many plans exist or in which order they
         first need the payload.  ``IntervalTPG.__getstate__`` guarantees
         the bytes contain the graph only — no cached index, no nested
@@ -198,27 +192,17 @@ def invalidate_plans(graph: IntervalTPG) -> bool:
     return had
 
 
-def plan_for(
-    graph: IntervalTPG,
-    use_index: bool,
-    use_coalesced: bool,
-    kernel: str = "interpreted",
-) -> ExecutionPlan:
-    """The shared :class:`ExecutionPlan` for one graph + engine configuration."""
-    plans: dict[tuple[bool, bool, str] | str, object] | None = getattr(
-        graph, _PLANS_ATTR, None
-    )
+def plan_for(graph: IntervalTPG, kernel: str = "interpreted") -> ExecutionPlan:
+    """The shared :class:`ExecutionPlan` for one graph + evaluation kernel."""
+    plans: dict[str, object] | None = getattr(graph, _PLANS_ATTR, None)
     if plans is None:
         plans = {"cell": _PayloadCell()}
         setattr(graph, _PLANS_ATTR, plans)
-    key = (use_index, use_coalesced, kernel)
-    plan = plans.get(key)
+    plan = plans.get(kernel)
     if plan is None:
-        plan = plans[key] = ExecutionPlan(
+        plan = plans[kernel] = ExecutionPlan(
             graph_token(graph),
             graph,
-            use_index,
-            use_coalesced,
             plans["cell"],
             store=store_ref(graph),
             kernel=kernel,

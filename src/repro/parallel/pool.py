@@ -24,7 +24,7 @@ actually scales with cores.  A :class:`WorkerPool` wraps a
 * Workers rebuild the graph **once per process** and memoize it in the
   consolidated per-token cache (:mod:`repro.parallel.registry`; the
   compiled :class:`~repro.perf.graph_index.GraphIndex` rides on the
-  graph object, engines per configuration ride in the entry), then run
+  graph object, engines per kernel ride in the entry), then run
   ordinary chunk-level chain execution + interval materialization,
   returning compact packed families or point tuples.
 
@@ -141,8 +141,6 @@ class WorkerPool:
                 token,
                 payload,
                 store,
-                plan.use_index,
-                plan.use_coalesced,
                 chain,
                 chunk,
                 mode,
@@ -178,8 +176,6 @@ class WorkerPool:
                     token,
                     plan.payload,
                     None,
-                    plan.use_index,
-                    plan.use_coalesced,
                     chain,
                     chunks[i],
                     mode,
@@ -320,40 +316,27 @@ def _worker_engine(
     token: str,
     payload: Optional[bytes],
     store: Optional[StoreRef],
-    use_index: bool,
-    use_coalesced: bool,
     kernel: str = "interpreted",
 ):
-    """The memoized worker-side engine for one graph + configuration."""
+    """The memoized worker-side engine for one graph + kernel."""
     entry = registry.cached(token)
-    engine = (
-        entry.engines.get((use_index, use_coalesced, kernel)) if entry else None
-    )
+    engine = entry.engines.get(kernel) if entry else None
     if engine is not None:
         return engine
     # Chaos hook: fault the cold-start install path (kind "raise" models
     # an OOM/deserialization failure; "kill" a crash while rebuilding).
     failpoints.fire("worker.install")
     from repro.dataflow.executor import DataflowEngine
-    from repro.perf.graph_index import graph_index_for
 
     graph = _worker_graph(token, payload, store)
-    if use_index:
-        # Compile (or adopt the attached) index before the engine asks
-        # for it; it rides on the graph object, so eviction of the
-        # registry entry releases graph, index and engines together.
-        graph_index_for(graph)
-    engine = DataflowEngine(
-        graph,
-        workers=1,
-        use_index=use_index,
-        use_coalesced=use_coalesced,
-        kernel=kernel,
-    )
+    # The engine compiles (or adopts the attached) index; it rides on the
+    # graph object, so eviction of the registry entry releases graph,
+    # index and engines together.
+    engine = DataflowEngine(graph, workers=1, kernel=kernel)
     entry = registry.cached(token)
     if entry is None:  # pragma: no cover - install always precedes this
         entry = registry.install(token, graph)
-    entry.engines[(use_index, use_coalesced, kernel)] = engine
+    entry.engines[kernel] = engine
     return engine
 
 
@@ -361,8 +344,6 @@ def _run_chunk(
     token: str,
     payload: Optional[bytes],
     store: Optional[StoreRef],
-    use_index: bool,
-    use_coalesced: bool,
     chain: tuple,
     packed_seeds: Sequence[PackedSeed],
     mode: str,
@@ -373,10 +354,10 @@ def _run_chunk(
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the
     # whole pool, as a real crash would); "sleep" models a straggler.
     failpoints.fire("worker.chunk")
-    from repro.dataflow.executor import _ChainStats, legacy_families
+    from repro.dataflow.executor import _ChainStats
     from repro.eval.bindings import pack_families
 
-    engine = _worker_engine(token, payload, store, use_index, use_coalesced, kernel)
+    engine = _worker_engine(token, payload, store, kernel)
     seeds = unpack_seeds(packed_seeds)
     stats = _ChainStats()
     start = time.perf_counter()
@@ -399,13 +380,9 @@ def _run_chunk(
     frontier = engine._run_chain_on(seeds, chain, stats)
     chain_seconds = time.perf_counter() - start
     if mode == "families":
-        if use_coalesced:
-            families = engine._materializer.families(frontier, variables)
-        else:
-            families = legacy_families(frontier, variables)
-        data = pack_families(families)
+        data = pack_families(engine._materializer.families(frontier, variables))
     elif mode == "points":
-        data = engine._materialize_rows(frontier, variables)
+        data = engine._materializer.points(frontier, variables)
     else:
         raise EvaluationError(f"unknown process-backend output mode {mode!r}")
     return {

@@ -3,7 +3,7 @@
 Worker processes memoize three things per graph token: the rebuilt (or
 store-attached) graph, the :class:`~repro.perf.graph_index.GraphIndex`
 compiled from it, and the ready :class:`DataflowEngine` per
-configuration.  These used to live in three module-level dicts across
+kernel.  These used to live in three module-level dicts across
 two modules (``pool._WORKER_GRAPHS`` / ``pool._WORKER_ENGINES`` and
 ``graph_index._WORKER_INDEXES``) with eviction code in ``pool`` reaching
 into ``graph_index``'s registry — and the eviction order was
@@ -13,7 +13,7 @@ could evict the hot graph every other query was using.
 This module is the single replacement:
 
 * one :class:`OrderedDict` keyed by token, holding each graph together
-  with its per-configuration engines (the compiled index rides on the
+  with its per-kernel engines (the compiled index rides on the
   graph object itself via :func:`~repro.perf.graph_index.graph_index_for`,
   so dropping the entry releases graph, index and engines atomically);
 * every lookup *touches* its entry (``move_to_end``), making eviction
@@ -38,8 +38,8 @@ class CacheEntry:
 
     def __init__(self, graph: object) -> None:
         self.graph = graph
-        #: (use_index, use_coalesced) -> ready DataflowEngine.
-        self.engines: dict[tuple[bool, bool], object] = {}
+        #: kernel -> ready DataflowEngine.
+        self.engines: dict[str, object] = {}
 
 
 _CACHE: "OrderedDict[str, CacheEntry]" = OrderedDict()

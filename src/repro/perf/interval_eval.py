@@ -44,7 +44,7 @@ TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
 #: One coalesced MATCH output entry: variable bindings plus the shared
 #: family of matching times.  The canonical alias lives in
 #: :mod:`repro.eval.bindings` (structurally identical to
-#: :data:`repro.dataflow.frontier2.IntervalFamily`, kept separate only
+#: :data:`repro.dataflow.frontier.IntervalFamily`, kept separate only
 #: so neither ground-truth layer depends on the dataflow engine).
 MatchFamily = Family
 

@@ -139,8 +139,6 @@ def recover(
     snapshot_path: PathLike,
     wal_path: Optional[PathLike] = None,
     *,
-    use_index: bool = True,
-    use_coalesced: bool = True,
     queries: Optional[dict] = None,
 ) -> tuple[StreamingEngine, RecoveryReport]:
     """Rebuild a streaming session: load snapshot, replay the WAL tail.
@@ -163,9 +161,7 @@ def recover(
     snapshot_path = str(snapshot_path)
     document = load_snapshot(snapshot_path)
     graph = from_json_dict(document["graph"])
-    session = StreamingEngine(
-        graph, use_index=use_index, use_coalesced=use_coalesced
-    )
+    session = StreamingEngine(graph)
     session.restore_positions(
         last_sequence=document.get("sequence"),
         wal_seq=int(document.get("wal_seq", 0)),

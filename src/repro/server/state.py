@@ -314,7 +314,7 @@ class GraphHost:
             return {
                 "graph": dict(stats),
                 "epoch": self.session.epoch,
-                "index_epoch": None if self.index is None else self.index.epoch,
+                "index_epoch": self.index.epoch,
                 "queries": list(self.session.query_names()),
                 "plan_cache": self.plans.stats(),
                 "workers": self.engine.workers,

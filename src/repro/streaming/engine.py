@@ -132,17 +132,13 @@ class StreamingEngine:
         graph: Optional[IntervalTPG] = None,
         *,
         engine=None,
-        use_index: bool = True,
-        use_coalesced: bool = True,
     ) -> None:
         if engine is None:
             if graph is None:
                 raise ValueError("StreamingEngine needs a graph or an engine")
             from repro.dataflow.executor import DataflowEngine
 
-            engine = DataflowEngine(
-                graph, use_index=use_index, use_coalesced=use_coalesced
-            )
+            engine = DataflowEngine(graph)
         self._engine = engine
         self._graph: IntervalTPG = engine.graph
         self._queries: dict[str, _QueryState] = {}
@@ -355,9 +351,7 @@ class StreamingEngine:
             effects = apply_delta(self._graph, batch)
             if batch.sequence is not None:
                 self._last_sequence = batch.sequence
-            index = self._engine.index
-            if index is not None:
-                index.apply_delta(effects)
+            self._engine.index.apply_delta(effects)
             if effects.horizon_advanced:
                 self._engine._refresh_domain()
             updates = tuple(
@@ -401,7 +395,9 @@ class StreamingEngine:
         # looked up for the dirty objects alone, and untouched affected
         # seeds rebuild their rows from the cached (still valid,
         # object-local) satisfaction times.
-        closure = self._closure(effects.dirty, state.struct_radius)
+        closure = self._engine.index.structural_closure(
+            effects.dirty, state.struct_radius
+        )
         fresh = self._engine._seed_rows_for(
             state.chain, [obj for obj in closure if obj in effects.dirty]
         )
@@ -465,27 +461,6 @@ class StreamingEngine:
                 affected.add(obj)
         return affected
 
-    def _closure(self, dirty, radius: int) -> set[ObjectId]:
-        index = self._engine.index
-        if index is not None:
-            return index.structural_closure(dirty, radius)
-        graph = self._graph
-        closure = {obj for obj in dirty if graph.has_object(obj)}
-        frontier = set(closure)
-        for _ in range(radius):
-            if not frontier:
-                break
-            reached: set[ObjectId] = set()
-            for obj in frontier:
-                if graph.is_node(obj):
-                    reached.update(graph.out_edges(obj))
-                    reached.update(graph.in_edges(obj))
-                else:
-                    reached.update(graph.endpoints(obj))
-            frontier = reached - closure
-            closure |= frontier
-        return closure
-
     def _recompute_seeds(
         self,
         state: _QueryState,
@@ -542,10 +517,8 @@ class StreamingEngine:
             return ()
         if state.mode == "families":
             return engine._materializer.families(frontier, state.variables)
-        # Point mode covers both the coalesced group-spanning shapes and
-        # the legacy (use_coalesced=False) engine, exactly as in batch
-        # Step 3.
-        return engine._materialize_rows(frontier, state.variables)
+        # Point mode: group-spanning shapes, exactly as in batch Step 3.
+        return engine._materializer.points(frontier, state.variables)
 
     def _merged(
         self, state: _QueryState

@@ -77,24 +77,6 @@ class TestExplainReporting:
             "output spans temporal groups (point mode)"
         )
 
-    @requires_numpy
-    def test_legacy_frontier_disables_kernel(self):
-        engine = DataflowEngine(
-            contact_tracing_example(), kernel="columnar", use_coalesced=False
-        )
-        plan = engine.explain(PAPER_QUERIES["Q1"].text)
-        assert plan["effective_kernel"] == "interpreted"
-        assert "coalescing frontier" in plan["kernel_fallback"]
-
-    @requires_numpy
-    def test_no_index_disables_kernel(self):
-        engine = DataflowEngine(
-            contact_tracing_example(), kernel="columnar", use_index=False
-        )
-        plan = engine.explain(PAPER_QUERIES["Q1"].text)
-        assert plan["effective_kernel"] == "interpreted"
-        assert "graph index" in plan["kernel_fallback"]
-
     def test_numpy_absent_reports_and_matches_interpreted(self, monkeypatch):
         monkeypatch.setattr(columnar, "np", None)
         assert not columnar.available()

@@ -1,5 +1,7 @@
 """Tests for the dataflow engine: correctness, stats, coalesced output, parallelism."""
 
+import os
+
 import pytest
 
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
@@ -97,19 +99,13 @@ class TestStatsAndOutput:
         assert expanded == pointwise
         assert len(families) == len({bindings for bindings, _ in families})
 
-    def test_legacy_frontier_mode_still_restricts_match_intervals(self, figure1):
-        engine = DataflowEngine(figure1, use_coalesced=False)
-        with pytest.raises(EvaluationError):
-            engine.match_intervals(PAPER_QUERIES["Q11"].text)
-
     def test_rows_merged_stat(self, figure1):
-        coalesced = DataflowEngine(figure1).match_with_stats(PAPER_QUERIES["Q11"].text)
-        legacy = DataflowEngine(figure1, use_coalesced=False).match_with_stats(
-            PAPER_QUERIES["Q11"].text
-        )
-        assert legacy.rows_merged == 0
-        assert coalesced.frontier_rows <= legacy.frontier_rows
-        assert coalesced.table.as_set() == legacy.table.as_set()
+        # Q12's alternation reaches the same (binding, object) through both
+        # branches; the frontier merges them instead of carrying both.
+        text = PAPER_QUERIES["Q12"].text
+        result = DataflowEngine(figure1).match_with_stats(text)
+        assert result.rows_merged > 0
+        assert result.table.as_set() == ReferenceEngine(figure1).match(text).as_set()
 
     def test_match_intervals_expansion_matches_pointwise_output(self, figure1):
         engine = DataflowEngine(figure1)
@@ -148,7 +144,7 @@ class TestParallelism:
 
     def test_workers_property(self, figure1):
         assert DataflowEngine(figure1, workers=3).workers == 3
-        assert DataflowEngine(figure1, workers=0).workers == 1
+        assert DataflowEngine(figure1, workers=0).workers == (os.cpu_count() or 1)
 
     def test_accepts_tpg_input(self, figure1_tpg):
         engine = DataflowEngine(figure1_tpg)

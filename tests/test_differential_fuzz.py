@@ -7,8 +7,12 @@ randomized graphs and queries:
 * **MATCH level** — :func:`repro.datagen.random_graphs.random_itpg`
   graphs and :func:`~repro.datagen.random_graphs.random_match_query`
   queries (restricted to the dataflow fragment) evaluated by the
-  dataflow engine in coalesced, legacy-row and unindexed modes, and by
-  the reference engine in point and interval bottom-up modes.
+  dataflow engine under both kernels (interpreted and columnar), and by
+  the reference engine in point and interval bottom-up modes.  Where
+  NumPy is importable the sweep also proves the two dataflow
+  configurations differ: a case whose plan reports no kernel fallback
+  must report ``effective_kernel == "columnar"``, and a batch in which
+  no case ran columnar fails.
 * **Interval-vs-point output oracle** — for *every* engine
   configuration that defines ``match_intervals`` on the case, the
   coalesced families must (a) be canonical — one entry per distinct
@@ -47,7 +51,7 @@ from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.eval.bottom_up import BottomUpEvaluator
 from repro.errors import EvaluationError
-from repro.perf import IntervalBottomUpEvaluator
+from repro.perf import IntervalBottomUpEvaluator, columnar
 
 #: MATCH-level sweep: ``BATCHES × BATCH_SIZE`` generated cases.
 BATCH_SIZE = 25
@@ -101,10 +105,12 @@ def check_interval_point_oracle(
     return True
 
 
-def run_match_case(seed: int) -> None:
+def run_match_case(seed: int) -> bool:
     """One differential MATCH case; raises AssertionError on divergence.
 
-    Reproduce a failure with::
+    Returns whether the ``dataflow-columnar`` configuration actually ran
+    the columnar kernel on this case (``False`` = it fell back and was
+    compared interpreted-against-interpreted).  Reproduce a failure with::
 
         graph = random_itpg(<seed>)
         query = random_match_query(<seed> * 31 + 7)
@@ -112,9 +118,7 @@ def run_match_case(seed: int) -> None:
     graph = random_itpg(seed)
     query = random_match_query(seed * 31 + 7)
     engines = {
-        "dataflow-coalesced": DataflowEngine(graph),
-        "dataflow-legacy-rows": DataflowEngine(graph, use_coalesced=False),
-        "dataflow-coalesced-noindex": DataflowEngine(graph, use_index=False),
+        "dataflow-interpreted": DataflowEngine(graph),
         "dataflow-columnar": DataflowEngine(graph, kernel="columnar"),
         "reference-point": ReferenceEngine(graph),
         "reference-intervals": ReferenceEngine(graph, use_intervals=True),
@@ -149,25 +153,27 @@ def run_match_case(seed: int) -> None:
     # Definedness containment: a blanket spurious rejection would
     # otherwise disable the oracle silently.  The reference engines'
     # exact per-row check accepts everything the dataflow engine's
-    # static chain-shape check accepts; the legacy mode's
-    # no-temporal-step check is the strictest; index on/off must agree
+    # static chain-shape check accepts; the two kernels must agree
     # (same chain shape).
-    assert defined["dataflow-coalesced"] == defined["dataflow-coalesced-noindex"], (
-        f"index on/off disagree on match_intervals definedness ({context})"
-    )
-    assert defined["dataflow-columnar"] == defined["dataflow-coalesced"], (
+    assert defined["dataflow-columnar"] == defined["dataflow-interpreted"], (
         f"columnar kernel disagrees on match_intervals definedness ({context})"
     )
-    if defined["dataflow-coalesced"]:
+    if defined["dataflow-interpreted"]:
         assert defined["reference-point"] and defined["reference-intervals"], (
             f"reference engines rejected coalesced output the dataflow "
             f"engine defines ({context})"
         )
-    if defined["dataflow-legacy-rows"]:
-        assert defined["dataflow-coalesced"], (
-            f"coalesced engine rejected coalesced output the legacy "
-            f"mode defines ({context})"
+
+    # The columnar configuration is a second configuration only where the
+    # kernel really ran: a plan with no fallback must name it.
+    plan = engines["dataflow-columnar"].explain(query)
+    ran_columnar = plan["kernel_fallback"] is None
+    if ran_columnar:
+        assert plan["effective_kernel"] == "columnar", (
+            f"no kernel fallback, yet the plan runs "
+            f"{plan['effective_kernel']!r} ({context})"
         )
+    return ran_columnar
 
 
 class TestMatchLevelDifferential:
@@ -175,8 +181,17 @@ class TestMatchLevelDifferential:
 
     @pytest.mark.parametrize("batch", range(BATCHES))
     def test_random_graphs_random_queries(self, batch):
-        for offset in range(BATCH_SIZE):
+        ran_columnar = sum(
             run_match_case(SEED_OFFSET + batch * BATCH_SIZE + offset)
+            for offset in range(BATCH_SIZE)
+        )
+        print(f"fuzz batch {batch}: {ran_columnar}/{BATCH_SIZE} cases ran columnar")
+        if columnar.available():
+            assert ran_columnar > 0, (
+                f"fuzz batch {batch}: dataflow-columnar fell back to the "
+                "interpreted kernel on every case — the two dataflow "
+                "configurations were never different"
+            )
 
     def test_paper_queries_on_random_contact_graphs(self):
         from repro.datagen import (
@@ -195,8 +210,7 @@ class TestMatchLevelDifferential:
             )
             graph = generate_contact_tracing_graph(config)
             engines = {
-                "coalesced": DataflowEngine(graph),
-                "legacy": DataflowEngine(graph, use_coalesced=False),
+                "interpreted": DataflowEngine(graph),
                 "columnar": DataflowEngine(graph, kernel="columnar"),
                 "reference": ReferenceEngine(graph),
                 "reference-intervals": ReferenceEngine(graph, use_intervals=True),
@@ -228,7 +242,7 @@ class TestMatchLevelDifferential:
                 # coalesced output defined, so the oracle above cannot
                 # be silently disabled by a spurious blanket rejection.
                 if name not in ("Q6", "Q7", "Q8"):
-                    assert defined["coalesced"], (
+                    assert defined["interpreted"] and defined["columnar"], (
                         f"{name} lost coalesced-output definedness"
                     )
                     assert defined["reference"] and defined["reference-intervals"]
@@ -266,18 +280,15 @@ class TestRegressionCounterexamples:
             text="<review-repro>",
         )
         reference = ReferenceEngine(graph).match(query).as_set()
-        for engine in (
-            DataflowEngine(graph),
-            DataflowEngine(graph, use_coalesced=False),
-        ):
+        for kernel in DataflowEngine.KERNELS:
+            engine = DataflowEngine(graph, kernel=kernel)
             assert engine.match(query).as_set() == reference
 
-    def test_legacy_match_intervals_is_canonical(self):
-        # Hardened seam (PR 3): the legacy row frontier reaches the same
-        # binding through one row per traversal path; its interval
-        # output used to emit one (duplicated) family per row.  Now all
-        # engines produce one coalesced family per binding tuple, which
-        # is the invariant the interval-vs-point oracle asserts.
+    def test_parallel_edges_match_intervals_is_canonical(self):
+        # Hardened seam (PR 3): a binding reached through several
+        # traversal paths must still produce one coalesced family per
+        # binding tuple — the invariant the interval-vs-point oracle
+        # asserts.
         from repro.model.itpg import IntervalTPG
         from repro.temporal.interval import Interval
         from repro.temporal.intervalset import IntervalSet
@@ -285,16 +296,13 @@ class TestRegressionCounterexamples:
         graph = IntervalTPG(Interval(0, 4))
         graph.add_node("a", "Person", IntervalSet([(0, 4)]))
         graph.add_node("b", "Person", IntervalSet([(0, 4)]))
-        # Two parallel edges: the legacy frontier reaches b twice.
+        # Two parallel edges: b is reached twice.
         graph.add_edge("e1", "meets", "a", "b", IntervalSet([(0, 1)]))
         graph.add_edge("e2", "meets", "a", "b", IntervalSet([(3, 4)]))
         graph.validate()
         query = "MATCH (x:Person)-[:meets]->(y:Person) ON g"
-        for engine in (
-            DataflowEngine(graph),
-            DataflowEngine(graph, use_coalesced=False),
-        ):
-            families = engine.match_intervals(query)
+        for kernel in DataflowEngine.KERNELS:
+            families = DataflowEngine(graph, kernel=kernel).match_intervals(query)
             bindings = [b for b, _times in families]
             assert len(bindings) == len(set(bindings))
             times = dict(zip(bindings, (t for _b, t in families)))

@@ -1,16 +1,17 @@
 """Unit tests for the coalescing frontier and interval-native Step 3.
 
-Invariants under test (see ``repro/dataflow/frontier2.py``):
+Invariants under test (see ``repro/dataflow/frontier.py``):
 
 * no two live frontier rows share a binding signature, after every step
   type (Test/Struct/Hop/Temporal/Alt/Bind);
 * every interval family stored in a frontier row stays coalesced (the
   FC invariant) after every step;
-* a Q11-style chain carries strictly fewer rows through the coalescing
-  frontier than through the legacy row frontier;
-* the interval-native materializer agrees with the legacy point-wise
-  expansion (``Row.enumerate_times`` + ``TemporalLink.admits``) on
-  randomized rows, and fused hops agree with their unfused steps.
+* a Q11-style chain actually merges rows (``rows_merged > 0``) while
+  keeping both invariants and the reference answer;
+* the interval-native materializer agrees with the point-wise
+  definition of Step 3 (``Row.enumerate_times`` +
+  ``TemporalLink.admits``) on randomized rows, and fused hops agree
+  with the reference engine.
 """
 
 import random
@@ -20,10 +21,19 @@ import pytest
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
 from repro.dataflow.executor import _ChainStats
-from repro.dataflow.frontier import Group, Row, TemporalLink
-from repro.dataflow.frontier2 import Frontier, IntervalMaterializer, row_signature
+from repro.dataflow.frontier import (
+    Frontier,
+    Group,
+    IntervalMaterializer,
+    Row,
+    TemporalLink,
+    row_signature,
+)
+from repro.dataflow.steps import AltStep, HopStep
 from repro.errors import EvaluationError
+from repro.eval import ReferenceEngine
 from repro.lang.translate import compile_match
+from repro.perf import graph_index_for
 from repro.temporal import IntervalSet, IntervalSetAccumulator
 
 
@@ -68,7 +78,7 @@ class TestFrontierInvariants:
     @pytest.mark.parametrize("query", STEP_QUERIES)
     def test_signatures_unique_after_every_step(self, figure1, query):
         engine = DataflowEngine(figure1)
-        object_id = engine.index.object_id if engine.index else None
+        object_id = engine.index.object_id
         for step, rows in _stepwise_frontiers(engine, query):
             signatures = [row_signature(row, object_id) for row in rows]
             assert len(signatures) == len(set(signatures)), (
@@ -87,7 +97,7 @@ class TestFrontierInvariants:
         for graph_seed in range(4):
             graph = random_itpg(graph_seed)
             engine = DataflowEngine(graph)
-            object_id = engine.index.object_id if engine.index else None
+            object_id = engine.index.object_id
             query = random_match_query(graph_seed * 17 + 3)
             for _step, rows in _stepwise_frontiers(engine, query):
                 signatures = [row_signature(row, object_id) for row in rows]
@@ -137,22 +147,22 @@ class TestFrontierInvariants:
         assert len(frontier) == 2
 
 
-class TestRowCountsVsLegacy:
+class TestRowMerging:
     @pytest.mark.parametrize("name", ["Q11", "Q12"])
-    def test_q11_style_chain_strictly_fewer_rows(self, name):
+    def test_q11_style_chain_merges_rows(self, name):
         graph = _midsize_contact_graph()
         text = PAPER_QUERIES[name].text
-        legacy_peak = _peak_rows(DataflowEngine(graph, use_coalesced=False), text)
-        coalesced_peak = _peak_rows(DataflowEngine(graph), text)
-        assert coalesced_peak < legacy_peak, (
-            f"{name}: coalesced peak {coalesced_peak} not below legacy {legacy_peak}"
-        )
-        coalesced = DataflowEngine(graph).match_with_stats(text)
-        legacy = DataflowEngine(graph, use_coalesced=False).match_with_stats(text)
-        assert coalesced.frontier_rows <= legacy.frontier_rows
-        assert coalesced.rows_merged > 0
-        assert legacy.rows_merged == 0
-        assert coalesced.table.as_set() == legacy.table.as_set()
+        engine = DataflowEngine(graph)
+        object_id = engine.index.object_id
+        for step, rows in _stepwise_frontiers(engine, text):
+            signatures = [row_signature(row, object_id) for row in rows]
+            assert len(signatures) == len(set(signatures)), type(step).__name__
+            for row in rows:
+                _assert_fc_invariant(row.last.times)
+        result = engine.match_with_stats(text)
+        assert result.rows_merged > 0
+        reference = ReferenceEngine(graph, use_intervals=True).match(text)
+        assert result.table.as_set() == reference.as_set()
 
 
 def _midsize_contact_graph():
@@ -170,13 +180,6 @@ def _midsize_contact_graph():
         seed=7,
     )
     return generate_contact_tracing_graph(config)
-
-
-def _peak_rows(engine: DataflowEngine, text: str) -> int:
-    peak = 0
-    for _step, rows in _stepwise_frontiers(engine, text):
-        peak = max(peak, len(rows))
-    return peak
 
 
 class TestIntervalMaterializer:
@@ -212,9 +215,9 @@ class TestIntervalMaterializer:
                 )
         return Row(tuple(groups), tuple(links))
 
-    def test_row_points_matches_legacy_enumeration(self, figure1):
+    def test_row_points_matches_pointwise_enumeration(self, figure1):
         """The alive/reach passes agree with enumerate_times + admits."""
-        materializer = IntervalMaterializer(figure1)
+        materializer = IntervalMaterializer(graph_index_for(figure1))
         rng = random.Random(20240615)
         checked = 0
         for _ in range(120):
@@ -223,18 +226,18 @@ class TestIntervalMaterializer:
             if not variables:
                 continue
             positions = row.variable_positions()
-            legacy = {
+            pointwise = {
                 tuple((positions[v][1], times[positions[v][0]]) for v in variables)
                 for times in row.enumerate_times(figure1)
             }
             interval_native = set(materializer.row_points(row, variables))
-            assert interval_native == legacy, f"row={row}"
+            assert interval_native == pointwise, f"row={row}"
             checked += 1
         assert checked >= 60
 
     def test_row_family_matches_row_points(self, figure1):
         """Families expand to exactly the point output on single-bound rows."""
-        materializer = IntervalMaterializer(figure1)
+        materializer = IntervalMaterializer(graph_index_for(figure1))
         rng = random.Random(77)
         checked = 0
         for _ in range(200):
@@ -262,7 +265,7 @@ class TestIntervalMaterializer:
         assert checked >= 20
 
     def test_row_family_rejects_variables_across_groups(self, figure1):
-        materializer = IntervalMaterializer(figure1)
+        materializer = IntervalMaterializer(graph_index_for(figure1))
         link = TemporalLink("n2", forward=True, lower=0, upper=2, contiguous=False)
         row = Row(
             (
@@ -275,20 +278,29 @@ class TestIntervalMaterializer:
             materializer.row_family(row, ("x", "y"))
 
     def test_unbound_variable_raises(self, figure1):
-        materializer = IntervalMaterializer(figure1)
+        materializer = IntervalMaterializer(graph_index_for(figure1))
         row = Row((Group((), "n1", IntervalSet([(0, 2)])),), ())
         with pytest.raises(EvaluationError):
             list(materializer.row_points(row, ("x",)))
 
 
+def _has_hop(chain) -> bool:
+    return any(
+        isinstance(step, HopStep)
+        or (isinstance(step, AltStep) and any(map(_has_hop, step.alternatives)))
+        for step in chain
+    )
+
+
 class TestHopFusion:
-    def test_hop_entries_agree_with_stepwise_traversal(self, figure1):
-        """Fused hops produce the same tables as unfused Struct·Test·Struct."""
-        fused = DataflowEngine(figure1)  # coalesced + index → hops compiled
-        unfused = DataflowEngine(figure1, use_index=False)  # no hops
-        for name in ("Q5", "Q7", "Q11", "Q12"):
+    def test_fused_hops_agree_with_reference(self, figure1):
+        """Chains compiled to HopSteps answer like the reference engine."""
+        engine = DataflowEngine(figure1)
+        reference = ReferenceEngine(figure1)
+        for name in ("Q7", "Q11", "Q12"):
             text = PAPER_QUERIES[name].text
-            assert fused.match(text).as_set() == unfused.match(text).as_set(), name
+            assert _has_hop(engine._compile(compile_match(text))), name
+            assert engine.match(text).as_set() == reference.match(text).as_set(), name
 
     def test_hop_entries_memoized_per_graph(self, figure1):
         engine_a = DataflowEngine(figure1)

@@ -121,8 +121,3 @@ class TestEngineIntegration:
         table = DataflowEngine(figure1).match(PAPER_QUERIES[name].text)
         reference = ReferenceEngine(figure1).match(PAPER_QUERIES[name].text)
         assert table.rows == reference.rows
-
-    def test_legacy_mode_is_always_eager(self, figure1):
-        engine = DataflowEngine(figure1, use_coalesced=False)
-        result = engine.match_with_stats(PAPER_QUERIES["Q1"].text)
-        assert isinstance(result.table, BindingTable)

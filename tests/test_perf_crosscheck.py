@@ -2,8 +2,8 @@
 
 Everything the compiled index and the interval-native relations change is
 an implementation detail: on every graph and every expression, the
-indexed dataflow engine, the interval bottom-up evaluator and the seed
-engines must produce the same answers.
+dataflow engine, the interval bottom-up evaluator and the point-based
+reference engines must produce the same answers.
 """
 
 import pytest
@@ -27,15 +27,8 @@ from repro.reductions import (
 )
 
 
-class TestDataflowIndexedVsLegacy:
-    """use_index=True must be an invisible optimization."""
-
-    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
-    def test_paper_queries_on_running_example(self, figure1, name):
-        text = PAPER_QUERIES[name].text
-        indexed = DataflowEngine(figure1, use_index=True).match(text)
-        legacy = DataflowEngine(figure1, use_index=False).match(text)
-        assert indexed.as_set() == legacy.as_set()
+class TestDataflowIndexedVsReference:
+    """The compiled index must be an invisible optimization."""
 
     @pytest.mark.parametrize(
         "query",
@@ -49,16 +42,9 @@ class TestDataflowIndexedVsLegacy:
     )
     def test_random_graphs(self, small_random_graphs, query):
         for graph in small_random_graphs:
-            indexed = DataflowEngine(graph, use_index=True).match(query)
-            legacy = DataflowEngine(graph, use_index=False).match(query)
+            indexed = DataflowEngine(graph).match(query)
             reference = ReferenceEngine(graph).match(query)
-            assert indexed.as_set() == legacy.as_set() == reference.as_set()
-
-    def test_interval_output_agrees(self, figure1):
-        query = PAPER_QUERIES["Q2"].text
-        indexed = DataflowEngine(figure1, use_index=True).match_intervals(query)
-        legacy = DataflowEngine(figure1, use_index=False).match_intervals(query)
-        assert sorted(indexed, key=repr) == sorted(legacy, key=repr)
+            assert indexed.as_set() == reference.as_set()
 
     def test_workers_with_index(self, figure1):
         query = PAPER_QUERIES["Q5"].text
@@ -67,12 +53,12 @@ class TestDataflowIndexedVsLegacy:
         assert serial.as_set() == parallel.as_set()
 
 
-class TestTableOneSweepBothFrontiers:
-    """Q1–Q12 on Table-I generator graphs, coalesced vs legacy row frontier.
+class TestTableOneSweep:
+    """Q1–Q12 on Table-I generator graphs, dataflow vs reference.
 
     The Table-II mix above runs on the paper's running example; this
     sweep uses the contact-tracing generator behind the Table-I scale
-    factors (at test-sized counts) so the frontier rewrite is
+    factors (at test-sized counts) so the coalescing frontier is
     cross-checked on the same graph family the benchmarks measure.
     """
 
@@ -96,30 +82,23 @@ class TestTableOneSweepBothFrontiers:
         return graphs
 
     @pytest.mark.parametrize("name", list(PAPER_QUERIES))
-    def test_paper_query_both_frontier_modes(self, table1_graphs, name):
+    def test_paper_query_matches_reference(self, table1_graphs, name):
         text = PAPER_QUERIES[name].text
         for scale_name, graph in table1_graphs:
-            coalesced = DataflowEngine(graph, use_coalesced=True)
-            legacy = DataflowEngine(graph, use_coalesced=False)
-            reference = ReferenceEngine(graph, use_intervals=True)
-            a = coalesced.match(text).as_set()
-            b = legacy.match(text).as_set()
-            c = reference.match(text).as_set()
-            assert a == b == c, (
+            dataflow = DataflowEngine(graph).match(text).as_set()
+            reference = ReferenceEngine(graph, use_intervals=True).match(text).as_set()
+            assert dataflow == reference, (
                 f"{name} diverged on shrunk Table-I graph {scale_name} "
-                f"(coalesced={len(a)}, legacy={len(b)}, reference={len(c)})"
+                f"(dataflow={len(dataflow)}, reference={len(reference)})"
             )
 
     @pytest.mark.parametrize("name", ["Q3", "Q5", "Q10", "Q11"])
-    def test_frontier_modes_agree_with_workers(self, table1_graphs, name):
+    def test_threaded_agrees_with_serial(self, table1_graphs, name):
         text = PAPER_QUERIES[name].text
         _scale, graph = table1_graphs[0]
-        serial = DataflowEngine(graph, use_coalesced=True).match(text)
-        threaded = DataflowEngine(graph, use_coalesced=True, workers=4).match(text)
-        legacy_threaded = DataflowEngine(
-            graph, use_coalesced=False, workers=4
-        ).match(text)
-        assert serial.as_set() == threaded.as_set() == legacy_threaded.as_set()
+        serial = DataflowEngine(graph).match(text)
+        threaded = DataflowEngine(graph, workers=4).match(text)
+        assert serial.as_set() == threaded.as_set()
 
 
 class TestIntervalBottomUp:

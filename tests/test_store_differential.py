@@ -3,8 +3,8 @@
 The store's correctness contract is *zero divergence*: a graph attached
 from a compiled ``repro-index`` artifact must answer every query
 identically to the in-memory graph it was compiled from — under every
-engine configuration the fuzz oracle exercises (coalesced/legacy-rows/
-no-index dataflow, both reference engines), for single-file and sharded
+engine configuration the fuzz oracle exercises (both dataflow kernels,
+both reference engines), for single-file and sharded
 stores, and through the process backend's ``StoreRef`` dispatch on both
 ``fork`` and ``spawn`` start methods.
 
@@ -46,12 +46,9 @@ class TestEngineConfigurations:
         attachment = _attached(tmp_path, graph)
         try:
             engines = {
-                "dataflow-coalesced": DataflowEngine(attachment.graph),
-                "dataflow-legacy-rows": DataflowEngine(
-                    attachment.graph, use_coalesced=False
-                ),
-                "dataflow-coalesced-noindex": DataflowEngine(
-                    attachment.graph, use_index=False
+                "dataflow-interpreted": DataflowEngine(attachment.graph),
+                "dataflow-columnar": DataflowEngine(
+                    attachment.graph, kernel="columnar"
                 ),
                 "reference-point": ReferenceEngine(attachment.graph),
                 "reference-intervals": ReferenceEngine(

@@ -470,17 +470,14 @@ class TestStreamingEngine:
         state = session._state(query)
         assert "early" in state.seed_times
 
-    def test_legacy_and_noindex_sessions_agree(self):
+    def test_kernel_sessions_agree(self):
         payload = to_json_dict(small_graph())
         query = "MATCH (x:Person {risk = 'high'}) ON g"
         engines = {
-            "coalesced": DataflowEngine(from_json_dict(payload), incremental=True),
-            "noindex": DataflowEngine(
-                from_json_dict(payload), use_index=False, incremental=True
-            ),
-            "legacy": DataflowEngine(
-                from_json_dict(payload), use_coalesced=False, incremental=True
-            ),
+            kernel: DataflowEngine(
+                from_json_dict(payload), kernel=kernel, incremental=True
+            )
+            for kernel in DataflowEngine.KERNELS
         }
         batch = (
             DeltaBatch(sequence=1)

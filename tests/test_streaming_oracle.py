@@ -8,10 +8,9 @@ differential fuzzing.
 
 For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
 
-* three **incremental** sessions (coalesced+index, coalesced without
-  index, legacy rows — the dataflow configurations of the fuzz-oracle
-  matrix) apply the same delta batches to independent copies of the
-  graph;
+* two **incremental** sessions (interpreted and columnar kernel — the
+  dataflow configurations of the fuzz-oracle matrix) apply the same
+  delta batches to independent copies of the graph;
 * after *every* batch, each session's table must equal a **cold** full
   evaluation by a fresh engine on a pristine rebuild of the materialized
   graph — no shared index, no shared caches;
@@ -47,7 +46,7 @@ from repro.eval.bindings import expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
 
 #: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches
-#: and 4 incremental configurations).
+#: and 2 incremental configurations).
 BATCH_SIZE = 25
 BATCHES = 8  # 200 cases, the floor required by the acceptance criteria
 #: Every Nth case also cross-checks the reference engines on the cold side.
@@ -62,12 +61,8 @@ def incremental_engines(payload: dict) -> dict[str, DataflowEngine]:
     exactly once, so sessions cannot share one instance.
     """
     return {
-        "stream-coalesced": DataflowEngine(from_json_dict(payload), incremental=True),
-        "stream-coalesced-noindex": DataflowEngine(
-            from_json_dict(payload), use_index=False, incremental=True
-        ),
-        "stream-legacy-rows": DataflowEngine(
-            from_json_dict(payload), use_coalesced=False, incremental=True
+        "stream-interpreted": DataflowEngine(
+            from_json_dict(payload), incremental=True
         ),
         "stream-columnar": DataflowEngine(
             from_json_dict(payload), kernel="columnar", incremental=True

@@ -28,7 +28,7 @@ from repro.datagen import (
 )
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES, row_signature
-from repro.dataflow.executor import _ChainStats, _split
+from repro.dataflow.executor import _ChainStats
 from repro.errors import EvaluationError, ReproError, RetryBudgetExceeded
 from repro.eval import ReferenceEngine
 from repro.lang.translate import compile_match
@@ -63,19 +63,6 @@ def canonical_families(engine, query):
     )
 
 
-class TestSplitHelper:
-    def test_split_covers_and_bounds_chunks(self):
-        items = list(range(11))
-        chunks = _split(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert len(chunks) <= 4
-        assert all(chunks)
-
-    def test_split_single_worker_is_identity(self):
-        items = list(range(5))
-        assert _split(items, 1) == [items]
-
-
 class TestChunkedFrontierInvariants:
     @pytest.mark.parametrize("query_name", ["Q1", "Q5", "Q9", "Q11", "Q12"])
     def test_merged_frontier_has_unique_coalesced_signatures(
@@ -101,14 +88,9 @@ class TestChunkedFrontierInvariants:
                 assert is_coalesced(list(group.times.intervals))
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("use_coalesced", [True, False])
-    def test_workers_do_not_change_any_output(
-        self, contact_graph, workers, use_coalesced
-    ):
-        sequential = DataflowEngine(contact_graph, use_coalesced=use_coalesced)
-        parallel = DataflowEngine(
-            contact_graph, workers=workers, use_coalesced=use_coalesced
-        )
+    def test_workers_do_not_change_any_output(self, contact_graph, workers):
+        sequential = DataflowEngine(contact_graph)
+        parallel = DataflowEngine(contact_graph, workers=workers)
         for name, query in PAPER_QUERIES.items():
             seq_result = sequential.match_with_stats(query.text)
             par_result = parallel.match_with_stats(query.text)
@@ -189,9 +171,8 @@ class TestProcessBackend:
     #: The dataflow configurations of the differential fuzz oracle (its
     #: reference engines provide the ground truth below).
     DATAFLOW_CONFIGS = {
-        "coalesced": {},
-        "legacy-rows": {"use_coalesced": False},
-        "coalesced-noindex": {"use_index": False},
+        "interpreted": {},
+        "columnar": {"kernel": "columnar"},
     }
 
     def test_process_backend_output_identity_all_queries(self, contact_graph):
@@ -259,13 +240,12 @@ class TestProcessBackend:
     def test_plan_payload_is_shared_and_cached(self, contact_graph):
         engine = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
         other = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
-        plan = plan_for(engine.graph, True, True)
-        assert plan_for(other.graph, True, True) is plan
+        plan = plan_for(engine.graph)
+        assert plan_for(other.graph) is plan
         payload = plan.payload
         assert plan.payload is payload  # serialized once, then reused
-        # Every configuration on the same graph shares the one payload.
-        assert plan_for(engine.graph, True, False).payload is payload
-        assert plan_for(engine.graph, False, True).payload is payload
+        # Every kernel's plan on the same graph shares the one payload.
+        assert plan_for(engine.graph, "columnar").payload is payload
         engine.match(PAPER_QUERIES["Q1"].text)
         pool = shared_pool(2)
         assert plan.token in pool._warm and pool._warm[plan.token]
@@ -369,11 +349,11 @@ class TestDeltaPlanInvalidation:
 
         graph = self._mutable_contact_graph()
         token = graph_token(graph)
-        plan = plan_for(graph, True, True)
+        plan = plan_for(graph)
         assert plan.token == token
         assert invalidate_plans(graph) is True
         assert graph_token(graph) != token
-        assert plan_for(graph, True, True) is not plan
+        assert plan_for(graph) is not plan
         # A graph with nothing cached reports no-op.
         assert invalidate_plans(self._mutable_contact_graph()) is False
 
