@@ -26,6 +26,7 @@ Every command reads/writes the JSON format of :mod:`repro.model.io`;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional, Sequence
@@ -149,11 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--kernel",
         choices=DataflowEngine.KERNELS,
-        default="interpreted",
-        help="dataflow evaluation kernel: 'interpreted' (per-row Python chain "
-        "walk) or 'columnar' (vectorized NumPy sweeps over flat interval "
-        "arrays; falls back to interpreted for uncovered step shapes — see "
-        "--explain)",
+        default=None,
+        help="override the dataflow evaluation kernel.  The engine's default "
+        "is 'columnar' (vectorized NumPy sweeps over flat interval arrays; "
+        "runs interpreted without NumPy or for uncovered step shapes — see "
+        "--explain); 'interpreted' forces the per-row Python chain walk the "
+        "columnar kernel is checked against",
     )
     query.add_argument("--limit", type=int, default=25, help="rows to print (0 = all)")
     query.add_argument("--stats", action="store_true", help="print timing and output size")
@@ -592,7 +594,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # Pure argument validation comes first, before any graph loading.
     if args.engine != "dataflow" and (
         args.backend != "thread"
-        or args.kernel != "interpreted"
+        or args.kernel is not None
         or args.explain
         or args.stream
         or args.deadline is not None
@@ -652,7 +654,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             incremental=args.stream is not None,
             deadline_seconds=args.deadline,
             retry=retry,
-            kernel=args.kernel,
+            **({} if args.kernel is None else {"kernel": args.kernel}),
         )
         if args.explain:
             _print_explain(engine.explain(text))
@@ -817,6 +819,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for text in args.register or ():
         registered = host.register(text)
         print(f"# registered {registered['result']['name']!r}", flush=True)
+
+    # The resident graph, index and registered answers are millions of
+    # long-lived objects: request-time collections must not re-walk them
+    # (done here, not in a library: freeze() covers every live object).
+    gc.collect()
+    gc.freeze()
 
     def on_listening(server) -> None:
         # Subprocess harnesses (tests, benchmarks) parse this line to

@@ -12,7 +12,12 @@ matches through it:
   point-wise temporal bindings, enforcing the recorded temporal links;
   the combined time is ``total_seconds`` ("total time" in Table II).
 
-There is one evaluation path.  Every step reads the per-graph compiled
+There is one evaluation path with two kernels.  By default
+(``kernel="columnar"``) a covered chain runs as vectorized sweeps
+(:mod:`repro.perf.columnar`) over the index-owned, delta-maintained
+array image of the graph; everything else — uncovered chains, no NumPy,
+``kernel="interpreted"`` — takes the per-row walk below, the oracle the
+columnar kernel is fuzzed against.  Every step reads the per-graph compiled
 :class:`~repro.perf.graph_index.GraphIndex` (memoized condition tables,
 adjacency, fused-hop entries); the frontier is the *coalescing*,
 set-at-a-time :class:`~repro.dataflow.frontier.Frontier` — after every
@@ -172,11 +177,12 @@ class DataflowEngine:
 
     #: Valid values of ``parallel_backend``.
     BACKENDS = ("thread", "process")
-    #: Valid values of ``kernel``.  ``"interpreted"`` is the per-row
-    #: Python chain walk below (and the differential-fuzz oracle);
-    #: ``"columnar"`` compiles supported chains into vectorized sweeps
-    #: (:mod:`repro.perf.columnar`) and falls back to interpreted —
-    #: with the reason recorded in :meth:`explain` — everywhere else.
+    #: Valid values of ``kernel``.  ``"columnar"`` — the default —
+    #: compiles supported chains into vectorized sweeps
+    #: (:mod:`repro.perf.columnar`) and runs interpreted — with the
+    #: reason recorded in :meth:`explain` — when NumPy is missing or the
+    #: chain shape is not covered.  ``"interpreted"`` forces the per-row
+    #: Python chain walk below: the differential-fuzz oracle / override.
     KERNELS = ("interpreted", "columnar")
 
     def __init__(
@@ -188,7 +194,7 @@ class DataflowEngine:
         incremental: bool = False,
         deadline_seconds: float | None = None,
         retry: RetryPolicy | None = None,
-        kernel: str = "interpreted",
+        kernel: str = "columnar",
     ) -> None:
         if parallel_backend not in self.BACKENDS:
             raise ValueError(
@@ -246,9 +252,6 @@ class DataflowEngine:
         self._kernel_unavailable: str | None = None
         if kernel == "columnar" and not columnar_kernel.available():
             self._kernel_unavailable = "numpy is not installed"
-        #: Cached :class:`~repro.perf.columnar.ColumnarContext`, keyed by
-        #: the index's maintenance epoch (deltas invalidate it wholesale).
-        self._columnar_ctx = None
 
     @property
     def graph(self) -> IntervalTPG:
@@ -454,14 +457,6 @@ class DataflowEngine:
     # ------------------------------------------------------------------ #
     # Columnar kernel dispatch (kernel="columnar")
     # ------------------------------------------------------------------ #
-    def _columnar_context(self):
-        """The engine's array image of the current index epoch."""
-        index = self._index
-        ctx = self._columnar_ctx
-        if ctx is None or ctx.epoch != index.epoch:
-            ctx = self._columnar_ctx = columnar_kernel.ColumnarContext(index)
-        return ctx
-
     def _columnar_fallback_reason(self, chain: tuple[ChainStep, ...]) -> str | None:
         """Why this chain would run interpreted despite ``kernel="columnar"``.
 
@@ -476,6 +471,15 @@ class DataflowEngine:
         _plan, reason = columnar_kernel.plan_query(chain)
         return reason
 
+    def kernel_for(self, chain: tuple[ChainStep, ...]) -> dict:
+        """``effective_kernel`` and ``kernel_fallback`` (why a columnar
+        engine would run it interpreted; ``None`` = no fallback, or
+        interpreted was asked for) of one chain, as in :meth:`explain`."""
+        columnar = self._kernel == "columnar"
+        fallback = self._columnar_fallback_reason(chain) if columnar else None
+        effective = "columnar" if columnar and fallback is None else "interpreted"
+        return {"effective_kernel": effective, "kernel_fallback": fallback}
+
     def _columnar_plan(self, chain: tuple[ChainStep, ...]):
         """The full-query columnar plan, or ``None`` on any fallback."""
         if self._kernel != "columnar" or self._columnar_fallback_reason(chain):
@@ -483,14 +487,14 @@ class DataflowEngine:
         plan, _reason = columnar_kernel.plan_query(chain)
         return plan
 
-    def _columnar_process_engages(self, ctx, plan) -> bool:
+    def _columnar_process_engages(self, plan) -> bool:
         """Process-pool engagement for a columnar plan, decided from the
         context's seed count without materializing Row seeds — the same
         predicate :meth:`_process_engages` applies to built frontiers."""
         return (
             self._backend == "process"
             and self._workers > 1
-            and ctx.seed_count(plan) >= 2 * self._workers
+            and self._index.columnar_context().seed_count(plan) >= 2 * self._workers
         )
 
     def _columnar_rows_attempt(
@@ -503,8 +507,8 @@ class DataflowEngine:
         """Columnar evaluation over pre-built seed rows.
 
         The rows-in/families-out twin of the full-query path, used by
-        the thread/serial backend rungs, the worker-pool chunks and the
-        streaming engine's per-seed re-derivations.  ``None`` means the
+        the thread/serial backend rungs and the worker-pool chunks.
+        ``None`` means the
         chain or the rows don't fit the kernel; the caller falls back to
         the interpreted chain walk.
         """
@@ -514,7 +518,7 @@ class DataflowEngine:
         if ops is None:
             return None
         result = columnar_kernel.run_rows(
-            self._columnar_context(), ops, seeds, variables, self._deadline
+            self._index.columnar_context(), ops, seeds, variables, self._deadline
         )
         if result is None:
             return None
@@ -626,16 +630,14 @@ class DataflowEngine:
         try:
             start = time.perf_counter()
             cplan = self._columnar_plan(chain)
-            if cplan is not None and not self._columnar_process_engages(
-                self._columnar_context(), cplan
-            ):
+            if cplan is not None and not self._columnar_process_engages(cplan):
                 # Full-query columnar run: seeds come straight from the
                 # context's condition CSR, never materializing Row
                 # objects (the win on cheap full-scan queries).  When
                 # the process pool engages, Row seeds are built below
                 # and the workers run the columnar ops per chunk.
                 data, frontier_rows, merged = columnar_kernel.run_query(
-                    self._columnar_context(),
+                    self._index.columnar_context(),
                     cplan,
                     compiled.variables,
                     self._deadline,
@@ -717,11 +719,9 @@ class DataflowEngine:
         self._arm_deadline()
         try:
             cplan = self._columnar_plan(chain)
-            if cplan is not None and not self._columnar_process_engages(
-                self._columnar_context(), cplan
-            ):
+            if cplan is not None and not self._columnar_process_engages(cplan):
                 families, _rows, merged = columnar_kernel.run_query(
-                    self._columnar_context(),
+                    self._index.columnar_context(),
                     cplan,
                     compiled.variables,
                     self._deadline,
@@ -756,25 +756,13 @@ class DataflowEngine:
             chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
         else:
             chunks = [seeds]
-        if self._kernel == "columnar":
-            kernel_fallback = self._columnar_fallback_reason(chain)
-        else:
-            kernel_fallback = None
-        effective_kernel = (
-            "columnar"
-            if self._kernel == "columnar" and kernel_fallback is None
-            else "interpreted"
-        )
         return {
             "backend": self._backend,
             "effective_backend": self._backend if engages else "sequential",
             "workers": self._workers,
             "start_method": self._start_method,
             "kernel": self._kernel,
-            "effective_kernel": effective_kernel,
-            # Why a columnar engine would run this query interpreted
-            # (None = no fallback, or the kernel isn't configured).
-            "kernel_fallback": kernel_fallback,
+            **self.kernel_for(chain),
             "seed_rows": len(seeds),
             "chain_steps": len(rest),
             "output_mode": self._output_mode(chain),

@@ -113,8 +113,8 @@ class ExecutionPlan:
         token: str,
         graph: IntervalTPG,
         cell: _PayloadCell,
-        store: Optional[StoreRef] = None,
-        kernel: str = "interpreted",
+        store: Optional[StoreRef],
+        kernel: str,
     ) -> None:
         self.token = token
         #: Evaluation kernel the workers should run ("interpreted" or
@@ -192,7 +192,7 @@ def invalidate_plans(graph: IntervalTPG) -> bool:
     return had
 
 
-def plan_for(graph: IntervalTPG, kernel: str = "interpreted") -> ExecutionPlan:
+def plan_for(graph: IntervalTPG, kernel: str) -> ExecutionPlan:
     """The shared :class:`ExecutionPlan` for one graph + evaluation kernel."""
     plans: dict[str, object] | None = getattr(graph, _PLANS_ATTR, None)
     if plans is None:

@@ -316,7 +316,7 @@ def _worker_engine(
     token: str,
     payload: Optional[bytes],
     store: Optional[StoreRef],
-    kernel: str = "interpreted",
+    kernel: str,
 ):
     """The memoized worker-side engine for one graph + kernel."""
     entry = registry.cached(token)
@@ -348,7 +348,7 @@ def _run_chunk(
     packed_seeds: Sequence[PackedSeed],
     mode: str,
     variables: tuple[str, ...],
-    kernel: str = "interpreted",
+    kernel: str,
 ) -> dict:
     """Chunk-level Steps 1–3: run the chain, then materialize in-worker."""
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the

@@ -1,9 +1,9 @@
 """Columnar (vectorized) evaluation kernel for fused step chains.
 
-The interpreted engine in :mod:`repro.dataflow.executor` walks the
-frontier row by row in Python.  This module compiles the same fused
-chain into a sequence of *columnar ops* executed as NumPy sweeps over
-flat arrays:
+This is the kernel ``DataflowEngine(graph)`` runs by default.  The
+interpreted engine in :mod:`repro.dataflow.executor` walks the frontier
+row by row in Python; this module compiles the same fused chain into a
+sequence of *columnar ops* executed as NumPy sweeps over flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
   per row), one int64 column per bound variable, and the per-row
@@ -11,12 +11,14 @@ flat arrays:
   end)`` — ``owner`` is the row index, sorted ascending, and each
   owner's intervals form a coalesced family (sorted, pairwise disjoint,
   non-adjacent);
-* the graph image is a :class:`ColumnarContext`: CSR adjacency and
-  existence over the :class:`~repro.perf.graph_index.GraphIndex` dense
-  ids, per-condition CSR tables decoded from the index's memoized
-  condition tables, and — when the graph is attached from a
-  ``repro-index/1`` store at epoch 0 — existence/adjacency decoded
-  straight out of the artifact's struct-packed sections;
+* the graph image is a :class:`ColumnarContext`, owned by the
+  :class:`~repro.perf.graph_index.GraphIndex` (one per graph) and
+  patched in place by its delta maintenance: CSR adjacency and
+  existence over the dense ids, per-condition CSR tables decoded from
+  the index's memoized condition tables, and — when the graph is
+  attached from a ``repro-index/1`` store at epoch 0 —
+  existence/adjacency decoded straight out of the artifact's
+  struct-packed sections;
 * interval algebra happens on a *global axis*: an interval ``[s, e]``
   of row ``r`` maps to ``r * stride + (s - domain.start)`` with
   ``stride = domain span + 2``.  The two-point guard gap means
@@ -139,7 +141,36 @@ def compile_ops(
             ops.append(("alt", tuple(branches)))
         else:
             return None, f"unsupported step {type(step).__name__}"
-    return tuple(ops), None
+    return (tuple(ops) if inside_alt else _push_bounds(ops, ())), None
+
+
+def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
+    """Hand every struct the time bounds its targets are about to face.
+
+    Walking backwards, ``bounds`` collects ``(condition, low shift, high
+    shift)`` for the tests — and the final temporal step's fused
+    conditions, shifted by its reach — that apply to the object a struct
+    (or an alternation branch) lands on, so ``_op_struct`` never
+    replicates families to targets those ops are about to reject.
+    """
+    out = list(ops)
+    for position in range(len(out) - 1, -1, -1):
+        tag, payload = out[position][:2]
+        if tag == "test":
+            bounds = ((payload, 0, 0),) + bounds
+        elif tag == "temporal":
+            low, high = payload.lower, payload.upper
+            if not payload.forward:
+                low, high = None if high is None else -high, -low
+            bounds = tuple((c, low, high) for c in payload.target_conditions)
+            out[position] = ("temporal", payload, bounds)
+        elif tag == "struct":
+            out[position] = ("struct", payload, bounds)
+            bounds = ()
+        elif tag == "alt":
+            out[position] = ("alt", tuple(_push_bounds(b, bounds) for b in payload))
+            bounds = ()
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -171,62 +202,54 @@ def plan_query(
 
 
 # --------------------------------------------------------------------- #
-# Context: one GraphIndex epoch as flat arrays
+# Context: one GraphIndex as flat arrays
 # --------------------------------------------------------------------- #
 class ColumnarContext:
-    """Dense-array image of one :class:`GraphIndex` maintenance epoch.
+    """Dense-array image of one :class:`GraphIndex`, maintained in place.
 
-    Built once per ``(engine, index.epoch)`` and shared by every query:
-    adjacency and existence as int64 CSR over dense object ids, edge
-    endpoints as flat successor arrays, and per-condition CSR tables
-    materialized on first use from the index's memoized condition
-    tables.  Delta maintenance bumps the index epoch, which invalidates
-    the cached context wholesale — the arrays are immutable.
+    One image per graph: the index owns it
+    (:meth:`GraphIndex.columnar_context`), so every engine and worker on
+    the graph shares it — adjacency and existence as int64 CSR over
+    dense object ids, edge endpoints as flat successor arrays, and
+    per-condition CSR tables materialized on first use from the index's
+    memoized condition tables.  Delta maintenance patches it
+    (:meth:`apply_delta`) instead of rebuilding: dense ids are
+    append-only, so new objects extend the tails and only the dirty
+    rows are re-derived in Python and re-spliced.
     """
 
     def __init__(self, index) -> None:
         if np is None:
             raise RuntimeError("the columnar kernel requires numpy")
         self._index = index
-        self.epoch = index.epoch
-        domain = index.domain
+        self._set_domain()
+        self.object_id = index.object_id
+        empty = np.empty(0, dtype=np.int64)
+        self.is_node = np.empty(0, dtype=bool)
+        self.succ_fwd = self.succ_bwd = empty
+        self._conditions: dict[Test, tuple] = {}
+        self._hulls: dict[Test, tuple] = {}
+        origin = np.zeros(1, dtype=np.int64)
+        decoded = self._decode_store_sections(index)
+        (
+            self.ex_indptr,
+            self.ex_start,
+            self.ex_end,
+            self.out_indptr,
+            self.out_ids,
+            self.in_indptr,
+            self.in_ids,
+        ) = decoded or (origin, empty, empty, origin, empty, origin, empty)
+        self._derive(range(len(index.objects)), graph_tables=decoded is None)
+
+    def _set_domain(self) -> None:
+        domain = self._index.domain
         self.domain_start = int(domain.start)
         self.domain_end = int(domain.end)
         #: Global-axis row stride: domain span plus a 2-wide guard gap so
         #: coalescing (gap <= 1 merges) and ±1 contiguous-navigation
         #: shifts can never cross row bands.
         self.stride = self.domain_end - self.domain_start + 2
-
-        objects = index.objects
-        self.objects = objects
-        self.object_id = index.object_id
-        n = len(objects)
-        self.num_objects = n
-
-        nodes = index.nodes()
-        is_node = np.zeros(n, dtype=bool)
-        for position, obj in enumerate(objects):
-            if obj in nodes:
-                is_node[position] = True
-        self.is_node = is_node
-
-        decoded = self._decode_store_sections(index)
-        if decoded is not None:
-            (
-                self.ex_indptr,
-                self.ex_start,
-                self.ex_end,
-                self.out_indptr,
-                self.out_ids,
-                self.in_indptr,
-                self.in_ids,
-            ) = decoded
-        else:
-            self._build_existence(index, n, objects)
-            self._build_adjacency(index, n, objects, is_node)
-        self._build_endpoints(index, n, objects, is_node)
-
-        self._conditions: dict[Test, tuple] = {}
 
     # -- graph tables ---------------------------------------------------- #
     @staticmethod
@@ -235,8 +258,8 @@ class ColumnarContext:
 
         Only valid for a pristine single-artifact attachment (epoch 0,
         identity record layout): after delta maintenance the lazy-map
-        overlays shadow the on-disk records, so the generic dict walk
-        below is the source of truth instead.
+        overlays shadow the on-disk records, so the index's maps are the
+        source of truth instead.
         """
         if index.epoch != 0:
             return None
@@ -270,58 +293,72 @@ class ColumnarContext:
         in_ids = words[_ranges(rec_start + 1 + out_count, in_count)]
         return ex_indptr, ex_start, ex_end, out_indptr, out_ids, in_indptr, in_ids
 
-    def _build_existence(self, index, n: int, objects) -> None:
-        counts = np.zeros(n + 1, dtype=np.int64)
-        starts: list[int] = []
-        ends: list[int] = []
-        existence = index.existence
-        for position, obj in enumerate(objects):
-            intervals = existence[obj].intervals
-            counts[position + 1] = len(intervals)
-            for interval in intervals:
-                starts.append(interval.start)
-                ends.append(interval.end)
-        self.ex_indptr = np.cumsum(counts)
-        self.ex_start = np.asarray(starts, dtype=np.int64)
-        self.ex_end = np.asarray(ends, dtype=np.int64)
+    def _derive(self, ids, graph_tables: bool = True) -> None:
+        """(Re-)derive rows ``ids`` of every per-object table from the index.
 
-    def _build_adjacency(self, index, n: int, objects, is_node) -> None:
+        The one Python walk behind both the initial build (every id) and
+        a delta patch (the dirty ids): objects past the current tails
+        append their ``is_node``/``succ_*`` slots, and the named rows of
+        the existence, adjacency and cached condition CSRs are re-spliced.
+        """
+        index = self._index
+        objects = self.objects = index.objects
+        n = self.num_objects = len(objects)
         object_id = self.object_id
-        out_counts = np.zeros(n + 1, dtype=np.int64)
-        in_counts = np.zeros(n + 1, dtype=np.int64)
-        out_ids: list[int] = []
-        in_ids: list[int] = []
-        out_adjacency = index.out_adjacency
-        in_adjacency = index.in_adjacency
-        for position, obj in enumerate(objects):
-            if not is_node[position]:
-                continue
-            out_edges = out_adjacency[obj]
-            in_edges = in_adjacency[obj]
-            out_counts[position + 1] = len(out_edges)
-            in_counts[position + 1] = len(in_edges)
-            for edge in out_edges:
-                out_ids.append(object_id[edge])
-            for edge in in_edges:
-                in_ids.append(object_id[edge])
-        self.out_indptr = np.cumsum(out_counts)
-        self.in_indptr = np.cumsum(in_counts)
-        self.out_ids = np.asarray(out_ids, dtype=np.int64)
-        self.in_ids = np.asarray(in_ids, dtype=np.int64)
+        nodes = index.nodes()
+        appended = objects[self.is_node.size :]
+        if appended:
 
-    def _build_endpoints(self, index, n: int, objects, is_node) -> None:
-        object_id = self.object_id
-        succ_fwd = np.full(n, -1, dtype=np.int64)
-        succ_bwd = np.full(n, -1, dtype=np.int64)
-        edge_source = index.edge_source
-        edge_target = index.edge_target
-        for position, obj in enumerate(objects):
-            if is_node[position]:
-                continue
-            succ_fwd[position] = object_id[edge_target[obj]]
-            succ_bwd[position] = object_id[edge_source[obj]]
-        self.succ_fwd = succ_fwd
-        self.succ_bwd = succ_bwd
+            def successors(endpoint):
+                return np.array(
+                    [-1 if o in nodes else object_id[endpoint[o]] for o in appended],
+                    dtype=np.int64,
+                )
+
+            node = np.array([obj in nodes for obj in appended], dtype=bool)
+            self.is_node = np.concatenate((self.is_node, node))
+            self.succ_fwd = np.concatenate((self.succ_fwd, successors(index.edge_target)))
+            self.succ_bwd = np.concatenate((self.succ_bwd, successors(index.edge_source)))
+        touched = [objects[position] for position in ids]
+        if graph_tables:
+
+            def edge_rows(adjacency):
+                edges = [adjacency.get(obj) or () for obj in touched]
+                return (
+                    [len(row) for row in edges],
+                    [object_id[edge] for row in edges for edge in row],
+                )
+
+            self.ex_indptr, self.ex_start, self.ex_end = _splice(
+                (self.ex_indptr, self.ex_start, self.ex_end),
+                n,
+                ids,
+                *_family_rows(index.existence[obj] for obj in touched),
+            )
+            self.out_indptr, self.out_ids = _splice(
+                (self.out_indptr, self.out_ids), n, ids, *edge_rows(index.out_adjacency)
+            )
+            self.in_indptr, self.in_ids = _splice(
+                (self.in_indptr, self.in_ids), n, ids, *edge_rows(index.in_adjacency)
+            )
+        for condition, arrays in self._conditions.items():
+            table = index.condition_table(condition)
+            self._conditions[condition] = _splice(
+                arrays, n, ids, *_family_rows(table.get(obj) for obj in touched)
+            )
+
+    def apply_delta(self, effects) -> None:
+        """Patch the image; :meth:`GraphIndex.apply_delta` calls this last.
+
+        A horizon advance re-clamps every condition family to the new
+        domain, so the condition arrays (and ``stride``) drop and rebuild
+        on next use; existence and adjacency are never clamped.
+        """
+        if effects.horizon_advanced:
+            self._set_domain()
+            self._conditions.clear()
+        self._hulls.clear()
+        self._derive([self.object_id[obj] for obj in effects.dirty])
 
     # -- condition tables ------------------------------------------------- #
     def condition_arrays(self, condition: Test) -> tuple:
@@ -329,27 +366,40 @@ class ColumnarContext:
 
         Decoded once per condition from the index's memoized table
         (objects absent from the table get an empty row, mirroring the
-        interpreted ``table.get(...) is None`` kill).
+        interpreted ``table.get(...) is None`` kill) and patched with
+        the rest of the image afterwards.
         """
         cached = self._conditions.get(condition)
-        if cached is not None:
-            return cached
-        table = self._index.condition_table(condition)
-        object_id = self.object_id
-        counts = np.zeros(self.num_objects + 1, dtype=np.int64)
-        for obj, family in table.items():
-            counts[object_id[obj] + 1] = len(family.intervals)
-        indptr = np.cumsum(counts)
-        starts = np.empty(int(indptr[-1]), dtype=np.int64)
-        ends = np.empty_like(starts)
-        for obj, family in table.items():
-            at = int(indptr[object_id[obj]])
-            for offset, interval in enumerate(family.intervals):
-                starts[at + offset] = interval.start
-                ends[at + offset] = interval.end
-        cached = (indptr, starts, ends)
-        self._conditions[condition] = cached
+        if cached is None:
+            table = self._index.condition_table(condition)
+            object_id = self.object_id
+            origin = np.zeros(1, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
+            cached = self._conditions[condition] = _splice(
+                (origin, empty, empty),
+                self.num_objects,
+                [object_id[obj] for obj in table],
+                *_family_rows(table.values()),
+            )
         return cached
+
+    def condition_hull(self, condition: Test) -> tuple:
+        """Per-object ``(first start, last end)`` of a condition's family.
+
+        Objects the condition never holds on get an inverted hull, which
+        no interval overlaps.
+        """
+        hull = self._hulls.get(condition)
+        if hull is None:
+            indptr, starts, ends = self.condition_arrays(condition)
+            filled = np.flatnonzero(np.diff(indptr))
+            bounds = np.iinfo(np.int64)
+            low = np.full(self.num_objects, bounds.max, dtype=np.int64)
+            high = np.full(self.num_objects, bounds.min, dtype=np.int64)
+            low[filled] = starts[indptr[filled]]
+            high[filled] = ends[indptr[filled + 1] - 1]
+            hull = self._hulls[condition] = (low, high)
+        return hull
 
     def seed_count(self, plan: ColumnarPlan) -> int:
         """How many seed rows the plan starts from (for pool engagement)."""
@@ -370,6 +420,53 @@ def _ranges(starts, counts):
         return np.empty(0, dtype=np.int64)
     first = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
     return np.arange(total, dtype=np.int64) + first
+
+
+def _family_rows(families) -> tuple[list, list, list]:
+    """``(counts, starts, ends)`` of a run of families, flat (``None`` =
+    empty family) — plain int lists, so a build allocates no per-interval
+    container for the collector to chase."""
+    counts: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    for family in families:
+        intervals = family.intervals if family is not None else ()
+        counts.append(len(intervals))
+        for interval in intervals:
+            starts.append(interval.start)
+            ends.append(interval.end)
+    return counts, starts, ends
+
+
+def _splice(csr: tuple, n: int, rows, counts, *fresh) -> tuple:
+    """Replace ``rows`` of a CSR ``(indptr, *columns)`` and grow it to ``n``.
+
+    ``rows`` are distinct dense ids (ids past the old tail append);
+    row ``rows[i]`` gets ``counts[i]`` new entries, taken in order from
+    the flat ``fresh`` sequences (one per column).  Every other row is
+    copied over with one gather.
+    """
+    indptr, *columns = csr
+    rows = np.asarray(rows, dtype=np.int64)
+    old_n = indptr.size - 1
+    kept = np.zeros(n, dtype=np.int64)
+    kept[:old_n] = np.diff(indptr)
+    kept[rows] = 0
+    sizes = kept.copy()
+    sizes[rows] = counts
+    out_indptr = np.concatenate(([0], np.cumsum(sizes)))
+    old_at = np.zeros(n, dtype=np.int64)
+    old_at[:old_n] = indptr[:-1]
+    source = _ranges(old_at, kept)
+    target = _ranges(out_indptr[:-1], kept)
+    fresh_target = _ranges(out_indptr[rows], sizes[rows])
+    out = [out_indptr]
+    for column, values in zip(columns, fresh):
+        merged = np.empty(int(out_indptr[-1]), dtype=np.int64)
+        merged[target] = column[source]
+        merged[fresh_target] = values
+        out.append(merged)
+    return tuple(out)
 
 
 def _pairs(a_gs, a_ge, b_gs, b_ge):
@@ -489,6 +586,13 @@ class _State:
     def rows(self) -> int:
         return int(self.cur.size)
 
+    def hulls(self) -> tuple:
+        """``(indptr, first start, last end)`` of the per-row families."""
+        indptr = np.searchsorted(
+            self.owner, np.arange(self.rows + 1, dtype=np.int64), side="left"
+        )
+        return indptr, self.start[indptr[:-1]], self.end[indptr[1:] - 1]
+
 
 def _empty_state(names: tuple[str, ...]) -> _State:
     empty = np.empty(0, dtype=np.int64)
@@ -540,6 +644,19 @@ class _Kernel:
         pos = _ranges(lo, counts)
         return self._globals(row, starts[pos], ends[pos])
 
+    def _within(self, cur, rows, first, last, bounds: tuple):
+        """Mask of objects ``cur`` whose every bounding condition's hull
+        meets the family hull ``[first, last][rows]`` (``rows`` may be
+        ``...``) shifted by the bound's reach (``None`` = unbounded)."""
+        keep = np.ones(cur.size, dtype=bool)
+        for condition, low_shift, high_shift in bounds:
+            low, high = self.ctx.condition_hull(condition)
+            if high_shift is not None:
+                keep &= low[cur] <= last[rows] + high_shift
+            if low_shift is not None:
+                keep &= high[cur] >= first[rows] + low_shift
+        return keep
+
     # -- ops ------------------------------------------------------------- #
     def run(self, state: _State, ops: tuple) -> _State:
         deadline = self.deadline
@@ -557,7 +674,7 @@ class _Kernel:
             if tag == "test":
                 state = self._op_test(state, op[1])
             elif tag == "struct":
-                state = self._op_struct(state, op[1])
+                state = self._op_struct(state, op[1], op[2])
             elif tag == "bind":
                 state = _State(
                     state.cur,
@@ -570,7 +687,7 @@ class _Kernel:
             elif tag == "alt":
                 state = self._op_alt(state, op[1])
             else:  # "temporal" — compile_ops guarantees it is final
-                state = self._op_temporal(state, op[1])
+                state = self._op_temporal(state, op[1], op[2])
         return state
 
     def _op_test(self, state: _State, condition: Test) -> _State:
@@ -583,7 +700,9 @@ class _Kernel:
         base = owner * self.ctx.stride - self.ctx.domain_start
         return _compact(state, owner, gs - base, ge - base)
 
-    def _op_struct(self, state: _State, forward: bool) -> _State:
+    def _op_struct(self, state: _State, forward: bool, bounds: tuple) -> _State:
+        """One structural move, keeping only the targets within ``bounds``
+        (see :func:`_push_bounds`)."""
         ctx = self.ctx
         cur = state.cur
         rows = state.rows
@@ -594,22 +713,28 @@ class _Kernel:
         degree = np.where(node, indptr[cur + 1] - indptr[cur], 1)
         offsets = np.concatenate(([0], np.cumsum(degree)))
         total = int(offsets[-1])
-        if total == 0:
-            return _empty_state(state.names)
         new_cur = np.empty(total, dtype=np.int64)
         node_rows = np.flatnonzero(node)
-        if node_rows.size:
-            out_pos = _ranges(offsets[node_rows], degree[node_rows])
-            adj_pos = _ranges(indptr[cur[node_rows]], degree[node_rows])
-            new_cur[out_pos] = ids[adj_pos]
+        out_pos = _ranges(offsets[node_rows], degree[node_rows])
+        adj_pos = _ranges(indptr[cur[node_rows]], degree[node_rows])
+        new_cur[out_pos] = ids[adj_pos]
         edge_rows = np.flatnonzero(~node)
-        if edge_rows.size:
-            new_cur[offsets[edge_rows]] = succ[cur[edge_rows]]
+        new_cur[offsets[edge_rows]] = succ[cur[edge_rows]]
+        del out_pos, adj_pos  # fan-out-sized; keep the transient peak low
         src_row = np.repeat(np.arange(rows, dtype=np.int64), degree)
+        ival_indptr, first, last = state.hulls()
+        if bounds:
+            # The ops that follow would empty every other row, and ∩
+            # distributes over the merge below, so dropping them first
+            # changes no answer — it only spares replicating families a
+            # hub fans out by the thousand.
+            keep = self._within(new_cur, src_row, first, last, bounds)
+            new_cur = new_cur[keep]
+            src_row = src_row[keep]
+            total = int(new_cur.size)
+        if total == 0:
+            return _empty_state(state.names)
         # Replicate each source row's interval family to its fan-out.
-        ival_indptr = np.searchsorted(
-            state.owner, np.arange(rows + 1, dtype=np.int64), side="left"
-        )
         ival_counts = ival_indptr[src_row + 1] - ival_indptr[src_row]
         pos = _ranges(ival_indptr[src_row], ival_counts)
         fanned = _State(
@@ -669,7 +794,7 @@ class _Kernel:
         )
 
     # -- final temporal step --------------------------------------------- #
-    def _op_temporal(self, state: _State, step: TemporalStep) -> _State:
+    def _op_temporal(self, state: _State, step: TemporalStep, bounds: tuple) -> _State:
         """Fused final TemporalStep + Step-3 materialization.
 
         Per row with validity ``T``: the output family is
@@ -685,6 +810,13 @@ class _Kernel:
         stride = ctx.stride
         lower, upper = step.lower, step.upper
         forward = step.forward
+
+        if bounds:
+            _indptr, first, last = state.hulls()
+            keep = self._within(state.cur, ..., first, last, bounds)[state.owner]
+            if not keep.any():
+                return _empty_state(state.names)
+            state = _compact(state, state.owner[keep], state.start[keep], state.end[keep])
 
         a_owner, a_s, a_e = state.owner, state.start, state.end
         a_gs, a_ge = self._globals(a_owner, a_s, a_e)
@@ -897,6 +1029,11 @@ def run_query(
         # arrays, no per-row objects.
         names = tuple(op[1] for op in plan.ops)
         if variables and all(v in names for v in variables):
+            # One chaos-hook fire + deadline check, like the single bind
+            # step the interpreted walk runs for this chain.
+            failpoints.fire("engine.step")
+            if deadline is not None:
+                deadline.check()
             table = ctx._index.condition_table(plan.seed_condition)
             families = [
                 (tuple((v, obj) for v in variables), times)

@@ -199,6 +199,8 @@ class GraphIndex:
         ] = {}
         #: Maintenance counter: +1 per :meth:`apply_delta` (server stats).
         self._epoch = 0
+        #: The columnar kernel's array image (:meth:`columnar_context`).
+        self._columnar = None
 
     @property
     def epoch(self) -> int:
@@ -209,6 +211,19 @@ class GraphIndex:
     def core(self) -> CompiledCore:
         """The compiled core the index was built from (or attached to)."""
         return self._core
+
+    def columnar_context(self):
+        """The graph's one :class:`~repro.perf.columnar.ColumnarContext`.
+
+        Built on first use (requires NumPy), shared by every engine on
+        the graph, and patched in place by :meth:`apply_delta` — no read
+        after a delta pays a rebuild.
+        """
+        if self._columnar is None:
+            from repro.perf.columnar import ColumnarContext
+
+            self._columnar = ColumnarContext(self)
+        return self._columnar
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -451,7 +466,8 @@ class GraphIndex:
           label/property buckets refreshed from the graph; new edges are
           appended to their endpoints' adjacency tuples;
         * memoized *per-object* results (times cache, condition-table
-          entries) are recomputed for exactly the dirty objects, and hop
+          entries, the dirty rows of the columnar array image) are
+          recomputed for exactly the dirty objects, and hop
           tables drop the sources whose 2-hop neighbourhood reaches the
           dirty set — a hop reads two structural moves, so any farther
           source is provably unaffected.
@@ -545,6 +561,8 @@ class GraphIndex:
                 for per_source in self._hop_cache.values():
                     for obj in stale_sources:
                         per_source.pop(obj, None)
+        if self._columnar is not None:
+            self._columnar.apply_delta(effects)
 
     def snapshot_core(self) -> CompiledCore:
         """A plain-dict snapshot of the compiled tables *as maintained now*.
@@ -715,11 +733,3 @@ def install_index(graph: TemporalGraph, index: GraphIndex) -> None:
     """
     setattr(graph, _CACHE_ATTR, index)
 
-
-# The former worker-side ``_WORKER_INDEXES`` registry lived here, keyed
-# by execution-plan token next to the graph/engine caches in
-# :mod:`repro.parallel.pool` — three caches with two eviction paths.
-# All worker-side per-token state is now consolidated in
-# :mod:`repro.parallel.registry`; the index itself rides on the cached
-# graph through :func:`graph_index_for`'s on-graph attribute, so
-# evicting the registry entry releases the index with it.

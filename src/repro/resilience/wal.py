@@ -232,6 +232,10 @@ class DeltaWAL:
                     os.fsync(handle.fileno())
         self._last_seq = scan.last_seq
         self._records = len(scan.records)
+        #: The ``{seq, crc, batch}`` frame of the newest :meth:`append`
+        #: (``None`` before the first) — what replication ships, so the
+        #: batch is encoded and checksummed once, here.
+        self.last_frame: Optional[dict] = None
         self._handle = open(self._path, "a", encoding="utf-8")
         if self._fsync and not existed:
             # The log file itself must survive a power cut, not just its
@@ -256,9 +260,8 @@ class DeltaWAL:
         if self._handle.closed:
             raise WALError(f"WAL {self._path} is closed")
         seq = self._last_seq + 1
-        payload = batch.to_json_dict()
-        encoded = _encode_batch(payload)
-        line = _encode_batch({"seq": seq, "crc": _checksum(encoded), "batch": payload})
+        frame = record_frame(seq, batch.to_json_dict())
+        line = _encode_batch(frame)
         spec = failpoints.fire("wal.append")
         if spec is not None and spec.kind == "torn":
             # Crash simulation: half the record reaches the disk, then
@@ -274,6 +277,7 @@ class DeltaWAL:
             os.fsync(self._handle.fileno())
         self._last_seq = seq
         self._records += 1
+        self.last_frame = frame
         return seq
 
     def sync(self) -> None:

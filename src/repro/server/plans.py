@@ -87,6 +87,11 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
 
+    def entries(self) -> list[tuple[PlanKey, QueryPlan]]:
+        """A snapshot of the cached ``(key, plan)`` pairs, oldest first."""
+        with self._lock:
+            return list(self._entries.items())
+
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -236,15 +236,10 @@ class GraphHost:
             invalidated = self.plans.invalidate_token(old_token)
             epoch = self.session.epoch
             if self.on_applied and self.session.wal is not None:
-                # Rebuild the exact frame the WAL just recorded (same
-                # canonical encoding, same CRC) and hand it to the
-                # replication taps while still holding the lock, so
-                # standbys receive frames in apply order.
-                from repro.resilience.wal import record_frame
-
-                self._notify_applied(
-                    record_frame(self.session.wal_seq, batch.to_json_dict())
-                )
+                # Hand the frame the WAL just recorded to the replication
+                # taps while still holding the lock, so standbys receive
+                # frames in apply order.
+                self._notify_applied(self.session.wal.last_frame)
         return {
             "result": {
                 "sequence": applied.sequence,
@@ -317,8 +312,15 @@ class GraphHost:
                 "index_epoch": self.index.epoch,
                 "queries": list(self.session.query_names()),
                 "plan_cache": self.plans.stats(),
+                # Which kernel each cached plan really runs, and why not
+                # the configured one (kernel_fallback, None = no fallback).
+                "plans": [
+                    {"query": text, **self.engine.kernel_for(plan.chain)}
+                    for (text, _token), plan in self.plans.entries()
+                ],
                 "workers": self.engine.workers,
                 "backend": self.engine.parallel_backend,
+                "kernel": self.engine.kernel,
                 "wal": None if self.session.wal is None else self.session.wal.path,
                 "wal_seq": self.session.wal_seq,
                 "last_sequence": self.session.last_sequence,

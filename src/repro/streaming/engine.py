@@ -501,18 +501,11 @@ class StreamingEngine:
     ) -> Contribution:
         from repro.dataflow.executor import _ChainStats
 
+        # Always the interpreted walk, whatever the engine's kernel: a
+        # one-row frontier is below the columnar kernel's break-even by
+        # construction (fixed per-op array overhead, nothing to sweep).
         engine = self._engine
-        stats = _ChainStats()
-        if state.mode == "families":
-            # Columnar kernel for the single-seed re-derivation (no-op
-            # unless the engine is kernel="columnar" and the chain shape
-            # is covered); the interpreted walk below stays the oracle.
-            attempt = engine._columnar_rows_attempt(
-                rest, [row], state.variables, stats
-            )
-            if attempt is not None:
-                return tuple(attempt[0])
-        frontier = engine._run_chain_on([row], rest, stats)
+        frontier = engine._run_chain_on([row], rest, _ChainStats())
         if not frontier:
             return ()
         if state.mode == "families":

@@ -34,7 +34,7 @@ def _example_engines(**kwargs):
     graph = contact_tracing_example()
     return (
         DataflowEngine(graph, kernel="columnar", **kwargs),
-        DataflowEngine(graph, **kwargs),
+        DataflowEngine(graph, kernel="interpreted", **kwargs),
     )
 
 
@@ -45,12 +45,12 @@ class TestKernelSelection:
 
     def test_kernel_property_and_default(self):
         graph = contact_tracing_example()
-        assert DataflowEngine(graph).kernel == "interpreted"
-        assert DataflowEngine(graph, kernel="columnar").kernel == "columnar"
+        assert DataflowEngine(graph).kernel == "columnar"
+        assert DataflowEngine(graph, kernel="interpreted").kernel == "interpreted"
         assert DataflowEngine.KERNELS == ("interpreted", "columnar")
 
     def test_interpreted_explain_reports_no_fallback(self):
-        engine = DataflowEngine(contact_tracing_example())
+        engine = DataflowEngine(contact_tracing_example(), kernel="interpreted")
         plan = engine.explain(PAPER_QUERIES["Q1"].text)
         assert plan["kernel"] == "interpreted"
         assert plan["effective_kernel"] == "interpreted"
@@ -91,6 +91,27 @@ class TestExplainReporting:
             ), f"{name} diverged with numpy absent"
 
 
+    def test_default_entry_points_degrade_without_numpy(self, monkeypatch):
+        # The one default lives in DataflowEngine.__init__; every entry
+        # point that inherits it must degrade with the same reason.
+        from repro.server.state import GraphHost
+        from repro.streaming import StreamingEngine
+
+        monkeypatch.setattr(columnar, "np", None)
+        graph = contact_tracing_example()
+        engines = {
+            "engine": DataflowEngine(graph),
+            "host": GraphHost("g", graph).engine,
+            "session": StreamingEngine(graph).engine,
+        }
+        for label, engine in engines.items():
+            assert engine.kernel == "columnar", label
+            for name, query in PAPER_QUERIES.items():
+                plan = engine.explain(query.text)
+                assert plan["effective_kernel"] == "interpreted", (label, name)
+                assert plan["kernel_fallback"] == "numpy is not installed"
+
+
 class TestFallbackIdentity:
     """Unsupported shapes run interpreted with byte-identical output."""
 
@@ -129,7 +150,7 @@ class TestFallbackIdentity:
         assert plan["kernel_fallback"] == (
             "temporal navigation before the end of the chain"
         )
-        oracle = DataflowEngine(graph)
+        oracle = DataflowEngine(graph, kernel="interpreted")
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
     @requires_numpy
@@ -138,7 +159,7 @@ class TestFallbackIdentity:
         graph = random_itpg(seed)
         query = random_match_query(seed * 31 + 7)
         engine = DataflowEngine(graph, kernel="columnar")
-        oracle = DataflowEngine(graph)
+        oracle = DataflowEngine(graph, kernel="interpreted")
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
 
@@ -166,8 +187,8 @@ class TestPaperQueryParity:
             )
 
     def test_streaming_delta_invalidates_columnar_context(self):
-        # A delta bumps the index epoch; the cached context must be
-        # rebuilt, not silently reused with stale arrays.
+        # A delta patches the index-owned context in place; reads after
+        # it must see the new object, not stale arrays.
         from repro.model.io import from_json_dict, to_json_dict
         from repro.streaming import DeltaBatch
 
@@ -175,7 +196,9 @@ class TestPaperQueryParity:
         engine = DataflowEngine(
             from_json_dict(payload), kernel="columnar", incremental=True
         )
-        oracle = DataflowEngine(from_json_dict(payload), incremental=True)
+        oracle = DataflowEngine(
+            from_json_dict(payload), kernel="interpreted", incremental=True
+        )
         query = PAPER_QUERIES["Q1"].text
         assert engine.match(query).as_set() == oracle.match(query).as_set()
         batch = DeltaBatch()
@@ -263,7 +286,7 @@ class TestStoreFastPath:
         try:
             assert attachment.core.columnar_sections() is not None
             engine = DataflowEngine(attachment.graph, kernel="columnar")
-            oracle = DataflowEngine(graph)
+            oracle = DataflowEngine(graph, kernel="interpreted")
             for name, query in PAPER_QUERIES.items():
                 assert engine.match(query.text).as_set() == (
                     oracle.match(query.text).as_set()
@@ -283,7 +306,7 @@ class TestStoreFastPath:
         attachment = attach(path)
         try:
             engine = DataflowEngine(attachment.graph, kernel="columnar")
-            oracle = DataflowEngine(graph)
+            oracle = DataflowEngine(graph, kernel="interpreted")
             assert engine.match(query).as_set() == oracle.match(query).as_set()
         finally:
             attachment.close()

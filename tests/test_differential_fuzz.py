@@ -118,7 +118,7 @@ def run_match_case(seed: int) -> bool:
     graph = random_itpg(seed)
     query = random_match_query(seed * 31 + 7)
     engines = {
-        "dataflow-interpreted": DataflowEngine(graph),
+        "dataflow-interpreted": DataflowEngine(graph, kernel="interpreted"),
         "dataflow-columnar": DataflowEngine(graph, kernel="columnar"),
         "reference-point": ReferenceEngine(graph),
         "reference-intervals": ReferenceEngine(graph, use_intervals=True),
@@ -164,8 +164,14 @@ def run_match_case(seed: int) -> bool:
             f"engine defines ({context})"
         )
 
-    # The columnar configuration is a second configuration only where the
-    # kernel really ran: a plan with no fallback must name it.
+    # The two dataflow configurations differ only where the kernels
+    # really do: the interpreted leg (the oracle, now the non-default)
+    # must always run interpreted, and a columnar plan with no fallback
+    # must name the kernel.
+    oracle_plan = engines["dataflow-interpreted"].explain(query)
+    assert oracle_plan["effective_kernel"] == "interpreted", (
+        f"the interpreted leg ran {oracle_plan['effective_kernel']!r} ({context})"
+    )
     plan = engines["dataflow-columnar"].explain(query)
     ran_columnar = plan["kernel_fallback"] is None
     if ran_columnar:
@@ -210,7 +216,7 @@ class TestMatchLevelDifferential:
             )
             graph = generate_contact_tracing_graph(config)
             engines = {
-                "interpreted": DataflowEngine(graph),
+                "interpreted": DataflowEngine(graph, kernel="interpreted"),
                 "columnar": DataflowEngine(graph, kernel="columnar"),
                 "reference": ReferenceEngine(graph),
                 "reference-intervals": ReferenceEngine(graph, use_intervals=True),

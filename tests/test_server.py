@@ -19,6 +19,7 @@ What this module pins:
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -160,6 +161,27 @@ class TestGraphHost:
         assert after["result"]["families"] != before
         # The served answer equals a cold one-shot over the mutated graph.
         assert after["result"]["families"] == serial_wire_answer(host.graph, "Q5")
+
+    def test_stats_reports_the_effective_kernel_per_cached_plan(self):
+        from repro.perf import columnar
+
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        host.query("Q1")
+        host.query("Q6")  # point-mode output: declined by the columnar kernel
+        stats = host.stats()
+        assert stats["kernel"] == "columnar"  # GraphHost passes no kernel
+        plans = {plan["query"]: plan for plan in stats["plans"]}
+        q1, q6 = plans[normalize_query("Q1")], plans[normalize_query("Q6")]
+        if columnar.available():
+            assert (q1["effective_kernel"], q1["kernel_fallback"]) == ("columnar", None)
+            assert q6["kernel_fallback"] == "output spans temporal groups (point mode)"
+        else:
+            assert q1["kernel_fallback"] == q6["kernel_fallback"] == "numpy is not installed"
+        assert q6["effective_kernel"] == "interpreted"
+        host.apply_delta(example_batch(1).to_json_dict())
+        assert host.stats()["plans"] == []  # rotated with the graph token
 
     def test_registered_table_tracks_deltas(self):
         state = ServerState()
@@ -619,6 +641,37 @@ class TestReplication:
             failover_after=1.0,
             **options,
         ).start()
+
+    def test_shipped_frame_is_the_wal_record_encoded_once(self, tmp_path, monkeypatch):
+        """The replication tap gets the very frame the WAL wrote: same
+        bytes, same CRC, and the batch is checksummed once, not twice."""
+        from repro.resilience import wal as wal_module
+
+        state = ServerState()
+        state.add_graph("default", wal=str(tmp_path / "primary.wal"))
+        host = state.host("default")
+        shipped = []
+        host.on_applied.append(shipped.append)
+        checksums = []
+        checksum = wal_module._checksum
+        monkeypatch.setattr(
+            wal_module,
+            "_checksum",
+            lambda encoded: checksums.append(encoded) or checksum(encoded),
+        )
+        batches = [example_batch(1), example_batch(2)]
+        for batch in batches:
+            host.apply_delta(batch.to_json_dict())
+        host.close()
+        assert len(checksums) == len(batches)
+        lines = (tmp_path / "primary.wal").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == shipped
+        for line, frame, batch in zip(lines, shipped, batches):
+            assert wal_module._encode_batch(frame) == line
+            assert frame == wal_module.record_frame(
+                frame["seq"], batch.to_json_dict()
+            )
+            assert wal_module.verify_frame(frame).to_json_dict() == frame["batch"]
 
     def test_standby_catches_up_and_follows_with_lag_labels(self, tmp_path):
         primary = self._primary(tmp_path)

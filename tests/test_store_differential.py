@@ -46,7 +46,9 @@ class TestEngineConfigurations:
         attachment = _attached(tmp_path, graph)
         try:
             engines = {
-                "dataflow-interpreted": DataflowEngine(attachment.graph),
+                "dataflow-interpreted": DataflowEngine(
+                    attachment.graph, kernel="interpreted"
+                ),
                 "dataflow-columnar": DataflowEngine(
                     attachment.graph, kernel="columnar"
                 ),

@@ -14,6 +14,12 @@ For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
 * after *every* batch, each session's table must equal a **cold** full
   evaluation by a fresh engine on a pristine rebuild of the materialized
   graph — no shared index, no shared caches;
+* per-seed re-derivation is the interpreted walk under either kernel, so
+  the legs differ on *ad-hoc* reads: after every batch each leg also
+  answers the query unregistered, on its maintained index — for
+  ``stream-columnar`` through the delta-patched ``ColumnarContext`` —
+  and a batch of cases in which that never ran columnar fails (where
+  NumPy is importable);
 * where the coalesced output is defined, the incremental families must
   also be canonical (one entry per binding tuple, nonempty coalesced
   times) and expand exactly to the cold rows — the interval-vs-point
@@ -44,6 +50,7 @@ from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
+from repro.perf import columnar
 
 #: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches
 #: and 2 incremental configurations).
@@ -62,7 +69,7 @@ def incremental_engines(payload: dict) -> dict[str, DataflowEngine]:
     """
     return {
         "stream-interpreted": DataflowEngine(
-            from_json_dict(payload), incremental=True
+            from_json_dict(payload), kernel="interpreted", incremental=True
         ),
         "stream-columnar": DataflowEngine(
             from_json_dict(payload), kernel="columnar", incremental=True
@@ -133,10 +140,11 @@ def check_durability(payload, query, batches, cold_rows, context, tmpdir) -> Non
     )
 
 
-def run_streaming_case(seed: int) -> None:
+def run_streaming_case(seed: int) -> int:
     """One streaming differential case; raises AssertionError on divergence.
 
-    Reproduce a failure with::
+    Returns how many of ``stream-columnar``'s ad-hoc reads after a delta
+    actually ran the columnar kernel.  Reproduce a failure with::
 
         graph = random_itpg(<seed>)
         query = random_match_query(<seed> * 31 + 7)
@@ -149,7 +157,11 @@ def run_streaming_case(seed: int) -> None:
     engines = incremental_engines(payload)
     for engine in engines.values():
         engine.match(query)  # cold registration
+        # Build the index-owned array image (no-op when interpreted)
+        # before the first delta, so every batch below patches it.
+        DataflowEngine(engine.graph, kernel=engine.kernel).match(query)
     shadow = from_json_dict(payload)
+    ran_columnar = 0
     check_reference = seed % REFERENCE_EVERY == 0
 
     from repro.streaming import DeltaBatch, apply_delta
@@ -174,6 +186,17 @@ def run_streaming_case(seed: int) -> None:
             check_intervals(
                 name, engine, query, cold_table.variables, cold_rows, context
             )
+            # The non-registered read: a plain engine on the session's
+            # graph shares its delta-maintained index.
+            adhoc = DataflowEngine(engine.graph, kernel=engine.kernel)
+            assert adhoc.match(query).as_set() == cold_rows, (
+                f"{name} ad-hoc read diverged from cold evaluation ({context})"
+            )
+            effective = adhoc.explain(query)["effective_kernel"]
+            if name == "stream-interpreted":
+                assert effective == "interpreted", (name, effective, context)
+            else:
+                ran_columnar += effective == "columnar"
         if check_reference:
             pristine = from_json_dict(to_json_dict(shadow))
             for ref_name, reference in (
@@ -191,12 +214,21 @@ def run_streaming_case(seed: int) -> None:
         check_durability(
             payload, query, batches, cold_rows, f"seed={seed}, final", tmpdir
         )
+    return ran_columnar
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_streaming_differential_batch(batch: int) -> None:
-    for position in range(BATCH_SIZE):
+    ran_columnar = sum(
         run_streaming_case(SEED_OFFSET + batch * BATCH_SIZE + position)
+        for position in range(BATCH_SIZE)
+    )
+    print(f"streaming batch {batch}: {ran_columnar} ad-hoc reads ran columnar")
+    if columnar.available():
+        assert ran_columnar > 0, (
+            f"streaming batch {batch}: stream-columnar never read through "
+            "the patched columnar context"
+        )
 
 
 def test_sweep_size_meets_charter() -> None:

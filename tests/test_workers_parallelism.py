@@ -171,7 +171,7 @@ class TestProcessBackend:
     #: The dataflow configurations of the differential fuzz oracle (its
     #: reference engines provide the ground truth below).
     DATAFLOW_CONFIGS = {
-        "interpreted": {},
+        "interpreted": {"kernel": "interpreted"},
         "columnar": {"kernel": "columnar"},
     }
 
@@ -240,8 +240,8 @@ class TestProcessBackend:
     def test_plan_payload_is_shared_and_cached(self, contact_graph):
         engine = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
         other = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
-        plan = plan_for(engine.graph)
-        assert plan_for(other.graph) is plan
+        plan = plan_for(engine.graph, "interpreted")
+        assert plan_for(other.graph, "interpreted") is plan
         payload = plan.payload
         assert plan.payload is payload  # serialized once, then reused
         # Every kernel's plan on the same graph shares the one payload.
@@ -349,11 +349,11 @@ class TestDeltaPlanInvalidation:
 
         graph = self._mutable_contact_graph()
         token = graph_token(graph)
-        plan = plan_for(graph)
+        plan = plan_for(graph, "columnar")
         assert plan.token == token
         assert invalidate_plans(graph) is True
         assert graph_token(graph) != token
-        assert plan_for(graph) is not plan
+        assert plan_for(graph, "columnar") is not plan
         # A graph with nothing cached reports no-op.
         assert invalidate_plans(self._mutable_contact_graph()) is False
 
