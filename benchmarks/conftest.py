@@ -1,10 +1,11 @@
-"""Shared fixtures and helpers for the benchmark harnesses.
+"""Shared fixtures and helpers for the paper-reproduction scripts.
 
-Every harness regenerates one table or figure of the paper (see
-DESIGN.md, "Per-experiment index").  The graphs are generated once per
-session and cached here; the harnesses print the rows they measure in a
-format close to the paper's tables so that ``bench_output.txt`` can be
-compared side by side with the original numbers (see EXPERIMENTS.md).
+Each ``bench_*.py`` here regenerates one table, figure or ablation of
+the paper's Section VII (no performance claim: that is ``benchmarks/e2e/``)
+and prints its rows.  Plain ``pytest`` collects only ``test_*``, so::
+
+    REPRO_SCALE=S1 PYTHONPATH=src python -m pytest -q \
+        -o python_files='bench_*.py' -o python_functions='bench_*' benchmarks/
 
 Environment knobs:
 
@@ -63,9 +64,8 @@ def scale_sweep(largest_scale_name):
     return scales_up_to(largest_scale_name)
 
 
-#: Paper-style tables produced by the harnesses, emitted in the terminal summary
-#: so they survive pytest's output capturing (and therefore end up in
-#: ``bench_output.txt``).
+#: Paper-style tables produced by the scripts, emitted in the terminal summary
+#: so they survive pytest's output capturing.
 _REPORTED_TABLES: list[str] = []
 
 

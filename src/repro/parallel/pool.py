@@ -1,9 +1,9 @@
 """Persistent worker-process pools for frontier execution.
 
 CPython's GIL makes the thread backend a measurement device rather than
-a speedup (`bench_fig3_parallelism.py`); this module is the path that
-actually scales with cores.  A :class:`WorkerPool` wraps a
-``ProcessPoolExecutor`` plus the *graph installation protocol*:
+a speedup; this module is the path that actually scales with cores.  A
+:class:`WorkerPool` wraps a ``ProcessPoolExecutor`` plus the *graph
+installation protocol*:
 
 * Each task names its graph by the execution plan's stable token.  The
   serialized graph payload is attached only while **no** worker has

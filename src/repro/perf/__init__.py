@@ -14,8 +14,8 @@ changing any semantics:
   bottom-up algorithm running natively on interval relations.
 
 Every structure is cross-checked against the point-based ground truth in
-the test suite; see PERFORMANCE.md for the architecture and the measured
-speedups.
+the test suite; see docs/ARCHITECTURE.md for the architecture and
+PERFORMANCE.md for the measured costs.
 """
 
 from repro.perf.graph_index import CompiledCore, GraphIndex, graph_index_for

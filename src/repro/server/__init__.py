@@ -5,8 +5,9 @@ Public surface::
     from repro.server import ServerState, QueryServer, BackgroundServer, serve
     from repro.server import ServerClient, PlanCache
 
-See PERFORMANCE.md (Serving) for why residency pays, and RELIABILITY.md
-for the wire protocol and operational semantics.
+See docs/ARCHITECTURE.md (Serving and replication topology) for what
+stays resident, and RELIABILITY.md for the wire protocol and
+operational semantics.
 """
 
 from repro.server.client import IDEMPOTENT_OPS, ServerClient

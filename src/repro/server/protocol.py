@@ -78,7 +78,12 @@ def encode(message: dict) -> bytes:
 
 def decode(line: bytes) -> dict:
     """Parse one protocol line; raises :class:`ValueError` on bad framing."""
-    message = json.loads(line.decode("utf-8"))
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        # Brackets nested deeper than the interpreter's stack: the line
+        # is from outside, so it is bad framing like any other.
+        raise ValueError("protocol message is nested too deeply") from None
     if not isinstance(message, dict):
         raise ValueError(f"protocol messages are JSON objects, got {type(message).__name__}")
     return message

@@ -54,8 +54,8 @@ writer in this package maintains:
   sections into private arrays must copy, because ``close()`` refuses
   to unmap while exported buffers exist.
 
-See PERFORMANCE.md § "Persistent compiled-graph store" and
-RELIABILITY.md for the measurements and the operational discipline.
+See docs/ARCHITECTURE.md (the graph lifecycle), PERFORMANCE.md
+(``store.*`` costs) and RELIABILITY.md for the operational discipline.
 """
 
 from repro.store.artifact import (

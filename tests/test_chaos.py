@@ -391,10 +391,12 @@ class TestReplicatedServingChaos:
             pc.close()
             primary_proc.kill()  # SIGKILL: no drain, no close frame
             primary_proc.wait(timeout=30)
+            # Failover window is 1.0 s (FAST): promotion has a 10 s ceiling.
             health = _wait_until(
                 lambda: (h := _health(standby_port))
                 and h["role"] == "primary"
-                and h
+                and h,
+                timeout=10.0,
             )
             assert health["status"] == "ready"
             assert health["fence"]["previous_primary"] == f"127.0.0.1:{primary_port}"
@@ -454,10 +456,12 @@ class TestReplicatedServingChaos:
                 pass  # the primary died racing the response write
             pc.close()
             assert primary_proc.wait(timeout=30) != 0
+            # Failover window is 1.0 s (FAST): promotion has a 10 s ceiling.
             health = _wait_until(
                 lambda: (h := _health(standby_port))
                 and h["role"] == "primary"
-                and h
+                and h,
+                timeout=10.0,
             )
             # Record 3 existed only on the dead primary: the fence and
             # the promoted answers stop at the last acked record.

@@ -263,6 +263,26 @@ class TestService:
                     client.request("apply_delta", graph="default", batch="not-a-dict")
                 # The connection survived all four rejections.
                 assert client.query("Q1")["result"]["num_families"] > 0
+            # Lines that are not a JSON object at all, on one raw
+            # connection: each is answered, and the connection still pings.
+            import socket as socket_module
+
+            with socket_module.create_connection(
+                (server.host, server.port), timeout=30
+            ) as raw:
+                reader = raw.makefile("rb")
+                for line in (
+                    b"{not json\n",
+                    b"\xff\xfe{}\n",
+                    b"[1, 2]\n",
+                    b"[" * 100_000 + b"]" * 100_000 + b"\n",
+                ):
+                    raw.sendall(line)
+                    frame = decode(reader.readline())
+                    assert frame["ok"] is False, line[:20]
+                    assert frame["error"]["type"] == "ProtocolError", line[:20]
+                raw.sendall(encode({"op": "ping"}))
+                assert decode(reader.readline())["ok"] is True
 
     def test_overloaded_rejection_at_capacity(self):
         state = ServerState()
