@@ -15,7 +15,7 @@ matches through it:
 There is one evaluation path with two kernels.  By default
 (``kernel="columnar"``) a covered chain runs as vectorized sweeps
 (:mod:`repro.perf.columnar`) over the index-owned, delta-maintained
-array image of the graph; everything else — uncovered chains, no NumPy,
+array image of the graph; everything else — temporal alternations, no NumPy,
 ``kernel="interpreted"`` — takes the per-row walk below, the oracle the
 columnar kernel is fuzzed against.  Every step reads the per-graph compiled
 :class:`~repro.perf.graph_index.GraphIndex` (memoized condition tables,
@@ -105,9 +105,10 @@ class MatchResult:
     Q9–Q12 shapes) ``table`` is an
     :class:`~repro.eval.bindings.IntervalBindingTable`: ``total_seconds``
     then covers Steps 1–3 in the interval representation only, and the
-    point rows expand lazily when the table is actually read.
-    ``output_size`` is always the point-row count (computed from the
-    interval families without expanding them).
+    point rows expand lazily when the table is actually read; the
+    columnar kernel's group-spanning outputs (Q6–Q8) are an equally lazy
+    :class:`~repro.perf.columnar.PointTable`.  ``output_size`` is always
+    the point-row count (computed without building the rows).
     """
 
     table: TypingUnion[BindingTable, IntervalBindingTable]
@@ -155,11 +156,11 @@ class QueryPlan:
     Produced by :meth:`DataflowEngine.prepare` and accepted anywhere a
     query is (:meth:`match`, :meth:`match_with_stats`,
     :meth:`match_intervals`), skipping parse + translate + chain
-    compilation on every reuse.  The chain is fused against the engine's
-    :class:`~repro.perf.graph_index.GraphIndex`, so a plan is only valid
-    for the graph (state) it was prepared on — the server keys its plan
-    cache by ``(normalized query text, graph token)`` and drops entries
-    when a delta rotates the token.
+    compilation on every reuse.  A plan is a pure function of the query
+    text — hop fusion consults only the syntactic ``is_static`` — and
+    reads the graph at execution time through the engine's index, so it
+    stays valid across deltas: the server keys its plan cache by
+    normalized query text alone.
     """
 
     text: str | None
@@ -436,13 +437,11 @@ class DataflowEngine:
         if backend == "process":
             return self._process_run(chain, seeds, variables, mode, stats)
         start = time.perf_counter()
-        if mode == "families":
-            # Columnar kernel over the already-built seed rows (no-op
-            # unless kernel="columnar" and the chain shape is covered).
-            attempt = self._columnar_rows_attempt(chain, seeds, variables, stats)
-            if attempt is not None:
-                data, frontier_rows = attempt
-                return data, frontier_rows, time.perf_counter() - start
+        # Columnar kernel over the already-built seed rows (no-op unless
+        # kernel="columnar" and the chain shape is covered).
+        attempt = self._columnar_rows_attempt(chain, seeds, variables, mode, stats)
+        if attempt is not None:
+            return (*attempt, time.perf_counter() - start)
         if backend == "thread":
             frontier = self._run_chain_chunks(seeds, chain, stats)
         else:
@@ -466,8 +465,6 @@ class DataflowEngine:
         """
         if self._kernel_unavailable is not None:
             return self._kernel_unavailable
-        if self._output_mode(chain) != "families":
-            return "output spans temporal groups (point mode)"
         _plan, reason = columnar_kernel.plan_query(chain)
         return reason
 
@@ -502,15 +499,16 @@ class DataflowEngine:
         chain: Sequence[ChainStep],
         seeds: list[Row],
         variables: tuple[str, ...],
+        mode: str,
         stats: _ChainStats,
     ) -> tuple[list, int] | None:
         """Columnar evaluation over pre-built seed rows.
 
-        The rows-in/families-out twin of the full-query path, used by
-        the thread/serial backend rungs and the worker-pool chunks.
-        ``None`` means the
-        chain or the rows don't fit the kernel; the caller falls back to
-        the interpreted chain walk.
+        The rows-in twin of the full-query path (families or point
+        tuples out, per ``mode``), used by the thread/serial backend
+        rungs and the worker-pool chunks.  ``None`` means the chain or
+        the rows don't fit the kernel; the caller falls back to the
+        interpreted chain walk.
         """
         if self._kernel != "columnar" or self._kernel_unavailable is not None:
             return None
@@ -518,7 +516,7 @@ class DataflowEngine:
         if ops is None:
             return None
         result = columnar_kernel.run_rows(
-            self._index.columnar_context(), ops, seeds, variables, self._deadline
+            self._index.columnar_context(), ops, seeds, variables, mode, self._deadline
         )
         if result is None:
             return None
@@ -625,6 +623,7 @@ class DataflowEngine:
             chain = self._compile(compiled)
         stats = _ChainStats()
         degradation: dict | None = None
+        mode = self._output_mode(chain)
 
         self._arm_deadline()
         try:
@@ -640,17 +639,17 @@ class DataflowEngine:
                     self._index.columnar_context(),
                     cplan,
                     compiled.variables,
+                    mode,
                     self._deadline,
                 )
                 stats.rows_merged += merged
-                table: TypingUnion[BindingTable, IntervalBindingTable] = (
-                    IntervalBindingTable(compiled.variables, data)
-                )
+                table = data  # points: already a (lazy) table
+                if mode == "families":
+                    table = IntervalBindingTable(compiled.variables, data)
                 interval_seconds = time.perf_counter() - start
             else:
                 seeds, rest = self._initial_frontier(chain)
                 if self._process_engages(seeds):
-                    mode = self._output_mode(chain)
                     data, frontier_rows, chain_seconds = self._run_resilient(
                         rest, seeds, compiled.variables, mode, stats
                     )
@@ -724,6 +723,7 @@ class DataflowEngine:
                     self._index.columnar_context(),
                     cplan,
                     compiled.variables,
+                    "families",
                     self._deadline,
                 )
                 stats.rows_merged += merged

@@ -3,7 +3,7 @@
 The paper builds its experimental graphs from a COVID-19 contact-tracing
 trajectory data set (Ojagh et al.) expanded to 100,000 individuals.  That
 data set is not redistributable, so this package implements the closest
-synthetic equivalent (see DESIGN.md, Substitutions):
+synthetic equivalent:
 
 * :mod:`repro.datagen.trajectory` — a trajectory simulator producing
   room-visit records per person over a configurable number of 5-minute

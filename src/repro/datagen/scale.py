@@ -5,8 +5,8 @@ up to 32 million temporal edges (Table I), produced on a 64 GB cluster
 node by a Rust implementation.  A pure-Python reproduction cannot process
 graphs of that size within the benchmark time budget, so the harnesses
 use the scale factors below (S1–S6) whose *relative* sizes sweep the same
-range of growth; the absolute counts are smaller.  EXPERIMENTS.md records
-the mapping and the resulting paper-vs-measured comparison.
+range of growth; the absolute counts are smaller.  (ROADMAP.md item 5
+tracks the paper-vs-measured write-up at larger scales.)
 
 The environment variable ``REPRO_SCALE`` selects the largest scale used
 by the benchmarks (default ``S4`` to keep a full benchmark run in the

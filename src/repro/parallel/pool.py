@@ -361,34 +361,25 @@ def _run_chunk(
     seeds = unpack_seeds(packed_seeds)
     stats = _ChainStats()
     start = time.perf_counter()
-    if mode == "families":
-        # Columnar kernel over this chunk's rows when configured and the
-        # chain shape is covered (None -> interpreted chain walk below;
-        # a worker without NumPy self-heals the same way).
-        attempt = engine._columnar_rows_attempt(chain, seeds, variables, stats)
-        if attempt is not None:
-            families, frontier_rows = attempt
-            chain_seconds = time.perf_counter() - start
-            return {
-                "pid": os.getpid(),
-                "data": pack_families(families),
-                "frontier_rows": frontier_rows,
-                "rows_merged": stats.rows_merged,
-                "chain_seconds": chain_seconds,
-                "total_seconds": time.perf_counter() - start,
-            }
-    frontier = engine._run_chain_on(seeds, chain, stats)
-    chain_seconds = time.perf_counter() - start
-    if mode == "families":
-        data = pack_families(engine._materializer.families(frontier, variables))
-    elif mode == "points":
-        data = engine._materializer.points(frontier, variables)
-    else:
+    if mode not in ("families", "points"):
         raise EvaluationError(f"unknown process-backend output mode {mode!r}")
+    # Columnar kernel over this chunk's rows when configured and the
+    # chain shape is covered (None -> interpreted chain walk; a worker
+    # without NumPy self-heals the same way).
+    attempt = engine._columnar_rows_attempt(chain, seeds, variables, mode, stats)
+    if attempt is not None:
+        data, frontier_rows = attempt
+        chain_seconds = time.perf_counter() - start
+    else:
+        frontier = engine._run_chain_on(seeds, chain, stats)
+        chain_seconds = time.perf_counter() - start
+        materializer = engine._materializer
+        step3 = materializer.families if mode == "families" else materializer.points
+        data, frontier_rows = step3(frontier, variables), len(frontier)
     return {
         "pid": os.getpid(),
-        "data": data,
-        "frontier_rows": len(frontier),
+        "data": pack_families(data) if mode == "families" else data,
+        "frontier_rows": frontier_rows,
         "rows_merged": stats.rows_merged,
         "chain_seconds": chain_seconds,
         "total_seconds": time.perf_counter() - start,

@@ -29,13 +29,18 @@ sequence of *columnar ops* executed as NumPy sweeps over flat arrays:
   argsort plus ``maximum.reduceat``.
 
 The kernel covers chains of Test / Struct / fused-Hop / Bind /
-temporal-free Alt steps, optionally ending in one final TemporalStep,
-producing interval-native ``families`` output (every variable bound in
-temporal group 0) — the Q1–Q5 / Q9–Q12 shapes.  Everything else
-(mid-chain temporal navigation, temporal alternatives, point-mode
-output) reports a fallback reason and runs interpreted; the interpreted
-path stays authoritative and every columnar answer is differential-
-fuzzed against it.
+temporal-free Alt steps with TemporalSteps anywhere on the outer chain —
+every Table-II shape.  A TemporalStep *freezes* the frontier: the state
+it navigated from stays behind as a closed temporal group (bindings +
+family + the step as link), each surviving row keeps an index into it,
+and the reached times become the row's current family.  Output mode is a
+property of the projection, not of an op: variables bound in one group
+come out as interval-native ``families``, variables spanning groups as a
+:class:`PointTable` whose linked ``(t, t')`` pairs are expanded in array
+form.  Only alternations that navigate through time (or bind) report a
+fallback reason and run interpreted; the interpreted path stays
+authoritative and every columnar answer is differential-fuzzed against
+it.
 
 NumPy is an optional accelerator, not a dependency: when it is missing
 :func:`available` returns ``False`` and the engine falls back to the
@@ -59,6 +64,7 @@ from repro.dataflow.steps import (
     chain_has_temporal_step,
 )
 from repro.errors import EvaluationError
+from repro.eval.bindings import BindingTable
 from repro.lang.ast import Test
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
@@ -100,14 +106,13 @@ def compile_ops(
 
     Fused hops decompose into struct/test passes (signature-merged after
     each struct), which is relation-equal to the interpreted hop tables.
-    A TemporalStep is supported only as the final step of the outer
-    chain: the kernel fuses it with Step-3 materialization (the output
-    family of a two-group row whose bindings all live in group 0 is
-    ``T ∩ sources(targets(T) ∩ fused-conditions)``).
+    A TemporalStep anywhere on the outer chain closes the current
+    temporal group (see :meth:`_Kernel._op_temporal`); inside an
+    alternation the group structure would become branch-dependent, which
+    is the one shape the kernel declines.
     """
     ops: list = []
-    last = len(chain) - 1
-    for position, step in enumerate(chain):
+    for step in chain:
         if isinstance(step, TestStep):
             ops.append(("test", step.condition))
         elif isinstance(step, StructStep):
@@ -126,8 +131,6 @@ def compile_ops(
         elif isinstance(step, TemporalStep):
             if inside_alt:
                 return None, "temporal navigation inside alternation"
-            if position != last:
-                return None, "temporal navigation before the end of the chain"
             ops.append(("temporal", step))
         elif isinstance(step, AltStep):
             branches = []
@@ -570,28 +573,77 @@ class _State:
     intervals form a coalesced family; every row owns >= 1 interval
     (rows that run dry are compacted away, like interpreted rows whose
     times empty out).
+
+    After a temporal step ``link`` is ``(frozen state, step)`` — the
+    closed temporal group the rows navigated from — and ``src`` the
+    per-row index into that frozen state (``None`` in group 0).  Binding
+    columns of every group travel with the live rows.
     """
 
-    __slots__ = ("cur", "names", "cols", "owner", "start", "end")
+    __slots__ = ("cur", "names", "cols", "owner", "start", "end", "link", "src")
 
-    def __init__(self, cur, names, cols, owner, start, end) -> None:
+    def __init__(
+        self, cur, names, cols, owner, start, end, link=None, src=None
+    ) -> None:
         self.cur = cur
         self.names = names
         self.cols = cols
         self.owner = owner
         self.start = start
         self.end = end
+        self.link = link
+        self.src = src
 
     @property
     def rows(self) -> int:
         return int(self.cur.size)
 
+    @property
+    def family(self) -> tuple:
+        return self.owner, self.start, self.end
+
+    def with_family(self, owner, start, end) -> "_State":
+        return _State(
+            self.cur, self.names, self.cols, owner, start, end, self.link, self.src
+        )
+
+    def gather(self, rows, cur, owner, start, end) -> "_State":
+        """Per-row columns taken at ``rows`` (indices or mask) under a
+        new ``cur`` and family."""
+        return _State(
+            cur,
+            self.names,
+            [column[rows] for column in self.cols],
+            owner,
+            start,
+            end,
+            self.link,
+            None if self.src is None else self.src[rows],
+        )
+
     def hulls(self) -> tuple:
         """``(indptr, first start, last end)`` of the per-row families."""
-        indptr = np.searchsorted(
-            self.owner, np.arange(self.rows + 1, dtype=np.int64), side="left"
-        )
+        indptr = _indptr(self.owner, self.rows)
         return indptr, self.start[indptr[:-1]], self.end[indptr[1:] - 1]
+
+
+def _indptr(owner, count: int):
+    """CSR offsets of an ascending ``owner`` array over ``count`` rows."""
+    return np.searchsorted(owner, np.arange(count + 1, dtype=np.int64), side="left")
+
+
+def _take(family: tuple, count: int, rows) -> tuple:
+    """Families of ``rows`` out of a ``count``-row family set, re-owned
+    ``0..len(rows)-1`` (a ragged gather; ``rows`` may repeat)."""
+    owner, start, end = family
+    indptr = _indptr(owner, count)
+    counts = indptr[rows + 1] - indptr[rows]
+    pos = _ranges(indptr[rows], counts)
+    return (
+        np.repeat(np.arange(rows.size, dtype=np.int64), counts),
+        start[pos],
+        end[pos],
+    )
 
 
 def _empty_state(names: tuple[str, ...]) -> _State:
@@ -601,20 +653,12 @@ def _empty_state(names: tuple[str, ...]) -> _State:
 
 def _compact(state: _State, owner, start, end) -> _State:
     """Re-pack after an op dropped intervals: owners renumber densely."""
-    rows = state.rows
-    alive = np.zeros(rows, dtype=bool)
+    alive = np.zeros(state.rows, dtype=bool)
     alive[owner] = True
     if alive.all():
-        return _State(state.cur, state.names, state.cols, owner, start, end)
+        return state.with_family(owner, start, end)
     remap = np.cumsum(alive) - 1
-    return _State(
-        state.cur[alive],
-        state.names,
-        [column[alive] for column in state.cols],
-        remap[owner],
-        start,
-        end,
-    )
+    return state.gather(alive, state.cur[alive], remap[owner], start, end)
 
 
 # --------------------------------------------------------------------- #
@@ -634,15 +678,23 @@ class _Kernel:
         gs = owner * ctx.stride + (start - ctx.domain_start)
         return gs, gs + (end - start)
 
-    def _gather_condition(self, condition, cur):
-        """Per-row condition intervals on the global (row-keyed) axis."""
-        ctx = self.ctx
-        indptr, starts, ends = ctx.condition_arrays(condition)
+    def _meet(self, a: tuple, b: tuple) -> tuple:
+        """Per-owner intersection of two ``(owner, start, end)`` family
+        sets (``b`` owner-sorted and coalesced; the result is too when
+        ``a`` is)."""
+        gs, ge, a_idx = _intersect_global(*self._globals(*a), *self._globals(*b))
+        owner = a[0][a_idx]
+        base = owner * self.ctx.stride - self.ctx.domain_start
+        return owner, gs - base, ge - base
+
+    def _gather_condition(self, condition, cur) -> tuple:
+        """Per-row condition intervals, owned by the position in ``cur``."""
+        indptr, starts, ends = self.ctx.condition_arrays(condition)
         lo = indptr[cur]
         counts = indptr[cur + 1] - lo
         row = np.repeat(np.arange(cur.size, dtype=np.int64), counts)
         pos = _ranges(lo, counts)
-        return self._globals(row, starts[pos], ends[pos])
+        return row, starts[pos], ends[pos]
 
     def _within(self, cur, rows, first, last, bounds: tuple):
         """Mask of objects ``cur`` whose every bounding condition's hull
@@ -680,25 +732,23 @@ class _Kernel:
                     state.cur,
                     state.names + (op[1],),
                     state.cols + [state.cur],
-                    state.owner,
-                    state.start,
-                    state.end,
+                    *state.family,
+                    state.link,
+                    state.src,
                 )
             elif tag == "alt":
                 state = self._op_alt(state, op[1])
-            else:  # "temporal" — compile_ops guarantees it is final
+            else:  # "temporal"
                 state = self._op_temporal(state, op[1], op[2])
         return state
 
     def _op_test(self, state: _State, condition: Test) -> _State:
-        a_gs, a_ge = self._globals(state.owner, state.start, state.end)
-        b_gs, b_ge = self._gather_condition(condition, state.cur)
-        gs, ge, a_idx = _intersect_global(a_gs, a_ge, b_gs, b_ge)
-        if a_idx.size == 0:
+        owner, start, end = self._meet(
+            state.family, self._gather_condition(condition, state.cur)
+        )
+        if owner.size == 0:
             return _empty_state(state.names)
-        owner = state.owner[a_idx]
-        base = owner * self.ctx.stride - self.ctx.domain_start
-        return _compact(state, owner, gs - base, ge - base)
+        return _compact(state, owner, start, end)
 
     def _op_struct(self, state: _State, forward: bool, bounds: tuple) -> _State:
         """One structural move, keeping only the targets within ``bounds``
@@ -722,29 +772,19 @@ class _Kernel:
         new_cur[offsets[edge_rows]] = succ[cur[edge_rows]]
         del out_pos, adj_pos  # fan-out-sized; keep the transient peak low
         src_row = np.repeat(np.arange(rows, dtype=np.int64), degree)
-        ival_indptr, first, last = state.hulls()
         if bounds:
             # The ops that follow would empty every other row, and ∩
             # distributes over the merge below, so dropping them first
             # changes no answer — it only spares replicating families a
             # hub fans out by the thousand.
+            _indptr, first, last = state.hulls()
             keep = self._within(new_cur, src_row, first, last, bounds)
             new_cur = new_cur[keep]
             src_row = src_row[keep]
-            total = int(new_cur.size)
-        if total == 0:
+        if new_cur.size == 0:
             return _empty_state(state.names)
         # Replicate each source row's interval family to its fan-out.
-        ival_counts = ival_indptr[src_row + 1] - ival_indptr[src_row]
-        pos = _ranges(ival_indptr[src_row], ival_counts)
-        fanned = _State(
-            new_cur,
-            state.names,
-            [column[src_row] for column in state.cols],
-            np.repeat(np.arange(total, dtype=np.int64), ival_counts),
-            state.start[pos],
-            state.end[pos],
-        )
+        fanned = state.gather(src_row, new_cur, *_take(state.family, rows, src_row))
         return self._merge(fanned)
 
     def _op_alt(self, state: _State, branches: tuple) -> _State:
@@ -757,6 +797,8 @@ class _Kernel:
         for part in parts:
             owners.append(part.owner + offset)
             offset += part.rows
+        # Branches are temporal-free, so every part still hangs off the
+        # frozen group ``state`` does.
         stacked = _State(
             np.concatenate([part.cur for part in parts]),
             state.names,
@@ -767,15 +809,21 @@ class _Kernel:
             np.concatenate(owners),
             np.concatenate([part.start for part in parts]),
             np.concatenate([part.end for part in parts]),
+            state.link,
+            None if state.src is None else np.concatenate([part.src for part in parts]),
         )
         return self._merge(stacked)
 
     def _merge(self, state: _State) -> _State:
-        """Coalescing-frontier merge: union families of signature-equal rows."""
+        """Coalescing-frontier merge: union families of signature-equal
+        rows (same bindings, current object and frozen source group)."""
         rows = state.rows
         if rows <= 1:
             return state
-        group_of, reps = _group_rows([*state.cols, state.cur], rows)
+        keys = [*state.cols, state.cur]
+        if state.src is not None:
+            keys.append(state.src)
+        group_of, reps = _group_rows(keys, rows)
         groups = reps.size
         if groups == rows:
             return state
@@ -784,226 +832,307 @@ class _Kernel:
         owner, start, end = _coalesce(
             ctx.stride, ctx.domain_start, group_of[state.owner], state.start, state.end
         )
-        return _State(
-            state.cur[reps],
-            state.names,
-            [column[reps] for column in state.cols],
-            owner,
-            start,
-            end,
+        return state.gather(reps, state.cur[reps], owner, start, end)
+
+    # -- temporal navigation ---------------------------------------------- #
+    def _runs(self, obj) -> tuple:
+        """Existence runs of ``obj[i]``, owned by ``i``."""
+        ctx = self.ctx
+        lo = ctx.ex_indptr[obj]
+        counts = ctx.ex_indptr[obj + 1] - lo
+        pos = _ranges(lo, counts)
+        return (
+            np.repeat(np.arange(obj.size, dtype=np.int64), counts),
+            ctx.ex_start[pos],
+            ctx.ex_end[pos],
         )
 
-    # -- final temporal step --------------------------------------------- #
-    def _op_temporal(self, state: _State, step: TemporalStep, bounds: tuple) -> _State:
-        """Fused final TemporalStep + Step-3 materialization.
-
-        Per row with validity ``T``: the output family is
-        ``T ∩ sources(targets(T) ∩ satisfied)``, the vectorized form of
-        ``_apply_temporal`` (reachable windows ∩ fused conditions)
-        followed by ``IntervalMaterializer.row_family`` on the two-group
-        row (``alive[0] = T ∩ link_sources(alive[1])``).  Rows whose
-        final family empties are dropped, exactly like ``families()``
-        skipping ``row_family() is None``.
-        """
+    def _windows(self, pieces: list) -> tuple:
+        """Coalesce ``(owner, lo, hi)`` window pieces, clipped to the
+        domain (empty and outside windows drop)."""
         ctx = self.ctx
         d0, d1 = ctx.domain_start, ctx.domain_end
-        stride = ctx.stride
-        lower, upper = step.lower, step.upper
-        forward = step.forward
+        owner, lo, hi = (np.concatenate(column) for column in zip(*pieces))
+        keep = (lo <= hi) & (hi >= d0) & (lo <= d1)
+        return _coalesce(
+            ctx.stride, d0, owner[keep], np.clip(lo[keep], d0, d1), np.clip(hi[keep], d0, d1)
+        )
 
+    def _targets(self, step: TemporalStep, obj, owner, s, e) -> tuple:
+        """Per owner, every time reachable from its family through ``step``
+        on object ``obj[owner]`` — the vectorized ``reachable_window``
+        union of ``IntervalMaterializer.link_targets``."""
+        lower, upper, forward = step.lower, step.upper, step.forward
+        if not step.require_existence:
+            ctx = self.ctx
+            if forward:
+                lo = s + lower
+                hi = np.full_like(e, ctx.domain_end) if upper is None else e + upper
+            else:
+                hi = e - lower
+                lo = np.full_like(s, ctx.domain_start) if upper is None else s - upper
+            return self._windows([(owner, lo, hi)])
+        pieces = [(owner, s, e)] if lower == 0 else []
+        if upper is None or upper >= 1:
+            min_moves = max(lower, 1)
+            # Every visited point shares the run holding the first one,
+            # so anchors pair with the runs shifted onto them.
+            shift = -1 if forward else 1
+            run_row, run_s, run_e = self._runs(obj)
+            ai, bi = _pairs(
+                *self._globals(owner, s, e),
+                *self._globals(run_row, run_s + shift, run_e + shift),
+            )
+            run_s, run_e = run_s[bi], run_e[bi]
+            anchor_s = np.maximum(s[ai], run_s + shift)
+            anchor_e = np.minimum(e[ai], run_e + shift)
+            if forward:
+                lo = anchor_s + min_moves
+                hi = run_e if upper is None else np.minimum(run_e, anchor_e + upper)
+            else:
+                hi = anchor_e - min_moves
+                lo = run_s if upper is None else np.maximum(run_s, anchor_s - upper)
+            pieces.append((owner[ai], lo, hi))
+        return self._windows(pieces)
+
+    def _sources(self, step: TemporalStep, obj, owner, s, e) -> tuple:
+        """Per owner, every time from which ``step`` reaches its family —
+        the vectorized ``reachable_sources`` (for contiguous steps not a
+        direction flip: visited points exclude the anchor, include the
+        endpoint)."""
+        lower, upper, forward = step.lower, step.upper, step.forward
+        if not step.require_existence:
+            ctx = self.ctx
+            if forward:
+                hi = e - lower
+                lo = np.full_like(s, ctx.domain_start) if upper is None else s - upper
+            else:
+                lo = s + lower
+                hi = np.full_like(e, ctx.domain_end) if upper is None else e + upper
+            return self._windows([(owner, lo, hi)])
+        pieces = [(owner, s, e)] if lower == 0 else []
+        if upper is None or upper >= 1:
+            min_moves = max(lower, 1)
+            run_row, run_s, run_e = self._runs(obj)
+            ai, bi = _pairs(
+                *self._globals(owner, s, e), *self._globals(run_row, run_s, run_e)
+            )
+            run_s, run_e = run_s[bi], run_e[bi]
+            piece_s = np.maximum(s[ai], run_s)
+            piece_e = np.minimum(e[ai], run_e)
+            if forward:
+                lo = run_s - 1 if upper is None else np.maximum(run_s - 1, piece_s - upper)
+                hi = piece_e - min_moves
+            else:
+                lo = piece_s + min_moves
+                hi = run_e + 1 if upper is None else np.minimum(run_e + 1, piece_e + upper)
+            pieces.append((owner[ai], lo, hi))
+        return self._windows(pieces)
+
+    def _op_temporal(self, state: _State, step: TemporalStep, bounds: tuple) -> _State:
+        """Temporal navigation: close the current group, open the next.
+
+        Per row with validity ``T`` the new family is ``targets(T) ∩
+        fused conditions`` — the vectorized ``_apply_temporal``.  The
+        state navigated from is frozen behind the survivors (``link`` +
+        ``src``) with ``T`` untouched: which of its times can complete
+        the chain is the projection's backward pass to decide.
+        """
         if bounds:
             _indptr, first, last = state.hulls()
             keep = self._within(state.cur, ..., first, last, bounds)[state.owner]
             if not keep.any():
                 return _empty_state(state.names)
             state = _compact(state, state.owner[keep], state.start[keep], state.end[keep])
-
-        a_owner, a_s, a_e = state.owner, state.start, state.end
-        a_gs, a_ge = self._globals(a_owner, a_s, a_e)
-
-        run_row = run_s = run_e = run_gs = run_ge = None
-        if step.require_existence:
-            indptr = ctx.ex_indptr
-            lo = indptr[state.cur]
-            counts = indptr[state.cur + 1] - lo
-            run_row = np.repeat(np.arange(state.rows, dtype=np.int64), counts)
-            pos = _ranges(lo, counts)
-            run_s = ctx.ex_start[pos]
-            run_e = ctx.ex_end[pos]
-            run_gs, run_ge = self._globals(run_row, run_s, run_e)
-
-        # targets(T): the reachable windows, per row, coalesced.
-        if step.require_existence:
-            piece_owner: list = []
-            piece_s: list = []
-            piece_e: list = []
-            if lower == 0:
-                piece_owner.append(a_owner)
-                piece_s.append(a_s)
-                piece_e.append(a_e)
-            if upper is None or upper >= 1:
-                min_moves = max(lower, 1)
-                shift = -1 if forward else 1
-                ai, bi = _pairs(a_gs, a_ge, run_gs + shift, run_ge + shift)
-                if ai.size:
-                    anchor_s = np.maximum(a_s[ai], run_s[bi] + shift)
-                    anchor_e = np.minimum(a_e[ai], run_e[bi] + shift)
-                    if forward:
-                        t_lo = anchor_s + min_moves
-                        t_hi = (
-                            run_e[bi]
-                            if upper is None
-                            else np.minimum(run_e[bi], anchor_e + upper)
-                        )
-                    else:
-                        t_hi = anchor_e - min_moves
-                        t_lo = (
-                            run_s[bi]
-                            if upper is None
-                            else np.maximum(run_s[bi], anchor_s - upper)
-                        )
-                    keep = (t_lo <= t_hi) & (t_hi >= d0) & (t_lo <= d1)
-                    piece_owner.append(a_owner[ai][keep])
-                    piece_s.append(np.clip(t_lo[keep], d0, d1))
-                    piece_e.append(np.clip(t_hi[keep], d0, d1))
-            if piece_owner:
-                w_owner = np.concatenate(piece_owner)
-                w_s = np.concatenate(piece_s)
-                w_e = np.concatenate(piece_e)
-            else:
-                w_owner = w_s = w_e = np.empty(0, dtype=np.int64)
-        else:
-            if forward:
-                t_lo = a_s + lower
-                t_hi = np.full_like(a_e, d1) if upper is None else a_e + upper
-            else:
-                t_hi = a_e - lower
-                t_lo = np.full_like(a_s, d0) if upper is None else a_s - upper
-            keep = (t_lo <= t_hi) & (t_hi >= d0) & (t_lo <= d1)
-            w_owner = a_owner[keep]
-            w_s = np.clip(t_lo[keep], d0, d1)
-            w_e = np.clip(t_hi[keep], d0, d1)
-        w_owner, w_s, w_e = _coalesce(stride, d0, w_owner, w_s, w_e)
-
-        # ∩ fused target conditions (the step's absorbed static tests).
-        w_gs, w_ge = self._globals(w_owner, w_s, w_e)
+        reached = self._targets(step, state.cur, *state.family)
         for condition in step.target_conditions:
-            if w_owner.size == 0:
+            if reached[0].size == 0:
                 break
-            b_gs, b_ge = self._gather_condition(condition, state.cur)
-            w_gs, w_ge, w_idx = _intersect_global(w_gs, w_ge, b_gs, b_ge)
-            w_owner = w_owner[w_idx]
-        if w_owner.size == 0:
+            reached = self._meet(reached, self._gather_condition(condition, state.cur))
+        if reached[0].size == 0:
             return _empty_state(state.names)
-        base = w_owner * stride - d0
-        r_owner, r_s, r_e = w_owner, w_gs - base, w_ge - base
-
-        # sources(reached): anchors that can reach the surviving windows.
-        if step.require_existence:
-            piece_owner = []
-            piece_s = []
-            piece_e = []
-            if lower == 0:
-                piece_owner.append(r_owner)
-                piece_s.append(r_s)
-                piece_e.append(r_e)
-            if upper is None or upper >= 1:
-                min_moves = max(lower, 1)
-                r_gs, r_ge = self._globals(r_owner, r_s, r_e)
-                ai, bi = _pairs(r_gs, r_ge, run_gs, run_ge)
-                if ai.size:
-                    pc_s = np.maximum(r_s[ai], run_s[bi])
-                    pc_e = np.minimum(r_e[ai], run_e[bi])
-                    if forward:
-                        s_lo = (
-                            run_s[bi] - 1
-                            if upper is None
-                            else np.maximum(run_s[bi] - 1, pc_s - upper)
-                        )
-                        s_hi = pc_e - min_moves
-                    else:
-                        s_lo = pc_s + min_moves
-                        s_hi = (
-                            run_e[bi] + 1
-                            if upper is None
-                            else np.minimum(run_e[bi] + 1, pc_e + upper)
-                        )
-                    keep = (s_lo <= s_hi) & (s_hi >= d0) & (s_lo <= d1)
-                    piece_owner.append(r_owner[ai][keep])
-                    piece_s.append(np.clip(s_lo[keep], d0, d1))
-                    piece_e.append(np.clip(s_hi[keep], d0, d1))
-            if piece_owner:
-                src_owner = np.concatenate(piece_owner)
-                src_s = np.concatenate(piece_s)
-                src_e = np.concatenate(piece_e)
-            else:
-                src_owner = src_s = src_e = np.empty(0, dtype=np.int64)
-        else:
-            if forward:
-                s_hi = r_e - lower
-                s_lo = np.full_like(r_s, d0) if upper is None else r_s - upper
-            else:
-                s_lo = r_s + lower
-                s_hi = np.full_like(r_e, d1) if upper is None else r_e + upper
-            keep = (s_lo <= s_hi) & (s_hi >= d0) & (s_lo <= d1)
-            src_owner = r_owner[keep]
-            src_s = np.clip(s_lo[keep], d0, d1)
-            src_e = np.clip(s_hi[keep], d0, d1)
-        src_owner, src_s, src_e = _coalesce(stride, d0, src_owner, src_s, src_e)
-
-        # Output family: T ∩ sources, per row; dry rows drop.
-        src_gs, src_ge = self._globals(src_owner, src_s, src_e)
-        out_gs, out_ge, a_idx = _intersect_global(a_gs, a_ge, src_gs, src_ge)
-        if a_idx.size == 0:
-            return _empty_state(state.names)
-        owner = a_owner[a_idx]
-        base = owner * stride - d0
-        return _compact(state, owner, out_gs - base, out_ge - base)
+        # The next group starts as the same rows, each pointing at itself
+        # in the state just frozen; compaction keeps the pointers right.
+        opened = _State(
+            state.cur,
+            state.names,
+            state.cols,
+            *state.family,
+            (state, step),
+            np.arange(state.rows, dtype=np.int64),
+        )
+        return _compact(opened, *reached)
 
     # -- output ----------------------------------------------------------- #
-    def project(
-        self, state: _State, variables: tuple[str, ...]
-    ) -> list[tuple[tuple, IntervalSet]]:
-        """Canonical ``(bindings, family)`` list, one entry per binding
-        tuple — the columnar twin of ``IntervalMaterializer.families``."""
-        rows = state.rows
-        if rows == 0:
-            return []
+    def project(self, state: _State, variables: tuple[str, ...], mode: str):
+        """Step 3 in array form: the columnar ``IntervalMaterializer``.
+
+        ``mode="families"`` returns the canonical ``(bindings, family)``
+        list, one entry per binding tuple (variables bound in at most
+        one temporal group); ``mode="points"`` a :class:`PointTable`.
+        Both run the materializer's two passes per live row over its
+        chain of frozen groups: backward, ``alive[j] = T_j ∩
+        sources(alive[j+1])`` prunes every time that cannot complete the
+        chain; forward, ``targets(·) ∩ alive[j+1]`` carries the
+        admissible times up to the last bound group — expanded to points
+        (``np.repeat``/``arange``) at each group that binds a variable,
+        kept as aggregated intervals at those that bind none.
+        """
+        if state.rows == 0:
+            return [] if mode == "families" else PointTable(variables, (), [], [])
         missing = [v for v in variables if v not in state.names]
         if missing:
             raise EvaluationError(f"variables {missing} were never bound")
-        column_for: dict[str, object] = {}
-        for name, column in zip(state.names, state.cols):
-            column_for[name] = column  # later binds win, like variable_positions
-        group_of, reps = _group_rows([column_for[v] for v in variables], rows)
+        # Root-first frozen levels, each with the per-live-row ancestor.
+        levels: list = []
+        link, anc = state.link, state.src
+        while link is not None:
+            frozen, step = link
+            levels.append((frozen, step, anc))
+            link, anc = frozen.link, None if frozen.src is None else frozen.src[anc]
+        levels.reverse()
+        # A name's group is the number of levels frozen before its bind
+        # (later binds win, like ``Row.variable_positions``).
+        position = {name: i for i, name in enumerate(state.names)}
+        group_of = {
+            v: sum(len(frozen.names) <= position[v] for frozen, _step, _anc in levels)
+            for v in variables
+        }
+        bound = sorted(set(group_of.values()))
+        if mode == "families" and len(bound) > 1:
+            raise EvaluationError(
+                "interval (coalesced) output is only defined when every variable "
+                "is bound within a single temporal group"
+            )
+        deadline = self.deadline
+        rows = state.rows
+        alive = [state.family] * (len(levels) + 1)
+        for j in range(len(levels) - 1, -1, -1):
+            if deadline is not None:
+                deadline.check()
+            frozen, step, anc = levels[j]
+            alive[j] = self._meet(
+                _take(frozen.family, frozen.rows, anc),
+                self._sources(step, frozen.cur[anc], *alive[j + 1]),
+            )
+        row = np.arange(rows, dtype=np.int64)  # entry -> live row
+        family = alive[0]  # owned by entry
+        chosen: dict[int, object] = {}  # bound group -> time per entry
+        last = bound[-1] if bound else 0
+        for j in range(last + 1):
+            if deadline is not None:
+                deadline.check()
+            if mode == "points" and j in bound:
+                owner, start, end = family
+                counts = end - start + 1
+                times = _ranges(start, counts)
+                entry = np.repeat(owner, counts)
+                row = row[entry]
+                chosen = {group: t[entry] for group, t in chosen.items()}
+                chosen[j] = times
+                family = (np.arange(times.size, dtype=np.int64), times, times)
+            if j == last:
+                break
+            frozen, step, anc = levels[j]
+            family = self._meet(
+                self._targets(step, frozen.cur[anc[row]], *family),
+                _take(alive[j + 1], rows, row),
+            )
+        if mode == "points":
+            ids = [state.cols[position[v]][row] for v in variables]
+            _group, keep = _group_rows(ids + [chosen[g] for g in bound], row.size)
+            return PointTable(
+                variables,
+                self.ctx.objects,
+                [column[keep] for column in ids],
+                [chosen[group_of[v]][keep] for v in variables],
+            )
+        columns = [state.cols[position[v]] for v in variables]
+        group, reps = _group_rows(columns, rows)
         groups = reps.size
         ctx = self.ctx
         owner, start, end = _coalesce(
-            ctx.stride, ctx.domain_start, group_of[state.owner], state.start, state.end
+            ctx.stride, ctx.domain_start, group[family[0]], family[1], family[2]
         )
-        indptr = np.searchsorted(
-            owner, np.arange(groups + 1, dtype=np.int64), side="left"
-        )
+        indptr = _indptr(owner, groups).tolist()
+        start, end = start.tolist(), end.tolist()
         objects = ctx.objects
-        families = []
-        for group in range(groups):
-            representative = int(reps[group])
-            bindings = tuple(
-                (v, objects[int(column_for[v][representative])]) for v in variables
+        named = [
+            [(v, objects[i]) for i in column[reps].tolist()]
+            for v, column in zip(variables, columns)
+        ]
+        return [
+            (
+                bindings,
+                IntervalSet._from_coalesced(
+                    tuple(Interval(start[k], end[k]) for k in range(lo, hi))
+                ),
             )
-            lo, hi = int(indptr[group]), int(indptr[group + 1])
-            families.append(
-                (
-                    bindings,
-                    IntervalSet._from_coalesced(
-                        tuple(
-                            Interval(int(start[k]), int(end[k]))
-                            for k in range(lo, hi)
-                        )
-                    ),
-                )
+            for bindings, lo, hi in zip(
+                zip(*named) if named else [()] * groups, indptr, indptr[1:]
             )
-        return families
+            if lo < hi  # rows whose times cannot complete the chain
+        ]
+
+
+class PointTable(BindingTable):
+    """A point-mode answer held as arrays until it is read.
+
+    The :class:`~repro.eval.bindings.BindingTable` of an output that
+    spans temporal groups, as the kernel produces it: one ``(dense
+    object id, time)`` int64 column pair per variable, rows already
+    deduplicated.  ``len`` is the array length; the sorted Python
+    ``rows`` — and with them every inherited read method — are built,
+    once, only when something actually reads them, so neither the engine
+    nor the served path (:meth:`columns` feeds the wire emitter) pays
+    the per-point object detour.
+    """
+
+    def __init__(self, variables, objects, ids: list, times: list) -> None:
+        for name, value in (
+            ("variables", tuple(variables)),
+            ("_objects", objects),
+            ("_ids", ids),
+            ("_times", times),
+            ("_rows", None),
+        ):
+            object.__setattr__(self, name, value)  # frozen dataclass
+
+    def __len__(self) -> int:
+        return int(self._ids[0].size) if self._ids else 0
+
+    def columns(self) -> list[tuple[list, list]]:
+        """Per variable, parallel ``(objects, times)`` lists in array order."""
+        objects = self._objects
+        return [
+            ([objects[i] for i in ids.tolist()], times.tolist())
+            for ids, times in zip(self._ids, self._times)
+        ]
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            cells = [zip(objs, times) for objs, times in self.columns()]
+            built = BindingTable.build(self.variables, zip(*cells)).rows
+            object.__setattr__(self, "_rows", built)
+        return self._rows
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def is_empty(self) -> bool:
+        return len(self) == 0
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BindingTable):
+            return self.variables == other.variables and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.rows))
+
+    def __repr__(self) -> str:
+        return f"PointTable({len(self)} rows)"
 
 
 # --------------------------------------------------------------------- #
@@ -1013,9 +1142,12 @@ def run_query(
     ctx: ColumnarContext,
     plan: ColumnarPlan,
     variables: tuple[str, ...],
+    mode: str,
     deadline=None,
-) -> tuple[list, int, int]:
-    """Evaluate a planned full query: ``(families, frontier_rows, merged)``.
+) -> tuple[object, int, int]:
+    """Evaluate a planned full query: ``(output, frontier_rows, merged)``
+    with ``output`` a family list (``mode="families"``) or a
+    :class:`PointTable` (``mode="points"``).
 
     Seeds come straight from the context's condition CSR (or the full
     object range under domain times), never materializing per-row
@@ -1060,7 +1192,7 @@ def run_query(
         )
     kernel = _Kernel(ctx, deadline)
     state = kernel.run(state, plan.ops)
-    return kernel.project(state, variables), state.rows, kernel.rows_merged
+    return kernel.project(state, variables, mode), state.rows, kernel.rows_merged
 
 
 def run_rows(
@@ -1068,15 +1200,17 @@ def run_rows(
     ops: tuple,
     rows: Sequence[Row],
     variables: tuple[str, ...],
+    mode: str,
     deadline=None,
 ) -> Optional[tuple[list, int, int]]:
     """Evaluate compiled ops over materialized seed rows.
 
-    The row-based entry the worker-pool chunks and the streaming
-    engine's per-seed re-derivations use.  Returns ``None`` when the
-    rows don't fit the kernel's frontier shape (multi-group rows,
-    non-uniform binding prefixes, empty families) — the caller falls
-    back to the interpreted chain.
+    The row-based entry the worker-pool chunks and the thread/serial
+    backend rungs use; the output is a family list or, under
+    ``mode="points"``, a list of point-row tuples (both picklable).
+    Returns ``None`` when the rows don't fit the kernel's frontier shape
+    (multi-group rows, non-uniform binding prefixes, empty families) —
+    the caller falls back to the interpreted chain.
     """
     count = len(rows)
     if count == 0:
@@ -1124,4 +1258,7 @@ def run_rows(
     )
     kernel = _Kernel(ctx, deadline)
     state = kernel.run(state, ops)
-    return kernel.project(state, variables), state.rows, kernel.rows_merged
+    output = kernel.project(state, variables, mode)
+    if mode == "points":
+        output = list(zip(*[zip(objs, times) for objs, times in output.columns()]))
+    return output, state.rows, kernel.rows_merged

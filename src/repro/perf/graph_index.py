@@ -191,7 +191,6 @@ class GraphIndex:
         self.prop_value_buckets = core.prop_value_buckets
         self._properties = core.properties
 
-        self._times_cache: dict[tuple[Test, ObjectId], IntervalSet] = {}
         self._table_cache: dict[Test, dict[ObjectId, IntervalSet]] = {}
         self._static_cache: dict[Test, bool] = {}
         self._hop_cache: dict[
@@ -267,17 +266,13 @@ class GraphIndex:
     ) -> IntervalSet:
         """Coalesced times at which ``(obj, t)`` satisfies ``condition``.
 
-        Results for static conditions are memoized per ``(condition,
-        object)``; conditions containing ``(?path)`` require a resolver
+        A static condition is a lookup in its memoized
+        :meth:`condition_table` (the one place its per-object results
+        are kept); conditions containing ``(?path)`` require a resolver
         and are never cached here (the resolver caches at its own level).
         """
         if self.is_static(condition):
-            key = (condition, obj)
-            cached = self._times_cache.get(key)
-            if cached is None:
-                cached = self._times(obj, condition, None)
-                self._times_cache[key] = cached
-            return cached
+            return self.condition_table(condition).get(obj, self._empty)
         return self._times(obj, condition, path_test_resolver)
 
     def condition_table(
@@ -307,7 +302,7 @@ class GraphIndex:
             pool = (obj for obj in self.objects if obj in candidates)
         table: dict[ObjectId, IntervalSet] = {}
         for obj in pool:
-            times = self.times_for(obj, condition, path_test_resolver)
+            times = self._times(obj, condition, path_test_resolver)
             if not times.is_empty():
                 table[obj] = times
         if static:
@@ -465,8 +460,8 @@ class GraphIndex:
         * touched objects get their existence/property families and
           label/property buckets refreshed from the graph; new edges are
           appended to their endpoints' adjacency tuples;
-        * memoized *per-object* results (times cache, condition-table
-          entries, the dirty rows of the columnar array image) are
+        * memoized *per-object* results (condition-table entries, the
+          dirty rows of the columnar array image) are
           recomputed for exactly the dirty objects, and hop
           tables drop the sources whose 2-hop neighbourhood reaches the
           dirty set — a hop reads two structural moves, so any farther
@@ -495,14 +490,14 @@ class GraphIndex:
         if effects.horizon_advanced:
             self._domain = self._graph.domain
             self._full = IntervalSet((self._domain,))
-            self._times_cache.clear()
             self._table_cache.clear()
             self._hop_cache.clear()
 
         graph = self._graph
         appended: list[ObjectId] = []
+        self._nodes = self._nodes.union(effects.new_nodes)
+        self._edges = self._edges.union(effects.new_edges)
         for node in effects.new_nodes:
-            self._nodes = self._nodes | {node}
             self.labels[node] = graph.label(node)
             self.existence[node] = graph.existence(node)
             self.out_adjacency[node] = ()
@@ -512,7 +507,6 @@ class GraphIndex:
             self.node_label_buckets[graph.label(node)] = bucket + (node,)
             appended.append(node)
         for edge in effects.new_edges:
-            self._edges = self._edges | {edge}
             self.labels[edge] = graph.label(edge)
             self.existence[edge] = graph.existence(edge)
             src, tgt = graph.endpoints(edge)
@@ -543,15 +537,12 @@ class GraphIndex:
                         self.prop_value_buckets[key] = bucket + (obj,)
 
         if not effects.horizon_advanced and dirty:
-            stale = [key for key in self._times_cache if key[1] in dirty]
-            for key in stale:
-                del self._times_cache[key]
             # Condition tables are shared with callers by reference, so
             # they are repaired in place: recompute exactly the dirty
             # objects' satisfaction times.
             for condition, table in self._table_cache.items():
                 for obj in dirty:
-                    times = self.times_for(obj, condition)
+                    times = self._times(obj, condition, None)
                     if times.is_empty():
                         table.pop(obj, None)
                     else:

@@ -1,37 +1,30 @@
-"""The compiled-plan cache: ``(normalized query text, graph token)`` → plan.
+"""The compiled-plan cache: normalized query text → plan.
 
 The expensive front half of a query — parse, translate, chain
-compilation, hop fusion against the resident
-:class:`~repro.perf.graph_index.GraphIndex` — is pure in the graph
-state, so the server memoizes it as a
+compilation, hop fusion — is a pure function of the query text (fusion
+consults only the syntactic ``is_static``; everything graph-dependent is
+read through the engine's :class:`~repro.perf.graph_index.GraphIndex`
+when the plan *runs*), so the server memoizes it as a
 :class:`~repro.dataflow.executor.QueryPlan` keyed by the normalized
-MATCH text plus the graph's parallel-execution token.
+MATCH text alone.  A plan therefore survives a write: the read after an
+``apply_delta`` is a hit that evaluates on the patched index.  (What a
+delta *does* invalidate — the pickled parallel-execution payload and the
+worker-side graphs — is keyed by the graph token in
+:mod:`repro.parallel.plan`, not here.)
 
-Invalidation has two independent layers (belt and braces, because a
-stale plan is a *wrong-answer* bug, not a perf bug):
-
-* **implicit** — applying a delta rotates the graph token
-  (:func:`repro.parallel.plan.invalidate_plans` runs at delta-commit
-  time), so post-delta requests simply miss: their key names a token no
-  cached entry carries;
-* **explicit** — the server calls :meth:`PlanCache.invalidate_token`
-  with the pre-delta token, dropping the now-unreachable entries
-  immediately instead of letting them squat in the LRU until capacity
-  pressure ages them out.
-
-The cache is bounded (LRU eviction) and thread-safe; hit/miss/eviction/
-invalidation counters feed the ``stats`` op.
+The cache is bounded (LRU eviction) and thread-safe; hit/miss/eviction
+counters feed the ``stats`` op.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.dataflow.executor import QueryPlan
 
-PlanKey = Tuple[str, str]  # (normalized query text, graph token)
+PlanKey = str  # normalized query text
 
 
 class PlanCache:
@@ -46,7 +39,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     @property
     def capacity(self) -> int:
@@ -74,15 +66,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate_token(self, token: str) -> int:
-        """Drop every plan compiled against graph ``token``; returns the count."""
-        with self._lock:
-            stale = [key for key in self._entries if key[1] == token]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            return len(stale)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -100,5 +83,4 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }

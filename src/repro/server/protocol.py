@@ -18,12 +18,22 @@ The envelope is deliberately small:
 Serialization helpers here are shared by the asyncio service and the
 blocking client, so the two cannot drift.  See RELIABILITY.md for the
 full request/response reference and the backpressure semantics.
+
+An answer is turned into JSON once: :func:`encode_families` /
+:func:`encode_rows` write its canonical text directly (sorted on the
+text itself) as an :class:`Encoded` fragment, and :func:`encode` splices
+that fragment into the envelope instead of walking it again.
+:func:`families_to_wire` / :func:`rows_to_wire` are the *reference form*
+— what tests, replication divergence checks and the benchmark's oracle
+compare against — and the fragment's bytes equal ``json.dumps(<reference
+form>, separators=(",", ":"), default=str)`` exactly.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
 
 from repro.errors import ReproError
@@ -69,11 +79,69 @@ def normalize_query(text: str) -> str:
     return _WHITESPACE.sub(" ", text).strip()
 
 
+class Encoded:
+    """A JSON value already in wire form (compact, ASCII-only bytes).
+
+    Compares equal to the value it encodes, so a payload reads the same
+    in process as it does decoded from the socket.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Encoded):
+            return self.data == other.data
+        return json.loads(self.data) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Encoded({len(self.data)} bytes)"
+
+
+#: What :func:`encode` leaves in the envelope text where an
+#: :class:`Encoded` fragment goes, and how it reads once dumped.
+_SPLICE = "\x00repro:splice\x00"
+_SPLICE_TEXT = json.dumps(_SPLICE)
+
+
 def encode(message: dict) -> bytes:
-    """One protocol line, newline-terminated."""
-    return (json.dumps(message, separators=(",", ":"), default=str) + "\n").encode(
-        "utf-8"
-    )
+    """One protocol line, newline-terminated.
+
+    :class:`Encoded` fragments anywhere in ``message`` are spliced in as
+    they are: the envelope is dumped around a marker and the fragments
+    fill the gaps, in order.  A message that itself contains the marker
+    text (an echoed ``id``, say) takes the reference route instead — the
+    fragments are decoded and the whole message dumped in one walk —
+    which yields the same bytes.
+    """
+    fragments: list[bytes] = []
+
+    def mark(value: object) -> str:
+        if isinstance(value, Encoded):
+            fragments.append(value.data)
+            return _SPLICE
+        return str(value)
+
+    text = json.dumps(message, separators=(",", ":"), default=mark)
+    if not fragments:
+        return (text + "\n").encode("utf-8")
+    gaps = text.split(_SPLICE_TEXT)
+    if len(gaps) != len(fragments) + 1:
+
+        def decoded(value: object) -> object:
+            return json.loads(value.data) if isinstance(value, Encoded) else str(value)
+
+        text = json.dumps(message, separators=(",", ":"), default=decoded)
+        return (text + "\n").encode("utf-8")
+    parts = [gaps[0].encode("utf-8")]
+    for fragment, gap in zip(fragments, gaps[1:]):
+        parts += (fragment, gap.encode("utf-8"))
+    parts.append(b"\n")
+    return b"".join(parts)
 
 
 def decode(line: bytes) -> dict:
@@ -147,7 +215,7 @@ def families_to_wire(families) -> list:
     Sorted by binding representation so the wire form is canonical —
     two servers at the same graph state answer byte-identically, which
     is what the divergence checks in the smoke test and the bench rely
-    on.
+    on.  The reference form of :func:`encode_families`.
     """
     wire = []
     for bindings, times in families:
@@ -162,7 +230,79 @@ def families_to_wire(families) -> list:
 
 
 def rows_to_wire(rows) -> list:
-    """Point rows (``((obj, t), ...)`` per variable) in sorted JSON form."""
+    """Point rows (``((obj, t), ...)`` per variable) in sorted JSON form.
+    The reference form of :func:`encode_rows`."""
     wire = [[[obj, t] for obj, t in row] for row in rows]
     wire.sort(key=lambda entry: json.dumps(entry, default=str))
     return wire
+
+
+# --------------------------------------------------------------------- #
+# Canonical answer text, written once
+# --------------------------------------------------------------------- #
+def _texts(values, memo: dict) -> list[str]:
+    """The JSON text of each value; string ids (all of them, in practice)
+    are escaped once per distinct id."""
+    out = []
+    for value in values:
+        if value.__class__ is str:
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = _escape(value)
+        else:
+            text = json.dumps(value, separators=(",", ":"), default=str)
+        out.append(text)
+    return out
+
+
+def _array(entries: list[str]) -> Encoded:
+    return Encoded(("[" + ",".join(entries) + "]").encode("ascii"))
+
+
+def encode_families(families, limit=None) -> Encoded:
+    """``families_to_wire(families)[:limit]`` as wire bytes, in one pass.
+
+    Each entry's compact bindings text is both its sort key and its
+    output: it orders entries exactly as the reference key does (the
+    reference's ``", "`` separators add the same space at the same
+    structural positions of every key, never at a first difference).
+    """
+    families = list(families)
+    memo: dict = {}
+    cells = []
+    for column in zip(*(bindings for bindings, _times in families)):
+        names, objects = zip(*column)  # one variable's bindings, down the answer
+        cells += (_texts(names, memo), _texts(objects, memo))
+    if cells:
+        template = "[" + ",".join(["[%s,%s]"] * (len(cells) // 2)) + "]"
+        keys = [template % row for row in zip(*cells)]
+    else:  # no variables (or no families): every bindings list is empty
+        keys = ["[]"] * len(families)
+    entries = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__)[:limit]:
+        intervals = ["[%d,%d]" % (iv.start, iv.end) for iv in families[i][1].intervals]
+        entries.append("[%s,[%s]]" % (keys[i], ",".join(intervals)))
+    return _array(entries)
+
+
+def encode_rows(table, limit=None) -> Encoded:
+    """``rows_to_wire(table.rows)[:limit]`` as wire bytes, in one pass.
+
+    Reads the kernel's columns when the table still holds its answer as
+    arrays (:class:`~repro.perf.columnar.PointTable`) — no row tuples
+    are ever built — and the row tuples otherwise.  A row's compact text
+    is its sort key and its output, as in :func:`encode_families`.
+    """
+    columns = getattr(table, "columns", None)
+    if columns is not None:
+        columns = columns()
+    else:
+        columns = [tuple(zip(*cells)) for cells in zip(*table.rows)]
+    if not columns:  # no variables: a row is the empty list
+        return _array((["[]"] * len(table))[:limit])
+    memo: dict = {}
+    template = "[" + ",".join(["[%s,%d]"] * len(columns)) + "]"
+    cells = []
+    for objects, times in columns:
+        cells += (_texts(objects, memo), times)
+    return _array(sorted([template % row for row in zip(*cells)])[:limit])

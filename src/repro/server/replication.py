@@ -13,7 +13,7 @@ Design — one mechanism, reused end to end:
   on-disk log records.  A standby verifies a shipped frame exactly the
   way crash recovery verifies a stored record, and applies it through
   the normal :meth:`~repro.server.state.GraphHost.apply_frame` path, so
-  plan-cache rotation and epoch labelling work unchanged.  A promoted
+  epoch labelling works unchanged.  A promoted
   standby therefore answers *epoch-identically* to a never-crashed
   primary through the last record it applied.
 * Subscription rides the existing JSON-lines protocol: a standby sends

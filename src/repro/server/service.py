@@ -10,7 +10,8 @@ loop.  Heavy ops (``query``, ``register``, ``table``, ``apply_delta``)
 are pushed to a thread-pool executor sized to ``max_concurrency`` — the
 engines are synchronous and (under ``backend="process"``) dispatch onto
 the shared warm :class:`~repro.parallel.pool.WorkerPool`, so the loop
-itself never blocks on evaluation.
+never blocks on evaluation — nor on encoding an answer, which arrives as
+:class:`~repro.server.protocol.Encoded` bytes to splice into an envelope.
 
 Backpressure is admission control, not queueing: when
 ``max_concurrency`` requests are executing and ``max_queue`` more are

@@ -35,10 +35,9 @@ from repro.errors import EvaluationError, ServerError
 from repro.eval.bindings import IntervalBindingTable
 from repro.model import contact_tracing_example, graph_statistics
 from repro.model.io import load_json
-from repro.parallel.plan import graph_token
 from repro.resilience.retry import RetryPolicy
 from repro.server.plans import PlanCache
-from repro.server.protocol import families_to_wire, normalize_query, rows_to_wire
+from repro.server.protocol import encode_families, encode_rows, normalize_query
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.engine import StreamingEngine
 
@@ -169,13 +168,11 @@ class GraphHost:
         retry = None if retries is None else RetryPolicy(retries=retries)
         start = time.perf_counter()
         with self.lock:
-            token = graph_token(self.graph)
-            key = (normalized, token)
-            plan = self.plans.get(key)
+            plan = self.plans.get(normalized)
             outcome = "hit" if plan is not None else "miss"
             if plan is None:
                 plan = self.engine.prepare(normalized)
-                self.plans.put(key, plan)
+                self.plans.put(normalized, plan)
             result: MatchResult = self.engine.match_with_stats(
                 plan, deadline_seconds=deadline, retry=retry
             )
@@ -226,14 +223,11 @@ class GraphHost:
         }
 
     def apply_delta(self, payload: dict) -> dict:
-        """Apply one delta batch; compiled plans for the old state drop."""
+        """Apply one delta batch (cached plans are graph-independent and
+        keep serving: they read the patched index at execution time)."""
         batch = DeltaBatch.from_json_dict(payload)
         with self.lock:
-            old_token = graph_token(self.graph)
             applied = self.session.apply(batch)
-            # apply_delta rotated the graph token, so cached plans keyed
-            # by the old one are unreachable — drop them eagerly.
-            invalidated = self.plans.invalidate_token(old_token)
             epoch = self.session.epoch
             if self.on_applied and self.session.wal is not None:
                 # Hand the frame the WAL just recorded to the replication
@@ -255,7 +249,6 @@ class GraphHost:
                     }
                     for update in applied.queries
                 },
-                "plans_invalidated": invalidated,
                 "seconds": applied.seconds,
             },
             "server": {"graph": self.name, "epoch": epoch},
@@ -266,8 +259,8 @@ class GraphHost:
 
         The frame is checksum-verified exactly like a stored WAL record,
         then applied through the normal :meth:`apply_delta` machinery —
-        plan-cache rotation, epoch labelling and registered-query
-        maintenance all work unchanged, which is what makes a promoted
+        epoch labelling and registered-query maintenance all work
+        unchanged, which is what makes a promoted
         standby answer epoch-identically to a never-crashed primary.
         When the standby logs to its own WAL the applied record lands
         there with the same sequence; without one the session's WAL
@@ -279,9 +272,7 @@ class GraphHost:
         batch = verify_frame(frame)
         seq = int(frame["seq"])
         with self.lock:
-            old_token = graph_token(self.graph)
             self.session.apply(batch)
-            invalidated = self.plans.invalidate_token(old_token)
             if self.session.wal is None:
                 self.session.restore_positions(wal_seq=seq)
             epoch = self.session.epoch
@@ -289,7 +280,7 @@ class GraphHost:
                 # Chained standbys (and post-promotion subscribers) see
                 # the same frame flow regardless of who applied it.
                 self._notify_applied(record_frame(seq, batch.to_json_dict()))
-        return {"seq": seq, "epoch": epoch, "plans_invalidated": invalidated}
+        return {"seq": seq, "epoch": epoch}
 
     def _notify_applied(self, frame: dict) -> None:
         for callback in tuple(self.on_applied):
@@ -316,7 +307,7 @@ class GraphHost:
                 # the configured one (kernel_fallback, None = no fallback).
                 "plans": [
                     {"query": text, **self.engine.kernel_for(plan.chain)}
-                    for (text, _token), plan in self.plans.entries()
+                    for text, plan in self.plans.entries()
                 ],
                 "workers": self.engine.workers,
                 "backend": self.engine.parallel_backend,
@@ -333,26 +324,19 @@ class GraphHost:
 
     @staticmethod
     def _table_payload(table, limit: Optional[int]) -> dict:
-        """The wire form of an answer table (canonical ordering)."""
+        """The wire form of an answer table: the canonical answer is
+        written once here, as bytes ``protocol.encode`` splices in."""
         if isinstance(table, IntervalBindingTable):
-            families = families_to_wire(table.families)
-            total = len(families)
-            if limit is not None:
-                families = families[:limit]
             return {
                 "kind": "families",
-                "families": families,
-                "num_families": total,
+                "families": encode_families(table.families, limit),
+                "num_families": table.num_families(),
                 "output_size": len(table),
             }
-        rows = rows_to_wire(table.rows)
-        total = len(rows)
-        if limit is not None:
-            rows = rows[:limit]
         return {
             "kind": "rows",
-            "rows": rows,
-            "num_rows": total,
+            "rows": encode_rows(table, limit),
+            "num_rows": len(table),
             "output_size": len(table),
         }
 

@@ -7,9 +7,11 @@ Three layers:
   rejected at construction, and the NumPy-absent configuration degrades
   to the interpreted path with identical output (the CI tests job runs
   without NumPy, so this is the configuration most suites exercise).
-* **Fallback identity** — queries the kernel does not cover (point-mode
-  output, mid-chain temporal navigation) record a reason and produce
-  byte-identical answers through the interpreted path.
+* **Fallback identity** — the shapes added last (mid-chain temporal
+  navigation, point-mode output) run columnar and answer identically to
+  the interpreted kernel, through the full-query and the worker-chunk
+  (``run_rows``) entries; the one declined shape (temporal navigation
+  inside an alternation) records its reason and falls back.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -22,12 +24,32 @@ import pytest
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import PAPER_QUERIES, DataflowEngine
 from repro.errors import EvaluationError
+from repro.eval.bindings import expand_match_families
 from repro.model import contact_tracing_example
 from repro.perf import columnar
 
 requires_numpy = pytest.mark.skipif(
     not columnar.available(), reason="columnar kernel requires numpy"
 )
+
+
+@pytest.fixture(scope="module")
+def contact_graph():
+    from repro.datagen import (
+        ContactTracingConfig,
+        TrajectoryConfig,
+        generate_contact_tracing_graph,
+    )
+
+    return generate_contact_tracing_graph(
+        ContactTracingConfig(
+            trajectory=TrajectoryConfig(
+                num_persons=12, num_locations=6, num_rooms=3, seed=5
+            ),
+            positivity_rate=0.3,
+            seed=5,
+        )
+    )
 
 
 def _example_engines(**kwargs):
@@ -67,15 +89,26 @@ class TestExplainReporting:
         assert plan["kernel_fallback"] is None
 
     @requires_numpy
-    def test_point_mode_query_reports_fallback(self):
-        # Q6 binds variables across temporal groups, so its output is
-        # point-mode rows — outside the kernel's family representation.
+    def test_point_mode_query_reports_columnar(self):
+        # Q6 binds variables across temporal groups: point-mode output
+        # is a property of the kernel's projection, not a decline.
         engine, _ = _example_engines()
         plan = engine.explain(PAPER_QUERIES["Q6"].text)
-        assert plan["effective_kernel"] == "interpreted"
-        assert plan["kernel_fallback"] == (
-            "output spans temporal groups (point mode)"
-        )
+        assert plan["output_mode"] == "points"
+        assert plan["effective_kernel"] == "columnar"
+        assert plan["kernel_fallback"] is None
+        table = engine.match(PAPER_QUERIES["Q6"].text)
+        assert isinstance(table, columnar.PointTable)
+
+    @requires_numpy
+    def test_every_paper_query_runs_columnar(self):
+        engine, _ = _example_engines()
+        for name, query in PAPER_QUERIES.items():
+            plan = engine.explain(query.text)
+            assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
+                "columnar",
+                None,
+            ), name
 
     def test_numpy_absent_reports_and_matches_interpreted(self, monkeypatch):
         monkeypatch.setattr(columnar, "np", None)
@@ -112,8 +145,48 @@ class TestExplainReporting:
                 assert plan["kernel_fallback"] == "numpy is not installed"
 
 
+def _path_query(path, *, bind_target: bool, name: str):
+    """``MATCH (x)-/path/-(y)`` (``y`` anonymous unless ``bind_target``)."""
+    from repro.lang.parser import MatchQuery, NodePattern, PathPattern
+
+    return MatchQuery(
+        elements=(
+            NodePattern(variable="x"),
+            NodePattern(variable="y" if bind_target else None),
+        ),
+        connectors=(PathPattern(path=path, source_text=name),),
+        graph_name="g",
+        text=name,
+    )
+
+
+def _navigation_shapes():
+    """Mid-chain temporal navigation, with and without existence."""
+    from repro.lang import ast
+
+    exists = ast.test(ast.exists())
+    prev = ast.concat(ast.P, exists)  # PREV
+    nxt = ast.concat(ast.N, exists)  # NEXT
+    hop = (ast.F, ast.test(ast.label("visits")), ast.F)
+    return {
+        "PREV/hop": ast.concat(prev, *hop),
+        "P/hop (no existence)": ast.concat(ast.P, *hop),
+        "PREV*/hop": ast.concat(ast.repeat(prev, 0, None), *hop),
+        "NEXT[1,3]/hop": ast.concat(ast.repeat(nxt, 1, 3), *hop),
+        "N[0,2]/hop (no existence)": ast.concat(ast.repeat(ast.N, 0, 2), *hop),
+        "hop/PREV*/back-hop": ast.concat(
+            *hop, ast.repeat(prev, 0, None), ast.B, ast.test(ast.label("visits")), ast.B
+        ),
+        "NEXT[0,2]/hop/PREV (three groups)": ast.concat(
+            ast.repeat(nxt, 0, 2), *hop, prev
+        ),
+    }
+
+
 class TestFallbackIdentity:
-    """Unsupported shapes run interpreted with byte-identical output."""
+    """Shapes the kernel once declined (point-mode output, mid-chain
+    navigation) now run on it; the one it still declines falls back with
+    its reason.  Either way the answer is the interpreted oracle's."""
 
     @pytest.mark.parametrize("name", ["Q6", "Q7", "Q8"])
     def test_point_mode_queries_identical(self, name):
@@ -127,29 +200,38 @@ class TestFallbackIdentity:
             oracle.match_intervals(query)
 
     @requires_numpy
-    def test_mid_chain_temporal_step_falls_back(self):
-        # N·P: a temporal step before the end of the chain is not a
-        # kernel shape; the plan reports why and the answer is identical.
+    def test_mid_chain_temporal_step_runs_columnar(self):
+        # N·P: a temporal step before the end of the chain freezes the
+        # group it leaves; the answer equals the interpreted walk's.
         from repro.lang import ast
-        from repro.lang.parser import MatchQuery, NodePattern, PathPattern
 
         graph = random_itpg(3)
-        path = ast.concat(ast.P, ast.N)
         # Anonymous target: every binding stays in temporal group 0, so
-        # the output is family-mode and the chain-shape check is what
-        # rejects the mid-chain temporal step.
-        query = MatchQuery(
-            elements=(NodePattern(variable="x"), NodePattern(variable=None)),
-            connectors=(PathPattern(path=path, source_text="<p-n>"),),
-            graph_name="g",
-            text="<p-n>",
+        # the output is family-mode and needs the backward pass through
+        # both frozen groups.
+        query = _path_query(ast.concat(ast.P, ast.N), bind_target=False, name="<p-n>")
+        engine = DataflowEngine(graph, kernel="columnar")
+        plan = engine.explain(query)
+        assert plan["effective_kernel"] == "columnar"
+        assert plan["kernel_fallback"] is None
+        oracle = DataflowEngine(graph, kernel="interpreted")
+        assert engine.match(query).as_set() == oracle.match(query).as_set()
+        assert sorted(engine.match_intervals(query), key=repr) == sorted(
+            oracle.match_intervals(query), key=repr
+        )
+
+    @requires_numpy
+    def test_temporal_alternation_is_the_one_declined_shape(self):
+        from repro.lang import ast
+
+        graph = random_itpg(3)
+        query = _path_query(
+            ast.concat(ast.F, ast.union(ast.N, ast.P)), bind_target=True, name="<f-(n+p)>"
         )
         engine = DataflowEngine(graph, kernel="columnar")
         plan = engine.explain(query)
         assert plan["effective_kernel"] == "interpreted"
-        assert plan["kernel_fallback"] == (
-            "temporal navigation before the end of the chain"
-        )
+        assert plan["kernel_fallback"] == "temporal navigation inside alternation"
         oracle = DataflowEngine(graph, kernel="interpreted")
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
@@ -185,6 +267,46 @@ class TestPaperQueryParity:
             assert sorted(got, key=repr) == sorted(expected, key=repr), (
                 f"{name} interval families diverged"
             )
+
+    @pytest.mark.parametrize("bind_target", [False, True], ids=["families", "points"])
+    @pytest.mark.parametrize("shape", sorted(_navigation_shapes()))
+    def test_mid_chain_navigation_and_point_output_run_columnar(
+        self, contact_graph, shape, bind_target
+    ):
+        """Every navigation shape, in both output modes, *runs columnar*
+        (a fallback here would compare the oracle with itself) through
+        the full-query entry and the worker-chunk (``run_rows``) entry."""
+        from repro.dataflow.executor import _ChainStats
+
+        query = _path_query(
+            _navigation_shapes()[shape], bind_target=bind_target, name=shape
+        )
+        engine = DataflowEngine(contact_graph, kernel="columnar")
+        oracle = DataflowEngine(contact_graph, kernel="interpreted")
+        plan = engine.explain(query)
+        assert (plan["effective_kernel"], plan["kernel_fallback"]) == ("columnar", None)
+        assert plan["output_mode"] == ("points" if bind_target else "families")
+        expected = oracle.match(query).as_set()
+        assert expected, "the shape must produce output on the contact graph"
+        table = engine.match(query)
+        assert isinstance(table, columnar.PointTable) == bind_target
+        assert len(table) == len(expected)
+        assert table.as_set() == expected
+        # Worker chunks: seed rows in, families / point tuples out.
+        prepared = engine.prepare(query)
+        seeds, rest = engine._initial_frontier(prepared.chain)
+        gathered = set()
+        for chunk in (seeds[::2], seeds[1::2]):
+            attempt = engine._columnar_rows_attempt(
+                rest, chunk, prepared.variables, prepared.mode, _ChainStats()
+            )
+            assert attempt is not None, "the chunk fell back to the interpreted walk"
+            data, _frontier_rows = attempt
+            if bind_target:
+                gathered.update(data)
+            else:
+                gathered.update(expand_match_families(data, prepared.variables))
+        assert gathered == expected
 
     def test_streaming_delta_invalidates_columnar_context(self):
         # A delta patches the index-owned context in place; reads after

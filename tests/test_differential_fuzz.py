@@ -11,8 +11,11 @@ randomized graphs and queries:
   the reference engine in point and interval bottom-up modes.  Where
   NumPy is importable the sweep also proves the two dataflow
   configurations differ: a case whose plan reports no kernel fallback
-  must report ``effective_kernel == "columnar"``, and a batch in which
-  no case ran columnar fails.
+  must report ``effective_kernel == "columnar"``, a batch in which no
+  case ran columnar fails, and so does a seed window in which the
+  kernel never ran mid-chain temporal navigation or two-group point
+  output (:func:`columnar_shapes`) — the oracle only protects the
+  shapes it actually reaches.
 * **Interval-vs-point output oracle** — for *every* engine
   configuration that defines ``match_intervals`` on the case, the
   coalesced families must (a) be canonical — one entry per distinct
@@ -38,6 +41,7 @@ disjoint seed windows.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -105,11 +109,36 @@ def check_interval_point_oracle(
     return True
 
 
-def run_match_case(seed: int) -> bool:
+def columnar_shapes(engine: DataflowEngine, query) -> frozenset[str]:
+    """Which kernel shapes a columnar engine really runs on ``query``.
+
+    Empty when the plan falls back (the case then compares interpreted
+    against interpreted); otherwise ``"columnar"`` plus ``"mid-chain"``
+    when a temporal step is followed by further steps and ``"points"``
+    when the output spans temporal groups.
+    """
+    from repro.dataflow.steps import TemporalStep
+
+    plan = engine.explain(query)
+    if plan["kernel_fallback"] is not None:
+        return frozenset()
+    assert plan["effective_kernel"] == "columnar", (
+        f"no kernel fallback, yet the plan runs {plan['effective_kernel']!r}"
+    )
+    shapes = {"columnar"}
+    chain = engine.prepare(query).chain
+    if any(isinstance(step, TemporalStep) for step in chain[:-1]):
+        shapes.add("mid-chain")
+    if plan["output_mode"] == "points":
+        shapes.add("points")
+    return frozenset(shapes)
+
+
+def run_match_case(seed: int) -> frozenset[str]:
     """One differential MATCH case; raises AssertionError on divergence.
 
-    Returns whether the ``dataflow-columnar`` configuration actually ran
-    the columnar kernel on this case (``False`` = it fell back and was
+    Returns the :func:`columnar_shapes` the ``dataflow-columnar``
+    configuration actually ran on this case (empty = it fell back and was
     compared interpreted-against-interpreted).  Reproduce a failure with::
 
         graph = random_itpg(<seed>)
@@ -172,14 +201,7 @@ def run_match_case(seed: int) -> bool:
     assert oracle_plan["effective_kernel"] == "interpreted", (
         f"the interpreted leg ran {oracle_plan['effective_kernel']!r} ({context})"
     )
-    plan = engines["dataflow-columnar"].explain(query)
-    ran_columnar = plan["kernel_fallback"] is None
-    if ran_columnar:
-        assert plan["effective_kernel"] == "columnar", (
-            f"no kernel fallback, yet the plan runs "
-            f"{plan['effective_kernel']!r} ({context})"
-        )
-    return ran_columnar
+    return columnar_shapes(engines["dataflow-columnar"], query)
 
 
 class TestMatchLevelDifferential:
@@ -187,17 +209,37 @@ class TestMatchLevelDifferential:
 
     @pytest.mark.parametrize("batch", range(BATCHES))
     def test_random_graphs_random_queries(self, batch):
-        ran_columnar = sum(
-            run_match_case(SEED_OFFSET + batch * BATCH_SIZE + offset)
+        ran = Counter(
+            shape
             for offset in range(BATCH_SIZE)
+            for shape in run_match_case(SEED_OFFSET + batch * BATCH_SIZE + offset)
         )
-        print(f"fuzz batch {batch}: {ran_columnar}/{BATCH_SIZE} cases ran columnar")
+        print(
+            f"fuzz batch {batch}: {ran['columnar']}/{BATCH_SIZE} cases ran columnar "
+            f"({ran['mid-chain']} mid-chain navigation, {ran['points']} point output)"
+        )
         if columnar.available():
-            assert ran_columnar > 0, (
+            assert ran["columnar"] > 0, (
                 f"fuzz batch {batch}: dataflow-columnar fell back to the "
                 "interpreted kernel on every case — the two dataflow "
                 "configurations were never different"
             )
+
+    @pytest.mark.skipif(not columnar.available(), reason="columnar kernel requires numpy")
+    def test_seed_window_reaches_navigation_and_point_shapes(self):
+        # The batches above evaluate every case of the window under both
+        # kernels; this proves the window holds the shapes the kernel
+        # learned last, planned columnar (planning only — no evaluation).
+        ran = Counter()
+        for seed in range(SEED_OFFSET, SEED_OFFSET + BATCHES * BATCH_SIZE):
+            engine = DataflowEngine(random_itpg(seed), kernel="columnar")
+            ran.update(columnar_shapes(engine, random_match_query(seed * 31 + 7)))
+        assert ran["mid-chain"] >= BATCHES and ran["points"] >= BATCHES, (
+            f"seed window {SEED_OFFSET}: the columnar kernel ran mid-chain "
+            f"navigation {ran['mid-chain']}× and point output {ran['points']}× "
+            f"in {BATCHES * BATCH_SIZE} cases — too few for the oracle to "
+            "protect those shapes"
+        )
 
     def test_paper_queries_on_random_contact_graphs(self):
         from repro.datagen import (

@@ -2,10 +2,10 @@
 
 What this module pins:
 
-* the compiled-plan cache is keyed by ``(normalized text, graph token)``
-  — lexical variants of one query share a plan, and applying a delta
-  invalidates every plan compiled against the pre-delta graph (a stale
-  plan would be a wrong-answer bug, not a perf bug);
+* the compiled-plan cache is keyed by normalized query text — lexical
+  variants of one query share a plan, and a plan survives a delta: the
+  next read is a hit whose answer equals a cold engine on the mutated
+  graph (a stale *answer* would be a wrong-answer bug, not a perf bug);
 * requests interleaved with delta application are serial-identical:
   every answer matches the serial reference for the epoch it is
   labelled with, never a torn in-between state;
@@ -43,8 +43,15 @@ from repro.server import (
     ServerState,
     normalize_query,
 )
-from repro.server.protocol import decode, encode, families_to_wire
+from repro.server import protocol
+from repro.server.protocol import decode, encode, families_to_wire, rows_to_wire
+from repro.server.state import GraphHost
 from repro.streaming.delta import DeltaBatch
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    st = None
 
 
 def subprocess_env() -> dict:
@@ -103,28 +110,142 @@ class TestProtocol:
         with pytest.raises(ValueError):
             decode(b"[1, 2, 3]")
 
+    def test_splice_marker_in_the_message_still_frames_the_right_answer(self):
+        # The echoed id (or any other string) may contain whatever text
+        # the splice leaves in the envelope; the frame must stay well
+        # formed and carry the same answer.
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        reference = serial_wire_answer(contact_tracing_example(), "Q1")
+        marker = protocol._SPLICE
+        for request_id in (marker, [marker, {"k": marker}], json.dumps(marker), 7):
+            out = host.query("Q1")
+            assert isinstance(out["result"]["families"], protocol.Encoded)
+            wire = encode(
+                protocol.ok_response(
+                    out["result"], request={"id": request_id}, server=out["server"]
+                )
+            )
+            assert wire.endswith(b"\n") and wire.count(b"\n") == 1
+            frame = decode(wire)
+            assert frame["id"] == request_id
+            assert frame["result"]["families"] == reference
+        with BackgroundServer(state) as server:
+            with ServerClient(server.host, server.port) as client:
+                query = f"MATCH (x:Person {{name = '{marker}' OR risk = 'low'}}) ON g"
+                for text in (query, f"MATCH ({marker}) ON g"):
+                    try:
+                        response = client.request(
+                            "query", id=marker, graph="default", query=text
+                        )
+                    except ServerError:
+                        continue  # a structured refusal is a well-formed frame too
+                    assert response["id"] == marker
+                    assert response["result"]["families"] == serial_wire_answer(
+                        contact_tracing_example(), text
+                    )
+                assert client.ping()["protocol"].startswith("repro-server/")
+
+
+if st is not None:
+    #: Few symbols, so ids share prefixes and differ in length; the
+    #: symbols are the ones that sort differently as JSON text than as
+    #: Python strings (``!`` and space sort before the closing quote) or
+    #: that JSON escapes (quote, backslash, control, non-ASCII).
+    _ID_TEXT = st.text(alphabet='p1!" \\\x00\x1f\u00e9\u4e2d', max_size=4)
+    _IDS = st.one_of(_ID_TEXT, st.integers(min_value=-3, max_value=120))
+    _LIMITS = st.one_of(st.none(), st.integers(min_value=-3, max_value=6))
+
+    @st.composite
+    def _answers(draw):
+        from repro.temporal.intervalset import IntervalSet
+
+        variables = draw(st.lists(_ID_TEXT, max_size=3, unique=True))
+        bindings = draw(
+            st.lists(
+                st.tuples(*[_IDS] * len(variables)),
+                max_size=12,
+                unique_by=lambda objects: json.dumps(objects),
+            )
+        )
+        spans = st.tuples(st.integers(0, 40), st.integers(0, 6))
+        families = [
+            (
+                tuple(zip(variables, objects)),
+                IntervalSet(
+                    [
+                        (start, start + length)
+                        for start, length in draw(
+                            st.lists(spans, min_size=1, max_size=3)
+                        )
+                    ]
+                ),
+            )
+            for objects in bindings
+        ]
+        return variables, families
+
+    class TestCanonicalBytes:
+        """The bytes written once equal the reference form's encoding."""
+
+        @staticmethod
+        def reference(wire: list, limit) -> bytes:
+            return json.dumps(wire[:limit], separators=(",", ":"), default=str).encode()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(answer=_answers(), limit=_LIMITS)
+        def test_emitted_bytes_equal_the_reference_encoding(self, answer, limit):
+            from repro.eval.bindings import IntervalBindingTable
+            from repro.perf import columnar
+
+            variables, families = answer
+            table = IntervalBindingTable(variables, families)
+            emitted = protocol.encode_families(table.families, limit)
+            assert emitted.data == self.reference(
+                families_to_wire(table.families), limit
+            )
+            # The same answer as point rows: from row tuples, and from the
+            # kernel's array form when NumPy is there.
+            rows = table.materialized()
+            expected = self.reference(rows_to_wire(rows.rows), limit)
+            assert protocol.encode_rows(rows, limit).data == expected
+            if columnar.available() and variables and rows.rows:  # the kernel's form
+                import numpy as np
+
+                objects = tuple({obj for row in rows.rows for obj, _t in row})
+                dense = {(type(obj), obj): i for i, obj in enumerate(objects)}
+                columns = list(zip(*rows.rows))
+                point_table = columnar.PointTable(
+                    variables,
+                    objects,
+                    [
+                        np.array([dense[type(obj), obj] for obj, _t in column])
+                        for column in columns
+                    ],
+                    [np.array([t for _obj, t in column]) for column in columns],
+                )
+                assert protocol.encode_rows(point_table, limit).data == expected
+            # And through the envelope: spliced, then decoded by a client.
+            payload = GraphHost._table_payload(table, limit)
+            frame = decode(encode(protocol.ok_response(payload, request={"id": 1})))
+            assert frame["result"]["families"] == json.loads(emitted.data)
+            assert frame["result"]["num_families"] == len(families)
+
 
 class TestPlanCache:
     def test_lru_eviction_and_counters(self):
         cache = PlanCache(capacity=2)
-        cache.put(("a", "t"), "plan-a")
-        cache.put(("b", "t"), "plan-b")
-        assert cache.get(("a", "t")) == "plan-a"  # refreshes a
-        cache.put(("c", "t"), "plan-c")  # evicts b (LRU)
-        assert cache.get(("b", "t")) is None
-        assert cache.get(("a", "t")) == "plan-a"
+        cache.put("a", "plan-a")
+        cache.put("b", "plan-b")
+        assert cache.get("a") == "plan-a"  # refreshes a
+        cache.put("c", "plan-c")  # evicts b (LRU)
+        assert cache.get("b") is None
+        assert cache.get("a") == "plan-a"
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["hits"] == 2 and stats["misses"] == 1
-
-    def test_invalidate_token_drops_only_that_token(self):
-        cache = PlanCache()
-        cache.put(("q1", "old"), 1)
-        cache.put(("q2", "old"), 2)
-        cache.put(("q1", "new"), 3)
-        assert cache.invalidate_token("old") == 2
-        assert len(cache) == 1
-        assert cache.get(("q1", "new")) == 3
+        assert [text for text, _plan in cache.entries()] == ["c", "a"]
 
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
@@ -145,22 +266,27 @@ class TestGraphHost:
         assert again["server"]["plan"] == "hit"
         assert again["result"]["families"] == first["result"]["families"]
 
-    def test_delta_invalidates_plans_and_advances_epoch(self):
+    def test_plans_survive_a_delta_and_answer_the_mutated_graph(self):
         state = ServerState()
         state.add_graph("default")
         host = state.host("default")
         host.query("Q1")
-        host.query("Q5")
         before = host.query("Q5")["result"]["families"]
+        plan = dict(host.plans.entries())[normalize_query("Q5")]
         applied = host.apply_delta(example_batch(1).to_json_dict())
-        assert applied["result"]["plans_invalidated"] == 2
+        assert "plans_invalidated" not in applied["result"]
         assert applied["server"]["epoch"] == 1
-        after = host.query("Q5")
-        assert after["server"]["plan"] == "miss"
-        assert after["server"]["epoch"] == 1
-        assert after["result"]["families"] != before
-        # The served answer equals a cold one-shot over the mutated graph.
-        assert after["result"]["families"] == serial_wire_answer(host.graph, "Q5")
+        for name in ("Q5", "Q1"):
+            after = host.query(name)
+            # Text-keyed: the write cost the next read no parse/compile...
+            assert after["server"]["plan"] == "hit"
+            assert after["server"]["epoch"] == 1
+            # ...and the surviving plan answers like a cold one-shot
+            # engine over the mutated graph.
+            assert after["result"]["families"] == serial_wire_answer(host.graph, name)
+        assert dict(host.plans.entries())[normalize_query("Q5")] is plan
+        assert host.query("Q5")["result"]["families"] != before
+        assert host.plans.stats()["misses"] == 2
 
     def test_stats_reports_the_effective_kernel_per_cached_plan(self):
         from repro.perf import columnar
@@ -169,19 +295,24 @@ class TestGraphHost:
         state.add_graph("default")
         host = state.host("default")
         host.query("Q1")
-        host.query("Q6")  # point-mode output: declined by the columnar kernel
+        host.query("Q6")  # mid-chain PREV + point-mode output
         stats = host.stats()
         assert stats["kernel"] == "columnar"  # GraphHost passes no kernel
         plans = {plan["query"]: plan for plan in stats["plans"]}
         q1, q6 = plans[normalize_query("Q1")], plans[normalize_query("Q6")]
-        if columnar.available():
-            assert (q1["effective_kernel"], q1["kernel_fallback"]) == ("columnar", None)
-            assert q6["kernel_fallback"] == "output spans temporal groups (point mode)"
-        else:
-            assert q1["kernel_fallback"] == q6["kernel_fallback"] == "numpy is not installed"
-        assert q6["effective_kernel"] == "interpreted"
+        for plan in (q1, q6):
+            if columnar.available():
+                assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
+                    "columnar",
+                    None,
+                )
+            else:
+                assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
+                    "interpreted",
+                    "numpy is not installed",
+                )
         host.apply_delta(example_batch(1).to_json_dict())
-        assert host.stats()["plans"] == []  # rotated with the graph token
+        assert host.stats()["plans"] == stats["plans"]  # plans outlive a write
 
     def test_registered_table_tracks_deltas(self):
         state = ServerState()
