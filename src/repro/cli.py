@@ -128,10 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--engine",
-        choices=("dataflow", "reference", "reference-intervals"),
+        choices=("dataflow", "reference"),
         default="dataflow",
-        help="evaluation engine to use (reference-intervals runs the bottom-up "
-        "evaluator on the coalesced diagonal representation)",
+        help="evaluation engine to use (reference: the bottom-up ground truth)",
     )
     query.add_argument(
         "--workers",
@@ -672,9 +671,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
     else:
-        engine = ReferenceEngine(
-            graph, use_intervals=(args.engine == "reference-intervals")
-        )
+        engine = ReferenceEngine(graph)
     if args.intervals:
         families = engine.match_intervals(text)
         if args.stats:

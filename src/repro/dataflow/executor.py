@@ -1,44 +1,49 @@
-"""The dataflow engine: chain execution over interval-timestamped TPGs.
+"""The dataflow engine: plan, backend choice and the retry ladder.
 
 :class:`DataflowEngine` compiles a MATCH clause into a chain of dataflow
-steps (:mod:`repro.dataflow.steps`) and pushes a frontier of partial
-matches through it:
+steps (:mod:`repro.dataflow.steps`) and hands it to one of two kernels
+behind a single seam — each takes an index, a chain, seeds, the output
+variables, an output mode and a deadline, and returns ``(data,
+frontier_rows, rows_merged)``:
 
-* **Step 1 / Step 2** (interval-based): structural moves, static tests
-  and temporal moves are all processed on the interval representation;
-  this phase is timed separately and reported as ``interval_seconds``
-  (the "interval-based time" column of Table II).
-* **Step 3** (point-based): the surviving frontier rows are expanded into
-  point-wise temporal bindings, enforcing the recorded temporal links;
-  the combined time is ``total_seconds`` ("total time" in Table II).
+* the **columnar** kernel (:mod:`repro.perf.columnar`, the default
+  ``kernel="columnar"``) runs covered chains as vectorized sweeps over
+  the index-owned, delta-maintained array image of the graph;
+* the **interpreted** kernel (:mod:`repro.dataflow.interpreted`) walks
+  the coalescing frontier row by row — every chain shape, every host
+  (it is the only kernel without NumPy), and the oracle the columnar
+  kernel is fuzzed against.
 
-There is one evaluation path with two kernels.  By default
-(``kernel="columnar"``) a covered chain runs as vectorized sweeps
-(:mod:`repro.perf.columnar`) over the index-owned, delta-maintained
-array image of the graph; everything else — temporal alternations, no NumPy,
-``kernel="interpreted"`` — takes the per-row walk below, the oracle the
-columnar kernel is fuzzed against.  Every step reads the per-graph compiled
-:class:`~repro.perf.graph_index.GraphIndex` (memoized condition tables,
-adjacency, fused-hop entries); the frontier is the *coalescing*,
-set-at-a-time :class:`~repro.dataflow.frontier.Frontier` — after every
-step, rows that agree on their binding signature are merged by unioning
-their validity interval families — and Step 3 runs on the
-interval-native :class:`~repro.dataflow.frontier.IntervalMaterializer`.
+Both follow the paper's split: **Steps 1 / 2** process structural
+moves, static tests and temporal moves on the interval representation;
+**Step 3** turns the surviving rows into bindings — interval-native
+families when every variable shares one temporal group, point rows
+otherwise.  The kernel run is reported as ``interval_seconds`` (the
+"interval-based time" column of Table II); ``total_seconds`` adds the
+table build and, with ``expand_output``, the point expansion ("total
+time").
 
-The engine can partition the initial frontier across workers
-(``workers > 1``), mirroring the paper's Rayon-based parallelism sweep.
-Two backends share one degree-weighted chunking policy
-(:mod:`repro.parallel.partition`):
+:meth:`DataflowEngine._route` is the one dispatch decision: a covered
+chain runs as a single columnar pass seeded straight from the array
+image; everything else builds seed rows and runs :func:`run_rows` — the
+one row-seeded kernel choice — serially, in a thread pool or in worker
+processes (``workers > 1``, mirroring the paper's Rayon-based
+parallelism sweep).  Both pools share one degree-weighted chunking
+policy (:mod:`repro.parallel.partition`) and one merge
+(:mod:`repro.parallel.merge`):
 
-* ``parallel_backend="thread"`` (default) — a thread pool; output-
-  invariant but GIL-bound, so it measures ~1× on CPU-bound queries.
-  It stays the cheap fallback for small frontiers.
+* ``parallel_backend="thread"`` (default) — output-invariant but
+  GIL-bound, so it measures ~1× on CPU-bound queries;
 * ``parallel_backend="process"`` — the :mod:`repro.parallel` subsystem:
   seed chunks run Steps 1–3 in a persistent worker-process pool (the
   graph ships to each worker once and is cached per ``(graph, pid)``),
-  workers return compact interval families, and the parent performs a
-  single coalescing merge.  This is the path that actually scales with
-  cores, like the paper's Fig. 3.
+  and the parent merges the compact results once.  This is the path
+  that actually scales with cores, like the paper's Fig. 3.
+
+The engine itself is configuration only.  What a call needs beyond its
+plan — the deadline, the retry policy, the merge counter and the
+degradation report — travels in a per-call :class:`_Call`, so concurrent
+calls on one engine cannot see each other's budget or report.
 """
 
 from __future__ import annotations
@@ -48,41 +53,28 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Union as TypingUnion
+from typing import Hashable, Sequence, Union as TypingUnion
 
-from repro.dataflow.frontier import (
-    Frontier,
-    Group,
-    IntervalFamily,
-    IntervalMaterializer,
-    Row,
-    RowFrontier,
-    TemporalLink,
-    initial_row,
-)
+from repro.dataflow import interpreted
+from repro.dataflow.frontier import IntervalFamily, Row
 from repro.dataflow.steps import (
-    AltStep,
     BindStep,
     ChainStep,
-    HopStep,
-    StructStep,
-    TemporalStep,
     TestStep,
     bind_group_indices,
     compile_chain,
     fuse_hops,
 )
 from repro.errors import EvaluationError, RetryBudgetExceeded
-from repro.eval.bindings import BindingTable, IntervalBindingTable
-from repro.lang.ast import Test
+from repro.eval.bindings import BindingTable, IntervalBindingTable, unpack_families
 from repro.lang.parser import MatchQuery
 from repro.lang.translate import CompiledMatch, compile_match
 from repro.model.itpg import IntervalTPG
 from repro.model.tpg import TemporalPropertyGraph
+from repro.parallel.merge import merge_family_chunks, merge_point_chunks
 from repro.parallel.partition import chunk_weight, weighted_chunks
 from repro.perf import columnar as columnar_kernel
 from repro.perf.graph_index import GraphIndex, graph_index_for
-from repro.resilience import failpoints
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import (
     AttemptRecord,
@@ -90,8 +82,6 @@ from repro.resilience.retry import (
     RetryPolicy,
     is_retryable,
 )
-from repro.temporal.alignment import reachable_window
-from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
 
 ObjectId = Hashable
 TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
@@ -112,16 +102,17 @@ class MatchResult:
     """
 
     table: TypingUnion[BindingTable, IntervalBindingTable]
-    #: Steps 1–2 wall time.  Under the process backend this is the
-    #: parallel critical path: the longest per-worker chain time, which
-    #: is what the paper's per-core Fig.-3 sweep measures.
+    #: Kernel wall time: Steps 1–2 plus the interval-native Step 3 that
+    #: yields families or point tuples.  Under the process backend this
+    #: is the parallel critical path — the longest per-worker kernel
+    #: time, which is what the paper's per-core Fig.-3 sweep measures.
     interval_seconds: float
     total_seconds: float
     output_size: int
-    #: Surviving frontier rows.  Under the process backend this sums the
-    #: per-chunk frontiers, so signature-equal rows split across chunks
-    #: may be counted once per chunk (the output merge still coalesces
-    #: them exactly).
+    #: Surviving frontier rows.  Under the thread and process backends
+    #: this sums the per-chunk frontiers, so signature-equal rows split
+    #: across chunks may be counted once per chunk (the output merge
+    #: still coalesces them exactly).
     frontier_rows: int
     #: How many frontier rows the coalescing frontier absorbed into
     #: signature-equal survivors across all steps.
@@ -140,13 +131,58 @@ class MatchResult:
         }
 
 
-class _ChainStats:
-    """Mutable per-call counters threaded through the chain run."""
+class _Call:
+    """Per-call state, threaded through dispatch and never kept on the engine.
 
-    __slots__ = ("rows_merged",)
+    The deadline armed for this call, the retry policy it runs under,
+    the rows its frontiers merged and — when the retry policy had to
+    step in — the degradation report that becomes
+    :attr:`MatchResult.degradation`.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("deadline", "retry", "rows_merged", "degradation")
+
+    def __init__(self, deadline_seconds: float | None, retry: RetryPolicy | None) -> None:
+        self.deadline = None if deadline_seconds is None else Deadline(deadline_seconds)
+        self.retry = retry
         self.rows_merged = 0
+        self.degradation: DegradationReport | None = None
+
+
+def run_rows(
+    index: GraphIndex,
+    chain: Sequence[ChainStep],
+    seeds: list[Row],
+    variables: tuple[str, ...],
+    mode: str,
+    deadline: Deadline | None = None,
+    kernel: str = "interpreted",
+) -> tuple[list, int, int]:
+    """Steps 1–3 over seed rows: ``(data, frontier_rows, rows_merged)``.
+
+    The one row-seeded kernel choice every execution path shares — the
+    serial and thread backends, worker-process chunks, streaming
+    refreshes: the columnar kernel when ``kernel="columnar"``, NumPy is
+    importable and both the chain and the rows fit it; the interpreted
+    walk otherwise.  ``data`` is a family list (``mode="families"``) or
+    point tuples (``mode="points"``), whichever kernel ran.
+    """
+    if kernel == "columnar" and columnar_kernel.available():
+        ops, _reason = columnar_kernel.ops_for(tuple(chain))
+        if ops is not None:
+            result = columnar_kernel.run_rows(
+                index.columnar_context(), ops, seeds, variables, mode, deadline
+            )
+            if result is not None:
+                return result
+    return interpreted.run_rows(index, chain, seeds, variables, mode, deadline)
+
+
+def _merge(mode: str, chunks: list) -> list:
+    """One canonical result from per-chunk results (see repro.parallel.merge)."""
+    if mode == "families":
+        return merge_family_chunks(chunks)
+    return merge_point_chunks(chunks)
 
 
 @dataclass(frozen=True)
@@ -183,7 +219,8 @@ class DataflowEngine:
     #: (:mod:`repro.perf.columnar`) and runs interpreted — with the
     #: reason recorded in :meth:`explain` — when NumPy is missing or the
     #: chain shape is not covered.  ``"interpreted"`` forces the per-row
-    #: Python chain walk below: the differential-fuzz oracle / override.
+    #: chain walk (:mod:`repro.dataflow.interpreted`): the
+    #: differential-fuzz oracle / override.
     KERNELS = ("interpreted", "columnar")
 
     def __init__(
@@ -215,11 +252,15 @@ class DataflowEngine:
                 f"unknown kernel {kernel!r}: expected one of "
                 f"{', '.join(repr(k) for k in self.KERNELS)}"
             )
+        if deadline_seconds is not None and deadline_seconds <= 0:
+            raise ValueError(
+                f"deadline_seconds must be positive, got {deadline_seconds!r}"
+            )
         # The compiled index is shared per graph across engines and queries
         # (index first, so a point-based graph is converted exactly once and
         # the conversion is reused too).
         self._index: GraphIndex = graph_index_for(graph)
-        graph = self._graph = self._index.graph
+        self._graph = self._index.graph
         workers = int(workers)
         if workers == 0:
             # ``workers=0`` means "use every core" (mirrors the CLI).
@@ -227,25 +268,17 @@ class DataflowEngine:
         self._workers = max(1, workers)
         self._backend = parallel_backend
         self._start_method = start_method
-        self._domain_times = IntervalSet((graph.domain,))
-        self._materializer = IntervalMaterializer(self._index)
         self._incremental = bool(incremental)
         #: Lazily created streaming session (``incremental=True`` only).
         self._session = None
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(
-                f"deadline_seconds must be positive, got {deadline_seconds!r}"
-            )
-        #: Per-query wall-clock budget; each match call arms a fresh
-        #: :class:`~repro.resilience.Deadline` from it.
-        self._deadline_seconds = deadline_seconds
-        self._deadline: Deadline | None = None
-        #: ``None`` keeps the seed fail-fast behaviour; a
+        #: Defaults a call runs under unless it passes its own: the
+        #: per-query wall-clock budget (each call arms a fresh
+        #: :class:`~repro.resilience.Deadline` from it) and the retry
+        #: policy (``None`` = fail fast; a
         #: :class:`~repro.resilience.RetryPolicy` turns crash-shaped
-        #: process-backend failures into retries + backend demotion.
+        #: process-backend failures into retries + backend demotion).
+        self._deadline_seconds = deadline_seconds
         self._retry = retry
-        #: How the most recent resilient run actually executed.
-        self._last_degradation: DegradationReport | None = None
         self._kernel = kernel
         #: Configuration-level reason the columnar kernel can never run
         #: on this engine (``None`` when it can; per-query step-shape
@@ -253,6 +286,13 @@ class DataflowEngine:
         self._kernel_unavailable: str | None = None
         if kernel == "columnar" and not columnar_kernel.available():
             self._kernel_unavailable = "numpy is not installed"
+        #: The kernel seeded runs ask :func:`run_rows` for (workers
+        #: replicate it): columnar only where it can actually run.
+        self._row_kernel = (
+            "columnar"
+            if kernel == "columnar" and self._kernel_unavailable is None
+            else "interpreted"
+        )
 
     @property
     def graph(self) -> IntervalTPG:
@@ -277,6 +317,14 @@ class DataflowEngine:
     @property
     def incremental(self) -> bool:
         return self._incremental
+
+    @property
+    def deadline_seconds(self) -> float | None:
+        return self._deadline_seconds
+
+    @property
+    def retry(self) -> RetryPolicy | None:
+        return self._retry
 
     # ------------------------------------------------------------------ #
     # Streaming session (incremental=True)
@@ -310,151 +358,8 @@ class DataflowEngine:
         """
         return self.streaming_session().apply(batch)
 
-    def _refresh_domain(self) -> None:
-        """Re-derive domain-dependent engine state after a horizon advance."""
-        self._domain_times = IntervalSet((self._graph.domain,))
-        self._materializer = IntervalMaterializer(self._index)
-
     # ------------------------------------------------------------------ #
-    # Resilience: deadlines, retry, degradation
-    # ------------------------------------------------------------------ #
-    @property
-    def deadline_seconds(self) -> float | None:
-        return self._deadline_seconds
-
-    @property
-    def retry(self) -> RetryPolicy | None:
-        return self._retry
-
-    @property
-    def last_degradation(self) -> DegradationReport | None:
-        """How the most recent query actually executed (``None`` = clean
-        first-attempt run or no resilient run yet)."""
-        return self._last_degradation
-
-    def _arm_deadline(self) -> Deadline | None:
-        """Start this query's wall-clock budget (``None`` when unbounded)."""
-        if self._deadline_seconds is None:
-            return None
-        deadline = Deadline(self._deadline_seconds)
-        self._deadline = deadline
-        self._materializer.deadline = deadline
-        return deadline
-
-    def _disarm_deadline(self) -> None:
-        self._deadline = None
-        self._materializer.deadline = None
-
-    def _run_resilient(
-        self,
-        chain: tuple[ChainStep, ...],
-        seeds: list[Row],
-        variables: tuple[str, ...],
-        mode: str,
-        stats: _ChainStats,
-    ) -> tuple[list, int, float]:
-        """The process dispatch under the retry policy.
-
-        Each rung of the demotion ladder gets the policy's full retry
-        budget; crash-shaped failures (see
-        :data:`~repro.resilience.RETRYABLE_EXCEPTIONS`) are retried with
-        capped exponential backoff + jitter, then the backend demotes
-        ``process → thread → serial``.  The escalation is recorded as a
-        :class:`DegradationReport` on :attr:`last_degradation`.  Only a
-        retryable failure *on the serial rung* (or ``degrade=False``)
-        exhausts the query: that raises
-        :class:`~repro.errors.RetryBudgetExceeded`.
-        """
-        policy = self._retry
-        self._last_degradation = None
-        if policy is None:
-            return self._process_run(chain, seeds, variables, mode, stats)
-        failures: list[AttemptRecord] = []
-        ladder = ("process", "thread", "serial") if policy.degrade else ("process",)
-        deadline = self._deadline
-        for backend in ladder:
-            delays = policy.delays()
-            slept = 0.0
-            attempt = 0
-            while True:
-                try:
-                    result = self._run_on_backend(
-                        backend, chain, seeds, variables, mode, stats
-                    )
-                    if failures:
-                        self._last_degradation = DegradationReport(
-                            configured_backend="process",
-                            final_backend=backend,
-                            failures=tuple(failures),
-                        )
-                    return result
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    failures.append(
-                        AttemptRecord(
-                            backend=backend,
-                            attempt=attempt,
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                            delay=slept,
-                        )
-                    )
-                attempt += 1
-                delay = next(delays, None)
-                if delay is None:
-                    break  # budget spent on this rung: demote
-                if deadline is not None:
-                    # Never sleep past the deadline: better to attempt
-                    # (and let the attempt notice expiry) than to burn
-                    # the whole budget waiting.
-                    delay = min(delay, deadline.remaining())
-                time.sleep(delay)
-                slept = delay
-        report = DegradationReport(
-            configured_backend="process",
-            final_backend=ladder[-1],
-            failures=tuple(failures),
-        )
-        self._last_degradation = report
-        raise RetryBudgetExceeded(
-            f"query failed on every backend rung after {len(failures)} "
-            f"attempt(s) ({report.summary()}); last error: "
-            f"{failures[-1].error_type}: {failures[-1].error}",
-            attempts=tuple(record.to_dict() for record in failures),
-        )
-
-    def _run_on_backend(
-        self,
-        backend: str,
-        chain: tuple[ChainStep, ...],
-        seeds: list[Row],
-        variables: tuple[str, ...],
-        mode: str,
-        stats: _ChainStats,
-    ) -> tuple[list, int, float]:
-        """One attempt on one rung, normalized to the process-run shape."""
-        if backend == "process":
-            return self._process_run(chain, seeds, variables, mode, stats)
-        start = time.perf_counter()
-        # Columnar kernel over the already-built seed rows (no-op unless
-        # kernel="columnar" and the chain shape is covered).
-        attempt = self._columnar_rows_attempt(chain, seeds, variables, mode, stats)
-        if attempt is not None:
-            return (*attempt, time.perf_counter() - start)
-        if backend == "thread":
-            frontier = self._run_chain_chunks(seeds, chain, stats)
-        else:
-            frontier = self._run_chain_on(seeds, chain, stats)
-        chain_seconds = time.perf_counter() - start
-        if mode == "families":
-            data: list = self._materializer.families(frontier, variables)
-        else:
-            data = self._materializer.points(frontier, variables)
-        return data, len(frontier), chain_seconds
-
-    # ------------------------------------------------------------------ #
-    # Columnar kernel dispatch (kernel="columnar")
+    # Kernel choice (kernel="columnar")
     # ------------------------------------------------------------------ #
     def _columnar_fallback_reason(self, chain: tuple[ChainStep, ...]) -> str | None:
         """Why this chain would run interpreted despite ``kernel="columnar"``.
@@ -479,50 +384,10 @@ class DataflowEngine:
 
     def _columnar_plan(self, chain: tuple[ChainStep, ...]):
         """The full-query columnar plan, or ``None`` on any fallback."""
-        if self._kernel != "columnar" or self._columnar_fallback_reason(chain):
+        if self._row_kernel != "columnar":
             return None
         plan, _reason = columnar_kernel.plan_query(chain)
         return plan
-
-    def _columnar_process_engages(self, plan) -> bool:
-        """Process-pool engagement for a columnar plan, decided from the
-        context's seed count without materializing Row seeds — the same
-        predicate :meth:`_process_engages` applies to built frontiers."""
-        return (
-            self._backend == "process"
-            and self._workers > 1
-            and self._index.columnar_context().seed_count(plan) >= 2 * self._workers
-        )
-
-    def _columnar_rows_attempt(
-        self,
-        chain: Sequence[ChainStep],
-        seeds: list[Row],
-        variables: tuple[str, ...],
-        mode: str,
-        stats: _ChainStats,
-    ) -> tuple[list, int] | None:
-        """Columnar evaluation over pre-built seed rows.
-
-        The rows-in twin of the full-query path (families or point
-        tuples out, per ``mode``), used by the thread/serial backend
-        rungs and the worker-pool chunks.  ``None`` means the chain or
-        the rows don't fit the kernel; the caller falls back to the
-        interpreted chain walk.
-        """
-        if self._kernel != "columnar" or self._kernel_unavailable is not None:
-            return None
-        ops, _reason = columnar_kernel.ops_for(tuple(chain))
-        if ops is None:
-            return None
-        result = columnar_kernel.run_rows(
-            self._index.columnar_context(), ops, seeds, variables, mode, self._deadline
-        )
-        if result is None:
-            return None
-        data, frontier_rows, merged = result
-        stats.rows_merged += merged
-        return data, frontier_rows
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -578,24 +443,10 @@ class DataflowEngine:
         ``deadline_seconds`` / ``retry`` override the engine-level
         resilience configuration for this one call — the server maps
         per-request ``deadline`` / ``retries`` envelope fields through
-        them.  The override is scoped to the call (restored on exit) and
-        assumes calls on one engine are serialized, which the server's
-        per-graph lock guarantees.
+        them.  They travel with the call, never through the engine, so
+        concurrent calls on one engine stay isolated.
         """
-        if deadline_seconds is not None or retry is not None:
-            if deadline_seconds is not None and deadline_seconds <= 0:
-                raise ValueError(
-                    f"deadline_seconds must be positive, got {deadline_seconds!r}"
-                )
-            saved = (self._deadline_seconds, self._retry)
-            if deadline_seconds is not None:
-                self._deadline_seconds = deadline_seconds
-            if retry is not None:
-                self._retry = retry
-            try:
-                return self.match_with_stats(query, expand_output)
-            finally:
-                self._deadline_seconds, self._retry = saved
+        call = self._call(deadline_seconds, retry)
         if self._incremental:
             # Streaming mode: the session's per-seed cache answers reads;
             # the timing below measures the cache read (the evaluation
@@ -614,70 +465,30 @@ class DataflowEngine:
                 interval_seconds=elapsed,
                 total_seconds=elapsed,
                 output_size=len(table),
-                frontier_rows=len(session._state(name).contributions),
+                frontier_rows=session.contributing_seeds(name),
             )
-        if isinstance(query, QueryPlan):
-            compiled, chain = query.compiled, query.chain
+        plan = query if isinstance(query, QueryPlan) else self.prepare(query)
+        start = time.perf_counter()
+        data, frontier_rows, interval_seconds = self._execute(
+            plan.chain, plan.variables, plan.mode, call
+        )
+        if plan.mode == "families":
+            table = IntervalBindingTable(plan.variables, data)
+        elif isinstance(data, BindingTable):
+            table = data  # the columnar kernel's lazy PointTable
         else:
-            compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-            chain = self._compile(compiled)
-        stats = _ChainStats()
-        degradation: dict | None = None
-        mode = self._output_mode(chain)
-
-        self._arm_deadline()
-        try:
-            start = time.perf_counter()
-            cplan = self._columnar_plan(chain)
-            if cplan is not None and not self._columnar_process_engages(cplan):
-                # Full-query columnar run: seeds come straight from the
-                # context's condition CSR, never materializing Row
-                # objects (the win on cheap full-scan queries).  When
-                # the process pool engages, Row seeds are built below
-                # and the workers run the columnar ops per chunk.
-                data, frontier_rows, merged = columnar_kernel.run_query(
-                    self._index.columnar_context(),
-                    cplan,
-                    compiled.variables,
-                    mode,
-                    self._deadline,
-                )
-                stats.rows_merged += merged
-                table = data  # points: already a (lazy) table
-                if mode == "families":
-                    table = IntervalBindingTable(compiled.variables, data)
-                interval_seconds = time.perf_counter() - start
-            else:
-                seeds, rest = self._initial_frontier(chain)
-                if self._process_engages(seeds):
-                    data, frontier_rows, chain_seconds = self._run_resilient(
-                        rest, seeds, compiled.variables, mode, stats
-                    )
-                    if self._last_degradation is not None:
-                        degradation = self._last_degradation.to_dict()
-                    if mode == "families":
-                        table = IntervalBindingTable(compiled.variables, data)
-                    else:
-                        table = BindingTable.build(compiled.variables, data)
-                    interval_seconds = chain_seconds
-                else:
-                    frontier = self._run_chain_chunks(seeds, rest, stats)
-                    interval_seconds = time.perf_counter() - start
-                    table = self._build_table(chain, frontier, compiled.variables)
-                    frontier_rows = len(frontier)
-            if expand_output:
-                _ = table.rows
-            total_seconds = time.perf_counter() - start
-        finally:
-            self._disarm_deadline()
+            table = BindingTable.build(plan.variables, data)
+        if expand_output:
+            _ = table.rows
+        total_seconds = time.perf_counter() - start
         return MatchResult(
             table=table,
             interval_seconds=interval_seconds,
             total_seconds=total_seconds,
             output_size=len(table),
             frontier_rows=frontier_rows,
-            rows_merged=stats.rows_merged,
-            degradation=degradation,
+            rows_merged=call.rows_merged,
+            degradation=None if call.degradation is None else call.degradation.to_dict(),
         )
 
     def match_intervals(
@@ -703,62 +514,42 @@ class DataflowEngine:
                     query.compiled if isinstance(query, QueryPlan) else query
                 )
             )
-        if isinstance(query, QueryPlan):
-            compiled, chain = query.compiled, query.chain
-        else:
-            compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-            chain = self._compile(compiled)
-        stats = _ChainStats()
-        spread = bind_group_indices(chain)
+        plan = query if isinstance(query, QueryPlan) else self.prepare(query)
+        spread = bind_group_indices(plan.chain)
         if spread is not None and len(spread) > 1:
             raise EvaluationError(
                 "interval (coalesced) output is only defined when every "
                 "variable is bound within a single temporal group"
             )
-        self._arm_deadline()
-        try:
-            cplan = self._columnar_plan(chain)
-            if cplan is not None and not self._columnar_process_engages(cplan):
-                families, _rows, merged = columnar_kernel.run_query(
-                    self._index.columnar_context(),
-                    cplan,
-                    compiled.variables,
-                    "families",
-                    self._deadline,
-                )
-                stats.rows_merged += merged
-                return families
-            seeds, rest = self._initial_frontier(chain)
-            if self._process_engages(seeds):
-                families, _rows, _seconds = self._run_resilient(
-                    rest, seeds, compiled.variables, "families", stats
-                )
-                return families
-            frontier = self._run_chain_chunks(seeds, rest, stats)
-            return self._materializer.families(frontier, compiled.variables)
-        finally:
-            self._disarm_deadline()
+        families, _rows, _seconds = self._execute(
+            plan.chain, plan.variables, "families", self._call()
+        )
+        return families
 
     def explain(self, query: TypingUnion[str, MatchQuery, CompiledMatch]) -> dict:
         """The execution plan a :meth:`match` call would use, without running it.
 
-        Returns a dictionary with the configured and effective backend
-        (``"sequential"`` when the frontier is too small to engage any
-        worker pool), the output mode (``families`` = interval-native,
-        ``points``), and the degree-weighted chunk plan the partitioner
-        would produce.  ``repro query … --explain`` prints this.
+        Returns a dictionary with the configured and effective backend,
+        the output mode (``families`` = interval-native, ``points``), and
+        the degree-weighted chunk plan the partitioner would produce.
+        Backend and chunks come from the same :meth:`_route` decision a
+        match call makes — ``"sequential"`` when no pool engages, which
+        includes every chain the columnar kernel runs as one pass — and
+        are computed from the seed objects alone, without building a
+        seed row.  ``repro query … --explain`` prints this.
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
-        seeds, rest = self._initial_frontier(chain)
-        engages = self._engages(seeds)
-        if engages:
-            chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
-        else:
+        backend, _columnar = self._route(chain)
+        seeds, rest = self._seed_objects(chain)
+        weight = self._index.seed_weight
+        if backend == "serial":
             chunks = [seeds]
+        else:
+            chunks = weighted_chunks(seeds, self._workers, weight)
         return {
             "backend": self._backend,
-            "effective_backend": self._backend if engages else "sequential",
+            "effective_backend": "sequential" if backend == "serial" else backend,
             "workers": self._workers,
             "start_method": self._start_method,
             "kernel": self._kernel,
@@ -767,21 +558,11 @@ class DataflowEngine:
             "chain_steps": len(rest),
             "output_mode": self._output_mode(chain),
             "chunks": [
-                {
-                    "seeds": len(chunk),
-                    "weight": chunk_weight(chunk, self._seed_weight),
-                }
+                {"seeds": len(chunk), "weight": chunk_weight(chunk, weight)}
                 for chunk in chunks
             ],
             "deadline_seconds": self._deadline_seconds,
             "retry": None if self._retry is None else self._retry.to_dict(),
-            # How the engine's most recent resilient run actually went —
-            # retries and backend demotion leave their audit trail here.
-            "last_degradation": (
-                None
-                if self._last_degradation is None
-                else self._last_degradation.to_dict()
-            ),
         }
 
     # ------------------------------------------------------------------ #
@@ -798,77 +579,208 @@ class DataflowEngine:
         # materializing one frontier row per traversed edge.
         return fuse_hops(tuple(steps), self._index.is_static)
 
-    # ------------------------------------------------------------------ #
-    # Steps 1 & 2: interval-based frontier processing
-    # ------------------------------------------------------------------ #
-    def _collector_for(self, step: ChainStep) -> TypingUnion[Frontier, RowFrontier]:
-        """The cheapest collector that preserves the frontier invariant.
+    @staticmethod
+    def _output_mode(chain: tuple[ChainStep, ...]) -> str:
+        """``"families"`` when the output can stay interval-native, else ``"points"``.
 
-        Test, Bind and Temporal steps are injective on binding
-        signatures — applied to a signature-unique frontier they cannot
-        produce two signature-equal rows (a Test only narrows the last
-        validity family, which the signature excludes; a Bind extends
-        the bindings deterministically; a Temporal step folds the last
-        family into the signature, which distinguished the inputs).
-        Those steps skip the signature bookkeeping entirely; only
-        structural moves, fused hops and alternatives — where distinct
-        rows can converge on the same signature — pay for the
-        coalescing collector.
+        Interval-native exactly when the chain statically binds every
+        variable within one temporal group (``bind_group_indices``):
+        the output is then one coalesced family per binding tuple, and
+        the merge across worker chunks keeps that invariant.  All other
+        shapes (group-spanning or branch-dependent binds) produce point
+        rows.
         """
-        if isinstance(step, (StructStep, HopStep, AltStep)):
-            return Frontier(self._index.object_id)
-        return RowFrontier()
+        spread = bind_group_indices(chain)
+        if spread is not None and len(spread) <= 1:
+            return "families"
+        return "points"
 
-    def _run_chain(self, chain: tuple[ChainStep, ...], stats: _ChainStats) -> list[Row]:
-        seeds, chain = self._initial_frontier(chain)
-        return self._run_chain_chunks(seeds, chain, stats)
+    # ------------------------------------------------------------------ #
+    # Dispatch
+    # ------------------------------------------------------------------ #
+    def _call(
+        self, deadline_seconds: float | None = None, retry: RetryPolicy | None = None
+    ) -> _Call:
+        """Fresh per-call state: the call's overrides, else the engine defaults."""
+        return _Call(
+            self._deadline_seconds if deadline_seconds is None else deadline_seconds,
+            self._retry if retry is None else retry,
+        )
 
-    def _run_chain_chunks(
-        self, seeds: list[Row], chain: tuple[ChainStep, ...], stats: _ChainStats
-    ) -> list[Row]:
-        if not self._engages(seeds):
-            return self._run_chain_on(seeds, chain, stats)
-        # Degree-weighted chunks (shared with the process backend): a
-        # count-based split lets one hub-heavy chunk straggle.
+    def _seed_objects(
+        self, chain: tuple[ChainStep, ...]
+    ) -> tuple[Sequence[ObjectId], tuple[ChainStep, ...]]:
+        """The objects :func:`~repro.dataflow.interpreted.seed_rows` would
+        seed (in its order) and the chain after any absorbed leading test."""
+        if chain and isinstance(chain[0], TestStep):
+            return list(self._index.condition_table(chain[0].condition)), chain[1:]
+        return self._index.objects, chain
+
+    def _route(self, chain: tuple[ChainStep, ...]) -> tuple[str, object]:
+        """The one dispatch decision: ``(backend, columnar plan or None)``.
+
+        ``backend`` is ``"process"``, ``"thread"`` or ``"serial"``.  A
+        pool engages only for frontiers of at least two seeds per worker
+        (below that, per-chunk overhead dominates).  The process pool
+        takes precedence over a columnar plan — its workers then run the
+        columnar ops per chunk — while the thread pool does not: a
+        GIL-bound pool cannot beat one vectorized pass, so a covered
+        chain runs serially as a single columnar pass seeded straight
+        from the array image.
+        """
+        engages = (
+            self._workers > 1
+            and len(self._seed_objects(chain)[0]) >= 2 * self._workers
+        )
+        if engages and self._backend == "process":
+            return "process", None
+        plan = self._columnar_plan(chain)
+        if plan is not None:
+            return "serial", plan
+        return ("thread" if engages else "serial"), None
+
+    def _execute(
+        self,
+        chain: tuple[ChainStep, ...],
+        variables: tuple[str, ...],
+        mode: str,
+        call: _Call,
+    ) -> tuple[object, int, float]:
+        """Run one compiled chain as routed: ``(data, frontier_rows, seconds)``.
+
+        ``data`` is a family list (``mode="families"``), or point tuples
+        — a lazy :class:`~repro.perf.columnar.PointTable` from the
+        single columnar pass.
+        """
+        backend, plan = self._route(chain)
+        if plan is not None:
+            start = time.perf_counter()
+            data, frontier_rows, merged = columnar_kernel.run_query(
+                self._index.columnar_context(), plan, variables, mode, call.deadline
+            )
+            call.rows_merged += merged
+            return data, frontier_rows, time.perf_counter() - start
+        seeds, rest = interpreted.seed_rows(self._index, chain)
+        if backend == "process":
+            return self._run_resilient(rest, seeds, variables, mode, call)
+        return self._run_on(backend, rest, seeds, variables, mode, call)
+
+    def _run_resilient(
+        self,
+        chain: tuple[ChainStep, ...],
+        seeds: list[Row],
+        variables: tuple[str, ...],
+        mode: str,
+        call: _Call,
+    ) -> tuple[list, int, float]:
+        """The process dispatch under the call's retry policy.
+
+        Each rung of the demotion ladder gets the policy's full retry
+        budget; crash-shaped failures (see
+        :data:`~repro.resilience.RETRYABLE_EXCEPTIONS`) are retried with
+        capped exponential backoff + jitter, then the backend demotes
+        ``process → thread → serial``.  The escalation is recorded as a
+        :class:`DegradationReport` on the call (and so on
+        :attr:`MatchResult.degradation`).  Only a retryable failure *on
+        the serial rung* (or ``degrade=False``) exhausts the query: that
+        raises :class:`~repro.errors.RetryBudgetExceeded`.
+        """
+        policy = call.retry
+        if policy is None:
+            return self._run_on("process", chain, seeds, variables, mode, call)
+        failures: list[AttemptRecord] = []
+        ladder = ("process", "thread", "serial") if policy.degrade else ("process",)
+        for backend in ladder:
+            delays = policy.delays()
+            slept = 0.0
+            attempt = 0
+            while True:
+                try:
+                    result = self._run_on(backend, chain, seeds, variables, mode, call)
+                    if failures:
+                        call.degradation = DegradationReport(
+                            configured_backend="process",
+                            final_backend=backend,
+                            failures=tuple(failures),
+                        )
+                    return result
+                except Exception as exc:
+                    if not is_retryable(exc):
+                        raise
+                    failures.append(
+                        AttemptRecord(
+                            backend=backend,
+                            attempt=attempt,
+                            error_type=type(exc).__name__,
+                            error=str(exc),
+                            delay=slept,
+                        )
+                    )
+                attempt += 1
+                delay = next(delays, None)
+                if delay is None:
+                    break  # budget spent on this rung: demote
+                if call.deadline is not None:
+                    # Never sleep past the deadline: better to attempt
+                    # (and let the attempt notice expiry) than to burn
+                    # the whole budget waiting.
+                    delay = min(delay, call.deadline.remaining())
+                time.sleep(delay)
+                slept = delay
+        report = DegradationReport(
+            configured_backend="process",
+            final_backend=ladder[-1],
+            failures=tuple(failures),
+        )
+        raise RetryBudgetExceeded(
+            f"query failed on every backend rung after {len(failures)} "
+            f"attempt(s) ({report.summary()}); last error: "
+            f"{failures[-1].error_type}: {failures[-1].error}",
+            attempts=tuple(record.to_dict() for record in failures),
+        )
+
+    def _run_on(
+        self,
+        backend: str,
+        chain: tuple[ChainStep, ...],
+        seeds: list[Row],
+        variables: tuple[str, ...],
+        mode: str,
+        call: _Call,
+    ) -> tuple[list, int, float]:
+        """One attempt on one backend: ``(data, frontier_rows, seconds)``.
+
+        Every backend runs :func:`run_rows` — on all seeds (``"serial"``)
+        or per degree-weighted chunk (``"thread"``, ``"process"``), the
+        chunk results meeting in one merge.  ``seconds`` is wall time,
+        except under ``"process"`` (see :meth:`_process_run`).
+        """
+        if backend == "process":
+            return self._process_run(chain, seeds, variables, mode, call)
+        index, deadline, kernel = self._index, call.deadline, self._row_kernel
+        start = time.perf_counter()
+        if backend == "serial":
+            data, frontier_rows, merged = run_rows(
+                index, chain, seeds, variables, mode, deadline, kernel
+            )
+            call.rows_merged += merged
+            return data, frontier_rows, time.perf_counter() - start
         chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
-        chunk_stats = [_ChainStats() for _ in chunks]
         with ThreadPoolExecutor(max_workers=self._workers) as pool:
-            futures = [
-                pool.submit(self._run_chain_on, chunk, chain, chunk_stat)
-                for chunk, chunk_stat in zip(chunks, chunk_stats)
-            ]
-            partials = [future.result() for future in futures]
-        for chunk_stat in chunk_stats:
-            stats.rows_merged += chunk_stat.rows_merged
-        # Signature-equal rows may have landed in different chunks; one
-        # final merge restores the frontier invariant.
-        combined = Frontier(self._index.object_id)
-        for partial in partials:
-            for row in partial:
-                combined.add(row)
-        stats.rows_merged += combined.rows_merged
-        return combined.rows()
-
-    def _engages(self, seeds: list[Row]) -> bool:
-        """Whether any worker pool engages for this seed frontier.
-
-        The single engagement predicate shared by the thread path, the
-        process dispatch and :meth:`explain` — small frontiers always
-        run sequentially, where per-chunk overhead would dominate.
-        """
-        return self._workers > 1 and len(seeds) >= 2 * self._workers
-
-    # ------------------------------------------------------------------ #
-    # Process backend (repro.parallel)
-    # ------------------------------------------------------------------ #
-    def _process_engages(self, seeds: list[Row]) -> bool:
-        """Whether this query dispatches to the worker-process pool.
-
-        Small frontiers fall back to the sequential/thread path: the
-        per-task pickling cost would dominate any win, which is exactly
-        the regime where the GIL-bound backends are already fine.
-        """
-        return self._backend == "process" and self._engages(seeds)
+            results = list(
+                pool.map(
+                    lambda chunk: run_rows(
+                        index, chain, chunk, variables, mode, deadline, kernel
+                    ),
+                    chunks,
+                )
+            )
+        call.rows_merged += sum(merged for _data, _rows, merged in results)
+        return (
+            _merge(mode, [data for data, _rows, _merged in results]),
+            sum(rows for _data, rows, _merged in results),
+            time.perf_counter() - start,
+        )
 
     def _process_run(
         self,
@@ -876,323 +788,39 @@ class DataflowEngine:
         seeds: list[Row],
         variables: tuple[str, ...],
         mode: str,
-        stats: _ChainStats,
+        call: _Call,
     ) -> tuple[list, int, float]:
-        """Chunked Steps 1–3 in worker processes, one coalescing merge here.
+        """Chunked Steps 1–3 in worker processes, one merge here.
 
-        Returns ``(data, frontier_rows, chain_seconds)`` where ``data``
-        is a merged family list (``mode="families"``) or point tuples
-        (``mode="points"``) and ``chain_seconds`` is the longest
-        per-worker Steps-1–2 time (the parallel critical path).
+        The third element is the longest per-worker kernel time (the
+        parallel critical path).  Workers replicate the engine's row
+        kernel; per-chain shape fallbacks are re-decided worker-side by
+        the same :func:`run_rows`.
         """
-        from repro.parallel.merge import merge_family_chunks, merge_point_chunks
         from repro.parallel.plan import pack_seeds, plan_for
         from repro.parallel.pool import shared_pool
 
-        # Workers replicate the effective kernel: columnar only when the
-        # parent's configuration can actually run it (per-chain shape
-        # fallbacks are re-decided worker-side from the same ops).
-        effective_kernel = (
-            "columnar"
-            if self._kernel == "columnar" and self._kernel_unavailable is None
-            else "interpreted"
-        )
-        plan = plan_for(self._graph, effective_kernel)
+        plan = plan_for(self._graph, self._row_kernel)
         pool = shared_pool(self._workers, self._start_method)
         chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
-        packed = [pack_seeds(chunk) for chunk in chunks]
         results = pool.run_chunks(
-            plan, chain, packed, mode, variables, deadline=self._deadline
+            plan,
+            chain,
+            [pack_seeds(chunk) for chunk in chunks],
+            mode,
+            variables,
+            deadline=call.deadline,
         )
-        stats.rows_merged += sum(result["rows_merged"] for result in results)
-        frontier_rows = sum(result["frontier_rows"] for result in results)
-        chain_seconds = max(result["chain_seconds"] for result in results)
+        call.rows_merged += sum(result["rows_merged"] for result in results)
+        data = [result["data"] for result in results]
         if mode == "families":
-            data: list = merge_family_chunks([result["data"] for result in results])
-        else:
-            data = merge_point_chunks([result["data"] for result in results])
-        return data, frontier_rows, chain_seconds
+            data = [unpack_families(chunk) for chunk in data]
+        return (
+            _merge(mode, data),
+            sum(result["frontier_rows"] for result in results),
+            max(result["chain_seconds"] for result in results),
+        )
 
     def _seed_weight(self, row: Row) -> int:
         """Chunking weight of one seed row (its indexed out-degree)."""
         return self._index.seed_weight(row.last.current)
-
-    @staticmethod
-    def _row_cost(row: Row) -> int:
-        """Chunking weight of one surviving row during materialization."""
-        return 1 + sum(group.times.total_points() for group in row.groups)
-
-    def _initial_frontier(
-        self, chain: tuple[ChainStep, ...]
-    ) -> tuple[list[Row], tuple[ChainStep, ...]]:
-        """Seed rows plus the chain remaining after any absorbed leading test.
-
-        A leading :class:`TestStep` is answered from the index's
-        memoized condition table, so the frontier starts with only the
-        objects that can match (and their satisfaction times) instead of
-        every object of the graph.
-        """
-        if chain and isinstance(chain[0], TestStep):
-            table = self._index.condition_table(chain[0].condition)
-            seeds = [
-                Row((Group((), obj, times),), ()) for obj, times in table.items()
-            ]
-            return seeds, chain[1:]
-        domain_times = self._domain_times
-        return [initial_row(obj, domain_times) for obj in self._graph.objects()], chain
-
-    def _seed_rows_for(
-        self, chain: tuple[ChainStep, ...], objects: Iterable[ObjectId]
-    ) -> dict[ObjectId, Row]:
-        """Fresh seed rows for just ``objects`` — the per-object form of
-        :meth:`_initial_frontier`, used by streaming sessions so an
-        incremental update never pays for the full seed table.
-
-        The returned rows belong to the same frontier `_initial_frontier`
-        would produce (same absorbed-test times); objects that would not
-        seed this chain are simply absent.
-        """
-        if chain and isinstance(chain[0], TestStep):
-            table = self._index.condition_table(chain[0].condition)
-            rows: dict[ObjectId, Row] = {}
-            for obj in objects:
-                times = table.get(obj)
-                if times is not None:
-                    rows[obj] = Row((Group((), obj, times),), ())
-            return rows
-        graph = self._graph
-        return {
-            obj: initial_row(obj, self._domain_times)
-            for obj in objects
-            if graph.has_object(obj)
-        }
-
-    def _run_chain_on(
-        self, frontier: list[Row], chain: Sequence[ChainStep], stats: _ChainStats
-    ) -> list[Row]:
-        current = frontier
-        deadline = self._deadline
-        for completed, step in enumerate(chain):
-            if not current:
-                break
-            # Chaos hook: "sleep" models a pathologically slow step,
-            # "raise" a mid-chain fault (both serial and thread rungs).
-            failpoints.fire("engine.step")
-            if deadline is not None:
-                deadline.progress["steps_completed"] = completed
-                deadline.progress["frontier_rows"] = len(current)
-                deadline.check()
-            collector = self._collector_for(step)
-            self._apply_step(current, step, collector, stats)
-            stats.rows_merged += collector.rows_merged
-            current = collector.rows()
-        return current
-
-    def _apply_step(
-        self,
-        frontier: list[Row],
-        step: ChainStep,
-        out: TypingUnion[Frontier, RowFrontier],
-        stats: _ChainStats,
-    ) -> None:
-        if isinstance(step, TestStep):
-            self._apply_test(frontier, step.condition, out)
-        elif isinstance(step, StructStep):
-            self._apply_struct(frontier, step.forward, out)
-        elif isinstance(step, HopStep):
-            self._apply_hop(frontier, step, out)
-        elif isinstance(step, TemporalStep):
-            self._apply_temporal(frontier, step, out)
-        elif isinstance(step, BindStep):
-            for row in frontier:
-                out.add(row.replace_last(row.last.bind(step.variable)))
-        elif isinstance(step, AltStep):
-            for alternative in step.alternatives:
-                for row in self._run_chain_on(list(frontier), alternative, stats):
-                    out.add(row)
-        else:
-            raise TypeError(f"unknown chain step {step!r}")
-
-    def _apply_test(
-        self,
-        frontier: list[Row],
-        condition: Test,
-        out: TypingUnion[Frontier, RowFrontier],
-    ) -> None:
-        deadline = self._deadline
-        # One memoized condition table shared by every row (and every
-        # later query on the same graph) replaces a per-row AST walk.
-        table = self._index.condition_table(condition)
-        for row in frontier:
-            if deadline is not None:
-                deadline.tick()
-            group = row.last
-            satisfied = table.get(group.current)
-            if satisfied is None:
-                continue
-            times = group.times.intersect(satisfied)
-            if times.is_empty():
-                continue
-            out.add(row.replace_last(group.with_times(times)))
-
-    def _apply_struct(
-        self,
-        frontier: list[Row],
-        forward: bool,
-        out: TypingUnion[Frontier, RowFrontier],
-    ) -> None:
-        deadline = self._deadline
-        index = self._index
-        adjacency = index.out_adjacency if forward else index.in_adjacency
-        endpoint = index.edge_target if forward else index.edge_source
-        for row in frontier:
-            if deadline is not None:
-                deadline.tick()
-            group = row.last
-            current = group.current
-            edges = adjacency.get(current)
-            if edges is not None:
-                for edge in edges:
-                    out.add(row.replace_last(group.with_current(edge, group.times)))
-            else:
-                out.add(
-                    row.replace_last(
-                        group.with_current(endpoint[current], group.times)
-                    )
-                )
-
-    def _apply_hop(
-        self,
-        frontier: list[Row],
-        step: HopStep,
-        out: TypingUnion[Frontier, RowFrontier],
-    ) -> None:
-        """Fused structural hop through the index's memoized entries."""
-        deadline = self._deadline
-        index = self._index
-        for row in frontier:
-            if deadline is not None:
-                deadline.tick()
-            group = row.last
-            entries = index.hop_entries(
-                group.current,
-                step.forward_in,
-                step.mid_conditions,
-                step.forward_out,
-                step.target_conditions,
-            )
-            times = group.times
-            for target, hop_times in entries:
-                joined = times.intersect(hop_times)
-                if joined.is_empty():
-                    continue
-                out.add(row.replace_last(group.with_current(target, joined)))
-
-    def _apply_temporal(
-        self,
-        frontier: list[Row],
-        step: TemporalStep,
-        out: TypingUnion[Frontier, RowFrontier],
-    ) -> None:
-        index = self._index
-        domain = self._graph.domain
-        # Conditions fused into the step: rows whose object cannot
-        # satisfy them never reach the window arithmetic below.
-        condition_tables = tuple(
-            index.condition_table(c) for c in step.target_conditions
-        )
-        deadline = self._deadline
-        for row in frontier:
-            if deadline is not None:
-                deadline.tick()
-            group = row.last
-            satisfied: IntervalSet | None = None
-            if condition_tables:
-                for table in condition_tables:
-                    found = table.get(group.current)
-                    if found is None:
-                        satisfied = IntervalSet.empty()
-                        break
-                    satisfied = (
-                        found if satisfied is None else satisfied.intersect(found)
-                    )
-                if satisfied is not None and satisfied.is_empty():
-                    continue
-            existence = index.existence[group.current]
-            accumulator = IntervalSetAccumulator()
-            for anchor in group.times:
-                for _anchor_piece, window in reachable_window(
-                    anchor,
-                    existence,
-                    step.lower,
-                    step.upper,
-                    step.forward,
-                    step.require_existence,
-                    domain,
-                ):
-                    accumulator.add_interval(window)
-            if not accumulator:
-                continue
-            reached = accumulator.build()
-            if satisfied is not None:
-                reached = reached.intersect(satisfied)
-                if reached.is_empty():
-                    continue
-            link = TemporalLink(
-                obj=group.current,
-                forward=step.forward,
-                lower=step.lower,
-                upper=step.upper,
-                contiguous=step.require_existence,
-            )
-            new_group = Group((), group.current, reached)
-            out.add(row.append_group(new_group, link))
-
-    # ------------------------------------------------------------------ #
-    # Step 3: materialization
-    # ------------------------------------------------------------------ #
-    def _build_table(
-        self,
-        chain: tuple[ChainStep, ...],
-        frontier: list[Row],
-        variables: tuple[str, ...],
-    ) -> TypingUnion[BindingTable, IntervalBindingTable]:
-        """The output table, staying interval-native whenever possible.
-
-        When the chain statically binds every variable within one
-        temporal group (``bind_group_indices``), the engine
-        returns an :class:`IntervalBindingTable` built directly from the
-        materializer's families — no point expansion, no row sort;
-        the family merge is global, so the table's one-entry-per-binding
-        invariant holds and is never split across worker chunks.  All
-        other shapes (group-spanning or branch-dependent binds) take the
-        point-row path.
-        """
-        if self._output_mode(chain) == "families":
-            families = self._materializer.families(frontier, variables)
-            return IntervalBindingTable(variables, families)
-        rows = self._materialize(frontier, variables)
-        return BindingTable.build(variables, rows)
-
-    def _output_mode(self, chain: tuple[ChainStep, ...]) -> str:
-        """``"families"`` when the output can stay interval-native, else ``"points"``."""
-        spread = bind_group_indices(chain)
-        if spread is not None and len(spread) <= 1:
-            return "families"
-        return "points"
-
-    def _materialize(self, frontier: list[Row], variables: tuple[str, ...]) -> list[tuple]:
-        if not self._engages(frontier):
-            return self._materializer.points(frontier, variables)
-        # Same weighted partitioner as the chain run; here the cost
-        # proxy is the rows' covered time points (expansion work).
-        chunks = weighted_chunks(frontier, self._workers, self._row_cost)
-        out: list[tuple] = []
-        with ThreadPoolExecutor(max_workers=self._workers) as pool:
-            futures = [
-                pool.submit(self._materializer.points, chunk, variables)
-                for chunk in chunks
-            ]
-            for future in futures:
-                out.extend(future.result())
-        return out

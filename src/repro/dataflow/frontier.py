@@ -36,9 +36,10 @@ it:
   :meth:`~repro.dataflow.executor.DataflowEngine.match_intervals`, from
   which the point-based row table is derived.
 
-:class:`RowFrontier` is the non-merging collector the engine uses for
-chain steps that are injective on signatures (Test, Bind, Temporal),
-where the signature bookkeeping could never find anything to merge.
+:class:`RowFrontier` is the non-merging collector the interpreted kernel
+(:mod:`repro.dataflow.interpreted`) uses for chain steps that are
+injective on signatures (Test, Bind, Temporal), where the signature
+bookkeeping could never find anything to merge.
 :meth:`Row.enumerate_times` and :meth:`TemporalLink.admits` are the
 point-wise definition of Step 3 that the tests compare the materializer
 against.
@@ -230,7 +231,8 @@ class RowFrontier:
     """A non-merging collector: a flat list that keeps every produced row.
 
     Sound only where no two produced rows can share a signature — the
-    engine's ``_collector_for`` routes the injective steps here.
+    interpreted kernel's ``ChainWalk.collector_for`` routes the injective
+    steps here.
     """
 
     __slots__ = ("_rows", "rows_added")
@@ -351,10 +353,6 @@ class IntervalMaterializer:
     def __init__(self, index: GraphIndex) -> None:
         self._existence = index.existence
         self._domain = index.graph.domain
-        #: Armed by the owning engine per query; when set, the
-        #: frontier-level drivers tick it per row so a deadline can fire
-        #: during Step 3 (output can dwarf the chain run).
-        self.deadline = None
 
     # ------------------------------------------------------------------ #
     # Link propagation primitives
@@ -566,15 +564,16 @@ class IntervalMaterializer:
     # Frontier-level drivers
     # ------------------------------------------------------------------ #
     def families(
-        self, rows: Iterable[Row], variables: tuple[str, ...]
+        self, rows: Iterable[Row], variables: tuple[str, ...], deadline=None
     ) -> list[IntervalFamily]:
         """Coalesced per-binding families for a whole frontier.
 
         Families of rows with equal bindings (reached through different
         unbound paths) are merged, so the result has exactly one entry
-        per distinct binding tuple.
+        per distinct binding tuple.  A call's ``deadline`` is ticked per
+        row, so it can fire during Step 3 (output can dwarf the chain
+        run).
         """
-        deadline = self.deadline
         merged: dict[tuple, list[IntervalSet]] = {}
         for row in rows:
             if deadline is not None:
@@ -590,10 +589,10 @@ class IntervalMaterializer:
         ]
 
     def points(
-        self, rows: Iterable[Row], variables: tuple[str, ...]
+        self, rows: Iterable[Row], variables: tuple[str, ...], deadline=None
     ) -> list[tuple[tuple[ObjectId, int], ...]]:
-        """Point-based output tuples for a whole frontier."""
-        deadline = self.deadline
+        """Point-based output tuples for a whole frontier (``deadline`` as
+        in :meth:`families`)."""
         out: list[tuple[tuple[ObjectId, int], ...]] = []
         for row in rows:
             if deadline is not None:

@@ -8,9 +8,11 @@ union / composition / repetition-by-squaring, and path conditions are
 evaluated by projecting the sub-relation onto its starting objects.
 
 This engine is the semantic ground truth of the library: every other
-engine is cross-checked against it in the test suite.  Its complexity is
-``Õ(|path|² · M²)`` with ``M = |Ω| · (|N| + |E|)``, so it is only meant
-for small graphs (unit tests, the running example, hardness gadgets).
+engine is cross-checked against it in the test suite, so it stays the
+plain point-based algorithm — obviously right rather than fast.  Its
+complexity is ``Õ(|path|² · M²)`` with ``M = |Ω| · (|N| + |E|)``, so it
+is only meant for small graphs (unit tests, the running example,
+hardness gadgets).
 """
 
 from __future__ import annotations
@@ -52,29 +54,14 @@ class BottomUpEvaluator:
     The evaluator caches the relation of every sub-expression it has
     seen, so repeated sub-expressions (common once MATCH clauses are
     compiled) are only evaluated once per graph.
-
-    With ``use_intervals=True`` the recursion runs on the coalesced
-    diagonal representation
-    (:class:`~repro.perf.interval_eval.IntervalBottomUpEvaluator`) and
-    only the final relation is expanded to point tuples; the point
-    relations produced are identical (cross-checked in the test suite),
-    but the intermediate cost scales with maximal intervals instead of
-    time points.
     """
 
-    def __init__(self, graph: TemporalGraph, use_intervals: bool = False) -> None:
-        source = graph
+    def __init__(self, graph: TemporalGraph) -> None:
         if isinstance(graph, IntervalTPG):
             graph = itpg_to_tpg(graph)
         self._graph = graph
         self._cache: dict[PathExpr, TemporalRelation] = {}
         self._identity: TemporalRelation | None = None
-        self._interval_evaluator = None
-        if use_intervals:
-            # Imported lazily: repro.perf builds on repro.eval.relation.
-            from repro.perf.interval_eval import IntervalBottomUpEvaluator
-
-            self._interval_evaluator = IntervalBottomUpEvaluator(source)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -83,28 +70,12 @@ class BottomUpEvaluator:
     def graph(self) -> TemporalPropertyGraph:
         return self._graph
 
-    @property
-    def interval_evaluator(self):
-        """The interval-native evaluator, or ``None`` in point mode.
-
-        Exposed so :class:`~repro.eval.engine.ReferenceEngine` can run
-        its MATCH composition directly on
-        :class:`~repro.perf.interval_relation.IntervalRelation`
-        diagonals (via
-        :class:`~repro.perf.interval_eval.IntervalMatchEvaluator`)
-        instead of expanding each segment relation to point tuples.
-        """
-        return self._interval_evaluator
-
     def evaluate(self, path: PathExpr) -> TemporalRelation:
         """The relation ``JpathK_G`` as a :class:`TemporalRelation`."""
         cached = self._cache.get(path)
         if cached is not None:
             return cached
-        if self._interval_evaluator is not None:
-            relation = self._interval_evaluator.evaluate(path).to_temporal_relation()
-        else:
-            relation = self._evaluate(path)
+        relation = self._evaluate(path)
         self._cache[path] = relation
         return relation
 

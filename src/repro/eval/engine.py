@@ -17,18 +17,12 @@ interval-based) and offers three operations:
   ``(bindings, IntervalSet)`` family per distinct binding tuple,
   defined whenever every variable is bound at a single shared time.
 
-With ``use_intervals=True`` the MATCH frontier itself stays
-interval-native: segments advance by composing
-:class:`~repro.perf.interval_relation.IntervalRelation` diagonals
-(:class:`~repro.perf.interval_eval.IntervalMatchEvaluator`), and point
-rows are expanded only from the final frontier.  In point mode the
-frontier is the classic ``(bindings, current)`` hash join; both modes
-compute identical tables (cross-checked in the differential fuzz suite).
-
-This engine favours clarity and faithfulness to the paper's semantics
-over speed; the dataflow engine (:mod:`repro.dataflow`) is the fast
-implementation used by the benchmarks and is cross-checked against this
-one in the tests.
+The MATCH frontier is the classic ``(bindings, current)`` hash join
+over point-based segment relations.  This engine is the oracle: it
+favours clarity and faithfulness to the paper's semantics over speed,
+and has one mode.  The dataflow engine (:mod:`repro.dataflow`) is the
+fast implementation used by the benchmarks and is cross-checked against
+this one in the tests.
 """
 
 from __future__ import annotations
@@ -53,16 +47,8 @@ TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
 class ReferenceEngine:
     """Reference (slow but complete) evaluation of TRPQs over one graph."""
 
-    def __init__(self, graph: TemporalGraph, use_intervals: bool = False) -> None:
-        self._evaluator = BottomUpEvaluator(graph, use_intervals=use_intervals)
-        self._match_evaluator = None
-        if self._evaluator.interval_evaluator is not None:
-            # Imported lazily: repro.perf builds on repro.eval.relation.
-            from repro.perf.interval_eval import IntervalMatchEvaluator
-
-            self._match_evaluator = IntervalMatchEvaluator(
-                self._evaluator.interval_evaluator
-            )
+    def __init__(self, graph: TemporalGraph) -> None:
+        self._evaluator = BottomUpEvaluator(graph)
 
     @property
     def graph(self) -> TemporalPropertyGraph:
@@ -88,10 +74,7 @@ class ReferenceEngine:
     def match(self, query: TypingUnion[str, MatchQuery, CompiledMatch]) -> BindingTable:
         """Evaluate a MATCH clause and return its temporal binding table."""
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-        if self._match_evaluator is not None:
-            rows = self._match_evaluator.rows(compiled)
-        else:
-            rows = [bindings for bindings, _current in self._point_frontier(compiled)]
+        rows = [bindings for bindings, _current in self._point_frontier(compiled)]
         return BindingTable.build(compiled.variables, rows)
 
     def match_intervals(
@@ -111,8 +94,6 @@ class ReferenceEngine:
         its static chain shape.)
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-        if self._match_evaluator is not None:
-            return self._match_evaluator.families(compiled)
         merged: dict[tuple[tuple[str, ObjectId], ...], set[int]] = {}
         for bindings, current in self._point_frontier(compiled):
             times = {t for _obj, t in bindings}

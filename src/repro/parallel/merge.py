@@ -1,16 +1,15 @@
 """Parent-side merging of per-chunk partial results.
 
-Workers return either compact interval families (single-temporal-group
-outputs — the common case) or point tuples (group-spanning outputs).
-Both merges restore exactly the invariant the sequential engine
-guarantees:
+Chunks — worker processes or threads — return either interval families
+(single-temporal-group outputs — the common case) or point tuples
+(group-spanning outputs).  Both merges restore exactly the invariant the
+sequential engine guarantees:
 
 * **families** — one entry per distinct binding tuple with a coalesced
   validity family.  Bindings reached in several chunks (signature-equal
-  frontier rows that landed on different workers) are unioned through
-  :meth:`IntervalSet.union_many` — a single coalescing pass, mirroring
-  the thread path's final frontier re-merge, except it happens on the
-  *output* representation, after the workers have already done Step 3.
+  frontier rows that landed in different chunks) are unioned through
+  :meth:`IntervalSet.union_many` — a single coalescing pass on the
+  *output* representation, after each chunk has already done Step 3.
 * **points** — plain concatenation; :meth:`BindingTable.build`
   deduplicates and canonically sorts downstream, so chunk order can
   never leak into the output.
@@ -20,30 +19,20 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.eval.bindings import Family, PackedFamily, unpack_interval_set
+from repro.eval.bindings import Family
 from repro.temporal.intervalset import IntervalSet
 
 
-def merge_family_chunks(chunks: Iterable[Sequence[PackedFamily]]) -> list[Family]:
-    """Merge per-chunk packed families into one canonical family list."""
-    gathered: dict[tuple, list] = {}
+def merge_family_chunks(chunks: Iterable[Sequence[Family]]) -> list[Family]:
+    """Merge per-chunk families into one canonical family list."""
+    gathered: dict[tuple, list[IntervalSet]] = {}
     for chunk in chunks:
-        for bindings, endpoints in chunk:
-            gathered.setdefault(tuple(bindings), []).append(endpoints)
-    merged: list[Family] = []
-    for bindings, packed in gathered.items():
-        if len(packed) == 1:
-            merged.append((bindings, unpack_interval_set(packed[0])))
-        else:
-            merged.append(
-                (
-                    bindings,
-                    IntervalSet.union_many(
-                        [unpack_interval_set(endpoints) for endpoints in packed]
-                    ),
-                )
-            )
-    return merged
+        for bindings, times in chunk:
+            gathered.setdefault(tuple(bindings), []).append(times)
+    return [
+        (bindings, times[0] if len(times) == 1 else IntervalSet.union_many(times))
+        for bindings, times in gathered.items()
+    ]
 
 
 def merge_point_chunks(chunks: Iterable[Sequence[tuple]]) -> list[tuple]:

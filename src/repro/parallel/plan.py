@@ -214,7 +214,7 @@ def pack_seeds(seeds: Iterable[Row]) -> list[PackedSeed]:
     """Initial frontier rows in compact wire form.
 
     Seeds are always single-group, binding-free rows (the shape
-    ``_initial_frontier`` produces), so the object and its validity
+    ``interpreted.seed_rows`` produces), so the object and its validity
     family reconstruct them exactly.
     """
     return [(row.last.current, pack_interval_set(row.last.times)) for row in seeds]

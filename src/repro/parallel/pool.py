@@ -24,9 +24,9 @@ installation protocol*:
 * Workers rebuild the graph **once per process** and memoize it in the
   consolidated per-token cache (:mod:`repro.parallel.registry`; the
   compiled :class:`~repro.perf.graph_index.GraphIndex` rides on the
-  graph object, engines per kernel ride in the entry), then run
-  ordinary chunk-level chain execution + interval materialization,
-  returning compact packed families or point tuples.
+  graph object), then run the engine's row dispatch
+  (:func:`repro.dataflow.executor.run_rows`) on their chunk, returning
+  compact packed families or point tuples.
 
 Pools are shared process-wide through :func:`shared_pool`, keyed by
 ``(start method, worker count)``, so every engine and every query on
@@ -283,9 +283,12 @@ def _worker_graph(
     """
     import pickle
 
-    entry = registry.cached(token)
-    if entry is not None:
-        return entry.graph
+    graph = registry.cached(token)
+    if graph is not None:
+        return graph
+    # Chaos hook: fault the cold-start install path (kind "raise" models
+    # an OOM/deserialization failure; "kill" a crash while rebuilding).
+    failpoints.fire("worker.install")
     if store is not None:
         from repro.errors import StoreError
         from repro.store import attach
@@ -304,40 +307,12 @@ def _worker_graph(
                 f"{attachment.token!r} does not match the plan ({token!r}); "
                 "the artifact was recompiled since dispatch"
             )
-        return registry.install(token, attachment.graph).graph
+        return registry.install(token, attachment.graph)
     if payload is None:
         raise PlanNotInstalledError(
             f"worker {os.getpid()} has no cached graph for token {token!r}"
         )
-    return registry.install(token, pickle.loads(payload)).graph
-
-
-def _worker_engine(
-    token: str,
-    payload: Optional[bytes],
-    store: Optional[StoreRef],
-    kernel: str,
-):
-    """The memoized worker-side engine for one graph + kernel."""
-    entry = registry.cached(token)
-    engine = entry.engines.get(kernel) if entry else None
-    if engine is not None:
-        return engine
-    # Chaos hook: fault the cold-start install path (kind "raise" models
-    # an OOM/deserialization failure; "kill" a crash while rebuilding).
-    failpoints.fire("worker.install")
-    from repro.dataflow.executor import DataflowEngine
-
-    graph = _worker_graph(token, payload, store)
-    # The engine compiles (or adopts the attached) index; it rides on the
-    # graph object, so eviction of the registry entry releases graph,
-    # index and engines together.
-    engine = DataflowEngine(graph, workers=1, kernel=kernel)
-    entry = registry.cached(token)
-    if entry is None:  # pragma: no cover - install always precedes this
-        entry = registry.install(token, graph)
-    entry.engines[kernel] = engine
-    return engine
+    return registry.install(token, pickle.loads(payload))
 
 
 def _run_chunk(
@@ -350,39 +325,33 @@ def _run_chunk(
     variables: tuple[str, ...],
     kernel: str,
 ) -> dict:
-    """Chunk-level Steps 1–3: run the chain, then materialize in-worker."""
+    """Chunk-level Steps 1–3 through the engine's row dispatch."""
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the
     # whole pool, as a real crash would); "sleep" models a straggler.
     failpoints.fire("worker.chunk")
-    from repro.dataflow.executor import _ChainStats
+    from repro.dataflow.executor import run_rows
     from repro.eval.bindings import pack_families
+    from repro.perf.graph_index import graph_index_for
 
-    engine = _worker_engine(token, payload, store, kernel)
-    seeds = unpack_seeds(packed_seeds)
-    stats = _ChainStats()
-    start = time.perf_counter()
     if mode not in ("families", "points"):
         raise EvaluationError(f"unknown process-backend output mode {mode!r}")
-    # Columnar kernel over this chunk's rows when configured and the
-    # chain shape is covered (None -> interpreted chain walk; a worker
-    # without NumPy self-heals the same way).
-    attempt = engine._columnar_rows_attempt(chain, seeds, variables, mode, stats)
-    if attempt is not None:
-        data, frontier_rows = attempt
-        chain_seconds = time.perf_counter() - start
-    else:
-        frontier = engine._run_chain_on(seeds, chain, stats)
-        chain_seconds = time.perf_counter() - start
-        materializer = engine._materializer
-        step3 = materializer.families if mode == "families" else materializer.points
-        data, frontier_rows = step3(frontier, variables), len(frontier)
+    # The index rides on the graph object, so evicting the registry
+    # entry releases graph and index together.
+    index = graph_index_for(_worker_graph(token, payload, store))
+    seeds = unpack_seeds(packed_seeds)
+    start = time.perf_counter()
+    # Columnar over this chunk's rows when the parent's kernel is and the
+    # chain shape is covered, else the interpreted walk (a worker without
+    # NumPy self-heals the same way).
+    data, frontier_rows, merged = run_rows(
+        index, chain, seeds, variables, mode, kernel=kernel
+    )
     return {
         "pid": os.getpid(),
         "data": pack_families(data) if mode == "families" else data,
         "frontier_rows": frontier_rows,
-        "rows_merged": stats.rows_merged,
-        "chain_seconds": chain_seconds,
-        "total_seconds": time.perf_counter() - start,
+        "rows_merged": merged,
+        "chain_seconds": time.perf_counter() - start,
     }
 
 

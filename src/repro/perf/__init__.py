@@ -7,11 +7,9 @@ changing any semantics:
   of adjacency, label / property buckets, existence families and
   memoized condition tables, shared across queries and engines via
   :func:`~repro.perf.graph_index.graph_index_for`;
-* :class:`~repro.perf.interval_relation.IntervalRelation` — binary
-  temporal relations as coalesced diagonal interval families, with the
-  full Theorem-C.1 algebra implemented as interval arithmetic;
-* :class:`~repro.perf.interval_eval.IntervalBottomUpEvaluator` — the
-  bottom-up algorithm running natively on interval relations.
+* :mod:`repro.perf.columnar` — the dataflow engine's default kernel:
+  covered chains as vectorized sweeps over the index-owned array image
+  of the graph (NumPy optional; without it the interpreted kernel runs).
 
 Every structure is cross-checked against the point-based ground truth in
 the test suite; see docs/ARCHITECTURE.md for the architecture and
@@ -19,13 +17,9 @@ PERFORMANCE.md for the measured costs.
 """
 
 from repro.perf.graph_index import CompiledCore, GraphIndex, graph_index_for
-from repro.perf.interval_relation import IntervalRelation
-from repro.perf.interval_eval import IntervalBottomUpEvaluator
 
 __all__ = [
     "CompiledCore",
     "GraphIndex",
     "graph_index_for",
-    "IntervalRelation",
-    "IntervalBottomUpEvaluator",
 ]

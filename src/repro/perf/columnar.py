@@ -1,9 +1,10 @@
 """Columnar (vectorized) evaluation kernel for fused step chains.
 
-This is the kernel ``DataflowEngine(graph)`` runs by default.  The
-interpreted engine in :mod:`repro.dataflow.executor` walks the frontier
-row by row in Python; this module compiles the same fused chain into a
-sequence of *columnar ops* executed as NumPy sweeps over flat arrays:
+This is the kernel ``DataflowEngine(graph)`` runs by default.  Its peer,
+the interpreted kernel in :mod:`repro.dataflow.interpreted`, walks the
+frontier row by row in Python; this module compiles the same fused
+chain into a sequence of *columnar ops* executed as NumPy sweeps over
+flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
   per row), one int64 column per bound variable, and the per-row
@@ -190,8 +191,8 @@ def plan_query(
     chain: tuple[ChainStep, ...]
 ) -> tuple[Optional[ColumnarPlan], Optional[str]]:
     """Plan a full compiled chain, absorbing a leading TestStep as the
-    seed condition exactly like ``DataflowEngine._initial_frontier``
-    does against the index's memoized condition table."""
+    seed condition exactly like ``interpreted.seed_rows`` does against
+    the index's memoized condition table."""
     if chain and isinstance(chain[0], TestStep):
         seed_condition: Optional[Test] = chain[0].condition
         rest: Sequence[ChainStep] = chain[1:]

@@ -20,7 +20,7 @@ Use :func:`graph_index_for` to obtain the shared per-graph instance.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional, Union as TypingUnion
+from typing import Hashable, Iterable, Optional, Union as TypingUnion
 
 from repro.errors import UnsupportedFragmentError
 from repro.lang.ast import (
@@ -46,9 +46,6 @@ from repro.temporal.valued import ValuedIntervalSet
 
 ObjectId = Hashable
 TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
-#: Resolves a path condition to ``object → satisfaction times`` (engines that
-#: support ``(?path)`` supply one; the dataflow fragment does not).
-PathTestResolver = Callable[[PathTest], dict[ObjectId, IntervalSet]]
 
 
 class CompiledCore:
@@ -258,40 +255,20 @@ class GraphIndex:
             self._static_cache[condition] = cached
         return cached
 
-    def times_for(
-        self,
-        obj: ObjectId,
-        condition: Test,
-        path_test_resolver: Optional[PathTestResolver] = None,
-    ) -> IntervalSet:
-        """Coalesced times at which ``(obj, t)`` satisfies ``condition``.
-
-        A static condition is a lookup in its memoized
-        :meth:`condition_table` (the one place its per-object results
-        are kept); conditions containing ``(?path)`` require a resolver
-        and are never cached here (the resolver caches at its own level).
-        """
-        if self.is_static(condition):
-            return self.condition_table(condition).get(obj, self._empty)
-        return self._times(obj, condition, path_test_resolver)
-
-    def condition_table(
-        self,
-        condition: Test,
-        path_test_resolver: Optional[PathTestResolver] = None,
-    ) -> dict[ObjectId, IntervalSet]:
+    def condition_table(self, condition: Test) -> dict[ObjectId, IntervalSet]:
         """``object → satisfaction times`` for every object with nonempty times.
 
         Candidates are narrowed through the label / property buckets
-        before any per-object work, and the finished table is memoized
-        (static conditions only).  Treat the returned mapping as
-        read-only: it is shared between callers.
+        before any per-object work, and the finished table is memoized.
+        Treat the returned mapping as read-only: it is shared between
+        callers.  Only static conditions have a table: a path condition
+        ``(?path)`` raises :class:`UnsupportedFragmentError` (the
+        dataflow fragment excludes them; the reference engine evaluates
+        them by projection).
         """
-        static = self.is_static(condition)
-        if static:
-            cached = self._table_cache.get(condition)
-            if cached is not None:
-                return cached
+        cached = self._table_cache.get(condition)
+        if cached is not None:
+            return cached
         candidates = self._candidates(condition)
         if candidates is None:
             pool: Iterable[ObjectId] = self.objects
@@ -302,23 +279,17 @@ class GraphIndex:
             pool = (obj for obj in self.objects if obj in candidates)
         table: dict[ObjectId, IntervalSet] = {}
         for obj in pool:
-            times = self._times(obj, condition, path_test_resolver)
+            times = self._times(obj, condition)
             if not times.is_empty():
                 table[obj] = times
-        if static:
-            self._table_cache[condition] = table
+        self._table_cache[condition] = table
         return table
 
-    def _times(
-        self,
-        obj: ObjectId,
-        condition: Test,
-        resolver: Optional[PathTestResolver],
-    ) -> IntervalSet:
+    def _times(self, obj: ObjectId, condition: Test) -> IntervalSet:
         if isinstance(condition, AndTest):
             result = self._full
             for part in condition.parts:
-                result = result.intersect(self._times(obj, part, resolver))
+                result = result.intersect(self._times(obj, part))
                 if result.is_empty():
                     return self._empty
             return result
@@ -346,16 +317,14 @@ class GraphIndex:
         if isinstance(condition, OrTest):
             result = self._empty
             for part in condition.parts:
-                result = result.union(self._times(obj, part, resolver))
+                result = result.union(self._times(obj, part))
             return result
         if isinstance(condition, NotTest):
-            return self._times(obj, condition.inner, resolver).complement(self._domain)
+            return self._times(obj, condition.inner).complement(self._domain)
         if isinstance(condition, PathTest):
-            if resolver is None:
-                raise UnsupportedFragmentError(
-                    "path conditions (?path) require an engine-supplied resolver"
-                )
-            return resolver(condition).get(obj, self._empty)
+            raise UnsupportedFragmentError(
+                "path conditions (?path) have no condition table"
+            )
         raise TypeError(f"unknown test {condition!r}")
 
     # ------------------------------------------------------------------ #
@@ -374,9 +343,7 @@ class GraphIndex:
         Each entry pairs a reachable target object with the coalesced
         times contributed by every intermediate object on the way (all
         parallel edges between the same endpoints collapse into one
-        family — the diagonal form of
-        :class:`~repro.perf.interval_relation.IntervalRelation` with
-        offset 0).  The per-source results are computed lazily — only
+        family).  The per-source results are computed lazily — only
         for objects an actual frontier visits — because precomputing
         edge-sourced hops for the whole graph would be quadratic in the
         adjacency degree.
@@ -542,7 +509,7 @@ class GraphIndex:
             # objects' satisfaction times.
             for condition, table in self._table_cache.items():
                 for obj in dirty:
-                    times = self._times(obj, condition, None)
+                    times = self._times(obj, condition)
                     if times.is_empty():
                         table.pop(obj, None)
                     else:

@@ -12,7 +12,7 @@ is spent.  The dataflow engine consumes this through
 * once the budget is spent, the engine *demotes* the backend —
   ``process → thread → serial`` — instead of failing the query, and
   records the whole escalation in a :class:`DegradationReport` that
-  ``explain()`` exposes;
+  the call's ``MatchResult.degradation`` carries;
 * non-retryable failures (semantic evaluation errors, deadline
   expiries) propagate immediately — retrying a deterministic error
   only burns the budget, and a deadline is a hard stop by definition.

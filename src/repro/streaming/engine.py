@@ -41,6 +41,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Union as TypingUnion
 
+# Module imports: the dataflow package may still be initializing when
+# this module loads (dataflow -> resilience -> wal -> streaming).
+from repro.dataflow import executor, interpreted
 from repro.dataflow.frontier import Group, Row
 from repro.dataflow.steps import (
     ChainStep,
@@ -50,7 +53,7 @@ from repro.dataflow.steps import (
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable, IntervalBindingTable
 from repro.lang.parser import MatchQuery
-from repro.lang.translate import CompiledMatch, compile_match
+from repro.lang.translate import CompiledMatch
 from repro.model.itpg import IntervalTPG
 from repro.streaming.delta import DeltaBatch, DeltaEffects, apply_delta
 from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
@@ -265,20 +268,15 @@ class StreamingEngine:
             existing = self._queries.get(name)
             if existing is not None:
                 return name
-            compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-            chain = self._engine._compile(compiled)
-            if isinstance(query, str):
-                text: Optional[str] = query
-            else:
-                text = getattr(query, "text", None)
+            plan = self._engine.prepare(query)
             state = _QueryState(
                 name=name,
-                chain=chain,
-                variables=compiled.variables,
-                mode=self._engine._output_mode(chain),
-                struct_radius=chain_structural_radius(chain),
-                temporal_radius=chain_temporal_radius(chain),
-                text=text,
+                chain=plan.chain,
+                variables=plan.variables,
+                mode=plan.mode,
+                struct_radius=chain_structural_radius(plan.chain),
+                temporal_radius=chain_temporal_radius(plan.chain),
+                text=plan.text,
             )
             seed_map, state.rest = self._seed_table(state)
             self._recompute_seeds(state, seed_map, only=None)
@@ -300,6 +298,11 @@ class StreamingEngine:
         """The merged binding table of a registered query."""
         with self._lock:
             return self._merged(self._state(name))
+
+    def contributing_seeds(self, name: str) -> int:
+        """How many seeds currently contribute output to ``name``."""
+        with self._lock:
+            return len(self._state(name).contributions)
 
     def _state(self, name: str) -> _QueryState:
         state = self._queries.get(name)
@@ -352,8 +355,6 @@ class StreamingEngine:
             if batch.sequence is not None:
                 self._last_sequence = batch.sequence
             self._engine.index.apply_delta(effects)
-            if effects.horizon_advanced:
-                self._engine._refresh_domain()
             updates = tuple(
                 self._update_query(state, effects) for state in self._queries.values()
             )
@@ -398,8 +399,10 @@ class StreamingEngine:
         closure = self._engine.index.structural_closure(
             effects.dirty, state.struct_radius
         )
-        fresh = self._engine._seed_rows_for(
-            state.chain, [obj for obj in closure if obj in effects.dirty]
+        fresh = interpreted.seed_rows_for(
+            self._engine.index,
+            state.chain,
+            [obj for obj in closure if obj in effects.dirty],
         )
         affected = self._affected_seeds(state, effects, closure, fresh)
         for obj in affected:
@@ -427,7 +430,7 @@ class StreamingEngine:
         self, state: _QueryState
     ) -> tuple[dict[ObjectId, Row], tuple[ChainStep, ...]]:
         """The full fresh seed table and the chain remainder."""
-        seeds, rest = self._engine._initial_frontier(state.chain)
+        seeds, rest = interpreted.seed_rows(self._engine.index, state.chain)
         return {row.last.current: row for row in seeds}, rest
 
     def _affected_seeds(
@@ -499,19 +502,15 @@ class StreamingEngine:
     def _eval_seed(
         self, state: _QueryState, row: Row, rest: tuple[ChainStep, ...]
     ) -> Contribution:
-        from repro.dataflow.executor import _ChainStats
-
-        # Always the interpreted walk, whatever the engine's kernel: a
-        # one-row frontier is below the columnar kernel's break-even by
-        # construction (fixed per-op array overhead, nothing to sweep).
-        engine = self._engine
-        frontier = engine._run_chain_on([row], rest, _ChainStats())
-        if not frontier:
-            return ()
-        if state.mode == "families":
-            return engine._materializer.families(frontier, state.variables)
-        # Point mode: group-spanning shapes, exactly as in batch Step 3.
-        return engine._materializer.points(frontier, state.variables)
+        # Always the interpreted walk (run_rows' default kernel), whatever
+        # the engine's kernel: a one-row frontier is below the columnar
+        # kernel's break-even by construction (fixed per-op array
+        # overhead, nothing to sweep).  Families or point tuples per the
+        # query's output mode, exactly as in batch Step 3.
+        data, _rows, _merged = executor.run_rows(
+            self._engine.index, rest, [row], state.variables, state.mode
+        )
+        return data
 
     def _merged(
         self, state: _QueryState

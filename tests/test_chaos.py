@@ -23,6 +23,8 @@ process-backend tests in ``test_workers_parallelism.py``
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -34,6 +36,7 @@ from repro.datagen import (
 )
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
 from repro.errors import DeadlineExceeded, InjectedFault
+from repro.eval import ReferenceEngine
 from repro.model.io import save_json
 from repro.model.itpg import IntervalTPG
 from repro.parallel.pool import shutdown_pools
@@ -145,6 +148,54 @@ class TestDeadlineUnderSlowExecution:
         baseline = DataflowEngine(contact_graph)
         query = PAPER_QUERIES["Q1"].text
         assert engine.match(query).as_set() == baseline.match(query).as_set()
+
+
+# --------------------------------------------------------------------- #
+# Per-call state: a call's deadline and retry never leak into another call
+# --------------------------------------------------------------------- #
+class TestPerCallIsolation:
+    def test_concurrent_calls_on_one_engine_are_isolated(self, contact_graph):
+        """Without any lock, a call's deadline stays with that call.
+
+        A starts with a tight per-call deadline and a retry policy; once
+        it is inside the chain walk, B runs the same query on the same
+        engine with neither.  A must expire, B must answer in full, and
+        the engine must look the same throughout as before either call.
+        """
+        query = PAPER_QUERIES["Q5"].text
+        expected = ReferenceEngine(contact_graph).match(query).as_set()
+        engine = DataflowEngine(contact_graph, kernel="interpreted")
+        before = dict(vars(engine))
+        outcome = {}
+
+        def run(name, **overrides):
+            try:
+                outcome[name] = engine.match_with_stats(query, **overrides)
+            except Exception as error:
+                outcome[name] = error
+
+        # Every step stalls 0.05s: Q5's chain walk takes ~0.4s, so A's
+        # 0.15s budget expires mid-walk while B is still running.
+        failpoints.arm("engine.step", "sleep", seconds=0.05, times=0)
+        first = threading.Thread(
+            target=run,
+            args=("a",),
+            kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
+        )
+        first.start()
+        deadline = time.monotonic() + 10
+        while failpoints.hits("engine.step") == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        during = dict(vars(engine))
+        second = threading.Thread(target=run, args=("b",))
+        second.start()
+        first.join(30)
+        second.join(30)
+        assert isinstance(outcome["a"], DeadlineExceeded), outcome["a"]
+        assert not isinstance(outcome["b"], Exception), outcome["b"]
+        assert outcome["b"].table.as_set() == expected
+        assert during == before
+        assert dict(vars(engine)) == before
 
 
 # --------------------------------------------------------------------- #

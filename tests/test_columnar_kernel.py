@@ -1,6 +1,6 @@
 """Tests for the columnar evaluation kernel (``kernel="columnar"``).
 
-Three layers:
+Four layers:
 
 * **Dispatch contract** — ``explain()`` reports ``kernel`` /
   ``effective_kernel`` / ``kernel_fallback``, unknown kernels are
@@ -12,6 +12,8 @@ Three layers:
   the interpreted kernel, through the full-query and the worker-chunk
   (``run_rows``) entries; the one declined shape (temporal navigation
   inside an alternation) records its reason and falls back.
+* **Kernel seam** — ``columnar.run_rows`` and ``interpreted.run_rows``
+  return the same data for the same seeds on every paper query.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -276,7 +278,7 @@ class TestPaperQueryParity:
         """Every navigation shape, in both output modes, *runs columnar*
         (a fallback here would compare the oracle with itself) through
         the full-query entry and the worker-chunk (``run_rows``) entry."""
-        from repro.dataflow.executor import _ChainStats
+        from repro.dataflow.interpreted import seed_rows
 
         query = _path_query(
             _navigation_shapes()[shape], bind_target=bind_target, name=shape
@@ -294,14 +296,20 @@ class TestPaperQueryParity:
         assert table.as_set() == expected
         # Worker chunks: seed rows in, families / point tuples out.
         prepared = engine.prepare(query)
-        seeds, rest = engine._initial_frontier(prepared.chain)
+        seeds, rest = seed_rows(engine.index, prepared.chain)
+        ops, reason = columnar.ops_for(rest)
+        assert reason is None
         gathered = set()
         for chunk in (seeds[::2], seeds[1::2]):
-            attempt = engine._columnar_rows_attempt(
-                rest, chunk, prepared.variables, prepared.mode, _ChainStats()
+            attempt = columnar.run_rows(
+                engine.index.columnar_context(),
+                ops,
+                chunk,
+                prepared.variables,
+                prepared.mode,
             )
             assert attempt is not None, "the chunk fell back to the interpreted walk"
-            data, _frontier_rows = attempt
+            data, _frontier_rows, _merged = attempt
             if bind_target:
                 gathered.update(data)
             else:
@@ -328,6 +336,54 @@ class TestPaperQueryParity:
         for target in (engine, oracle):
             target.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
         assert engine.match(query).as_set() == oracle.match(query).as_set()
+
+
+@requires_numpy
+class TestKernelSeam:
+    """The two kernels' ``run_rows`` entries are interchangeable: same
+    index, chain, seeds, variables and mode in, the same data out."""
+
+    @pytest.fixture(scope="class")
+    def dense_graph(self):
+        """A contact graph on which every paper query has output."""
+        from repro.datagen import (
+            ContactTracingConfig,
+            TrajectoryConfig,
+            generate_contact_tracing_graph,
+        )
+
+        return generate_contact_tracing_graph(
+            ContactTracingConfig(
+                trajectory=TrajectoryConfig(
+                    num_persons=12, num_locations=6, num_rooms=3, seed=2
+                ),
+                positivity_rate=0.5,
+                seed=2,
+            )
+        )
+
+    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
+    def test_run_rows_agree_on_paper_query(self, dense_graph, name):
+        from repro.dataflow import interpreted
+
+        engine = DataflowEngine(dense_graph)
+        prepared = engine.prepare(PAPER_QUERIES[name].text)
+        seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
+        ops, reason = columnar.ops_for(rest)
+        assert reason is None, reason
+        got = columnar.run_rows(
+            engine.index.columnar_context(),
+            ops,
+            seeds,
+            prepared.variables,
+            prepared.mode,
+        )
+        assert got is not None, "the seeds fell back to the interpreted walk"
+        expected = interpreted.run_rows(
+            engine.index, rest, seeds, prepared.variables, prepared.mode
+        )
+        assert expected[0], f"{name} is empty on the contact graph"
+        assert sorted(got[0], key=repr) == sorted(expected[0], key=repr)
 
 
 @requires_numpy

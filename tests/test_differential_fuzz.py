@@ -8,7 +8,7 @@ randomized graphs and queries:
   graphs and :func:`~repro.datagen.random_graphs.random_match_query`
   queries (restricted to the dataflow fragment) evaluated by the
   dataflow engine under both kernels (interpreted and columnar), and by
-  the reference engine in point and interval bottom-up modes.  Where
+  the point-based reference engine (the ground truth).  Where
   NumPy is importable the sweep also proves the two dataflow
   configurations differ: a case whose plan reports no kernel fallback
   must report ``effective_kernel == "columnar"``, a batch in which no
@@ -24,9 +24,13 @@ randomized graphs and queries:
   is the Table-II-style cross-validation of the interval-native output
   path: both engines now produce output *from* interval families, so
   the expansion equality is what guards the representation change.
+
 * **Path level** — random NavL[PC,NOI] expressions (including path
-  conditions) evaluated by the point-based bottom-up algorithm, its
-  ``use_intervals`` fast mode and the raw interval evaluator.
+  conditions) evaluated by the bottom-up algorithm with its memo cache
+  shared across expressions and with a fresh evaluator per expression,
+  and, inside the PC fragment, tuple by tuple by the interval-native PC
+  checker.  ``test_tuple_checkers.py`` cross-checks all three appendix
+  checkers against the bottom-up algorithm.
 
 Every failure message contains the seeds needed to reproduce the case in
 isolation (`run_match_case(seed)` / the named generator calls), so a
@@ -54,8 +58,10 @@ from repro.dataflow import DataflowEngine, PAPER_QUERIES
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.eval.bottom_up import BottomUpEvaluator
+from repro.eval.tuple_pc import PCChecker
 from repro.errors import EvaluationError
-from repro.perf import IntervalBottomUpEvaluator, columnar
+from repro.lang.fragments import Fragment, in_fragment
+from repro.perf import columnar
 
 #: MATCH-level sweep: ``BATCHES × BATCH_SIZE`` generated cases.
 BATCH_SIZE = 25
@@ -150,7 +156,6 @@ def run_match_case(seed: int) -> frozenset[str]:
         "dataflow-interpreted": DataflowEngine(graph, kernel="interpreted"),
         "dataflow-columnar": DataflowEngine(graph, kernel="columnar"),
         "reference-point": ReferenceEngine(graph),
-        "reference-intervals": ReferenceEngine(graph, use_intervals=True),
     }
     tables = {name: engine.match(query) for name, engine in engines.items()}
     results = {name: table.as_set() for name, table in tables.items()}
@@ -180,7 +185,7 @@ def run_match_case(seed: int) -> frozenset[str]:
         for name, engine in engines.items()
     }
     # Definedness containment: a blanket spurious rejection would
-    # otherwise disable the oracle silently.  The reference engines'
+    # otherwise disable the oracle silently.  The reference engine's
     # exact per-row check accepts everything the dataflow engine's
     # static chain-shape check accepts; the two kernels must agree
     # (same chain shape).
@@ -188,8 +193,8 @@ def run_match_case(seed: int) -> frozenset[str]:
         f"columnar kernel disagrees on match_intervals definedness ({context})"
     )
     if defined["dataflow-interpreted"]:
-        assert defined["reference-point"] and defined["reference-intervals"], (
-            f"reference engines rejected coalesced output the dataflow "
+        assert defined["reference-point"], (
+            f"the reference engine rejected coalesced output the dataflow "
             f"engine defines ({context})"
         )
 
@@ -261,7 +266,6 @@ class TestMatchLevelDifferential:
                 "interpreted": DataflowEngine(graph, kernel="interpreted"),
                 "columnar": DataflowEngine(graph, kernel="columnar"),
                 "reference": ReferenceEngine(graph),
-                "reference-intervals": ReferenceEngine(graph, use_intervals=True),
             }
             for name, query in PAPER_QUERIES.items():
                 tables = {
@@ -293,7 +297,7 @@ class TestMatchLevelDifferential:
                     assert defined["interpreted"] and defined["columnar"], (
                         f"{name} lost coalesced-output definedness"
                     )
-                    assert defined["reference"] and defined["reference-intervals"]
+                    assert defined["reference"]
 
 
 class TestRegressionCounterexamples:
@@ -377,41 +381,51 @@ class TestRegressionCounterexamples:
         )
         reference = ReferenceEngine(graph)
         table = reference.match(query)
-        for engine in (reference, ReferenceEngine(graph, use_intervals=True)):
-            check_interval_point_oracle(
-                "reference",
-                engine,
-                query,
-                table.variables,
-                table.as_set(),
-                "cancelling N·P moves",
-            )
-            assert engine.match_intervals(query)  # defined and nonempty
+        check_interval_point_oracle(
+            "reference",
+            reference,
+            query,
+            table.variables,
+            table.as_set(),
+            "cancelling N·P moves",
+        )
+        assert reference.match_intervals(query)  # defined and nonempty
         with pytest.raises(EvaluationError):
             DataflowEngine(graph).match_intervals(query)
 
 
 class TestPathLevelDifferential:
-    """Bottom-up point mode, interval mode and the raw interval evaluator agree."""
+    """Bottom-up with a shared memo cache, with a fresh one, and the PC checker agree."""
 
     @pytest.mark.parametrize("graph_seed", range(5))
     def test_random_paths_all_bottom_up_modes(self, graph_seed):
         graph = random_itpg(graph_seed)
-        point = BottomUpEvaluator(graph)
-        fast = BottomUpEvaluator(graph, use_intervals=True)
-        interval = IntervalBottomUpEvaluator(graph)
+        shared = BottomUpEvaluator(graph)
+        checker = PCChecker(graph)
+        objects, times = list(graph.objects()), list(graph.time_points())
+        checked = 0
         for offset in range(12):
             seed = 1000 + graph_seed * 100 + offset
             path = random_path_expression(seed, allow_path_conditions=True)
-            expected = point.evaluate(path)
-            assert fast.evaluate(path) == expected, (
-                f"use_intervals mode diverged: random_itpg({graph_seed}), "
+            case = (
+                f"random_itpg({graph_seed}), "
                 f"random_path_expression({seed}, allow_path_conditions=True)"
             )
-            assert interval.evaluate_points(path) == expected, (
-                f"interval evaluator diverged: random_itpg({graph_seed}), "
-                f"random_path_expression({seed}, allow_path_conditions=True)"
+            expected = shared.evaluate(path)
+            assert BottomUpEvaluator(graph).evaluate(path) == expected, (
+                f"memoized evaluation diverged: {case}"
             )
+            if not in_fragment(path, Fragment.PC):
+                continue
+            checked += 1
+            for o in objects[::2]:
+                for t in times[::2]:
+                    for o2 in objects[::2]:
+                        for t2 in times[::2]:
+                            assert checker.check(path, (o, t), (o2, t2)) == (
+                                (o, t, o2, t2) in expected
+                            ), f"PC checker diverged on {(o, t, o2, t2)}: {case}"
+        assert checked, "no sampled expression fell in the PC fragment"
 
 
 try:  # pragma: no cover - exercised only where hypothesis is installed

@@ -20,7 +20,6 @@ import pytest
 
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.dataflow.executor import _ChainStats
 from repro.dataflow.frontier import (
     Frontier,
     Group,
@@ -29,31 +28,29 @@ from repro.dataflow.frontier import (
     TemporalLink,
     row_signature,
 )
+from repro.dataflow.interpreted import ChainWalk, seed_rows
 from repro.dataflow.steps import AltStep, HopStep
 from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
-from repro.lang.translate import compile_match
 from repro.perf import graph_index_for
 from repro.temporal import IntervalSet, IntervalSetAccumulator
 
 
 def _stepwise_frontiers(engine: DataflowEngine, query):
-    """Yield (step, rows) after every chain step, mirroring the executor.
+    """Yield (step, rows) after every chain step, mirroring the kernel.
 
-    Uses the executor's own ``_collector_for`` routing so the invariant
-    checks cover the production fast path: Test/Bind/Temporal steps run
-    on a plain ``RowFrontier`` under an injectivity argument, and the
-    uniqueness assertions below are what validate that argument.
+    Uses the interpreted kernel's own ``collector_for`` routing so the
+    invariant checks cover the production fast path: Test/Bind/Temporal
+    steps run on a plain ``RowFrontier`` under an injectivity argument,
+    and the uniqueness assertions below are what validate that argument.
     """
-    compiled = compile_match(query)
-    chain = engine._compile(compiled)
-    rows, chain = engine._initial_frontier(chain)
-    stats = _ChainStats()
+    rows, chain = seed_rows(engine.index, engine.prepare(query).chain)
+    walk = ChainWalk(engine.index)
     for step in chain:
         if not rows:
             break
-        collector = engine._collector_for(step)
-        engine._apply_step(rows, step, collector, stats)
+        collector = walk.collector_for(step)
+        walk.apply_step(rows, step, collector)
         rows = collector.rows()
         yield step, rows
 
@@ -161,7 +158,7 @@ class TestRowMerging:
                 _assert_fc_invariant(row.last.times)
         result = engine.match_with_stats(text)
         assert result.rows_merged > 0
-        reference = ReferenceEngine(graph, use_intervals=True).match(text)
+        reference = ReferenceEngine(graph).match(text)
         assert result.table.as_set() == reference.as_set()
 
 
@@ -299,7 +296,7 @@ class TestHopFusion:
         reference = ReferenceEngine(figure1)
         for name in ("Q7", "Q11", "Q12"):
             text = PAPER_QUERIES[name].text
-            assert _has_hop(engine._compile(compile_match(text))), name
+            assert _has_hop(engine.prepare(text).chain), name
             assert engine.match(text).as_set() == reference.match(text).as_set(), name
 
     def test_hop_entries_memoized_per_graph(self, figure1):

@@ -5,6 +5,7 @@ import pytest
 from repro.datagen.random_graphs import random_itpg
 from repro.dataflow.steps import condition_times
 from repro.errors import UnsupportedFragmentError
+from repro.eval.bottom_up import BottomUpEvaluator
 from repro.lang import ast
 from repro.model.convert import itpg_to_tpg
 from repro.perf import GraphIndex, graph_index_for
@@ -85,12 +86,19 @@ class TestCompiledStructures:
 class TestConditionEvaluation:
     @pytest.mark.parametrize("condition", CONDITIONS, ids=repr)
     def test_times_for_matches_condition_times(self, graphs, condition):
+        """Per object — including the ones absent from the table — the
+        index's times equal ``condition_times`` and the point oracle."""
         for graph in graphs:
             index = GraphIndex(graph)
+            table = index.condition_table(condition)
+            oracle = BottomUpEvaluator(graph)
             for obj in graph.objects():
-                assert index.times_for(obj, condition) == condition_times(
-                    graph, obj, condition
-                ), (obj, condition)
+                times = table.get(obj, IntervalSet.empty())
+                assert times == condition_times(graph, obj, condition), (obj, condition)
+                points = [
+                    t for t in graph.time_points() if oracle.satisfies(obj, t, condition)
+                ]
+                assert times == IntervalSet.from_points(points), (obj, condition)
 
     @pytest.mark.parametrize("condition", CONDITIONS, ids=repr)
     def test_condition_table_is_exact(self, graphs, condition):
@@ -109,20 +117,11 @@ class TestConditionEvaluation:
         condition = ast.and_(ast.label("Person"), ast.exists())
         assert index.condition_table(condition) is index.condition_table(condition)
 
-    def test_path_condition_needs_resolver(self, graphs):
+    def test_path_condition_has_no_table(self, graphs):
         index = GraphIndex(graphs[0])
         condition = ast.path_test(ast.F)
         with pytest.raises(UnsupportedFragmentError):
-            index.times_for("p1", condition)
-
-    def test_path_condition_with_resolver(self, graphs):
-        graph = graphs[0]
-        index = GraphIndex(graph)
-        obj = next(iter(graph.nodes()))
-        times = IntervalSet.single(0, 2)
-        condition = ast.path_test(ast.F)
-        resolved = index.times_for(obj, condition, lambda _pt: {obj: times})
-        assert resolved == times
+            index.condition_table(condition)
 
 
 class TestSharedCache:

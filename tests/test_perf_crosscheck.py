@@ -1,10 +1,13 @@
 """Cross-checks of the perf layer against the point-based ground truth.
 
-Everything the compiled index and the interval-native relations change is
-an implementation detail: on every graph and every expression, the
-dataflow engine, the interval bottom-up evaluator and the point-based
-reference engines must produce the same answers.
+Everything the compiled index changes is an implementation detail: on
+every graph and every query, the dataflow engine and the point-based
+reference engine must produce the same answers.  The ground truth is
+itself cross-checked against the interval-native tuple checkers of the
+appendix on random paths and on the hardness gadgets.
 """
+
+import random
 
 import pytest
 
@@ -16,9 +19,10 @@ from repro.datagen import (
 from repro.datagen.random_graphs import random_itpg, random_path_expression
 from repro.datagen.scale import SCALE_FACTORS
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.eval import ReferenceEngine
+from repro.eval import ReferenceEngine, check_full
 from repro.eval.bottom_up import BottomUpEvaluator
-from repro.perf import IntervalBottomUpEvaluator
+from repro.eval.tuple_anoi import ANOIChecker
+from repro.eval.tuple_pc import PCChecker
 from repro.reductions import (
     gsubset_sum_reduction,
     solve_gsubset_sum,
@@ -86,7 +90,7 @@ class TestTableOneSweep:
         text = PAPER_QUERIES[name].text
         for scale_name, graph in table1_graphs:
             dataflow = DataflowEngine(graph).match(text).as_set()
-            reference = ReferenceEngine(graph, use_intervals=True).match(text).as_set()
+            reference = ReferenceEngine(graph).match(text).as_set()
             assert dataflow == reference, (
                 f"{name} diverged on shrunk Table-I graph {scale_name} "
                 f"(dataflow={len(dataflow)}, reference={len(reference)})"
@@ -101,44 +105,43 @@ class TestTableOneSweep:
         assert serial.as_set() == threaded.as_set()
 
 
+def assert_agrees_with_pc_checker(graph, seeds):
+    """Bottom-up relations vs the PC checker on member and random tuples."""
+    evaluator = BottomUpEvaluator(graph)
+    checker = PCChecker(graph)
+    rng = random.Random(0)
+    objects, times = list(graph.objects()), list(graph.time_points())
+    for seed in seeds:
+        path = random_path_expression(
+            seed, allow_occurrence_indicators=False, allow_path_conditions=True
+        )
+        relation = evaluator.evaluate(path)
+        members = sorted(relation, key=repr)
+        candidates = rng.sample(members, min(25, len(members))) + [
+            (rng.choice(objects), rng.choice(times), rng.choice(objects), rng.choice(times))
+            for _ in range(25)
+        ]
+        for o, t, o2, t2 in candidates:
+            expected = (o, t, o2, t2) in relation
+            assert checker.check(path, (o, t), (o2, t2)) == expected, (path, o, t, o2, t2)
+
+
 class TestIntervalBottomUp:
-    """The interval evaluator is exact on every fragment, including (?path)."""
+    """Bottom-up evaluation over interval graphs is exact with (?path):
+    it agrees with the interval-native PC checker (Algorithm 3)."""
 
     def test_running_example_random_paths(self, figure1):
-        point = BottomUpEvaluator(figure1)
-        interval = IntervalBottomUpEvaluator(figure1)
-        for seed in range(20):
-            path = random_path_expression(seed, allow_path_conditions=True)
-            assert interval.evaluate_points(path) == point.evaluate(path), path
+        assert_agrees_with_pc_checker(figure1, range(20))
 
     def test_random_graphs_random_paths(self):
         for graph_seed in range(4):
-            graph = random_itpg(graph_seed)
-            point = BottomUpEvaluator(graph)
-            interval = IntervalBottomUpEvaluator(graph)
-            for seed in range(12):
-                path = random_path_expression(
-                    seed + 50 * graph_seed, allow_path_conditions=True
-                )
-                assert interval.evaluate_points(path) == point.evaluate(path), path
-
-    def test_fast_mode_flag_on_bottom_up(self, figure1):
-        fast = BottomUpEvaluator(figure1, use_intervals=True)
-        slow = BottomUpEvaluator(figure1)
-        for seed in range(10):
-            path = random_path_expression(seed, allow_path_conditions=True)
-            assert fast.evaluate(path) == slow.evaluate(path), path
-
-    def test_fast_mode_flag_on_reference_engine(self, figure1):
-        for name in ("Q1", "Q5", "Q6", "Q10"):
-            text = PAPER_QUERIES[name].text
-            fast = ReferenceEngine(figure1, use_intervals=True).match(text)
-            slow = ReferenceEngine(figure1).match(text)
-            assert fast.as_set() == slow.as_set()
+            assert_agrees_with_pc_checker(
+                random_itpg(graph_seed), [seed + 50 * graph_seed for seed in range(12)]
+            )
 
 
 class TestHardnessGadgets:
-    """The interval algebra must stay exact on the adversarial reductions."""
+    """The bottom-up algorithm must stay exact on the adversarial reductions."""
 
     @pytest.mark.parametrize(
         "numbers,target",
@@ -152,15 +155,20 @@ class TestHardnessGadgets:
     )
     def test_subset_sum(self, numbers, target):
         instance = subset_sum_reduction(numbers, target)
-        evaluator = IntervalBottomUpEvaluator(instance.graph)
-        relation = evaluator.evaluate(instance.path)
-        expected = solve_subset_sum(numbers, target)
+        relation = BottomUpEvaluator(instance.graph).evaluate(instance.path)
         got = (*instance.source, *instance.target) in relation
-        assert got == expected
-        # Full-relation agreement with the ground truth, not just the endpoint.
-        assert relation.to_temporal_relation() == BottomUpEvaluator(
-            instance.graph
-        ).evaluate(instance.path)
+        assert got == solve_subset_sum(numbers, target)
+        # Full-relation agreement with the ANOI checker, not just the endpoint.
+        checker = ANOIChecker(instance.graph)
+        objects = list(instance.graph.objects())
+        times = list(instance.graph.time_points())
+        for o in objects:
+            for t in times:
+                for o2 in objects:
+                    for t2 in times:
+                        assert checker.check(instance.path, (o, t), (o2, t2)) == (
+                            (o, t, o2, t2) in relation
+                        ), (o, t, o2, t2)
 
     @pytest.mark.parametrize(
         "u,w,target",
@@ -168,6 +176,9 @@ class TestHardnessGadgets:
     )
     def test_generalized_subset_sum(self, u, w, target):
         instance = gsubset_sum_reduction(u, w, target)
-        evaluator = IntervalBottomUpEvaluator(instance.graph)
-        got = (*instance.source, *instance.target) in evaluator.evaluate(instance.path)
+        relation = BottomUpEvaluator(instance.graph).evaluate(instance.path)
+        got = (*instance.source, *instance.target) in relation
         assert got == solve_gsubset_sum(u, w, target)
+        assert check_full(
+            instance.graph, instance.path, instance.source, instance.target
+        ) == got

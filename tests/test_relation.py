@@ -1,5 +1,7 @@
 """Tests for temporal relations (composition, repetition by squaring)."""
 
+import random
+
 import pytest
 
 from repro.eval.relation import TemporalRelation
@@ -117,3 +119,141 @@ class TestRepetition:
         assert step.unbounded_repetition(0, identity) == step.bounded_repetition(
             0, 25, identity
         )
+
+
+# --------------------------------------------------------------------- #
+# Random relations against the set-comprehension definitions
+# --------------------------------------------------------------------- #
+OBJECTS = ["a", "b", "c", "d"]
+DOMAIN = range(0, 12)
+IDENTITY = TemporalRelation((o, t, o, t) for o in OBJECTS for t in DOMAIN)
+
+
+def random_temporal_relation(seed: int, size: int = 40) -> TemporalRelation:
+    """Random point tuples biased towards small time offsets."""
+    rng = random.Random(seed)
+    tuples = []
+    for _ in range(size):
+        o = rng.choice(OBJECTS)
+        o2 = rng.choice(OBJECTS)
+        t = rng.choice(DOMAIN)
+        t2 = min(DOMAIN[-1], max(DOMAIN[0], t + rng.randint(-3, 3)))
+        tuples.append((o, t, o2, t2))
+    return TemporalRelation(tuples)
+
+
+def naive_compose(left, right) -> frozenset:
+    return frozenset(
+        (o, t, o3, t3)
+        for o, t, o2, t2 in left
+        for p, s, o3, t3 in right
+        if (p, s) == (o2, t2)
+    )
+
+
+def naive_powers(relation: TemporalRelation, upper: int) -> list[frozenset]:
+    """``relation^0 .. relation^upper`` by iterated composition."""
+    powers = [IDENTITY.tuples]
+    for _ in range(upper):
+        powers.append(naive_compose(powers[-1], relation))
+    return powers
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_point_round_trip(self, seed):
+        relation = random_temporal_relation(seed)
+        rebuilt = TemporalRelation(list(relation))
+        assert rebuilt == relation
+        assert hash(rebuilt) == hash(relation)
+        assert len(rebuilt) == len(set(relation.tuples))
+
+    def test_membership_matches_expansion(self):
+        relation = random_temporal_relation(3)
+        for o in OBJECTS:
+            for o2 in OBJECTS:
+                for t in DOMAIN:
+                    for t2 in DOMAIN:
+                        assert ((o, t, o2, t2) in relation) == (
+                            (o, t, o2, t2) in relation.tuples
+                        )
+
+    def test_duplicate_tuples_collapse(self):
+        relation = TemporalRelation([("a", 0, "b", 1)] * 5 + [("a", 0, "b", 2)])
+        assert len(relation) == 2
+        assert relation == rel(("a", 0, "b", 2), ("a", 0, "b", 1))
+
+
+class TestAlgebraAgreement:
+    """Each operation, fast paths included, equals its set definition."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union(self, seed):
+        a = random_temporal_relation(seed)
+        b = random_temporal_relation(seed + 100)
+        assert a.union(b).tuples == a.tuples | b.tuples
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_intersect(self, seed):
+        a = random_temporal_relation(seed)
+        b = random_temporal_relation(seed + 1)  # adjacent seeds share tuples
+        assert a.intersect(b).tuples == a.tuples & b.tuples
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compose(self, seed):
+        a = random_temporal_relation(seed)
+        b = random_temporal_relation(seed + 100)
+        assert a.compose(b).tuples == naive_compose(a, b)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3, 5])
+    def test_power(self, exponent):
+        relation = random_temporal_relation(7)
+        expected = naive_powers(relation, exponent)[exponent]
+        assert relation.power(exponent, IDENTITY).tuples == expected
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (0, 1), (1, 3), (2, 2), (0, 5)])
+    def test_bounded_repetition(self, bounds):
+        lower, upper = bounds
+        relation = random_temporal_relation(9)
+        expected = frozenset().union(*naive_powers(relation, upper)[lower:])
+        got = relation.bounded_repetition(lower, upper, IDENTITY)
+        assert got.tuples == expected
+
+    @pytest.mark.parametrize("lower", [0, 1, 2])
+    def test_unbounded_repetition(self, lower):
+        relation = random_temporal_relation(11, size=60)  # long walks
+        # A walk longer than lower + |temporal objects| repeats a temporal
+        # object in its tail, so cutting that cycle keeps it >= lower.
+        horizon = lower + len(IDENTITY)
+        expected = frozenset().union(*naive_powers(relation, horizon)[lower:])
+        got = relation.unbounded_repetition(lower, IDENTITY)
+        assert got.tuples == expected
+
+    def test_bounded_repetition_rejects_inverted_bounds(self):
+        relation = random_temporal_relation(9)
+        with pytest.raises(ValueError):
+            relation.bounded_repetition(3, 1, IDENTITY)
+
+
+class TestProjectionsAndEdges:
+    def test_source_project(self):
+        relation = random_temporal_relation(5)
+        assert relation.source_project() == {(o, t) for o, t, _o2, _t2 in relation}
+
+    def test_empty_operands(self):
+        relation = random_temporal_relation(2)
+        empty = TemporalRelation()
+        assert empty.is_empty()
+        assert relation.union(empty) == relation
+        assert empty.union(relation) == relation
+        assert relation.compose(empty).is_empty()
+        assert empty.compose(relation).is_empty()
+        assert relation.intersect(empty).is_empty()
+        assert empty.intersect(relation).is_empty()
+
+    def test_empty_input_builds_empty_relation(self):
+        relation = TemporalRelation(iter(()))
+        assert relation.is_empty()
+        assert len(relation) == 0
+        assert relation == TemporalRelation()
+        assert relation.source_project() == set()

@@ -3,8 +3,8 @@
 The store's correctness contract is *zero divergence*: a graph attached
 from a compiled ``repro-index`` artifact must answer every query
 identically to the in-memory graph it was compiled from — under every
-engine configuration the fuzz oracle exercises (both dataflow kernels,
-both reference engines), for single-file and sharded
+engine configuration the fuzz oracle exercises (both dataflow kernels
+and the reference engine), for single-file and sharded
 stores, and through the process backend's ``StoreRef`` dispatch on both
 ``fork`` and ``spawn`` start methods.
 
@@ -53,9 +53,6 @@ class TestEngineConfigurations:
                     attachment.graph, kernel="columnar"
                 ),
                 "reference-point": ReferenceEngine(attachment.graph),
-                "reference-intervals": ReferenceEngine(
-                    attachment.graph, use_intervals=True
-                ),
             }
             for name, engine in engines.items():
                 got = engine.match(query).as_set()

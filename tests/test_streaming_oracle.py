@@ -25,8 +25,7 @@ For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
   times) and expand exactly to the cold rows — the interval-vs-point
   oracle of PR 3, now over mutated graphs;
 * every fourth case additionally cross-checks the cold row set against
-  the reference engine in both point and interval modes, closing the
-  loop with the remaining fuzz-oracle configurations.
+  the reference engine, closing the loop with the ground truth.
 
 Failure messages carry the seeds needed to replay a case in isolation
 (`run_streaming_case(seed)`).  ``REPRO_FUZZ_SEED_OFFSET`` shifts the
@@ -56,7 +55,7 @@ from repro.perf import columnar
 #: and 2 incremental configurations).
 BATCH_SIZE = 25
 BATCHES = 8  # 200 cases, the floor required by the acceptance criteria
-#: Every Nth case also cross-checks the reference engines on the cold side.
+#: Every Nth case also cross-checks the reference engine on the cold side.
 REFERENCE_EVERY = 4
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
 
@@ -199,14 +198,10 @@ def run_streaming_case(seed: int) -> int:
                 ran_columnar += effective == "columnar"
         if check_reference:
             pristine = from_json_dict(to_json_dict(shadow))
-            for ref_name, reference in (
-                ("reference-point", ReferenceEngine(pristine)),
-                ("reference-intervals", ReferenceEngine(pristine, use_intervals=True)),
-            ):
-                assert reference.match(query).as_set() == cold_rows, (
-                    f"{ref_name} disagreed with the cold dataflow engine "
-                    f"({context})"
-                )
+            assert ReferenceEngine(pristine).match(query).as_set() == cold_rows, (
+                f"the reference engine disagreed with the cold dataflow engine "
+                f"({context})"
+            )
     # Durability oracle (PR 6): a session restarted from its snapshot +
     # WAL must answer exactly like the continuous run.  ``cold_rows``
     # here is the final-state cold table from the last loop iteration.

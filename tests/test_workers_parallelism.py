@@ -7,11 +7,10 @@ chunked run must re-merge them into a canonically coalesced result — no
 duplicate binding signatures, every interval family coalesced — and
 every public output (``match``, ``match_with_stats``,
 ``match_intervals``) must be identical to the ``workers=1`` run.  These
-are the invariants this module pins (the ``executor._run_chain`` /
-``executor._materialize`` seams named in the PR-3 audit, extended in
-PR 4 with the ``repro.parallel`` process backend: output identity
-across start methods and engine configurations, the degree-weighted
-partitioner, and worker-crash error propagation).
+are the invariants this module pins — for the thread pool, the
+``repro.parallel`` process backend (output identity across start methods
+and engine configurations), the degree-weighted partitioner, and
+worker-crash error propagation.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from repro.datagen import (
     generate_contact_tracing_graph,
 )
 from repro.datagen.random_graphs import random_itpg, random_match_query
-from repro.dataflow import DataflowEngine, PAPER_QUERIES, row_signature
-from repro.dataflow.executor import _ChainStats
+from repro.dataflow import DataflowEngine, PAPER_QUERIES
+from repro.dataflow.interpreted import seed_rows
 from repro.errors import EvaluationError, ReproError, RetryBudgetExceeded
 from repro.eval import ReferenceEngine
-from repro.lang.translate import compile_match
 from repro.parallel import plan_for, weighted_chunks
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import shared_pool, shutdown_pools
@@ -68,24 +66,26 @@ class TestChunkedFrontierInvariants:
     def test_merged_frontier_has_unique_coalesced_signatures(
         self, contact_graph, query_name
     ):
-        engine = DataflowEngine(contact_graph, workers=4)
-        compiled = compile_match(PAPER_QUERIES[query_name].text)
-        chain = engine._compile(compiled)
-        frontier = engine._run_chain(chain, _ChainStats())
-        seeds, _rest = engine._initial_frontier(chain)
+        # The interpreted kernel: a chain the columnar kernel covers runs
+        # as one columnar pass and never reaches the thread pool.
+        engine = DataflowEngine(contact_graph, workers=4, kernel="interpreted")
+        query = PAPER_QUERIES[query_name].text
         if query_name in ("Q1", "Q5"):
             # Full scans must actually engage the thread pool, otherwise
             # the re-merge below is vacuous (selective queries like Q9
             # legitimately seed fewer rows than 2 x workers and run
             # sequentially).
-            assert len(seeds) >= 2 * engine.workers
-        signatures = [row_signature(row, engine.index.object_id) for row in frontier]
-        assert len(signatures) == len(set(signatures)), (
-            f"{query_name}: chunked merge left duplicate binding signatures"
+            assert engine.explain(query)["effective_backend"] == "thread"
+        families = engine.match_intervals(query)
+        bindings = [binding for binding, _times in families]
+        assert len(bindings) == len(set(bindings)), (
+            f"{query_name}: chunked merge left duplicate bindings"
         )
-        for row in frontier:
-            for group in row.groups:
-                assert is_coalesced(list(group.times.intervals))
+        for _binding, times in families:
+            assert is_coalesced(list(times.intervals))
+        assert canonical_families(engine, query) == canonical_families(
+            DataflowEngine(contact_graph, kernel="interpreted"), query
+        )
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_do_not_change_any_output(self, contact_graph, workers):
@@ -112,6 +112,38 @@ class TestChunkedFrontierInvariants:
             assert canonical_families(sequential, query) == canonical_families(
                 parallel, query
             ), f"workers family output diverged on random seed {seed}"
+
+
+class TestExplainMatchesDispatch:
+    """``explain()`` reports the backend a match call really runs."""
+
+    @pytest.mark.parametrize("query_name", ["Q1", "Q5"])
+    def test_thread_backend_plan_matches_the_run(self, query_name, monkeypatch):
+        from repro.dataflow import executor as executor_module
+
+        graph = generate_contact_tracing_graph(ContactTracingConfig())
+        engine = DataflowEngine(graph, workers=4, parallel_backend="thread")
+        query = PAPER_QUERIES[query_name].text
+        plan = engine.explain(query)
+        pools = []
+        real_pool = executor_module.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting_pool)
+        engine.match_with_stats(query)
+        assert sum(chunk["seeds"] for chunk in plan["chunks"]) == plan["seed_rows"]
+        if plan["effective_kernel"] == "columnar":
+            # One columnar pass: the thread pool never runs.
+            assert plan["effective_backend"] == "sequential"
+            assert len(plan["chunks"]) == 1
+            assert pools == []
+        else:  # no NumPy: the interpreted chunks really go to the pool
+            assert plan["effective_backend"] == "thread"
+            assert len(plan["chunks"]) == engine.workers
+            assert pools == [engine.workers]
 
 
 class TestWeightedChunks:
@@ -195,10 +227,6 @@ class TestProcessBackend:
             graph = random_itpg(seed, num_nodes=14, num_edges=24, num_windows=10)
             query = random_match_query(seed * 31 + 7)
             reference = ReferenceEngine(graph).match(query).as_set()
-            assert (
-                ReferenceEngine(graph, use_intervals=True).match(query).as_set()
-                == reference
-            )
             sequential = DataflowEngine(graph, **kwargs)
             process = DataflowEngine(
                 graph, workers=2, parallel_backend="process", **kwargs
@@ -271,12 +299,10 @@ class TestProcessBackend:
         # heaviest chunk can exceed the lightest by at most one seed's
         # weight (the LPT guarantee when no single seed dominates).
         assert max(weights) < sum(weights)
-        heaviest_seed = max(
-            engine._seed_weight(row)
-            for row in engine._initial_frontier(
-                engine._compile(compile_match(PAPER_QUERIES["Q1"].text))
-            )[0]
+        seeds, _rest = seed_rows(
+            engine.index, engine.prepare(PAPER_QUERIES["Q1"].text).chain
         )
+        heaviest_seed = max(engine.index.seed_weight(row.last.current) for row in seeds)
         assert max(weights) - min(weights) <= heaviest_seed
         assert all(chunk["seeds"] > 0 for chunk in plan["chunks"])
 
@@ -479,14 +505,13 @@ class TestFailpointCrashRecovery:
         result = engine.match_with_stats(query)
         assert failpoints.hits("worker.chunk") >= 1, "failpoint never fired"
         assert result.table.as_set() == serial
-        report = engine.last_degradation
+        report = result.degradation
         assert report is not None
-        assert report.final_backend == "process"  # recovered in place
-        assert not report.degraded
+        assert report["final_backend"] == "process"  # recovered in place
+        assert not report["degraded"]
         assert any(
-            record.error_type == "WorkerCrashError" for record in report.failures
+            record["error_type"] == "WorkerCrashError" for record in report["failures"]
         )
-        assert result.degradation == report.to_dict()
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_persistent_kills_degrade_with_identical_output(
@@ -498,13 +523,12 @@ class TestFailpointCrashRecovery:
         failpoints.arm("worker.chunk", "kill", times=0)  # every worker, forever
         result = engine.match_with_stats(query)
         assert result.table.as_set() == serial
-        report = engine.last_degradation
-        assert report is not None and report.degraded
+        report = result.degradation
+        assert report is not None and report["degraded"]
         # The thread/serial rungs never enter a worker process, so the
         # armed kill cannot touch them.
-        assert report.final_backend in ("thread", "serial")
-        assert len(report.failures) == 2  # initial attempt + 1 retry
-        assert engine.explain(query)["last_degradation"]["degraded"]
+        assert report["final_backend"] in ("thread", "serial")
+        assert len(report["failures"]) == 2  # initial attempt + 1 retry
 
     @pytest.mark.skipif(not _fork_available(), reason="fork keeps this test fast")
     def test_exhausted_budget_without_degradation_raises(self, contact_graph):
