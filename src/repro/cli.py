@@ -7,8 +7,8 @@ The CLI exposes the most common workflows without writing Python:
 * ``python -m repro stats`` — print Table-I statistics of a saved graph;
 * ``python -m repro query`` — evaluate a MATCH clause over a saved graph
   (or over the built-in Figure-1 running example) and print the binding
-  table; with ``--stream deltas.jsonl`` the query is kept incrementally
-  answered while delta batches are applied, re-reporting after each;
+  table; with ``--stream deltas.jsonl`` a streaming session keeps the
+  query answered while delta batches are applied, re-reporting after each;
 * ``python -m repro serve`` — run the always-on query service: graphs
   and their compiled indexes stay resident, execution plans are cached,
   and clients speak JSON lines over TCP (see RELIABILITY.md);
@@ -136,33 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_nonnegative_int,
         default=1,
-        help="dataflow workers (0 = one per CPU core)",
+        help="dataflow worker processes (0 = one per CPU core; 1 = evaluate "
+        "in this process)",
     )
     query.add_argument(
-        "--backend",
-        choices=("serial",) + DataflowEngine.BACKENDS,
-        default="thread",
-        help="dataflow parallel backend: 'serial' (single-threaded, rejects "
-        "--workers > 1), 'thread' (GIL-bound, cheap for small frontiers) or "
-        "'process' (worker-process pool that scales with cores)",
+        "--limit", type=_nonnegative_int, default=25, help="rows to print (0 = all)"
     )
-    query.add_argument(
-        "--kernel",
-        choices=DataflowEngine.KERNELS,
-        default=None,
-        help="override the dataflow evaluation kernel.  The engine's default "
-        "is 'columnar' (vectorized NumPy sweeps over flat interval arrays; "
-        "runs interpreted without NumPy or for uncovered step shapes — see "
-        "--explain); 'interpreted' forces the per-row Python chain walk the "
-        "columnar kernel is checked against",
-    )
-    query.add_argument("--limit", type=int, default=25, help="rows to print (0 = all)")
     query.add_argument("--stats", action="store_true", help="print timing and output size")
     query.add_argument(
         "--explain",
         action="store_true",
-        help="print the execution plan (backend, workers, weighted chunk plan) "
-        "before the results",
+        help="print the execution plan (backend, kernel, workers, weighted "
+        "chunk plan) before the results",
     )
     query.add_argument(
         "--intervals",
@@ -175,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="apply delta batches from PATH (JSON lines, one DeltaBatch "
-        "object per line) incrementally, re-reporting the match after each "
-        "batch (dataflow engine only)",
+        "object per line) through a streaming session, re-reporting the "
+        "match after each batch (dataflow engine only)",
     )
     query.add_argument(
         "--deadline",
@@ -191,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=None,
         metavar="N",
-        help="retry crash-shaped process-backend failures up to N times with "
-        "exponential backoff, then degrade process -> thread -> serial "
+        help="retry crash-shaped worker-process failures up to N times with "
+        "exponential backoff, then degrade process -> serial "
         "(dataflow engine only; default: fail fast)",
     )
     query.add_argument(
@@ -237,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="after recovery, print this registered query's table (defaults "
         "to reporting the recovered queries without printing tables)",
     )
-    recover.add_argument("--limit", type=int, default=25, help="rows to print (0 = all)")
+    recover.add_argument(
+        "--limit", type=_nonnegative_int, default=25, help="rows to print (0 = all)"
+    )
     recover.add_argument(
         "--output",
         "-o",
@@ -281,14 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_nonnegative_int,
         default=1,
-        help="dataflow workers per query (0 = one per CPU core)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("serial",) + DataflowEngine.BACKENDS,
-        default="thread",
-        help="dataflow parallel backend for resident engines ('serial' "
-        "rejects --workers > 1)",
+        help="dataflow worker processes per query (0 = one per CPU core; "
+        "1 = evaluate in the server process)",
     )
     serve.add_argument(
         "--max-concurrency",
@@ -504,14 +485,10 @@ def _print_families(families, limit: Optional[int]) -> None:
 def _print_explain(plan: dict) -> None:
     """Render :meth:`DataflowEngine.explain` output, one ``#`` line each."""
     print(
-        f"# plan: backend={plan['backend']} "
-        f"(effective: {plan['effective_backend']}), workers={plan['workers']}, "
-        f"output={plan['output_mode']}"
+        f"# plan: backend={plan['effective_backend']}, "
+        f"workers={plan['workers']}, output={plan['output_mode']}"
     )
-    kernel_line = (
-        f"# plan: kernel={plan['kernel']} "
-        f"(effective: {plan['effective_kernel']})"
-    )
+    kernel_line = f"# plan: kernel={plan['effective_kernel']}"
     if plan["kernel_fallback"]:
         kernel_line += f" — fallback: {plan['kernel_fallback']}"
     print(kernel_line)
@@ -546,11 +523,12 @@ def _run_stream(
     mid-stream is recoverable via ``repro recover``.
     """
     from repro.errors import StreamFormatError
+    from repro.streaming import StreamingEngine
     from repro.streaming.reader import read_delta_stream
 
-    result = engine.match_with_stats(text)
-    size = result.output_size
-    session = engine.streaming_session()
+    session = StreamingEngine(engine=engine)
+    name = session.register(text)
+    size = len(session.table(name))
     if wal is not None:
         session.attach_wal(wal)
     if snapshot is not None:
@@ -563,7 +541,7 @@ def _run_stream(
     for number, batch in read_delta_stream(path):
         batch_number += 1
         try:
-            applied = engine.apply_delta(batch)
+            applied = session.apply(batch)
         except ReproError as error:
             raise StreamFormatError(
                 f"{path}:{number}: {error}",
@@ -571,7 +549,7 @@ def _run_stream(
                 line=number,
                 sequence=batch.sequence,
             ) from error
-        new_size = len(engine.match(text))
+        new_size = len(session.table(name))
         sequence = "-" if applied.sequence is None else str(applied.sequence)
         horizon = (
             f", horizon -> {engine.graph.domain.end}"
@@ -592,17 +570,15 @@ def _run_stream(
 def _cmd_query(args: argparse.Namespace) -> int:
     # Pure argument validation comes first, before any graph loading.
     if args.engine != "dataflow" and (
-        args.backend != "thread"
-        or args.kernel is not None
-        or args.explain
+        args.explain
         or args.stream
         or args.deadline is not None
         or args.retries is not None
         or args.store is not None
     ):
         print(
-            "error: --backend, --kernel, --explain, --stream, --deadline, "
-            "--retries and --store apply to the dataflow engine only "
+            "error: --explain, --stream, --deadline, --retries and --store "
+            "apply to the dataflow engine only "
             f"(got --engine {args.engine})",
             file=sys.stderr,
         )
@@ -624,13 +600,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.snapshot_every is not None and not args.snapshot:
         print("error: --snapshot-every requires --snapshot", file=sys.stderr)
         return 2
-    if args.backend == "serial" and args.workers > 1:
-        print(
-            f"error: --backend serial is single-threaded and contradicts "
-            f"--workers {args.workers} (drop one of the two)",
-            file=sys.stderr,
-        )
-        return 2
     if args.store is not None:
         from repro.store import attach
 
@@ -645,15 +614,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             from repro.resilience import RetryPolicy
 
             retry = RetryPolicy(retries=args.retries)
-        serial = args.backend == "serial"
         engine = DataflowEngine(
             graph,
-            workers=1 if serial else args.workers,
-            parallel_backend="thread" if serial else args.backend,
-            incremental=args.stream is not None,
+            workers=args.workers,
             deadline_seconds=args.deadline,
             retry=retry,
-            **({} if args.kernel is None else {"kernel": args.kernel}),
         )
         if args.explain:
             _print_explain(engine.explain(text))
@@ -751,13 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the always-on query service until a shutdown request."""
     # The same flag contract as 'query': contradictory combinations are
     # rejected up front with an actionable message.
-    if args.backend == "serial" and args.workers > 1:
-        print(
-            f"error: --backend serial is single-threaded and contradicts "
-            f"--workers {args.workers} (drop one of the two)",
-            file=sys.stderr,
-        )
-        return 2
     if args.snapshot_every is not None and not args.snapshot:
         print("error: --snapshot-every requires --snapshot", file=sys.stderr)
         return 2
@@ -792,11 +750,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import ServerState
     from repro.server.service import serve as run_service
 
-    state = ServerState(
-        workers=args.workers,
-        backend=args.backend,
-        plan_capacity=args.plan_cache,
-    )
+    state = ServerState(workers=args.workers, plan_capacity=args.plan_cache)
     recovery = state.add_graph(
         args.name,
         args.graph,

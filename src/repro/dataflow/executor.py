@@ -1,18 +1,19 @@
-"""The dataflow engine: plan, backend choice and the retry ladder.
+"""The dataflow engine: plan, kernel and pool choice, and the retry ladder.
 
 :class:`DataflowEngine` compiles a MATCH clause into a chain of dataflow
 steps (:mod:`repro.dataflow.steps`) and hands it to one of two kernels
 behind a single seam — each takes an index, a chain, seeds, the output
 variables, an output mode and a deadline, and returns ``(data,
-frontier_rows, rows_merged)``:
+frontier_rows, rows_merged)``.  The engine picks the kernel from what it
+can observe; there is no option to select one:
 
-* the **columnar** kernel (:mod:`repro.perf.columnar`, the default
-  ``kernel="columnar"``) runs covered chains as vectorized sweeps over
-  the index-owned, delta-maintained array image of the graph;
+* the **columnar** kernel (:mod:`repro.perf.columnar`) runs whenever
+  NumPy is importable and the chain is covered, as vectorized sweeps
+  over the index-owned, delta-maintained array image of the graph;
 * the **interpreted** kernel (:mod:`repro.dataflow.interpreted`) walks
-  the coalescing frontier row by row — every chain shape, every host
-  (it is the only kernel without NumPy), and the oracle the columnar
-  kernel is fuzzed against.
+  the coalescing frontier row by row — every other chain shape, every
+  host without NumPy, and the oracle the columnar kernel is fuzzed
+  against.
 
 Both follow the paper's split: **Steps 1 / 2** process structural
 moves, static tests and temporal moves on the interval representation;
@@ -23,22 +24,15 @@ otherwise.  The kernel run is reported as ``interval_seconds`` (the
 table build and, with ``expand_output``, the point expansion ("total
 time").
 
-:meth:`DataflowEngine._route` is the one dispatch decision: a covered
-chain runs as a single columnar pass seeded straight from the array
-image; everything else builds seed rows and runs :func:`run_rows` — the
-one row-seeded kernel choice — serially, in a thread pool or in worker
-processes (``workers > 1``, mirroring the paper's Rayon-based
-parallelism sweep).  Both pools share one degree-weighted chunking
-policy (:mod:`repro.parallel.partition`) and one merge
-(:mod:`repro.parallel.merge`):
-
-* ``parallel_backend="thread"`` (default) — output-invariant but
-  GIL-bound, so it measures ~1× on CPU-bound queries;
-* ``parallel_backend="process"`` — the :mod:`repro.parallel` subsystem:
-  seed chunks run Steps 1–3 in a persistent worker-process pool (the
-  graph ships to each worker once and is cached per ``(graph, pid)``),
-  and the parent merges the compact results once.  This is the path
-  that actually scales with cores, like the paper's Fig. 3.
+:meth:`DataflowEngine._route` is the one dispatch decision.  With
+``workers > 1`` and a large enough frontier, seed chunks run Steps 1–3
+in the persistent worker-process pool of :mod:`repro.parallel` (the
+graph ships to each worker once and is cached per ``(graph, pid)``;
+degree-weighted chunks, one parent-side merge) — the path that scales
+with cores, mirroring the paper's Rayon-based Fig.-3 sweep.  Otherwise
+a covered chain runs as a single columnar pass seeded straight from the
+array image, and everything else builds seed rows and runs
+:func:`run_rows` — the one row-seeded kernel choice — serially.
 
 The engine itself is configuration only.  What a call needs beyond its
 plan — the deadline, the retry policy, the merge counter and the
@@ -51,7 +45,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Sequence, Union as TypingUnion
 
@@ -77,6 +70,7 @@ from repro.perf import columnar as columnar_kernel
 from repro.perf.graph_index import GraphIndex, graph_index_for
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import (
+    BACKEND_LADDER,
     AttemptRecord,
     DegradationReport,
     RetryPolicy,
@@ -103,21 +97,21 @@ class MatchResult:
 
     table: TypingUnion[BindingTable, IntervalBindingTable]
     #: Kernel wall time: Steps 1–2 plus the interval-native Step 3 that
-    #: yields families or point tuples.  Under the process backend this
+    #: yields families or point tuples.  Under the process pool this
     #: is the parallel critical path — the longest per-worker kernel
     #: time, which is what the paper's per-core Fig.-3 sweep measures.
     interval_seconds: float
     total_seconds: float
     output_size: int
-    #: Surviving frontier rows.  Under the thread and process backends
-    #: this sums the per-chunk frontiers, so signature-equal rows split
+    #: Surviving frontier rows.  Under the process pool this sums the
+    #: per-chunk frontiers, so signature-equal rows split
     #: across chunks may be counted once per chunk (the output merge
     #: still coalesces them exactly).
     frontier_rows: int
     #: How many frontier rows the coalescing frontier absorbed into
     #: signature-equal survivors across all steps.
     rows_merged: int = 0
-    #: Set when a retry policy had to re-attempt or demote the backend
+    #: Set when a retry policy had to re-attempt or demote to serial
     #: (the :meth:`~repro.resilience.DegradationReport.to_dict` form);
     #: ``None`` for a clean first-attempt run.
     degradation: dict | None = None
@@ -156,18 +150,16 @@ def run_rows(
     variables: tuple[str, ...],
     mode: str,
     deadline: Deadline | None = None,
-    kernel: str = "interpreted",
 ) -> tuple[list, int, int]:
     """Steps 1–3 over seed rows: ``(data, frontier_rows, rows_merged)``.
 
-    The one row-seeded kernel choice every execution path shares — the
-    serial and thread backends, worker-process chunks, streaming
-    refreshes: the columnar kernel when ``kernel="columnar"``, NumPy is
+    The one row-seeded kernel choice the serial rung and every
+    worker-process chunk share: the columnar kernel when NumPy is
     importable and both the chain and the rows fit it; the interpreted
     walk otherwise.  ``data`` is a family list (``mode="families"``) or
     point tuples (``mode="points"``), whichever kernel ran.
     """
-    if kernel == "columnar" and columnar_kernel.available():
+    if columnar_kernel.available():
         ops, _reason = columnar_kernel.ops_for(tuple(chain))
         if ops is not None:
             result = columnar_kernel.run_rows(
@@ -210,35 +202,20 @@ class QueryPlan:
 
 
 class DataflowEngine:
-    """Interval-based dataflow evaluation of MATCH queries (Section VI)."""
+    """Interval-based dataflow evaluation of MATCH queries (Section VI).
 
-    #: Valid values of ``parallel_backend``.
-    BACKENDS = ("thread", "process")
-    #: Valid values of ``kernel``.  ``"columnar"`` — the default —
-    #: compiles supported chains into vectorized sweeps
-    #: (:mod:`repro.perf.columnar`) and runs interpreted — with the
-    #: reason recorded in :meth:`explain` — when NumPy is missing or the
-    #: chain shape is not covered.  ``"interpreted"`` forces the per-row
-    #: chain walk (:mod:`repro.dataflow.interpreted`): the
-    #: differential-fuzz oracle / override.
-    KERNELS = ("interpreted", "columnar")
+    ``workers > 1`` (``0`` = one per core) runs large frontiers in worker
+    processes; the kernel is chosen per chain (see :meth:`kernel_for`).
+    """
 
     def __init__(
         self,
         graph: TemporalGraph,
         workers: int = 1,
-        parallel_backend: str = "thread",
         start_method: str | None = None,
-        incremental: bool = False,
         deadline_seconds: float | None = None,
         retry: RetryPolicy | None = None,
-        kernel: str = "columnar",
     ) -> None:
-        if parallel_backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}: "
-                f"expected one of {', '.join(repr(b) for b in self.BACKENDS)}"
-            )
         if (
             start_method is not None
             and start_method not in multiprocessing.get_all_start_methods()
@@ -246,11 +223,6 @@ class DataflowEngine:
             raise ValueError(
                 f"unknown start method {start_method!r}: this platform supports "
                 f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
-        if kernel not in self.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}: expected one of "
-                f"{', '.join(repr(k) for k in self.KERNELS)}"
             )
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(
@@ -266,33 +238,15 @@ class DataflowEngine:
             # ``workers=0`` means "use every core" (mirrors the CLI).
             workers = os.cpu_count() or 1
         self._workers = max(1, workers)
-        self._backend = parallel_backend
         self._start_method = start_method
-        self._incremental = bool(incremental)
-        #: Lazily created streaming session (``incremental=True`` only).
-        self._session = None
         #: Defaults a call runs under unless it passes its own: the
         #: per-query wall-clock budget (each call arms a fresh
         #: :class:`~repro.resilience.Deadline` from it) and the retry
         #: policy (``None`` = fail fast; a
         #: :class:`~repro.resilience.RetryPolicy` turns crash-shaped
-        #: process-backend failures into retries + backend demotion).
+        #: worker-pool failures into retries + demotion to serial).
         self._deadline_seconds = deadline_seconds
         self._retry = retry
-        self._kernel = kernel
-        #: Configuration-level reason the columnar kernel can never run
-        #: on this engine (``None`` when it can; per-query step-shape
-        #: fallbacks are decided later, in :meth:`_columnar_plan`).
-        self._kernel_unavailable: str | None = None
-        if kernel == "columnar" and not columnar_kernel.available():
-            self._kernel_unavailable = "numpy is not installed"
-        #: The kernel seeded runs ask :func:`run_rows` for (workers
-        #: replicate it): columnar only where it can actually run.
-        self._row_kernel = (
-            "columnar"
-            if kernel == "columnar" and self._kernel_unavailable is None
-            else "interpreted"
-        )
 
     @property
     def graph(self) -> IntervalTPG:
@@ -303,20 +257,8 @@ class DataflowEngine:
         return self._workers
 
     @property
-    def parallel_backend(self) -> str:
-        return self._backend
-
-    @property
     def index(self) -> GraphIndex:
         return self._index
-
-    @property
-    def kernel(self) -> str:
-        return self._kernel
-
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
 
     @property
     def deadline_seconds(self) -> float | None:
@@ -327,67 +269,23 @@ class DataflowEngine:
         return self._retry
 
     # ------------------------------------------------------------------ #
-    # Streaming session (incremental=True)
+    # Kernel choice
     # ------------------------------------------------------------------ #
-    def streaming_session(self):
-        """The engine's :class:`~repro.streaming.engine.StreamingEngine`.
+    @staticmethod
+    def _columnar_plan(chain: tuple[ChainStep, ...]) -> tuple[object, str | None]:
+        """``(full-query columnar plan, None)``, or ``(None, why not)``."""
+        if not columnar_kernel.available():
+            return None, "numpy is not installed"
+        return columnar_kernel.plan_query(chain)
 
-        Only available on an ``incremental=True`` engine.  The session
-        caches the last materialized families per registered query;
-        :meth:`match` / :meth:`match_intervals` read from that cache, and
-        :meth:`apply_delta` refreshes it by re-deriving only the seeds a
-        delta's dirty set can reach.
-        """
-        if not self._incremental:
-            raise EvaluationError(
-                "streaming requires DataflowEngine(..., incremental=True)"
-            )
-        if self._session is None:
-            from repro.streaming.engine import StreamingEngine
-
-            self._session = StreamingEngine(engine=self)
-        return self._session
-
-    def apply_delta(self, batch):
-        """Apply a :class:`~repro.streaming.delta.DeltaBatch` incrementally.
-
-        Returns the session's
-        :class:`~repro.streaming.engine.ApplyResult`; raises
-        :class:`EvaluationError` on a non-incremental engine or an
-        out-of-order batch, leaving the graph untouched.
-        """
-        return self.streaming_session().apply(batch)
-
-    # ------------------------------------------------------------------ #
-    # Kernel choice (kernel="columnar")
-    # ------------------------------------------------------------------ #
-    def _columnar_fallback_reason(self, chain: tuple[ChainStep, ...]) -> str | None:
-        """Why this chain would run interpreted despite ``kernel="columnar"``.
-
-        ``None`` means the columnar kernel covers the full query.  The
-        reasons surface verbatim in :meth:`explain` under
-        ``kernel_fallback``.
-        """
-        if self._kernel_unavailable is not None:
-            return self._kernel_unavailable
-        _plan, reason = columnar_kernel.plan_query(chain)
-        return reason
-
-    def kernel_for(self, chain: tuple[ChainStep, ...]) -> dict:
-        """``effective_kernel`` and ``kernel_fallback`` (why a columnar
-        engine would run it interpreted; ``None`` = no fallback, or
-        interpreted was asked for) of one chain, as in :meth:`explain`."""
-        columnar = self._kernel == "columnar"
-        fallback = self._columnar_fallback_reason(chain) if columnar else None
-        effective = "columnar" if columnar and fallback is None else "interpreted"
+    @classmethod
+    def kernel_for(cls, chain: tuple[ChainStep, ...]) -> dict:
+        """``effective_kernel`` and ``kernel_fallback`` (why the chain runs
+        interpreted; ``None`` = it runs columnar) of one chain, as in
+        :meth:`explain`."""
+        _plan, fallback = cls._columnar_plan(chain)
+        effective = "columnar" if fallback is None else "interpreted"
         return {"effective_kernel": effective, "kernel_fallback": fallback}
-
-    def _columnar_plan(self, chain: tuple[ChainStep, ...]):
-        """The full-query columnar plan, or ``None`` on any fallback."""
-        if self._row_kernel != "columnar":
-            return None
-        plan, _reason = columnar_kernel.plan_query(chain)
-        return plan
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -447,26 +345,6 @@ class DataflowEngine:
         concurrent calls on one engine stay isolated.
         """
         call = self._call(deadline_seconds, retry)
-        if self._incremental:
-            # Streaming mode: the session's per-seed cache answers reads;
-            # the timing below measures the cache read (the evaluation
-            # cost was paid at registration / by apply_delta).
-            session = self.streaming_session()
-            start = time.perf_counter()
-            name = session.register(
-                query.compiled if isinstance(query, QueryPlan) else query
-            )
-            table = session.table(name)
-            if expand_output:
-                _ = table.rows
-            elapsed = time.perf_counter() - start
-            return MatchResult(
-                table=table,
-                interval_seconds=elapsed,
-                total_seconds=elapsed,
-                output_size=len(table),
-                frontier_rows=session.contributing_seeds(name),
-            )
         plan = query if isinstance(query, QueryPlan) else self.prepare(query)
         start = time.perf_counter()
         data, frontier_rows, interval_seconds = self._execute(
@@ -507,13 +385,6 @@ class DataflowEngine:
         (their binding times are linked, not shared, as discussed in
         Section VI).
         """
-        if self._incremental:
-            session = self.streaming_session()
-            return session.results(
-                session.register(
-                    query.compiled if isinstance(query, QueryPlan) else query
-                )
-            )
         plan = query if isinstance(query, QueryPlan) else self.prepare(query)
         spread = bind_group_indices(plan.chain)
         if spread is not None and len(spread) > 1:
@@ -529,14 +400,15 @@ class DataflowEngine:
     def explain(self, query: TypingUnion[str, MatchQuery, CompiledMatch]) -> dict:
         """The execution plan a :meth:`match` call would use, without running it.
 
-        Returns a dictionary with the configured and effective backend,
-        the output mode (``families`` = interval-native, ``points``), and
-        the degree-weighted chunk plan the partitioner would produce.
+        Returns a dictionary with the effective backend, the kernel the
+        chain runs on (and why not columnar), the output mode
+        (``families`` = interval-native, ``points``), and the
+        degree-weighted chunk plan the partitioner would produce.
         Backend and chunks come from the same :meth:`_route` decision a
-        match call makes — ``"sequential"`` when no pool engages, which
-        includes every chain the columnar kernel runs as one pass — and
-        are computed from the seed objects alone, without building a
-        seed row.  ``repro query … --explain`` prints this.
+        match call makes — ``"sequential"`` when the process pool does
+        not engage — and are computed from the seed objects alone,
+        without building a seed row.  ``repro query … --explain`` prints
+        this.
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
@@ -548,11 +420,9 @@ class DataflowEngine:
         else:
             chunks = weighted_chunks(seeds, self._workers, weight)
         return {
-            "backend": self._backend,
             "effective_backend": "sequential" if backend == "serial" else backend,
             "workers": self._workers,
             "start_method": self._start_method,
-            "kernel": self._kernel,
             **self.kernel_for(chain),
             "seed_rows": len(seeds),
             "chain_steps": len(rest),
@@ -619,25 +489,20 @@ class DataflowEngine:
     def _route(self, chain: tuple[ChainStep, ...]) -> tuple[str, object]:
         """The one dispatch decision: ``(backend, columnar plan or None)``.
 
-        ``backend`` is ``"process"``, ``"thread"`` or ``"serial"``.  A
-        pool engages only for frontiers of at least two seeds per worker
-        (below that, per-chunk overhead dominates).  The process pool
-        takes precedence over a columnar plan — its workers then run the
-        columnar ops per chunk — while the thread pool does not: a
-        GIL-bound pool cannot beat one vectorized pass, so a covered
-        chain runs serially as a single columnar pass seeded straight
-        from the array image.
+        ``backend`` is ``"process"`` or ``"serial"``.  The process pool
+        engages for ``workers > 1`` and frontiers of at least two seeds
+        per worker (below that, per-chunk overhead dominates); it takes
+        precedence over a columnar plan — its workers then run the
+        columnar ops per chunk.  Serially, a covered chain runs as a
+        single columnar pass seeded straight from the array image.
         """
-        engages = (
+        if (
             self._workers > 1
             and len(self._seed_objects(chain)[0]) >= 2 * self._workers
-        )
-        if engages and self._backend == "process":
+        ):
             return "process", None
-        plan = self._columnar_plan(chain)
-        if plan is not None:
-            return "serial", plan
-        return ("thread" if engages else "serial"), None
+        plan, _reason = self._columnar_plan(chain)
+        return "serial", plan
 
     def _execute(
         self,
@@ -679,7 +544,7 @@ class DataflowEngine:
         budget; crash-shaped failures (see
         :data:`~repro.resilience.RETRYABLE_EXCEPTIONS`) are retried with
         capped exponential backoff + jitter, then the backend demotes
-        ``process → thread → serial``.  The escalation is recorded as a
+        ``process → serial``.  The escalation is recorded as a
         :class:`DegradationReport` on the call (and so on
         :attr:`MatchResult.degradation`).  Only a retryable failure *on
         the serial rung* (or ``degrade=False``) exhausts the query: that
@@ -689,7 +554,7 @@ class DataflowEngine:
         if policy is None:
             return self._run_on("process", chain, seeds, variables, mode, call)
         failures: list[AttemptRecord] = []
-        ladder = ("process", "thread", "serial") if policy.degrade else ("process",)
+        ladder = BACKEND_LADDER if policy.degrade else BACKEND_LADDER[:1]
         for backend in ladder:
             delays = policy.delays()
             slept = 0.0
@@ -750,37 +615,18 @@ class DataflowEngine:
     ) -> tuple[list, int, float]:
         """One attempt on one backend: ``(data, frontier_rows, seconds)``.
 
-        Every backend runs :func:`run_rows` — on all seeds (``"serial"``)
-        or per degree-weighted chunk (``"thread"``, ``"process"``), the
-        chunk results meeting in one merge.  ``seconds`` is wall time,
-        except under ``"process"`` (see :meth:`_process_run`).
+        Both backends run :func:`run_rows` — on all seeds (``"serial"``,
+        wall time) or per degree-weighted chunk in worker processes
+        (``"process"``, see :meth:`_process_run`).
         """
         if backend == "process":
             return self._process_run(chain, seeds, variables, mode, call)
-        index, deadline, kernel = self._index, call.deadline, self._row_kernel
         start = time.perf_counter()
-        if backend == "serial":
-            data, frontier_rows, merged = run_rows(
-                index, chain, seeds, variables, mode, deadline, kernel
-            )
-            call.rows_merged += merged
-            return data, frontier_rows, time.perf_counter() - start
-        chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
-        with ThreadPoolExecutor(max_workers=self._workers) as pool:
-            results = list(
-                pool.map(
-                    lambda chunk: run_rows(
-                        index, chain, chunk, variables, mode, deadline, kernel
-                    ),
-                    chunks,
-                )
-            )
-        call.rows_merged += sum(merged for _data, _rows, merged in results)
-        return (
-            _merge(mode, [data for data, _rows, _merged in results]),
-            sum(rows for _data, rows, _merged in results),
-            time.perf_counter() - start,
+        data, frontier_rows, merged = run_rows(
+            self._index, chain, seeds, variables, mode, call.deadline
         )
+        call.rows_merged += merged
+        return data, frontier_rows, time.perf_counter() - start
 
     def _process_run(
         self,
@@ -793,14 +639,13 @@ class DataflowEngine:
         """Chunked Steps 1–3 in worker processes, one merge here.
 
         The third element is the longest per-worker kernel time (the
-        parallel critical path).  Workers replicate the engine's row
-        kernel; per-chain shape fallbacks are re-decided worker-side by
-        the same :func:`run_rows`.
+        parallel critical path).  Each worker picks its kernel per chunk
+        with the same :func:`run_rows`.
         """
         from repro.parallel.plan import pack_seeds, plan_for
         from repro.parallel.pool import shared_pool
 
-        plan = plan_for(self._graph, self._row_kernel)
+        plan = plan_for(self._graph)
         pool = shared_pool(self._workers, self._start_method)
         chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
         results = pool.run_chunks(

@@ -71,8 +71,8 @@ def seed_rows_for(
     index: GraphIndex, chain: tuple[ChainStep, ...], objects: Iterable[ObjectId]
 ) -> dict[ObjectId, Row]:
     """Fresh seed rows for just ``objects`` — the per-object form of
-    :func:`seed_rows`, used by streaming sessions so an incremental
-    update never pays for the full seed table.
+    :func:`seed_rows`, used by streaming sessions so a delta refresh
+    never pays for the full seed table.
 
     The returned rows belong to the same frontier :func:`seed_rows`
     would produce (same absorbed-test times); objects that would not
@@ -140,7 +140,7 @@ class ChainWalk:
             if not current:
                 break
             # Chaos hook: "sleep" models a pathologically slow step,
-            # "raise" a mid-chain fault (both serial and thread rungs).
+            # "raise" a mid-chain fault (serial rung and worker chunks).
             failpoints.fire("engine.step")
             if deadline is not None:
                 deadline.progress["steps_completed"] = completed

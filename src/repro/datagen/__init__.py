@@ -15,7 +15,7 @@ synthetic equivalent:
 * :mod:`repro.datagen.streaming` — the same workload replayed as a
   stream: an initial prefix graph plus time-ordered
   :class:`~repro.streaming.delta.DeltaBatch` sequences for the
-  incremental evaluation harnesses;
+  streaming evaluation harnesses;
 * :mod:`repro.datagen.scale` — the scale factors (S1…S6) standing in for
   the paper's G1…G10;
 * :mod:`repro.datagen.random_graphs` — small random TPGs and random

@@ -20,7 +20,7 @@ from the *full* trajectory set up front, so an entity keeps its
 properties as it grows across batches.  By default the temporal domain
 spans the whole study horizon from the start (the natural streaming
 shape: a fixed horizon filled in by arriving events), which keeps every
-batch on the incremental evaluation path; ``advance_horizon=True``
+batch on the per-seed streaming path; ``advance_horizon=True``
 instead starts the domain at the prefix's last event and extends it
 batch by batch, exercising the
 :meth:`~repro.model.itpg.IntervalTPG.extend_domain` path.
@@ -48,7 +48,7 @@ import random
 class ContactTracingStream:
     """A streaming workload: initial graph plus ordered delta batches.
 
-    ``initial`` is a live graph the caller may feed to an incremental
+    ``initial`` is a live graph the caller may feed to a streaming
     engine (and thereby mutate); ``initial_payload`` is the pristine
     JSON snapshot taken at construction, from which
     :meth:`fresh_initial` and :meth:`replay` rebuild independent copies.

@@ -1,10 +1,10 @@
 """Process-parallel frontier execution (the paper's Fig.-3 parallelism).
 
-The dataflow engine's thread backend is output-invariant but GIL-bound;
-this package supplies the backend that scales with cores:
+The dataflow engine's one pool: seed chunks run in worker processes, so
+evaluation scales with cores instead of sharing one GIL:
 
 * :mod:`repro.parallel.partition` — the degree-weighted chunk
-  partitioner shared by the thread and process backends;
+  partitioner;
 * :mod:`repro.parallel.plan` — picklable execution plans: a stable
   per-graph token plus the serialized graph payload, shipped to each
   worker at most once;
@@ -13,9 +13,8 @@ this package supplies the backend that scales with cores:
 * :mod:`repro.parallel.merge` — the single parent-side coalescing merge
   of per-chunk partial results.
 
-Select it with ``DataflowEngine(graph, workers=N,
-parallel_backend="process")`` or ``repro query … --workers N --backend
-process``.
+It engages with ``DataflowEngine(graph, workers=N)`` or ``repro query …
+--workers N`` for any ``N > 1``.
 """
 
 from repro.parallel.partition import chunk_weight, weighted_chunks

@@ -1,6 +1,6 @@
 """Parent-side merging of per-chunk partial results.
 
-Chunks — worker processes or threads — return either interval families
+Worker-process chunks return either interval families
 (single-temporal-group outputs — the common case) or point tuples
 (group-spanning outputs).  Both merges restore exactly the invariant the
 sequential engine guarantees:

@@ -10,10 +10,10 @@ instead, using the classic LPT (longest processing time first) greedy:
 items are assigned heaviest-first to the currently lightest chunk, which
 guarantees a makespan within 4/3 of optimal.
 
-Both parallel backends (thread and process) share this partitioner, so
-chunking policy is a single place to reason about; determinism is part
-of the contract — equal inputs produce equal chunk assignments, ties
-break by original position — because the process backend replays chunks
+The process pool and ``explain()``'s chunk plan share this partitioner,
+so chunking policy is a single place to reason about; determinism is
+part of the contract — equal inputs produce equal chunk assignments,
+ties break by original position — because the pool replays chunks
 across interpreter boundaries and the differential tests compare runs.
 """
 

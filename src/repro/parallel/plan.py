@@ -6,8 +6,8 @@ both from bytes.  The expensive part — the graph payload — therefore
 ships **once** per ``(graph, worker)`` pair and is cached worker-side by
 a stable *token*: an :class:`ExecutionPlan` pairs that token with the
 pickled graph (serialized lazily, exactly once per graph, and reused by
-every engine and query on it) and the evaluation kernel the workers
-must replicate.
+every engine and query on it).  Each worker picks its evaluation kernel
+itself, exactly as the parent would.
 
 Plans are memoized on the graph object itself (the same pattern as
 :func:`~repro.perf.graph_index.graph_index_for`), under a ``_repro_``
@@ -45,7 +45,7 @@ ObjectId = Hashable
 PackedSeed = tuple[ObjectId, tuple[tuple[int, int], ...]]
 
 _TOKEN_ATTR = "_repro_parallel_token"
-_PLANS_ATTR = "_repro_parallel_plans"
+_PLAN_ATTR = "_repro_parallel_plan"
 _STORE_ATTR = "_repro_store_ref"
 
 
@@ -88,62 +88,34 @@ def store_ref(graph: IntervalTPG) -> Optional[StoreRef]:
     return ref
 
 
-class _PayloadCell:
-    """One per-graph slot for the serialized payload, shared by all plans."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: bytes | None = None
-
-
 class ExecutionPlan:
-    """What a worker needs to replicate the parent engine for one graph."""
+    """What a worker needs to rebuild the parent's graph."""
 
-    __slots__ = (
-        "token",
-        "kernel",
-        "store",
-        "_graph",
-        "_cell",
-    )
+    __slots__ = ("token", "store", "_graph", "_payload")
 
     def __init__(
-        self,
-        token: str,
-        graph: IntervalTPG,
-        cell: _PayloadCell,
-        store: Optional[StoreRef],
-        kernel: str,
+        self, token: str, graph: IntervalTPG, store: Optional[StoreRef]
     ) -> None:
         self.token = token
-        #: Evaluation kernel the workers should run ("interpreted" or
-        #: "columnar").  Workers missing NumPy self-heal to interpreted;
-        #: the answer is identical either way.
-        self.kernel = kernel
         #: Set for store-attached graphs: workers mmap the artifact at
         #: this ref instead of unpickling ``payload`` (which stays
         #: available as the fallback when attaching fails worker-side).
         self.store = store
         self._graph = graph
-        self._cell = cell
+        self._payload: bytes | None = None
 
     @property
     def payload(self) -> bytes:
         """The pickled graph, serialized on first use and then reused.
 
-        The bytes live in a per-graph cell shared by every plan
-        (kernel) on the graph, so the graph is pickled at most
-        once no matter how many plans exist or in which order they
-        first need the payload.  ``IntervalTPG.__getstate__`` guarantees
-        the bytes contain the graph only — no cached index, no nested
-        plans.
+        The plan is memoized per graph, so the graph is pickled at most
+        once however many engines and queries dispatch on it.
+        ``IntervalTPG.__getstate__`` guarantees the bytes contain the
+        graph only — no cached index, no nested plans.
         """
-        if self._cell.value is None:
-            self._cell.value = pickle.dumps(
-                self._graph, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._cell.value
+        if self._payload is None:
+            self._payload = pickle.dumps(self._graph, protocol=pickle.HIGHEST_PROTOCOL)
+        return self._payload
 
     @property
     def payload_bytes(self) -> int:
@@ -168,12 +140,12 @@ def graph_token(graph: IntervalTPG) -> str:
 
 
 def invalidate_plans(graph: IntervalTPG) -> bool:
-    """Drop ``graph``'s execution plans *and* rotate its token.
+    """Drop ``graph``'s execution plan *and* rotate its token.
 
     Called whenever the graph is mutated in place (the delta commit path
     of :func:`repro.streaming.delta.apply_delta`).  Both halves matter:
 
-    * the memoized plans hold a pickled payload of the *pre-mutation*
+    * the memoized plan holds a pickled payload of the *pre-mutation*
       graph, so the next dispatch must re-serialize;
     * worker processes cache rebuilt graphs/engines/indexes **by
       token**, so a surviving token would keep answering from the stale
@@ -183,8 +155,8 @@ def invalidate_plans(graph: IntervalTPG) -> bool:
 
     Returns ``True`` when there was anything to invalidate.
     """
-    had = hasattr(graph, _PLANS_ATTR) or hasattr(graph, _TOKEN_ATTR)
-    for attr in (_PLANS_ATTR, _TOKEN_ATTR, _STORE_ATTR):
+    had = hasattr(graph, _PLAN_ATTR) or hasattr(graph, _TOKEN_ATTR)
+    for attr in (_PLAN_ATTR, _TOKEN_ATTR, _STORE_ATTR):
         try:
             delattr(graph, attr)
         except AttributeError:
@@ -192,21 +164,12 @@ def invalidate_plans(graph: IntervalTPG) -> bool:
     return had
 
 
-def plan_for(graph: IntervalTPG, kernel: str) -> ExecutionPlan:
-    """The shared :class:`ExecutionPlan` for one graph + evaluation kernel."""
-    plans: dict[str, object] | None = getattr(graph, _PLANS_ATTR, None)
-    if plans is None:
-        plans = {"cell": _PayloadCell()}
-        setattr(graph, _PLANS_ATTR, plans)
-    plan = plans.get(kernel)
+def plan_for(graph: IntervalTPG) -> ExecutionPlan:
+    """The shared :class:`ExecutionPlan` of one graph."""
+    plan: ExecutionPlan | None = getattr(graph, _PLAN_ATTR, None)
     if plan is None:
-        plan = plans[kernel] = ExecutionPlan(
-            graph_token(graph),
-            graph,
-            plans["cell"],
-            store=store_ref(graph),
-            kernel=kernel,
-        )
+        plan = ExecutionPlan(graph_token(graph), graph, store=store_ref(graph))
+        setattr(graph, _PLAN_ATTR, plan)
     return plan
 
 

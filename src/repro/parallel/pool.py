@@ -1,7 +1,7 @@
 """Persistent worker-process pools for frontier execution.
 
-CPython's GIL makes the thread backend a measurement device rather than
-a speedup; this module is the path that actually scales with cores.  A
+CPython's GIL keeps CPU-bound evaluation on one core per process; this
+module is the engine's only pool and the path that scales with cores.  A
 :class:`WorkerPool` wraps a ``ProcessPoolExecutor`` plus the *graph
 installation protocol*:
 
@@ -145,7 +145,6 @@ class WorkerPool:
                 chunk,
                 mode,
                 variables,
-                plan.kernel,
             )
             for chunk in chunks
         ]
@@ -180,7 +179,6 @@ class WorkerPool:
                     chunks[i],
                     mode,
                     variables,
-                    plan.kernel,
                 )
                 for i in retries
             ]
@@ -323,7 +321,6 @@ def _run_chunk(
     packed_seeds: Sequence[PackedSeed],
     mode: str,
     variables: tuple[str, ...],
-    kernel: str,
 ) -> dict:
     """Chunk-level Steps 1–3 through the engine's row dispatch."""
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the
@@ -340,12 +337,9 @@ def _run_chunk(
     index = graph_index_for(_worker_graph(token, payload, store))
     seeds = unpack_seeds(packed_seeds)
     start = time.perf_counter()
-    # Columnar over this chunk's rows when the parent's kernel is and the
-    # chain shape is covered, else the interpreted walk (a worker without
-    # NumPy self-heals the same way).
-    data, frontier_rows, merged = run_rows(
-        index, chain, seeds, variables, mode, kernel=kernel
-    )
+    # Columnar over this chunk's rows when NumPy is importable here and
+    # the chain shape is covered, else the interpreted walk.
+    data, frontier_rows, merged = run_rows(index, chain, seeds, variables, mode)
     return {
         "pid": os.getpid(),
         "data": pack_families(data) if mode == "families" else data,

@@ -1206,8 +1206,8 @@ def run_rows(
 ) -> Optional[tuple[list, int, int]]:
     """Evaluate compiled ops over materialized seed rows.
 
-    The row-based entry the worker-pool chunks and the thread/serial
-    backend rungs use; the output is a family list or, under
+    The row-based entry the worker-pool chunks and the serial rung
+    use; the output is a family list or, under
     ``mode="points"``, a list of point-row tuples (both picklable).
     Returns ``None`` when the rows don't fit the kernel's frontier shape
     (multi-group rows, non-uniform binding prefixes, empty families) —

@@ -411,7 +411,7 @@ class GraphIndex:
         )
 
     # ------------------------------------------------------------------ #
-    # Incremental maintenance (streaming deltas)
+    # In-place maintenance (streaming deltas)
     # ------------------------------------------------------------------ #
     def apply_delta(self, effects) -> None:
         """Maintain the compiled index after an applied delta batch.
@@ -446,7 +446,7 @@ class GraphIndex:
         new edge, which puts the edge in the dirty set and every
         affected hop source inside ``structural_closure(dirty, 2)``.
         ``tests/test_streaming.py`` pins this with a randomized
-        incremental-vs-cold-rebuild differential, and the stale caches
+        patched-vs-cold-rebuild differential, and the stale caches
         that *do* outlive an in-place mutation — the pickled parallel
         plan payload and the worker-side graphs keyed by its token — are
         invalidated at delta-commit time by

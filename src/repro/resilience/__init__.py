@@ -8,7 +8,7 @@ pillar is woven through the existing subsystems rather than bolted on:
   :class:`~repro.errors.DeadlineExceeded` with partial-progress stats;
 * :mod:`repro.resilience.retry` — capped-exponential-backoff retry of
   crash-shaped failures under a per-query budget, then automatic
-  backend demotion ``process → thread → serial`` recorded as a
+  backend demotion ``process → serial`` recorded as a
   :class:`DegradationReport` (``DataflowEngine(retry=RetryPolicy(…))``);
 * :mod:`repro.resilience.wal` / :mod:`repro.resilience.snapshot` —
   durable streaming state: a checksummed JSONL delta WAL plus atomic

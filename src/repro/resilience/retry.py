@@ -10,7 +10,7 @@ is spent.  The dataflow engine consumes this through
   exponential backoff plus deterministic jitter, up to the per-query
   ``retries`` budget;
 * once the budget is spent, the engine *demotes* the backend —
-  ``process → thread → serial`` — instead of failing the query, and
+  ``process → serial`` — instead of failing the query, and
   records the whole escalation in a :class:`DegradationReport` that
   the call's ``MatchResult.degradation`` carries;
 * non-retryable failures (semantic evaluation errors, deadline
@@ -42,8 +42,9 @@ RETRYABLE_EXCEPTIONS = (
     OSError,
 )
 
-#: The demotion ladder, most to least parallel.
-BACKEND_LADDER = ("process", "thread", "serial")
+#: The demotion ladder: the worker-process pool, then the engine's own
+#: process.
+BACKEND_LADDER = ("process", "serial")
 
 
 def is_retryable(error: BaseException) -> bool:
@@ -66,7 +67,7 @@ class RetryPolicy:
     #: Multiplicative jitter: each delay is scaled by a factor drawn
     #: uniformly from ``[1 - jitter, 1 + jitter]``.
     jitter: float = 0.5
-    #: Demote the backend (process → thread → serial) once the retry
+    #: Demote the backend (process → serial) once the retry
     #: budget is spent, instead of failing the query.
     degrade: bool = True
     #: Deterministic jitter for tests; ``None`` uses process entropy.

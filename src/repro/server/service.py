@@ -8,7 +8,7 @@ lines, see :mod:`repro.server.protocol`).  Cheap control ops (``ping``,
 ``graphs``, ``stats``, ``health``, ``shutdown``) answer inline on the
 loop.  Heavy ops (``query``, ``register``, ``table``, ``apply_delta``)
 are pushed to a thread-pool executor sized to ``max_concurrency`` — the
-engines are synchronous and (under ``backend="process"``) dispatch onto
+engines are synchronous and (with ``workers > 1``) dispatch onto
 the shared warm :class:`~repro.parallel.pool.WorkerPool`, so the loop
 never blocks on evaluation — nor on encoding an answer, which arrives as
 :class:`~repro.server.protocol.Encoded` bytes to splice into an envelope.
@@ -50,6 +50,7 @@ orchestrators and failover clients.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -434,22 +435,13 @@ class QueryServer:
     def _execute(self, op: str, request: dict) -> dict:
         """Run one heavy op on an executor thread (blocking is fine here)."""
         host = self.state.host(request.get("graph", "default"))
+        if op in ("query", "table"):
+            limit, deadline, retries = _answer_options(request)
         if op == "query":
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
                 raise ServerError("query op requires a non-empty 'query' string")
-            deadline = request.get("deadline")
-            if deadline is not None and float(deadline) <= 0:
-                raise ServerError(f"deadline must be positive, got {deadline}")
-            retries = request.get("retries")
-            if retries is not None and int(retries) < 0:
-                raise ServerError(f"retries must be >= 0, got {retries}")
-            return host.query(
-                text,
-                deadline=None if deadline is None else float(deadline),
-                retries=None if retries is None else int(retries),
-                limit=request.get("limit"),
-            )
+            return host.query(text, deadline=deadline, retries=retries, limit=limit)
         if op == "register":
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
@@ -459,12 +451,40 @@ class QueryServer:
             name = request.get("name")
             if not isinstance(name, str):
                 raise ServerError("table op requires a 'name' string")
-            return host.table(name, limit=request.get("limit"))
+            return host.table(name, limit=limit)
         # op == "apply_delta"
         batch = request.get("batch")
         if not isinstance(batch, dict):
             raise ServerError("apply_delta op requires a 'batch' object")
         return host.apply_delta(batch)
+
+
+def _is_count(value) -> bool:
+    """An integer >= 0 (JSON ``true``/``false`` decode to bools: not counts)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _answer_options(request: dict) -> tuple:
+    """The request's ``(limit, deadline, retries)``, each ``None`` when absent.
+
+    Rejects, as a :class:`ServerError`, a ``limit`` or ``retries`` that is
+    not an integer >= 0 and a ``deadline`` that is not a finite positive
+    number — before any of them reaches a slice or a retry loop.
+    """
+    limit, deadline, retries = (
+        request.get(field) for field in ("limit", "deadline", "retries")
+    )
+    if limit is not None and not _is_count(limit):
+        raise ServerError(f"limit must be an integer >= 0 or null, got {limit!r}")
+    if deadline is not None and not (
+        isinstance(deadline, (int, float))
+        and not isinstance(deadline, bool)
+        and 0 < deadline < math.inf
+    ):
+        raise ServerError(f"deadline must be a positive number, got {deadline!r}")
+    if retries is not None and not _is_count(retries):
+        raise ServerError(f"retries must be an integer >= 0, got {retries!r}")
+    return limit, None if deadline is None else float(deadline), retries
 
 
 def serve(

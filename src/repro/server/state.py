@@ -8,9 +8,8 @@ graph:
   :func:`~repro.perf.graph_index.graph_index_for`, so condition/hop
   tables amortize across the whole query mix);
 * one :class:`~repro.dataflow.executor.DataflowEngine` configured with
-  the server's workers/backend — under ``backend="process"`` its
-  dispatches land on the warm shared
-  :class:`~repro.parallel.pool.WorkerPool`;
+  the server's worker count — with ``workers > 1`` its dispatches land
+  on the warm shared :class:`~repro.parallel.pool.WorkerPool`;
 * a :class:`~repro.streaming.engine.StreamingEngine` session driving the
   same engine: it applies deltas, keeps registered queries continuously
   answered, and (with an attached WAL / snapshot path) makes the
@@ -51,7 +50,6 @@ class GraphHost:
         graph,
         *,
         workers: int = 1,
-        backend: str = "thread",
         plans: Optional[PlanCache] = None,
         wal: Optional[str] = None,
         snapshot: Optional[str] = None,
@@ -59,7 +57,7 @@ class GraphHost:
         wal_fsync: bool = True,
     ) -> None:
         self.name = name
-        self.engine = DataflowEngine(graph, workers=workers, parallel_backend=backend)
+        self.engine = DataflowEngine(graph, workers=workers)
         self.graph = self.engine.graph
         self.index = self.engine.index
         self.session = StreamingEngine(engine=self.engine)
@@ -105,7 +103,7 @@ class GraphHost:
         is attached in O(1) instead of loading + recompiling
         ``graph_path`` — the restart skips index compilation entirely,
         and a WAL tail still replays on top (materializing the attached
-        graph and maintaining the index incrementally).  Returns
+        graph and patching the index in place).  Returns
         ``(host, recovery_report_dict | None)``.
         """
         if snapshot is not None and os.path.exists(snapshot):
@@ -303,15 +301,13 @@ class GraphHost:
                 "index_epoch": self.index.epoch,
                 "queries": list(self.session.query_names()),
                 "plan_cache": self.plans.stats(),
-                # Which kernel each cached plan really runs, and why not
-                # the configured one (kernel_fallback, None = no fallback).
+                # Which kernel each cached plan runs, and why not columnar
+                # (kernel_fallback, None = it runs columnar).
                 "plans": [
                     {"query": text, **self.engine.kernel_for(plan.chain)}
                     for text, plan in self.plans.entries()
                 ],
                 "workers": self.engine.workers,
-                "backend": self.engine.parallel_backend,
-                "kernel": self.engine.kernel,
                 "wal": None if self.session.wal is None else self.session.wal.path,
                 "wal_seq": self.session.wal_seq,
                 "last_sequence": self.session.last_sequence,
@@ -348,15 +344,9 @@ class ServerState:
         self,
         *,
         workers: int = 1,
-        backend: str = "thread",
         plan_capacity: int = 128,
     ) -> None:
-        if backend == "serial":
-            # The service maps "serial" to a one-worker thread engine,
-            # mirroring the CLI's --backend serial semantics.
-            backend, workers = "thread", 1
         self.workers = workers
-        self.backend = backend
         self.plan_capacity = plan_capacity
         self.hosts: dict[str, GraphHost] = {}
         self.started = time.time()
@@ -384,7 +374,6 @@ class ServerState:
             snapshot_every=snapshot_every,
             store=store,
             workers=self.workers,
-            backend=self.backend,
             plans=PlanCache(self.plan_capacity),
         )
         self.hosts[name] = host
@@ -403,7 +392,6 @@ class ServerState:
         return {
             "uptime_seconds": time.time() - self.started,
             "workers": self.workers,
-            "backend": self.backend,
             "graphs": {name: host.stats() for name, host in self.hosts.items()},
         }
 

@@ -1,4 +1,4 @@
-"""Incremental / streaming evaluation over growing time domains.
+"""Streaming evaluation over growing time domains.
 
 * :mod:`repro.streaming.delta` — the :class:`DeltaBatch` append-only
   update model (new nodes/edges, existence extension, property writes,
@@ -9,9 +9,10 @@
   batch dirtied, maintaining the compiled
   :class:`~repro.perf.graph_index.GraphIndex` in place.
 
-The usual entry point is ``DataflowEngine(graph, incremental=True)``,
-which owns a session and exposes :meth:`apply_delta`; the CLI surfaces
-the same loop as ``repro query … --stream deltas.jsonl``.
+:class:`StreamingEngine` is the one entry point: ``register`` a query,
+``apply`` batches, read ``table``/``results``.  The server drives one
+per resident graph, and the CLI surfaces the same loop as ``repro query
+… --stream deltas.jsonl``.
 """
 
 from repro.streaming.delta import (

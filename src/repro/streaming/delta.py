@@ -14,7 +14,7 @@ horizon each touch a bounded set of interval families.  A
 *before* mutating anything — a rejected batch leaves the graph
 untouched — and returns a :class:`DeltaEffects` record describing the
 dirty set: which objects changed, which times they changed at, and
-whether the horizon moved.  The effects drive the incremental index
+whether the horizon moved.  The effects drive the in-place index
 maintenance (:meth:`repro.perf.graph_index.GraphIndex.apply_delta`) and
 the streaming engine's affected-seed selection
 (:mod:`repro.streaming.engine`).
@@ -79,7 +79,7 @@ class PropertySet:
 
 
 class DeltaBatch:
-    """One batch of append-only updates, built incrementally.
+    """One batch of append-only updates, built up call by call.
 
     The builder methods return ``self`` so batches can be written
     fluently::

@@ -1,4 +1,4 @@
-"""Incremental evaluation of MATCH queries over growing time domains.
+"""Delta-maintained MATCH answers over growing time domains.
 
 :class:`StreamingEngine` keeps a set of registered queries continuously
 answered while :class:`~repro.streaming.delta.DeltaBatch` updates are
@@ -23,13 +23,13 @@ applied to the graph.  The central idea is *per-seed result caching*:
   condition satisfaction is clamped to the domain (``¬φ``, label tests,
   ``time < c`` are all domain-wide), so no per-seed surgery is sound
   there.  The common streaming shape — appends inside a fixed study
-  horizon — stays on the incremental path.
+  horizon — stays on the per-seed path.
 
 Batches carry an optional ``sequence`` number; applying them out of
 order raises :class:`~repro.errors.EvaluationError` before anything is
 mutated.  Correctness of the whole scheme is pinned by the streaming
 differential oracle (``tests/test_streaming_oracle.py``): after every
-batch the incremental answer must equal a cold evaluation on a pristine
+batch the maintained answer must equal a cold evaluation on a pristine
 copy of the materialized graph, across the fuzz-oracle engine configs.
 """
 
@@ -43,7 +43,7 @@ from typing import Hashable, Optional, Union as TypingUnion
 
 # Module imports: the dataflow package may still be initializing when
 # this module loads (dataflow -> resilience -> wal -> streaming).
-from repro.dataflow import executor, interpreted
+from repro.dataflow import interpreted
 from repro.dataflow.frontier import Group, Row
 from repro.dataflow.steps import (
     ChainStep,
@@ -124,10 +124,11 @@ class StreamingEngine:
 
     Either wraps a fresh
     :class:`~repro.dataflow.executor.DataflowEngine` built for ``graph``
-    or (``engine=...``) drives an existing one — that is how
-    ``DataflowEngine(..., incremental=True)`` attaches its session.  The
-    parallel backends are irrelevant here: per-seed runs are sequential
-    by construction (each one processes a single-row frontier).
+    or (``engine=...``) drives an existing one, sharing its graph and
+    delta-maintained index — that is how the server and ``repro query
+    --stream`` attach a session.  The worker pool is irrelevant here:
+    per-seed runs are sequential by construction (each one processes a
+    single-row frontier).
     """
 
     def __init__(
@@ -299,11 +300,6 @@ class StreamingEngine:
         with self._lock:
             return self._merged(self._state(name))
 
-    def contributing_seeds(self, name: str) -> int:
-        """How many seeds currently contribute output to ``name``."""
-        with self._lock:
-            return len(self._state(name).contributions)
-
     def _state(self, name: str) -> _QueryState:
         state = self._queries.get(name)
         if state is None:
@@ -316,7 +312,7 @@ class StreamingEngine:
     # Delta application
     # ------------------------------------------------------------------ #
     def apply(self, batch: DeltaBatch) -> ApplyResult:
-        """Apply one batch and incrementally refresh every registered query.
+        """Apply one batch and refresh every registered query's affected seeds.
 
         Ordering is enforced first: a batch whose ``sequence`` is not
         strictly greater than the last applied one raises
@@ -502,12 +498,11 @@ class StreamingEngine:
     def _eval_seed(
         self, state: _QueryState, row: Row, rest: tuple[ChainStep, ...]
     ) -> Contribution:
-        # Always the interpreted walk (run_rows' default kernel), whatever
-        # the engine's kernel: a one-row frontier is below the columnar
-        # kernel's break-even by construction (fixed per-op array
-        # overhead, nothing to sweep).  Families or point tuples per the
-        # query's output mode, exactly as in batch Step 3.
-        data, _rows, _merged = executor.run_rows(
+        # Always the interpreted walk: a one-row frontier is below the
+        # columnar kernel's break-even by construction (fixed per-op
+        # array overhead, nothing to sweep).  Families or point tuples
+        # per the query's output mode, exactly as in batch Step 3.
+        data, _rows, _merged = interpreted.run_rows(
             self._engine.index, rest, [row], state.variables, state.mode
         )
         return data

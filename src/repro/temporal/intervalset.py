@@ -190,7 +190,7 @@ class IntervalSet:
         primitive concatenates all operands first and coalesces once.
         Use it when all operands are already in hand (e.g. merging the
         per-row output families of the dataflow materializer); for
-        incremental accumulation use :class:`IntervalSetAccumulator`,
+        step-by-step accumulation use :class:`IntervalSetAccumulator`,
         its mutable counterpart that the coalescing frontier builds on.
         """
         pieces: list[Interval] = []

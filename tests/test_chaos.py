@@ -5,8 +5,8 @@ dataflow step loop, the WAL appender, the CLI stream reader — through
 the deterministic failpoint registry (:mod:`repro.resilience.failpoints`)
 and checks the acceptance bar of the PR-6 charter:
 
-* a configured deadline fires within **2x** its budget on the serial,
-  thread, and process backends (slow steps / slow workers injected);
+* a configured deadline fires within **2x** its budget on the serial
+  and process backends (slow steps / slow workers injected);
 * a deadline expiry is a hard stop: it is never retried, even when a
   retry policy is armed;
 * a crash mid-WAL-append (torn write) loses exactly the torn record:
@@ -42,6 +42,8 @@ from repro.model.itpg import IntervalTPG
 from repro.parallel.pool import shutdown_pools
 from repro.resilience import RetryPolicy, failpoints, recover, scan_wal, write_snapshot
 from repro.streaming import DeltaBatch, StreamingEngine
+
+from conftest import columnar_hidden
 
 
 @pytest.fixture(scope="module")
@@ -105,24 +107,10 @@ class TestDeadlineUnderSlowExecution:
         self._assert_within_bound(excinfo.value, budget)
         assert "steps_completed" in excinfo.value.partial
 
-    def test_thread_backend_cancels_slow_steps(self, contact_graph):
-        budget = 0.25
-        failpoints.arm("engine.step", "sleep", seconds=0.1, times=0)
-        engine = DataflowEngine(
-            contact_graph, workers=2, parallel_backend="thread",
-            deadline_seconds=budget,
-        )
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            engine.match(PAPER_QUERIES["Q5"].text)
-        self._assert_within_bound(excinfo.value, budget)
-
     def test_process_backend_cancels_slow_workers(self, contact_graph):
         budget = 0.5
         failpoints.arm("worker.chunk", "sleep", seconds=5.0, times=0)
-        engine = DataflowEngine(
-            contact_graph, workers=2, parallel_backend="process",
-            deadline_seconds=budget,
-        )
+        engine = DataflowEngine(contact_graph, workers=2, deadline_seconds=budget)
         with pytest.raises(DeadlineExceeded) as excinfo:
             engine.match(PAPER_QUERIES["Q1"].text)
         self._assert_within_bound(excinfo.value, budget)
@@ -133,7 +121,8 @@ class TestDeadlineUnderSlowExecution:
         budget = 0.5
         failpoints.arm("worker.chunk", "sleep", seconds=5.0, times=0)
         engine = DataflowEngine(
-            contact_graph, workers=2, parallel_backend="process",
+            contact_graph,
+            workers=2,
             deadline_seconds=budget,
             retry=RetryPolicy(retries=3, base_delay=0.01, seed=5),
         )
@@ -164,7 +153,7 @@ class TestPerCallIsolation:
         """
         query = PAPER_QUERIES["Q5"].text
         expected = ReferenceEngine(contact_graph).match(query).as_set()
-        engine = DataflowEngine(contact_graph, kernel="interpreted")
+        engine = DataflowEngine(contact_graph)
         before = dict(vars(engine))
         outcome = {}
 
@@ -174,23 +163,25 @@ class TestPerCallIsolation:
             except Exception as error:
                 outcome[name] = error
 
-        # Every step stalls 0.05s: Q5's chain walk takes ~0.4s, so A's
-        # 0.15s budget expires mid-walk while B is still running.
+        # Every step of the interpreted walk stalls 0.05s: Q5's walk
+        # takes ~0.4s, so A's 0.15s budget expires mid-walk while B is
+        # still running.
         failpoints.arm("engine.step", "sleep", seconds=0.05, times=0)
-        first = threading.Thread(
-            target=run,
-            args=("a",),
-            kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
-        )
-        first.start()
-        deadline = time.monotonic() + 10
-        while failpoints.hits("engine.step") == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        during = dict(vars(engine))
-        second = threading.Thread(target=run, args=("b",))
-        second.start()
-        first.join(30)
-        second.join(30)
+        with columnar_hidden():
+            first = threading.Thread(
+                target=run,
+                args=("a",),
+                kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
+            )
+            first.start()
+            deadline = time.monotonic() + 10
+            while failpoints.hits("engine.step") == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            during = dict(vars(engine))
+            second = threading.Thread(target=run, args=("b",))
+            second.start()
+            first.join(30)
+            second.join(30)
         assert isinstance(outcome["a"], DeadlineExceeded), outcome["a"]
         assert not isinstance(outcome["b"], Exception), outcome["b"]
         assert outcome["b"].table.as_set() == expected

@@ -23,7 +23,7 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 0
-        assert args.backend == "thread" and args.max_concurrency == 4
+        assert args.workers == 1 and args.max_concurrency == 4
 
     def test_negative_deadline_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -59,26 +59,44 @@ class TestParser:
             build_parser().parse_args(["query", "Q1", "--deadline", "soon"])
         assert "not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["query", "Q1"], ["recover", "--snapshot", "state.snap"]]
+    )
+    def test_negative_limit_rejected_by_argparse(self, argv, capsys):
+        # A negative limit used to slice off the last row and print a
+        # wrong "... (N more rows)" footer.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "Q1", "--kernel", "interpreted"],
+            ["query", "Q1", "--backend", "process"],
+            ["serve", "--backend", "serial"],
+        ],
+    )
+    def test_engine_mode_flags_are_gone(self, argv, capsys):
+        # The engine picks its kernel and pool itself: nothing to select.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFlagContradictions:
     """Contradictory flag combinations fail fast with actionable errors."""
 
-    def test_serial_backend_rejects_multiple_workers(self, capsys):
-        assert main(["query", "Q1", "--backend", "serial", "--workers", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "serial" in err and "--workers 4" in err
-
     def test_serial_backend_with_one_worker_is_fine(self, capsys):
-        assert main(["query", "Q1", "--backend", "serial"]) == 0
-        assert "n1" in capsys.readouterr().out
+        assert main(["query", "Q1", "--workers", "1", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "# plan: backend=sequential" in out and "n1" in out
 
     def test_snapshot_every_requires_snapshot(self, capsys):
         assert main(["query", "Q1", "--stream", "x.jsonl", "--snapshot-every", "3"]) == 2
         assert "--snapshot-every requires --snapshot" in capsys.readouterr().err
-
-    def test_serve_serial_backend_rejects_multiple_workers(self, capsys):
-        assert main(["serve", "--backend", "serial", "--workers", "4"]) == 2
-        assert "contradicts" in capsys.readouterr().err
 
     def test_serve_snapshot_every_requires_snapshot(self, capsys):
         assert main(["serve", "--snapshot-every", "3"]) == 2
@@ -157,7 +175,7 @@ class TestQuery:
         assert main(["query", "Q2", "--graph", str(path), "--limit", "5"]) == 0
         assert "x_time" in capsys.readouterr().out
 
-    def test_query_process_backend_matches_thread(self, tmp_path, capsys):
+    def test_query_process_backend_matches_serial(self, tmp_path, capsys):
         path = tmp_path / "campus.json"
         main(
             ["generate", "--persons", "20", "--locations", "10", "--rooms", "3",
@@ -165,20 +183,29 @@ class TestQuery:
         )
         capsys.readouterr()
         assert main(["query", "Q1", "--graph", str(path), "--limit", "0"]) == 0
-        thread_out = capsys.readouterr().out
+        serial_out = capsys.readouterr().out
         assert (
             main(
                 ["query", "Q1", "--graph", str(path), "--limit", "0",
-                 "--workers", "2", "--backend", "process"]
+                 "--workers", "2"]
             )
             == 0
         )
-        assert capsys.readouterr().out == thread_out
+        assert capsys.readouterr().out == serial_out
+
+    def test_query_backend_requires_dataflow_engine(self, capsys):
+        # --retries configures the process -> serial ladder, which only
+        # the dataflow engine has.
+        assert (
+            main(["query", "Q6", "--engine", "reference", "--retries", "1"])
+            == 2
+        )
+        assert "dataflow engine only" in capsys.readouterr().err
 
     def test_query_explain_prints_plan(self, capsys):
         assert main(["query", "Q1", "--explain", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "# plan: backend=thread" in out
+        assert "# plan: backend=process" in out
         assert "chunk" in out and "weight" in out
 
     def test_query_workers_zero_resolves_to_cpu_count(self, capsys):
@@ -188,14 +215,7 @@ class TestQuery:
     def test_query_backend_rejects_unknown_value(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "Q1", "--backend", "rayon"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_query_backend_requires_dataflow_engine(self, capsys):
-        assert (
-            main(["query", "Q6", "--engine", "reference", "--backend", "process"])
-            == 2
-        )
-        assert "dataflow engine only" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_query_syntax_error_is_reported(self, capsys):
         assert main(["query", "MATCH (x"]) == 2

@@ -29,6 +29,8 @@ from repro.perf.columnar import ColumnarContext
 from repro.perf.graph_index import graph_index_for
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 
+from conftest import Interpreted
+
 np = columnar.np
 pytestmark = pytest.mark.skipif(
     not columnar.available(), reason="the columnar context requires numpy"
@@ -193,7 +195,7 @@ def test_no_read_pays_a_rebuild(monkeypatch):
     ran_columnar = 0
     for batch in random_delta_batches(graph, seed * 17 + 3, num_batches=6):
         session.apply(batch)
-        oracle = DataflowEngine(graph, kernel="interpreted")
+        oracle = Interpreted(DataflowEngine(graph))
         reference = ReferenceEngine(graph)
         for query in queries:
             expected = reference.match(query).as_set()

@@ -1,12 +1,12 @@
-"""Tests for the columnar evaluation kernel (``kernel="columnar"``).
+"""Tests for the columnar evaluation kernel.
 
 Four layers:
 
-* **Dispatch contract** — ``explain()`` reports ``kernel`` /
-  ``effective_kernel`` / ``kernel_fallback``, unknown kernels are
-  rejected at construction, and the NumPy-absent configuration degrades
-  to the interpreted path with identical output (the CI tests job runs
-  without NumPy, so this is the configuration most suites exercise).
+* **Dispatch contract** — the engine has no kernel option; ``explain()``
+  reports ``effective_kernel`` / ``kernel_fallback``, and the
+  NumPy-absent host degrades to the interpreted path with identical
+  output (the CI tests job runs without NumPy, so this is the
+  configuration most suites exercise).
 * **Fallback identity** — the shapes added last (mid-chain temporal
   navigation, point-mode output) run columnar and answer identically to
   the interpreted kernel, through the full-query and the worker-chunk
@@ -26,9 +26,12 @@ import pytest
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import PAPER_QUERIES, DataflowEngine
 from repro.errors import EvaluationError
+from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model import contact_tracing_example
 from repro.perf import columnar
+
+from conftest import Interpreted, columnar_hidden
 
 requires_numpy = pytest.mark.skipif(
     not columnar.available(), reason="columnar kernel requires numpy"
@@ -54,31 +57,34 @@ def contact_graph():
     )
 
 
-def _example_engines(**kwargs):
+def _example_engines():
+    """The default engine and its interpreted oracle on the example graph."""
     graph = contact_tracing_example()
-    return (
-        DataflowEngine(graph, kernel="columnar", **kwargs),
-        DataflowEngine(graph, kernel="interpreted", **kwargs),
-    )
+    return DataflowEngine(graph), Interpreted(DataflowEngine(graph))
 
 
 class TestKernelSelection:
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
+        # There is no kernel option at all: the engine picks its kernel.
+        with pytest.raises(TypeError, match="kernel"):
             DataflowEngine(contact_tracing_example(), kernel="simd")
 
     def test_kernel_property_and_default(self):
-        graph = contact_tracing_example()
-        assert DataflowEngine(graph).kernel == "columnar"
-        assert DataflowEngine(graph, kernel="interpreted").kernel == "interpreted"
-        assert DataflowEngine.KERNELS == ("interpreted", "columnar")
+        engine = DataflowEngine(contact_tracing_example())
+        assert not hasattr(engine, "kernel")
+        expected = "columnar" if columnar.available() else "interpreted"
+        assert engine.explain(PAPER_QUERIES["Q1"].text)["effective_kernel"] == expected
 
-    def test_interpreted_explain_reports_no_fallback(self):
-        engine = DataflowEngine(contact_tracing_example(), kernel="interpreted")
-        plan = engine.explain(PAPER_QUERIES["Q1"].text)
-        assert plan["kernel"] == "interpreted"
-        assert plan["effective_kernel"] == "interpreted"
-        assert plan["kernel_fallback"] is None
+    def test_engine_takes_no_mode_option(self):
+        import inspect
+
+        assert list(inspect.signature(DataflowEngine).parameters) == [
+            "graph",
+            "workers",
+            "start_method",
+            "deadline_seconds",
+            "retry",
+        ]
 
 
 class TestExplainReporting:
@@ -86,7 +92,6 @@ class TestExplainReporting:
     def test_covered_query_reports_columnar(self):
         engine, _ = _example_engines()
         plan = engine.explain(PAPER_QUERIES["Q1"].text)
-        assert plan["kernel"] == "columnar"
         assert plan["effective_kernel"] == "columnar"
         assert plan["kernel_fallback"] is None
 
@@ -112,39 +117,40 @@ class TestExplainReporting:
                 None,
             ), name
 
-    def test_numpy_absent_reports_and_matches_interpreted(self, monkeypatch):
-        monkeypatch.setattr(columnar, "np", None)
-        assert not columnar.available()
-        engine, oracle = _example_engines()
-        plan = engine.explain(PAPER_QUERIES["Q1"].text)
-        assert plan["kernel"] == "columnar"
-        assert plan["effective_kernel"] == "interpreted"
-        assert plan["kernel_fallback"] == "numpy is not installed"
-        for name, query in PAPER_QUERIES.items():
-            assert engine.match(query.text).as_set() == (
-                oracle.match(query.text).as_set()
-            ), f"{name} diverged with numpy absent"
+    def test_numpy_absent_reports_and_matches_interpreted(self):
+        engine = DataflowEngine(contact_tracing_example())
+        expected = {
+            name: engine.match(query.text).as_set()
+            for name, query in PAPER_QUERIES.items()
+        }
+        with columnar_hidden():
+            assert not columnar.available()
+            plan = engine.explain(PAPER_QUERIES["Q1"].text)
+            assert plan["effective_kernel"] == "interpreted"
+            assert plan["kernel_fallback"] == "numpy is not installed"
+            for name, query in PAPER_QUERIES.items():
+                assert engine.match(query.text).as_set() == expected[name], (
+                    f"{name} diverged with numpy absent"
+                )
 
-
-    def test_default_entry_points_degrade_without_numpy(self, monkeypatch):
-        # The one default lives in DataflowEngine.__init__; every entry
-        # point that inherits it must degrade with the same reason.
+    def test_default_entry_points_degrade_without_numpy(self):
+        # The kernel choice lives in the engine's dispatch; every entry
+        # point that builds an engine must degrade with the same reason.
         from repro.server.state import GraphHost
         from repro.streaming import StreamingEngine
 
-        monkeypatch.setattr(columnar, "np", None)
         graph = contact_tracing_example()
         engines = {
             "engine": DataflowEngine(graph),
             "host": GraphHost("g", graph).engine,
             "session": StreamingEngine(graph).engine,
         }
-        for label, engine in engines.items():
-            assert engine.kernel == "columnar", label
-            for name, query in PAPER_QUERIES.items():
-                plan = engine.explain(query.text)
-                assert plan["effective_kernel"] == "interpreted", (label, name)
-                assert plan["kernel_fallback"] == "numpy is not installed"
+        with columnar_hidden():
+            for label, engine in engines.items():
+                for name, query in PAPER_QUERIES.items():
+                    plan = engine.explain(query.text)
+                    assert plan["effective_kernel"] == "interpreted", (label, name)
+                    assert plan["kernel_fallback"] == "numpy is not installed"
 
 
 def _path_query(path, *, bind_target: bool, name: str):
@@ -212,11 +218,11 @@ class TestFallbackIdentity:
         # the output is family-mode and needs the backward pass through
         # both frozen groups.
         query = _path_query(ast.concat(ast.P, ast.N), bind_target=False, name="<p-n>")
-        engine = DataflowEngine(graph, kernel="columnar")
+        engine = DataflowEngine(graph)
         plan = engine.explain(query)
         assert plan["effective_kernel"] == "columnar"
         assert plan["kernel_fallback"] is None
-        oracle = DataflowEngine(graph, kernel="interpreted")
+        oracle = Interpreted(DataflowEngine(graph))
         assert engine.match(query).as_set() == oracle.match(query).as_set()
         assert sorted(engine.match_intervals(query), key=repr) == sorted(
             oracle.match_intervals(query), key=repr
@@ -230,11 +236,11 @@ class TestFallbackIdentity:
         query = _path_query(
             ast.concat(ast.F, ast.union(ast.N, ast.P)), bind_target=True, name="<f-(n+p)>"
         )
-        engine = DataflowEngine(graph, kernel="columnar")
+        engine = DataflowEngine(graph)
         plan = engine.explain(query)
         assert plan["effective_kernel"] == "interpreted"
         assert plan["kernel_fallback"] == "temporal navigation inside alternation"
-        oracle = DataflowEngine(graph, kernel="interpreted")
+        oracle = ReferenceEngine(graph)
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
     @requires_numpy
@@ -242,8 +248,8 @@ class TestFallbackIdentity:
     def test_random_fuzz_cases_identical(self, seed):
         graph = random_itpg(seed)
         query = random_match_query(seed * 31 + 7)
-        engine = DataflowEngine(graph, kernel="columnar")
-        oracle = DataflowEngine(graph, kernel="interpreted")
+        engine = DataflowEngine(graph)
+        oracle = Interpreted(DataflowEngine(graph))
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
 
@@ -283,8 +289,8 @@ class TestPaperQueryParity:
         query = _path_query(
             _navigation_shapes()[shape], bind_target=bind_target, name=shape
         )
-        engine = DataflowEngine(contact_graph, kernel="columnar")
-        oracle = DataflowEngine(contact_graph, kernel="interpreted")
+        engine = DataflowEngine(contact_graph)
+        oracle = Interpreted(DataflowEngine(contact_graph))
         plan = engine.explain(query)
         assert (plan["effective_kernel"], plan["kernel_fallback"]) == ("columnar", None)
         assert plan["output_mode"] == ("points" if bind_target else "families")
@@ -317,25 +323,27 @@ class TestPaperQueryParity:
         assert gathered == expected
 
     def test_streaming_delta_invalidates_columnar_context(self):
-        # A delta patches the index-owned context in place; reads after
-        # it must see the new object, not stale arrays.
+        # A delta patches the index-owned context in place; ad-hoc reads
+        # after it must see the new object, not stale arrays.
         from repro.model.io import from_json_dict, to_json_dict
-        from repro.streaming import DeltaBatch
+        from repro.streaming import DeltaBatch, StreamingEngine
 
-        payload = to_json_dict(contact_tracing_example())
-        engine = DataflowEngine(
-            from_json_dict(payload), kernel="columnar", incremental=True
-        )
-        oracle = DataflowEngine(
-            from_json_dict(payload), kernel="interpreted", incremental=True
-        )
+        graph = from_json_dict(to_json_dict(contact_tracing_example()))
+        session = StreamingEngine(graph)
+        engine = session.engine
         query = PAPER_QUERIES["Q1"].text
-        assert engine.match(query).as_set() == oracle.match(query).as_set()
+        name = session.register(query)
+        assert engine.match(query).as_set() == session.table(name).as_set()
         batch = DeltaBatch()
         batch.add_node("zz1", "Person", [(1, 5)])
-        for target in (engine, oracle):
-            target.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
-        assert engine.match(query).as_set() == oracle.match(query).as_set()
+        session.apply(batch)
+        assert engine.explain(query)["effective_kernel"] == "columnar"
+        rows = engine.match(query).as_set()
+        assert rows == session.table(name).as_set()
+        assert rows == Interpreted(engine).match(query).as_set()
+        assert rows == DataflowEngine(
+            from_json_dict(to_json_dict(engine.graph))
+        ).match(query).as_set()
 
 
 @requires_numpy
@@ -463,8 +471,8 @@ class TestStoreFastPath:
         attachment = attach(path)
         try:
             assert attachment.core.columnar_sections() is not None
-            engine = DataflowEngine(attachment.graph, kernel="columnar")
-            oracle = DataflowEngine(graph, kernel="interpreted")
+            engine = DataflowEngine(attachment.graph)
+            oracle = Interpreted(DataflowEngine(graph))
             for name, query in PAPER_QUERIES.items():
                 assert engine.match(query.text).as_set() == (
                     oracle.match(query.text).as_set()
@@ -483,8 +491,8 @@ class TestStoreFastPath:
         compile_graph(graph, path, shards=3)
         attachment = attach(path)
         try:
-            engine = DataflowEngine(attachment.graph, kernel="columnar")
-            oracle = DataflowEngine(graph, kernel="interpreted")
+            engine = DataflowEngine(attachment.graph)
+            oracle = Interpreted(DataflowEngine(graph))
             assert engine.match(query).as_set() == oracle.match(query).as_set()
         finally:
             attachment.close()
@@ -494,28 +502,31 @@ class TestCliKernelFlag:
     def test_query_accepts_columnar(self, capsys):
         from repro.cli import main
 
-        assert main(["query", "Q9", "--kernel", "columnar"]) == 0
-        assert "n3" in capsys.readouterr().out
+        # Whichever kernel the engine picks, the CLI prints the same rows.
+        assert main(["query", "Q9"]) == 0
+        default_out = capsys.readouterr().out
+        assert "n3" in default_out
+        with columnar_hidden():
+            assert main(["query", "Q9"]) == 0
+        assert capsys.readouterr().out == default_out
 
     def test_explain_prints_kernel_line(self, capsys):
         from repro.cli import main
 
-        assert main(["query", "Q1", "--kernel", "columnar", "--explain"]) == 0
+        assert main(["query", "Q1", "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "kernel=columnar" in out
-
-    def test_kernel_requires_dataflow_engine(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["query", "Q6", "--engine", "reference", "--kernel", "columnar"]
-        )
-        assert code == 2
-        assert "dataflow engine only" in capsys.readouterr().err
+        if columnar.available():
+            assert "# plan: kernel=columnar\n" in out
+        else:
+            assert "kernel=interpreted — fallback: numpy is not installed" in out
+        with columnar_hidden():
+            assert main(["query", "Q1", "--explain"]) == 0
+        assert "fallback: numpy is not installed" in capsys.readouterr().out
 
     def test_unknown_kernel_rejected_by_argparse(self, capsys):
         from repro.cli import build_parser
 
+        # The kernel is the engine's choice: there is no flag to pass.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", "Q1", "--kernel", "simd"])
-        assert "invalid choice" in capsys.readouterr().err
+            build_parser().parse_args(["query", "Q1", "--kernel", "interpreted"])
+        assert "unrecognized arguments" in capsys.readouterr().err

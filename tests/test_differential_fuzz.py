@@ -7,8 +7,10 @@ randomized graphs and queries:
 * **MATCH level** — :func:`repro.datagen.random_graphs.random_itpg`
   graphs and :func:`~repro.datagen.random_graphs.random_match_query`
   queries (restricted to the dataflow fragment) evaluated by the
-  dataflow engine under both kernels (interpreted and columnar), and by
-  the point-based reference engine (the ground truth).  Where
+  dataflow engine under both kernels (the default, columnar where it
+  covers the chain, and interpreted with the columnar kernel hidden as
+  on a host without NumPy), and by the point-based reference engine
+  (the ground truth).  Where
   NumPy is importable the sweep also proves the two dataflow
   configurations differ: a case whose plan reports no kernel fallback
   must report ``effective_kernel == "columnar"``, a batch in which no
@@ -62,6 +64,8 @@ from repro.eval.tuple_pc import PCChecker
 from repro.errors import EvaluationError
 from repro.lang.fragments import Fragment, in_fragment
 from repro.perf import columnar
+
+from conftest import Interpreted
 
 #: MATCH-level sweep: ``BATCHES × BATCH_SIZE`` generated cases.
 BATCH_SIZE = 25
@@ -153,8 +157,8 @@ def run_match_case(seed: int) -> frozenset[str]:
     graph = random_itpg(seed)
     query = random_match_query(seed * 31 + 7)
     engines = {
-        "dataflow-interpreted": DataflowEngine(graph, kernel="interpreted"),
-        "dataflow-columnar": DataflowEngine(graph, kernel="columnar"),
+        "dataflow-interpreted": Interpreted(DataflowEngine(graph)),
+        "dataflow-columnar": DataflowEngine(graph),
         "reference-point": ReferenceEngine(graph),
     }
     tables = {name: engine.match(query) for name, engine in engines.items()}
@@ -199,9 +203,9 @@ def run_match_case(seed: int) -> frozenset[str]:
         )
 
     # The two dataflow configurations differ only where the kernels
-    # really do: the interpreted leg (the oracle, now the non-default)
-    # must always run interpreted, and a columnar plan with no fallback
-    # must name the kernel.
+    # really do: the interpreted leg (the oracle, columnar hidden) must
+    # always run interpreted, and a columnar plan with no fallback must
+    # name the kernel.
     oracle_plan = engines["dataflow-interpreted"].explain(query)
     assert oracle_plan["effective_kernel"] == "interpreted", (
         f"the interpreted leg ran {oracle_plan['effective_kernel']!r} ({context})"
@@ -237,7 +241,7 @@ class TestMatchLevelDifferential:
         # learned last, planned columnar (planning only — no evaluation).
         ran = Counter()
         for seed in range(SEED_OFFSET, SEED_OFFSET + BATCHES * BATCH_SIZE):
-            engine = DataflowEngine(random_itpg(seed), kernel="columnar")
+            engine = DataflowEngine(random_itpg(seed))
             ran.update(columnar_shapes(engine, random_match_query(seed * 31 + 7)))
         assert ran["mid-chain"] >= BATCHES and ran["points"] >= BATCHES, (
             f"seed window {SEED_OFFSET}: the columnar kernel ran mid-chain "
@@ -263,8 +267,8 @@ class TestMatchLevelDifferential:
             )
             graph = generate_contact_tracing_graph(config)
             engines = {
-                "interpreted": DataflowEngine(graph, kernel="interpreted"),
-                "columnar": DataflowEngine(graph, kernel="columnar"),
+                "interpreted": Interpreted(DataflowEngine(graph)),
+                "columnar": DataflowEngine(graph),
                 "reference": ReferenceEngine(graph),
             }
             for name, query in PAPER_QUERIES.items():
@@ -332,8 +336,7 @@ class TestRegressionCounterexamples:
             text="<review-repro>",
         )
         reference = ReferenceEngine(graph).match(query).as_set()
-        for kernel in DataflowEngine.KERNELS:
-            engine = DataflowEngine(graph, kernel=kernel)
+        for engine in (DataflowEngine(graph), Interpreted(DataflowEngine(graph))):
             assert engine.match(query).as_set() == reference
 
     def test_parallel_edges_match_intervals_is_canonical(self):
@@ -353,8 +356,8 @@ class TestRegressionCounterexamples:
         graph.add_edge("e2", "meets", "a", "b", IntervalSet([(3, 4)]))
         graph.validate()
         query = "MATCH (x:Person)-[:meets]->(y:Person) ON g"
-        for kernel in DataflowEngine.KERNELS:
-            families = DataflowEngine(graph, kernel=kernel).match_intervals(query)
+        for engine in (DataflowEngine(graph), Interpreted(DataflowEngine(graph))):
+            families = engine.match_intervals(query)
             bindings = [b for b, _times in families]
             assert len(bindings) == len(set(bindings))
             times = dict(zip(bindings, (t for _b, t in families)))

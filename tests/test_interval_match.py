@@ -52,7 +52,7 @@ def pc_query(path, bind_second=True, text="<pc>"):
 
 def dataflow_frontier(graph, query):
     """The interpreted kernel's frontier after Steps 1–2 (before Step 3)."""
-    engine = DataflowEngine(graph, kernel="interpreted")
+    engine = DataflowEngine(graph)
     seeds, rest = seed_rows(engine.index, engine.prepare(query).chain)
     return ChainWalk(engine.index).run(seeds, rest)
 

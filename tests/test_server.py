@@ -297,7 +297,8 @@ class TestGraphHost:
         host.query("Q1")
         host.query("Q6")  # mid-chain PREV + point-mode output
         stats = host.stats()
-        assert stats["kernel"] == "columnar"  # GraphHost passes no kernel
+        # No configured kernel or backend to report: only what each plan runs.
+        assert "kernel" not in stats and "backend" not in stats
         plans = {plan["query"]: plan for plan in stats["plans"]}
         q1, q6 = plans[normalize_query("Q1")], plans[normalize_query("Q6")]
         for plan in (q1, q6):
@@ -394,6 +395,35 @@ class TestService:
                     client.request("apply_delta", graph="default", batch="not-a-dict")
                 # The connection survived all four rejections.
                 assert client.query("Q1")["result"]["num_families"] > 0
+                # Malformed answer options are refused as a ServerError on
+                # both answer-returning ops — never a silently dropped
+                # family (limit -1), a truthy slice (limit true) or a raw
+                # TypeError/ValueError — and the connection keeps answering.
+                persons = "MATCH (x:Person) ON g"
+                client.register(persons, name="persons")
+                targets = {"query": {"query": persons}, "table": {"name": "persons"}}
+                for fields in (
+                    {"limit": -1},
+                    {"limit": True},
+                    {"limit": "3"},
+                    {"limit": 1.5},
+                    {"deadline": "soon"},
+                    {"deadline": 0},
+                    {"deadline": True},
+                    {"retries": "x"},
+                    {"retries": -1},
+                    {"retries": 1.0},
+                ):
+                    for op, target in targets.items():
+                        with pytest.raises(ServerError) as excinfo:
+                            client.request(op, graph="default", **target, **fields)
+                        assert excinfo.value.kind == "ServerError", (op, fields)
+                        assert client.ping()["protocol"]
+                full = client.query(persons)["result"]
+                assert full["num_families"] == 5
+                assert client.query(persons, limit=0)["result"]["families"] == []
+                table = client.table("persons", limit=None)["result"]
+                assert table["families"] == full["families"]
             # Lines that are not a JSON object at all, on one raw
             # connection: each is answered, and the connection still pings.
             import socket as socket_module
@@ -620,14 +650,14 @@ class TestServeSubprocess:
 
     def test_serve_flag_validation(self):
         env_cmd = [sys.executable, "-m", "repro", "serve"]
-        serial = subprocess.run(
-            env_cmd + ["--backend", "serial", "--workers", "4"],
+        backend = subprocess.run(
+            env_cmd + ["--backend", "process", "--workers", "4"],
             capture_output=True,
             text=True,
             env=subprocess_env(),
         )
-        assert serial.returncode == 2
-        assert "contradicts" in serial.stderr
+        assert backend.returncode == 2
+        assert "unrecognized arguments: --backend" in backend.stderr
         snap = subprocess.run(
             env_cmd + ["--snapshot-every", "3"],
             capture_output=True,

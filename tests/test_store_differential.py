@@ -26,6 +26,8 @@ from repro.model import contact_tracing_example
 from repro.parallel.plan import store_ref
 from repro.store import attach, compile_graph
 
+from conftest import Interpreted
+
 SEEDS = tuple(range(1, 9))
 
 
@@ -46,12 +48,8 @@ class TestEngineConfigurations:
         attachment = _attached(tmp_path, graph)
         try:
             engines = {
-                "dataflow-interpreted": DataflowEngine(
-                    attachment.graph, kernel="interpreted"
-                ),
-                "dataflow-columnar": DataflowEngine(
-                    attachment.graph, kernel="columnar"
-                ),
+                "dataflow-interpreted": Interpreted(DataflowEngine(attachment.graph)),
+                "dataflow-columnar": DataflowEngine(attachment.graph),
                 "reference-point": ReferenceEngine(attachment.graph),
             }
             for name, engine in engines.items():
@@ -91,10 +89,7 @@ class TestProcessBackendStoreRef:
         try:
             assert store_ref(attachment.graph) is not None
             engine = DataflowEngine(
-                attachment.graph,
-                workers=2,
-                parallel_backend="process",
-                start_method=start_method,
+                attachment.graph, workers=2, start_method=start_method
             )
             assert engine.match(text).as_set() == expected
         finally:
@@ -107,9 +102,7 @@ class TestProcessBackendStoreRef:
         expected = DataflowEngine(graph).match(text).as_set()
         attachment = _attached(tmp_path, graph)
         try:
-            engine = DataflowEngine(
-                attachment.graph, workers=2, parallel_backend="process"
-            )
+            engine = DataflowEngine(attachment.graph, workers=2)
             (tmp_path / "graph.rix").rename(tmp_path / "gone.rix")
             assert engine.match(text).as_set() == expected
         finally:

@@ -31,6 +31,8 @@ from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
 
+from conftest import Interpreted
+
 
 def small_graph() -> IntervalTPG:
     graph = IntervalTPG((0, 9))
@@ -103,33 +105,34 @@ class TestDeltaBatchEdgeCases:
         before = snapshot(graph)
         batch = DeltaBatch(sequence=1)
         assert batch.is_empty()
-        engine = DataflowEngine(graph, incremental=True)
-        rows = engine.match("MATCH (x:Person) ON g").as_set()
-        result = engine.apply_delta(batch)
+        session = StreamingEngine(graph)
+        name = session.register("MATCH (x:Person) ON g")
+        rows = session.table(name).as_set()
+        result = session.apply(batch)
         assert result.affected_seeds == 0
         assert snapshot(graph) == before
-        assert engine.match("MATCH (x:Person) ON g").as_set() == rows
+        assert session.table(name).as_set() == rows
         # The empty batch still advances the stream position.
-        assert engine.streaming_session().last_sequence == 1
+        assert session.last_sequence == 1
 
     def test_out_of_order_batches_raise(self):
         graph = small_graph()
-        engine = DataflowEngine(graph, incremental=True)
-        engine.apply_delta(DeltaBatch(sequence=2).add_existence("a", 5, 5))
+        session = StreamingEngine(graph)
+        session.apply(DeltaBatch(sequence=2).add_existence("a", 5, 5))
         with pytest.raises(EvaluationError, match="out of order"):
-            engine.apply_delta(DeltaBatch(sequence=2).add_existence("a", 6, 6))
+            session.apply(DeltaBatch(sequence=2).add_existence("a", 6, 6))
         with pytest.raises(EvaluationError, match="strictly increasing"):
-            engine.apply_delta(DeltaBatch(sequence=1))
+            session.apply(DeltaBatch(sequence=1))
         # A failed apply leaves the stream position usable.
-        engine.apply_delta(DeltaBatch(sequence=3).add_existence("a", 6, 6))
+        session.apply(DeltaBatch(sequence=3).add_existence("a", 6, 6))
         assert graph.existence("a") == IntervalSet(((0, 6),))
 
     def test_unsequenced_batches_always_accepted(self):
         graph = small_graph()
-        engine = DataflowEngine(graph, incremental=True)
-        engine.apply_delta(DeltaBatch(sequence=5).add_existence("a", 5, 5))
-        engine.apply_delta(DeltaBatch().add_existence("a", 6, 6))
-        assert engine.streaming_session().last_sequence == 5
+        session = StreamingEngine(graph)
+        session.apply(DeltaBatch(sequence=5).add_existence("a", 5, 5))
+        session.apply(DeltaBatch().add_existence("a", 6, 6))
+        assert session.last_sequence == 5
 
     def test_duplicate_and_unknown_ids_rejected(self):
         graph = small_graph()
@@ -332,7 +335,7 @@ class TestIndexMaintenance:
         # would be absorbed into the parent-side frontier and never
         # exercise the worker caches.
         query = "MATCH (x:Person)-[z:meets]->(y {test = 'pos'}) ON contact_tracing"
-        engine = DataflowEngine(graph, workers=2, parallel_backend="process")
+        engine = DataflowEngine(graph, workers=2)
         stale = engine.match_intervals(query)
         # Find an untested person someone meets, and hand them a positive
         # test over exactly that meeting's span.
@@ -380,8 +383,8 @@ class TestStreamingEngine:
 
     def test_incremental_matches_cold_after_each_batch(self):
         graph = small_graph()
-        engine = DataflowEngine(graph, incremental=True)
-        assert engine.incremental
+        session = StreamingEngine(graph)
+        name = session.register(self.QUERY)
         batches = [
             DeltaBatch(sequence=1)
             .add_node("c", "Person", [(3, 8)])
@@ -392,11 +395,11 @@ class TestStreamingEngine:
             .set_property("c", "risk", "high", 9, 12),
         ]
         for batch in batches:
-            engine.apply_delta(batch)
+            session.apply(batch)
             cold = DataflowEngine(from_json_dict(to_json_dict(graph)))
-            assert engine.match(self.QUERY).as_set() == cold.match(self.QUERY).as_set()
+            assert session.table(name).as_set() == cold.match(self.QUERY).as_set()
             inc_families = sorted(
-                ((b, tuple(t.intervals)) for b, t in engine.match_intervals(self.QUERY)),
+                ((b, tuple(t.intervals)) for b, t in session.results(name)),
                 key=repr,
             )
             cold_families = sorted(
@@ -405,27 +408,20 @@ class TestStreamingEngine:
             )
             assert inc_families == cold_families
 
-    def test_apply_delta_requires_incremental(self):
-        engine = DataflowEngine(small_graph())
-        with pytest.raises(EvaluationError, match="incremental=True"):
-            engine.apply_delta(DeltaBatch())
-
     def test_unaffected_seeds_are_not_rederived(self):
-        graph = small_graph()
-        engine = DataflowEngine(graph, incremental=True)
-        engine.match("MATCH (x:Person) ON g")
+        session = StreamingEngine(small_graph())
+        session.register("MATCH (x:Person) ON g")
         # Touch only the Room node: no Person seed is within radius 0.
-        result = engine.apply_delta(DeltaBatch(sequence=1).add_existence("r", 0, 9))
+        result = session.apply(DeltaBatch(sequence=1).add_existence("r", 0, 9))
         (update,) = result.queries
         assert update.total_seeds == 2
         assert update.affected_seeds == 0
         assert not update.recomputed_all
 
     def test_horizon_advance_recomputes_everything(self):
-        graph = small_graph()
-        engine = DataflowEngine(graph, incremental=True)
-        engine.match("MATCH (x:Person) ON g")
-        result = engine.apply_delta(DeltaBatch(sequence=1).extend_domain(11))
+        session = StreamingEngine(small_graph())
+        session.register("MATCH (x:Person) ON g")
+        result = session.apply(DeltaBatch(sequence=1).extend_domain(11))
         (update,) = result.queries
         assert update.recomputed_all
         assert update.affected_seeds == update.total_seeds
@@ -450,13 +446,13 @@ class TestStreamingEngine:
         graph.add_node("mid", "Room", [(0, 30)])
         graph.add_edge("ve", "visits", "early", "mid", [(0, 2)])
         graph.add_edge("vl", "visits", "late", "mid", [(25, 28)])
-        engine = DataflowEngine(graph, incremental=True)
+        session = StreamingEngine(graph)
         query = "MATCH (x:Person)-/FWD/:visits/FWD/NEXT[0,2]/-(r:Room) ON g"
-        engine.match(query)
+        session.register(query)
         # Dirty the shared room node late in time: 'early' seed times
         # [0,2] are outside the dilated window [23,30] despite being in
         # the structural closure.
-        result = engine.apply_delta(
+        result = session.apply(
             DeltaBatch(sequence=1)
             .add_node("p9", "Person", [(27, 29)])
             .add_edge("v9", "visits", "p9", "mid", [(27, 28)])
@@ -464,37 +460,28 @@ class TestStreamingEngine:
         (update,) = result.queries
         assert update.affected_seeds >= 1
         cold = DataflowEngine(from_json_dict(to_json_dict(graph)))
-        assert engine.match(query).as_set() == cold.match(query).as_set()
+        assert session.table(query).as_set() == cold.match(query).as_set()
         # 'early' was skipped by the time filter.
-        session = engine.streaming_session()
         state = session._state(query)
         assert "early" in state.seed_times
 
     def test_kernel_sessions_agree(self):
-        payload = to_json_dict(small_graph())
+        # Both kernels, reading the session's delta-maintained index
+        # ad hoc, agree with the session's own per-seed answer.
         query = "MATCH (x:Person {risk = 'high'}) ON g"
-        engines = {
-            kernel: DataflowEngine(
-                from_json_dict(payload), kernel=kernel, incremental=True
-            )
-            for kernel in DataflowEngine.KERNELS
-        }
-        batch = (
+        session = StreamingEngine(small_graph())
+        name = session.register(query)
+        engine = session.engine
+        engine.match(query)  # builds the columnar image the delta patches
+        session.apply(
             DeltaBatch(sequence=1)
             .add_existence("a", 5, 9)
             .set_property("a", "risk", "high", 5, 9)
         )
-        reference = None
-        for engine in engines.values():
-            engine.match(query)
-            engine.apply_delta(
-                DeltaBatch.from_json_dict(batch.to_json_dict())
-            )
-            rows = engine.match(query).as_set()
-            if reference is None:
-                reference = rows
-            assert rows == reference
-        assert reference  # the update made 'a' high-risk on [5,9]
+        rows = session.table(name).as_set()
+        assert rows  # the update made 'a' high-risk on [5,9]
+        assert engine.match(query).as_set() == rows
+        assert Interpreted(engine).match(query).as_set() == rows
 
 
 # --------------------------------------------------------------------- #
@@ -521,15 +508,15 @@ class TestContactTracingStream:
 
     def test_fresh_initial_is_pristine_under_mutation(self):
         stream = contact_tracing_stream(self.CONFIG, num_batches=3)
-        engine = DataflowEngine(stream.initial, incremental=True)
-        engine.match("MATCH (x:Person) ON g")
+        session = StreamingEngine(stream.initial)
+        name = session.register("MATCH (x:Person) ON g")
         for batch in stream.batches:
-            engine.apply_delta(batch)
-        # initial was mutated through the engine; fresh_initial was not.
+            session.apply(batch)
+        # initial was mutated through the session; fresh_initial was not.
         assert stream.initial.num_edges() > stream.fresh_initial().num_edges()
         cold = DataflowEngine(stream.replay())
         assert (
-            engine.match("MATCH (x:Person) ON g").as_set()
+            session.table(name).as_set()
             == cold.match("MATCH (x:Person) ON g").as_set()
         )
 

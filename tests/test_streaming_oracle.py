@@ -8,19 +8,20 @@ differential fuzzing.
 
 For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
 
-* two **incremental** sessions (interpreted and columnar kernel — the
-  dataflow configurations of the fuzz-oracle matrix) apply the same
-  delta batches to independent copies of the graph;
+* two **streaming** sessions (``StreamingEngine``) — one per dataflow
+  configuration of the fuzz-oracle matrix — apply the same delta batches
+  to independent copies of the graph;
 * after *every* batch, each session's table must equal a **cold** full
   evaluation by a fresh engine on a pristine rebuild of the materialized
   graph — no shared index, no shared caches;
-* per-seed re-derivation is the interpreted walk under either kernel, so
-  the legs differ on *ad-hoc* reads: after every batch each leg also
-  answers the query unregistered, on its maintained index — for
-  ``stream-columnar`` through the delta-patched ``ColumnarContext`` —
-  and a batch of cases in which that never ran columnar fails (where
-  NumPy is importable);
-* where the coalesced output is defined, the incremental families must
+* per-seed re-derivation is always the interpreted walk, so the legs
+  differ on *ad-hoc* reads: after every batch each leg also answers the
+  query unregistered, on its maintained index — ``stream-columnar``
+  with the default kernel choice, through the delta-patched
+  ``ColumnarContext``; ``stream-interpreted`` with the columnar kernel
+  hidden — and a batch of cases in which that never ran columnar fails
+  (where NumPy is importable);
+* where the coalesced output is defined, the maintained families must
   also be canonical (one entry per binding tuple, nonempty coalesced
   times) and expand exactly to the cold rows — the interval-vs-point
   oracle of PR 3, now over mutated graphs;
@@ -50,9 +51,12 @@ from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
 from repro.perf import columnar
+from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
+
+from conftest import Interpreted
 
 #: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches
-#: and 2 incremental configurations).
+#: and 2 streaming configurations).
 BATCH_SIZE = 25
 BATCHES = 8  # 200 cases, the floor required by the acceptance criteria
 #: Every Nth case also cross-checks the reference engine on the cold side.
@@ -60,26 +64,28 @@ REFERENCE_EVERY = 4
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
 
 
-def incremental_engines(payload: dict) -> dict[str, DataflowEngine]:
+def streaming_sessions(payload: dict) -> dict[str, StreamingEngine]:
     """The dataflow fuzz-oracle configurations as streaming sessions.
 
     Each gets its own graph copy: a delta batch applies to a graph
     exactly once, so sessions cannot share one instance.
     """
     return {
-        "stream-interpreted": DataflowEngine(
-            from_json_dict(payload), kernel="interpreted", incremental=True
-        ),
-        "stream-columnar": DataflowEngine(
-            from_json_dict(payload), kernel="columnar", incremental=True
-        ),
+        name: StreamingEngine(from_json_dict(payload))
+        for name in ("stream-interpreted", "stream-columnar")
     }
 
 
-def check_intervals(name, engine, query, variables, cold_rows, context) -> None:
-    """Canonicity + exact expansion of the incremental coalesced output."""
+def adhoc_engine(name: str, session: StreamingEngine):
+    """The leg's unregistered reader, sharing the session's index."""
+    engine = DataflowEngine(session.graph)
+    return Interpreted(engine) if name == "stream-interpreted" else engine
+
+
+def check_intervals(name, session, query_name, variables, cold_rows, context) -> None:
+    """Canonicity + exact expansion of the maintained coalesced output."""
     try:
-        families = engine.match_intervals(query)
+        families = session.results(query_name)
     except EvaluationError:
         return
     seen = set()
@@ -109,17 +115,15 @@ def check_durability(payload, query, batches, cold_rows, context, tmpdir) -> Non
     like the continuous run (= the cold oracle).
     """
     from repro.resilience import recover
-    from repro.streaming import DeltaBatch
 
     wal_path = os.path.join(tmpdir, "deltas.wal")
     snap_path = os.path.join(tmpdir, "state.snap")
-    durable = DataflowEngine(from_json_dict(payload), incremental=True)
-    name = durable.streaming_session().register(query)
-    session = durable.streaming_session()
+    session = StreamingEngine(from_json_dict(payload))
+    name = session.register(query)
     session.attach_wal(wal_path)
     session.configure_snapshots(snap_path, every=2)
     for batch in batches:
-        durable.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
+        session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
     session.wal.close()
     assert os.path.exists(snap_path), f"no snapshot written ({context})"
     # ``queries=`` because the fuzzed MatchQuery objects carry no
@@ -153,41 +157,41 @@ def run_streaming_case(seed: int) -> int:
     query = random_match_query(seed * 31 + 7)
     batches = random_delta_batches(base, seed * 17 + 3)
     payload = to_json_dict(base)
-    engines = incremental_engines(payload)
-    for engine in engines.values():
-        engine.match(query)  # cold registration
-        # Build the index-owned array image (no-op when interpreted)
-        # before the first delta, so every batch below patches it.
-        DataflowEngine(engine.graph, kernel=engine.kernel).match(query)
+    sessions = streaming_sessions(payload)
+    registered = {}
+    for name, session in sessions.items():
+        registered[name] = session.register(query)  # cold registration
+        # Build the index-owned array image (no-op with the columnar
+        # kernel hidden) before the first delta, so every batch below
+        # patches it.
+        adhoc_engine(name, session).match(query)
     shadow = from_json_dict(payload)
     ran_columnar = 0
     check_reference = seed % REFERENCE_EVERY == 0
 
-    from repro.streaming import DeltaBatch, apply_delta
-
     for number, batch in enumerate(batches, start=1):
         context = f"seed={seed}, batch={number}/{len(batches)}"
         apply_delta(shadow, batch)
-        for engine in engines.values():
-            # Re-serialize per engine: batches apply to one graph once.
-            engine.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
+        for session in sessions.values():
+            # Re-serialize per session: batches apply to one graph once.
+            session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
         cold_engine = DataflowEngine(from_json_dict(to_json_dict(shadow)))
         cold_table = cold_engine.match(query)
         cold_rows = cold_table.as_set()
-        for name, engine in engines.items():
-            incremental_rows = engine.match(query).as_set()
-            assert incremental_rows == cold_rows, (
+        for name, session in sessions.items():
+            maintained_rows = session.table(registered[name]).as_set()
+            assert maintained_rows == cold_rows, (
                 f"{name} diverged from cold evaluation ({context}): "
-                f"{len(incremental_rows)} vs {len(cold_rows)} rows; "
-                f"extra={sorted(incremental_rows - cold_rows, key=repr)[:5]}, "
-                f"missing={sorted(cold_rows - incremental_rows, key=repr)[:5]}"
+                f"{len(maintained_rows)} vs {len(cold_rows)} rows; "
+                f"extra={sorted(maintained_rows - cold_rows, key=repr)[:5]}, "
+                f"missing={sorted(cold_rows - maintained_rows, key=repr)[:5]}"
             )
             check_intervals(
-                name, engine, query, cold_table.variables, cold_rows, context
+                name, session, registered[name], cold_table.variables, cold_rows, context
             )
             # The non-registered read: a plain engine on the session's
             # graph shares its delta-maintained index.
-            adhoc = DataflowEngine(engine.graph, kernel=engine.kernel)
+            adhoc = adhoc_engine(name, session)
             assert adhoc.match(query).as_set() == cold_rows, (
                 f"{name} ad-hoc read diverged from cold evaluation ({context})"
             )
@@ -239,7 +243,6 @@ def test_recovery_with_torn_final_wal_record_matches_prefix_run() -> None:
     never saw the final batch.
     """
     from repro.resilience import recover
-    from repro.streaming import DeltaBatch
 
     seed = 1
     base = random_itpg(seed)
@@ -249,13 +252,12 @@ def test_recovery_with_torn_final_wal_record_matches_prefix_run() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-torn-") as tmpdir:
         wal_path = os.path.join(tmpdir, "deltas.wal")
         snap_path = os.path.join(tmpdir, "state.snap")
-        durable = DataflowEngine(from_json_dict(payload), incremental=True)
-        session = durable.streaming_session()
+        session = StreamingEngine(from_json_dict(payload))
         name = session.register(query)
         session.attach_wal(wal_path)
         session.snapshot(snap_path)  # snapshot of the pre-stream state
         for batch in batches:
-            durable.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
+            session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
         session.wal.close()
 
         # Tear the final record the way a power cut would.
@@ -274,11 +276,8 @@ def test_recovery_with_torn_final_wal_record_matches_prefix_run() -> None:
         assert report.replayed == len(batches) - 1
 
         # The continuous prefix run: same stream minus the lost batch.
-        prefix = DataflowEngine(from_json_dict(payload), incremental=True)
-        prefix_name = prefix.streaming_session().register(query)
+        prefix = StreamingEngine(from_json_dict(payload))
+        prefix_name = prefix.register(query)
         for batch in batches[:-1]:
-            prefix.apply_delta(DeltaBatch.from_json_dict(batch.to_json_dict()))
-        assert (
-            recovered.table(name).as_set()
-            == prefix.streaming_session().table(prefix_name).as_set()
-        )
+            prefix.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
+        assert recovered.table(name).as_set() == prefix.table(prefix_name).as_set()

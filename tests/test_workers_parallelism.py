@@ -1,20 +1,20 @@
 """Worker partitioning must be invisible in every output representation.
 
-The dataflow engine can split the seed frontier across a thread pool or
-a worker-process pool (``workers > 1``) and, under the coalesced
-frontier, signature-equal rows may land in different chunks.  The
-chunked run must re-merge them into a canonically coalesced result — no
-duplicate binding signatures, every interval family coalesced — and
-every public output (``match``, ``match_with_stats``,
-``match_intervals``) must be identical to the ``workers=1`` run.  These
-are the invariants this module pins — for the thread pool, the
-``repro.parallel`` process backend (output identity across start methods
-and engine configurations), the degree-weighted partitioner, and
+The dataflow engine can split the seed frontier across a worker-process
+pool (``workers > 1``) and, under the coalesced frontier,
+signature-equal rows may land in different chunks.  The chunked run must
+re-merge them into a canonically coalesced result — no duplicate binding
+signatures, every interval family coalesced — and every public output
+(``match``, ``match_with_stats``, ``match_intervals``) must be identical
+to the ``workers=1`` run.  These are the invariants this module pins —
+for the ``repro.parallel`` process pool (output identity across start
+methods and both kernels), the degree-weighted partitioner, and
 worker-crash error propagation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 
@@ -32,9 +32,12 @@ from repro.errors import EvaluationError, ReproError, RetryBudgetExceeded
 from repro.eval import ReferenceEngine
 from repro.parallel import plan_for, weighted_chunks
 from repro.parallel import pool as pool_module
-from repro.parallel.pool import shared_pool, shutdown_pools
+from repro.parallel.pool import WorkerPool, shared_pool, shutdown_pools
+from repro.perf import columnar
 from repro.resilience import RetryPolicy, failpoints
 from repro.temporal.coalesce import is_coalesced
+
+from conftest import Interpreted, columnar_hidden
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +69,14 @@ class TestChunkedFrontierInvariants:
     def test_merged_frontier_has_unique_coalesced_signatures(
         self, contact_graph, query_name
     ):
-        # The interpreted kernel: a chain the columnar kernel covers runs
-        # as one columnar pass and never reaches the thread pool.
-        engine = DataflowEngine(contact_graph, workers=4, kernel="interpreted")
+        engine = DataflowEngine(contact_graph, workers=4)
         query = PAPER_QUERIES[query_name].text
         if query_name in ("Q1", "Q5"):
-            # Full scans must actually engage the thread pool, otherwise
-            # the re-merge below is vacuous (selective queries like Q9
+            # Full scans must actually engage the pool, otherwise the
+            # re-merge below is vacuous (selective queries like Q9
             # legitimately seed fewer rows than 2 x workers and run
             # sequentially).
-            assert engine.explain(query)["effective_backend"] == "thread"
+            assert engine.explain(query)["effective_backend"] == "process"
         families = engine.match_intervals(query)
         bindings = [binding for binding, _times in families]
         assert len(bindings) == len(set(bindings)), (
@@ -84,7 +85,7 @@ class TestChunkedFrontierInvariants:
         for _binding, times in families:
             assert is_coalesced(list(times.intervals))
         assert canonical_families(engine, query) == canonical_families(
-            DataflowEngine(contact_graph, kernel="interpreted"), query
+            Interpreted(DataflowEngine(contact_graph)), query
         )
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -118,36 +119,37 @@ class TestExplainMatchesDispatch:
     """``explain()`` reports the backend a match call really runs."""
 
     @pytest.mark.parametrize("query_name", ["Q1", "Q5"])
-    def test_thread_backend_plan_matches_the_run(self, query_name, monkeypatch):
-        from repro.dataflow import executor as executor_module
-
-        graph = generate_contact_tracing_graph(ContactTracingConfig())
-        engine = DataflowEngine(graph, workers=4, parallel_backend="thread")
+    def test_process_backend_plan_matches_the_run(
+        self, contact_graph, query_name, monkeypatch
+    ):
         query = PAPER_QUERIES[query_name].text
-        plan = engine.explain(query)
-        pools = []
-        real_pool = executor_module.ThreadPoolExecutor
+        dispatched = []
+        real_run_chunks = WorkerPool.run_chunks
 
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            return real_pool(*args, **kwargs)
+        def counting_run_chunks(self, plan, chain, chunks, *args, **kwargs):
+            dispatched.append(len(chunks))
+            return real_run_chunks(self, plan, chain, chunks, *args, **kwargs)
 
-        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting_pool)
-        engine.match_with_stats(query)
-        assert sum(chunk["seeds"] for chunk in plan["chunks"]) == plan["seed_rows"]
-        if plan["effective_kernel"] == "columnar":
-            # One columnar pass: the thread pool never runs.
-            assert plan["effective_backend"] == "sequential"
-            assert len(plan["chunks"]) == 1
-            assert pools == []
-        else:  # no NumPy: the interpreted chunks really go to the pool
-            assert plan["effective_backend"] == "thread"
-            assert len(plan["chunks"]) == engine.workers
-            assert pools == [engine.workers]
+        monkeypatch.setattr(WorkerPool, "run_chunks", counting_run_chunks)
+        for workers in (1, 2):
+            engine = DataflowEngine(contact_graph, workers=workers)
+            plan = engine.explain(query)
+            dispatched.clear()
+            engine.match_with_stats(query)
+            assert sum(chunk["seeds"] for chunk in plan["chunks"]) == plan["seed_rows"]
+            if workers == 1:
+                # One serial pass: the pool never runs.
+                assert plan["effective_backend"] == "sequential"
+                assert len(plan["chunks"]) == 1
+                assert dispatched == []
+            else:  # the planned chunks really go to the worker processes
+                assert plan["effective_backend"] == "process"
+                assert len(plan["chunks"]) == engine.workers
+                assert dispatched == [engine.workers]
 
 
 class TestWeightedChunks:
-    """The degree-weighted partitioner both backends share."""
+    """The degree-weighted partitioner the pool and ``explain()`` share."""
 
     def test_covers_all_items_within_bounds(self):
         items = list(range(11))
@@ -200,16 +202,9 @@ def _fork_available() -> bool:
 class TestProcessBackend:
     """`repro.parallel`: process partitioning must be invisible too."""
 
-    #: The dataflow configurations of the differential fuzz oracle (its
-    #: reference engines provide the ground truth below).
-    DATAFLOW_CONFIGS = {
-        "interpreted": {"kernel": "interpreted"},
-        "columnar": {"kernel": "columnar"},
-    }
-
     def test_process_backend_output_identity_all_queries(self, contact_graph):
         sequential = DataflowEngine(contact_graph)
-        process = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
+        process = DataflowEngine(contact_graph, workers=2)
         for name, query in PAPER_QUERIES.items():
             seq_result = sequential.match_with_stats(query.text)
             par_result = process.match_with_stats(query.text)
@@ -219,22 +214,26 @@ class TestProcessBackend:
                 process, query.text
             ), name
 
-    @pytest.mark.parametrize("config", sorted(DATAFLOW_CONFIGS))
-    def test_process_backend_agrees_with_fuzz_oracle_engines(self, config):
-        """Every dataflow config × process backend vs the oracle ground truth."""
-        kwargs = self.DATAFLOW_CONFIGS[config]
-        for seed in (0, 3, 7):
-            graph = random_itpg(seed, num_nodes=14, num_edges=24, num_windows=10)
-            query = random_match_query(seed * 31 + 7)
-            reference = ReferenceEngine(graph).match(query).as_set()
-            sequential = DataflowEngine(graph, **kwargs)
-            process = DataflowEngine(
-                graph, workers=2, parallel_backend="process", **kwargs
-            )
-            assert process.match(query).as_set() == reference, (config, seed)
-            assert canonical_families(sequential, query) == canonical_families(
-                process, query
-            ), (config, seed)
+    @pytest.mark.parametrize("config", ["columnar", "interpreted"])
+    def test_process_backend_agrees_with_fuzz_oracle_engines(self, config, fresh_pools):
+        """Both kernels × process backend vs the oracle ground truth.
+
+        The interpreted leg hides the columnar kernel before the fresh
+        pool forks, so its workers walk the chain interpreted too.
+        """
+        start_method = "fork" if _fork_available() else None
+        interpreted = config == "interpreted"
+        with columnar_hidden() if interpreted else contextlib.nullcontext():
+            for seed in (0, 3, 7):
+                graph = random_itpg(seed, num_nodes=14, num_edges=24, num_windows=10)
+                query = random_match_query(seed * 31 + 7)
+                reference = ReferenceEngine(graph).match(query).as_set()
+                sequential = DataflowEngine(graph)
+                process = DataflowEngine(graph, workers=2, start_method=start_method)
+                assert process.match(query).as_set() == reference, (config, seed)
+                assert canonical_families(sequential, query) == canonical_families(
+                    process, query
+                ), (config, seed)
 
     @pytest.mark.parametrize(
         "start_method",
@@ -251,10 +250,7 @@ class TestProcessBackend:
     def test_process_backend_start_methods(self, contact_graph, start_method):
         sequential = DataflowEngine(contact_graph)
         process = DataflowEngine(
-            contact_graph,
-            workers=2,
-            parallel_backend="process",
-            start_method=start_method,
+            contact_graph, workers=2, start_method=start_method
         )
         for name in ("Q1", "Q5", "Q11"):
             query = PAPER_QUERIES[name].text
@@ -266,29 +262,24 @@ class TestProcessBackend:
             ), (start_method, name)
 
     def test_plan_payload_is_shared_and_cached(self, contact_graph):
-        engine = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
-        other = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
-        plan = plan_for(engine.graph, "interpreted")
-        assert plan_for(other.graph, "interpreted") is plan
+        engine = DataflowEngine(contact_graph, workers=2)
+        other = DataflowEngine(contact_graph, workers=2)
+        plan = plan_for(engine.graph)
+        assert plan_for(other.graph) is plan
         payload = plan.payload
         assert plan.payload is payload  # serialized once, then reused
-        # Every kernel's plan on the same graph shares the one payload.
-        assert plan_for(engine.graph, "columnar").payload is payload
         engine.match(PAPER_QUERIES["Q1"].text)
         pool = shared_pool(2)
         assert plan.token in pool._warm and pool._warm[plan.token]
 
     def test_small_frontier_falls_back_to_sequential(self, contact_graph):
-        engine = DataflowEngine(
-            contact_graph, workers=64, parallel_backend="process"
-        )
+        engine = DataflowEngine(contact_graph, workers=64)
         plan = engine.explain(PAPER_QUERIES["Q9"].text)
-        assert plan["backend"] == "process"
         assert plan["effective_backend"] == "sequential"
         assert len(plan["chunks"]) == 1
 
     def test_explain_reports_weighted_chunk_plan(self, contact_graph):
-        engine = DataflowEngine(contact_graph, workers=2, parallel_backend="process")
+        engine = DataflowEngine(contact_graph, workers=2)
         plan = engine.explain(PAPER_QUERIES["Q1"].text)
         assert plan["effective_backend"] == "process"
         assert plan["output_mode"] == "families"
@@ -311,14 +302,39 @@ class TestProcessBackend:
         assert engine.workers == (os.cpu_count() or 1)
 
     def test_unknown_backend_rejected(self, contact_graph):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            DataflowEngine(contact_graph, parallel_backend="rayon")
+        # ``workers > 1`` is the process pool; there is no backend option.
+        with pytest.raises(TypeError, match="parallel_backend"):
+            DataflowEngine(contact_graph, workers=2, parallel_backend="thread")
 
     def test_unknown_start_method_rejected(self, contact_graph):
         with pytest.raises(ValueError, match="unknown start method"):
-            DataflowEngine(
-                contact_graph, parallel_backend="process", start_method="warp"
-            )
+            DataflowEngine(contact_graph, workers=2, start_method="warp")
+
+    def test_uncovered_chain_runs_in_the_process_pool(self, contact_graph):
+        """``workers > 1`` means worker processes, whatever the kernel:
+        a chain the columnar kernel declines still leaves the parent."""
+        from repro.lang import ast
+        from repro.lang.parser import MatchQuery, NodePattern, PathPattern
+
+        # x meets y, and y is bound one step before or after the meeting.
+        path = ast.concat(
+            ast.F, ast.test(ast.label("meets")), ast.F, ast.union(ast.N, ast.P)
+        )
+        query = MatchQuery(
+            elements=(NodePattern(variable="x"), NodePattern(variable="y")),
+            connectors=(PathPattern(path=path, source_text="<meets-(n+p)>"),),
+            graph_name="g",
+            text="<meets-(n+p)>",
+        )
+        engine = DataflowEngine(contact_graph, workers=2)
+        plan = engine.explain(query)
+        assert plan["effective_backend"] == "process"
+        assert plan["effective_kernel"] == "interpreted"
+        if columnar.available():
+            assert plan["kernel_fallback"] == "temporal navigation inside alternation"
+        expected = ReferenceEngine(contact_graph).match(query).as_set()
+        assert expected
+        assert engine.match(query).as_set() == expected
 
 
 class TestDeltaPlanInvalidation:
@@ -375,11 +391,11 @@ class TestDeltaPlanInvalidation:
 
         graph = self._mutable_contact_graph()
         token = graph_token(graph)
-        plan = plan_for(graph, "columnar")
+        plan = plan_for(graph)
         assert plan.token == token
         assert invalidate_plans(graph) is True
         assert graph_token(graph) != token
-        assert plan_for(graph, "columnar") is not plan
+        assert plan_for(graph) is not plan
         # A graph with nothing cached reports no-op.
         assert invalidate_plans(self._mutable_contact_graph()) is False
 
@@ -389,7 +405,7 @@ class TestDeltaPlanInvalidation:
         from repro.streaming import apply_delta
 
         graph = self._mutable_contact_graph()
-        engine = DataflowEngine(graph, workers=2, parallel_backend="process")
+        engine = DataflowEngine(graph, workers=2)
         stale = canonical_families(engine, self.QUERY)  # warms plan + workers
         token_before = graph_token(graph)
         batch = self._divergence_batch(graph)
@@ -410,9 +426,7 @@ class TestProcessBackendFaults:
     """Worker failures must surface, and the next query must recover."""
 
     def _engine(self, graph):
-        return DataflowEngine(
-            graph, workers=2, parallel_backend="process", start_method="fork"
-        )
+        return DataflowEngine(graph, workers=2, start_method="fork")
 
     def test_worker_exception_propagates(self, contact_graph, fresh_pools, monkeypatch):
         def boom(*args):
@@ -491,7 +505,6 @@ class TestFailpointCrashRecovery:
         return DataflowEngine(
             graph,
             workers=2,
-            parallel_backend="process",
             start_method=start_method,
             retry=self._policy(**overrides),
         )
@@ -525,9 +538,9 @@ class TestFailpointCrashRecovery:
         assert result.table.as_set() == serial
         report = result.degradation
         assert report is not None and report["degraded"]
-        # The thread/serial rungs never enter a worker process, so the
-        # armed kill cannot touch them.
-        assert report["final_backend"] in ("thread", "serial")
+        # The serial rung never enters a worker process, so the armed
+        # kill cannot touch it.
+        assert report["final_backend"] == "serial"
         assert len(report["failures"]) == 2  # initial attempt + 1 retry
 
     @pytest.mark.skipif(not _fork_available(), reason="fork keeps this test fast")
@@ -535,7 +548,6 @@ class TestFailpointCrashRecovery:
         engine = DataflowEngine(
             contact_graph,
             workers=2,
-            parallel_backend="process",
             start_method="fork",
             retry=self._policy(retries=1, degrade=False),
         )
@@ -558,9 +570,7 @@ class TestFailpointCrashRecovery:
     @pytest.mark.skipif(not _fork_available(), reason="fork keeps this test fast")
     def test_without_retry_policy_crash_still_fails_fast(self, contact_graph):
         """``retry=None`` (the default) keeps the PR-4 fail-fast contract."""
-        engine = DataflowEngine(
-            contact_graph, workers=2, parallel_backend="process", start_method="fork"
-        )
+        engine = DataflowEngine(contact_graph, workers=2, start_method="fork")
         failpoints.arm("worker.chunk", "kill", times=0)
         with pytest.raises(EvaluationError, match="worker crashed"):
             engine.match(PAPER_QUERIES["Q1"].text)
