@@ -13,9 +13,9 @@ The CLI exposes the most common workflows without writing Python:
   and their compiled indexes stay resident, execution plans are cached,
   and clients speak JSON lines over TCP (see RELIABILITY.md);
 * ``python -m repro compile`` — compile a graph's index into a
-  persistent ``repro-index`` artifact (optionally sharded behind a
-  manifest); ``query --store`` and ``serve --store`` then attach it in
-  O(1) instead of loading JSON and recompiling;
+  persistent ``repro-index`` artifact; ``query --store`` and
+  ``serve --store`` then attach it in O(1) instead of loading JSON and
+  recompiling;
 * ``python -m repro example`` — dump the Figure-1 running example as
   JSON, as a starting point for experimentation.
 
@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="attach a compiled repro-index artifact (or sharded-store "
-        "manifest) written by 'repro compile' instead of loading a JSON "
-        "graph (dataflow engine only; mutually exclusive with --graph)",
+        help="attach a compiled repro-index artifact written by 'repro "
+        "compile' instead of loading a JSON graph (dataflow engine only; "
+        "mutually exclusive with --graph)",
     )
     query.add_argument(
         "--engine",
@@ -373,20 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph JSON to compile (default: the Figure-1 running example)",
     )
     compile_cmd.add_argument(
-        "--output", "-o", required=True, help="artifact (or manifest) output path"
-    )
-    compile_cmd.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="write a sharded store: a manifest at --output plus a head "
-        "artifact and N degree-balanced shard artifacts next to it",
+        "--output", "-o", required=True, help="artifact output path"
     )
     compile_cmd.add_argument(
         "--verify",
         action="store_true",
-        help="re-attach the written store and checksum every section "
+        help="re-attach the written artifact and checksum every section "
         "before reporting success",
     )
 
@@ -802,18 +794,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    """Compile a graph's index into a persistent artifact (or sharded store)."""
+    """Compile a graph's index into a persistent artifact."""
     from repro.store import attach, compile_graph
 
     graph = _load_graph(args.graph)
-    report = compile_graph(graph, args.output, shards=args.shards)
-    shape = (
-        f"{report['shard_count']} shard(s) + head behind manifest"
-        if report["sharded"]
-        else "single artifact"
-    )
+    report = compile_graph(graph, args.output)
     print(
-        f"wrote {args.output}: {shape}, {report['objects']} objects "
+        f"wrote {args.output}: {report['objects']} objects "
         f"({report['nodes']} nodes), {report['bytes']} bytes, "
         f"token {report['token']}"
     )

@@ -146,8 +146,8 @@ class StoreError(ReproError, RuntimeError):
 class StoreFormatError(StoreError):
     """A file is not a ``repro-index`` artifact (bad magic or malformed header).
 
-    ``path`` names the offending file so multi-shard attach failures can
-    point at the exact member.
+    ``path`` names the offending file so callers can report it without
+    parsing the message.
     """
 
     def __init__(self, message: str, *, path: str = "") -> None:

@@ -117,11 +117,6 @@ class ExecutionPlan:
             self._payload = pickle.dumps(self._graph, protocol=pickle.HIGHEST_PROTOCOL)
         return self._payload
 
-    @property
-    def payload_bytes(self) -> int:
-        """Size of the serialized graph (the plan's one-time shipping cost)."""
-        return len(self.payload)
-
 
 def graph_token(graph: IntervalTPG) -> str:
     """The stable parallel-execution identity of ``graph``.

@@ -260,21 +260,16 @@ class ColumnarContext:
     def _decode_store_sections(index):
         """Zero-copy-decode existence/adjacency from an attached store.
 
-        Only valid for a pristine single-artifact attachment (epoch 0,
-        identity record layout): after delta maintenance the lazy-map
-        overlays shadow the on-disk records, so the index's maps are the
-        source of truth instead.
+        Only valid for a pristine attachment (epoch 0): after delta
+        maintenance the lazy-map overlays shadow the on-disk records, so
+        the index's maps are the source of truth instead.
         """
         if index.epoch != 0:
             return None
-        core = index.core
-        sections = getattr(core, "columnar_sections", None)
+        sections = getattr(index.core, "columnar_sections", None)
         if sections is None:
             return None
-        views = sections()
-        if views is None:
-            return None
-        exist_idx, exist_dat, adj_idx, adj_dat = views
+        exist_idx, exist_dat, adj_idx, adj_dat = sections()
         # Copies, deliberately: frombuffer views would pin the store's
         # mmap open (attachment.close() raises on exported buffers).
         ex_offsets = np.frombuffer(exist_idx, dtype="<u8").astype(np.int64)
@@ -404,14 +399,6 @@ class ColumnarContext:
             high[filled] = ends[indptr[filled + 1] - 1]
             hull = self._hulls[condition] = (low, high)
         return hull
-
-    def seed_count(self, plan: ColumnarPlan) -> int:
-        """How many seed rows the plan starts from (for pool engagement)."""
-        if plan.seed_condition is None:
-            return self.num_objects
-        # The memoized table stores only objects with nonempty times, so
-        # its length is exactly the interpreted seed-row count.
-        return len(self._index.condition_table(plan.seed_condition))
 
 
 # --------------------------------------------------------------------- #

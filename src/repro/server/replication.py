@@ -366,10 +366,6 @@ class ReplicationHub:
             }
         return {"shipped": self._shipped, "graphs": graphs}
 
-    @property
-    def standby_count(self) -> int:
-        return sum(len(subs) for subs in self._subscribers.values())
-
 
 class StandbyRunner:
     """Standby-side replication client: subscribe, apply, ack, promote.

@@ -7,9 +7,8 @@ makes the compiled index a *persistent, shareable* artifact instead:
 
 * :func:`compile_graph` writes the index's flat tables (dense-id object
   table, adjacency, existence and property interval families, candidate
-  buckets) into a checksummed single file — or a sharded store behind a
-  manifest — atomically (:mod:`repro.store.format`,
-  :mod:`repro.store.shards`);
+  buckets) into one checksummed file atomically
+  (:mod:`repro.store.format`);
 * :func:`attach` mmaps an artifact read-only in O(1) and returns a
   ready graph + :class:`~repro.perf.graph_index.GraphIndex` whose
   tables decode lazily from the map, so attaching processes share page
@@ -45,10 +44,11 @@ writer in this package maintains:
   gap-coalesced — so readers (including the columnar kernel's
   section-to-array decode, :meth:`AttachedCore.columnar_sections`)
   consume them without re-normalizing.
-* **Sharded stores fail closed.**  Every member of a sharded manifest
-  records the manifest's generation token; a mixed-generation store
-  raises :class:`~repro.errors.StoreCorruptError` instead of serving a
-  franken-graph.
+* **Header length is bounded by the file size.**  The fixed header's
+  u64 length field is checked against the file before the header is
+  read, so a damaged field raises
+  :class:`~repro.errors.StoreCorruptError` instead of an oversized
+  read.
 * **Attachments are read-only.**  Mutation happens in the overlay dicts
   *above* the mmap (the streaming delta path); consumers that decode
   sections into private arrays must copy, because ``close()`` refuses
@@ -66,7 +66,6 @@ from repro.store.artifact import (
     compile_graph,
 )
 from repro.store.format import FORMAT, VERSION, Artifact, write_artifact
-from repro.store.shards import MANIFEST_FORMAT, plan_shards
 
 __all__ = [
     "Artifact",
@@ -74,10 +73,8 @@ __all__ = [
     "AttachedGraph",
     "Attachment",
     "FORMAT",
-    "MANIFEST_FORMAT",
     "VERSION",
     "attach",
     "compile_graph",
-    "plan_shards",
     "write_artifact",
 ]

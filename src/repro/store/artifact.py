@@ -2,9 +2,8 @@
 
 The writer (:func:`compile_graph`) serializes a graph's compiled index
 — the same tables :class:`~repro.perf.graph_index.CompiledCore` builds
-in memory — into the flat-section container of
-:mod:`repro.store.format`, either as one self-contained artifact or as
-a sharded store behind a manifest (:mod:`repro.store.shards`).
+in memory — into one self-contained artifact in the flat-section
+container of :mod:`repro.store.format`.
 
 The reader (:func:`attach`) is the point of the exercise: it maps the
 artifact read-only and returns a ready graph + index **without decoding
@@ -38,15 +37,13 @@ import os
 import pickle
 import struct
 import uuid
-from bisect import bisect_left
 from typing import Any, Callable, Hashable, Iterator, Optional
 
 from repro.errors import StoreCorruptError, StoreFormatError, UnknownObjectError
 from repro.model.itpg import IntervalTPG
 from repro.parallel.plan import StoreRef, bind_store
 from repro.perf.graph_index import CompiledCore, GraphIndex, graph_index_for, install_index
-from repro.store.format import MAGIC, Artifact, write_artifact
-from repro.store.shards import plan_shards, read_manifest, write_manifest
+from repro.store.format import Artifact, write_artifact
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
 from repro.temporal.valued import ValuedIntervalSet
@@ -113,13 +110,12 @@ def _head_sections(core: CompiledCore, graph: object) -> dict[str, bytes]:
     }
 
 
-def _data_sections(core: CompiledCore, members: list[int]) -> dict[str, bytes]:
-    """Per-object records for the objects at dense positions ``members``."""
+def _data_sections(core: CompiledCore) -> dict[str, bytes]:
+    """Per-object records, one per dense position."""
     exist_records: list[bytes] = []
     adj_records: list[bytes] = []
     props_records: list[bytes] = []
-    for position in members:
-        obj = core.objects[position]
+    for obj in core.objects:
         exist_records.append(_exist_record(core.existence[obj]))
         if obj in core.nodes:
             adj_records.append(
@@ -146,99 +142,34 @@ def _data_sections(core: CompiledCore, members: list[int]) -> dict[str, bytes]:
 # --------------------------------------------------------------------- #
 # Compile
 # --------------------------------------------------------------------- #
-def compile_graph(
-    graph: IntervalTPG, path: str, *, shards: Optional[int] = None
-) -> dict:
-    """Write ``graph``'s compiled index to ``path``; returns a report.
+def compile_graph(graph: IntervalTPG, path: str) -> dict:
+    """Write ``graph``'s compiled index to the artifact ``path``.
 
-    With ``shards=None`` the result is one self-contained artifact.
-    With ``shards=N`` ``path`` is the *manifest* and the head/shard
-    artifacts are written next to it (``<stem>.head.rix``,
-    ``<stem>.shard<i>.rix``).  The snapshot reflects every delta batch
-    already applied to the graph — compiling is always safe after
-    streaming maintenance.
+    Returns a report with the artifact's ``path``, its per-compile
+    ``token``, the ``objects`` and ``nodes`` counts and its size in
+    ``bytes``.  The snapshot reflects every delta batch already applied
+    to the graph — compiling is always safe after streaming maintenance.
     """
     index = graph_index_for(graph)
     core = index.snapshot_core()
     source = index.graph  # the IntervalTPG (post tpg conversion / materialization)
     token = uuid.uuid4().hex
+    sections = _head_sections(core, source)
+    sections.update(_data_sections(core))
     meta = {
         "token": token,
         "domain": [core.domain.start, core.domain.end],
         "num_objects": len(core.objects),
         "num_nodes": len(core.nodes),
+        "kind": "index",
     }
-    head = _head_sections(core, source)
-    if shards is None:
-        sections = dict(head)
-        sections.update(_data_sections(core, list(range(len(core.objects)))))
-        report = write_artifact(path, sections, {**meta, "kind": "index"})
-        return {
-            "path": path,
-            "token": token,
-            "sharded": False,
-            "objects": len(core.objects),
-            "nodes": len(core.nodes),
-            "bytes": report["bytes"],
-            "files": [report],
-        }
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    stem = os.path.splitext(os.path.basename(path))[0]
-    member_lists = plan_shards(
-        core.objects, core.nodes, core.out_adjacency, core.object_id, shards
-    )
-    files = []
-    head_name = f"{stem}.head.rix"
-    files.append(
-        write_artifact(
-            os.path.join(directory, head_name), head, {**meta, "kind": "head"}
-        )
-    )
-    shard_entries = []
-    for number, members in enumerate(member_lists):
-        shard_name = f"{stem}.shard{number}.rix"
-        sections = {"members": struct.pack(f"<{len(members)}I", *members)}
-        sections.update(_data_sections(core, members))
-        files.append(
-            write_artifact(
-                os.path.join(directory, shard_name),
-                sections,
-                {**meta, "kind": "shard", "shard": number},
-            )
-        )
-        shard_entries.append(
-            {
-                "path": shard_name,
-                "objects": len(members),
-                "weight": sum(
-                    1 + len(core.out_adjacency[core.objects[p]])
-                    for p in members
-                    if core.objects[p] in core.nodes
-                ),
-            }
-        )
-    write_manifest(
-        path,
-        {
-            "format": "repro-index-manifest/1",
-            "token": token,
-            "domain": meta["domain"],
-            "num_objects": meta["num_objects"],
-            "num_nodes": meta["num_nodes"],
-            "head": head_name,
-            "shards": shard_entries,
-        },
-    )
+    report = write_artifact(path, sections, meta)
     return {
         "path": path,
         "token": token,
-        "sharded": True,
-        "shard_count": len(member_lists),
         "objects": len(core.objects),
         "nodes": len(core.nodes),
-        "bytes": sum(f["bytes"] for f in files),
-        "files": files,
+        "bytes": report["bytes"],
     }
 
 
@@ -332,116 +263,43 @@ class _LazyMap(dict):
 
 
 # --------------------------------------------------------------------- #
-# Attached parts and core
+# Attached core
 # --------------------------------------------------------------------- #
-class _Part:
-    """One data-bearing member of a store (the whole artifact, or a shard).
-
-    Shard parts open lazily: a worker whose seeds all live in shard 0
-    never opens shard 1's file.  Section views and cast index arrays
-    are memoized per part, so record access after the first touch is a
-    bounds-checked slice of the mmap.
-    """
-
-    __slots__ = ("path", "_token", "_artifact", "_members", "_sections")
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        artifact: Optional[Artifact] = None,
-        token: str = "",
-    ) -> None:
-        self.path = path if path is not None else (artifact.path if artifact else "")
-        self._token = token
-        self._artifact = artifact
-        self._members: Optional[memoryview] = None
-        self._sections: dict[str, memoryview] = {}
-
-    @property
-    def artifact(self) -> Artifact:
-        if self._artifact is None:
-            artifact = Artifact(self.path)
-            kind = artifact.meta.get("kind")
-            if kind != "shard":
-                raise StoreFormatError(
-                    f"{self.path}: expected a shard artifact, found kind {kind!r}",
-                    path=self.path,
-                )
-            if self._token and artifact.meta.get("token") != self._token:
-                raise StoreCorruptError(
-                    f"{self.path}: shard token {artifact.meta.get('token')!r} does "
-                    f"not match its manifest ({self._token!r}) — the store mixes "
-                    "artifacts from different compilations",
-                    path=self.path,
-                )
-            self._artifact = artifact
-        return self._artifact
-
-    def section(self, name: str) -> memoryview:
-        view = self._sections.get(name)
-        if view is None:
-            view = self._sections[name] = self.artifact.section(name)
-        return view
-
-    def members(self) -> Optional[memoryview]:
-        """Sorted global dense positions as a u32 view, or ``None`` when
-        this part covers the identity range (single-file store)."""
-        if self._members is None and self.artifact.has("members"):
-            self._members = self.section("members").cast("I")
-        return self._members
-
-    def release_views(self) -> None:
-        """Drop memoized views so the backing mmap can close cleanly."""
-        self._sections.clear()
-        self._members = None
-
-    def record(self, name: str, local: int) -> memoryview:
-        idx = self.section(f"{name}.idx").cast("Q")
-        start, stop = idx[local], idx[local + 1]
-        if start == stop:
-            return memoryview(b"")
-        return self.section(f"{name}.dat")[start:stop]
-
-    def close(self) -> None:
-        self.release_views()
-        if self._artifact is not None:
-            self._artifact.close()
-            self._artifact = None
-
-
 class AttachedCore:
-    """:class:`CompiledCore`'s attribute surface, decoded lazily from a store.
+    """:class:`CompiledCore`'s attribute surface, decoded lazily from an artifact.
 
     Eager work at attach: the header checks, one unpickle of the object
     table, and the dense-id/node-kind tables derived from it — a few
     C-speed passes over ``objects``.  Everything per-object stays on
-    disk until first touched.
+    disk until first touched.  Data-section views are memoized, so
+    record access after the first touch is a bounds-checked slice of
+    the mmap.
     """
 
-    def __init__(self, head: Artifact, parts: list[_Part]) -> None:
-        meta = head.meta
+    def __init__(self, artifact: Artifact) -> None:
+        meta = artifact.meta
         try:
             self.token: str = meta["token"]
             domain = meta["domain"]
             declared = int(meta["num_objects"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptError(
-                f"{head.path}: artifact metadata is missing required keys",
-                path=head.path,
+                f"{artifact.path}: artifact metadata is missing required keys",
+                path=artifact.path,
             ) from exc
         self.domain = Interval(int(domain[0]), int(domain[1]))
-        self.objects: tuple[ObjectId, ...] = pickle.loads(head.section("objects"))
+        self.objects: tuple[ObjectId, ...] = pickle.loads(artifact.section("objects"))
         if len(self.objects) != declared:
             raise StoreCorruptError(
-                f"{head.path}: object table holds {len(self.objects)} entries, "
+                f"{artifact.path}: object table holds {len(self.objects)} entries, "
                 f"header declares {declared}",
-                path=head.path,
+                path=artifact.path,
                 section="objects",
             )
         self.object_id: dict[ObjectId, int] = {
             obj: position for position, obj in enumerate(self.objects)
         }
-        node_positions = head.section("nodekind").cast("I")
+        node_positions = artifact.section("nodekind").cast("I")
         self._node_tuple: tuple[ObjectId, ...] = tuple(
             self.objects[position] for position in node_positions
         )
@@ -451,8 +309,8 @@ class AttachedCore:
         )
         self.edges: frozenset = frozenset(self._edge_tuple)
 
-        self._head = head
-        self._parts = parts
+        self._artifact = artifact
+        self._sections: dict[str, memoryview] = {}
         self._endpoint_cache: Optional[tuple] = None
         self._bucket_cache: Optional[tuple] = None
 
@@ -467,25 +325,28 @@ class AttachedCore:
         self.prop_value_buckets = _LazyMap(fill=self._fill_prop_buckets)
         self.properties = _LazyMap(load=self._load_properties)
 
-    # -- record location ------------------------------------------------ #
-    def _locate(self, position: int) -> tuple[_Part, int]:
-        for part in self._parts:
-            members = part.members()
-            if members is None:
-                return part, position
-            local = bisect_left(members, position)
-            if local < len(members) and members[local] == position:
-                return part, local
-        raise StoreCorruptError(
-            f"{self._head.path}: dense position {position} is covered by no "
-            "shard of the store",
-            path=self._head.path,
-        )
+    # -- record access --------------------------------------------------- #
+    def _section(self, name: str) -> memoryview:
+        view = self._sections.get(name)
+        if view is None:
+            view = self._sections[name] = self._artifact.section(name)
+        return view
+
+    def _record(self, name: str, key: ObjectId) -> memoryview:
+        """``key``'s record of a data section; its dense id is the index."""
+        position = self.object_id[key]
+        idx = self._section(f"{name}.idx").cast("Q")
+        start, stop = idx[position], idx[position + 1]
+        # If the .dat section then fails its CRC, the traceback keeps
+        # this frame alive: a still-exported view would make close() fail.
+        idx.release()
+        if start == stop:
+            return memoryview(b"")
+        return self._section(f"{name}.dat")[start:stop]
 
     # -- per-key loaders ------------------------------------------------ #
     def _load_existence(self, key: ObjectId) -> IntervalSet:
-        part, local = self._locate(self.object_id[key])
-        record = part.record("exist", local)
+        record = self._record("exist", key)
         return IntervalSet._from_coalesced(
             Interval(start, end) for start, end in _PAIR.iter_unpack(record)
         )
@@ -493,8 +354,7 @@ class AttachedCore:
     def _adjacency(self, key: ObjectId) -> tuple[tuple, tuple]:
         if key not in self.nodes:
             raise KeyError(key)
-        part, local = self._locate(self.object_id[key])
-        record = part.record("adj", local)
+        record = self._record("adj", key)
         (out_count,) = _U32.unpack_from(record, 0)
         ids = record[4:].cast("I")
         out_ids = tuple(self.objects[i] for i in ids[:out_count])
@@ -512,21 +372,20 @@ class AttachedCore:
         return in_ids
 
     def _load_properties(self, key: ObjectId) -> dict:
-        part, local = self._locate(self.object_id[key])
-        record = part.record("props", local)
+        record = self._record("props", key)
         if len(record) == 0:
             return {}
         return pickle.loads(record)
 
     # -- whole-section fills -------------------------------------------- #
     def _fill_labels(self, target: _LazyMap) -> None:
-        labels = pickle.loads(self._head.section("labels"))
+        labels = pickle.loads(self._artifact.section("labels"))
         for obj, label in zip(self.objects, labels):
             target.setdefault(obj, label)
 
     def _endpoints(self) -> tuple:
         if self._endpoint_cache is None:
-            self._endpoint_cache = pickle.loads(self._head.section("endpoints"))
+            self._endpoint_cache = pickle.loads(self._artifact.section("endpoints"))
         return self._endpoint_cache
 
     def _fill_edge_source(self, target: _LazyMap) -> None:
@@ -539,7 +398,7 @@ class AttachedCore:
 
     def _buckets(self) -> tuple:
         if self._bucket_cache is None:
-            self._bucket_cache = pickle.loads(self._head.section("buckets"))
+            self._bucket_cache = pickle.loads(self._artifact.section("buckets"))
         return self._bucket_cache
 
     def _fill_node_buckets(self, target: _LazyMap) -> None:
@@ -555,28 +414,22 @@ class AttachedCore:
             target.setdefault(key, bucket)
 
     # -- bulk decode ----------------------------------------------------- #
-    def columnar_sections(self) -> Optional[tuple]:
+    def columnar_sections(self) -> tuple:
         """Raw ``(exist.idx, exist.dat, adj.idx, adj.dat)`` memoryviews.
 
         The columnar kernel (:mod:`repro.perf.columnar`) decodes these
         four struct-packed sections straight into flat NumPy arrays —
         ``exist.idx`` is u64 byte offsets (16 bytes per ``<qq`` interval
         pair), ``adj.idx``/``adj.dat`` the u32 ``out_count + ids``
-        records — skipping the per-record lazy-map walk entirely.  Only
-        valid for a single-part store with the identity record layout
-        (dense position == local record); sharded manifests return
-        ``None`` and the caller falls back to the dict surface.
+        records — skipping the per-record lazy-map walk entirely.
         Consumers must **copy** out of the views before the attachment
         closes (an exported buffer makes ``mmap.close`` raise).
         """
-        if len(self._parts) != 1 or self._parts[0].members() is not None:
-            return None
-        part = self._parts[0]
         return (
-            part.section("exist.idx"),
-            part.section("exist.dat"),
-            part.section("adj.idx"),
-            part.section("adj.dat"),
+            self._section("exist.idx"),
+            self._section("exist.dat"),
+            self._section("adj.idx"),
+            self._section("adj.dat"),
         )
 
     # -- housekeeping --------------------------------------------------- #
@@ -587,24 +440,17 @@ class AttachedCore:
         return self._edge_tuple
 
     def graph_bytes(self) -> memoryview:
-        return self._head.section("graph")
+        return self._artifact.section("graph")
 
     def verify(self) -> None:
-        """CRC-check every section of every member (opens all shards)."""
-        self._head.verify()
-        for part in self._parts:
-            if part._artifact is not self._head:
-                part.artifact.verify()
+        """CRC-check every section of the artifact."""
+        self._artifact.verify()
 
     def close(self) -> None:
-        # Views memoized on the parts must be released before the mmaps
-        # close (an exported buffer makes mmap.close raise BufferError).
-        for part in self._parts:
-            if part._artifact is self._head:
-                part.release_views()
-            else:
-                part.close()
-        self._head.close()
+        # Memoized views must be released before the mmap closes (an
+        # exported buffer makes mmap.close raise BufferError).
+        self._sections.clear()
+        self._artifact.close()
 
 
 # --------------------------------------------------------------------- #
@@ -797,24 +643,18 @@ class AttachedGraph:
 # Attach
 # --------------------------------------------------------------------- #
 class Attachment:
-    """One attached store: the proxy graph, its index, and the handles."""
+    """One attached artifact: the proxy graph, its index, and the handles."""
 
-    __slots__ = ("graph", "index", "core", "token", "path", "sharded")
+    __slots__ = ("graph", "index", "core", "token", "path")
 
     def __init__(
-        self,
-        graph: AttachedGraph,
-        index: GraphIndex,
-        core: AttachedCore,
-        path: str,
-        sharded: bool,
+        self, graph: AttachedGraph, index: GraphIndex, core: AttachedCore, path: str
     ) -> None:
         self.graph = graph
         self.index = index
         self.core = core
         self.token = core.token
         self.path = path
-        self.sharded = sharded
 
     def verify(self) -> None:
         self.core.verify()
@@ -824,7 +664,7 @@ class Attachment:
 
 
 def attach(path: str) -> Attachment:
-    """Attach a compiled store (single artifact or sharded manifest).
+    """Attach a compiled ``repro-index`` artifact.
 
     O(1) in the graph size up to the object-table unpickle: no data
     section is decoded here.  The returned graph is ready for every
@@ -834,77 +674,22 @@ def attach(path: str) -> Attachment:
     processes attach the same file by reference instead of receiving a
     pickled copy.
     """
+    artifact = Artifact(path)
+    kind = artifact.meta.get("kind")
+    if kind != "index":
+        artifact.close()
+        raise StoreFormatError(
+            f"{path}: artifact kind {kind!r} is not an attachable index "
+            "(expected 'index'); recompile with 'repro compile'",
+            path=path,
+        )
     try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(len(MAGIC))
-    except OSError as exc:
-        raise StoreFormatError(f"{path}: {exc}", path=path) from exc
-
-    if prefix == MAGIC:
-        head = Artifact(path)
-        kind = head.meta.get("kind")
-        if kind == "head":
-            head.close()
-            raise StoreFormatError(
-                f"{path}: this is the head artifact of a sharded store; "
-                "attach its manifest instead",
-                path=path,
-            )
-        if kind == "shard":
-            head.close()
-            raise StoreFormatError(
-                f"{path}: this is one shard of a sharded store; attach its "
-                "manifest instead",
-                path=path,
-            )
-        if kind != "index":
-            head.close()
-            raise StoreFormatError(
-                f"{path}: unexpected artifact kind {kind!r}", path=path
-            )
-        parts = [_Part(artifact=head)]
-        core = AttachedCore(head, parts)
-        sharded = False
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StoreFormatError(
-                f"{path}: neither a repro-index artifact nor a readable "
-                "manifest",
-                path=path,
-            ) from exc
-        manifest = read_manifest(path, text)
-        base = os.path.dirname(os.path.abspath(path))
-        token = manifest["token"]
-        head = Artifact(os.path.join(base, manifest["head"]))
-        if head.meta.get("kind") != "head":
-            kind = head.meta.get("kind")
-            head.close()
-            raise StoreFormatError(
-                f"{manifest['head']}: manifest head member has kind {kind!r}, "
-                "expected 'head'",
-                path=path,
-            )
-        if head.meta.get("token") != token:
-            found = head.meta.get("token")
-            head.close()
-            raise StoreCorruptError(
-                f"{manifest['head']}: head token {found!r} does not match its "
-                f"manifest ({token!r}) — the store mixes artifacts from "
-                "different compilations",
-                path=path,
-            )
-        parts = [
-            _Part(path=os.path.join(base, entry["path"]), token=token)
-            for entry in manifest["shards"]
-        ]
-        core = AttachedCore(head, parts)
-        sharded = True
-
+        core = AttachedCore(artifact)
+    except BaseException:
+        artifact.close()
+        raise
     graph = AttachedGraph(core)
     index = GraphIndex(graph, core=core)
     install_index(graph, index)
     bind_store(graph, StoreRef(path=os.path.abspath(path), token=core.token))
-    return Attachment(graph, index, core, path, sharded)
+    return Attachment(graph, index, core, path)

@@ -16,8 +16,9 @@ The header JSON's ``sections`` table maps each section name to
 ``[offset, length, crc32]`` with offsets relative to the body start.
 Integrity is layered for O(1) attach: the fixed header's SHA-256 guards
 the section table and metadata eagerly (a flipped header byte is caught
-before anything is trusted), section extents are bounds-checked against
-the file size eagerly (truncation is caught at attach), and each
+before anything is trusted), the header length and section extents are
+bounds-checked against the file size eagerly (truncation is caught at
+attach, and a damaged length field is never read as one), and each
 section's CRC-32 is verified *lazily* on first access — so attaching a
 multi-gigabyte artifact never reads its body, while a corrupted section
 still fails closed with a structured :class:`StoreCorruptError` the
@@ -38,7 +39,7 @@ import mmap
 import os
 import struct
 import zlib
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import StoreCorruptError, StoreFormatError, StoreVersionError
 
@@ -131,13 +132,17 @@ class Artifact:
                         found=version,
                         expected=VERSION,
                     )
-                header = handle.read(header_len)
-                if len(header) < header_len:
+                # Bound the declared length by the file before reading: a
+                # damaged length field must not become a huge allocation.
+                size = os.fstat(handle.fileno()).st_size
+                if header_len > size - _FIXED.size:
                     raise StoreCorruptError(
-                        f"{path}: truncated header ({len(header)} of "
-                        f"{header_len} bytes)",
+                        f"{path}: header length {header_len} exceeds the "
+                        f"{size - _FIXED.size} bytes after the fixed header "
+                        "(truncated or damaged artifact)",
                         path=path,
                     )
+                header = handle.read(header_len)
                 if hashlib.sha256(header).digest() != digest:
                     raise StoreCorruptError(
                         f"{path}: header checksum mismatch", path=path
@@ -159,7 +164,6 @@ class Artifact:
                 self.meta: dict = parsed.get("meta", {})
                 self._table: dict[str, list[int]] = parsed.get("sections", {})
                 self._body_start = _FIXED.size + header_len
-                size = os.fstat(handle.fileno()).st_size
                 for name, (offset, length, _crc) in self._table.items():
                     if self._body_start + offset + length > size:
                         raise StoreCorruptError(
@@ -177,12 +181,6 @@ class Artifact:
         except OSError as exc:
             raise StoreFormatError(f"{path}: {exc}", path=path) from exc
         self._verified: set[str] = set()
-
-    def has(self, name: str) -> bool:
-        return name in self._table
-
-    def names(self) -> Iterable[str]:
-        return self._table.keys()
 
     def section(self, name: str) -> memoryview:
         """Zero-copy view of one section, CRC-checked on first access."""

@@ -280,7 +280,7 @@ class StreamingEngine:
                 text=plan.text,
             )
             seed_map, state.rest = self._seed_table(state)
-            self._recompute_seeds(state, seed_map, only=None)
+            self._recompute_seeds(state, seed_map)
             self._queries[name] = state
             return name
 
@@ -385,7 +385,7 @@ class StreamingEngine:
             # Domain-clamped condition families shift for every object;
             # only a full re-derivation is sound.
             seed_map, state.rest = self._seed_table(state)
-            self._recompute_seeds(state, seed_map, only=None)
+            self._recompute_seeds(state, seed_map)
             return QueryUpdate(state.name, len(seed_map), len(seed_map), True)
         # Only the dirty closure is ever inspected, so a small batch
         # costs O(closure), not O(total seeds): fresh seed rows are
@@ -461,39 +461,20 @@ class StreamingEngine:
         return affected
 
     def _recompute_seeds(
-        self,
-        state: _QueryState,
-        seed_map: dict[ObjectId, Row],
-        only: Optional[set[ObjectId]],
-    ) -> int:
-        """Re-derive contributions for ``only`` seeds (``None`` = all).
+        self, state: _QueryState, seed_map: dict[ObjectId, Row]
+    ) -> None:
+        """Re-derive every seed's contribution from the full seed table.
 
         The full-table path: registration and horizon advances.  (Batch
         updates take the closure-bounded path in :meth:`_update_query`.)
-        Returns the number of seeds evaluated.
         """
-        if only is None:
-            state.seed_times = {obj: row.last.times for obj, row in seed_map.items()}
-            state.contributions = {}
-            targets = seed_map
-        else:
-            for obj in only:
-                row = seed_map.get(obj)
-                if row is None:
-                    state.seed_times.pop(obj, None)
-                    state.contributions.pop(obj, None)
-                else:
-                    state.seed_times[obj] = row.last.times
-            targets = {obj: seed_map[obj] for obj in only if obj in seed_map}
-        for obj, row in targets.items():
+        state.seed_times = {obj: row.last.times for obj, row in seed_map.items()}
+        state.contributions = {}
+        for obj, row in seed_map.items():
             contribution = self._eval_seed(state, row, state.rest)
             if contribution:
                 state.contributions[obj] = contribution
-            else:
-                state.contributions.pop(obj, None)
-        if only is None or targets or (only - set(seed_map)):
-            state.merged = None
-        return len(targets)
+        state.merged = None
 
     def _eval_seed(
         self, state: _QueryState, row: Row, rest: tuple[ChainStep, ...]

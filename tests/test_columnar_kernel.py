@@ -482,21 +482,6 @@ class TestStoreFastPath:
             # numpy view still pins the mmap.
             attachment.close()
 
-    def test_sharded_store_skips_fast_path_but_agrees(self, tmp_path):
-        from repro.store import attach, compile_graph
-
-        graph = random_itpg(4, num_nodes=8, num_edges=12)
-        query = random_match_query(4 * 31 + 7)
-        path = str(tmp_path / "store.json")
-        compile_graph(graph, path, shards=3)
-        attachment = attach(path)
-        try:
-            engine = DataflowEngine(attachment.graph)
-            oracle = Interpreted(DataflowEngine(graph))
-            assert engine.match(query).as_set() == oracle.match(query).as_set()
-        finally:
-            attachment.close()
-
 
 class TestCliKernelFlag:
     def test_query_accepts_columnar(self, capsys):

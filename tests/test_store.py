@@ -1,16 +1,17 @@
-"""Persistent compiled-graph store: artifacts, shards, attach, CLI, server.
+"""Persistent compiled-graph store: artifacts, attach, CLI, server.
 
-Covers the PR-8 store subsystem end to end:
+Covers the store subsystem end to end:
 
 * compile → attach round trips reproduce the full index surface
   (objects, labels, endpoints, existence, properties, adjacency,
-  candidate buckets) for single-file artifacts and sharded stores;
+  candidate buckets);
 * the on-disk format rejects damage *structurally*: bad magic and
   foreign files raise :class:`~repro.errors.StoreFormatError`, version
   bumps raise :class:`~repro.errors.StoreVersionError` carrying
   ``found``/``expected``, truncation and flipped bytes raise
   :class:`~repro.errors.StoreCorruptError` naming the section — never a
-  wrong answer or an unstructured crash;
+  wrong answer or an unstructured crash, which a byte-boundary fuzz
+  property checks over random overwrites and truncations;
 * writes are atomic (no temp debris, no partially-written artifact ever
   visible under the final name);
 * deltas applied after attach keep answers correct and rotate the
@@ -29,22 +30,52 @@ import struct
 import pytest
 
 from repro.cli import main as cli_main
-from repro.datagen.random_graphs import random_itpg, random_match_query
+from repro.datagen.random_graphs import random_itpg
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.errors import StoreCorruptError, StoreFormatError, StoreVersionError
+from repro.errors import (
+    StoreCorruptError,
+    StoreError,
+    StoreFormatError,
+    StoreVersionError,
+)
 from repro.model import contact_tracing_example
 from repro.parallel.plan import store_ref
 from repro.server.state import GraphHost
-from repro.store import Artifact, VERSION, attach, compile_graph
+from repro.store import Artifact, VERSION, attach, compile_graph, write_artifact
 from repro.store.format import MAGIC
 from repro.streaming.delta import DeltaBatch, apply_delta
 from repro.streaming.engine import StreamingEngine
 
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    st = None
 
-def _compile(tmp_path, graph, name="graph.rix", **kwargs):
+
+def _compile(tmp_path, graph, name="graph.rix"):
     path = str(tmp_path / name)
-    report = compile_graph(graph, path, **kwargs)
+    report = compile_graph(graph, path)
     return path, report
+
+
+# The 52-byte fixed header, field by field: flipped bytes and the error.
+_FIXED_FIELDS = {
+    "magic": (range(0, 8), StoreFormatError),
+    "version": (range(8, 12), StoreVersionError),
+    "header_length": (range(12, 20), StoreCorruptError),
+    "digest": (range(20, 52), StoreCorruptError),
+}
+
+
+def _flip_section_byte(path: str, section: str) -> None:
+    """Flip one byte in the middle of ``section`` of the artifact at ``path``."""
+    probe = Artifact(path)
+    offset, length, _crc = probe._table[section]
+    body = probe._body_start
+    probe.close()
+    raw = bytearray(open(path, "rb").read())
+    raw[body + offset + length // 2] ^= 0xFF
+    open(path, "wb").write(bytes(raw))
 
 
 class TestRoundTrip:
@@ -118,6 +149,13 @@ class TestRoundTrip:
             first.close()
             second.close()
 
+    def test_report_shape(self, tmp_path):
+        """One report shape; ``bytes`` is the artifact's size on disk."""
+        path, report = _compile(tmp_path, contact_tracing_example())
+        assert set(report) == {"path", "token", "objects", "nodes", "bytes"}
+        assert report["path"] == path
+        assert report["bytes"] == os.path.getsize(path)
+
     def test_verify_passes_on_intact_artifact(self, tmp_path):
         path, _ = _compile(tmp_path, contact_tracing_example())
         attachment = attach(path)
@@ -131,20 +169,6 @@ class TestAtomicWrite:
     def test_no_temp_debris(self, tmp_path):
         _compile(tmp_path, contact_tracing_example())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.rix"]
-
-    def test_sharded_writes_manifest_head_and_shards_only(self, tmp_path):
-        path, report = _compile(
-            tmp_path, contact_tracing_example(), name="store.json", shards=3
-        )
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [
-            "store.head.rix",
-            "store.json",
-            "store.shard0.rix",
-            "store.shard1.rix",
-            "store.shard2.rix",
-        ]
-        assert report["sharded"] and report["shard_count"] == 3
 
 
 class TestRejection:
@@ -196,13 +220,7 @@ class TestRejection:
 
     def test_section_bitflip_fails_crc(self, tmp_path):
         path, _ = _compile(tmp_path, contact_tracing_example())
-        probe = Artifact(path)
-        offset, length, _crc = probe._table["exist.dat"]
-        body = probe._body_start
-        probe.close()
-        raw = bytearray(open(path, "rb").read())
-        raw[body + offset + length // 2] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        _flip_section_byte(path, "exist.dat")
         attachment = attach(path)  # head sections are intact
         try:
             with pytest.raises(StoreCorruptError) as info:
@@ -211,69 +229,119 @@ class TestRejection:
         finally:
             attachment.close()
 
-    def test_head_or_shard_artifact_rejected_as_single(self, tmp_path):
-        path, _ = _compile(
-            tmp_path, contact_tracing_example(), name="store.json", shards=2
-        )
+    def test_close_after_a_section_fails_mid_query(self, tmp_path):
+        """A CRC failure raised inside a query leaves no view pinning the map."""
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        _flip_section_byte(path, "props.dat")
+        attachment = attach(path)
+        with pytest.raises(StoreCorruptError) as info:
+            DataflowEngine(attachment.graph).match(PAPER_QUERIES["Q2"].text)
+        assert info.value.section == "props.dat"
+        attachment.close()  # must not raise BufferError while the traceback lives
+
+    @pytest.mark.parametrize("kind", ["head", "shard"])
+    def test_non_index_artifact_rejected(self, tmp_path, kind):
+        """A valid container whose kind is not ``index`` never attaches."""
+        path = str(tmp_path / f"old.{kind}.rix")
+        write_artifact(path, {"objects": b""}, {"kind": kind, "token": "t"})
         with pytest.raises(StoreFormatError) as info:
-            attach(str(tmp_path / "store.head.rix"))
-        assert "manifest" in str(info.value)
-
-    def test_manifest_version_mismatch(self, tmp_path):
-        path, _ = _compile(
-            tmp_path, contact_tracing_example(), name="store.json", shards=2
-        )
-        manifest = json.loads(open(path).read())
-        manifest["format"] = "repro-index-manifest/99"
-        open(path, "w").write(json.dumps(manifest))
-        with pytest.raises(StoreVersionError):
             attach(path)
+        assert "kind" in str(info.value) and info.value.path == path
 
-    def test_mixed_generation_shards_rejected(self, tmp_path):
-        graph = contact_tracing_example()
-        path, _ = _compile(tmp_path, graph, name="store.json", shards=2)
-        other = tmp_path / "other"
-        other.mkdir()
-        other_path, _ = _compile(other, graph, name="store.json", shards=2)
-        # Swap in a shard from the other compile: same graph, same
-        # layout, different generation token.
-        (tmp_path / "store.shard1.rix").write_bytes(
-            (other / "store.shard1.rix").read_bytes()
+    def test_json_file_rejected(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"format": "repro-index-manifest/1", "head": "x"}))
+        with pytest.raises(StoreFormatError):
+            attach(str(path))
+
+    @pytest.mark.parametrize("field", sorted(_FIXED_FIELDS))
+    def test_every_fixed_header_byte_flip_is_structured(self, tmp_path, field):
+        """Each byte of magic, version, header length and digest is guarded."""
+        positions, error = _FIXED_FIELDS[field]
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        intact = open(path, "rb").read()
+        damaged = str(tmp_path / "damaged.rix")
+        for position in positions:
+            raw = bytearray(intact)
+            raw[position] ^= 0xFF
+            with open(damaged, "wb") as handle:
+                handle.write(bytes(raw))
+            with pytest.raises(error):
+                attach(damaged).close()
+
+    def test_cli_reports_damaged_header_length(self, tmp_path, capsys):
+        artifact = str(tmp_path / "figure1.rix")
+        assert cli_main(["compile", "-o", artifact]) == 0
+        raw = bytearray(open(artifact, "rb").read())
+        raw[17] ^= 0xFF  # high bytes of the u64 header length
+        open(artifact, "wb").write(bytes(raw))
+        capsys.readouterr()
+        assert cli_main(["query", "Q1", "--store", artifact]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+_FUZZ_QUERIES = ("Q1", "Q8")  # one families-mode and one points-mode answer
+
+
+def _attached_answers(path: str) -> tuple:
+    """Two paper-query answers off ``path``, then a full checksum pass."""
+    attachment = attach(path)
+    try:
+        engine = DataflowEngine(attachment.graph)
+        answers = tuple(
+            engine.match(PAPER_QUERIES[name].text).as_set() for name in _FUZZ_QUERIES
         )
-        attachment = attach(path)
-        try:
-            with pytest.raises(StoreCorruptError) as info:
-                attachment.verify()
-            assert "token" in str(info.value)
-        finally:
-            attachment.close()
+        attachment.verify()
+    finally:
+        attachment.close()
+    return answers
 
 
-class TestSharded:
-    def test_sharded_answers_match_single(self, tmp_path):
-        graph = random_itpg(23, num_nodes=10, num_edges=16)
-        query = random_match_query(23 * 31 + 7)
-        single_path, _ = _compile(tmp_path, graph, name="single.rix")
-        manifest_path, _ = _compile(tmp_path, graph, name="store.json", shards=3)
-        expected = DataflowEngine(graph).match(query).as_set()
-        single, sharded = attach(single_path), attach(manifest_path)
-        try:
-            assert sharded.sharded is True and single.sharded is False
-            assert DataflowEngine(single.graph).match(query).as_set() == expected
-            assert DataflowEngine(sharded.graph).match(query).as_set() == expected
-        finally:
-            single.close()
-            sharded.close()
+@pytest.fixture(scope="module")
+def intact_artifact(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = str(directory / "intact.rix")
+    compile_graph(contact_tracing_example(), path)
+    return directory, open(path, "rb").read(), _attached_answers(path)
 
-    def test_more_shards_than_nodes(self, tmp_path):
-        graph = random_itpg(5, num_nodes=3, num_edges=4)
-        path, report = _compile(tmp_path, graph, name="store.json", shards=16)
-        attachment = attach(path)
-        try:
-            assert list(attachment.graph.objects()) == list(graph.objects())
-            attachment.verify()
-        finally:
-            attachment.close()
+
+if st is not None:
+
+    class TestByteBoundaryFuzz:
+        """Random overwrites and truncations: a StoreError or the intact answer."""
+
+        @settings(
+            max_examples=200,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(data=st.data())
+        def test_damage_is_structured_or_invisible(self, intact_artifact, data):
+            directory, intact, expected = intact_artifact
+            raw = bytearray(intact)
+            writes = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(raw) - 1), st.integers(0, 255)
+                    ),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+            for position, value in writes:
+                raw[position] = value
+            cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+            if cut is not None:
+                del raw[cut:]
+            path = str(directory / "case.rix")
+            with open(path, "wb") as handle:
+                handle.write(bytes(raw))
+            try:
+                got = _attached_answers(path)
+            except StoreError:
+                return
+            assert got == expected
 
 
 class TestDeltasAfterAttach:
@@ -313,15 +381,6 @@ class TestCliStore:
         assert cli_main(["query", "Q1"]) == 0
         baseline = capsys.readouterr().out
         assert cli_main(["query", "Q1", "--store", artifact]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_compile_sharded(self, tmp_path, capsys):
-        manifest = str(tmp_path / "figure1.json")
-        assert cli_main(["compile", "-o", manifest, "--shards", "2", "--verify"]) == 0
-        assert "2 shard(s)" in capsys.readouterr().out
-        assert cli_main(["query", "Q1"]) == 0
-        baseline = capsys.readouterr().out
-        assert cli_main(["query", "Q1", "--store", manifest]) == 0
         assert capsys.readouterr().out == baseline
 
     def test_store_and_graph_are_mutually_exclusive(self, tmp_path, capsys):
