@@ -480,10 +480,7 @@ def _print_explain(plan: dict) -> None:
         f"# plan: backend={plan['effective_backend']}, "
         f"workers={plan['workers']}, output={plan['output_mode']}"
     )
-    kernel_line = f"# plan: kernel={plan['effective_kernel']}"
-    if plan["kernel_fallback"]:
-        kernel_line += f" — fallback: {plan['kernel_fallback']}"
-    print(kernel_line)
+    print(f"# plan: kernel={plan['effective_kernel']}")
     print(
         f"# plan: {plan['seed_rows']} seed rows, {plan['chain_steps']} chain steps, "
         f"{len(plan['chunks'])} chunk(s)"

@@ -1,28 +1,20 @@
-"""The dataflow engine: plan, kernel and pool choice, and the retry ladder.
+"""The dataflow engine: plan, pool choice, and the retry ladder.
 
 :class:`DataflowEngine` compiles a MATCH clause into a chain of dataflow
-steps (:mod:`repro.dataflow.steps`) and hands it to one of two kernels
-behind a single seam — each takes an index, a chain, seeds, the output
-variables, an output mode and a deadline, and returns ``(data,
-frontier_rows, rows_merged)``.  The engine picks the kernel from what it
-can observe; there is no option to select one:
+steps (:mod:`repro.dataflow.steps`) and runs it on the columnar kernel
+(:mod:`repro.perf.columnar`): vectorized sweeps over the index-owned,
+delta-maintained array image of the graph.  Every chain runs there — an
+alternation that navigates through time is distributed into leaf
+chains at compile time — so there is no kernel to choose.
 
-* the **columnar** kernel (:mod:`repro.perf.columnar`) runs whenever
-  NumPy is importable and the chain is covered, as vectorized sweeps
-  over the index-owned, delta-maintained array image of the graph;
-* the **interpreted** kernel (:mod:`repro.dataflow.interpreted`) walks
-  the coalescing frontier row by row — every other chain shape, every
-  host without NumPy, and the oracle the columnar kernel is fuzzed
-  against.
-
-Both follow the paper's split: **Steps 1 / 2** process structural
-moves, static tests and temporal moves on the interval representation;
-**Step 3** turns the surviving rows into bindings — interval-native
-families when every variable shares one temporal group, point rows
-otherwise.  The kernel run is reported as ``interval_seconds`` (the
-"interval-based time" column of Table II); ``total_seconds`` adds the
-table build and, with ``expand_output``, the point expansion ("total
-time").
+The kernel follows the paper's split: **Steps 1 / 2** process
+structural moves, static tests and temporal moves on the interval
+representation; **Step 3** turns the surviving rows into bindings —
+interval-native families when every variable shares one temporal group,
+point rows otherwise.  The kernel run is reported as
+``interval_seconds`` (the "interval-based time" column of Table II);
+``total_seconds`` adds the table build and, with ``expand_output``, the
+point expansion ("total time").
 
 :meth:`DataflowEngine._route` is the one dispatch decision.  With
 ``workers > 1`` and a large enough frontier, seed chunks run Steps 1–3
@@ -30,9 +22,8 @@ in the persistent worker-process pool of :mod:`repro.parallel` (the
 graph ships to each worker once and is cached per ``(graph, pid)``;
 degree-weighted chunks, one parent-side merge) — the path that scales
 with cores, mirroring the paper's Rayon-based Fig.-3 sweep.  Otherwise
-a covered chain runs as a single columnar pass seeded straight from the
-array image, and everything else builds seed rows and runs
-:func:`run_rows` — the one row-seeded kernel choice — serially.
+the chain runs as a single columnar pass seeded straight from the array
+image.
 
 The engine itself is configuration only.  What a call needs beyond its
 plan — the deadline, the retry policy, the merge counter and the
@@ -143,33 +134,6 @@ class _Call:
         self.degradation: DegradationReport | None = None
 
 
-def run_rows(
-    index: GraphIndex,
-    chain: Sequence[ChainStep],
-    seeds: list[Row],
-    variables: tuple[str, ...],
-    mode: str,
-    deadline: Deadline | None = None,
-) -> tuple[list, int, int]:
-    """Steps 1–3 over seed rows: ``(data, frontier_rows, rows_merged)``.
-
-    The one row-seeded kernel choice the serial rung and every
-    worker-process chunk share: the columnar kernel when NumPy is
-    importable and both the chain and the rows fit it; the interpreted
-    walk otherwise.  ``data`` is a family list (``mode="families"``) or
-    point tuples (``mode="points"``), whichever kernel ran.
-    """
-    if columnar_kernel.available():
-        ops, _reason = columnar_kernel.ops_for(tuple(chain))
-        if ops is not None:
-            result = columnar_kernel.run_rows(
-                index.columnar_context(), ops, seeds, variables, mode, deadline
-            )
-            if result is not None:
-                return result
-    return interpreted.run_rows(index, chain, seeds, variables, mode, deadline)
-
-
 def _merge(mode: str, chunks: list) -> list:
     """One canonical result from per-chunk results (see repro.parallel.merge)."""
     if mode == "families":
@@ -205,7 +169,7 @@ class DataflowEngine:
     """Interval-based dataflow evaluation of MATCH queries (Section VI).
 
     ``workers > 1`` (``0`` = one per core) runs large frontiers in worker
-    processes; the kernel is chosen per chain (see :meth:`kernel_for`).
+    processes.
     """
 
     def __init__(
@@ -267,25 +231,6 @@ class DataflowEngine:
     @property
     def retry(self) -> RetryPolicy | None:
         return self._retry
-
-    # ------------------------------------------------------------------ #
-    # Kernel choice
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _columnar_plan(chain: tuple[ChainStep, ...]) -> tuple[object, str | None]:
-        """``(full-query columnar plan, None)``, or ``(None, why not)``."""
-        if not columnar_kernel.available():
-            return None, "numpy is not installed"
-        return columnar_kernel.plan_query(chain)
-
-    @classmethod
-    def kernel_for(cls, chain: tuple[ChainStep, ...]) -> dict:
-        """``effective_kernel`` and ``kernel_fallback`` (why the chain runs
-        interpreted; ``None`` = it runs columnar) of one chain, as in
-        :meth:`explain`."""
-        _plan, fallback = cls._columnar_plan(chain)
-        effective = "columnar" if fallback is None else "interpreted"
-        return {"effective_kernel": effective, "kernel_fallback": fallback}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -400,10 +345,10 @@ class DataflowEngine:
     def explain(self, query: TypingUnion[str, MatchQuery, CompiledMatch]) -> dict:
         """The execution plan a :meth:`match` call would use, without running it.
 
-        Returns a dictionary with the effective backend, the kernel the
-        chain runs on (and why not columnar), the output mode
-        (``families`` = interval-native, ``points``), and the
-        degree-weighted chunk plan the partitioner would produce.
+        Returns a dictionary with the effective backend, the kernel
+        (always ``"columnar"``), the output mode (``families`` =
+        interval-native, ``points``), and the degree-weighted chunk plan
+        the partitioner would produce.
         Backend and chunks come from the same :meth:`_route` decision a
         match call makes — ``"sequential"`` when the process pool does
         not engage — and are computed from the seed objects alone,
@@ -412,7 +357,7 @@ class DataflowEngine:
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
-        backend, _columnar = self._route(chain)
+        backend = self._route(chain)
         seeds, rest = self._seed_objects(chain)
         weight = self._index.seed_weight
         if backend == "serial":
@@ -423,7 +368,7 @@ class DataflowEngine:
             "effective_backend": "sequential" if backend == "serial" else backend,
             "workers": self._workers,
             "start_method": self._start_method,
-            **self.kernel_for(chain),
+            "effective_kernel": "columnar",
             "seed_rows": len(seeds),
             "chain_steps": len(rest),
             "output_mode": self._output_mode(chain),
@@ -486,23 +431,21 @@ class DataflowEngine:
             return list(self._index.condition_table(chain[0].condition)), chain[1:]
         return self._index.objects, chain
 
-    def _route(self, chain: tuple[ChainStep, ...]) -> tuple[str, object]:
-        """The one dispatch decision: ``(backend, columnar plan or None)``.
+    def _route(self, chain: tuple[ChainStep, ...]) -> str:
+        """The one dispatch decision: ``"process"`` or ``"serial"``.
 
-        ``backend`` is ``"process"`` or ``"serial"``.  The process pool
-        engages for ``workers > 1`` and frontiers of at least two seeds
-        per worker (below that, per-chunk overhead dominates); it takes
-        precedence over a columnar plan — its workers then run the
-        columnar ops per chunk.  Serially, a covered chain runs as a
-        single columnar pass seeded straight from the array image.
+        The process pool engages for ``workers > 1`` and frontiers of at
+        least two seeds per worker (below that, per-chunk overhead
+        dominates); its workers run the columnar leaves per chunk.
+        Serially, the chain runs as a single columnar pass seeded
+        straight from the array image.
         """
         if (
             self._workers > 1
             and len(self._seed_objects(chain)[0]) >= 2 * self._workers
         ):
-            return "process", None
-        plan, _reason = self._columnar_plan(chain)
-        return "serial", plan
+            return "process"
+        return "serial"
 
     def _execute(
         self,
@@ -517,18 +460,19 @@ class DataflowEngine:
         — a lazy :class:`~repro.perf.columnar.PointTable` from the
         single columnar pass.
         """
-        backend, plan = self._route(chain)
-        if plan is not None:
+        if self._route(chain) == "serial":
             start = time.perf_counter()
             data, frontier_rows, merged = columnar_kernel.run_query(
-                self._index.columnar_context(), plan, variables, mode, call.deadline
+                self._index.columnar_context(),
+                columnar_kernel.plan_query(chain),
+                variables,
+                mode,
+                call.deadline,
             )
             call.rows_merged += merged
             return data, frontier_rows, time.perf_counter() - start
         seeds, rest = interpreted.seed_rows(self._index, chain)
-        if backend == "process":
-            return self._run_resilient(rest, seeds, variables, mode, call)
-        return self._run_on(backend, rest, seeds, variables, mode, call)
+        return self._run_resilient(rest, seeds, variables, mode, call)
 
     def _run_resilient(
         self,
@@ -615,15 +559,20 @@ class DataflowEngine:
     ) -> tuple[list, int, float]:
         """One attempt on one backend: ``(data, frontier_rows, seconds)``.
 
-        Both backends run :func:`run_rows` — on all seeds (``"serial"``,
-        wall time) or per degree-weighted chunk in worker processes
-        (``"process"``, see :meth:`_process_run`).
+        Both backends run the columnar kernel's ``run_rows`` — on all
+        seeds (``"serial"``, wall time) or per degree-weighted chunk in
+        worker processes (``"process"``, see :meth:`_process_run`).
         """
         if backend == "process":
             return self._process_run(chain, seeds, variables, mode, call)
         start = time.perf_counter()
-        data, frontier_rows, merged = run_rows(
-            self._index, chain, seeds, variables, mode, call.deadline
+        data, frontier_rows, merged = columnar_kernel.run_rows(
+            self._index.columnar_context(),
+            columnar_kernel.ops_for(chain),
+            seeds,
+            variables,
+            mode,
+            call.deadline,
         )
         call.rows_merged += merged
         return data, frontier_rows, time.perf_counter() - start
@@ -639,8 +588,7 @@ class DataflowEngine:
         """Chunked Steps 1–3 in worker processes, one merge here.
 
         The third element is the longest per-worker kernel time (the
-        parallel critical path).  Each worker picks its kernel per chunk
-        with the same :func:`run_rows`.
+        parallel critical path).
         """
         from repro.parallel.plan import pack_seeds, plan_for
         from repro.parallel.pool import shared_pool

@@ -36,7 +36,7 @@ it:
   :meth:`~repro.dataflow.executor.DataflowEngine.match_intervals`, from
   which the point-based row table is derived.
 
-:class:`RowFrontier` is the non-merging collector the interpreted kernel
+:class:`RowFrontier` is the non-merging collector the per-row walk
 (:mod:`repro.dataflow.interpreted`) uses for chain steps that are
 injective on signatures (Test, Bind, Temporal), where the signature
 bookkeeping could never find anything to merge.
@@ -231,7 +231,7 @@ class RowFrontier:
     """A non-merging collector: a flat list that keeps every produced row.
 
     Sound only where no two produced rows can share a signature — the
-    interpreted kernel's ``ChainWalk.collector_for`` routes the injective
+    per-row walk's ``ChainWalk.collector_for`` routes the injective
     steps here.
     """
 

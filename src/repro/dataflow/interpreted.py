@@ -1,15 +1,18 @@
-"""The interpreted kernel: the per-row chain walk and its Step 3.
+"""The per-row chain walk and its Step 3: the streaming refresh.
 
-The peer of :mod:`repro.perf.columnar` behind one seam: both take an
-index, a chain, seed rows, the output variables, the output mode and a
-deadline, and return ``(data, frontier_rows, rows_merged)`` — coalesced
-families (``mode="families"``) or point tuples (``mode="points"``).
-This kernel walks the coalescing
+Queries run on the columnar kernel (:mod:`repro.perf.columnar`); this
+walk has one caller, :class:`~repro.streaming.engine.StreamingEngine`'s
+per-seed refresh, which re-derives one seed at a time — a one-row
+frontier, where a row walk is cheaper than a kernel run's fixed per-op
+array work.  Its :func:`run_rows` keeps the kernel's row-entry contract
+(an index, a chain, seed rows, the output variables, the output mode
+and a deadline in; ``(data, frontier_rows, rows_merged)`` out, with
+coalesced families or point tuples as ``data``), and the test suite
+pins the two to the same answers.  It walks the coalescing
 :class:`~repro.dataflow.frontier.Frontier` row by row in Python and
 materializes through the interval-native
-:class:`~repro.dataflow.frontier.IntervalMaterializer`.  It covers
-every chain shape, is the only kernel on hosts without NumPy, and is
-the oracle the columnar kernel is differential-fuzzed against.
+:class:`~repro.dataflow.frontier.IntervalMaterializer`.  It goes when
+streaming refreshes set-at-a-time.
 
 Nothing here outlives a call: a :class:`ChainWalk` holds one run's
 index, deadline and merge counter, and the seed builders read the

@@ -201,8 +201,8 @@ def random_match_query(seed: int, max_connectors: int = 2) -> MatchQuery:
 
     Used by the differential fuzzing harness: the generated queries
     combine node/edge patterns with path connectors whose occurrence
-    indicators sit only on temporal axes, so every engine (dataflow
-    under both kernels, reference, bottom-up) accepts them.  The
+    indicators sit only on temporal axes, so every engine (dataflow,
+    the streaming walk, reference, bottom-up) accepts them.  The
     construction is deterministic given ``seed`` and always binds at
     least one variable.
     """

@@ -9,9 +9,11 @@ evaluation scales with cores instead of sharing one GIL:
   per-graph token plus the serialized graph payload, shipped to each
   worker at most once;
 * :mod:`repro.parallel.pool` — persistent worker-process pools, the
-  graph installation protocol, and the worker-side chunk runner;
+  graph installation protocol, and the worker-side chunk runner (the
+  columnar kernel's row entry, as on the serial path);
 * :mod:`repro.parallel.merge` — the single parent-side coalescing merge
-  of per-chunk partial results.
+  of per-chunk partial results (the columnar kernel reuses its family
+  merge to union a distributed alternation's leaves).
 
 It engages with ``DataflowEngine(graph, workers=N)`` or ``repro query …
 --workers N`` for any ``N > 1``.

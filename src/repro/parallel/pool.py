@@ -24,8 +24,8 @@ installation protocol*:
 * Workers rebuild the graph **once per process** and memoize it in the
   consolidated per-token cache (:mod:`repro.parallel.registry`; the
   compiled :class:`~repro.perf.graph_index.GraphIndex` rides on the
-  graph object), then run the engine's row dispatch
-  (:func:`repro.dataflow.executor.run_rows`) on their chunk, returning
+  graph object), then run the columnar kernel's row entry
+  (:func:`repro.perf.columnar.run_rows`) on their chunk, returning
   compact packed families or point tuples.
 
 Pools are shared process-wide through :func:`shared_pool`, keyed by
@@ -322,12 +322,12 @@ def _run_chunk(
     mode: str,
     variables: tuple[str, ...],
 ) -> dict:
-    """Chunk-level Steps 1–3 through the engine's row dispatch."""
+    """Chunk-level Steps 1–3 on the columnar kernel."""
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the
     # whole pool, as a real crash would); "sleep" models a straggler.
     failpoints.fire("worker.chunk")
-    from repro.dataflow.executor import run_rows
     from repro.eval.bindings import pack_families
+    from repro.perf import columnar
     from repro.perf.graph_index import graph_index_for
 
     if mode not in ("families", "points"):
@@ -337,9 +337,9 @@ def _run_chunk(
     index = graph_index_for(_worker_graph(token, payload, store))
     seeds = unpack_seeds(packed_seeds)
     start = time.perf_counter()
-    # Columnar over this chunk's rows when NumPy is importable here and
-    # the chain shape is covered, else the interpreted walk.
-    data, frontier_rows, merged = run_rows(index, chain, seeds, variables, mode)
+    data, frontier_rows, merged = columnar.run_rows(
+        index.columnar_context(), columnar.ops_for(chain), seeds, variables, mode
+    )
     return {
         "pid": os.getpid(),
         "data": pack_families(data) if mode == "families" else data,

@@ -7,9 +7,9 @@ changing any semantics:
   of adjacency, label / property buckets, existence families and
   memoized condition tables, shared across queries and engines via
   :func:`~repro.perf.graph_index.graph_index_for`;
-* :mod:`repro.perf.columnar` — the dataflow engine's default kernel:
-  covered chains as vectorized sweeps over the index-owned array image
-  of the graph (NumPy optional; without it the interpreted kernel runs).
+* :mod:`repro.perf.columnar` — the dataflow engine's kernel: every
+  chain as vectorized NumPy sweeps over the index-owned array image of
+  the graph.
 
 Every structure is cross-checked against the point-based ground truth in
 the test suite; see docs/ARCHITECTURE.md for the architecture and

@@ -1,9 +1,9 @@
 """Columnar (vectorized) evaluation kernel for fused step chains.
 
-This is the kernel ``DataflowEngine(graph)`` runs by default.  Its peer,
-the interpreted kernel in :mod:`repro.dataflow.interpreted`, walks the
-frontier row by row in Python; this module compiles the same fused
-chain into a sequence of *columnar ops* executed as NumPy sweeps over
+This is the one kernel ``DataflowEngine(graph)`` runs a query on.  (The
+per-row walk in :mod:`repro.dataflow.interpreted` survives only as the
+streaming engine's per-seed refresh.)  This module compiles a fused
+chain into sequences of *columnar ops* executed as NumPy sweeps over
 flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
@@ -29,29 +29,29 @@ flat arrays:
   global families is a ``searchsorted`` expansion; coalescing is one
   argsort plus ``maximum.reduceat``.
 
-The kernel covers chains of Test / Struct / fused-Hop / Bind /
-temporal-free Alt steps with TemporalSteps anywhere on the outer chain —
-every Table-II shape.  A TemporalStep *freezes* the frontier: the state
-it navigated from stays behind as a closed temporal group (bindings +
-family + the step as link), each surviving row keeps an index into it,
-and the reached times become the row's current family.  Output mode is a
-property of the projection, not of an op: variables bound in one group
-come out as interval-native ``families``, variables spanning groups as a
-:class:`PointTable` whose linked ``(t, t')`` pairs are expanded in array
-form.  Only alternations that navigate through time (or bind) report a
-fallback reason and run interpreted; the interpreted path stays
-authoritative and every columnar answer is differential-fuzzed against
-it.
-
-NumPy is an optional accelerator, not a dependency: when it is missing
-:func:`available` returns ``False`` and the engine falls back to the
-interpreted kernel with that reason recorded in ``explain()``.
+The kernel covers every dataflow chain.  An op sequence holds Test /
+Struct / fused-Hop / Bind / temporal-free Alt steps, with TemporalSteps
+anywhere on its outer chain.  A TemporalStep *freezes* the frontier: the
+state it navigated from stays behind as a closed temporal group
+(bindings + family + the step as link), each surviving row keeps an
+index into it, and the reached times become the row's current family.
+An alternation whose branches navigate through time would make that
+group structure branch-dependent, so :func:`compile_ops` distributes it
+at compile time — ``X·(A|B)·Y`` becomes the *leaves* ``X·A·Y`` and
+``X·B·Y`` — and the entry points union the leaves' answers.  Output
+mode is a property of the projection, not of an op: variables bound in
+one group come out as interval-native ``families``, variables spanning
+groups as a :class:`PointTable` whose linked ``(t, t')`` pairs are
+expanded in array form.  Every answer is differential-fuzzed against
+the point-based :class:`~repro.eval.engine.ReferenceEngine`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.dataflow.frontier import Row
 from repro.dataflow.steps import (
@@ -67,85 +67,80 @@ from repro.dataflow.steps import (
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable
 from repro.lang.ast import Test
+from repro.parallel.merge import merge_family_chunks
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
 
-try:
-    import numpy as np
-except ImportError:
-    np = None
-
 ObjectId = Hashable
-
-
-def available() -> bool:
-    """Whether the kernel can run in this interpreter (NumPy importable)."""
-    return np is not None
 
 
 # --------------------------------------------------------------------- #
 # Plan: chain -> columnar ops
 # --------------------------------------------------------------------- #
 class ColumnarPlan:
-    """A full-query columnar plan: seed spec + compiled op sequence."""
+    """A full-query columnar plan: seed spec + the compiled leaves."""
 
-    __slots__ = ("seed_condition", "ops")
+    __slots__ = ("seed_condition", "leaves")
 
-    def __init__(
-        self, seed_condition: Optional[Test], ops: tuple
-    ) -> None:
+    def __init__(self, seed_condition: Optional[Test], leaves: tuple) -> None:
         self.seed_condition = seed_condition
-        self.ops = ops
+        self.leaves = leaves
 
 
-def compile_ops(
-    chain: Sequence[ChainStep], *, inside_alt: bool = False
-) -> tuple[Optional[tuple], Optional[str]]:
-    """Compile a (sub)chain into columnar ops: ``(ops, None)`` or
-    ``(None, reason)`` when a step shape is not covered.
+def compile_ops(chain: Sequence[ChainStep]) -> tuple[tuple, ...]:
+    """Compile a chain into its *leaves*: op sequences whose answers union
+    to the chain's.
 
     Fused hops decompose into struct/test passes (signature-merged after
     each struct), which is relation-equal to the interpreted hop tables.
-    A TemporalStep anywhere on the outer chain closes the current
-    temporal group (see :meth:`_Kernel._op_temporal`); inside an
-    alternation the group structure would become branch-dependent, which
-    is the one shape the kernel declines.
+    A TemporalStep closes the current temporal group (see
+    :meth:`_Kernel._op_temporal`), which only the outer chain of an op
+    sequence can do: an alternation whose branches navigate through time
+    is distributed instead, ``X·(A|B)·Y`` into the leaves ``X·A·Y`` and
+    ``X·B·Y`` (recursively; equal leaves run once).  A temporal-free
+    alternation stays one ``alt`` op, so most chains are a single leaf.
     """
-    ops: list = []
+    leaves = dict.fromkeys(tuple(ops) for ops in _distribute(chain))
+    return tuple(_push_bounds(ops, ()) for ops in leaves)
+
+
+def _distribute(chain: Sequence[ChainStep]) -> list[list]:
+    """The leaves of :func:`compile_ops`, before bounds are pushed."""
+    leaves: list[list] = [[]]
     for step in chain:
         if isinstance(step, TestStep):
-            ops.append(("test", step.condition))
+            ops = [("test", step.condition)]
         elif isinstance(step, StructStep):
-            ops.append(("struct", step.forward))
+            ops = [("struct", step.forward)]
         elif isinstance(step, HopStep):
-            ops.append(("struct", step.forward_in))
-            for condition in step.mid_conditions:
-                ops.append(("test", condition))
-            ops.append(("struct", step.forward_out))
-            for condition in step.target_conditions:
-                ops.append(("test", condition))
+            ops = [
+                ("struct", step.forward_in),
+                *(("test", condition) for condition in step.mid_conditions),
+                ("struct", step.forward_out),
+                *(("test", condition) for condition in step.target_conditions),
+            ]
         elif isinstance(step, BindStep):
-            if inside_alt:
-                return None, "variable binding inside alternation"
-            ops.append(("bind", step.variable))
+            ops = [("bind", step.variable)]
         elif isinstance(step, TemporalStep):
-            if inside_alt:
-                return None, "temporal navigation inside alternation"
-            ops.append(("temporal", step))
+            ops = [("temporal", step)]
+        elif isinstance(step, AltStep) and chain_has_temporal_step((step,)):
+            leaves = [
+                leaf + branch
+                for leaf in leaves
+                for alternative in step.alternatives
+                for branch in _distribute(alternative)
+            ]
+            continue
         elif isinstance(step, AltStep):
-            branches = []
-            for alternative in step.alternatives:
-                if chain_has_temporal_step(alternative):
-                    return None, "temporal navigation inside alternation"
-                sub, reason = compile_ops(alternative, inside_alt=True)
-                if sub is None:
-                    return None, reason
-                branches.append(sub)
-            ops.append(("alt", tuple(branches)))
+            # Temporal-free: every branch is exactly one leaf.
+            branches = (tuple(_distribute(alt)[0]) for alt in step.alternatives)
+            ops = [("alt", tuple(branches))]
         else:
-            return None, f"unsupported step {type(step).__name__}"
-    return (tuple(ops) if inside_alt else _push_bounds(ops, ())), None
+            raise TypeError(f"unknown chain step {step!r}")
+        for leaf in leaves:
+            leaf.extend(ops)
+    return leaves
 
 
 def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
@@ -178,31 +173,20 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def ops_for(
-    chain: tuple[ChainStep, ...]
-) -> tuple[Optional[tuple], Optional[str]]:
+def ops_for(chain: tuple[ChainStep, ...]) -> tuple[tuple, ...]:
     """Memoized :func:`compile_ops` for row-seeded runs (no leading-test
     absorption: the caller's seed rows already carry those times)."""
     return compile_ops(chain)
 
 
 @lru_cache(maxsize=256)
-def plan_query(
-    chain: tuple[ChainStep, ...]
-) -> tuple[Optional[ColumnarPlan], Optional[str]]:
+def plan_query(chain: tuple[ChainStep, ...]) -> ColumnarPlan:
     """Plan a full compiled chain, absorbing a leading TestStep as the
     seed condition exactly like ``interpreted.seed_rows`` does against
     the index's memoized condition table."""
     if chain and isinstance(chain[0], TestStep):
-        seed_condition: Optional[Test] = chain[0].condition
-        rest: Sequence[ChainStep] = chain[1:]
-    else:
-        seed_condition = None
-        rest = chain
-    ops, reason = compile_ops(rest)
-    if ops is None:
-        return None, reason
-    return ColumnarPlan(seed_condition, ops), None
+        return ColumnarPlan(chain[0].condition, compile_ops(chain[1:]))
+    return ColumnarPlan(None, compile_ops(chain))
 
 
 # --------------------------------------------------------------------- #
@@ -223,8 +207,6 @@ class ColumnarContext:
     """
 
     def __init__(self, index) -> None:
-        if np is None:
-            raise RuntimeError("the columnar kernel requires numpy")
         self._index = index
         self._set_domain()
         self.object_id = index.object_id
@@ -1034,6 +1016,7 @@ class _Kernel:
                 self.ctx.objects,
                 [column[keep] for column in ids],
                 [chosen[group_of[v]][keep] for v in variables],
+                keep.size,
             )
         columns = [state.cols[position[v]] for v in variables]
         group, reps = _group_rows(columns, rows)
@@ -1073,21 +1056,24 @@ class PointTable(BindingTable):
     ``rows`` — and with them every inherited read method — are built,
     once, only when something actually reads them, so neither the engine
     nor the served path (:meth:`columns` feeds the wire emitter) pays
-    the per-point object detour.
+    the per-point object detour.  Without variables there are no
+    columns, and ``size`` (0 or 1: the chain matched or not) is the
+    answer.
     """
 
-    def __init__(self, variables, objects, ids: list, times: list) -> None:
+    def __init__(self, variables, objects, ids: list, times: list, size: int = 0) -> None:
         for name, value in (
             ("variables", tuple(variables)),
             ("_objects", objects),
             ("_ids", ids),
             ("_times", times),
+            ("_size", int(ids[0].size) if ids else size),
             ("_rows", None),
         ):
             object.__setattr__(self, name, value)  # frozen dataclass
 
     def __len__(self) -> int:
-        return int(self._ids[0].size) if self._ids else 0
+        return self._size
 
     def columns(self) -> list[tuple[list, list]]:
         """Per variable, parallel ``(objects, times)`` lists in array order."""
@@ -1101,7 +1087,8 @@ class PointTable(BindingTable):
     def rows(self) -> tuple:
         if self._rows is None:
             cells = [zip(objs, times) for objs, times in self.columns()]
-            built = BindingTable.build(self.variables, zip(*cells)).rows
+            points = zip(*cells) if cells else [()] * self._size
+            built = BindingTable.build(self.variables, points).rows
             object.__setattr__(self, "_rows", built)
         return self._rows
 
@@ -1139,18 +1126,23 @@ def run_query(
 
     Seeds come straight from the context's condition CSR (or the full
     object range under domain times), never materializing per-row
-    Python objects — this is where the kernel beats the interpreted
-    path even on cheap full-scan queries.
+    Python objects — this is where the kernel beats a per-row walk even
+    on cheap full-scan queries.
     """
-    if plan.seed_condition is not None and all(op[0] == "bind" for op in plan.ops):
+    leaves = plan.leaves
+    if (
+        plan.seed_condition is not None
+        and len(leaves) == 1
+        and all(op[0] == "bind" for op in leaves[0])
+    ):
         # Degenerate chain (Q1–Q4 shapes): the whole query is one
         # absorbed condition plus binds, so the memoized condition table
         # IS the answer — reuse its IntervalSet instances directly, no
         # arrays, no per-row objects.
-        names = tuple(op[1] for op in plan.ops)
+        names = tuple(op[1] for op in leaves[0])
         if variables and all(v in names for v in variables):
-            # One chaos-hook fire + deadline check, like the single bind
-            # step the interpreted walk runs for this chain.
+            # One chaos-hook fire + deadline check, like the one bind op
+            # the kernel would run for this chain.
             failpoints.fire("engine.step")
             if deadline is not None:
                 deadline.check()
@@ -1178,75 +1170,81 @@ def run_query(
             np.full(n, ctx.domain_start, dtype=np.int64),
             np.full(n, ctx.domain_end, dtype=np.int64),
         )
-    kernel = _Kernel(ctx, deadline)
-    state = kernel.run(state, plan.ops)
-    return kernel.project(state, variables, mode), state.rows, kernel.rows_merged
+    return _run_leaves(ctx, leaves, state, variables, mode, deadline)
 
 
 def run_rows(
     ctx: ColumnarContext,
-    ops: tuple,
-    rows: Sequence[Row],
+    leaves: tuple[tuple, ...],
+    seeds: Sequence[Row],
     variables: tuple[str, ...],
     mode: str,
     deadline=None,
-) -> Optional[tuple[list, int, int]]:
-    """Evaluate compiled ops over materialized seed rows.
+) -> tuple[list, int, int]:
+    """Evaluate compiled leaves (:func:`ops_for`) over materialized seeds.
 
-    The row-based entry the worker-pool chunks and the serial rung
-    use; the output is a family list or, under
+    The row-based entry the worker-pool chunks and the serial rung use.
+    ``seeds`` are what ``interpreted.seed_rows`` builds: one temporal
+    group each, no bindings.  The output is a family list or, under
     ``mode="points"``, a list of point-row tuples (both picklable).
-    Returns ``None`` when the rows don't fit the kernel's frontier shape
-    (multi-group rows, non-uniform binding prefixes, empty families) —
-    the caller falls back to the interpreted chain.
     """
-    count = len(rows)
-    if count == 0:
+    if not seeds:
         return [], 0, 0
     object_id = ctx.object_id
-    names: Optional[tuple[str, ...]] = None
-    cur = np.empty(count, dtype=np.int64)
-    interval_counts = np.empty(count, dtype=np.int64)
-    binding_values: list[list[int]] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for position, row in enumerate(rows):
-        if len(row.groups) != 1:
-            return None
-        group = row.groups[0]
-        row_names = tuple(name for name, _obj in group.bindings)
-        if names is None:
-            names = row_names
-            binding_values = [[] for _ in row_names]
-        elif row_names != names:
-            return None
-        obj_position = object_id.get(group.current)
-        if obj_position is None:
-            return None
-        cur[position] = obj_position
-        for slot, (_name, obj) in enumerate(group.bindings):
-            bound = object_id.get(obj)
-            if bound is None:
-                return None
-            binding_values[slot].append(bound)
-        intervals = group.times.intervals
-        if not intervals:
-            return None
-        interval_counts[position] = len(intervals)
-        for interval in intervals:
-            starts.append(interval.start)
-            ends.append(interval.end)
+    counts, starts, ends = _family_rows(row.last.times for row in seeds)
     state = _State(
-        cur,
-        names or (),
-        [np.asarray(values, dtype=np.int64) for values in binding_values],
-        np.repeat(np.arange(count, dtype=np.int64), interval_counts),
+        np.array([object_id[row.last.current] for row in seeds], dtype=np.int64),
+        (),
+        [],
+        np.repeat(np.arange(len(seeds), dtype=np.int64), counts),
         np.asarray(starts, dtype=np.int64),
         np.asarray(ends, dtype=np.int64),
     )
-    kernel = _Kernel(ctx, deadline)
-    state = kernel.run(state, ops)
-    output = kernel.project(state, variables, mode)
+    output, frontier_rows, merged = _run_leaves(
+        ctx, leaves, state, variables, mode, deadline
+    )
     if mode == "points":
-        output = list(zip(*[zip(objs, times) for objs, times in output.columns()]))
-    return output, state.rows, kernel.rows_merged
+        output = list(output.rows)
+    return output, frontier_rows, merged
+
+
+def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):
+    """Run every leaf from ``state`` and union the answers:
+    ``(output, frontier_rows, rows_merged)``.
+
+    Each leaf projects on its own (its frozen groups are its own); a
+    points answer is a :class:`PointTable` union deduplicated with
+    :func:`_group_rows`, a families answer the per-binding union of
+    ``repro.parallel.merge``.
+    """
+    kernel = _Kernel(ctx, deadline)
+    outputs = []
+    frontier_rows = 0
+    for ops in leaves:
+        final = kernel.run(state, ops)
+        frontier_rows += final.rows
+        outputs.append(kernel.project(final, variables, mode))
+    if len(outputs) == 1:
+        union = outputs[0]
+    elif mode == "families":
+        union = merge_family_chunks(outputs)
+    else:
+        union = _union_points(ctx, outputs, variables)
+    return union, frontier_rows, kernel.rows_merged
+
+
+def _union_points(ctx, tables: list, variables) -> "PointTable":
+    """One deduplicated :class:`PointTable` from several."""
+    tables = [table for table in tables if len(table)] or tables[:1]
+    if len(tables) == 1:
+        return tables[0]
+    ids = [np.concatenate(column) for column in zip(*(t._ids for t in tables))]
+    times = [np.concatenate(column) for column in zip(*(t._times for t in tables))]
+    _group, keep = _group_rows(ids + times, sum(len(t) for t in tables))
+    return PointTable(
+        variables,
+        ctx.objects,
+        [column[keep] for column in ids],
+        [column[keep] for column in times],
+        keep.size,
+    )

@@ -211,7 +211,7 @@ class GraphIndex:
     def columnar_context(self):
         """The graph's one :class:`~repro.perf.columnar.ColumnarContext`.
 
-        Built on first use (requires NumPy), shared by every engine on
+        Built on first use, shared by every engine on
         the graph, and patched in place by :meth:`apply_delta` — no read
         after a delta pays a rebuild.
         """

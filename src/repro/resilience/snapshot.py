@@ -4,8 +4,8 @@ A snapshot is a self-contained JSON document capturing everything a
 :class:`~repro.streaming.engine.StreamingEngine` needs to resume:
 
 * the materialized graph (the :mod:`repro.model.io` JSON format);
-* the stream position (last applied batch ``sequence``) and the WAL
-  position (last applied WAL record ``seq``);
+* the stream position (last applied batch ``sequence``), the WAL
+  position (last applied WAL record ``seq``) and the session ``epoch``;
 * the registered queries (name + MATCH text).
 
 Recovery composes the two durability halves::
@@ -16,11 +16,13 @@ loads the snapshot, re-registers its queries (re-deriving the per-seed
 contribution caches — they are *not* serialized; they are a pure
 function of graph + query, and rebuilding them from the snapshot graph
 is exactly the cold-registration path the streaming oracle already
-pins), then **idempotently replays the WAL tail**: records at or below
-the snapshot's WAL position are skipped, the rest are re-applied in
-order.  A torn final WAL record — the signature of a crash mid-append —
-is tolerated and reported; corruption before the tail refuses recovery
-(:class:`~repro.errors.WALCorruptError`).
+pins), then **idempotently replays the WAL tail** (:func:`replay_wal`,
+also the WAL-only restart of a server host): records at or below the
+session's WAL position are skipped, the rest are re-applied in order.
+A torn final WAL record — the signature of a crash mid-append — is
+tolerated and reported; corruption before the tail refuses recovery
+(:class:`~repro.errors.WALCorruptError`).  :func:`restore` does the same
+into a session the caller built (a server host keeps its own engine).
 
 Snapshots are written atomically (temp file + ``os.replace``) and
 durably (the temp file is fsync'd before the rename, the containing
@@ -107,6 +109,7 @@ def write_snapshot(session: StreamingEngine, path: PathLike) -> dict:
         "format": SNAPSHOT_FORMAT,
         "sequence": session.last_sequence,
         "wal_seq": session.wal_seq,
+        "epoch": session.epoch,
         "queries": queries,
         "graph": to_json_dict(session.graph),
     }
@@ -158,13 +161,29 @@ def recover(
     """
     from repro.streaming.engine import StreamingEngine
 
-    snapshot_path = str(snapshot_path)
     document = load_snapshot(snapshot_path)
-    graph = from_json_dict(document["graph"])
-    session = StreamingEngine(graph)
+    session = StreamingEngine(from_json_dict(document["graph"]))
+    report = restore(session, document, snapshot_path, wal_path, queries=queries)
+    return session, report
+
+
+def restore(
+    session: StreamingEngine,
+    document: dict,
+    snapshot_path: PathLike,
+    wal_path: Optional[PathLike] = None,
+    *,
+    queries: Optional[dict] = None,
+) -> RecoveryReport:
+    """The body of :func:`recover`, into a fresh ``session`` over the
+    document's graph: restore the positions and the epoch (a document
+    without ``epoch`` resumes at its WAL position), register the queries
+    once, replay the WAL tail."""
+    wal_seq = int(document.get("wal_seq", 0))
     session.restore_positions(
         last_sequence=document.get("sequence"),
-        wal_seq=int(document.get("wal_seq", 0)),
+        wal_seq=wal_seq,
+        epoch=int(document.get("epoch", wal_seq)),
     )
     names = []
     overrides = queries or {}
@@ -175,24 +194,35 @@ def recover(
     skipped = replayed = 0
     torn = False
     if wal_path is not None:
-        scan = scan_wal(wal_path)
-        torn = scan.torn_tail
-        base = session.wal_seq
-        for record in scan.records:
-            if record.seq <= base:
-                skipped += 1
-                continue
-            session.apply(record.batch)
-            session.restore_positions(wal_seq=record.seq)
-            replayed += 1
-    report = RecoveryReport(
-        snapshot_path=snapshot_path,
+        skipped, replayed, torn = replay_wal(session, wal_path)
+    return RecoveryReport(
+        snapshot_path=str(snapshot_path),
         wal_path=None if wal_path is None else str(wal_path),
         snapshot_sequence=document.get("sequence"),
-        snapshot_wal_seq=int(document.get("wal_seq", 0)),
+        snapshot_wal_seq=wal_seq,
         skipped=skipped,
         replayed=replayed,
         torn_tail=torn,
         queries=tuple(names),
     )
-    return session, report
+
+
+def replay_wal(session: StreamingEngine, wal_path: PathLike) -> tuple[int, int, bool]:
+    """Apply the WAL records past the session's WAL position, in order.
+
+    Returns ``(skipped, replayed, torn_tail)``: records at or below the
+    position are already in the session's state and are skipped.  The
+    session's WAL position follows the replayed records, so a WAL
+    attached afterwards appends after them.
+    """
+    scan = scan_wal(wal_path)
+    base = session.wal_seq
+    skipped = replayed = 0
+    for record in scan.records:
+        if record.seq <= base:
+            skipped += 1
+            continue
+        session.apply(record.batch)
+        session.restore_positions(wal_seq=record.seq)
+        replayed += 1
+    return skipped, replayed, scan.torn_tail

@@ -6,8 +6,9 @@ Durability half one of the streaming runtime (snapshots are the other —
 
     {"seq": 7, "crc": 2839103841, "batch": {...}}
 
-* ``seq`` is the WAL's own strictly increasing record number — batches
-  without a stream ``sequence`` still get a durable position;
+* ``seq`` is the WAL's own record number, consecutive from 1 — batches
+  without a stream ``sequence`` still get a durable position, and a
+  record whose number does not follow its predecessor's is corrupt;
 * ``crc`` is the CRC-32 of the canonical (sorted-key, separator-free)
   JSON encoding of ``batch``, so bit rot and partial writes are caught
   at replay time.
@@ -191,12 +192,14 @@ def _verify_line(
         return None
     if _checksum(_encode_batch(payload)) != crc:
         return None
-    if seq <= last_seq:
-        # Well-formed but out of order: this is real corruption (an
-        # interrupted append can only lose bytes, not reorder records).
+    if seq != last_seq + 1:
+        # Well-formed but out of sequence: this is real corruption — an
+        # interrupted append can only lose bytes, and DeltaWAL numbers
+        # its records 1, 2, 3, ...  The CRC covers the batch, not
+        # ``seq``, so this check is what catches a damaged number.
         raise WALCorruptError(
-            f"{path}:{line_number}: WAL record sequence {seq} is not greater "
-            f"than the previous record's {last_seq}",
+            f"{path}:{line_number}: WAL record sequence {seq} does not follow "
+            f"the previous record's {last_seq}",
             path=path,
             line=line_number,
         )

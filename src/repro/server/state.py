@@ -33,8 +33,9 @@ from repro.dataflow.executor import DataflowEngine, MatchResult
 from repro.errors import EvaluationError, ServerError
 from repro.eval.bindings import IntervalBindingTable
 from repro.model import contact_tracing_example, graph_statistics
-from repro.model.io import load_json
+from repro.model.io import from_json_dict, load_json
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.snapshot import load_snapshot, replay_wal, restore
 from repro.server.plans import PlanCache
 from repro.server.protocol import encode_families, encode_rows, normalize_query
 from repro.streaming.delta import DeltaBatch
@@ -97,58 +98,40 @@ class GraphHost:
         Recovery-on-restart semantics: an existing snapshot wins over
         both ``store`` and ``graph_path`` — the snapshot graph plus the
         WAL tail *is* the state the previous process durably reached,
-        and the recovered queries are re-registered so continuous
-        answers resume where they left off.  Otherwise a ``store``
-        (compiled ``repro-index`` artifact, see :func:`repro.store.attach`)
-        is attached in O(1) instead of loading + recompiling
-        ``graph_path`` — the restart skips index compilation entirely,
-        and a WAL tail still replays on top (materializing the attached
-        graph and patching the index in place).  Returns
-        ``(host, recovery_report_dict | None)``.
+        and the host's own session is the one recovery restores: its
+        queries registered once, its epoch where the previous process
+        left it, so continuous answers resume where they left off.
+        Otherwise a ``store`` (compiled ``repro-index`` artifact, see
+        :func:`repro.store.attach`) is attached in O(1) instead of
+        loading + recompiling ``graph_path`` — the restart skips index
+        compilation entirely, and a WAL tail still replays on top
+        (materializing the attached graph and patching the index in
+        place).  Either way the WAL and snapshot attach only after the
+        replay, so replayed batches are not logged a second time.
+        Returns ``(host, recovery_report_dict | None)``.
         """
+        recovery = None
         if snapshot is not None and os.path.exists(snapshot):
-            from repro.resilience.snapshot import recover
-
-            session, report = recover(snapshot, wal)
-            host = cls(
-                name,
-                session.graph,
-                wal=wal,
-                snapshot=snapshot,
-                snapshot_every=snapshot_every,
-                **config,
-            )
-            for query_name in report.queries:
-                text = session.query_text(query_name)
-                if text is not None:
-                    host.session.register(text, name=query_name)
-            host.session.restore_positions(
-                last_sequence=session.last_sequence, wal_seq=session.wal_seq
-            )
-            return host, report.to_dict()
-        if store is not None:
-            from repro.store import attach
-
-            graph = attach(store).graph
-        elif graph_path is None:
-            graph = contact_tracing_example()
+            document = load_snapshot(snapshot)
+            host = cls(name, from_json_dict(document["graph"]), **config)
+            recovery = restore(host.session, document, snapshot, wal).to_dict()
         else:
-            graph = load_json(graph_path)
-        host = cls(name, graph, **config)
-        if wal is not None and os.path.exists(wal):
-            # No snapshot, but the WAL holds a previous run's applied
-            # batches: replay them (before attaching the WAL, so the
-            # replays are not appended a second time).
-            from repro.resilience.wal import scan_wal
+            if store is not None:
+                from repro.store import attach
 
-            for record in scan_wal(wal).records:
-                host.session.apply(record.batch)
-                host.session.restore_positions(wal_seq=record.seq)
+                graph = attach(store).graph
+            elif graph_path is None:
+                graph = contact_tracing_example()
+            else:
+                graph = load_json(graph_path)
+            host = cls(name, graph, **config)
+            if wal is not None:
+                replay_wal(host.session, wal)
         if wal is not None:
             host.session.attach_wal(wal)
         if snapshot is not None:
             host.session.configure_snapshots(snapshot, every=snapshot_every)
-        return host, None
+        return host, recovery
 
     # ------------------------------------------------------------------ #
     # Request execution (all under the host lock)
@@ -301,12 +284,7 @@ class GraphHost:
                 "index_epoch": self.index.epoch,
                 "queries": list(self.session.query_names()),
                 "plan_cache": self.plans.stats(),
-                # Which kernel each cached plan runs, and why not columnar
-                # (kernel_fallback, None = it runs columnar).
-                "plans": [
-                    {"query": text, **self.engine.kernel_for(plan.chain)}
-                    for text, plan in self.plans.entries()
-                ],
+                "plans": [text for text, _plan in self.plans.entries()],
                 "workers": self.engine.workers,
                 "wal": None if self.session.wal is None else self.session.wal.path,
                 "wal_seq": self.session.wal_seq,

@@ -30,7 +30,7 @@ order raises :class:`~repro.errors.EvaluationError` before anything is
 mutated.  Correctness of the whole scheme is pinned by the streaming
 differential oracle (``tests/test_streaming_oracle.py``): after every
 batch the maintained answer must equal a cold evaluation on a pristine
-copy of the materialized graph, across the fuzz-oracle engine configs.
+copy of the materialized graph.
 """
 
 from __future__ import annotations
@@ -247,12 +247,15 @@ class StreamingEngine:
         self,
         last_sequence: Optional[int] = None,
         wal_seq: Optional[int] = None,
+        epoch: Optional[int] = None,
     ) -> None:
-        """Set the stream/WAL positions (used by snapshot recovery)."""
+        """Set the stream/WAL positions and the epoch (snapshot recovery)."""
         if last_sequence is not None:
             self._last_sequence = last_sequence
         if wal_seq is not None:
             self._wal_seq = wal_seq
+        if epoch is not None:
+            self._epoch = epoch
 
     # ------------------------------------------------------------------ #
     # Registration and reads
@@ -333,8 +336,8 @@ class StreamingEngine:
             if batch.is_empty():
                 if batch.sequence is not None:
                     self._last_sequence = batch.sequence
-                self._log_applied(batch)
                 self._epoch += 1
+                self._log_applied(batch)
                 return ApplyResult(
                     sequence=batch.sequence,
                     new_nodes=0,
@@ -354,8 +357,9 @@ class StreamingEngine:
             updates = tuple(
                 self._update_query(state, effects) for state in self._queries.values()
             )
-            self._log_applied(batch)
+            # Epoch first: a snapshot the log takes records this batch.
             self._epoch += 1
+            self._log_applied(batch)
             return ApplyResult(
                 sequence=batch.sequence,
                 new_nodes=len(effects.new_nodes),
@@ -479,10 +483,10 @@ class StreamingEngine:
     def _eval_seed(
         self, state: _QueryState, row: Row, rest: tuple[ChainStep, ...]
     ) -> Contribution:
-        # Always the interpreted walk: a one-row frontier is below the
-        # columnar kernel's break-even by construction (fixed per-op
-        # array overhead, nothing to sweep).  Families or point tuples
-        # per the query's output mode, exactly as in batch Step 3.
+        # The per-row walk, not the query kernel: a one-row frontier is
+        # below the columnar kernel's break-even (fixed per-op array
+        # overhead, nothing to sweep).  Families or point tuples per the
+        # query's output mode, exactly as in batch Step 3.
         data, _rows, _merged = interpreted.run_rows(
             self._engine.index, rest, [row], state.variables, state.mode
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import sys
 from pathlib import Path
 
@@ -17,39 +16,6 @@ from repro.datagen.random_graphs import random_itpg
 from repro.eval.engine import ReferenceEngine
 from repro.model.convert import itpg_to_tpg
 from repro.model.examples import contact_tracing_example, tiny_example
-from repro.perf import columnar
-
-
-@contextlib.contextmanager
-def columnar_hidden():
-    """Run the block as a host without NumPy: the columnar kernel reports
-    itself unavailable, so every engine picks the interpreted kernel.
-
-    The engine has no kernel option; this is how a test reaches the
-    interpreted oracle leg.  Worker processes forked inside the block
-    inherit the hidden kernel; already-running workers keep theirs.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(columnar, "np", None)
-        yield
-
-
-class Interpreted:
-    """An engine whose every method call runs under :func:`columnar_hidden`."""
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def __getattr__(self, name):
-        attribute = getattr(self.engine, name)
-        if not callable(attribute):
-            return attribute
-
-        def hidden(*args, **kwargs):
-            with columnar_hidden():
-                return attribute(*args, **kwargs)
-
-        return hidden
 
 
 @pytest.fixture(scope="session")

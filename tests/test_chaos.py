@@ -43,8 +43,6 @@ from repro.parallel.pool import shutdown_pools
 from repro.resilience import RetryPolicy, failpoints, recover, scan_wal, write_snapshot
 from repro.streaming import DeltaBatch, StreamingEngine
 
-from conftest import columnar_hidden
-
 
 @pytest.fixture(scope="module")
 def contact_graph():
@@ -147,7 +145,7 @@ class TestPerCallIsolation:
         """Without any lock, a call's deadline stays with that call.
 
         A starts with a tight per-call deadline and a retry policy; once
-        it is inside the chain walk, B runs the same query on the same
+        it is inside the kernel run, B runs the same query on the same
         engine with neither.  A must expire, B must answer in full, and
         the engine must look the same throughout as before either call.
         """
@@ -163,25 +161,23 @@ class TestPerCallIsolation:
             except Exception as error:
                 outcome[name] = error
 
-        # Every step of the interpreted walk stalls 0.05s: Q5's walk
-        # takes ~0.4s, so A's 0.15s budget expires mid-walk while B is
-        # still running.
+        # Every kernel op stalls 0.05s: Q5's nine ops take ~0.45s, so
+        # A's 0.15s budget expires mid-run while B is still running.
         failpoints.arm("engine.step", "sleep", seconds=0.05, times=0)
-        with columnar_hidden():
-            first = threading.Thread(
-                target=run,
-                args=("a",),
-                kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
-            )
-            first.start()
-            deadline = time.monotonic() + 10
-            while failpoints.hits("engine.step") == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            during = dict(vars(engine))
-            second = threading.Thread(target=run, args=("b",))
-            second.start()
-            first.join(30)
-            second.join(30)
+        first = threading.Thread(
+            target=run,
+            args=("a",),
+            kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
+        )
+        first.start()
+        deadline = time.monotonic() + 10
+        while failpoints.hits("engine.step") == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        during = dict(vars(engine))
+        second = threading.Thread(target=run, args=("b",))
+        second.start()
+        first.join(30)
+        second.join(30)
         assert isinstance(outcome["a"], DeadlineExceeded), outcome["a"]
         assert not isinstance(outcome["b"], Exception), outcome["b"]
         assert outcome["b"].table.as_set() == expected

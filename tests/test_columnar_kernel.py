@@ -2,18 +2,16 @@
 
 Four layers:
 
-* **Dispatch contract** — the engine has no kernel option; ``explain()``
-  reports ``effective_kernel`` / ``kernel_fallback``, and the
-  NumPy-absent host degrades to the interpreted path with identical
-  output (the CI tests job runs without NumPy, so this is the
-  configuration most suites exercise).
+* **Dispatch contract** — the engine has no kernel option and one
+  kernel; ``explain()`` reports ``effective_kernel == "columnar"`` from
+  every entry point.
 * **Fallback identity** — the shapes added last (mid-chain temporal
-  navigation, point-mode output) run columnar and answer identically to
-  the interpreted kernel, through the full-query and the worker-chunk
-  (``run_rows``) entries; the one declined shape (temporal navigation
-  inside an alternation) records its reason and falls back.
-* **Kernel seam** — ``columnar.run_rows`` and ``interpreted.run_rows``
-  return the same data for the same seeds on every paper query.
+  navigation, point-mode output, temporal alternations distributed into
+  leaf chains) answer identically to the reference engine, through the
+  full-query and the worker-chunk (``run_rows``) entries.
+* **Kernel seam** — ``columnar.run_rows`` and the streaming refresh's
+  walk, ``interpreted.run_rows``, return the same data for the same
+  seeds on every paper query.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -30,12 +28,6 @@ from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model import contact_tracing_example
 from repro.perf import columnar
-
-from conftest import Interpreted, columnar_hidden
-
-requires_numpy = pytest.mark.skipif(
-    not columnar.available(), reason="columnar kernel requires numpy"
-)
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +50,9 @@ def contact_graph():
 
 
 def _example_engines():
-    """The default engine and its interpreted oracle on the example graph."""
+    """The default engine and its reference oracle on the example graph."""
     graph = contact_tracing_example()
-    return DataflowEngine(graph), Interpreted(DataflowEngine(graph))
+    return DataflowEngine(graph), ReferenceEngine(graph)
 
 
 class TestKernelSelection:
@@ -72,8 +64,7 @@ class TestKernelSelection:
     def test_kernel_property_and_default(self):
         engine = DataflowEngine(contact_tracing_example())
         assert not hasattr(engine, "kernel")
-        expected = "columnar" if columnar.available() else "interpreted"
-        assert engine.explain(PAPER_QUERIES["Q1"].text)["effective_kernel"] == expected
+        assert engine.explain(PAPER_QUERIES["Q1"].text)["effective_kernel"] == "columnar"
 
     def test_engine_takes_no_mode_option(self):
         import inspect
@@ -88,14 +79,11 @@ class TestKernelSelection:
 
 
 class TestExplainReporting:
-    @requires_numpy
     def test_covered_query_reports_columnar(self):
         engine, _ = _example_engines()
         plan = engine.explain(PAPER_QUERIES["Q1"].text)
         assert plan["effective_kernel"] == "columnar"
-        assert plan["kernel_fallback"] is None
 
-    @requires_numpy
     def test_point_mode_query_reports_columnar(self):
         # Q6 binds variables across temporal groups: point-mode output
         # is a property of the kernel's projection, not a decline.
@@ -103,54 +91,30 @@ class TestExplainReporting:
         plan = engine.explain(PAPER_QUERIES["Q6"].text)
         assert plan["output_mode"] == "points"
         assert plan["effective_kernel"] == "columnar"
-        assert plan["kernel_fallback"] is None
         table = engine.match(PAPER_QUERIES["Q6"].text)
         assert isinstance(table, columnar.PointTable)
 
-    @requires_numpy
     def test_every_paper_query_runs_columnar(self):
         engine, _ = _example_engines()
         for name, query in PAPER_QUERIES.items():
-            plan = engine.explain(query.text)
-            assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
-                "columnar",
-                None,
-            ), name
+            assert engine.explain(query.text)["effective_kernel"] == "columnar", name
 
-    def test_numpy_absent_reports_and_matches_interpreted(self):
-        engine = DataflowEngine(contact_tracing_example())
-        expected = {
-            name: engine.match(query.text).as_set()
-            for name, query in PAPER_QUERIES.items()
-        }
-        with columnar_hidden():
-            assert not columnar.available()
-            plan = engine.explain(PAPER_QUERIES["Q1"].text)
-            assert plan["effective_kernel"] == "interpreted"
-            assert plan["kernel_fallback"] == "numpy is not installed"
-            for name, query in PAPER_QUERIES.items():
-                assert engine.match(query.text).as_set() == expected[name], (
-                    f"{name} diverged with numpy absent"
-                )
-
-    def test_default_entry_points_degrade_without_numpy(self):
-        # The kernel choice lives in the engine's dispatch; every entry
-        # point that builds an engine must degrade with the same reason.
+    def test_default_entry_points_run_columnar(self):
+        # Every entry point that builds an engine runs the one kernel.
         from repro.server.state import GraphHost
         from repro.streaming import StreamingEngine
 
         graph = contact_tracing_example()
         engines = {
             "engine": DataflowEngine(graph),
+            "pool": DataflowEngine(graph, workers=2),
             "host": GraphHost("g", graph).engine,
             "session": StreamingEngine(graph).engine,
         }
-        with columnar_hidden():
-            for label, engine in engines.items():
-                for name, query in PAPER_QUERIES.items():
-                    plan = engine.explain(query.text)
-                    assert plan["effective_kernel"] == "interpreted", (label, name)
-                    assert plan["kernel_fallback"] == "numpy is not installed"
+        for label, engine in engines.items():
+            for name, query in PAPER_QUERIES.items():
+                plan = engine.explain(query.text)
+                assert plan["effective_kernel"] == "columnar", (label, name)
 
 
 def _path_query(path, *, bind_target: bool, name: str):
@@ -193,21 +157,18 @@ def _navigation_shapes():
 
 class TestFallbackIdentity:
     """Shapes the kernel once declined (point-mode output, mid-chain
-    navigation) now run on it; the one it still declines falls back with
-    its reason.  Either way the answer is the interpreted oracle's."""
+    navigation, temporal alternations) run on it and answer like the
+    reference engine."""
 
     @pytest.mark.parametrize("name", ["Q6", "Q7", "Q8"])
     def test_point_mode_queries_identical(self, name):
         engine, oracle = _example_engines()
         query = PAPER_QUERIES[name].text
         assert engine.match(query).as_set() == oracle.match(query).as_set()
-        # Both reject coalesced output for point-mode queries alike.
+        # Variables span temporal groups: no coalesced output.
         with pytest.raises(EvaluationError):
             engine.match_intervals(query)
-        with pytest.raises(EvaluationError):
-            oracle.match_intervals(query)
 
-    @requires_numpy
     def test_mid_chain_temporal_step_runs_columnar(self):
         # N·P: a temporal step before the end of the chain freezes the
         # group it leaves; the answer equals the interpreted walk's.
@@ -219,41 +180,53 @@ class TestFallbackIdentity:
         # both frozen groups.
         query = _path_query(ast.concat(ast.P, ast.N), bind_target=False, name="<p-n>")
         engine = DataflowEngine(graph)
-        plan = engine.explain(query)
-        assert plan["effective_kernel"] == "columnar"
-        assert plan["kernel_fallback"] is None
-        oracle = Interpreted(DataflowEngine(graph))
-        assert engine.match(query).as_set() == oracle.match(query).as_set()
-        assert sorted(engine.match_intervals(query), key=repr) == sorted(
-            oracle.match_intervals(query), key=repr
-        )
+        assert engine.explain(query)["effective_kernel"] == "columnar"
+        expected = ReferenceEngine(graph).match(query)
+        assert engine.match(query).as_set() == expected.as_set()
+        families = engine.match_intervals(query)
+        assert expand_match_families(families, expected.variables) == expected.as_set()
 
-    @requires_numpy
-    def test_temporal_alternation_is_the_one_declined_shape(self):
+    def test_temporal_alternation_runs_distributed(self):
         from repro.lang import ast
 
         graph = random_itpg(3)
-        query = _path_query(
-            ast.concat(ast.F, ast.union(ast.N, ast.P)), bind_target=True, name="<f-(n+p)>"
-        )
+        # N+P after the hop, then F: the alternation sits mid-chain, and
+        # the bound target lies past it (point output).
+        path = ast.concat(ast.F, ast.union(ast.N, ast.P), ast.F)
+        query = _path_query(path, bind_target=True, name="<f-(n+p)-f>")
         engine = DataflowEngine(graph)
         plan = engine.explain(query)
-        assert plan["effective_kernel"] == "interpreted"
-        assert plan["kernel_fallback"] == "temporal navigation inside alternation"
-        oracle = ReferenceEngine(graph)
-        assert engine.match(query).as_set() == oracle.match(query).as_set()
+        assert (plan["effective_kernel"], plan["output_mode"]) == ("columnar", "points")
+        assert len(columnar.plan_query(engine.prepare(query).chain).leaves) == 2
+        expected = ReferenceEngine(graph).match(query).as_set()
+        assert expected
+        assert engine.match(query).as_set() == expected
+        # Families mode unions the leaves per binding tuple.
+        anonymous = _path_query(path, bind_target=False, name="<f-(n+p)-f>/x")
+        families = engine.match_intervals(anonymous)
+        assert expand_match_families(families, ("x",)) == (
+            ReferenceEngine(graph).match(anonymous).as_set()
+        )
 
-    @requires_numpy
+    def test_temporal_alternation_without_variables_matches_once(self):
+        # No variables: the answer is one empty row when any leaf matches.
+        graph = contact_tracing_example()
+        query = "MATCH (:Person)-/NEXT + PREV/-() ON g"
+        engine = DataflowEngine(graph)
+        assert engine.explain(query)["output_mode"] == "points"
+        table = engine.match(query)
+        assert len(table) == 1 and table.rows == ((),)
+        assert table.as_set() == ReferenceEngine(graph).match(query).as_set()
+
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_random_fuzz_cases_identical(self, seed):
         graph = random_itpg(seed)
         query = random_match_query(seed * 31 + 7)
         engine = DataflowEngine(graph)
-        oracle = Interpreted(DataflowEngine(graph))
+        oracle = ReferenceEngine(graph)
         assert engine.match(query).as_set() == oracle.match(query).as_set()
 
 
-@requires_numpy
 class TestPaperQueryParity:
     def test_all_paper_queries_identical(self):
         engine, oracle = _example_engines()
@@ -265,34 +238,32 @@ class TestPaperQueryParity:
     def test_interval_families_identical(self):
         engine, oracle = _example_engines()
         for name, query in PAPER_QUERIES.items():
-            try:
-                expected = oracle.match_intervals(query.text)
-            except EvaluationError:
+            expected = oracle.match(query.text)
+            if name in ("Q6", "Q7", "Q8"):  # variables span temporal groups
                 with pytest.raises(EvaluationError):
                     engine.match_intervals(query.text)
                 continue
             got = engine.match_intervals(query.text)
-            assert sorted(got, key=repr) == sorted(expected, key=repr), (
-                f"{name} interval families diverged"
-            )
+            assert expand_match_families(got, expected.variables) == (
+                expected.as_set()
+            ), f"{name} interval families diverged"
 
     @pytest.mark.parametrize("bind_target", [False, True], ids=["families", "points"])
     @pytest.mark.parametrize("shape", sorted(_navigation_shapes()))
     def test_mid_chain_navigation_and_point_output_run_columnar(
         self, contact_graph, shape, bind_target
     ):
-        """Every navigation shape, in both output modes, *runs columnar*
-        (a fallback here would compare the oracle with itself) through
-        the full-query entry and the worker-chunk (``run_rows``) entry."""
+        """Every navigation shape, in both output modes, answers like the
+        reference engine through the full-query entry and the worker-chunk
+        (``run_rows``) entry."""
         from repro.dataflow.interpreted import seed_rows
 
         query = _path_query(
             _navigation_shapes()[shape], bind_target=bind_target, name=shape
         )
         engine = DataflowEngine(contact_graph)
-        oracle = Interpreted(DataflowEngine(contact_graph))
+        oracle = ReferenceEngine(contact_graph)
         plan = engine.explain(query)
-        assert (plan["effective_kernel"], plan["kernel_fallback"]) == ("columnar", None)
         assert plan["output_mode"] == ("points" if bind_target else "families")
         expected = oracle.match(query).as_set()
         assert expected, "the shape must produce output on the contact graph"
@@ -303,19 +274,15 @@ class TestPaperQueryParity:
         # Worker chunks: seed rows in, families / point tuples out.
         prepared = engine.prepare(query)
         seeds, rest = seed_rows(engine.index, prepared.chain)
-        ops, reason = columnar.ops_for(rest)
-        assert reason is None
         gathered = set()
         for chunk in (seeds[::2], seeds[1::2]):
-            attempt = columnar.run_rows(
+            data, _frontier_rows, _merged = columnar.run_rows(
                 engine.index.columnar_context(),
-                ops,
+                columnar.ops_for(rest),
                 chunk,
                 prepared.variables,
                 prepared.mode,
             )
-            assert attempt is not None, "the chunk fell back to the interpreted walk"
-            data, _frontier_rows, _merged = attempt
             if bind_target:
                 gathered.update(data)
             else:
@@ -340,16 +307,16 @@ class TestPaperQueryParity:
         assert engine.explain(query)["effective_kernel"] == "columnar"
         rows = engine.match(query).as_set()
         assert rows == session.table(name).as_set()
-        assert rows == Interpreted(engine).match(query).as_set()
+        assert rows == ReferenceEngine(engine.graph).match(query).as_set()
         assert rows == DataflowEngine(
             from_json_dict(to_json_dict(engine.graph))
         ).match(query).as_set()
 
 
-@requires_numpy
 class TestKernelSeam:
-    """The two kernels' ``run_rows`` entries are interchangeable: same
-    index, chain, seeds, variables and mode in, the same data out."""
+    """The streaming refresh's walk is pinned to the query kernel: their
+    ``run_rows`` entries take the same index, chain, seeds, variables and
+    mode and return the same data."""
 
     @pytest.fixture(scope="class")
     def dense_graph(self):
@@ -377,16 +344,13 @@ class TestKernelSeam:
         engine = DataflowEngine(dense_graph)
         prepared = engine.prepare(PAPER_QUERIES[name].text)
         seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
-        ops, reason = columnar.ops_for(rest)
-        assert reason is None, reason
         got = columnar.run_rows(
             engine.index.columnar_context(),
-            ops,
+            columnar.ops_for(rest),
             seeds,
             prepared.variables,
             prepared.mode,
         )
-        assert got is not None, "the seeds fell back to the interpreted walk"
         expected = interpreted.run_rows(
             engine.index, rest, seeds, prepared.variables, prepared.mode
         )
@@ -394,7 +358,6 @@ class TestKernelSeam:
         assert sorted(got[0], key=repr) == sorted(expected[0], key=repr)
 
 
-@requires_numpy
 class TestPrimitives:
     def test_ranges_concatenates_aranges(self):
         import numpy as np
@@ -460,7 +423,6 @@ class TestPrimitives:
         assert reps.tolist() == [0]
 
 
-@requires_numpy
 class TestStoreFastPath:
     def test_attached_store_matches_in_memory(self, tmp_path):
         from repro.store import attach, compile_graph
@@ -472,7 +434,7 @@ class TestStoreFastPath:
         try:
             assert attachment.core.columnar_sections() is not None
             engine = DataflowEngine(attachment.graph)
-            oracle = Interpreted(DataflowEngine(graph))
+            oracle = DataflowEngine(graph)
             for name, query in PAPER_QUERIES.items():
                 assert engine.match(query.text).as_set() == (
                     oracle.match(query.text).as_set()
@@ -487,12 +449,11 @@ class TestCliKernelFlag:
     def test_query_accepts_columnar(self, capsys):
         from repro.cli import main
 
-        # Whichever kernel the engine picks, the CLI prints the same rows.
+        # The default engine prints the reference engine's rows, byte for byte.
         assert main(["query", "Q9"]) == 0
         default_out = capsys.readouterr().out
         assert "n3" in default_out
-        with columnar_hidden():
-            assert main(["query", "Q9"]) == 0
+        assert main(["query", "Q9", "--engine", "reference"]) == 0
         assert capsys.readouterr().out == default_out
 
     def test_explain_prints_kernel_line(self, capsys):
@@ -500,13 +461,8 @@ class TestCliKernelFlag:
 
         assert main(["query", "Q1", "--explain"]) == 0
         out = capsys.readouterr().out
-        if columnar.available():
-            assert "# plan: kernel=columnar\n" in out
-        else:
-            assert "kernel=interpreted — fallback: numpy is not installed" in out
-        with columnar_hidden():
-            assert main(["query", "Q1", "--explain"]) == 0
-        assert "fallback: numpy is not installed" in capsys.readouterr().out
+        assert "# plan: kernel=columnar\n" in out
+        assert "fallback" not in out
 
     def test_unknown_kernel_rejected_by_argparse(self, capsys):
         from repro.cli import build_parser

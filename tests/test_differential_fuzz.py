@@ -7,25 +7,22 @@ randomized graphs and queries:
 * **MATCH level** — :func:`repro.datagen.random_graphs.random_itpg`
   graphs and :func:`~repro.datagen.random_graphs.random_match_query`
   queries (restricted to the dataflow fragment) evaluated by the
-  dataflow engine under both kernels (the default, columnar where it
-  covers the chain, and interpreted with the columnar kernel hidden as
-  on a host without NumPy), and by the point-based reference engine
-  (the ground truth).  Where
-  NumPy is importable the sweep also proves the two dataflow
-  configurations differ: a case whose plan reports no kernel fallback
-  must report ``effective_kernel == "columnar"``, a batch in which no
-  case ran columnar fails, and so does a seed window in which the
-  kernel never ran mid-chain temporal navigation or two-group point
-  output (:func:`columnar_shapes`) — the oracle only protects the
-  shapes it actually reaches.
-* **Interval-vs-point output oracle** — for *every* engine
-  configuration that defines ``match_intervals`` on the case, the
-  coalesced families must (a) be canonical — one entry per distinct
-  binding tuple, each with nonempty coalesced times — and (b) expand
-  exactly to the point rows of the ground-truth ``match`` table.  This
-  is the Table-II-style cross-validation of the interval-native output
-  path: both engines now produce output *from* interval families, so
-  the expansion equality is what guards the representation change.
+  dataflow engine (the columnar kernel), by the streaming refresh's
+  per-row walk (``interpreted.run_rows`` over the full seed table of the
+  same compiled chain — no monkeypatch, the walk is called directly),
+  and by the point-based reference engine (the ground truth).  The
+  oracle only protects the shapes it actually reaches, so a seed window
+  fails unless the kernel ran mid-chain temporal navigation, two-group
+  point output and distributed temporal alternations in it
+  (:func:`kernel_shapes`).
+* **Interval-vs-point output oracle** — for *every* engine that defines
+  ``match_intervals`` on the case, the coalesced families must (a) be
+  canonical — one entry per distinct binding tuple, each with nonempty
+  coalesced times — and (b) expand exactly to the point rows of the
+  ground-truth ``match`` table.  This is the Table-II-style
+  cross-validation of the interval-native output path: both engines now
+  produce output *from* interval families, so the expansion equality is
+  what guards the representation change.
 
 * **Path level** — random NavL[PC,NOI] expressions (including path
   conditions) evaluated by the bottom-up algorithm with its memo cache
@@ -56,16 +53,15 @@ from repro.datagen.random_graphs import (
     random_match_query,
     random_path_expression,
 )
-from repro.dataflow import DataflowEngine, PAPER_QUERIES
+from repro.dataflow import DataflowEngine, PAPER_QUERIES, interpreted
+from repro.dataflow.steps import TemporalStep
 from repro.eval import ReferenceEngine
-from repro.eval.bindings import expand_match_families
+from repro.eval.bindings import BindingTable, IntervalBindingTable, expand_match_families
 from repro.eval.bottom_up import BottomUpEvaluator
 from repro.eval.tuple_pc import PCChecker
 from repro.errors import EvaluationError
 from repro.lang.fragments import Fragment, in_fragment
 from repro.perf import columnar
-
-from conftest import Interpreted
 
 #: MATCH-level sweep: ``BATCHES × BATCH_SIZE`` generated cases.
 BATCH_SIZE = 25
@@ -73,6 +69,25 @@ BATCHES = 9  # 225 cases ≥ the 200 required by the suite's charter
 #: CI shifts the whole seed window per matrix entry; 0 keeps local runs
 #: deterministic and identical to the committed baseline.
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
+
+
+def walk(engine: DataflowEngine, query, mode: str | None = None):
+    """The streaming refresh's per-row walk over the whole seed table.
+
+    ``interpreted.run_rows`` on the chain ``engine.prepare`` compiles,
+    in the plan's output mode (or ``mode``): a binding table, or the
+    raw coalesced families under ``mode="families"``.
+    """
+    plan = engine.prepare(query)
+    seeds, rest = interpreted.seed_rows(engine.index, plan.chain)
+    data, _rows, _merged = interpreted.run_rows(
+        engine.index, rest, seeds, plan.variables, mode or plan.mode
+    )
+    if mode is not None:
+        return data
+    if plan.mode == "families":
+        return IntervalBindingTable(plan.variables, data)
+    return BindingTable.build(plan.variables, data)
 
 
 def check_interval_point_oracle(
@@ -100,6 +115,12 @@ def check_interval_point_oracle(
         families = engine.match_intervals(query)
     except EvaluationError:
         return False
+    check_families(name, families, variables, reference_rows, context)
+    return True
+
+
+def check_families(name, families, variables, reference_rows, context) -> None:
+    """Canonical families that expand exactly to ``reference_rows``."""
     seen_bindings = set()
     for bindings, times in families:
         assert bindings not in seen_bindings, (
@@ -116,67 +137,62 @@ def check_interval_point_oracle(
         f"extra={sorted(expanded - reference_rows, key=repr)[:5]}, "
         f"missing={sorted(reference_rows - expanded, key=repr)[:5]}"
     )
-    return True
 
 
-def columnar_shapes(engine: DataflowEngine, query) -> frozenset[str]:
-    """Which kernel shapes a columnar engine really runs on ``query``.
+def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
+    """Which of the kernel's harder shapes ``query`` runs.
 
-    Empty when the plan falls back (the case then compares interpreted
-    against interpreted); otherwise ``"columnar"`` plus ``"mid-chain"``
-    when a temporal step is followed by further steps and ``"points"``
-    when the output spans temporal groups.
+    ``"mid-chain"`` when a temporal step is followed by further steps,
+    ``"points"`` when the output spans temporal groups, and
+    ``"distributed"`` when the chain holds an alternation that navigates
+    through time, so the kernel runs it as several leaf chains.
     """
-    from repro.dataflow.steps import TemporalStep
-
     plan = engine.explain(query)
-    if plan["kernel_fallback"] is not None:
-        return frozenset()
-    assert plan["effective_kernel"] == "columnar", (
-        f"no kernel fallback, yet the plan runs {plan['effective_kernel']!r}"
-    )
-    shapes = {"columnar"}
+    assert plan["effective_kernel"] == "columnar"
     chain = engine.prepare(query).chain
+    shapes = set()
     if any(isinstance(step, TemporalStep) for step in chain[:-1]):
         shapes.add("mid-chain")
     if plan["output_mode"] == "points":
         shapes.add("points")
+    if len(columnar.plan_query(chain).leaves) > 1:
+        shapes.add("distributed")
     return frozenset(shapes)
 
 
 def run_match_case(seed: int) -> frozenset[str]:
     """One differential MATCH case; raises AssertionError on divergence.
 
-    Returns the :func:`columnar_shapes` the ``dataflow-columnar``
-    configuration actually ran on this case (empty = it fell back and was
-    compared interpreted-against-interpreted).  Reproduce a failure with::
+    Returns the :func:`kernel_shapes` of the case.  Reproduce a failure
+    with::
 
         graph = random_itpg(<seed>)
         query = random_match_query(<seed> * 31 + 7)
     """
     graph = random_itpg(seed)
     query = random_match_query(seed * 31 + 7)
-    engines = {
-        "dataflow-interpreted": Interpreted(DataflowEngine(graph)),
-        "dataflow-columnar": DataflowEngine(graph),
-        "reference-point": ReferenceEngine(graph),
+    engine = DataflowEngine(graph)
+    reference = ReferenceEngine(graph)
+    tables = {
+        "dataflow": engine.match(query),
+        "streaming-walk": walk(engine, query),
+        "reference-point": reference.match(query),
     }
-    tables = {name: engine.match(query) for name, engine in engines.items()}
     results = {name: table.as_set() for name, table in tables.items()}
-    reference = results["reference-point"]
+    reference_rows = results["reference-point"]
     for name, rows in results.items():
-        assert rows == reference, (
+        assert rows == reference_rows, (
             f"{name} diverged from reference-point on fuzz seed {seed}: "
             f"sizes {({n: len(r) for n, r in results.items()})}; "
             f"reproduce with random_itpg({seed}) and "
             f"random_match_query({seed * 31 + 7}); "
-            f"only-in-{name}={sorted(rows - reference, key=repr)[:5]}, "
-            f"missing={sorted(reference - rows, key=repr)[:5]}"
+            f"only-in-{name}={sorted(rows - reference_rows, key=repr)[:5]}, "
+            f"missing={sorted(reference_rows - rows, key=repr)[:5]}"
         )
 
-    # Interval-vs-point output oracle: every engine configuration that
-    # defines coalesced output on this case must produce canonical
-    # families expanding exactly to the ground-truth point table.
+    # Interval-vs-point output oracle: every engine that defines
+    # coalesced output on this case must produce canonical families
+    # expanding exactly to the ground-truth point table.
     variables = tables["reference-point"].variables
     context = (
         f"fuzz seed {seed}: reproduce with random_itpg({seed}) and "
@@ -184,37 +200,32 @@ def run_match_case(seed: int) -> frozenset[str]:
     )
     defined = {
         name: check_interval_point_oracle(
-            name, engine, query, variables, reference, context
+            name, engine, query, variables, reference_rows, context
         )
-        for name, engine in engines.items()
+        for name, engine in (("dataflow", engine), ("reference-point", reference))
     }
     # Definedness containment: a blanket spurious rejection would
     # otherwise disable the oracle silently.  The reference engine's
     # exact per-row check accepts everything the dataflow engine's
-    # static chain-shape check accepts; the two kernels must agree
-    # (same chain shape).
-    assert defined["dataflow-columnar"] == defined["dataflow-interpreted"], (
-        f"columnar kernel disagrees on match_intervals definedness ({context})"
-    )
-    if defined["dataflow-interpreted"]:
+    # static chain-shape check accepts, and so does the walk.
+    if defined["dataflow"]:
         assert defined["reference-point"], (
             f"the reference engine rejected coalesced output the dataflow "
             f"engine defines ({context})"
         )
-
-    # The two dataflow configurations differ only where the kernels
-    # really do: the interpreted leg (the oracle, columnar hidden) must
-    # always run interpreted, and a columnar plan with no fallback must
-    # name the kernel.
-    oracle_plan = engines["dataflow-interpreted"].explain(query)
-    assert oracle_plan["effective_kernel"] == "interpreted", (
-        f"the interpreted leg ran {oracle_plan['effective_kernel']!r} ({context})"
-    )
-    return columnar_shapes(engines["dataflow-columnar"], query)
+        check_families(
+            "streaming-walk",
+            walk(engine, query, "families"),
+            variables,
+            reference_rows,
+            context,
+        )
+    return kernel_shapes(engine, query)
 
 
 class TestMatchLevelDifferential:
-    """All engine configurations (columnar included) agree on random MATCH queries."""
+    """The dataflow engine, the streaming walk and the reference engine
+    agree on random MATCH queries."""
 
     @pytest.mark.parametrize("batch", range(BATCHES))
     def test_random_graphs_random_queries(self, batch):
@@ -224,30 +235,28 @@ class TestMatchLevelDifferential:
             for shape in run_match_case(SEED_OFFSET + batch * BATCH_SIZE + offset)
         )
         print(
-            f"fuzz batch {batch}: {ran['columnar']}/{BATCH_SIZE} cases ran columnar "
-            f"({ran['mid-chain']} mid-chain navigation, {ran['points']} point output)"
+            f"fuzz batch {batch}: {ran['mid-chain']} mid-chain navigation, "
+            f"{ran['points']} point output, {ran['distributed']} distributed "
+            f"alternations in {BATCH_SIZE} cases"
         )
-        if columnar.available():
-            assert ran["columnar"] > 0, (
-                f"fuzz batch {batch}: dataflow-columnar fell back to the "
-                "interpreted kernel on every case — the two dataflow "
-                "configurations were never different"
-            )
 
-    @pytest.mark.skipif(not columnar.available(), reason="columnar kernel requires numpy")
     def test_seed_window_reaches_navigation_and_point_shapes(self):
-        # The batches above evaluate every case of the window under both
-        # kernels; this proves the window holds the shapes the kernel
-        # learned last, planned columnar (planning only — no evaluation).
+        # The batches above evaluate every case of the window; this
+        # proves the window holds the shapes the kernel learned last
+        # (planning only — no evaluation).
         ran = Counter()
         for seed in range(SEED_OFFSET, SEED_OFFSET + BATCHES * BATCH_SIZE):
             engine = DataflowEngine(random_itpg(seed))
-            ran.update(columnar_shapes(engine, random_match_query(seed * 31 + 7)))
-        assert ran["mid-chain"] >= BATCHES and ran["points"] >= BATCHES, (
-            f"seed window {SEED_OFFSET}: the columnar kernel ran mid-chain "
-            f"navigation {ran['mid-chain']}× and point output {ran['points']}× "
-            f"in {BATCHES * BATCH_SIZE} cases — too few for the oracle to "
-            "protect those shapes"
+            ran.update(kernel_shapes(engine, random_match_query(seed * 31 + 7)))
+        assert (
+            ran["mid-chain"] >= BATCHES
+            and ran["points"] >= BATCHES
+            and ran["distributed"] >= 9
+        ), (
+            f"seed window {SEED_OFFSET}: the kernel ran mid-chain navigation "
+            f"{ran['mid-chain']}×, point output {ran['points']}× and distributed "
+            f"alternations {ran['distributed']}× in {BATCHES * BATCH_SIZE} cases "
+            "— too few for the oracle to protect those shapes"
         )
 
     def test_paper_queries_on_random_contact_graphs(self):
@@ -267,8 +276,7 @@ class TestMatchLevelDifferential:
             )
             graph = generate_contact_tracing_graph(config)
             engines = {
-                "interpreted": Interpreted(DataflowEngine(graph)),
-                "columnar": DataflowEngine(graph),
+                "dataflow": DataflowEngine(graph),
                 "reference": ReferenceEngine(graph),
             }
             for name, query in PAPER_QUERIES.items():
@@ -276,6 +284,7 @@ class TestMatchLevelDifferential:
                     ename: engine.match(query.text)
                     for ename, engine in engines.items()
                 }
+                tables["streaming-walk"] = walk(engines["dataflow"], query.text)
                 reference_rows = tables["reference"].as_set()
                 sizes = {ename: len(t) for ename, t in tables.items()}
                 for ename, table in tables.items():
@@ -298,10 +307,9 @@ class TestMatchLevelDifferential:
                 # coalesced output defined, so the oracle above cannot
                 # be silently disabled by a spurious blanket rejection.
                 if name not in ("Q6", "Q7", "Q8"):
-                    assert defined["interpreted"] and defined["columnar"], (
+                    assert defined["dataflow"] and defined["reference"], (
                         f"{name} lost coalesced-output definedness"
                     )
-                    assert defined["reference"]
 
 
 class TestRegressionCounterexamples:
@@ -336,8 +344,9 @@ class TestRegressionCounterexamples:
             text="<review-repro>",
         )
         reference = ReferenceEngine(graph).match(query).as_set()
-        for engine in (DataflowEngine(graph), Interpreted(DataflowEngine(graph))):
-            assert engine.match(query).as_set() == reference
+        engine = DataflowEngine(graph)
+        assert engine.match(query).as_set() == reference
+        assert walk(engine, query).as_set() == reference
 
     def test_parallel_edges_match_intervals_is_canonical(self):
         # Hardened seam (PR 3): a binding reached through several
@@ -356,8 +365,8 @@ class TestRegressionCounterexamples:
         graph.add_edge("e2", "meets", "a", "b", IntervalSet([(3, 4)]))
         graph.validate()
         query = "MATCH (x:Person)-[:meets]->(y:Person) ON g"
-        for engine in (DataflowEngine(graph), Interpreted(DataflowEngine(graph))):
-            families = engine.match_intervals(query)
+        engine = DataflowEngine(graph)
+        for families in (engine.match_intervals(query), walk(engine, query, "families")):
             bindings = [b for b, _times in families]
             assert len(bindings) == len(set(bindings))
             times = dict(zip(bindings, (t for _b, t in families)))

@@ -11,8 +11,10 @@ the ``recover`` verb).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -300,8 +302,23 @@ class TestDeltaWAL:
                 wal.append(batch)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[1], lines[0]]) + "\n")
-        with pytest.raises(WALCorruptError, match="not greater"):
+        with pytest.raises(WALCorruptError, match="does not follow"):
             scan_wal(path)
+
+    def test_flipped_sequence_number_is_corruption(self, tmp_path):
+        # The CRC covers the batch, not ``seq``: one bit turns the last
+        # record's 4 into a 5, a number DeltaWAL never writes there.
+        path = tmp_path / "deltas.wal"
+        with DeltaWAL(path) as wal:
+            for batch in self._batches(4):
+                wal.append(batch)
+        raw = path.read_bytes()
+        at = raw.rindex(b'"seq":4') + len(b'"seq":')
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :])
+        assert b'"seq":5' in path.read_bytes()
+        with pytest.raises(WALCorruptError, match="does not follow") as excinfo:
+            scan_wal(path)
+        assert excinfo.value.line == 4
 
     def test_torn_append_failpoint_leaves_recoverable_prefix(self, tmp_path):
         path = tmp_path / "deltas.wal"
@@ -314,6 +331,68 @@ class TestDeltaWAL:
         scan = scan_wal(path)
         assert scan.torn_tail
         assert scan.last_seq == 1
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    st = None
+
+
+@functools.lru_cache(maxsize=1)
+def _intact_wal() -> tuple[bytes, tuple]:
+    """A four-record WAL's bytes and its ``(seq, batch dict)`` records."""
+    batches = [
+        DeltaBatch(sequence=1).add_existence("a", 5, 6),
+        DeltaBatch(sequence=2).add_node("c", "Person", [(3, 7)]),
+        DeltaBatch(sequence=3).set_property("c", "risk", "high", 3, 5),
+        DeltaBatch().add_edge("e9", "meets", "a", "c", [(3, 4)]),
+    ]
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path = os.path.join(tmpdir, "deltas.wal")
+        with DeltaWAL(path, fsync=False) as wal:
+            for batch in batches:
+                wal.append(batch)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    records = tuple((seq, batch.to_json_dict()) for seq, batch in enumerate(batches, 1))
+    return raw, records
+
+
+if st is not None:
+
+    class TestWALByteFuzz:
+        """Mutated WAL bytes land on the durable prefix or are refused.
+
+        Each case flips 1–3 bits of an intact four-record log and maybe
+        truncates it.  ``scan_wal`` must return a prefix of the intact
+        records (same ``seq``, same batch) or raise
+        :class:`WALCorruptError` — any other exception type is a bug.
+        """
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(
+            flips=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=3),
+            cut=st.none() | st.integers(min_value=0, max_value=2**20),
+        )
+        def test_scan_returns_an_intact_prefix_or_refuses(self, flips, cut):
+            raw, intact = _intact_wal()
+            mutated = bytearray(raw)
+            for bit in flips:
+                bit %= 8 * len(raw)
+                mutated[bit // 8] ^= 1 << (bit % 8)
+            if cut is not None:
+                del mutated[cut % (len(raw) + 1) :]
+            with tempfile.TemporaryDirectory() as tmpdir:
+                path = os.path.join(tmpdir, "deltas.wal")
+                with open(path, "wb") as handle:
+                    handle.write(mutated)
+                try:
+                    scan = scan_wal(path)
+                except WALCorruptError:
+                    return
+            got = tuple((record.seq, record.batch.to_json_dict()) for record in scan.records)
+            assert got == intact[: len(got)]
 
 
 # --------------------------------------------------------------------- #
@@ -458,6 +537,28 @@ class TestSnapshotRecovery:
         assert recovered.graph.domain == Interval(0, 14)
         assert recovered.table("people").as_set() == session.table("people").as_set()
         assert "1 WAL record(s) replayed" in report.summary()
+
+    def test_recover_restores_the_epoch(self, tmp_path):
+        wal_path = tmp_path / "deltas.wal"
+        snap_path = tmp_path / "state.snap"
+        session = self._session()
+        session.apply(DeltaBatch(sequence=1).add_existence("a", 5, 7))  # unlogged
+        session.attach_wal(str(wal_path))
+        session.apply(DeltaBatch(sequence=2).add_existence("b", 0, 1))
+        write_snapshot(session, snap_path)  # epoch 2, WAL position 1
+        session.apply(DeltaBatch(sequence=3).add_existence("a", 8, 9))
+        session.wal.close()
+        document = load_snapshot(snap_path)
+        assert (document["epoch"], document["wal_seq"]) == (2, 1)
+        recovered, report = recover(snap_path, wal_path)
+        assert report.replayed == 1
+        assert recovered.epoch == session.epoch == 3
+        # A document written before snapshots recorded the epoch resumes
+        # at its WAL position.
+        del document["epoch"]
+        snap_path.write_text(json.dumps(document))
+        recovered, _report = recover(snap_path, wal_path)
+        assert recovered.epoch == 1 + 1
 
     def test_recover_without_wal_is_snapshot_only(self, tmp_path):
         snap_path = tmp_path / "state.snap"

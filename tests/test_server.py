@@ -206,11 +206,11 @@ if st is not None:
                 families_to_wire(table.families), limit
             )
             # The same answer as point rows: from row tuples, and from the
-            # kernel's array form when NumPy is there.
+            # kernel's array form.
             rows = table.materialized()
             expected = self.reference(rows_to_wire(rows.rows), limit)
             assert protocol.encode_rows(rows, limit).data == expected
-            if columnar.available() and variables and rows.rows:  # the kernel's form
+            if variables and rows.rows:  # the kernel's form
                 import numpy as np
 
                 objects = tuple({obj for row in rows.rows for obj, _t in row})
@@ -288,30 +288,17 @@ class TestGraphHost:
         assert host.query("Q5")["result"]["families"] != before
         assert host.plans.stats()["misses"] == 2
 
-    def test_stats_reports_the_effective_kernel_per_cached_plan(self):
-        from repro.perf import columnar
-
+    def test_stats_lists_the_cached_plans(self):
         state = ServerState()
         state.add_graph("default")
         host = state.host("default")
         host.query("Q1")
         host.query("Q6")  # mid-chain PREV + point-mode output
         stats = host.stats()
-        # No configured kernel or backend to report: only what each plan runs.
+        # One kernel and no configured backend: nothing to report per plan
+        # but its query text.
         assert "kernel" not in stats and "backend" not in stats
-        plans = {plan["query"]: plan for plan in stats["plans"]}
-        q1, q6 = plans[normalize_query("Q1")], plans[normalize_query("Q6")]
-        for plan in (q1, q6):
-            if columnar.available():
-                assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
-                    "columnar",
-                    None,
-                )
-            else:
-                assert (plan["effective_kernel"], plan["kernel_fallback"]) == (
-                    "interpreted",
-                    "numpy is not installed",
-                )
+        assert stats["plans"] == [normalize_query("Q1"), normalize_query("Q6")]
         host.apply_delta(example_batch(1).to_json_dict())
         assert host.stats()["plans"] == stats["plans"]  # plans outlive a write
 
@@ -592,6 +579,46 @@ class TestServerDurability:
         assert "q5" in resumed.session.query_names()
         assert resumed.table("q5")["result"]["families"] == answer
         second.close()
+
+    def test_snapshot_restart_keeps_the_epoch_and_registers_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.streaming import StreamingEngine
+
+        wal = str(tmp_path / "server.wal")
+        snapshot = str(tmp_path / "server.snapshot")
+        config = dict(wal=wal, snapshot=snapshot, snapshot_every=2)
+        first = ServerState()
+        first.add_graph("default", **config)
+        host = first.host("default")
+        host.register("Q5")
+        for sequence in range(1, 6):
+            host.apply_delta(example_batch(sequence).to_json_dict())
+        answer = host.table("Q5")["result"]["families"]
+        assert host.session.epoch == 5
+        first.close()
+
+        registered = []
+        real_register = StreamingEngine.register
+
+        def counting_register(self, query, name=None):
+            registered.append(name)
+            return real_register(self, query, name)
+
+        monkeypatch.setattr(StreamingEngine, "register", counting_register)
+        restarts = {}
+        for label, restart_config in (("wal", dict(wal=wal)), ("snapshot", config)):
+            registered.clear()
+            state = ServerState()
+            recovery = state.add_graph("default", **restart_config)
+            resumed = state.host("default")
+            restarts[label] = resumed.query("Q1")["server"]["epoch"]
+            if label == "snapshot":
+                assert recovery["snapshot_wal_seq"] == 4 and recovery["replayed"] == 1
+                assert registered == ["Q5"]  # cold-registered once
+                assert resumed.table("Q5")["result"]["families"] == answer
+            state.close()
+        assert restarts == {"wal": 5, "snapshot": 5}
 
 
 # --------------------------------------------------------------------- #

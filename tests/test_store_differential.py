@@ -3,8 +3,8 @@
 The store's correctness contract is *zero divergence*: a graph attached
 from a compiled ``repro-index`` artifact must answer every query
 identically to the in-memory graph it was compiled from — under every
-engine configuration the fuzz oracle exercises (both dataflow kernels
-and the reference engine), and through the process backend's
+engine the fuzz oracle exercises (the dataflow engine and the
+reference engine), and through the process backend's
 ``StoreRef`` dispatch on both ``fork`` and ``spawn`` start methods.
 
 Seeds deliberately reuse the :mod:`tests.test_differential_fuzz`
@@ -25,8 +25,6 @@ from repro.model import contact_tracing_example
 from repro.parallel.plan import store_ref
 from repro.store import attach, compile_graph
 
-from conftest import Interpreted
-
 SEEDS = tuple(range(1, 9))
 
 
@@ -37,7 +35,7 @@ def _attached(tmp_path, graph):
 
 
 class TestEngineConfigurations:
-    """Every fuzz-oracle engine config agrees attached vs in-memory."""
+    """Every fuzz-oracle engine agrees attached vs in-memory."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_attached_matches_in_memory(self, tmp_path, seed):
@@ -47,8 +45,7 @@ class TestEngineConfigurations:
         attachment = _attached(tmp_path, graph)
         try:
             engines = {
-                "dataflow-interpreted": Interpreted(DataflowEngine(attachment.graph)),
-                "dataflow-columnar": DataflowEngine(attachment.graph),
+                "dataflow": DataflowEngine(attachment.graph),
                 "reference-point": ReferenceEngine(attachment.graph),
             }
             for name, engine in engines.items():

@@ -17,6 +17,7 @@ from repro.cli import main as cli_main
 from repro.dataflow import DataflowEngine
 from repro.datagen.streaming import contact_tracing_stream
 from repro.datagen import ContactTracingConfig, TrajectoryConfig
+from repro.eval import ReferenceEngine
 from repro.errors import (
     EvaluationError,
     GraphIntegrityError,
@@ -30,8 +31,6 @@ from repro.perf.graph_index import graph_index_for
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
-
-from conftest import Interpreted
 
 
 def small_graph() -> IntervalTPG:
@@ -466,8 +465,9 @@ class TestStreamingEngine:
         assert "early" in state.seed_times
 
     def test_kernel_sessions_agree(self):
-        # Both kernels, reading the session's delta-maintained index
-        # ad hoc, agree with the session's own per-seed answer.
+        # The query kernel, reading the session's delta-maintained index
+        # ad hoc, agrees with the session's own per-seed answer (the
+        # streaming walk) and with the reference engine.
         query = "MATCH (x:Person {risk = 'high'}) ON g"
         session = StreamingEngine(small_graph())
         name = session.register(query)
@@ -481,7 +481,7 @@ class TestStreamingEngine:
         rows = session.table(name).as_set()
         assert rows  # the update made 'a' high-risk on [5,9]
         assert engine.match(query).as_set() == rows
-        assert Interpreted(engine).match(query).as_set() == rows
+        assert ReferenceEngine(engine.graph).match(query).as_set() == rows
 
 
 # --------------------------------------------------------------------- #

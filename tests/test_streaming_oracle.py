@@ -8,19 +8,15 @@ differential fuzzing.
 
 For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
 
-* two **streaming** sessions (``StreamingEngine``) — one per dataflow
-  configuration of the fuzz-oracle matrix — apply the same delta batches
-  to independent copies of the graph;
-* after *every* batch, each session's table must equal a **cold** full
+* a **streaming** session (``StreamingEngine``) applies the delta
+  batches to its own copy of the graph;
+* after *every* batch, the session's table must equal a **cold** full
   evaluation by a fresh engine on a pristine rebuild of the materialized
   graph — no shared index, no shared caches;
-* per-seed re-derivation is always the interpreted walk, so the legs
-  differ on *ad-hoc* reads: after every batch each leg also answers the
-  query unregistered, on its maintained index — ``stream-columnar``
-  with the default kernel choice, through the delta-patched
-  ``ColumnarContext``; ``stream-interpreted`` with the columnar kernel
-  hidden — and a batch of cases in which that never ran columnar fails
-  (where NumPy is importable);
+* per-seed re-derivation is the streaming walk, so the session is also
+  read *ad hoc*: after every batch the query runs unregistered on the
+  maintained index, through the delta-patched ``ColumnarContext``, and
+  must answer the same;
 * where the coalesced output is defined, the maintained families must
   also be canonical (one entry per binding tuple, nonempty coalesced
   times) and expand exactly to the cold rows — the interval-vs-point
@@ -50,36 +46,14 @@ from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
-from repro.perf import columnar
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 
-from conftest import Interpreted
-
-#: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches
-#: and 2 streaming configurations).
+#: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches).
 BATCH_SIZE = 25
 BATCHES = 8  # 200 cases, the floor required by the acceptance criteria
 #: Every Nth case also cross-checks the reference engine on the cold side.
 REFERENCE_EVERY = 4
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
-
-
-def streaming_sessions(payload: dict) -> dict[str, StreamingEngine]:
-    """The dataflow fuzz-oracle configurations as streaming sessions.
-
-    Each gets its own graph copy: a delta batch applies to a graph
-    exactly once, so sessions cannot share one instance.
-    """
-    return {
-        name: StreamingEngine(from_json_dict(payload))
-        for name in ("stream-interpreted", "stream-columnar")
-    }
-
-
-def adhoc_engine(name: str, session: StreamingEngine):
-    """The leg's unregistered reader, sharing the session's index."""
-    engine = DataflowEngine(session.graph)
-    return Interpreted(engine) if name == "stream-interpreted" else engine
 
 
 def check_intervals(name, session, query_name, variables, cold_rows, context) -> None:
@@ -143,11 +117,10 @@ def check_durability(payload, query, batches, cold_rows, context, tmpdir) -> Non
     )
 
 
-def run_streaming_case(seed: int) -> int:
+def run_streaming_case(seed: int) -> None:
     """One streaming differential case; raises AssertionError on divergence.
 
-    Returns how many of ``stream-columnar``'s ad-hoc reads after a delta
-    actually ran the columnar kernel.  Reproduce a failure with::
+    Reproduce a failure with::
 
         graph = random_itpg(<seed>)
         query = random_match_query(<seed> * 31 + 7)
@@ -157,49 +130,37 @@ def run_streaming_case(seed: int) -> int:
     query = random_match_query(seed * 31 + 7)
     batches = random_delta_batches(base, seed * 17 + 3)
     payload = to_json_dict(base)
-    sessions = streaming_sessions(payload)
-    registered = {}
-    for name, session in sessions.items():
-        registered[name] = session.register(query)  # cold registration
-        # Build the index-owned array image (no-op with the columnar
-        # kernel hidden) before the first delta, so every batch below
-        # patches it.
-        adhoc_engine(name, session).match(query)
+    session = StreamingEngine(from_json_dict(payload))
+    name = session.register(query)  # cold registration
+    # The non-registered reader: a plain engine on the session's graph
+    # shares its delta-maintained index.  Reading once builds the
+    # index-owned array image, so every batch below patches it.
+    adhoc = DataflowEngine(session.graph)
+    adhoc.match(query)
     shadow = from_json_dict(payload)
-    ran_columnar = 0
     check_reference = seed % REFERENCE_EVERY == 0
 
     for number, batch in enumerate(batches, start=1):
         context = f"seed={seed}, batch={number}/{len(batches)}"
         apply_delta(shadow, batch)
-        for session in sessions.values():
-            # Re-serialize per session: batches apply to one graph once.
-            session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
+        # Re-serialize: a batch applies to one graph once.
+        session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
         cold_engine = DataflowEngine(from_json_dict(to_json_dict(shadow)))
         cold_table = cold_engine.match(query)
         cold_rows = cold_table.as_set()
-        for name, session in sessions.items():
-            maintained_rows = session.table(registered[name]).as_set()
-            assert maintained_rows == cold_rows, (
-                f"{name} diverged from cold evaluation ({context}): "
-                f"{len(maintained_rows)} vs {len(cold_rows)} rows; "
-                f"extra={sorted(maintained_rows - cold_rows, key=repr)[:5]}, "
-                f"missing={sorted(cold_rows - maintained_rows, key=repr)[:5]}"
-            )
-            check_intervals(
-                name, session, registered[name], cold_table.variables, cold_rows, context
-            )
-            # The non-registered read: a plain engine on the session's
-            # graph shares its delta-maintained index.
-            adhoc = adhoc_engine(name, session)
-            assert adhoc.match(query).as_set() == cold_rows, (
-                f"{name} ad-hoc read diverged from cold evaluation ({context})"
-            )
-            effective = adhoc.explain(query)["effective_kernel"]
-            if name == "stream-interpreted":
-                assert effective == "interpreted", (name, effective, context)
-            else:
-                ran_columnar += effective == "columnar"
+        maintained_rows = session.table(name).as_set()
+        assert maintained_rows == cold_rows, (
+            f"the session diverged from cold evaluation ({context}): "
+            f"{len(maintained_rows)} vs {len(cold_rows)} rows; "
+            f"extra={sorted(maintained_rows - cold_rows, key=repr)[:5]}, "
+            f"missing={sorted(cold_rows - maintained_rows, key=repr)[:5]}"
+        )
+        check_intervals(
+            "the session", session, name, cold_table.variables, cold_rows, context
+        )
+        assert adhoc.match(query).as_set() == cold_rows, (
+            f"the ad-hoc read diverged from cold evaluation ({context})"
+        )
         if check_reference:
             pristine = from_json_dict(to_json_dict(shadow))
             assert ReferenceEngine(pristine).match(query).as_set() == cold_rows, (
@@ -213,21 +174,12 @@ def run_streaming_case(seed: int) -> int:
         check_durability(
             payload, query, batches, cold_rows, f"seed={seed}, final", tmpdir
         )
-    return ran_columnar
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_streaming_differential_batch(batch: int) -> None:
-    ran_columnar = sum(
+    for position in range(BATCH_SIZE):
         run_streaming_case(SEED_OFFSET + batch * BATCH_SIZE + position)
-        for position in range(BATCH_SIZE)
-    )
-    print(f"streaming batch {batch}: {ran_columnar} ad-hoc reads ran columnar")
-    if columnar.available():
-        assert ran_columnar > 0, (
-            f"streaming batch {batch}: stream-columnar never read through "
-            "the patched columnar context"
-        )
 
 
 def test_sweep_size_meets_charter() -> None:

@@ -8,13 +8,12 @@ signatures, every interval family coalesced — and every public output
 (``match``, ``match_with_stats``, ``match_intervals``) must be identical
 to the ``workers=1`` run.  These are the invariants this module pins —
 for the ``repro.parallel`` process pool (output identity across start
-methods and both kernels), the degree-weighted partitioner, and
-worker-crash error propagation.
+methods and against the reference engine), the degree-weighted
+partitioner, and worker-crash error propagation.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 
@@ -33,11 +32,8 @@ from repro.eval import ReferenceEngine
 from repro.parallel import plan_for, weighted_chunks
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, shared_pool, shutdown_pools
-from repro.perf import columnar
 from repro.resilience import RetryPolicy, failpoints
 from repro.temporal.coalesce import is_coalesced
-
-from conftest import Interpreted, columnar_hidden
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +81,7 @@ class TestChunkedFrontierInvariants:
         for _binding, times in families:
             assert is_coalesced(list(times.intervals))
         assert canonical_families(engine, query) == canonical_families(
-            Interpreted(DataflowEngine(contact_graph)), query
+            DataflowEngine(contact_graph), query
         )
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -214,26 +210,19 @@ class TestProcessBackend:
                 process, query.text
             ), name
 
-    @pytest.mark.parametrize("config", ["columnar", "interpreted"])
-    def test_process_backend_agrees_with_fuzz_oracle_engines(self, config, fresh_pools):
-        """Both kernels × process backend vs the oracle ground truth.
-
-        The interpreted leg hides the columnar kernel before the fresh
-        pool forks, so its workers walk the chain interpreted too.
-        """
+    def test_process_backend_agrees_with_fuzz_oracle_engines(self, fresh_pools):
+        """The process backend vs the oracle ground truth."""
         start_method = "fork" if _fork_available() else None
-        interpreted = config == "interpreted"
-        with columnar_hidden() if interpreted else contextlib.nullcontext():
-            for seed in (0, 3, 7):
-                graph = random_itpg(seed, num_nodes=14, num_edges=24, num_windows=10)
-                query = random_match_query(seed * 31 + 7)
-                reference = ReferenceEngine(graph).match(query).as_set()
-                sequential = DataflowEngine(graph)
-                process = DataflowEngine(graph, workers=2, start_method=start_method)
-                assert process.match(query).as_set() == reference, (config, seed)
-                assert canonical_families(sequential, query) == canonical_families(
-                    process, query
-                ), (config, seed)
+        for seed in (0, 3, 7):
+            graph = random_itpg(seed, num_nodes=14, num_edges=24, num_windows=10)
+            query = random_match_query(seed * 31 + 7)
+            reference = ReferenceEngine(graph).match(query).as_set()
+            sequential = DataflowEngine(graph)
+            process = DataflowEngine(graph, workers=2, start_method=start_method)
+            assert process.match(query).as_set() == reference, seed
+            assert canonical_families(sequential, query) == canonical_families(
+                process, query
+            ), seed
 
     @pytest.mark.parametrize(
         "start_method",
@@ -311,8 +300,9 @@ class TestProcessBackend:
             DataflowEngine(contact_graph, workers=2, start_method="warp")
 
     def test_uncovered_chain_runs_in_the_process_pool(self, contact_graph):
-        """``workers > 1`` means worker processes, whatever the kernel:
-        a chain the columnar kernel declines still leaves the parent."""
+        """``workers > 1`` means worker processes for every chain shape: a
+        temporal alternation runs as distributed leaves in each chunk and
+        answers like the reference engine."""
         from repro.lang import ast
         from repro.lang.parser import MatchQuery, NodePattern, PathPattern
 
@@ -328,10 +318,10 @@ class TestProcessBackend:
         )
         engine = DataflowEngine(contact_graph, workers=2)
         plan = engine.explain(query)
-        assert plan["effective_backend"] == "process"
-        assert plan["effective_kernel"] == "interpreted"
-        if columnar.available():
-            assert plan["kernel_fallback"] == "temporal navigation inside alternation"
+        assert (plan["effective_backend"], plan["effective_kernel"]) == (
+            "process",
+            "columnar",
+        )
         expected = ReferenceEngine(contact_graph).match(query).as_set()
         assert expected
         assert engine.match(query).as_set() == expected
