@@ -564,20 +564,16 @@ class IntervalMaterializer:
     # Frontier-level drivers
     # ------------------------------------------------------------------ #
     def families(
-        self, rows: Iterable[Row], variables: tuple[str, ...], deadline=None
+        self, rows: Iterable[Row], variables: tuple[str, ...]
     ) -> list[IntervalFamily]:
         """Coalesced per-binding families for a whole frontier.
 
         Families of rows with equal bindings (reached through different
         unbound paths) are merged, so the result has exactly one entry
-        per distinct binding tuple.  A call's ``deadline`` is ticked per
-        row, so it can fire during Step 3 (output can dwarf the chain
-        run).
+        per distinct binding tuple.
         """
         merged: dict[tuple, list[IntervalSet]] = {}
         for row in rows:
-            if deadline is not None:
-                deadline.tick()
             family = self.row_family(row, variables)
             if family is None:
                 continue
@@ -589,13 +585,10 @@ class IntervalMaterializer:
         ]
 
     def points(
-        self, rows: Iterable[Row], variables: tuple[str, ...], deadline=None
+        self, rows: Iterable[Row], variables: tuple[str, ...]
     ) -> list[tuple[tuple[ObjectId, int], ...]]:
-        """Point-based output tuples for a whole frontier (``deadline`` as
-        in :meth:`families`)."""
+        """Point-based output tuples for a whole frontier."""
         out: list[tuple[tuple[ObjectId, int], ...]] = []
         for row in rows:
-            if deadline is not None:
-                deadline.tick()
             out.extend(self.row_points(row, variables))
         return out

@@ -5,8 +5,8 @@ walk has one caller, :class:`~repro.streaming.engine.StreamingEngine`'s
 per-seed refresh, which re-derives one seed at a time — a one-row
 frontier, where a row walk is cheaper than a kernel run's fixed per-op
 array work.  Its :func:`run_rows` keeps the kernel's row-entry contract
-(an index, a chain, seed rows, the output variables, the output mode
-and a deadline in; ``(data, frontier_rows, rows_merged)`` out, with
+(an index, a chain, seed rows, the output variables and the output
+mode in; ``(data, frontier_rows, rows_merged)`` out, with
 coalesced families or point tuples as ``data``), and the test suite
 pins the two to the same answers.  It walks the coalescing
 :class:`~repro.dataflow.frontier.Frontier` row by row in Python and
@@ -15,8 +15,9 @@ materializes through the interval-native
 streaming refreshes set-at-a-time.
 
 Nothing here outlives a call: a :class:`ChainWalk` holds one run's
-index, deadline and merge counter, and the seed builders read the
-index's current domain, so a horizon advance needs no refresh.
+index and merge counter, and the seed builders read the index's
+current domain, so a horizon advance needs no refresh.  A refresh
+re-derives one seed, so it takes no deadline.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ def run_rows(
     seeds: list[Row],
     variables: tuple[str, ...],
     mode: str,
-    deadline=None,
 ) -> tuple[list, int, int]:
     """Steps 1–3 over seed rows: ``(data, frontier_rows, rows_merged)``.
 
@@ -111,44 +111,38 @@ def run_rows(
     of point tuples (``mode="points"``), exactly what
     :func:`repro.perf.columnar.run_rows` returns for the same input.
     """
-    walk = ChainWalk(index, deadline)
+    walk = ChainWalk(index)
     frontier = walk.run(seeds, chain)
     materializer = IntervalMaterializer(index)
     if mode == "families":
-        data = materializer.families(frontier, variables, deadline)
+        data = materializer.families(frontier, variables)
     else:
-        data = materializer.points(frontier, variables, deadline)
+        data = materializer.points(frontier, variables)
     return data, len(frontier), walk.rows_merged
 
 
 class ChainWalk:
     """One run of the per-row chain walk (Steps 1 and 2).
 
-    Holds what the run reads — the index and the call's deadline — and
-    what it counts: how many frontier rows the coalescing collectors
-    absorbed into signature-equal survivors.
+    Holds what the run reads — the index — and what it counts: how many
+    frontier rows the coalescing collectors absorbed into signature-equal
+    survivors.
     """
 
-    __slots__ = ("index", "deadline", "rows_merged")
+    __slots__ = ("index", "rows_merged")
 
-    def __init__(self, index: GraphIndex, deadline=None) -> None:
+    def __init__(self, index: GraphIndex) -> None:
         self.index = index
-        self.deadline = deadline
         self.rows_merged = 0
 
     def run(self, frontier: list[Row], chain: Sequence[ChainStep]) -> list[Row]:
         current = frontier
-        deadline = self.deadline
-        for completed, step in enumerate(chain):
+        for step in chain:
             if not current:
                 break
             # Chaos hook: "sleep" models a pathologically slow step,
-            # "raise" a mid-chain fault (serial rung and worker chunks).
+            # "raise" a mid-chain fault.
             failpoints.fire("engine.step")
-            if deadline is not None:
-                deadline.progress["steps_completed"] = completed
-                deadline.progress["frontier_rows"] = len(current)
-                deadline.check()
             collector = self.collector_for(step)
             self.apply_step(current, step, collector)
             self.rows_merged += collector.rows_merged
@@ -193,13 +187,10 @@ class ChainWalk:
             raise TypeError(f"unknown chain step {step!r}")
 
     def _apply_test(self, frontier: list[Row], condition: Test, out: Collector) -> None:
-        deadline = self.deadline
         # One memoized condition table shared by every row (and every
         # later query on the same graph) replaces a per-row AST walk.
         table = self.index.condition_table(condition)
         for row in frontier:
-            if deadline is not None:
-                deadline.tick()
             group = row.last
             satisfied = table.get(group.current)
             if satisfied is None:
@@ -210,13 +201,10 @@ class ChainWalk:
             out.add(row.replace_last(group.with_times(times)))
 
     def _apply_struct(self, frontier: list[Row], forward: bool, out: Collector) -> None:
-        deadline = self.deadline
         index = self.index
         adjacency = index.out_adjacency if forward else index.in_adjacency
         endpoint = index.edge_target if forward else index.edge_source
         for row in frontier:
-            if deadline is not None:
-                deadline.tick()
             group = row.last
             current = group.current
             edges = adjacency.get(current)
@@ -232,11 +220,8 @@ class ChainWalk:
 
     def _apply_hop(self, frontier: list[Row], step: HopStep, out: Collector) -> None:
         """Fused structural hop through the index's memoized entries."""
-        deadline = self.deadline
         index = self.index
         for row in frontier:
-            if deadline is not None:
-                deadline.tick()
             group = row.last
             entries = index.hop_entries(
                 group.current,
@@ -262,10 +247,7 @@ class ChainWalk:
         condition_tables = tuple(
             index.condition_table(c) for c in step.target_conditions
         )
-        deadline = self.deadline
         for row in frontier:
-            if deadline is not None:
-                deadline.tick()
             group = row.last
             satisfied: IntervalSet | None = None
             if condition_tables:

@@ -83,14 +83,38 @@ class ColumnarPlan:
 
     __slots__ = ("seed_condition", "leaves")
 
-    def __init__(self, seed_condition: Optional[Test], leaves: tuple) -> None:
+    def __init__(self, seed_condition: Optional[Test], leaves: "Leaves") -> None:
         self.seed_condition = seed_condition
         self.leaves = leaves
 
 
-def compile_ops(chain: Sequence[ChainStep]) -> tuple[tuple, ...]:
-    """Compile a chain into its *leaves*: op sequences whose answers union
-    to the chain's.
+class Leaves:
+    """A compiled chain's *leaves*: op sequences whose answers union to
+    the chain's, built one at a time as they are iterated.
+
+    ``k`` two-way temporal alternations in sequence make ``2**k``
+    leaves, so the plan keeps only the per-alternation branch structure
+    (linear in the chain) and :func:`_run_leaves` builds each next leaf
+    after a deadline check.  ``count`` is the number of leaves; a
+    one-leaf chain — every chain without a temporal alternation — keeps
+    its op sequence as ``single``.
+    """
+
+    __slots__ = ("_parts", "count", "single")
+
+    def __init__(self, parts: tuple) -> None:
+        self._parts = parts
+        self.count = _count(parts)
+        self.single = _push_bounds(next(_expand(parts)), ()) if self.count == 1 else None
+
+    def __iter__(self):
+        if self.single is not None:
+            return iter((self.single,))
+        return (_push_bounds(ops, ()) for ops in _expand(self._parts))
+
+
+def compile_ops(chain: Sequence[ChainStep]) -> Leaves:
+    """Compile a chain into its :class:`Leaves`.
 
     Fused hops decompose into struct/test passes (signature-merged after
     each struct), which is relation-equal to the interpreted hop tables.
@@ -98,49 +122,76 @@ def compile_ops(chain: Sequence[ChainStep]) -> tuple[tuple, ...]:
     :meth:`_Kernel._op_temporal`), which only the outer chain of an op
     sequence can do: an alternation whose branches navigate through time
     is distributed instead, ``X·(A|B)·Y`` into the leaves ``X·A·Y`` and
-    ``X·B·Y`` (recursively; equal leaves run once).  A temporal-free
+    ``X·B·Y`` (recursively; equal branches run once).  A temporal-free
     alternation stays one ``alt`` op, so most chains are a single leaf.
     """
-    leaves = dict.fromkeys(tuple(ops) for ops in _distribute(chain))
-    return tuple(_push_bounds(ops, ()) for ops in leaves)
+    return Leaves(_parts(chain))
 
 
-def _distribute(chain: Sequence[ChainStep]) -> list[list]:
-    """The leaves of :func:`compile_ops`, before bounds are pushed."""
-    leaves: list[list] = [[]]
+def _parts(chain: Sequence[ChainStep]) -> tuple:
+    """The chain as ``("ops", ops)`` runs and, per temporal alternation,
+    a ``("fork", branches)`` of its distinct branches' parts."""
+    parts: list = []
+    ops: list = []
     for step in chain:
-        if isinstance(step, TestStep):
-            ops = [("test", step.condition)]
-        elif isinstance(step, StructStep):
-            ops = [("struct", step.forward)]
-        elif isinstance(step, HopStep):
-            ops = [
-                ("struct", step.forward_in),
-                *(("test", condition) for condition in step.mid_conditions),
-                ("struct", step.forward_out),
-                *(("test", condition) for condition in step.target_conditions),
-            ]
-        elif isinstance(step, BindStep):
-            ops = [("bind", step.variable)]
-        elif isinstance(step, TemporalStep):
-            ops = [("temporal", step)]
-        elif isinstance(step, AltStep) and chain_has_temporal_step((step,)):
-            leaves = [
-                leaf + branch
-                for leaf in leaves
-                for alternative in step.alternatives
-                for branch in _distribute(alternative)
-            ]
-            continue
-        elif isinstance(step, AltStep):
-            # Temporal-free: every branch is exactly one leaf.
-            branches = (tuple(_distribute(alt)[0]) for alt in step.alternatives)
-            ops = [("alt", tuple(branches))]
+        if isinstance(step, AltStep) and chain_has_temporal_step((step,)):
+            if ops:
+                parts.append(("ops", tuple(ops)))
+                ops = []
+            branches = dict.fromkeys(_parts(alt) for alt in step.alternatives)
+            parts.append(("fork", tuple(branches)))
         else:
-            raise TypeError(f"unknown chain step {step!r}")
-        for leaf in leaves:
-            leaf.extend(ops)
-    return leaves
+            ops.extend(_ops(step))
+    if ops:
+        parts.append(("ops", tuple(ops)))
+    return tuple(parts)
+
+
+def _ops(step: ChainStep) -> list:
+    """The ops of one step outside a temporal alternation."""
+    if isinstance(step, TestStep):
+        return [("test", step.condition)]
+    if isinstance(step, StructStep):
+        return [("struct", step.forward)]
+    if isinstance(step, HopStep):
+        return [
+            ("struct", step.forward_in),
+            *(("test", condition) for condition in step.mid_conditions),
+            ("struct", step.forward_out),
+            *(("test", condition) for condition in step.target_conditions),
+        ]
+    if isinstance(step, BindStep):
+        return [("bind", step.variable)]
+    if isinstance(step, TemporalStep):
+        return [("temporal", step)]
+    if isinstance(step, AltStep):
+        # Temporal-free: every branch is exactly one op sequence.
+        branches = (tuple(op for s in alt for op in _ops(s)) for alt in step.alternatives)
+        return [("alt", tuple(branches))]
+    raise TypeError(f"unknown chain step {step!r}")
+
+
+def _count(parts: tuple) -> int:
+    """How many leaves :func:`_expand` yields for ``parts``."""
+    count = 1
+    for kind, payload in parts:
+        if kind == "fork":
+            count *= sum(_count(branch) for branch in payload)
+    return count
+
+
+def _expand(parts: tuple, prefix: tuple = ()):
+    """Yield ``prefix`` + each leaf of ``parts``, bounds not yet pushed."""
+    if not parts:
+        yield prefix
+        return
+    (kind, payload), rest = parts[0], parts[1:]
+    if kind == "ops":
+        yield from _expand(rest, prefix + payload)
+        return
+    for branch in payload:
+        for head in _expand(branch, prefix):
+            yield from _expand(rest, head)
 
 
 def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
@@ -173,7 +224,7 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def ops_for(chain: tuple[ChainStep, ...]) -> tuple[tuple, ...]:
+def ops_for(chain: tuple[ChainStep, ...]) -> Leaves:
     """Memoized :func:`compile_ops` for row-seeded runs (no leading-test
     absorption: the caller's seed rows already carry those times)."""
     return compile_ops(chain)
@@ -1129,17 +1180,17 @@ def run_query(
     Python objects — this is where the kernel beats a per-row walk even
     on cheap full-scan queries.
     """
-    leaves = plan.leaves
+    single = plan.leaves.single
     if (
         plan.seed_condition is not None
-        and len(leaves) == 1
-        and all(op[0] == "bind" for op in leaves[0])
+        and single is not None
+        and all(op[0] == "bind" for op in single)
     ):
         # Degenerate chain (Q1–Q4 shapes): the whole query is one
         # absorbed condition plus binds, so the memoized condition table
         # IS the answer — reuse its IntervalSet instances directly, no
         # arrays, no per-row objects.
-        names = tuple(op[1] for op in leaves[0])
+        names = tuple(op[1] for op in single)
         if variables and all(v in names for v in variables):
             # One chaos-hook fire + deadline check, like the one bind op
             # the kernel would run for this chain.
@@ -1170,12 +1221,12 @@ def run_query(
             np.full(n, ctx.domain_start, dtype=np.int64),
             np.full(n, ctx.domain_end, dtype=np.int64),
         )
-    return _run_leaves(ctx, leaves, state, variables, mode, deadline)
+    return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
 
 
 def run_rows(
     ctx: ColumnarContext,
-    leaves: tuple[tuple, ...],
+    leaves: Leaves,
     seeds: Sequence[Row],
     variables: tuple[str, ...],
     mode: str,
@@ -1215,12 +1266,16 @@ def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):
     Each leaf projects on its own (its frozen groups are its own); a
     points answer is a :class:`PointTable` union deduplicated with
     :func:`_group_rows`, a families answer the per-binding union of
-    ``repro.parallel.merge``.
+    ``repro.parallel.merge``.  Building a leaf is linear in the chain and
+    the deadline is checked before each one runs, so it bounds a chain
+    of exponentially many leaves even when they run dry at once.
     """
     kernel = _Kernel(ctx, deadline)
     outputs = []
     frontier_rows = 0
     for ops in leaves:
+        if deadline is not None:
+            deadline.check()
         final = kernel.run(state, ops)
         frontier_rows += final.rows
         outputs.append(kernel.project(final, variables, mode))

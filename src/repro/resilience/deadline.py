@@ -1,15 +1,15 @@
 """Cooperative deadlines for query execution.
 
-A :class:`Deadline` is created per query by the dataflow engine and
-threaded through its hot loops.  Cancellation is *cooperative*: the
-loops call :meth:`tick` (cheap — a counter increment that consults the
-clock every :data:`Deadline.CHECK_EVERY` calls) or :meth:`check`
-(consults the clock immediately).  When the budget is exhausted a
-structured :class:`~repro.errors.DeadlineExceeded` is raised, carrying
-the progress counters recorded on :attr:`Deadline.progress` so callers
-see how far the query got.
+A :class:`Deadline` is created per query call by the dataflow engine
+and threaded through the columnar kernel.  Cancellation is
+*cooperative*: the kernel calls :meth:`check` before each leaf chain,
+each op and each projection pass — all whole-array sweeps, so reading
+the clock each time costs nothing measurable.  When the budget is
+exhausted a structured :class:`~repro.errors.DeadlineExceeded` is
+raised, carrying the progress counters recorded on
+:attr:`Deadline.progress` so callers see how far the query got.
 
-The process backend cannot tick inside worker processes; there the
+The process backend cannot check inside worker processes; there the
 parent bounds each future wait by :meth:`remaining` and cancels
 undispatched chunks on expiry (see
 :meth:`repro.parallel.pool.WorkerPool.run_chunks`).
@@ -25,11 +25,7 @@ from repro.errors import DeadlineExceeded
 class Deadline:
     """A wall-clock budget with cooperative cancellation checks."""
 
-    #: :meth:`tick` consults the clock once per this many calls, keeping
-    #: the per-row overhead of an armed deadline to a counter increment.
-    CHECK_EVERY = 256
-
-    __slots__ = ("seconds", "started", "_expires_at", "_ticks", "progress")
+    __slots__ = ("seconds", "started", "_expires_at", "progress")
 
     def __init__(self, seconds: float) -> None:
         if seconds <= 0:
@@ -37,7 +33,6 @@ class Deadline:
         self.seconds = float(seconds)
         self.started = time.monotonic()
         self._expires_at = self.started + self.seconds
-        self._ticks = 0
         #: Mutable progress counters included in the exception payload.
         self.progress: dict = {}
 
@@ -55,12 +50,6 @@ class Deadline:
         """Raise :class:`DeadlineExceeded` if the budget is spent."""
         if time.monotonic() >= self._expires_at:
             raise self.exceeded()
-
-    def tick(self) -> None:
-        """Amortized check: consults the clock every ``CHECK_EVERY`` calls."""
-        self._ticks += 1
-        if self._ticks % self.CHECK_EVERY == 0:
-            self.check()
 
     def exceeded(self, **extra) -> DeadlineExceeded:
         """Build the structured cancellation error (with partial progress)."""

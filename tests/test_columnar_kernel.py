@@ -55,6 +55,24 @@ def _example_engines():
     return DataflowEngine(graph), ReferenceEngine(graph)
 
 
+def _walk_families(engine, query):
+    """The streaming walk's coalesced families for ``query``, sorted.
+
+    ``interpreted.run_rows`` over the chain ``engine.prepare`` compiles:
+    a canonical family list, so comparing it exactly with the kernel's
+    ``match_intervals`` also catches duplicate bindings or uncoalesced
+    times that expand to the right points.
+    """
+    from repro.dataflow import interpreted
+
+    prepared = engine.prepare(query)
+    seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
+    data, _rows, _merged = interpreted.run_rows(
+        engine.index, rest, seeds, prepared.variables, "families"
+    )
+    return sorted(data, key=repr)
+
+
 class TestKernelSelection:
     def test_unknown_kernel_rejected(self):
         # There is no kernel option at all: the engine picks its kernel.
@@ -185,6 +203,7 @@ class TestFallbackIdentity:
         assert engine.match(query).as_set() == expected.as_set()
         families = engine.match_intervals(query)
         assert expand_match_families(families, expected.variables) == expected.as_set()
+        assert sorted(families, key=repr) == _walk_families(engine, query)
 
     def test_temporal_alternation_runs_distributed(self):
         from repro.lang import ast
@@ -197,7 +216,7 @@ class TestFallbackIdentity:
         engine = DataflowEngine(graph)
         plan = engine.explain(query)
         assert (plan["effective_kernel"], plan["output_mode"]) == ("columnar", "points")
-        assert len(columnar.plan_query(engine.prepare(query).chain).leaves) == 2
+        assert columnar.plan_query(engine.prepare(query).chain).leaves.count == 2
         expected = ReferenceEngine(graph).match(query).as_set()
         assert expected
         assert engine.match(query).as_set() == expected
@@ -217,6 +236,24 @@ class TestFallbackIdentity:
         table = engine.match(query)
         assert len(table) == 1 and table.rows == ((),)
         assert table.as_set() == ReferenceEngine(graph).match(query).as_set()
+
+    def test_deadline_bounds_exponentially_many_leaves(self):
+        # 22 temporal alternations in sequence are 2**22 leaves: the plan
+        # keeps only the branch structure, and the call's deadline stops
+        # the leaf runs within twice its budget.
+        import time
+
+        from repro.errors import DeadlineExceeded
+
+        factors = "/".join(["(NEXT + PREV)"] * 22)
+        query = f"MATCH (x)-/{factors}/-(y) ON g"
+        engine = DataflowEngine(contact_tracing_example())
+        start = time.monotonic()
+        leaves = columnar.plan_query(engine.prepare(query).chain).leaves
+        assert leaves.count == 2**22
+        with pytest.raises(DeadlineExceeded):
+            engine.match_with_stats(query, deadline_seconds=0.5)
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_random_fuzz_cases_identical(self, seed):
@@ -247,6 +284,9 @@ class TestPaperQueryParity:
             assert expand_match_families(got, expected.variables) == (
                 expected.as_set()
             ), f"{name} interval families diverged"
+            assert sorted(got, key=repr) == _walk_families(engine, query.text), (
+                f"{name} interval families are not the walk's canonical list"
+            )
 
     @pytest.mark.parametrize("bind_target", [False, True], ids=["families", "points"])
     @pytest.mark.parametrize("shape", sorted(_navigation_shapes()))

@@ -155,7 +155,7 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
         shapes.add("mid-chain")
     if plan["output_mode"] == "points":
         shapes.add("points")
-    if len(columnar.plan_query(chain).leaves) > 1:
+    if columnar.plan_query(chain).leaves.count > 1:
         shapes.add("distributed")
     return frozenset(shapes)
 

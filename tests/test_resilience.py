@@ -162,16 +162,6 @@ class TestDeadline:
         error = deadline.exceeded(backend="process")
         assert error.partial == {"rows": 7, "backend": "process"}
 
-    def test_tick_is_amortized(self):
-        deadline = Deadline(0.0001)
-        while not deadline.expired():
-            pass
-        # The first CHECK_EVERY - 1 ticks never consult the clock.
-        for _ in range(Deadline.CHECK_EVERY - 1):
-            deadline.tick()
-        with pytest.raises(DeadlineExceeded):
-            deadline.tick()
-
     def test_deadline_exceeded_is_a_timeout_but_not_retryable(self):
         error = Deadline(5.0).exceeded()
         assert isinstance(error, TimeoutError)

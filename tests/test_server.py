@@ -367,6 +367,22 @@ class TestService:
                 # The session is still healthy afterwards.
                 assert client.query("Q1")["result"]["num_families"] > 0
 
+    def test_deadline_stops_a_query_of_exponentially_many_leaves(self):
+        # 22 temporal alternations in sequence run as 2**22 leaf chains
+        # under the host lock; the per-request deadline still answers
+        # within twice its budget and frees the graph for the next query.
+        factors = "/".join(["(NEXT + PREV)"] * 22)
+        state = ServerState()
+        state.add_graph("default")
+        with BackgroundServer(state) as server:
+            with ServerClient(server.host, server.port) as client:
+                start = time.monotonic()
+                with pytest.raises(ServerError) as err:
+                    client.query(f"MATCH (x)-/{factors}/-(y) ON default", deadline=0.5)
+                assert err.value.kind == "DeadlineExceeded"
+                assert time.monotonic() - start < 1.0
+                assert client.query("Q1")["result"]["num_families"] > 0
+
     def test_malformed_requests_answer_instead_of_disconnecting(self):
         state = ServerState()
         state.add_graph("default")
