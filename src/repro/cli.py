@@ -520,40 +520,44 @@ def _run_stream(
     size = len(session.table(name))
     if wal is not None:
         session.attach_wal(wal)
-    if snapshot is not None:
-        session.configure_snapshots(snapshot, every=snapshot_every)
-    durability = (
-        f", wal {wal}" if wal else ""
-    ) + (f", snapshots {snapshot} (every {snapshot_every})" if snapshot else "")
-    print(f"# stream: initial graph {engine.graph}, output size {size}{durability}")
-    batch_number = 0
-    for number, batch in read_delta_stream(path):
-        batch_number += 1
-        try:
-            applied = session.apply(batch)
-        except ReproError as error:
-            raise StreamFormatError(
-                f"{path}:{number}: {error}",
-                path=path,
-                line=number,
-                sequence=batch.sequence,
-            ) from error
-        new_size = len(session.table(name))
-        sequence = "-" if applied.sequence is None else str(applied.sequence)
-        horizon = (
-            f", horizon -> {engine.graph.domain.end}"
-            if applied.horizon_advanced
-            else ""
-        )
-        print(
-            f"# batch {batch_number} (seq {sequence}): +{applied.new_nodes} nodes "
-            f"+{applied.new_edges} edges ~{applied.touched_objects} touched"
-            f"{horizon} | seeds re-derived {applied.affected_seeds}"
-            f"/{applied.total_seeds} | output {new_size} ({new_size - size:+d})"
-        )
-        size = new_size
-    if session.wal is not None:
-        session.wal.sync()
+    try:
+        if snapshot is not None:
+            session.configure_snapshots(snapshot, every=snapshot_every)
+        durability = (
+            f", wal {wal}" if wal else ""
+        ) + (f", snapshots {snapshot} (every {snapshot_every})" if snapshot else "")
+        print(f"# stream: initial graph {engine.graph}, output size {size}{durability}")
+        batch_number = 0
+        for number, batch in read_delta_stream(path):
+            batch_number += 1
+            try:
+                applied = session.apply(batch)
+            except ReproError as error:
+                raise StreamFormatError(
+                    f"{path}:{number}: {error}",
+                    path=path,
+                    line=number,
+                    sequence=batch.sequence,
+                ) from error
+            new_size = len(session.table(name))
+            sequence = "-" if applied.sequence is None else str(applied.sequence)
+            horizon = (
+                f", horizon -> {engine.graph.domain.end}"
+                if applied.horizon_advanced
+                else ""
+            )
+            print(
+                f"# batch {batch_number} (seq {sequence}): +{applied.new_nodes} nodes "
+                f"+{applied.new_edges} edges ~{applied.touched_objects} touched"
+                f"{horizon} | seeds re-derived {applied.affected_seeds}"
+                f"/{applied.total_seeds} | output {new_size} ({new_size - size:+d})"
+            )
+            size = new_size
+        if session.wal is not None:
+            session.wal.sync()
+    finally:  # a rejected batch included
+        if session.wal is not None:
+            session.wal.close()
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

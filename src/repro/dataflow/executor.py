@@ -39,8 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, Sequence, Union as TypingUnion
 
-from repro.dataflow import interpreted
-from repro.dataflow.frontier import IntervalFamily, Row
+from repro.dataflow.frontier import IntervalFamily
 from repro.dataflow.steps import (
     BindStep,
     ChainStep,
@@ -132,13 +131,6 @@ class _Call:
         self.retry = retry
         self.rows_merged = 0
         self.degradation: DegradationReport | None = None
-
-
-def _merge(mode: str, chunks: list) -> list:
-    """One canonical result from per-chunk results (see repro.parallel.merge)."""
-    if mode == "families":
-        return merge_family_chunks(chunks)
-    return merge_point_chunks(chunks)
 
 
 @dataclass(frozen=True)
@@ -351,19 +343,14 @@ class DataflowEngine:
         the partitioner would produce.
         Backend and chunks come from the same :meth:`_route` decision a
         match call makes — ``"sequential"`` when the process pool does
-        not engage — and are computed from the seed objects alone,
-        without building a seed row.  ``repro query … --explain`` prints
-        this.
+        not engage — and the chunks are the very seed-object chunks a
+        process dispatch ships.  ``repro query … --explain`` prints this.
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
-        backend = self._route(chain)
+        backend, _seeds = self._route(chain)
         seeds, rest = self._seed_objects(chain)
-        weight = self._index.seed_weight
-        if backend == "serial":
-            chunks = [seeds]
-        else:
-            chunks = weighted_chunks(seeds, self._workers, weight)
+        chunks = [seeds] if backend == "serial" else self._chunks(seeds)
         return {
             "effective_backend": "sequential" if backend == "serial" else backend,
             "workers": self._workers,
@@ -373,7 +360,7 @@ class DataflowEngine:
             "chain_steps": len(rest),
             "output_mode": self._output_mode(chain),
             "chunks": [
-                {"seeds": len(chunk), "weight": chunk_weight(chunk, weight)}
+                {"seeds": len(chunk), "weight": chunk_weight(chunk, self._index.seed_weight)}
                 for chunk in chunks
             ],
             "deadline_seconds": self._deadline_seconds,
@@ -425,27 +412,32 @@ class DataflowEngine:
     def _seed_objects(
         self, chain: tuple[ChainStep, ...]
     ) -> tuple[Sequence[ObjectId], tuple[ChainStep, ...]]:
-        """The objects :func:`~repro.dataflow.interpreted.seed_rows` would
-        seed (in its order) and the chain after any absorbed leading test."""
+        """The objects the kernel seeds (in its order) and the chain after
+        any absorbed leading test."""
         if chain and isinstance(chain[0], TestStep):
             return list(self._index.condition_table(chain[0].condition)), chain[1:]
         return self._index.objects, chain
 
-    def _route(self, chain: tuple[ChainStep, ...]) -> str:
-        """The one dispatch decision: ``"process"`` or ``"serial"``.
+    def _chunks(self, seeds: Sequence[ObjectId]) -> list[list[ObjectId]]:
+        """The pool's degree-weighted seed chunks (what ``explain()`` reports)."""
+        return weighted_chunks(seeds, self._workers, self._index.seed_weight)
+
+    def _route(
+        self, chain: tuple[ChainStep, ...]
+    ) -> tuple[str, Sequence[ObjectId] | None]:
+        """The one dispatch decision: ``("process", seeds)`` or ``("serial", None)``.
 
         The process pool engages for ``workers > 1`` and frontiers of at
-        least two seeds per worker (below that, per-chunk overhead
-        dominates); its workers run the columnar leaves per chunk.
-        Serially, the chain runs as a single columnar pass seeded
-        straight from the array image.
+        least two seed objects per worker (below that, per-chunk overhead
+        dominates); its workers run the columnar kernel per chunk of
+        those seeds.  Serially, the chain runs as a single columnar pass
+        seeded straight from the array image.
         """
-        if (
-            self._workers > 1
-            and len(self._seed_objects(chain)[0]) >= 2 * self._workers
-        ):
-            return "process"
-        return "serial"
+        if self._workers > 1:
+            seeds = self._seed_objects(chain)[0]
+            if len(seeds) >= 2 * self._workers:
+                return "process", seeds
+        return "serial", None
 
     def _execute(
         self,
@@ -460,24 +452,15 @@ class DataflowEngine:
         — a lazy :class:`~repro.perf.columnar.PointTable` from the
         single columnar pass.
         """
-        if self._route(chain) == "serial":
-            start = time.perf_counter()
-            data, frontier_rows, merged = columnar_kernel.run_query(
-                self._index.columnar_context(),
-                columnar_kernel.plan_query(chain),
-                variables,
-                mode,
-                call.deadline,
-            )
-            call.rows_merged += merged
-            return data, frontier_rows, time.perf_counter() - start
-        seeds, rest = interpreted.seed_rows(self._index, chain)
-        return self._run_resilient(rest, seeds, variables, mode, call)
+        backend, seeds = self._route(chain)
+        if backend == "serial":
+            return self._run_on("serial", chain, seeds, variables, mode, call)
+        return self._run_resilient(chain, seeds, variables, mode, call)
 
     def _run_resilient(
         self,
         chain: tuple[ChainStep, ...],
-        seeds: list[Row],
+        seeds: Sequence[ObjectId],
         variables: tuple[str, ...],
         mode: str,
         call: _Call,
@@ -552,24 +535,24 @@ class DataflowEngine:
         self,
         backend: str,
         chain: tuple[ChainStep, ...],
-        seeds: list[Row],
+        seeds: Sequence[ObjectId] | None,
         variables: tuple[str, ...],
         mode: str,
         call: _Call,
-    ) -> tuple[list, int, float]:
+    ) -> tuple[object, int, float]:
         """One attempt on one backend: ``(data, frontier_rows, seconds)``.
 
-        Both backends run the columnar kernel's ``run_rows`` — on all
-        seeds (``"serial"``, wall time) or per degree-weighted chunk in
-        worker processes (``"process"``, see :meth:`_process_run`).
+        Both backends run the columnar kernel's ``run_query`` on the full
+        chain — on every seed (``"serial"``, wall time) or per
+        degree-weighted chunk of ``seeds`` in worker processes
+        (``"process"``, see :meth:`_process_run`).
         """
         if backend == "process":
             return self._process_run(chain, seeds, variables, mode, call)
         start = time.perf_counter()
-        data, frontier_rows, merged = columnar_kernel.run_rows(
+        data, frontier_rows, merged = columnar_kernel.run_query(
             self._index.columnar_context(),
-            columnar_kernel.ops_for(chain),
-            seeds,
+            columnar_kernel.plan_query(chain),
             variables,
             mode,
             call.deadline,
@@ -580,7 +563,7 @@ class DataflowEngine:
     def _process_run(
         self,
         chain: tuple[ChainStep, ...],
-        seeds: list[Row],
+        seeds: Sequence[ObjectId],
         variables: tuple[str, ...],
         mode: str,
         call: _Call,
@@ -590,16 +573,14 @@ class DataflowEngine:
         The third element is the longest per-worker kernel time (the
         parallel critical path).
         """
-        from repro.parallel.plan import pack_seeds, plan_for
+        from repro.parallel.plan import plan_for
         from repro.parallel.pool import shared_pool
 
-        plan = plan_for(self._graph)
         pool = shared_pool(self._workers, self._start_method)
-        chunks = weighted_chunks(seeds, self._workers, self._seed_weight)
         results = pool.run_chunks(
-            plan,
+            plan_for(self._graph),
             chain,
-            [pack_seeds(chunk) for chunk in chunks],
+            self._chunks(seeds),
             mode,
             variables,
             deadline=call.deadline,
@@ -607,13 +588,11 @@ class DataflowEngine:
         call.rows_merged += sum(result["rows_merged"] for result in results)
         data = [result["data"] for result in results]
         if mode == "families":
-            data = [unpack_families(chunk) for chunk in data]
+            merged = merge_family_chunks(unpack_families(chunk) for chunk in data)
+        else:
+            merged = merge_point_chunks(data)
         return (
-            _merge(mode, data),
+            merged,
             sum(result["frontier_rows"] for result in results),
             max(result["chain_seconds"] for result in results),
         )
-
-    def _seed_weight(self, row: Row) -> int:
-        """Chunking weight of one seed row (its indexed out-degree)."""
-        return self._index.seed_weight(row.last.current)

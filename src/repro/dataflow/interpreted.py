@@ -4,11 +4,11 @@ Queries run on the columnar kernel (:mod:`repro.perf.columnar`); this
 walk has one caller, :class:`~repro.streaming.engine.StreamingEngine`'s
 per-seed refresh, which re-derives one seed at a time — a one-row
 frontier, where a row walk is cheaper than a kernel run's fixed per-op
-array work.  Its :func:`run_rows` keeps the kernel's row-entry contract
-(an index, a chain, seed rows, the output variables and the output
-mode in; ``(data, frontier_rows, rows_merged)`` out, with
-coalesced families or point tuples as ``data``), and the test suite
-pins the two to the same answers.  It walks the coalescing
+array work.  :func:`run_rows` over :func:`seed_rows` answers what the
+kernel's one entry, :func:`repro.perf.columnar.run_query`, answers on
+the full chain — ``(data, frontier_rows, rows_merged)``, with coalesced
+families or point tuples as ``data`` — and the test suite pins the two
+to the same answers.  It walks the coalescing
 :class:`~repro.dataflow.frontier.Frontier` row by row in Python and
 materializes through the interval-native
 :class:`~repro.dataflow.frontier.IntervalMaterializer`.  It goes when
@@ -108,8 +108,8 @@ def run_rows(
     """Steps 1–3 over seed rows: ``(data, frontier_rows, rows_merged)``.
 
     ``data`` is a coalesced family list (``mode="families"``) or a list
-    of point tuples (``mode="points"``), exactly what
-    :func:`repro.perf.columnar.run_rows` returns for the same input.
+    of point tuples (``mode="points"``): over :func:`seed_rows`, the
+    answer :func:`repro.perf.columnar.run_query` gives on the full chain.
     """
     walk = ChainWalk(index)
     frontier = walk.run(seeds, chain)

@@ -10,7 +10,8 @@ evaluation scales with cores instead of sharing one GIL:
   worker at most once;
 * :mod:`repro.parallel.pool` — persistent worker-process pools, the
   graph installation protocol, and the worker-side chunk runner (the
-  columnar kernel's row entry, as on the serial path);
+  columnar kernel's one entry, ``run_query``, on the full chain and one
+  chunk of seed objects — the serial path's call, restricted);
 * :mod:`repro.parallel.merge` — the single parent-side coalescing merge
   of per-chunk partial results (the columnar kernel reuses its family
   merge to union a distributed alternation's leaves).
@@ -20,13 +21,7 @@ It engages with ``DataflowEngine(graph, workers=N)`` or ``repro query …
 """
 
 from repro.parallel.partition import chunk_weight, weighted_chunks
-from repro.parallel.plan import (
-    ExecutionPlan,
-    graph_token,
-    pack_seeds,
-    plan_for,
-    unpack_seeds,
-)
+from repro.parallel.plan import ExecutionPlan, graph_token, plan_for
 from repro.parallel.merge import merge_family_chunks, merge_point_chunks
 from repro.parallel.pool import (
     PlanNotInstalledError,
@@ -44,11 +39,9 @@ __all__ = [
     "graph_token",
     "merge_family_chunks",
     "merge_point_chunks",
-    "pack_seeds",
     "plan_for",
     "shared_pool",
     "shutdown_all",
     "shutdown_pools",
-    "unpack_seeds",
     "weighted_chunks",
 ]

@@ -23,10 +23,9 @@ alongside the token and travels on every plan; the pickled payload
 remains as the self-healing fallback when a worker cannot attach (file
 moved, corrupted, token mismatch after recompile).
 
-The per-query parts of a dispatch (compiled chain, seed chunk) are small
-and travel with each task; seeds use the compact ``(object, endpoint
-pairs)`` form of :mod:`repro.eval.bindings` rather than pickled
-:class:`~repro.dataflow.frontier.Row` objects.
+The per-query parts of a dispatch (the full compiled chain, one chunk of
+seed objects) are small and travel with each task: a worker seeds the
+chunk from its own index, whose times it already holds.
 """
 
 from __future__ import annotations
@@ -34,15 +33,9 @@ from __future__ import annotations
 import pickle
 import uuid
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Optional
 
-from repro.dataflow.frontier import Group, Row
-from repro.eval.bindings import pack_interval_set, unpack_interval_set
 from repro.model.itpg import IntervalTPG
-
-ObjectId = Hashable
-#: Wire form of one seed row: the anchored object plus its validity times.
-PackedSeed = tuple[ObjectId, tuple[tuple[int, int], ...]]
 
 _TOKEN_ATTR = "_repro_parallel_token"
 _PLAN_ATTR = "_repro_parallel_plan"
@@ -167,20 +160,3 @@ def plan_for(graph: IntervalTPG) -> ExecutionPlan:
         setattr(graph, _PLAN_ATTR, plan)
     return plan
 
-
-def pack_seeds(seeds: Iterable[Row]) -> list[PackedSeed]:
-    """Initial frontier rows in compact wire form.
-
-    Seeds are always single-group, binding-free rows (the shape
-    ``interpreted.seed_rows`` produces), so the object and its validity
-    family reconstruct them exactly.
-    """
-    return [(row.last.current, pack_interval_set(row.last.times)) for row in seeds]
-
-
-def unpack_seeds(packed: Sequence[PackedSeed]) -> list[Row]:
-    """Inverse of :func:`pack_seeds`."""
-    return [
-        Row((Group((), obj, unpack_interval_set(endpoints)),), ())
-        for obj, endpoints in packed
-    ]

@@ -24,9 +24,10 @@ installation protocol*:
 * Workers rebuild the graph **once per process** and memoize it in the
   consolidated per-token cache (:mod:`repro.parallel.registry`; the
   compiled :class:`~repro.perf.graph_index.GraphIndex` rides on the
-  graph object), then run the columnar kernel's row entry
-  (:func:`repro.perf.columnar.run_rows`) on their chunk, returning
-  compact packed families or point tuples.
+  graph object), then run the columnar kernel's one entry
+  (:func:`repro.perf.columnar.run_query`) on the full chain, seeded by
+  their chunk of seed objects, returning compact packed families or
+  point tuples.
 
 Pools are shared process-wide through :func:`shared_pool`, keyed by
 ``(start method, worker count)``, so every engine and every query on
@@ -45,7 +46,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from repro.errors import (
     DeadlineExceeded,
@@ -54,8 +55,10 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.parallel import registry
-from repro.parallel.plan import ExecutionPlan, PackedSeed, StoreRef, unpack_seeds
+from repro.parallel.plan import ExecutionPlan, StoreRef
 from repro.resilience import failpoints
+
+ObjectId = Hashable
 
 
 class PlanNotInstalledError(ReproError):
@@ -85,12 +88,13 @@ class WorkerPool:
         self,
         plan: ExecutionPlan,
         chain: tuple,
-        chunks: Sequence[Sequence[PackedSeed]],
+        chunks: Sequence[Sequence[ObjectId]],
         mode: str,
         variables: tuple[str, ...],
         deadline=None,
     ) -> list[dict]:
-        """Execute seed chunks in the pool, returning per-chunk result dicts.
+        """Run ``chain`` once per chunk of seed objects in the pool,
+        returning per-chunk result dicts.
 
         Results come back in chunk order.  Worker-raised exceptions
         propagate unchanged after all chunks have drained; a crashed
@@ -118,7 +122,7 @@ class WorkerPool:
         self,
         plan: ExecutionPlan,
         chain: tuple,
-        chunks: Sequence[Sequence[PackedSeed]],
+        chunks: Sequence[Sequence[ObjectId]],
         mode: str,
         variables: tuple[str, ...],
         deadline=None,
@@ -318,11 +322,12 @@ def _run_chunk(
     payload: Optional[bytes],
     store: Optional[StoreRef],
     chain: tuple,
-    packed_seeds: Sequence[PackedSeed],
+    seeds: Sequence[ObjectId],
     mode: str,
     variables: tuple[str, ...],
 ) -> dict:
-    """Chunk-level Steps 1–3 on the columnar kernel."""
+    """Chunk-level Steps 1–3: the columnar kernel on the full chain,
+    seeded by one chunk of seed objects."""
     # Chaos hook: "kill" SIGKILLs this worker mid-chunk (breaking the
     # whole pool, as a real crash would); "sleep" models a straggler.
     failpoints.fire("worker.chunk")
@@ -335,14 +340,17 @@ def _run_chunk(
     # The index rides on the graph object, so evicting the registry
     # entry releases graph and index together.
     index = graph_index_for(_worker_graph(token, payload, store))
-    seeds = unpack_seeds(packed_seeds)
     start = time.perf_counter()
-    data, frontier_rows, merged = columnar.run_rows(
-        index.columnar_context(), columnar.ops_for(chain), seeds, variables, mode
+    data, frontier_rows, merged = columnar.run_query(
+        index.columnar_context(),
+        columnar.plan_query(chain),
+        variables,
+        mode,
+        seeds=seeds,
     )
     return {
         "pid": os.getpid(),
-        "data": pack_families(data) if mode == "families" else data,
+        "data": pack_families(data) if mode == "families" else list(data.rows),
         "frontier_rows": frontier_rows,
         "rows_merged": merged,
         "chain_seconds": time.perf_counter() - start,

@@ -53,7 +53,6 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.dataflow.frontier import Row
 from repro.dataflow.steps import (
     AltStep,
     BindStep,
@@ -224,17 +223,9 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def ops_for(chain: tuple[ChainStep, ...]) -> Leaves:
-    """Memoized :func:`compile_ops` for row-seeded runs (no leading-test
-    absorption: the caller's seed rows already carry those times)."""
-    return compile_ops(chain)
-
-
-@lru_cache(maxsize=256)
 def plan_query(chain: tuple[ChainStep, ...]) -> ColumnarPlan:
     """Plan a full compiled chain, absorbing a leading TestStep as the
-    seed condition exactly like ``interpreted.seed_rows`` does against
-    the index's memoized condition table."""
+    seed condition: :func:`run_query` seeds from its condition table."""
     if chain and isinstance(chain[0], TestStep):
         return ColumnarPlan(chain[0].condition, compile_ops(chain[1:]))
     return ColumnarPlan(None, compile_ops(chain))
@@ -1013,7 +1004,7 @@ class _Kernel:
             link, anc = frozen.link, None if frozen.src is None else frozen.src[anc]
         levels.reverse()
         # A name's group is the number of levels frozen before its bind
-        # (later binds win, like ``Row.variable_positions``).
+        # (later binds win, as in the per-row walk).
         position = {name: i for i, name in enumerate(state.names)}
         group_of = {
             v: sum(len(frozen.names) <= position[v] for frozen, _step, _anc in levels)
@@ -1170,19 +1161,25 @@ def run_query(
     variables: tuple[str, ...],
     mode: str,
     deadline=None,
+    seeds: Optional[Sequence[ObjectId]] = None,
 ) -> tuple[object, int, int]:
     """Evaluate a planned full query: ``(output, frontier_rows, merged)``
     with ``output`` a family list (``mode="families"``) or a
     :class:`PointTable` (``mode="points"``).
 
-    Seeds come straight from the context's condition CSR (or the full
-    object range under domain times), never materializing per-row
-    Python objects — this is where the kernel beats a per-row walk even
-    on cheap full-scan queries.
+    Seeds come straight from the context's condition CSR (or the object
+    range under domain times), never materializing per-row Python
+    objects — this is where the kernel beats a per-row walk even on
+    cheap full-scan queries.  ``seeds`` restricts the run to one chunk of
+    seed objects, in their order (the worker pool's unit of work); the
+    answers of any split of the seed objects union to the unrestricted
+    answer.  They are objects, not dense ids: a worker numbers the
+    objects of its own freshly built index.
     """
     single = plan.leaves.single
     if (
-        plan.seed_condition is not None
+        seeds is None
+        and plan.seed_condition is not None
         and single is not None
         and all(op[0] == "bind" for op in single)
     ):
@@ -1203,60 +1200,29 @@ def run_query(
                 for obj, times in table.items()
             ]
             return families, len(families), 0
+    ids = None
+    if seeds is not None:
+        object_id = ctx.object_id
+        ids = np.array([object_id[obj] for obj in seeds], dtype=np.int64)
     if plan.seed_condition is not None:
         indptr, starts, ends = ctx.condition_arrays(plan.seed_condition)
         counts = np.diff(indptr)
-        cur = np.flatnonzero(counts).astype(np.int64)
-        owner = np.repeat(np.arange(cur.size, dtype=np.int64), counts[cur])
-        pos = _ranges(indptr[cur], counts[cur])
+        cur = np.flatnonzero(counts).astype(np.int64) if ids is None else ids[counts[ids] > 0]
+        counts = counts[cur]
+        owner = np.repeat(np.arange(cur.size, dtype=np.int64), counts)
+        pos = _ranges(indptr[cur], counts)
         state = _State(cur, (), [], owner, starts[pos], ends[pos])
     else:
-        n = ctx.num_objects
-        ids = np.arange(n, dtype=np.int64)
+        cur = np.arange(ctx.num_objects, dtype=np.int64) if ids is None else ids
         state = _State(
-            ids,
+            cur,
             (),
             [],
-            ids.copy(),
-            np.full(n, ctx.domain_start, dtype=np.int64),
-            np.full(n, ctx.domain_end, dtype=np.int64),
+            np.arange(cur.size, dtype=np.int64),
+            np.full(cur.size, ctx.domain_start, dtype=np.int64),
+            np.full(cur.size, ctx.domain_end, dtype=np.int64),
         )
     return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
-
-
-def run_rows(
-    ctx: ColumnarContext,
-    leaves: Leaves,
-    seeds: Sequence[Row],
-    variables: tuple[str, ...],
-    mode: str,
-    deadline=None,
-) -> tuple[list, int, int]:
-    """Evaluate compiled leaves (:func:`ops_for`) over materialized seeds.
-
-    The row-based entry the worker-pool chunks and the serial rung use.
-    ``seeds`` are what ``interpreted.seed_rows`` builds: one temporal
-    group each, no bindings.  The output is a family list or, under
-    ``mode="points"``, a list of point-row tuples (both picklable).
-    """
-    if not seeds:
-        return [], 0, 0
-    object_id = ctx.object_id
-    counts, starts, ends = _family_rows(row.last.times for row in seeds)
-    state = _State(
-        np.array([object_id[row.last.current] for row in seeds], dtype=np.int64),
-        (),
-        [],
-        np.repeat(np.arange(len(seeds), dtype=np.int64), counts),
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64),
-    )
-    output, frontier_rows, merged = _run_leaves(
-        ctx, leaves, state, variables, mode, deadline
-    )
-    if mode == "points":
-        output = list(output.rows)
-    return output, frontier_rows, merged
 
 
 def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):

@@ -32,6 +32,7 @@ form>, separators=(",", ":"), default=str)`` exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
@@ -144,10 +145,22 @@ def encode(message: dict) -> bytes:
     return b"".join(parts)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"protocol numbers are finite JSON, got {text}")
+    return value
+
+
+#: Strict JSON: ``NaN``/``Infinity`` and numbers that overflow to them are
+#: bad framing — echoed back, they would make a reply that is not JSON.
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def decode(line: bytes) -> dict:
     """Parse one protocol line; raises :class:`ValueError` on bad framing."""
     try:
-        message = json.loads(line.decode("utf-8"))
+        message = _DECODER.decode(line.decode("utf-8"))
     except RecursionError:
         # Brackets nested deeper than the interpreter's stack: the line
         # is from outside, so it is bad framing like any other.
@@ -155,6 +168,23 @@ def decode(line: bytes) -> dict:
     if not isinstance(message, dict):
         raise ValueError(f"protocol messages are JSON objects, got {type(message).__name__}")
     return message
+
+
+def is_count(value) -> bool:
+    """An integer >= 0 (JSON ``true``/``false`` decode to bools: not counts)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_fields(message: dict) -> None:
+    """Raise :class:`ValueError` (a ``ProtocolError`` on the wire) unless
+    ``graph`` is a string and ``from_seq`` (``replicate.subscribe``) and
+    ``seq`` (``replicate.ack``) are WAL positions: integers >= 0."""
+    graph = message.get("graph", "default")
+    if not isinstance(graph, str):
+        raise ValueError(f"graph must be a string, got {graph!r}")
+    for field in ("from_seq", "seq"):
+        if field in message and not is_count(message[field]):
+            raise ValueError(f"{field} must be an integer >= 0, got {message[field]!r}")
 
 
 def ok_response(

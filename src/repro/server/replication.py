@@ -40,8 +40,9 @@ Protocol invariants, in one place (the chaos suite's checklist):
    primary's on-disk WAL record for the same sequence; CRC verification
    is the same code on both paths.
 2. **Sequences are dense and monotonic per graph**; a standby applies
-   frame *n+1* only after *n*, and duplicate sequences (catch-up racing
-   live publication) are dropped, never re-applied.
+   frame *n+1* only after *n*.  Duplicate sequences (catch-up racing
+   live publication) are dropped by the primary's send loop; one that
+   still reaches a standby is refused (invariant 6), never re-applied.
 3. **Acks trail applies** — ``replicate.ack`` is sent only after
    :meth:`~repro.server.state.GraphHost.apply_frame` succeeds, so the
    primary's per-subscriber ``lag`` (``last_seq - acked``) never
@@ -53,6 +54,11 @@ Protocol invariants, in one place (the chaos suite's checklist):
 5. **Graceful beats the timeout** — a draining primary's ``close``
    frame hands off immediately; the ``failover_after`` window exists
    only for the crash case.
+6. **Refusal ends the session, never the standby** — a frame the standby
+   cannot verify is not applied: the session ends and the standby
+   resubscribes from its own ``wal_seq``, so the primary's catch-up
+   resends the intact record.  A refused frame still counts as contact,
+   so a live primary is never failed over (no split brain).
 
 Failpoints: ``replicate.ship`` fires before each record frame leaves the
 primary (a ``kill`` spec is the chaos suite's deterministic
@@ -67,10 +73,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import ServerError
+from repro.errors import ServerError, WALCorruptError
 from repro.resilience import failpoints
-from repro.resilience.wal import record_frame, scan_wal, verify_frame
-from repro.server.protocol import PROTOCOL_VERSION, decode, encode, error_response, ok_response
+from repro.resilience.wal import record_frame, scan_wal
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    check_fields,
+    decode,
+    encode,
+    error_response,
+    is_count,
+    ok_response,
+)
 
 #: Default seconds between heartbeat frames on an idle subscription.
 HEARTBEAT_INTERVAL = 1.0
@@ -165,7 +179,12 @@ class ReplicationHub:
     async def serve_subscriber(
         self, request: dict, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one ``replicate.subscribe`` connection until it drops."""
+        """Serve one ``replicate.subscribe`` connection until it drops.
+
+        The service has already checked the request's fields
+        (:func:`~repro.server.protocol.check_fields`): ``graph`` is a
+        string and ``from_seq``, when present, an integer >= 0.
+        """
         graph = request.get("graph", "default")
         host = self._state.hosts.get(graph)
         if host is None:
@@ -188,20 +207,7 @@ class ReplicationHub:
             )
             await writer.drain()
             return
-        try:
-            from_seq = int(request.get("from_seq", 0))
-        except (TypeError, ValueError):
-            writer.write(
-                encode(
-                    error_response(
-                        f"from_seq must be an integer, got {request.get('from_seq')!r}",
-                        kind="ProtocolError",
-                        request=request,
-                    )
-                )
-            )
-            await writer.drain()
-            return
+        from_seq = request.get("from_seq", 0)
         peername = writer.get_extra_info("peername")
         peer = str(request.get("standby") or (f"{peername[0]}:{peername[1]}" if peername else "?"))
         subscriber = _Subscriber(graph=graph, peer=peer, last_sent=from_seq, acked=from_seq)
@@ -332,13 +338,11 @@ class ReplicationHub:
                 return  # standby hung up
             try:
                 message = decode(line)
+                check_fields(message)
             except ValueError:
-                return
+                return  # bad framing ends the stream; the standby resubscribes
             if message.get("op") == "replicate.ack":
-                try:
-                    subscriber.acked = max(subscriber.acked, int(message.get("seq", 0)))
-                except (TypeError, ValueError):
-                    pass
+                subscriber.acked = max(subscriber.acked, message.get("seq", 0))
 
     # ------------------------------------------------------------------ #
     # Lifecycle + observability
@@ -456,7 +460,9 @@ class StandbyRunner:
                 await self._stream_once(name, host)
             except asyncio.CancelledError:
                 raise
-            except (ConnectionError, OSError, asyncio.TimeoutError, ValueError):
+            except (ConnectionError, OSError, asyncio.TimeoutError, ValueError, WALCorruptError):
+                # A dropped session or a refused frame: either way the
+                # standby resubscribes from its own ``wal_seq``.
                 pass
             if self._stopped or self._promoted:
                 return
@@ -492,44 +498,22 @@ class StandbyRunner:
                 # as lost contact; the process is alive.
                 self._touch()
                 return
-            self._note_primary_seq(name, int(response["result"].get("last_seq", 0)))
+            result = response.get("result")
+            if not isinstance(result, dict):
+                raise WALCorruptError("malformed replication handshake")
+            self._note_primary_seq(name, _position(result.get("last_seq", 0)))
             loop = asyncio.get_running_loop()
-            await self._mirror_queries(
-                loop, host, response["result"].get("queries") or {}
-            )
+            await self._mirror_queries(loop, host, result.get("queries") or {})
             while not self._stopped and not self._promoted:
                 line = await asyncio.wait_for(
                     reader.readline(), timeout=self._failover_after
                 )
                 if not line:
                     return  # primary hung up without a close frame
-                message = decode(line)
-                self._touch()
-                kind = message.get("kind")
-                if kind == "record":
-                    frame = message.get("frame") or {}
-                    seq = int(frame.get("seq", 0))
-                    applied = host.session.wal_seq
-                    if seq <= applied:
-                        continue  # duplicate delivery
-                    if seq != applied + 1:
-                        return  # gap: resubscribe and let catch-up refill
-                    failpoints.fire("replicate.apply")
-                    await loop.run_in_executor(None, host.apply_frame, frame)
-                    self._note_primary_seq(name, seq)
+                seq = await self._on_frame(loop, name, host, line)
+                if seq is not None:
                     writer.write(encode({"op": "replicate.ack", "seq": seq}))
                     await writer.drain()
-                elif kind == "heartbeat":
-                    self._note_primary_seq(name, int(message.get("last_seq", 0)))
-                elif kind == "register":
-                    await self._mirror_queries(
-                        loop, host, {message.get("name"): message.get("query")}
-                    )
-                elif kind == "close":
-                    # Graceful drain: every applied record preceded this
-                    # frame on the wire, so hand off immediately.
-                    self._promote(f"primary drained ({message.get('reason')})")
-                    return
         finally:
             writer.close()
             try:
@@ -537,8 +521,51 @@ class StandbyRunner:
             except (ConnectionError, OSError):
                 pass
 
-    async def _mirror_queries(self, loop, host, queries: dict) -> None:
+    async def _on_frame(self, loop, name: str, host, line: bytes) -> Optional[int]:
+        """Handle one line from the primary; returns the sequence to ack.
+
+        Raises :class:`~repro.errors.WALCorruptError` (invariant 6) for a
+        line it cannot verify: not a JSON object, a record whose ``seq``
+        is not an integer >= 0 or does not follow the applied one or
+        whose checksum fails, a position or registration of the wrong type.
+        """
+        try:
+            message = decode(line)
+        except ValueError as error:
+            raise WALCorruptError(f"undecodable replication frame: {error}") from None
+        self._touch()
+        kind = message.get("kind")
+        if kind == "record":
+            frame = message.get("frame")
+            seq = _position(frame.get("seq") if isinstance(frame, dict) else None)
+            applied = host.session.wal_seq
+            if seq != applied + 1:
+                # The primary never sends a duplicate (its send loop drops
+                # what the catch-up shipped), so this is a gap or a seq
+                # damaged in flight: refill from the catch-up.
+                raise WALCorruptError(f"replication record {seq} after {applied}")
+            failpoints.fire("replicate.apply")
+            await loop.run_in_executor(None, host.apply_frame, frame)
+            self._note_primary_seq(name, seq)
+            return seq
+        if kind == "heartbeat":
+            self._note_primary_seq(name, _position(message.get("last_seq", 0)))
+        elif kind == "register":
+            query = message.get("name")
+            queries = {query: message.get("query")} if isinstance(query, str) else None
+            await self._mirror_queries(loop, host, queries)
+        elif kind == "close":
+            # Graceful drain: every applied record preceded this frame on
+            # the wire, so hand off immediately.
+            self._promote(f"primary drained ({message.get('reason')})")
+        return None
+
+    async def _mirror_queries(self, loop, host, queries) -> None:
         """Register the primary's continuously-answered queries locally."""
+        if not isinstance(queries, dict) or not all(
+            isinstance(text, str) for text in queries.values()
+        ):
+            raise WALCorruptError(f"malformed query registrations {queries!r:.80}")
         for name, text in queries.items():
             if not name or not text or name in host.session.query_names():
                 continue
@@ -597,3 +624,10 @@ class StandbyRunner:
         for task in self._tasks:
             if task is not asyncio.current_task():
                 task.cancel()
+
+
+def _position(value) -> int:
+    """A WAL position from the primary; anything else refuses the frame."""
+    if not is_count(value):
+        raise WALCorruptError(f"replication position {value!r:.80} is not an integer >= 0")
+    return value

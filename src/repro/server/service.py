@@ -61,9 +61,11 @@ from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
     WRITE_OPS,
+    check_fields,
     decode,
     encode,
     error_response,
+    is_count,
     ok_response,
 )
 from repro.server.replication import (
@@ -288,6 +290,7 @@ class QueryServer:
                     continue
                 try:
                     request = decode(line)
+                    check_fields(request)
                 except ValueError as error:
                     writer.write(encode(error_response(error, kind="ProtocolError")))
                     await writer.drain()
@@ -459,11 +462,6 @@ class QueryServer:
         return host.apply_delta(batch)
 
 
-def _is_count(value) -> bool:
-    """An integer >= 0 (JSON ``true``/``false`` decode to bools: not counts)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _answer_options(request: dict) -> tuple:
     """The request's ``(limit, deadline, retries)``, each ``None`` when absent.
 
@@ -474,7 +472,7 @@ def _answer_options(request: dict) -> tuple:
     limit, deadline, retries = (
         request.get(field) for field in ("limit", "deadline", "retries")
     )
-    if limit is not None and not _is_count(limit):
+    if limit is not None and not is_count(limit):
         raise ServerError(f"limit must be an integer >= 0 or null, got {limit!r}")
     if deadline is not None and not (
         isinstance(deadline, (int, float))
@@ -482,7 +480,7 @@ def _answer_options(request: dict) -> tuple:
         and 0 < deadline < math.inf
     ):
         raise ServerError(f"deadline must be a positive number, got {deadline!r}")
-    if retries is not None and not _is_count(retries):
+    if retries is not None and not is_count(retries):
         raise ServerError(f"retries must be an integer >= 0, got {retries!r}")
     return limit, None if deadline is None else float(deadline), retries
 

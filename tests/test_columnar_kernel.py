@@ -7,11 +7,14 @@ Four layers:
   every entry point.
 * **Fallback identity** — the shapes added last (mid-chain temporal
   navigation, point-mode output, temporal alternations distributed into
-  leaf chains) answer identically to the reference engine, through the
-  full-query and the worker-chunk (``run_rows``) entries.
-* **Kernel seam** — ``columnar.run_rows`` and the streaming refresh's
-  walk, ``interpreted.run_rows``, return the same data for the same
-  seeds on every paper query.
+  leaf chains) answer identically to the reference engine, through
+  ``run_query`` on every seed and on worker-sized chunks of seed
+  objects.
+* **Kernel seam** — ``columnar.run_query`` on the full chain and the
+  streaming refresh's walk, ``interpreted.run_rows`` over
+  ``interpreted.seed_rows``, return the same data on every paper query;
+  any split of the seed objects into chunks unions to the unchunked
+  answer.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -53,6 +56,18 @@ def _example_engines():
     """The default engine and its reference oracle on the example graph."""
     graph = contact_tracing_example()
     return DataflowEngine(graph), ReferenceEngine(graph)
+
+
+def _run(engine, prepared, seeds=None):
+    """``run_query`` on a prepared plan; point answers as row tuples."""
+    data, _frontier_rows, _merged = columnar.run_query(
+        engine.index.columnar_context(),
+        columnar.plan_query(prepared.chain),
+        prepared.variables,
+        prepared.mode,
+        seeds=seeds,
+    )
+    return list(data.rows) if prepared.mode == "points" else data
 
 
 def _walk_families(engine, query):
@@ -294,10 +309,8 @@ class TestPaperQueryParity:
         self, contact_graph, shape, bind_target
     ):
         """Every navigation shape, in both output modes, answers like the
-        reference engine through the full-query entry and the worker-chunk
-        (``run_rows``) entry."""
-        from repro.dataflow.interpreted import seed_rows
-
+        reference engine through ``run_query`` on every seed and on
+        worker-sized chunks of seed objects."""
         query = _path_query(
             _navigation_shapes()[shape], bind_target=bind_target, name=shape
         )
@@ -311,18 +324,12 @@ class TestPaperQueryParity:
         assert isinstance(table, columnar.PointTable) == bind_target
         assert len(table) == len(expected)
         assert table.as_set() == expected
-        # Worker chunks: seed rows in, families / point tuples out.
+        # Worker chunks: seed objects in, families / point tuples out.
         prepared = engine.prepare(query)
-        seeds, rest = seed_rows(engine.index, prepared.chain)
+        objects = engine.index.objects
         gathered = set()
-        for chunk in (seeds[::2], seeds[1::2]):
-            data, _frontier_rows, _merged = columnar.run_rows(
-                engine.index.columnar_context(),
-                columnar.ops_for(rest),
-                chunk,
-                prepared.variables,
-                prepared.mode,
-            )
+        for chunk in (objects[::2], objects[1::2]):
+            data = _run(engine, prepared, seeds=chunk)
             if bind_target:
                 gathered.update(data)
             else:
@@ -354,9 +361,11 @@ class TestPaperQueryParity:
 
 
 class TestKernelSeam:
-    """The streaming refresh's walk is pinned to the query kernel: their
-    ``run_rows`` entries take the same index, chain, seeds, variables and
-    mode and return the same data."""
+    """The streaming refresh's walk is pinned to the query kernel:
+    ``run_query`` on the full chain and ``interpreted.run_rows`` over
+    ``interpreted.seed_rows`` return the same data, and the kernel's
+    answer on any split of the seed objects unions to its unchunked one
+    (what the worker pool relies on)."""
 
     @pytest.fixture(scope="class")
     def dense_graph(self):
@@ -384,18 +393,46 @@ class TestKernelSeam:
         engine = DataflowEngine(dense_graph)
         prepared = engine.prepare(PAPER_QUERIES[name].text)
         seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
-        got = columnar.run_rows(
-            engine.index.columnar_context(),
-            columnar.ops_for(rest),
-            seeds,
-            prepared.variables,
-            prepared.mode,
-        )
         expected = interpreted.run_rows(
             engine.index, rest, seeds, prepared.variables, prepared.mode
         )
         assert expected[0], f"{name} is empty on the contact graph"
-        assert sorted(got[0], key=repr) == sorted(expected[0], key=repr)
+        got = _run(engine, prepared)
+        assert sorted(got, key=repr) == sorted(expected[0], key=repr)
+        # Any split of the seed objects into chunks (singletons, two
+        # seeded shuffles, an empty chunk): each chunk answers like the
+        # walk over that chunk's seed rows, and the chunks union to the
+        # unchunked answer.
+        import random
+
+        from repro.parallel.merge import merge_family_chunks
+
+        rows = {row.last.current: row for row in seeds}
+        objects = list(rows)
+        splits = [[[obj] for obj in objects]]
+        for parts in (2, 5):
+            shuffled = random.Random(f"{name}/{parts}").sample(objects, len(objects))
+            splits.append([shuffled[i::parts] for i in range(parts)] + [[]])
+        for chunks in splits:
+            outputs = [_run(engine, prepared, seeds=chunk) for chunk in chunks]
+            for chunk, output in zip(chunks, outputs):
+                walked, _rows, _merged = interpreted.run_rows(
+                    engine.index,
+                    rest,
+                    [rows[obj] for obj in chunk],
+                    prepared.variables,
+                    prepared.mode,
+                )
+                assert sorted(output, key=repr) == sorted(walked, key=repr), name
+            if prepared.mode == "points":
+                union = sorted({row for output in outputs for row in output})
+                assert union == sorted(set(got)), (name, len(chunks))
+            else:
+                union = merge_family_chunks(outputs)
+                assert sorted(union, key=repr) == sorted(got, key=repr), (
+                    name,
+                    len(chunks),
+                )
 
 
 class TestPrimitives:

@@ -19,7 +19,9 @@ What this module pins:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -36,6 +38,7 @@ from repro.model import contact_tracing_example
 from repro.model.io import save_json
 from repro.resilience import failpoints
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.wal import record_frame
 from repro.server import (
     BackgroundServer,
     PlanCache,
@@ -91,6 +94,30 @@ def wait_until(predicate, *, timeout: float = 20.0, interval: float = 0.02):
             return last
         time.sleep(interval)
     raise AssertionError(f"condition not reached within {timeout}s (last: {last!r})")
+
+
+@contextlib.contextmanager
+def asyncio_errors():
+    """What the ``asyncio`` logger reports meanwhile — among it, a
+    connection handler's unhandled exception."""
+    records: list = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def strict_json(line: bytes):
+    """``json.loads`` that refuses ``NaN``/``Infinity``, as other parsers do."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
 
 
 # --------------------------------------------------------------------- #
@@ -447,6 +474,49 @@ class TestService:
                     assert frame["error"]["type"] == "ProtocolError", line[:20]
                 raw.sendall(encode({"op": "ping"}))
                 assert decode(reader.readline())["ok"] is True
+
+    def test_malformed_wire_fields_answer_protocol_error(self, tmp_path):
+        """Regression: a ``graph`` that is not a string, a ``from_seq``/
+        ``seq`` that is not an integer >= 0, and non-finite numbers used
+        to escape the connection handler (no reply, "Unhandled exception"
+        logged) or echo a reply that is not JSON.  Each now answers
+        ``ProtocolError`` on a connection that keeps answering."""
+        import socket as socket_module
+
+        state = ServerState()
+        state.add_graph("default", wal=str(tmp_path / "primary.wal"))
+        with BackgroundServer(state) as server, asyncio_errors() as errors:
+            with socket_module.create_connection(
+                (server.host, server.port), timeout=30
+            ) as raw, raw.makefile("rb") as reader:
+                for line in (
+                    b'{"op":"replicate.subscribe","from_seq":1e999}\n',
+                    b'{"op":"replicate.subscribe","graph":[1]}\n',
+                    b'{"op":"replicate.subscribe","from_seq":-1}\n',
+                    b'{"op":"replicate.subscribe","from_seq":"3"}\n',
+                    b'{"op":"replicate.ack","seq":true}\n',
+                    b'{"op":"query","graph":[1],"query":"Q1"}\n',
+                    b'{"op":"ping","id":NaN}\n',
+                    b'{"op":"ping","id":-Infinity}\n',
+                ):
+                    raw.sendall(line)
+                    frame = strict_json(reader.readline())
+                    assert frame["ok"] is False, line
+                    assert frame["error"]["type"] == "ProtocolError", line
+                raw.sendall(encode({"op": "ping", "id": 7}))
+                assert strict_json(reader.readline())["id"] == 7
+            # An ack the subscription stream cannot read ends that stream
+            # quietly instead of killing its handler.
+            with socket_module.create_connection(
+                (server.host, server.port), timeout=30
+            ) as raw, raw.makefile("rb") as reader:
+                raw.sendall(encode({"op": "replicate.subscribe", "graph": "default"}))
+                assert decode(reader.readline())["ok"] is True
+                raw.sendall(b'{"op":"replicate.ack","seq":1e999}\n')
+                while reader.readline():
+                    pass  # heartbeats, then the primary hangs up
+            time.sleep(0.2)  # let a dying handler reach the logger
+            assert not [record.getMessage() for record in errors]
 
     def test_overloaded_rejection_at_capacity(self):
         state = ServerState()
@@ -1021,6 +1091,71 @@ class TestReplication:
             standby.stop()
             primary.stop()
 
+    def test_corrupt_frame_resubscribes_instead_of_promoting(self):
+        """Regression (split brain): a record failing its checksum used to
+        kill the standby's replication task, so it stopped reading the
+        live primary's heartbeats and promoted itself.  Refusing the frame
+        ends the session instead: the standby resubscribes from its own
+        ``wal_seq``, applies the resent record and stays a standby."""
+        import socket as socket_module
+
+        intact = record_frame(1, example_batch(1).to_json_dict())
+        corrupt = dict(intact, crc=(intact["crc"] + 1) % 2**32)
+        subscribes = []
+        stop = threading.Event()
+        listener = socket_module.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+
+        def session(conn):
+            # A fake primary: the first session ships the damaged frame,
+            # every later one the intact frame; all heartbeat at 0.2 s.
+            with conn, conn.makefile("rb") as reader:
+                request = decode(reader.readline())
+                subscribes.append(request)
+                conn.sendall(encode({"ok": True, "result": {"last_seq": 1}}))
+                if request.get("from_seq") == 0:
+                    frame = corrupt if len(subscribes) == 1 else intact
+                    conn.sendall(encode({"kind": "record", "frame": frame}))
+                try:
+                    while not stop.wait(0.2):
+                        conn.sendall(encode({"kind": "heartbeat", "last_seq": 1}))
+                except OSError:
+                    pass  # the standby ended this session
+
+        def accept():
+            while not stop.is_set():
+                try:
+                    conn, _peer = listener.accept()
+                except OSError:
+                    continue
+                threading.Thread(target=session, args=(conn,), daemon=True).start()
+
+        threading.Thread(target=accept, daemon=True).start()
+        state = ServerState()
+        state.add_graph("default")
+        failover_after = 1.0
+        standby = BackgroundServer(
+            state,
+            standby_of=listener.getsockname()[:2],
+            heartbeat_interval=0.2,
+            failover_after=failover_after,
+        ).start()
+        started = time.monotonic()
+        try:
+            with ServerClient(standby.host, standby.port) as client:
+                while time.monotonic() - started < 2 * failover_after + 0.5:
+                    health = client.health()
+                    assert health["role"] == "standby", health
+                    assert "fence" not in health
+                    time.sleep(0.1)
+                assert len(subscribes) >= 2
+                assert state.host("default").session.wal_seq == 1
+                assert health["epochs"]["default"] == 1
+        finally:
+            stop.set()
+            standby.stop()
+            listener.close()
+
     def test_failover_client_retries_reads_across_endpoints(self, tmp_path):
         primary = self._primary(tmp_path)
         standby = self._standby(primary)
@@ -1044,3 +1179,205 @@ class TestReplication:
             client.close()
             standby.stop()
             primary.stop()
+
+
+# --------------------------------------------------------------------- #
+# Byte boundaries: arbitrary request lines, damaged replication frames
+# --------------------------------------------------------------------- #
+if st is not None:
+    _JSON_VALUES = st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.dictionaries(st.text(max_size=4), children, max_size=3),
+        ),
+        max_leaves=6,
+    )
+    #: Every op but ``shutdown``, which would drain the server under test.
+    _FUZZ_OPS = [op for op in protocol.OPS if op != "shutdown"]
+    _FIELDS = (
+        "graph", "query", "name", "batch", "limit", "deadline", "retries",
+        "from_seq", "seq", "id",
+    )
+
+    @st.composite
+    def _requests(draw) -> bytes:
+        """One op with random fields of random types (plausible values too)."""
+        request = {"op": draw(st.sampled_from(_FUZZ_OPS))}
+        for field in draw(st.lists(st.sampled_from(_FIELDS), unique=True, max_size=4)):
+            request[field] = draw(
+                st.one_of(
+                    _JSON_VALUES,
+                    st.sampled_from(["default", "Q1", 0, 1, 2.5]),  # plausible
+                    st.sampled_from([float("nan"), -float("inf"), 1e300, -1, True, [1]]),
+                )
+            )
+        return json.dumps(request).encode()
+
+    _REQUEST_LINES = st.one_of(
+        st.binary(max_size=48),
+        _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+        st.integers(1, 3000).map(lambda depth: b"[" * depth + b"]" * depth),
+        _requests(),
+    ).map(lambda line: line.replace(b"\n", b" ")).filter(lambda line: line.strip())
+
+    #: Values a WAL position (``seq``) or checksum can never take.
+    _NOT_COUNTS = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(max_value=-1),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=4),
+        st.lists(st.integers(0, 3), max_size=2),
+    )
+    _DAMAGE = st.one_of(
+        st.tuples(st.sampled_from(["seq", "crc"]), st.integers(0, 62)),
+        st.tuples(st.sampled_from(["seq-type", "crc-type"]), _NOT_COUNTS),
+        st.tuples(st.just("batch"), st.integers(0, 10**6), st.integers(0, 7)),
+        st.tuples(st.just("frame"), _JSON_VALUES.filter(lambda v: not isinstance(v, dict))),
+        st.tuples(st.just("seq-overflow")),
+    )
+
+    def _damaged_lines(frame: dict, damage: tuple) -> list:
+        """The wire lines of one record frame damaged in flight."""
+        kind = damage[0]
+        frame = dict(frame)
+        if kind in ("seq", "crc"):
+            frame[kind] ^= 1 << damage[1]
+        elif kind in ("seq-type", "crc-type"):
+            frame[kind[:3]] = damage[1]
+        elif kind == "frame":
+            frame = damage[1]
+        line = encode({"kind": "record", "frame": frame})
+        if kind == "batch":
+            body = bytearray(json.dumps(frame["batch"], separators=(",", ":")).encode())
+            body[damage[1] % len(body)] ^= 1 << damage[2]
+            intact = json.dumps(frame["batch"], separators=(",", ":")).encode()
+            line = line.replace(intact, bytes(body))
+        elif kind == "seq-overflow":
+            line = line.replace(b'"seq":%d' % frame["seq"], b'"seq":1e999')
+        # A flipped bit can make a newline: the standby then reads two lines.
+        return [piece + b"\n" for piece in line.rstrip(b"\n").split(b"\n")]
+
+    class TestByteBoundaries:
+        """ROADMAP item 9's wire and replication suites: arbitrary input
+        turns into a structured refusal, never a stray exception, a
+        missing reply or a desynchronized standby."""
+
+        def test_every_request_line_gets_one_strict_json_reply(self):
+            import socket as socket_module
+
+            state = ServerState()
+            state.add_graph("default")
+            # Errors are collected while the server runs: its teardown
+            # cancels connection tasks, which this asyncio may log.
+            with BackgroundServer(state) as server, asyncio_errors() as errors:
+                connection: dict = {}
+
+                def connect():
+                    raw = socket_module.create_connection(
+                        (server.host, server.port), timeout=30
+                    )
+                    connection.update(raw=raw, reader=raw.makefile("rb"))
+
+                def disconnect():
+                    connection["reader"].close()
+                    connection["raw"].close()
+
+                def exchange(line: bytes) -> dict:
+                    connection["raw"].sendall(line + b"\n")
+                    return strict_json(connection["reader"].readline())
+
+                @settings(max_examples=80, deadline=None, derandomize=True)
+                @given(lines=st.lists(_REQUEST_LINES, min_size=1, max_size=4))
+                def check(lines):
+                    for line in lines:
+                        reply = exchange(line)  # exactly one, and strict JSON
+                        assert isinstance(reply["ok"], bool), (line, reply)
+                        try:
+                            request = strict_json(line.decode("utf-8"))
+                        except (ValueError, RecursionError):
+                            request = None
+                        if not isinstance(request, dict):
+                            assert reply["error"]["type"] == "ProtocolError", line
+                        elif (
+                            request.get("op") == "replicate.subscribe"
+                            and reply["error"]["type"] != "ProtocolError"
+                        ):
+                            # Well-formed: the connection became a (refused)
+                            # replication stream and was closed.
+                            disconnect()
+                            connect()
+                    pong = exchange(encode({"op": "ping", "id": "after"}).rstrip())
+                    assert pong["ok"] is True and pong["id"] == "after"
+
+                connect()
+                try:
+                    check()
+                finally:
+                    disconnect()
+                time.sleep(0.1)  # let a dying handler reach the logger
+                assert not [record.getMessage() for record in errors]
+
+        _FRAMES = [
+            record_frame(seq, example_batch(seq).to_json_dict()) for seq in (1, 2, 3)
+        ]
+        _LINES = [encode({"kind": "record", "frame": frame}) for frame in _FRAMES]
+
+        @classmethod
+        def _replicate(cls, first_session: list) -> tuple:
+            """Drive a fresh standby's per-frame handling, no sockets: the
+            first session reads ``first_session``; each refusal ends it and
+            the next session reads the primary's catch-up from the
+            standby's own ``wal_seq``.  Returns ``(refusals, host)``."""
+            import asyncio
+
+            from repro.errors import WALCorruptError
+            from repro.server.replication import StandbyRunner
+
+            state = ServerState()
+            state.add_graph("default")
+            host = state.host("default")
+            host.register("Q5", name="q5")
+            runner = StandbyRunner(None, state, ("127.0.0.1", 9))
+
+            async def sessions() -> int:
+                loop = asyncio.get_running_loop()
+                lines = first_session
+                for refusals in range(3):
+                    try:
+                        for line in lines:
+                            await runner._on_frame(loop, "default", host, line)
+                        return refusals
+                    except WALCorruptError:
+                        lines = cls._LINES[host.session.wal_seq :]
+                raise AssertionError("the catch-up itself was refused")
+
+            return asyncio.run(sessions()), host
+
+        @staticmethod
+        def _answer(host) -> tuple:
+            table = host.table("q5")
+            return host.session.wal_seq, table["server"]["epoch"], table["result"]
+
+        @pytest.fixture(scope="class")
+        def never_corrupted(self):
+            refusals, host = self._replicate(self._LINES)
+            assert refusals == 0
+            return self._answer(host)
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(position=st.integers(0, 2), damage=_DAMAGE)
+        def test_damaged_frame_is_refused_without_desync(
+            self, never_corrupted, position, damage
+        ):
+            lines = self._LINES
+            refusals, host = self._replicate(
+                lines[:position]
+                + _damaged_lines(self._FRAMES[position], damage)
+                + lines[position + 1 :]
+            )
+            assert refusals == 1, damage
+            assert self._answer(host) == never_corrupted

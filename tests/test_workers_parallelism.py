@@ -112,21 +112,24 @@ class TestChunkedFrontierInvariants:
 
 
 class TestExplainMatchesDispatch:
-    """``explain()`` reports the backend a match call really runs."""
+    """``explain()`` reports the backend a match call really runs, and the
+    very chunks of seed objects the pool receives."""
 
     @pytest.mark.parametrize("query_name", ["Q1", "Q5"])
     def test_process_backend_plan_matches_the_run(
         self, contact_graph, query_name, monkeypatch
     ):
+        from repro.parallel import chunk_weight
+
         query = PAPER_QUERIES[query_name].text
         dispatched = []
         real_run_chunks = WorkerPool.run_chunks
 
-        def counting_run_chunks(self, plan, chain, chunks, *args, **kwargs):
-            dispatched.append(len(chunks))
+        def recording_run_chunks(self, plan, chain, chunks, *args, **kwargs):
+            dispatched.append([list(chunk) for chunk in chunks])
             return real_run_chunks(self, plan, chain, chunks, *args, **kwargs)
 
-        monkeypatch.setattr(WorkerPool, "run_chunks", counting_run_chunks)
+        monkeypatch.setattr(WorkerPool, "run_chunks", recording_run_chunks)
         for workers in (1, 2):
             engine = DataflowEngine(contact_graph, workers=workers)
             plan = engine.explain(query)
@@ -140,8 +143,17 @@ class TestExplainMatchesDispatch:
                 assert dispatched == []
             else:  # the planned chunks really go to the worker processes
                 assert plan["effective_backend"] == "process"
-                assert len(plan["chunks"]) == engine.workers
-                assert dispatched == [engine.workers]
+                assert len(dispatched) == 1
+                received = dispatched[0]
+                assert len(received) == engine.workers
+                weight = engine.index.seed_weight
+                assert plan["chunks"] == [
+                    {"seeds": len(chunk), "weight": chunk_weight(chunk, weight)}
+                    for chunk in received
+                ]
+                # Each seed object goes to exactly one chunk.
+                shipped = [obj for chunk in received for obj in chunk]
+                assert len(shipped) == len(set(shipped)) == plan["seed_rows"]
 
 
 class TestWeightedChunks:
