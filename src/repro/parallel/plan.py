@@ -31,6 +31,7 @@ chunk from its own index, whose times it already holds.
 from __future__ import annotations
 
 import pickle
+import threading
 import uuid
 from dataclasses import dataclass
 from typing import Optional
@@ -39,6 +40,7 @@ from repro.model.itpg import IntervalTPG
 
 _TOKEN_ATTR = "_repro_parallel_token"
 _PLAN_ATTR = "_repro_parallel_plan"
+_PLAN_LOCK = threading.Lock()
 _STORE_ATTR = "_repro_store_ref"
 
 
@@ -153,10 +155,17 @@ def invalidate_plans(graph: IntervalTPG) -> bool:
 
 
 def plan_for(graph: IntervalTPG) -> ExecutionPlan:
-    """The shared :class:`ExecutionPlan` of one graph."""
+    """The shared :class:`ExecutionPlan` of one graph.
+
+    Built under a lock: concurrent readers of one graph state must agree
+    on one token (the worker-side cache key).
+    """
     plan: ExecutionPlan | None = getattr(graph, _PLAN_ATTR, None)
     if plan is None:
-        plan = ExecutionPlan(graph_token(graph), graph, store=store_ref(graph))
-        setattr(graph, _PLAN_ATTR, plan)
+        with _PLAN_LOCK:
+            plan = getattr(graph, _PLAN_ATTR, None)
+            if plan is None:
+                plan = ExecutionPlan(graph_token(graph), graph, store=store_ref(graph))
+                setattr(graph, _PLAN_ATTR, plan)
     return plan
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -229,6 +230,8 @@ class WorkerPool:
 # Shared pool registry
 # --------------------------------------------------------------------- #
 _POOLS: dict[tuple[str, int], WorkerPool] = {}
+#: Concurrent readers must not each start a pool for one key.
+_POOLS_LOCK = threading.Lock()
 
 
 def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
@@ -240,9 +243,10 @@ def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
             f"available: {', '.join(multiprocessing.get_all_start_methods())}"
         )
     key = (method, workers)
-    pool = _POOLS.get(key)
-    if pool is None or pool.broken:
-        pool = _POOLS[key] = WorkerPool(workers, method)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None or pool.broken:
+            pool = _POOLS[key] = WorkerPool(workers, method)
     return pool
 
 

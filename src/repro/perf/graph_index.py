@@ -20,6 +20,7 @@ Use :func:`graph_index_for` to obtain the shared per-graph instance.
 
 from __future__ import annotations
 
+import threading
 from typing import Hashable, Iterable, Optional, Union as TypingUnion
 
 from repro.errors import UnsupportedFragmentError
@@ -195,8 +196,10 @@ class GraphIndex:
         ] = {}
         #: Maintenance counter: +1 per :meth:`apply_delta` (server stats).
         self._epoch = 0
-        #: The columnar kernel's array image (:meth:`columnar_context`).
+        #: The columnar kernel's array image (:meth:`columnar_context`),
+        #: built once under its own lock: readers share the host lock.
         self._columnar = None
+        self._columnar_lock = threading.Lock()
 
     @property
     def epoch(self) -> int:
@@ -218,7 +221,9 @@ class GraphIndex:
         if self._columnar is None:
             from repro.perf.columnar import ColumnarContext
 
-            self._columnar = ColumnarContext(self)
+            with self._columnar_lock:
+                if self._columnar is None:
+                    self._columnar = ColumnarContext(self)
         return self._columnar
 
     # ------------------------------------------------------------------ #

@@ -118,9 +118,9 @@ class ReplicationHub:
 
     Owned by the :class:`~repro.server.service.QueryServer`; lives on its
     event loop.  Publication is thread-safe: the per-host ``on_applied``
-    tap fires on an executor thread under the host lock and bounces the
-    frame onto the loop with ``call_soon_threadsafe``, so subscribers
-    observe frames in apply order.
+    tap fires on an executor thread under the exclusive host lock and
+    bounces the frame onto the loop with ``call_soon_threadsafe``, so
+    subscribers observe frames in apply order.
     """
 
     def __init__(

@@ -20,10 +20,13 @@ waiting, further heavy requests are rejected *immediately* with an
 Clients see the rejection in bounded time and can back off; latency for
 admitted requests stays predictable.
 
-Consistency: requests on one graph serialize on the host lock (see
-:mod:`repro.server.state`), so concurrent clients interleaved with
-delta writers always observe a clean pre- or post-batch state, and every
-answer carries the epoch it was computed at.
+Consistency: reads on one graph (``query``, ``table``) share the host
+lock and overlap; writes (``apply_delta``, ``register``) hold it alone
+(see :mod:`repro.server.state`).  So concurrent clients interleaved
+with delta writers always observe a clean pre- or post-batch state, and
+every answer carries the epoch it was computed at.  A failure that is
+not a :class:`~repro.errors.ReproError` still answers the client, and
+its traceback goes to the ``repro.server`` logger with the request id.
 
 Lifecycle and roles (see :mod:`repro.server.replication`)
 ---------------------------------------------------------
@@ -50,13 +53,14 @@ orchestrators and failover clients.
 from __future__ import annotations
 
 import asyncio
+import logging
 import math
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro.errors import NotPrimary, Overloaded, ServerError
+from repro.errors import NotPrimary, Overloaded, ReproError, ServerError
 from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -75,6 +79,8 @@ from repro.server.replication import (
     StandbyRunner,
 )
 from repro.server.state import ServerState
+
+_log = logging.getLogger("repro.server")
 
 #: Ops answered inline on the event loop (no executor round-trip).
 _CHEAP_OPS = frozenset({"ping", "graphs", "stats", "health", "shutdown"})
@@ -324,6 +330,14 @@ class QueryServer:
         try:
             return await self._dispatch(request)
         except Exception as error:  # noqa: BLE001 — every failure answers the client
+            if not isinstance(error, ReproError):
+                # The wire says only "internal error (Type)"; keep the
+                # traceback where an operator can find it.
+                _log.exception(
+                    "request id=%r op=%r failed unexpectedly",
+                    request.get("id"),
+                    request.get("op"),
+                )
             return error_response(error, request=request)
 
     async def _dispatch(self, request: dict) -> dict:

@@ -15,12 +15,44 @@ graph:
   answered, and (with an attached WAL / snapshot path) makes the
   resident state recoverable across restarts.
 
-Consistency model: the session's reentrant lock serializes *everything*
-on one host — ad-hoc queries, registered-table reads, delta
-application.  Requests therefore see either the state before a batch or
-after it, never a torn half-applied one, and every answer is labelled
-with the session ``epoch`` it was computed at.  Hosts are independent:
-requests against different graphs run concurrently.
+Consistency model: the host lock is the session's
+:class:`~repro.streaming.lock.SharedLock`.  Reads — :meth:`GraphHost.query`,
+:meth:`~GraphHost.table`, :meth:`~GraphHost.stats` and
+:meth:`~GraphHost.registered_queries` — take its shared side and run
+alongside each other; writes — :meth:`~GraphHost.apply_delta`,
+:meth:`~GraphHost.apply_frame` and :meth:`~GraphHost.register` — take
+the exclusive side and overlap nothing.  A waiting writer stops new
+readers from entering, so reads cannot starve a delta.  Requests
+therefore see either the state before a batch or after it, never a torn
+half-applied one, and every answer is labelled with the session
+``epoch`` it was computed at: per-graph serializability.  Hosts are
+independent: requests against different graphs run concurrently.
+
+Readers share the lock, so every structure a reader *writes* is either
+built then published with one assignment (a racing reader builds an
+equal value, and the last assignment wins) or guarded by a lock of its
+own.  Only a writer iterates or patches these structures, under the
+exclusive side:
+
+* ``GraphIndex._table_cache``, ``_static_cache`` and ``_hop_cache``
+  entries — build then publish;
+* ``ColumnarContext._conditions`` and ``_hulls`` — build then publish;
+* the lazy ``GraphIndex.columnar_context()`` — locked, built once;
+* :class:`~repro.server.plans.PlanCache` — locked (a racing miss
+  prepares twice and stores one of two equal plans);
+* ``_QueryState.merged`` of a registered query — build then publish;
+* ``WorkerPool._warm`` — single ``setdefault``/``add`` calls; a stale
+  read costs at most a payload resend;
+* ``plan_for`` (one parallel token per graph state) and ``shared_pool``
+  (one pool per key) — locked; ``ExecutionPlan.payload`` — build then
+  publish;
+* a compiled store's lazy maps — whole-section fills locked, per-key
+  decodes build then publish — and ``AttachedGraph``'s materialization,
+  locked.
+
+Answer payloads are encoded after the lock is released: a table is
+never patched in place once returned (the kernel builds fresh arrays
+and lists; a delta *replaces* a registered query's merged table).
 """
 
 from __future__ import annotations
@@ -65,8 +97,8 @@ class GraphHost:
         self.plans = plans if plans is not None else PlanCache()
         #: The session lock doubles as the host lock (see module docstring).
         self.lock = self.session.lock
-        #: Replication taps: callables invoked (under the host lock, so
-        #: frames observe apply order) with each applied WAL frame
+        #: Replication taps: callables invoked (under the exclusive host
+        #: lock, so frames observe apply order) with each applied WAL frame
         #: ``{seq, crc, batch}`` — the hub ships these to standbys.
         self.on_applied: list = []
         #: Registration taps: callables invoked with ``(name, text)``
@@ -134,7 +166,7 @@ class GraphHost:
         return host, recovery
 
     # ------------------------------------------------------------------ #
-    # Request execution (all under the host lock)
+    # Request execution (reads share the host lock, writes hold it alone)
     # ------------------------------------------------------------------ #
     def query(
         self,
@@ -148,7 +180,7 @@ class GraphHost:
         normalized = normalize_query(text)
         retry = None if retries is None else RetryPolicy(retries=retries)
         start = time.perf_counter()
-        with self.lock:
+        with self.lock.shared():
             plan = self.plans.get(normalized)
             outcome = "hit" if plan is not None else "miss"
             if plan is None:
@@ -194,7 +226,7 @@ class GraphHost:
 
     def table(self, name: str, *, limit: Optional[int] = None) -> dict:
         """Read a registered query's continuously-maintained answer."""
-        with self.lock:
+        with self.lock.shared():
             table = self.session.table(name)
             epoch = self.session.epoch
         payload = self._table_payload(table, limit)
@@ -269,14 +301,14 @@ class GraphHost:
 
     def registered_queries(self) -> dict:
         """``{name: query text}`` of the continuously-answered queries."""
-        with self.lock:
+        with self.lock.shared():
             return {
                 name: self.session.query_text(name)
                 for name in self.session.query_names()
             }
 
     def stats(self) -> dict:
-        with self.lock:
+        with self.lock.shared():
             stats = graph_statistics(self.graph).as_row()
             return {
                 "graph": dict(stats),

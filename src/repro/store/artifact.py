@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import pickle
 import struct
+import threading
 import uuid
 from typing import Any, Callable, Hashable, Iterator, Optional
 
@@ -194,7 +195,7 @@ class _LazyMap(dict):
     records without the artifact ever being touched.
     """
 
-    __slots__ = ("_load", "_fill", "_filled")
+    __slots__ = ("_load", "_fill", "_filled", "_fill_lock")
 
     def __init__(
         self,
@@ -205,20 +206,26 @@ class _LazyMap(dict):
         self._load = load
         self._fill = fill
         self._filled = fill is None
+        self._fill_lock = threading.Lock()
 
     def _ensure_filled(self) -> None:
+        # Readers share the host lock: one fills, and only then publishes
+        # ``_filled``, so no reader takes a half-filled map for complete.
         if not self._filled:
-            self._filled = True
-            self._fill(self)
+            with self._fill_lock:
+                if not self._filled:
+                    self._fill(self)
+                    self._filled = True
 
     def __missing__(self, key: Any) -> Any:
-        if not self._filled:
+        if self._load is None:
+            # Look again once filled: this miss may have raced the fill.
             self._ensure_filled()
             if dict.__contains__(self, key):
                 return dict.__getitem__(self, key)
             raise KeyError(key)
-        if self._load is None:
-            raise KeyError(key)
+        # A racing reader may decode the same record: both memoize equal
+        # values.
         value = self._load(key)
         dict.__setitem__(self, key, value)
         return value
@@ -478,11 +485,16 @@ class AttachedGraph:
     def __init__(self, core: AttachedCore) -> None:
         self._core = core
         self._real: Optional[IntervalTPG] = None
+        self._materialize_lock = threading.Lock()
 
     # -- materialization ------------------------------------------------ #
     def _materialize(self) -> IntervalTPG:
+        # Locked: two readers must not each unpickle a graph, or one of
+        # them would keep reading a copy later writes never reach.
         if self._real is None:
-            self._real = pickle.loads(self._core.graph_bytes())
+            with self._materialize_lock:
+                if self._real is None:
+                    self._real = pickle.loads(self._core.graph_bytes())
         return self._real
 
     @property

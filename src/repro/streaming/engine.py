@@ -36,7 +36,6 @@ copy of the materialized graph.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Union as TypingUnion
@@ -56,6 +55,7 @@ from repro.lang.parser import MatchQuery
 from repro.lang.translate import CompiledMatch
 from repro.model.itpg import IntervalTPG
 from repro.streaming.delta import DeltaBatch, DeltaEffects, apply_delta
+from repro.streaming.lock import SharedLock
 from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
 
 ObjectId = Hashable
@@ -84,7 +84,8 @@ class _QueryState:
     seed_times: dict[ObjectId, IntervalSet] = field(default_factory=dict)
     #: Non-empty per-seed outputs (families or point tuples).
     contributions: dict[ObjectId, Contribution] = field(default_factory=dict)
-    #: Merged output, rebuilt lazily after contributions change.
+    #: Merged output, rebuilt lazily after contributions change — by a
+    #: reader under the shared lock, so it is built whole, then assigned.
     merged: Optional[TypingUnion[BindingTable, IntervalBindingTable]] = None
 
 
@@ -147,11 +148,12 @@ class StreamingEngine:
         self._graph: IntervalTPG = engine.graph
         self._queries: dict[str, _QueryState] = {}
         self._last_sequence: Optional[int] = None
-        #: Serializes delta application against reads: concurrent callers
-        #: (the server's per-graph request threads) either see the state
-        #: before a batch or after it, never a half-applied one.  Reentrant
-        #: so registration inside a locked read path stays legal.
-        self._lock = threading.RLock()
+        #: Reads (:meth:`table`, :meth:`results`) take the shared side and
+        #: overlap; :meth:`apply` and :meth:`register` take the exclusive
+        #: side, so a concurrent caller (the server's per-graph request
+        #: threads) sees the state before a batch or after it, never a
+        #: half-applied one.
+        self._lock = SharedLock()
         #: Monotone state counter: +1 per successfully applied batch.
         #: Readers capture it under the lock to label which graph state
         #: an answer belongs to.
@@ -177,8 +179,8 @@ class StreamingEngine:
         return self._last_sequence
 
     @property
-    def lock(self) -> threading.RLock:
-        """The session's apply/read lock (see :meth:`apply`)."""
+    def lock(self) -> SharedLock:
+        """The session's shared (read) / exclusive (apply) lock."""
         return self._lock
 
     @property
@@ -289,7 +291,7 @@ class StreamingEngine:
 
     def results(self, name: str):
         """The merged coalesced families of a registered ``families`` query."""
-        with self._lock:
+        with self._lock.shared():
             state = self._state(name)
             if state.mode != "families":
                 raise EvaluationError(
@@ -300,7 +302,7 @@ class StreamingEngine:
 
     def table(self, name: str) -> TypingUnion[BindingTable, IntervalBindingTable]:
         """The merged binding table of a registered query."""
-        with self._lock:
+        with self._lock.shared():
             return self._merged(self._state(name))
 
     def _state(self, name: str) -> _QueryState:

@@ -9,6 +9,10 @@ What this module pins:
 * requests interleaved with delta application are serial-identical:
   every answer matches the serial reference for the epoch it is
   labelled with, never a torn in-between state;
+* readers share the host lock — a reader parked in the kernel does not
+  hold up another — while a delta still waits for them, and readers
+  arriving behind a waiting delta wait for it;
+* a failure that is not a ``ReproError`` logs its traceback;
 * backpressure is admission control: at capacity the service rejects
   with ``Overloaded`` instead of queueing without bound;
 * the ``repro serve`` subprocess answers a mixed paper-query burst with
@@ -556,10 +560,13 @@ class TestService:
                 blocked.close()
                 probe.close()
 
-    def test_concurrent_queries_with_delta_writer_are_serial_identical(self):
-        """Satellite 4: readers racing a delta writer see per-epoch answers."""
-        state = ServerState(workers=2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_concurrent_queries_with_delta_writer_are_serial_identical(self, workers):
+        """Readers racing a delta writer — ad-hoc light and heavy queries
+        and a registered-table read — see per-epoch answers."""
+        state = ServerState(workers=workers)
         state.add_graph("default")
+        state.host("default").register("Q5", name="q5")
         num_batches = 4
         # Reference answers per epoch, each computed on a fresh twin graph
         # (a fresh graph gets a fresh shared index — the raw apply_delta
@@ -571,27 +578,34 @@ class TestService:
             twin = contact_tracing_example()
             for seq in range(1, epoch + 1):
                 apply_delta(twin, example_batch(seq))
-            reference[epoch] = {q: serial_wire_answer(twin, q) for q in ("Q1", "Q5")}
+            reference[epoch] = {
+                q: serial_wire_answer(twin, q) for q in ("Q1", "Q5", "Q11")
+            }
+            reference[epoch]["table q5"] = reference[epoch]["Q5"]
 
         errors = []
         observations = []
 
-        def reader(text: str, stop: threading.Event) -> None:
+        def reader(what: str, stop: threading.Event) -> None:
+            op, _, name = what.partition(" ")
             try:
                 with ServerClient(server.host, server.port) as client:
                     while not stop.is_set():
-                        response = client.query(text)
+                        if op == "table":
+                            response = client.table(name)
+                        else:
+                            response = client.query(what)
                         observations.append(
-                            (text, response["server"]["epoch"], response["result"]["families"])
+                            (what, response["server"]["epoch"], response["result"]["families"])
                         )
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 
-        with BackgroundServer(state, max_concurrency=4) as server:
+        with BackgroundServer(state, max_concurrency=5) as server:
             stop = threading.Event()
             readers = [
-                threading.Thread(target=reader, args=("Q1", stop), daemon=True),
-                threading.Thread(target=reader, args=("Q5", stop), daemon=True),
+                threading.Thread(target=reader, args=(what, stop), daemon=True)
+                for what in ("Q1", "Q5", "Q11", "table q5")
             ]
             for thread in readers:
                 thread.start()
@@ -602,16 +616,100 @@ class TestService:
             stop.set()
             for thread in readers:
                 thread.join(timeout=30)
+                assert not thread.is_alive()
         assert not errors
-        assert observations
-        seen_epochs = set()
-        for text, epoch, families in observations:
-            assert families == reference[epoch][text], (
-                f"{text} at epoch {epoch} diverged from the serial reference"
+        seen_epochs = {}
+        for what, epoch, families in observations:
+            assert families == reference[epoch][what], (
+                f"{what} at epoch {epoch} diverged from the serial reference"
             )
-            seen_epochs.add(epoch)
-        # The race actually spanned multiple epochs (not all pre/post).
-        assert len(seen_epochs) > 1
+            seen_epochs.setdefault(what, set()).add(epoch)
+        # Every reader answered, and the race spanned multiple epochs
+        # (not all pre/post).
+        assert set(seen_epochs) == {"Q1", "Q5", "Q11", "table q5"}
+        assert len(set().union(*seen_epochs.values())) > 1
+
+    def test_readers_overlap_and_a_waiting_writer_holds_back_new_readers(self):
+        """A reader parked inside the kernel holds the shared side: a
+        second reader finishes meanwhile, a delta waits for the parked
+        reader, and a reader arriving behind the waiting delta answers
+        only after it (writer preference)."""
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        started: dict[str, float] = {}
+        finished: dict[str, float] = {}
+        epochs: dict[str, int] = {}
+        errors = []
+
+        def run(name, call):
+            started[name] = time.monotonic()
+            try:
+                with ServerClient(server.host, server.port) as client:
+                    epochs[name] = call(client)["server"]["epoch"]
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+            finished[name] = time.monotonic()
+
+        def spawn(name, call):
+            thread = threading.Thread(target=run, args=(name, call), daemon=True)
+            thread.start()
+            return thread
+
+        def read(client):
+            return client.request("query", graph="default", query="Q1")
+
+        try:
+            with BackgroundServer(state, max_concurrency=4) as server:
+                failpoints.arm("engine.step", "sleep", seconds=0.5, times=1)
+                a = spawn("A", lambda client: client.query("Q5"))
+                wait_until(lambda: failpoints.hits("engine.step") >= 1)
+                b = spawn("B", read)
+                b.join(timeout=30)
+                assert "B" in finished and "A" not in finished, "B waited for A"
+                w = spawn(
+                    "W", lambda client: client.apply_delta(example_batch(1).to_json_dict())
+                )
+                wait_until(lambda: host.lock._writers_waiting == 1)
+                c = spawn("C", read)
+                time.sleep(0.1)
+                # A is still parked, so only the queued writer holds C back.
+                assert "A" not in finished
+                assert "W" not in finished and "C" not in finished
+                for thread in (a, w, c):
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            failpoints.disarm_all()
+        assert not errors
+        # A and B read before the batch; the writer applied it only once
+        # A's parked kernel step was over; C read after the writer.
+        assert epochs == {"A": 0, "B": 0, "W": 1, "C": 1}
+        assert finished["W"] - started["A"] >= 0.5
+
+    def test_unexpected_error_logs_its_traceback(self, monkeypatch, caplog):
+        """A failure that is not a ReproError answers "internal error
+        (Type)" on the wire, and its traceback reaches the
+        ``repro.server`` logger with the request id."""
+
+        def explode(self, *args, **kwargs):
+            raise RuntimeError("secret internal detail")
+
+        monkeypatch.setattr(GraphHost, "query", explode)
+        state = ServerState()
+        state.add_graph("default")
+        with caplog.at_level(logging.ERROR, logger="repro.server"):
+            with BackgroundServer(state) as server:
+                with ServerClient(server.host, server.port) as client:
+                    with pytest.raises(ServerError) as err:
+                        client.request("query", id=4711, graph="default", query="Q1")
+                    assert client.ping()["protocol"]
+        assert err.value.kind == "RuntimeError"
+        assert str(err.value) == "internal error (RuntimeError)"
+        [record] = [r for r in caplog.records if r.name == "repro.server"]
+        assert "4711" in record.getMessage()
+        assert record.exc_info is not None
+        assert "secret internal detail" in caplog.text
 
     def test_shutdown_op_stops_the_server(self):
         state = ServerState()

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -427,3 +429,41 @@ class TestServerStore:
         assert recovery is not None
         assert host.graph.has_object("Zara")
         host.close()
+
+
+class TestConcurrentReaders:
+    """Readers share the host lock, so several may be first to touch an
+    attached store's lazy state at once."""
+
+    def test_racing_first_touches_agree(self, tmp_path):
+        graph = random_itpg(5, num_nodes=1500, num_edges=3000)
+        path, _ = _compile(tmp_path, graph)
+        objects = list(graph.objects())[::-1]  # filled last, read first
+        expected = [graph.label(obj) for obj in objects]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _round in range(3):
+                attachment = attach(path)
+                barrier = threading.Barrier(6, timeout=30)
+                labels, graphs = [], []
+
+                def reader():
+                    barrier.wait()
+                    labels.append([attachment.core.labels.get(o) for o in objects])
+                    graphs.append(attachment.graph._materialize())
+
+                threads = [threading.Thread(target=reader) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                # No reader saw a half-filled label map as complete, and
+                # every reader got the one materialized graph.
+                assert labels == [expected] * 6
+                assert all(g is graphs[0] for g in graphs)
+                assert attachment.graph._materialize() is graphs[0]
+                attachment.close()
+        finally:
+            sys.setswitchinterval(interval)
