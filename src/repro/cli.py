@@ -549,8 +549,7 @@ def _run_stream(
             print(
                 f"# batch {batch_number} (seq {sequence}): +{applied.new_nodes} nodes "
                 f"+{applied.new_edges} edges ~{applied.touched_objects} touched"
-                f"{horizon} | seeds re-derived {applied.affected_seeds}"
-                f"/{applied.total_seeds} | output {new_size} ({new_size - size:+d})"
+                f"{horizon} | output {new_size} ({new_size - size:+d})"
             )
             size = new_size
         if session.wal is not None:

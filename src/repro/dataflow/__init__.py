@@ -21,12 +21,6 @@ stars and path conditions fall back to the reference engine.
 
 from repro.dataflow.steps import compile_chain, ChainStep, condition_times
 from repro.dataflow.executor import DataflowEngine, MatchResult
-from repro.dataflow.frontier import (
-    Frontier,
-    IntervalMaterializer,
-    RowFrontier,
-    row_signature,
-)
 from repro.dataflow.queries import PAPER_QUERIES, PaperQuery, get_query
 
 __all__ = [
@@ -34,11 +28,7 @@ __all__ = [
     "ChainStep",
     "condition_times",
     "DataflowEngine",
-    "Frontier",
-    "IntervalMaterializer",
     "MatchResult",
-    "RowFrontier",
-    "row_signature",
     "PAPER_QUERIES",
     "PaperQuery",
     "get_query",

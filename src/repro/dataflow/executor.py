@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, Sequence, Union as TypingUnion
 
-from repro.dataflow.frontier import IntervalFamily
 from repro.dataflow.steps import (
     BindStep,
     ChainStep,
@@ -66,8 +65,11 @@ from repro.resilience.retry import (
     RetryPolicy,
     is_retryable,
 )
+from repro.temporal.intervalset import IntervalSet
 
 ObjectId = Hashable
+#: One coalesced output entry: variable bindings plus shared validity times.
+IntervalFamily = tuple[tuple[tuple[str, ObjectId], ...], IntervalSet]
 TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
 
 

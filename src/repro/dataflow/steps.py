@@ -118,13 +118,11 @@ class HopStep(ChainStep):
 
     The coalescing engine rewrites a structural move, the static tests
     on the object it lands on, and the following structural move into a
-    single set-at-a-time hop (:func:`fuse_hops`).  Executed through the
-    memoized :meth:`~repro.perf.graph_index.GraphIndex.hop_entries`
-    table, a hop never materializes one frontier row per traversed
-    edge: parallel edges between the same endpoints are pre-unioned
-    into one coalesced interval family per ``(source, target)`` pair,
-    which is what stops Q11/Q12-style room joins from multiplying
-    signature-equal rows.
+    single set-at-a-time hop (:func:`fuse_hops`).  The columnar kernel
+    runs a hop as struct/test passes with a signature merge after each
+    struct, so parallel edges between the same endpoints collapse into
+    one coalesced interval family per ``(source, target)`` pair — what
+    stops Q11/Q12-style room joins from multiplying rows.
     """
 
     forward_in: bool
@@ -251,57 +249,6 @@ def chain_has_temporal_step(steps: tuple[ChainStep, ...]) -> bool:
             if any(chain_has_temporal_step(alt) for alt in step.alternatives):
                 return True
     return False
-
-
-def chain_structural_radius(steps: tuple[ChainStep, ...]) -> int:
-    """Upper bound on the structural moves a chain performs from its seed.
-
-    Structural moves are the only steps that change the current object,
-    and the dataflow fragment never repeats them unboundedly
-    (:func:`_compile_repeat`), so every object a chain evaluation reads
-    lies within this many incidence steps of the seed.  Alternatives
-    contribute the maximum over their branches.  This is the radius the
-    streaming layer uses to turn a delta's dirty object set into the set
-    of seeds whose cached results may change.
-    """
-    total = 0
-    for step in steps:
-        if isinstance(step, StructStep):
-            total += 1
-        elif isinstance(step, HopStep):
-            total += 2
-        elif isinstance(step, AltStep):
-            total += max(
-                (chain_structural_radius(alt) for alt in step.alternatives),
-                default=0,
-            )
-    return total
-
-
-def chain_temporal_radius(steps: tuple[ChainStep, ...]) -> Optional[int]:
-    """Upper bound on how far a chain can move through time, or ``None``.
-
-    The sum of the temporal steps' upper bounds: any time point a chain
-    evaluation visits is within this distance of a seed time (every
-    non-temporal step only intersects the current times).  ``None``
-    means unbounded (some step has no upper bound), in which case a
-    delta anywhere in time can affect any seed.
-    """
-    total = 0
-    for step in steps:
-        if isinstance(step, TemporalStep):
-            if step.upper is None:
-                return None
-            total += step.upper
-        elif isinstance(step, AltStep):
-            branch_max = 0
-            for alt in step.alternatives:
-                branch = chain_temporal_radius(alt)
-                if branch is None:
-                    return None
-                branch_max = max(branch_max, branch)
-            total += branch_max
-    return total
 
 
 def fuse_hops(

@@ -19,9 +19,8 @@ Person/room identities, risk assignment and positivity times are drawn
 from the *full* trajectory set up front, so an entity keeps its
 properties as it grows across batches.  By default the temporal domain
 spans the whole study horizon from the start (the natural streaming
-shape: a fixed horizon filled in by arriving events), which keeps every
-batch on the per-seed streaming path; ``advance_horizon=True``
-instead starts the domain at the prefix's last event and extends it
+shape: a fixed horizon filled in by arriving events);
+``advance_horizon=True`` instead starts the domain at the prefix's last event and extends it
 batch by batch, exercising the
 :meth:`~repro.model.itpg.IntervalTPG.extend_domain` path.
 """

@@ -178,7 +178,7 @@ class IntervalBindingTable:
     differential fuzz suite.
     """
 
-    __slots__ = ("variables", "_families", "_table")
+    __slots__ = ("variables", "_families", "_table", "_size")
 
     def __init__(self, variables: Sequence[str], families: Iterable[Family]) -> None:
         self.variables = tuple(variables)
@@ -187,6 +187,8 @@ class IntervalBindingTable:
             if not times.is_empty()
         )
         self._table: Optional[BindingTable] = None
+        #: The point-row count, summed once: the table never changes.
+        self._size: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Interval-native accessors (never expand)
@@ -205,11 +207,16 @@ class IntervalBindingTable:
         return sum(len(times) for _bindings, times in self._families)
 
     def __len__(self) -> int:
-        if not self.variables:
-            # A variable-free MATCH yields a single empty row when it
-            # holds anywhere (mirrors the eager tables).
-            return 1 if self._families else 0
-        return sum(times.total_points() for _bindings, times in self._families)
+        if self._size is None:
+            if not self.variables:
+                # A variable-free MATCH yields a single empty row when it
+                # holds anywhere (mirrors the eager tables).
+                self._size = 1 if self._families else 0
+            else:
+                self._size = sum(
+                    times.total_points() for _bindings, times in self._families
+                )
+        return self._size
 
     def is_empty(self) -> bool:
         return not self._families

@@ -1,10 +1,9 @@
 """Columnar (vectorized) evaluation kernel for fused step chains.
 
-This is the one kernel ``DataflowEngine(graph)`` runs a query on.  (The
-per-row walk in :mod:`repro.dataflow.interpreted` survives only as the
-streaming engine's per-seed refresh.)  This module compiles a fused
-chain into sequences of *columnar ops* executed as NumPy sweeps over
-flat arrays:
+This is the one kernel ``DataflowEngine(graph)`` runs a query on — ad
+hoc, for a streaming session's registered queries and in the worker
+pool alike.  This module compiles a fused chain into sequences of
+*columnar ops* executed as NumPy sweeps over flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
   per row), one int64 column per bound variable, and the per-row
@@ -116,7 +115,7 @@ def compile_ops(chain: Sequence[ChainStep]) -> Leaves:
     """Compile a chain into its :class:`Leaves`.
 
     Fused hops decompose into struct/test passes (signature-merged after
-    each struct), which is relation-equal to the interpreted hop tables.
+    each struct), which is relation-equal to the fused hop's relation.
     A TemporalStep closes the current temporal group (see
     :meth:`_Kernel._op_temporal`), which only the outer chain of an op
     sequence can do: an alternation whose branches navigate through time
@@ -388,9 +387,8 @@ class ColumnarContext:
         """``(indptr, starts, ends)`` CSR over dense ids for one condition.
 
         Decoded once per condition from the index's memoized table
-        (objects absent from the table get an empty row, mirroring the
-        interpreted ``table.get(...) is None`` kill) and patched with
-        the rest of the image afterwards.
+        (objects absent from the table get an empty row: a test kills
+        them) and patched with the rest of the image afterwards.
         """
         cached = self._conditions.get(condition)
         if cached is None:
@@ -549,8 +547,8 @@ def _group_rows(keys: list, count: int):
     """Group rows by the tuple of key columns, first-occurrence ordered.
 
     Returns ``(group_of, reps)``: per-row group ids and, per group, the
-    index of its first member — the same representative the interpreted
-    coalescing frontier keeps when signature-equal rows merge.
+    index of its first member — the representative a coalescing merge
+    of signature-equal rows keeps.
     """
     if not keys:
         return (
@@ -583,8 +581,7 @@ class _State:
 
     Invariants: ``owner`` ascending; per owner the ``(start, end)``
     intervals form a coalesced family; every row owns >= 1 interval
-    (rows that run dry are compacted away, like interpreted rows whose
-    times empty out).
+    (rows whose times empty out are compacted away).
 
     After a temporal step ``link`` is ``(frozen state, step)`` — the
     closed temporal group the rows navigated from — and ``src`` the
@@ -727,8 +724,7 @@ class _Kernel:
         for completed, op in enumerate(ops):
             if state.rows == 0:
                 break
-            # Same chaos hook + deadline cadence as the interpreted
-            # chain loop (one fire/check per columnar op).
+            # One chaos-hook fire and deadline check per columnar op.
             failpoints.fire("engine.step")
             if deadline is not None:
                 deadline.progress["steps_completed"] = completed
@@ -872,8 +868,8 @@ class _Kernel:
 
     def _targets(self, step: TemporalStep, obj, owner, s, e) -> tuple:
         """Per owner, every time reachable from its family through ``step``
-        on object ``obj[owner]`` — the vectorized ``reachable_window``
-        union of ``IntervalMaterializer.link_targets``."""
+        on object ``obj[owner]`` — the vectorized union of
+        :func:`~repro.temporal.alignment.reachable_window`."""
         lower, upper, forward = step.lower, step.upper, step.forward
         if not step.require_existence:
             ctx = self.ctx
@@ -977,18 +973,18 @@ class _Kernel:
 
     # -- output ----------------------------------------------------------- #
     def project(self, state: _State, variables: tuple[str, ...], mode: str):
-        """Step 3 in array form: the columnar ``IntervalMaterializer``.
+        """Step 3 in array form: the interval-native materializer.
 
         ``mode="families"`` returns the canonical ``(bindings, family)``
         list, one entry per binding tuple (variables bound in at most
         one temporal group); ``mode="points"`` a :class:`PointTable`.
-        Both run the materializer's two passes per live row over its
-        chain of frozen groups: backward, ``alive[j] = T_j ∩
-        sources(alive[j+1])`` prunes every time that cannot complete the
-        chain; forward, ``targets(·) ∩ alive[j+1]`` carries the
-        admissible times up to the last bound group — expanded to points
-        (``np.repeat``/``arange``) at each group that binds a variable,
-        kept as aggregated intervals at those that bind none.
+        Both run two passes per live row over its chain of frozen
+        groups: backward, ``alive[j] = T_j ∩ sources(alive[j+1])`` prunes
+        every time that cannot complete the chain; forward, ``targets(·)
+        ∩ alive[j+1]`` carries the admissible times up to the last bound
+        group — expanded to points (``np.repeat``/``arange``) at each
+        group that binds a variable, kept as aggregated intervals at
+        those that bind none.
         """
         if state.rows == 0:
             return [] if mode == "families" else PointTable(variables, (), [], [])
@@ -1004,7 +1000,7 @@ class _Kernel:
             link, anc = frozen.link, None if frozen.src is None else frozen.src[anc]
         levels.reverse()
         # A name's group is the number of levels frozen before its bind
-        # (later binds win, as in the per-row walk).
+        # (later binds win).
         position = {name: i for i, name in enumerate(state.names)}
         group_of = {
             v: sum(len(frozen.names) <= position[v] for frozen, _step, _anc in levels)
@@ -1169,8 +1165,7 @@ def run_query(
 
     Seeds come straight from the context's condition CSR (or the object
     range under domain times), never materializing per-row Python
-    objects — this is where the kernel beats a per-row walk even on
-    cheap full-scan queries.  ``seeds`` restricts the run to one chunk of
+    objects — which keeps even cheap full-scan queries cheap.  ``seeds`` restricts the run to one chunk of
     seed objects, in their order (the worker pool's unit of work); the
     answers of any split of the seed objects union to the unrestricted
     answer.  They are objects, not dense ids: a worker numbers the
@@ -1200,6 +1195,16 @@ def run_query(
                 for obj, times in table.items()
             ]
             return families, len(families), 0
+    state = seed_state(ctx, plan, seeds)
+    return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
+
+
+def seed_state(
+    ctx: ColumnarContext, plan: ColumnarPlan, seeds: Optional[Sequence[ObjectId]] = None
+) -> _State:
+    """The frontier a plan's leaves start from: one row per seed object
+    (all objects, or ``seeds`` in their order) that meets the seed
+    condition, under its satisfaction times (domain times without one)."""
     ids = None
     if seeds is not None:
         object_id = ctx.object_id
@@ -1211,18 +1216,16 @@ def run_query(
         counts = counts[cur]
         owner = np.repeat(np.arange(cur.size, dtype=np.int64), counts)
         pos = _ranges(indptr[cur], counts)
-        state = _State(cur, (), [], owner, starts[pos], ends[pos])
-    else:
-        cur = np.arange(ctx.num_objects, dtype=np.int64) if ids is None else ids
-        state = _State(
-            cur,
-            (),
-            [],
-            np.arange(cur.size, dtype=np.int64),
-            np.full(cur.size, ctx.domain_start, dtype=np.int64),
-            np.full(cur.size, ctx.domain_end, dtype=np.int64),
-        )
-    return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
+        return _State(cur, (), [], owner, starts[pos], ends[pos])
+    cur = np.arange(ctx.num_objects, dtype=np.int64) if ids is None else ids
+    return _State(
+        cur,
+        (),
+        [],
+        np.arange(cur.size, dtype=np.int64),
+        np.full(cur.size, ctx.domain_start, dtype=np.int64),
+        np.full(cur.size, ctx.domain_end, dtype=np.int64),
+    )
 
 
 def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):

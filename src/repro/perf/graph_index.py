@@ -42,7 +42,7 @@ from repro.model.convert import tpg_to_itpg
 from repro.model.itpg import IntervalTPG
 from repro.model.tpg import TemporalPropertyGraph
 from repro.temporal.interval import Interval
-from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
+from repro.temporal.intervalset import IntervalSet
 from repro.temporal.valued import ValuedIntervalSet
 
 ObjectId = Hashable
@@ -95,10 +95,8 @@ class CompiledCore:
         core.nodes = frozenset(graph.nodes())
         core.edges = frozenset(graph.edges())
         core.objects = tuple(graph.objects())
-        #: Dense per-object integers in deterministic enumeration order.
-        #: The coalescing frontier keys its rows by binding signature; the
-        #: compact ids keep those signature tuples small and cheap to hash
-        #: compared to the raw (often string) object identifiers.
+        #: Dense per-object integers in deterministic enumeration order:
+        #: the columnar kernel's array positions for each object.
         core.object_id = {obj: position for position, obj in enumerate(core.objects)}
 
         core.labels = {}
@@ -157,7 +155,7 @@ class GraphIndex:
     the graph here, or passed in pre-attached from a persistent artifact
     (:func:`repro.store.attach`); on top of the core the index keeps the
     mutable overlay state delta maintenance writes to, plus the memoized
-    condition / hop tables.
+    condition tables.
     """
 
     def __init__(self, graph: IntervalTPG, core: CompiledCore | None = None) -> None:
@@ -191,9 +189,6 @@ class GraphIndex:
 
         self._table_cache: dict[Test, dict[ObjectId, IntervalSet]] = {}
         self._static_cache: dict[Test, bool] = {}
-        self._hop_cache: dict[
-            tuple, dict[ObjectId, tuple[tuple[ObjectId, IntervalSet], ...]]
-        ] = {}
         #: Maintenance counter: +1 per :meth:`apply_delta` (server stats).
         self._epoch = 0
         #: The columnar kernel's array image (:meth:`columnar_context`),
@@ -333,89 +328,6 @@ class GraphIndex:
         raise TypeError(f"unknown test {condition!r}")
 
     # ------------------------------------------------------------------ #
-    # Fused hops (set-at-a-time structural traversal)
-    # ------------------------------------------------------------------ #
-    def hop_entries(
-        self,
-        obj: ObjectId,
-        forward_in: bool,
-        mid_conditions: tuple[Test, ...],
-        forward_out: bool,
-        target_conditions: tuple[Test, ...],
-    ) -> tuple[tuple[ObjectId, IntervalSet], ...]:
-        """Per-source entries of a fused two-struct hop, memoized per graph.
-
-        Each entry pairs a reachable target object with the coalesced
-        times contributed by every intermediate object on the way (all
-        parallel edges between the same endpoints collapse into one
-        family).  The per-source results are computed lazily — only
-        for objects an actual frontier visits — because precomputing
-        edge-sourced hops for the whole graph would be quadratic in the
-        adjacency degree.
-        """
-        key = (forward_in, mid_conditions, forward_out, target_conditions)
-        per_source = self._hop_cache.get(key)
-        if per_source is None:
-            per_source = self._hop_cache[key] = {}
-        entries = per_source.get(obj)
-        if entries is None:
-            entries = per_source[obj] = self._compute_hop(
-                obj, forward_in, mid_conditions, forward_out, target_conditions
-            )
-        return entries
-
-    def _step_objects(self, obj: ObjectId, forward: bool) -> tuple[ObjectId, ...]:
-        """One structural move: node → adjacent edges, edge → endpoint."""
-        if obj in self._nodes:
-            adjacency = self.out_adjacency if forward else self.in_adjacency
-            return adjacency[obj]
-        endpoint = self.edge_target if forward else self.edge_source
-        return (endpoint[obj],)
-
-    def _compute_hop(
-        self,
-        obj: ObjectId,
-        forward_in: bool,
-        mid_conditions: tuple[Test, ...],
-        forward_out: bool,
-        target_conditions: tuple[Test, ...],
-    ) -> tuple[tuple[ObjectId, IntervalSet], ...]:
-        mid_tables = [self.condition_table(c) for c in mid_conditions]
-        target_tables = [self.condition_table(c) for c in target_conditions]
-        merged: dict[ObjectId, IntervalSetAccumulator] = {}
-        for mid in self._step_objects(obj, forward_in):
-            times = self._full
-            for table in mid_tables:
-                satisfied = table.get(mid)
-                if satisfied is None:
-                    times = self._empty
-                    break
-                times = times.intersect(satisfied)
-                if times.is_empty():
-                    break
-            if times.is_empty():
-                continue
-            for target in self._step_objects(mid, forward_out):
-                target_times = times
-                for table in target_tables:
-                    satisfied = table.get(target)
-                    if satisfied is None:
-                        target_times = self._empty
-                        break
-                    target_times = target_times.intersect(satisfied)
-                    if target_times.is_empty():
-                        break
-                if target_times.is_empty():
-                    continue
-                accumulator = merged.get(target)
-                if accumulator is None:
-                    accumulator = merged[target] = IntervalSetAccumulator()
-                accumulator.add(target_times)
-        return tuple(
-            (target, accumulator.build()) for target, accumulator in merged.items()
-        )
-
-    # ------------------------------------------------------------------ #
     # In-place maintenance (streaming deltas)
     # ------------------------------------------------------------------ #
     def apply_delta(self, effects) -> None:
@@ -427,34 +339,25 @@ class GraphIndex:
         in the layering).  The compiled structures are updated in place:
 
         * new objects are appended — their dense ``object_id`` slots
-          extend the table, so every existing frontier signature stays
-          valid;
+          extend the table, so every existing id stays valid;
         * touched objects get their existence/property families and
           label/property buckets refreshed from the graph; new edges are
           appended to their endpoints' adjacency tuples;
         * memoized *per-object* results (condition-table entries, the
-          dirty rows of the columnar array image) are
-          recomputed for exactly the dirty objects, and hop
-          tables drop the sources whose 2-hop neighbourhood reaches the
-          dirty set — a hop reads two structural moves, so any farther
-          source is provably unaffected.
+          dirty rows of the columnar array image) are recomputed for
+          exactly the dirty objects.
 
         Advancing the horizon invalidates every memoized family instead:
         condition satisfaction (``¬φ``, label tests, ``time < c``) is
         clamped to the domain, so no per-object surgery is sound there.
 
-        Soundness of the repair radius: a condition table entry is a
-        function of one object's own families (object-local — repairing
-        the dirty objects suffices), and a hop table entry reads objects
-        at most two structural moves from its source *through the
-        source's and mids' adjacency*; any adjacency change is itself a
-        new edge, which puts the edge in the dirty set and every
-        affected hop source inside ``structural_closure(dirty, 2)``.
-        ``tests/test_streaming.py`` pins this with a randomized
-        patched-vs-cold-rebuild differential, and the stale caches
-        that *do* outlive an in-place mutation — the pickled parallel
-        plan payload and the worker-side graphs keyed by its token — are
-        invalidated at delta-commit time by
+        Soundness: a condition table entry is a function of one
+        object's own families (object-local — repairing the dirty
+        objects suffices).  ``tests/test_columnar_context.py`` compares
+        the patched image with a rebuild after every delta.  The stale
+        caches that *do* outlive an in-place mutation — the pickled
+        parallel plan payload and the worker-side graphs keyed by its
+        token — are invalidated at delta-commit time by
         :func:`repro.parallel.plan.invalidate_plans`.
         """
         dirty = set(effects.dirty)
@@ -463,7 +366,6 @@ class GraphIndex:
             self._domain = self._graph.domain
             self._full = IntervalSet((self._domain,))
             self._table_cache.clear()
-            self._hop_cache.clear()
 
         graph = self._graph
         appended: list[ObjectId] = []
@@ -519,11 +421,6 @@ class GraphIndex:
                         table.pop(obj, None)
                     else:
                         table[obj] = times
-            if self._hop_cache:
-                stale_sources = self.structural_closure(dirty, 2)
-                for per_source in self._hop_cache.values():
-                    for obj in stale_sources:
-                        per_source.pop(obj, None)
         if self._columnar is not None:
             self._columnar.apply_delta(effects)
 
@@ -564,35 +461,6 @@ class GraphIndex:
         core.edge_label_buckets = {k: v for k, v in self.edge_label_buckets.items()}
         core.prop_value_buckets = {k: v for k, v in self.prop_value_buckets.items()}
         return core
-
-    def structural_closure(
-        self, objects: Iterable[ObjectId], radius: int
-    ) -> set[ObjectId]:
-        """All objects within ``radius`` structural moves of ``objects``.
-
-        A structural move relates a node with an incident edge (in
-        either direction — ``F`` and ``B`` are both covered by the
-        undirected incidence relation).  This is the locality bound
-        behind dirty-set invalidation: a chain evaluation seeded at
-        ``s`` only ever reads objects inside ``s``'s closure ball, so a
-        change at ``x`` can only affect seeds whose ball reaches ``x``.
-        """
-        closure = {obj for obj in objects if obj in self.labels}
-        frontier = set(closure)
-        for _ in range(radius):
-            if not frontier:
-                break
-            reached: set[ObjectId] = set()
-            for obj in frontier:
-                if obj in self._nodes:
-                    reached.update(self.out_adjacency[obj])
-                    reached.update(self.in_adjacency[obj])
-                else:
-                    reached.add(self.edge_source[obj])
-                    reached.add(self.edge_target[obj])
-            frontier = reached - closure
-            closure |= frontier
-        return closure
 
     # ------------------------------------------------------------------ #
     # Seed cost model (parallel chunking)

@@ -12,11 +12,9 @@ Recovery composes the two durability halves::
 
     session, report = recover("snap.json", "deltas.wal")
 
-loads the snapshot, re-registers its queries (re-deriving the per-seed
-contribution caches — they are *not* serialized; they are a pure
-function of graph + query, and rebuilding them from the snapshot graph
-is exactly the cold-registration path the streaming oracle already
-pins), then **idempotently replays the WAL tail** (:func:`replay_wal`,
+loads the snapshot, re-registers its queries (plans only: answers are
+*not* serialized — they are a pure function of graph + query, computed
+on the first read), then **idempotently replays the WAL tail** (:func:`replay_wal`,
 also the WAL-only restart of a server host): records at or below the
 session's WAL position are skipped, the rest are re-applied in order.
 A torn final WAL record — the signature of a crash mid-append — is

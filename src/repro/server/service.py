@@ -468,7 +468,7 @@ class QueryServer:
             name = request.get("name")
             if not isinstance(name, str):
                 raise ServerError("table op requires a 'name' string")
-            return host.table(name, limit=limit)
+            return host.table(name, deadline=deadline, retries=retries, limit=limit)
         # op == "apply_delta"
         batch = request.get("batch")
         if not isinstance(batch, dict):

@@ -5,15 +5,16 @@ graph:
 
 * the graph itself and its compiled
   :class:`~repro.perf.graph_index.GraphIndex` (shared via
-  :func:`~repro.perf.graph_index.graph_index_for`, so condition/hop
-  tables amortize across the whole query mix);
+  :func:`~repro.perf.graph_index.graph_index_for`, so condition tables
+  amortize across the whole query mix);
 * one :class:`~repro.dataflow.executor.DataflowEngine` configured with
   the server's worker count — with ``workers > 1`` its dispatches land
   on the warm shared :class:`~repro.parallel.pool.WorkerPool`;
 * a :class:`~repro.streaming.engine.StreamingEngine` session driving the
-  same engine: it applies deltas, keeps registered queries continuously
-  answered, and (with an attached WAL / snapshot path) makes the
-  resident state recoverable across restarts.
+  same engine: it applies deltas, answers registered queries from their
+  cached plans (one kernel run per query per epoch, on the first read),
+  and (with an attached WAL / snapshot path) makes the resident state
+  recoverable across restarts.
 
 Consistency model: the host lock is the session's
 :class:`~repro.streaming.lock.SharedLock`.  Reads — :meth:`GraphHost.query`,
@@ -34,13 +35,15 @@ equal value, and the last assignment wins) or guarded by a lock of its
 own.  Only a writer iterates or patches these structures, under the
 exclusive side:
 
-* ``GraphIndex._table_cache``, ``_static_cache`` and ``_hop_cache``
-  entries — build then publish;
+* ``GraphIndex._table_cache`` and ``_static_cache`` entries — build
+  then publish;
 * ``ColumnarContext._conditions`` and ``_hulls`` — build then publish;
 * the lazy ``GraphIndex.columnar_context()`` — locked, built once;
 * :class:`~repro.server.plans.PlanCache` — locked (a racing miss
   prepares twice and stores one of two equal plans);
-* ``_QueryState.merged`` of a registered query — build then publish;
+* ``StreamingEngine._answers`` — a registered query's ``(table,
+  epoch)``, build then publish (racing first readers after a write each
+  run the kernel once and store equal tables);
 * ``WorkerPool._warm`` — single ``setdefault``/``add`` calls; a stale
   read costs at most a payload resend;
 * ``plan_for`` (one parallel token per graph state) and ``shared_pool``
@@ -52,7 +55,7 @@ exclusive side:
 
 Answer payloads are encoded after the lock is released: a table is
 never patched in place once returned (the kernel builds fresh arrays
-and lists; a delta *replaces* a registered query's merged table).
+and lists; a registered query's next epoch gets a new table).
 """
 
 from __future__ import annotations
@@ -224,10 +227,20 @@ class GraphHost:
             "server": {"graph": self.name, "epoch": epoch},
         }
 
-    def table(self, name: str, *, limit: Optional[int] = None) -> dict:
-        """Read a registered query's continuously-maintained answer."""
+    def table(
+        self,
+        name: str,
+        *,
+        deadline: Optional[float] = None,
+        retries: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> dict:
+        """Read a registered query's answer at the current epoch (the
+        first read after a write runs its plan under ``deadline`` /
+        ``retries``)."""
+        retry = None if retries is None else RetryPolicy(retries=retries)
         with self.lock.shared():
-            table = self.session.table(name)
+            table = self.session.table(name, deadline_seconds=deadline, retry=retry)
             epoch = self.session.epoch
         payload = self._table_payload(table, limit)
         return {
@@ -254,14 +267,6 @@ class GraphHost:
                 "new_edges": applied.new_edges,
                 "touched": applied.touched_objects,
                 "horizon_advanced": applied.horizon_advanced,
-                "queries": {
-                    update.name: {
-                        "affected_seeds": update.affected_seeds,
-                        "total_seeds": update.total_seeds,
-                        "recomputed_all": update.recomputed_all,
-                    }
-                    for update in applied.queries
-                },
                 "seconds": applied.seconds,
             },
             "server": {"graph": self.name, "epoch": epoch},
@@ -272,7 +277,7 @@ class GraphHost:
 
         The frame is checksum-verified exactly like a stored WAL record,
         then applied through the normal :meth:`apply_delta` machinery —
-        epoch labelling and registered-query maintenance all work
+        epoch labelling and registered-query answers all work
         unchanged, which is what makes a promoted
         standby answer epoch-identically to a never-crashed primary.
         When the standby logs to its own WAL the applied record lands

@@ -4,10 +4,10 @@
   update model (new nodes/edges, existence extension, property writes,
   horizon advance) with atomic validate-then-apply semantics;
 * :mod:`repro.streaming.engine` — the :class:`StreamingEngine` session
-  that keeps registered MATCH queries continuously answered by
-  re-deriving only the seeds whose structural/temporal neighbourhood a
-  batch dirtied, maintaining the compiled
-  :class:`~repro.perf.graph_index.GraphIndex` in place.
+  that keeps registered MATCH queries continuously answered: a batch
+  patches the compiled :class:`~repro.perf.graph_index.GraphIndex` in
+  place and bumps the epoch, and the first read after it runs the
+  query's cached plan once.
 
 :class:`StreamingEngine` is the one entry point: ``register`` a query,
 ``apply`` batches, read ``table``/``results``.  The server drives one
@@ -24,7 +24,7 @@ from repro.streaming.delta import (
     PropertySet,
     apply_delta,
 )
-from repro.streaming.engine import ApplyResult, QueryUpdate, StreamingEngine
+from repro.streaming.engine import ApplyResult, StreamingEngine
 from repro.streaming.reader import parse_stream_line, read_delta_stream
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "read_delta_stream",
     "StreamingEngine",
     "ApplyResult",
-    "QueryUpdate",
 ]

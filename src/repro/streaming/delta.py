@@ -32,7 +32,7 @@ from typing import Any, Hashable, Iterable, Optional
 from repro.errors import GraphIntegrityError, UnknownObjectError
 from repro.model.itpg import IntervalTPG
 from repro.temporal.interval import Interval
-from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
+from repro.temporal.intervalset import IntervalSet
 from repro.temporal.valued import ValuedIntervalSet
 
 ObjectId = Hashable
@@ -264,17 +264,14 @@ class DeltaEffects:
 
     ``touched`` holds every object whose existence family, property
     families or adjacency changed (including the endpoints of new
-    edges); ``dirty`` adds the new objects themselves.  ``dirty_times``
-    is the coalesced union of every interval the batch wrote — the
-    temporal footprint the streaming engine dilates by each query's
-    temporal radius to decide which cached seeds can be affected.
+    edges); ``dirty`` adds the new objects themselves — the objects
+    whose compiled index entries need repair.
     """
 
     new_nodes: tuple[ObjectId, ...]
     new_edges: tuple[ObjectId, ...]
     touched: frozenset[ObjectId]
     dirty: frozenset[ObjectId]
-    dirty_times: IntervalSet
     horizon_advanced: bool
     sequence: Optional[int] = None
 
@@ -308,7 +305,6 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
     batch_nodes: dict[ObjectId, NodeAdd] = {}
     batch_edges: dict[ObjectId, EdgeAdd] = {}
     prospective_existence: dict[ObjectId, IntervalSet] = {}
-    dirty_times = IntervalSetAccumulator()
 
     def _interval(start: int, end: int, what: str) -> Interval:
         interval = Interval(start, end)
@@ -322,7 +318,6 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
                     else " (advance the horizon with extend_domain first)"
                 )
             )
-        dirty_times.add_interval(interval)
         return interval
 
     def _existence_of(object_id: ObjectId) -> IntervalSet:
@@ -462,7 +457,6 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
         new_edges=new_edges,
         touched=frozenset(touched),
         dirty=frozenset(touched) | frozenset(new_nodes) | frozenset(new_edges),
-        dirty_times=dirty_times.build(),
         horizon_advanced=horizon_advanced,
         sequence=batch.sequence,
     )

@@ -46,3 +46,27 @@ def tiny():
 def small_random_graphs():
     """A handful of deterministic small random ITPGs for cross-checking engines."""
     return [random_itpg(seed) for seed in range(6)]
+
+
+def _kernel_steps(engine, query):
+    """Yield ``(op, frontier)`` after every columnar op the kernel runs
+    for ``query`` on ``engine``'s graph, leaf by leaf.  ``frontier`` is
+    the kernel's struct-of-arrays ``_State``."""
+    from repro.perf import columnar
+
+    plan = columnar.plan_query(engine.prepare(query).chain)
+    ctx = engine.index.columnar_context()
+    kernel = columnar._Kernel(ctx)
+    for ops in plan.leaves:
+        state = columnar.seed_state(ctx, plan)
+        for op in ops:
+            if state.rows == 0:
+                break
+            state = kernel.run(state, (op,))
+            yield op, state
+
+
+@pytest.fixture(scope="session")
+def kernel_steps():
+    """The kernel's frontier after every op (see :func:`_kernel_steps`)."""
+    return _kernel_steps

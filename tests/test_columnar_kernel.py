@@ -10,11 +10,11 @@ Four layers:
   leaf chains) answer identically to the reference engine, through
   ``run_query`` on every seed and on worker-sized chunks of seed
   objects.
-* **Kernel seam** — ``columnar.run_query`` on the full chain and the
-  streaming refresh's walk, ``interpreted.run_rows`` over
-  ``interpreted.seed_rows``, return the same data on every paper query;
-  any split of the seed objects into chunks unions to the unchunked
-  answer.
+* **Kernel seam** — ``columnar.run_query`` on the full chain returns
+  the reference engine's answer on every paper query (canonical
+  families, or point rows); on any split of the seed objects each
+  chunk returns the reference answer restricted to its seeds, and the
+  chunks union to the unchunked answer.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -70,22 +70,30 @@ def _run(engine, prepared, seeds=None):
     return list(data.rows) if prepared.mode == "points" else data
 
 
-def _walk_families(engine, query):
-    """The streaming walk's coalesced families for ``query``, sorted.
-
-    ``interpreted.run_rows`` over the chain ``engine.prepare`` compiles:
-    a canonical family list, so comparing it exactly with the kernel's
-    ``match_intervals`` also catches duplicate bindings or uncoalesced
-    times that expand to the right points.
-    """
-    from repro.dataflow import interpreted
-
-    prepared = engine.prepare(query)
-    seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
-    data, _rows, _merged = interpreted.run_rows(
-        engine.index, rest, seeds, prepared.variables, "families"
+def _canonical(families) -> list:
+    """A family list in a comparable form: sorted, times as intervals."""
+    return sorted(
+        ((tuple(bindings), tuple(times.intervals)) for bindings, times in families),
+        key=repr,
     )
-    return sorted(data, key=repr)
+
+
+def _seeded_by(answer, variables, mode, chunk) -> list:
+    """The part of a canonical family list (or sorted point rows) whose
+    ``x`` — the seed variable of every query these tests chunk — is in
+    ``chunk``."""
+    keep = set(chunk)
+    if mode == "families":
+        return [family for family in answer if dict(family[0])["x"] in keep]
+    at = variables.index("x")
+    return [row for row in answer if row[at][0] in keep]
+
+
+def _reference_families(graph, query) -> list:
+    """The reference engine's canonical coalesced families for ``query``:
+    comparing them exactly with the kernel's also catches duplicate
+    bindings or uncoalesced times that expand to the right points."""
+    return _canonical(ReferenceEngine(graph).match_intervals(query))
 
 
 class TestKernelSelection:
@@ -204,7 +212,7 @@ class TestFallbackIdentity:
 
     def test_mid_chain_temporal_step_runs_columnar(self):
         # N·P: a temporal step before the end of the chain freezes the
-        # group it leaves; the answer equals the interpreted walk's.
+        # group it leaves; the answer equals the reference engine's.
         from repro.lang import ast
 
         graph = random_itpg(3)
@@ -218,7 +226,7 @@ class TestFallbackIdentity:
         assert engine.match(query).as_set() == expected.as_set()
         families = engine.match_intervals(query)
         assert expand_match_families(families, expected.variables) == expected.as_set()
-        assert sorted(families, key=repr) == _walk_families(engine, query)
+        assert _canonical(families) == _reference_families(graph, query)
 
     def test_temporal_alternation_runs_distributed(self):
         from repro.lang import ast
@@ -299,8 +307,8 @@ class TestPaperQueryParity:
             assert expand_match_families(got, expected.variables) == (
                 expected.as_set()
             ), f"{name} interval families diverged"
-            assert sorted(got, key=repr) == _walk_families(engine, query.text), (
-                f"{name} interval families are not the walk's canonical list"
+            assert _canonical(got) == _reference_families(engine.graph, query.text), (
+                f"{name} interval families are not the reference's canonical list"
             )
 
     @pytest.mark.parametrize("bind_target", [False, True], ids=["families", "points"])
@@ -325,15 +333,18 @@ class TestPaperQueryParity:
         assert len(table) == len(expected)
         assert table.as_set() == expected
         # Worker chunks: seed objects in, families / point tuples out.
+        # Each chunk answers for its own seeds (``x``) only.
         prepared = engine.prepare(query)
         objects = engine.index.objects
+        reference = sorted(expected)
         gathered = set()
-        for chunk in (objects[::2], objects[1::2]):
+        for chunk in (objects[::2], objects[1::2], []):
             data = _run(engine, prepared, seeds=chunk)
-            if bind_target:
-                gathered.update(data)
-            else:
-                gathered.update(expand_match_families(data, prepared.variables))
+            if not bind_target:
+                data = expand_match_families(data, prepared.variables)
+            own = _seeded_by(reference, prepared.variables, "points", chunk)
+            assert sorted(data) == own
+            gathered.update(data)
         assert gathered == expected
 
     def test_streaming_delta_invalidates_columnar_context(self):
@@ -361,11 +372,11 @@ class TestPaperQueryParity:
 
 
 class TestKernelSeam:
-    """The streaming refresh's walk is pinned to the query kernel:
-    ``run_query`` on the full chain and ``interpreted.run_rows`` over
-    ``interpreted.seed_rows`` return the same data, and the kernel's
-    answer on any split of the seed objects unions to its unchunked one
-    (what the worker pool relies on)."""
+    """The kernel is pinned to the reference engine: ``run_query`` on the
+    full chain returns the reference answer (canonical families, or
+    point rows), and on any split of the seed objects each chunk
+    answers for its own seeds only and the chunks union to the
+    unchunked answer (what the worker pool relies on)."""
 
     @pytest.fixture(scope="class")
     def dense_graph(self):
@@ -388,27 +399,26 @@ class TestKernelSeam:
 
     @pytest.mark.parametrize("name", list(PAPER_QUERIES))
     def test_run_rows_agree_on_paper_query(self, dense_graph, name):
-        from repro.dataflow import interpreted
-
-        engine = DataflowEngine(dense_graph)
-        prepared = engine.prepare(PAPER_QUERIES[name].text)
-        seeds, rest = interpreted.seed_rows(engine.index, prepared.chain)
-        expected = interpreted.run_rows(
-            engine.index, rest, seeds, prepared.variables, prepared.mode
-        )
-        assert expected[0], f"{name} is empty on the contact graph"
-        got = _run(engine, prepared)
-        assert sorted(got, key=repr) == sorted(expected[0], key=repr)
-        # Any split of the seed objects into chunks (singletons, two
-        # seeded shuffles, an empty chunk): each chunk answers like the
-        # walk over that chunk's seed rows, and the chunks union to the
-        # unchunked answer.
         import random
 
         from repro.parallel.merge import merge_family_chunks
 
-        rows = {row.last.current: row for row in seeds}
-        objects = list(rows)
+        engine = DataflowEngine(dense_graph)
+        text = PAPER_QUERIES[name].text
+        prepared = engine.prepare(text)
+        got = _run(engine, prepared)
+        assert got, f"{name} is empty on the contact graph"
+        if prepared.mode == "points":
+            reference = sorted(ReferenceEngine(dense_graph).match(text).as_set())
+            assert sorted(got) == reference, name
+        else:
+            reference = _reference_families(dense_graph, text)
+            assert _canonical(got) == reference, name
+        # Any split of the seed objects into chunks (singletons, two
+        # seeded shuffles, an empty chunk): each chunk answers like the
+        # reference restricted to that chunk's seeds (every paper query
+        # seeds ``x``), and the chunks union to the unchunked answer.
+        objects = list(engine._seed_objects(prepared.chain)[0])
         splits = [[[obj] for obj in objects]]
         for parts in (2, 5):
             shuffled = random.Random(f"{name}/{parts}").sample(objects, len(objects))
@@ -416,23 +426,17 @@ class TestKernelSeam:
         for chunks in splits:
             outputs = [_run(engine, prepared, seeds=chunk) for chunk in chunks]
             for chunk, output in zip(chunks, outputs):
-                walked, _rows, _merged = interpreted.run_rows(
-                    engine.index,
-                    rest,
-                    [rows[obj] for obj in chunk],
-                    prepared.variables,
-                    prepared.mode,
-                )
-                assert sorted(output, key=repr) == sorted(walked, key=repr), name
+                own = _seeded_by(reference, prepared.variables, prepared.mode, chunk)
+                if prepared.mode == "points":
+                    assert sorted(output) == own, (name, chunk)
+                else:
+                    assert _canonical(output) == own, (name, chunk)
             if prepared.mode == "points":
                 union = sorted({row for output in outputs for row in output})
                 assert union == sorted(set(got)), (name, len(chunks))
             else:
                 union = merge_family_chunks(outputs)
-                assert sorted(union, key=repr) == sorted(got, key=repr), (
-                    name,
-                    len(chunks),
-                )
+                assert _canonical(union) == _canonical(got), (name, len(chunks))
 
 
 class TestPrimitives:

@@ -7,10 +7,8 @@ randomized graphs and queries:
 * **MATCH level** — :func:`repro.datagen.random_graphs.random_itpg`
   graphs and :func:`~repro.datagen.random_graphs.random_match_query`
   queries (restricted to the dataflow fragment) evaluated by the
-  dataflow engine (the columnar kernel), by the streaming refresh's
-  per-row walk (``interpreted.run_rows`` over the full seed table of the
-  same compiled chain — no monkeypatch, the walk is called directly),
-  and by the point-based reference engine (the ground truth).  The
+  dataflow engine (the columnar kernel) and by the point-based
+  reference engine (the ground truth).  The
   oracle only protects the shapes it actually reaches, so a seed window
   fails unless the kernel ran mid-chain temporal navigation, two-group
   point output and distributed temporal alternations in it
@@ -53,10 +51,10 @@ from repro.datagen.random_graphs import (
     random_match_query,
     random_path_expression,
 )
-from repro.dataflow import DataflowEngine, PAPER_QUERIES, interpreted
+from repro.dataflow import DataflowEngine, PAPER_QUERIES
 from repro.dataflow.steps import TemporalStep
 from repro.eval import ReferenceEngine
-from repro.eval.bindings import BindingTable, IntervalBindingTable, expand_match_families
+from repro.eval.bindings import expand_match_families
 from repro.eval.bottom_up import BottomUpEvaluator
 from repro.eval.tuple_pc import PCChecker
 from repro.errors import EvaluationError
@@ -69,25 +67,6 @@ BATCHES = 9  # 225 cases ≥ the 200 required by the suite's charter
 #: CI shifts the whole seed window per matrix entry; 0 keeps local runs
 #: deterministic and identical to the committed baseline.
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
-
-
-def walk(engine: DataflowEngine, query, mode: str | None = None):
-    """The streaming refresh's per-row walk over the whole seed table.
-
-    ``interpreted.run_rows`` on the chain ``engine.prepare`` compiles,
-    in the plan's output mode (or ``mode``): a binding table, or the
-    raw coalesced families under ``mode="families"``.
-    """
-    plan = engine.prepare(query)
-    seeds, rest = interpreted.seed_rows(engine.index, plan.chain)
-    data, _rows, _merged = interpreted.run_rows(
-        engine.index, rest, seeds, plan.variables, mode or plan.mode
-    )
-    if mode is not None:
-        return data
-    if plan.mode == "families":
-        return IntervalBindingTable(plan.variables, data)
-    return BindingTable.build(plan.variables, data)
 
 
 def check_interval_point_oracle(
@@ -175,7 +154,6 @@ def run_match_case(seed: int) -> frozenset[str]:
     reference = ReferenceEngine(graph)
     tables = {
         "dataflow": engine.match(query),
-        "streaming-walk": walk(engine, query),
         "reference-point": reference.match(query),
     }
     results = {name: table.as_set() for name, table in tables.items()}
@@ -207,25 +185,18 @@ def run_match_case(seed: int) -> frozenset[str]:
     # Definedness containment: a blanket spurious rejection would
     # otherwise disable the oracle silently.  The reference engine's
     # exact per-row check accepts everything the dataflow engine's
-    # static chain-shape check accepts, and so does the walk.
+    # static chain-shape check accepts.
     if defined["dataflow"]:
         assert defined["reference-point"], (
             f"the reference engine rejected coalesced output the dataflow "
             f"engine defines ({context})"
         )
-        check_families(
-            "streaming-walk",
-            walk(engine, query, "families"),
-            variables,
-            reference_rows,
-            context,
-        )
     return kernel_shapes(engine, query)
 
 
 class TestMatchLevelDifferential:
-    """The dataflow engine, the streaming walk and the reference engine
-    agree on random MATCH queries."""
+    """The dataflow engine and the reference engine agree on random
+    MATCH queries."""
 
     @pytest.mark.parametrize("batch", range(BATCHES))
     def test_random_graphs_random_queries(self, batch):
@@ -284,7 +255,6 @@ class TestMatchLevelDifferential:
                     ename: engine.match(query.text)
                     for ename, engine in engines.items()
                 }
-                tables["streaming-walk"] = walk(engines["dataflow"], query.text)
                 reference_rows = tables["reference"].as_set()
                 sizes = {ename: len(t) for ename, t in tables.items()}
                 for ename, table in tables.items():
@@ -344,9 +314,7 @@ class TestRegressionCounterexamples:
             text="<review-repro>",
         )
         reference = ReferenceEngine(graph).match(query).as_set()
-        engine = DataflowEngine(graph)
-        assert engine.match(query).as_set() == reference
-        assert walk(engine, query).as_set() == reference
+        assert DataflowEngine(graph).match(query).as_set() == reference
 
     def test_parallel_edges_match_intervals_is_canonical(self):
         # Hardened seam (PR 3): a binding reached through several
@@ -366,7 +334,10 @@ class TestRegressionCounterexamples:
         graph.validate()
         query = "MATCH (x:Person)-[:meets]->(y:Person) ON g"
         engine = DataflowEngine(graph)
-        for families in (engine.match_intervals(query), walk(engine, query, "families")):
+        for families in (
+            engine.match_intervals(query),
+            ReferenceEngine(graph).match_intervals(query),
+        ):
             bindings = [b for b, _times in families]
             assert len(bindings) == len(set(bindings))
             times = dict(zip(bindings, (t for _b, t in families)))

@@ -1,84 +1,119 @@
-"""Tests for the dataflow frontier structures and the paper-query registry."""
+"""Tests for the kernel's temporal links and the paper-query registry."""
 
+import numpy as np
 import pytest
 
-from repro.dataflow.frontier import Group, Row, TemporalLink, initial_row
+from repro.dataflow import DataflowEngine
 from repro.dataflow.queries import PAPER_QUERIES, get_query, query_names
+from repro.dataflow.steps import TemporalStep
 from repro.lang import parse_match
+from repro.perf import columnar
 from repro.temporal import IntervalSet
 
 
+def _run_ops(graph, state, *ops):
+    """``state`` after the kernel runs ``ops`` (bounds-free, as planned)."""
+    ctx = DataflowEngine(graph).index.columnar_context()
+    return columnar._Kernel(ctx).run(state, columnar._push_bounds(ops, ()))
+
+
+def _seed(graph, *objects):
+    """A one-group frontier: one row per object, under the domain times."""
+    ctx = DataflowEngine(graph).index.columnar_context()
+    return columnar.seed_state(ctx, columnar.plan_query(()), objects)
+
+
+def _objects(graph, ids) -> list:
+    return [DataflowEngine(graph).index.objects[i] for i in ids.tolist()]
+
+
 class TestGroupAndRow:
-    def test_initial_row(self):
-        row = initial_row("n1", IntervalSet([(0, 9)]))
-        assert row.last.current == "n1"
-        assert row.last.bindings == ()
-        assert row.links == ()
-        assert row.is_alive()
+    """The kernel's frontier rows: current object, bindings, one
+    coalesced family per row, temporal groups frozen behind the rows."""
 
-    def test_bind_adds_binding(self):
-        group = Group((), "n1", IntervalSet([(0, 3)]))
-        bound = group.bind("x")
-        assert bound.bindings == (("x", "n1"),)
-        assert bound.current == "n1"
+    def test_initial_row(self, figure1):
+        row = _seed(figure1, "n1")
+        assert _objects(figure1, row.cur) == ["n1"]
+        assert row.names == () and row.link is None and row.src is None
+        assert (row.start.tolist(), row.end.tolist()) == ([1], [11])
 
-    def test_with_current_and_times(self):
-        group = Group((("x", "n1"),), "n1", IntervalSet([(0, 3)]))
-        moved = group.with_current("e1", IntervalSet([(1, 2)]))
-        assert moved.current == "e1" and moved.bindings == group.bindings
-        trimmed = group.with_times(IntervalSet.empty())
-        assert trimmed.times.is_empty()
+    def test_bind_adds_binding(self, figure1):
+        bound = _run_ops(figure1, _seed(figure1, "n1"), ("bind", "x"))
+        assert bound.names == ("x",)
+        assert _objects(figure1, bound.cols[0]) == ["n1"]
+        assert _objects(figure1, bound.cur) == ["n1"]
 
-    def test_row_replace_and_append(self):
-        row = initial_row("n1", IntervalSet([(0, 9)]))
-        row = row.replace_last(row.last.bind("x"))
-        link = TemporalLink("n1", forward=True, lower=0, upper=None, contiguous=True)
-        row = row.append_group(Group((), "n1", IntervalSet([(2, 5)])), link)
-        assert len(row.groups) == 2 and len(row.links) == 1
-        assert row.variable_positions() == {"x": (0, "n1")}
+    def test_with_current_and_times(self, figure1):
+        moved = _run_ops(figure1, _seed(figure1, "n1"), ("bind", "x"), ("struct", True))
+        # One row per outgoing edge, each still binding x to n1 and
+        # carrying n1's family.
+        assert sorted(_objects(figure1, moved.cur)) == sorted(figure1.out_edges("n1"))
+        assert _objects(figure1, moved.cols[0]) == ["n1"] * moved.rows
+        assert moved.owner.tolist() == list(range(moved.rows))
+        assert set(zip(moved.start.tolist(), moved.end.tolist())) == {(1, 11)}
 
-    def test_dead_row(self):
-        row = initial_row("n1", IntervalSet.empty())
-        assert not row.is_alive()
+    def test_row_replace_and_append(self, figure1):
+        step = TemporalStep(forward=True, lower=0, upper=None)
+        row = _run_ops(figure1, _seed(figure1, "n1"), ("bind", "x"), ("temporal", step))
+        frozen, link = row.link
+        assert link is step
+        assert frozen.names == ("x",) and frozen.link is None
+        assert row.src.tolist() == [0]  # the row navigated from frozen row 0
+
+    def test_dead_row(self, figure1):
+        # n4 (a Room) never satisfies the test: its row is compacted away.
+        from repro.lang import ast
+
+        state = _run_ops(figure1, _seed(figure1, "n1", "n4"), ("test", ast.label("Person")))
+        assert _objects(figure1, state.cur) == ["n1"]
+
+
+def _reach(graph, obj, anchors, forward, lower, upper, contiguous) -> IntervalSet:
+    """Every time the kernel's temporal step reaches on ``obj`` from the
+    ``(start, end)`` anchor intervals."""
+    ctx = DataflowEngine(graph).index.columnar_context()
+    step = TemporalStep(
+        forward=forward, lower=lower, upper=upper, require_existence=contiguous
+    )
+    start, end = (np.array(part, dtype=np.int64) for part in zip(*anchors))
+    _owner, reached_start, reached_end = columnar._Kernel(ctx)._targets(
+        step,
+        np.array([ctx.object_id[obj]], dtype=np.int64),
+        np.zeros(len(anchors), dtype=np.int64),
+        start,
+        end,
+    )
+    return IntervalSet(list(zip(reached_start.tolist(), reached_end.tolist())))
 
 
 class TestTemporalLink:
+    """The times a temporal step links: ``lower <= delta <= upper`` moves,
+    and with ``contiguous`` every visited point (the anchor excluded)
+    inside the object's existence."""
+
     def test_forward_bounds(self, figure1):
-        link = TemporalLink("n6", forward=True, lower=1, upper=3, contiguous=False)
-        assert link.admits(figure1, 5, 6)
-        assert link.admits(figure1, 5, 8)
-        assert not link.admits(figure1, 5, 5)
-        assert not link.admits(figure1, 5, 9)
+        assert _reach(figure1, "n6", [(5, 5)], True, 1, 3, False) == IntervalSet([(6, 8)])
 
     def test_backward_bounds(self, figure1):
-        link = TemporalLink("n6", forward=False, lower=0, upper=2, contiguous=False)
-        assert link.admits(figure1, 8, 8)
-        assert link.admits(figure1, 8, 6)
-        assert not link.admits(figure1, 8, 5)
-        assert not link.admits(figure1, 8, 9)
+        assert _reach(figure1, "n6", [(8, 8)], False, 0, 2, False) == IntervalSet([(6, 8)])
 
     def test_contiguity_requires_same_existence_run(self, figure1):
-        # n6 exists during [2, 9] and [10, 11]... actually they coalesce to [2, 11];
-        # use n2 (exists [1, 9]) and check a target outside the run.
-        link = TemporalLink("n2", forward=True, lower=0, upper=None, contiguous=True)
-        assert link.admits(figure1, 5, 9)
-        assert not link.admits(figure1, 5, 10)
+        # n2 exists during [1, 9]: the run ends the reach.
+        assert _reach(figure1, "n2", [(5, 5)], True, 0, None, True) == IntervalSet([(5, 9)])
 
     def test_unbounded_upper(self, figure1):
-        link = TemporalLink("n1", forward=True, lower=2, upper=None, contiguous=False)
-        assert link.admits(figure1, 1, 11)
-        assert not link.admits(figure1, 1, 2)
+        # Unbounded: up to the end of the domain [1, 11].
+        assert _reach(figure1, "n1", [(1, 1)], True, 2, None, False) == IntervalSet([(3, 11)])
 
     def test_enumerate_times_respects_links(self, figure1):
-        first = Group((("x", "n6"),), "n6", IntervalSet([(7, 9)]))
-        second = Group((("y", "n6"),), "n6", IntervalSet([(8, 10)]))
-        link = TemporalLink("n6", forward=True, lower=1, upper=2, contiguous=True)
-        row = Row((first, second), (link,))
-        assignments = set(row.enumerate_times(figure1))
-        assert (7, 8) in assignments and (7, 9) in assignments
-        assert (8, 9) in assignments and (9, 10) in assignments
-        assert (9, 9) not in assignments  # delta 0 < lower
-        assert (7, 10) not in assignments  # delta 3 > upper
+        # Per anchor time in [7, 9], the linked times in [8, 10].
+        def linked(t):
+            reach = _reach(figure1, "n6", [(t, t)], True, 1, 2, True)
+            return set(reach.intersect(IntervalSet([(8, 10)])).points())
+
+        assert linked(7) == {8, 9}
+        assert linked(8) == {9, 10}
+        assert linked(9) == {10}  # delta 0 < lower; delta 3 > upper from 7
 
 
 class TestPaperQueryRegistry:

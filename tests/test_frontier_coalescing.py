@@ -1,68 +1,88 @@
-"""Unit tests for the coalescing frontier and interval-native Step 3.
+"""Unit tests for the kernel's coalescing frontier and interval-native Step 3.
 
-Invariants under test (see ``repro/dataflow/frontier.py``):
+Invariants under test (see ``repro/perf/columnar.py``), on the kernel's
+struct-of-arrays frontier:
 
-* no two live frontier rows share a binding signature, after every step
-  type (Test/Struct/Hop/Temporal/Alt/Bind);
-* every interval family stored in a frontier row stays coalesced (the
-  FC invariant) after every step;
-* a Q11-style chain actually merges rows (``rows_merged > 0``) while
+* no two live frontier rows share a binding signature (bound objects,
+  current object, frozen source row), after every op type
+  (test/struct/bind/temporal/alt);
+* every row's interval family stays coalesced (the FC invariant) after
+  every op, and every live row owns at least one interval;
+* the coalescing merge unions the families of signature-equal rows only,
+  and a Q11-style chain actually merges rows (``rows_merged > 0``) while
   keeping both invariants and the reference answer;
-* the interval-native materializer agrees with the point-wise
-  definition of Step 3 (``Row.enumerate_times`` +
-  ``TemporalLink.admits``) on randomized rows, and fused hops agree
-  with the reference engine.
+* the interval-native Step 3 (``_Kernel.project``) agrees with the
+  point-wise semantics of the reference engine, its families expand to
+  exactly its point rows, and fused hops agree with the reference engine.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.dataflow.frontier import (
-    Frontier,
-    Group,
-    IntervalMaterializer,
-    Row,
-    TemporalLink,
-    row_signature,
-)
-from repro.dataflow.interpreted import ChainWalk, seed_rows
 from repro.dataflow.steps import AltStep, HopStep
 from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
-from repro.perf import graph_index_for
+from repro.eval.bindings import expand_match_families
+from repro.perf import columnar
 from repro.temporal import IntervalSet, IntervalSetAccumulator
 
 
-def _stepwise_frontiers(engine: DataflowEngine, query):
-    """Yield (step, rows) after every chain step, mirroring the kernel.
-
-    Uses the interpreted kernel's own ``collector_for`` routing so the
-    invariant checks cover the production fast path: Test/Bind/Temporal
-    steps run on a plain ``RowFrontier`` under an injectivity argument,
-    and the uniqueness assertions below are what validate that argument.
-    """
-    rows, chain = seed_rows(engine.index, engine.prepare(query).chain)
-    walk = ChainWalk(engine.index)
-    for step in chain:
-        if not rows:
-            break
-        collector = walk.collector_for(step)
-        walk.apply_step(rows, step, collector)
-        rows = collector.rows()
-        yield step, rows
+def _signatures(state) -> list[tuple]:
+    """Per live row: bound objects, current object and frozen source row."""
+    keys = [*state.cols, state.cur]
+    if state.src is not None:
+        keys.append(state.src)
+    return list(zip(*(key.tolist() for key in keys)))
 
 
-def _assert_fc_invariant(family: IntervalSet) -> None:
-    intervals = family.intervals
-    for left, right in zip(intervals, intervals[1:]):
-        assert left.end + 1 < right.start, f"family not coalesced: {family}"
+def _assert_fc_invariant(state) -> None:
+    owner, start, end = state.family
+    assert (np.diff(owner) >= 0).all(), "owners out of order"
+    assert set(owner.tolist()) == set(range(state.rows)), "a row owns no interval"
+    same = owner[1:] == owner[:-1]
+    assert (start[1:][same] > end[:-1][same] + 1).all(), "family not coalesced"
+
+
+def _state(engine, cur, cols, family, src=None):
+    """A hand-built frontier over ``engine``'s objects: ``cur``/``cols``
+    name objects, ``family`` lists ``(row, start, end)`` intervals and
+    ``src`` the rows' frozen source rows (the merge reads no more of the
+    frozen group than that, so none is built)."""
+    ids = engine.index.object_id
+
+    def column(objects):
+        return np.array([ids[obj] for obj in objects], dtype=np.int64)
+
+    owner, start, end = (np.array(part, dtype=np.int64) for part in zip(*family))
+    return columnar._State(
+        column(cur),
+        tuple(name for name, _objects in cols),
+        [column(objects) for _name, objects in cols],
+        owner,
+        start,
+        end,
+        src=None if src is None else np.array(src, dtype=np.int64),
+    )
+
+
+def _merge(engine, state):
+    kernel = columnar._Kernel(engine.index.columnar_context())
+    merged = kernel._merge(state)
+    return merged, kernel.rows_merged
+
+
+def _times(state, row) -> IntervalSet:
+    owner, start, end = state.family
+    mine = owner == row
+    return IntervalSet(list(zip(start[mine].tolist(), end[mine].tolist())))
 
 
 class TestFrontierInvariants:
-    #: Queries whose chains exercise every step type: tests, structural
+    #: Queries whose chains exercise every op type: tests, structural
     #: moves, fused hops, temporal navigation, alternatives and binds.
     STEP_QUERIES = (
         "MATCH (x:Person {risk = 'high'}) ON g",  # Test + Bind
@@ -73,89 +93,74 @@ class TestFrontierInvariants:
     )
 
     @pytest.mark.parametrize("query", STEP_QUERIES)
-    def test_signatures_unique_after_every_step(self, figure1, query):
+    def test_signatures_unique_after_every_step(self, figure1, kernel_steps, query):
         engine = DataflowEngine(figure1)
-        object_id = engine.index.object_id
-        for step, rows in _stepwise_frontiers(engine, query):
-            signatures = [row_signature(row, object_id) for row in rows]
+        for op, state in kernel_steps(engine, query):
+            signatures = _signatures(state)
             assert len(signatures) == len(set(signatures)), (
-                f"duplicate signatures after {type(step).__name__} in {query!r}"
+                f"duplicate signatures after {op[0]} in {query!r}"
             )
 
     @pytest.mark.parametrize("query", STEP_QUERIES)
-    def test_families_coalesced_after_every_step(self, figure1, query):
+    def test_families_coalesced_after_every_step(self, figure1, kernel_steps, query):
         engine = DataflowEngine(figure1)
-        for _step, rows in _stepwise_frontiers(engine, query):
-            for row in rows:
-                for group in row.groups:
-                    _assert_fc_invariant(group.times)
+        for _op, state in kernel_steps(engine, query):
+            _assert_fc_invariant(state)
 
-    def test_signatures_unique_on_random_graphs(self):
+    def test_signatures_unique_on_random_graphs(self, kernel_steps):
         for graph_seed in range(4):
-            graph = random_itpg(graph_seed)
-            engine = DataflowEngine(graph)
-            object_id = engine.index.object_id
+            engine = DataflowEngine(random_itpg(graph_seed))
             query = random_match_query(graph_seed * 17 + 3)
-            for _step, rows in _stepwise_frontiers(engine, query):
-                signatures = [row_signature(row, object_id) for row in rows]
+            for _op, state in kernel_steps(engine, query):
+                signatures = _signatures(state)
                 assert len(signatures) == len(set(signatures))
 
-    def test_frontier_merges_signature_equal_rows(self):
-        times_a = IntervalSet([(0, 2)])
-        times_b = IntervalSet([(4, 6)])
-        row_a = Row((Group((("x", "n1"),), "n2", times_a),), ())
-        row_b = Row((Group((("x", "n1"),), "n2", times_b),), ())
-        frontier = Frontier()
-        frontier.add(row_a)
-        frontier.add(row_b)
-        assert len(frontier) == 1
-        assert frontier.rows_merged == 1
-        (merged,) = frontier.rows()
-        assert merged.last.times == IntervalSet([(0, 2), (4, 6)])
-        _assert_fc_invariant(merged.last.times)
+    def test_frontier_merges_signature_equal_rows(self, figure1):
+        engine = DataflowEngine(figure1)
+        state = _state(engine, ["n2", "n2"], [("x", ["n1", "n1"])], [(0, 1, 2), (1, 4, 6)])
+        merged, rows_merged = _merge(engine, state)
+        assert merged.rows == 1
+        assert rows_merged == 1
+        assert _times(merged, 0) == IntervalSet([(1, 2), (4, 6)])
+        _assert_fc_invariant(merged)
 
-    def test_frontier_merges_adjacent_families_into_one_interval(self):
-        row_a = Row((Group((), "n1", IntervalSet([(0, 3)])),), ())
-        row_b = Row((Group((), "n1", IntervalSet([(4, 8)])),), ())
-        frontier = Frontier()
-        frontier.add(row_a)
-        frontier.add(row_b)
-        (merged,) = frontier.rows()
-        assert merged.last.times == IntervalSet([(0, 8)])
+    def test_frontier_merges_adjacent_families_into_one_interval(self, figure1):
+        engine = DataflowEngine(figure1)
+        state = _state(engine, ["n1", "n1"], [], [(0, 1, 3), (1, 4, 8)])
+        merged, _rows_merged = _merge(engine, state)
+        assert merged.rows == 1
+        assert _times(merged, 0) == IntervalSet([(1, 8)])
 
-    def test_rows_with_different_bindings_stay_separate(self):
-        times = IntervalSet([(0, 2)])
-        frontier = Frontier()
-        frontier.add(Row((Group((("x", "n1"),), "n3", times),), ()))
-        frontier.add(Row((Group((("x", "n2"),), "n3", times),), ()))
-        assert len(frontier) == 2
-        assert frontier.rows_merged == 0
+    def test_rows_with_different_bindings_stay_separate(self, figure1):
+        engine = DataflowEngine(figure1)
+        state = _state(engine, ["n3", "n3"], [("x", ["n1", "n2"])], [(0, 1, 2), (1, 1, 2)])
+        merged, rows_merged = _merge(engine, state)
+        assert merged.rows == 2
+        assert rows_merged == 0
 
-    def test_multi_group_signature_includes_head_times(self):
-        link = TemporalLink("n1", forward=True, lower=0, upper=3, contiguous=False)
-        head_a = Group((("x", "n1"),), "n1", IntervalSet([(0, 1)]))
-        head_b = Group((("x", "n1"),), "n1", IntervalSet([(2, 3)]))
-        tail = Group((), "n1", IntervalSet([(4, 5)]))
-        frontier = Frontier()
-        frontier.add(Row((head_a, tail), (link,)))
-        frontier.add(Row((head_b, tail), (link,)))
-        # Earlier groups' times are linked to the last group's times, so
-        # rows differing there must NOT merge.
-        assert len(frontier) == 2
+    def test_multi_group_signature_includes_head_times(self, figure1):
+        # Rows that navigated from different rows of the frozen group keep
+        # different earlier times, linked to their current times, so they
+        # must NOT merge.
+        engine = DataflowEngine(figure1)
+        state = _state(
+            engine, ["n1", "n1"], [("x", ["n1", "n1"])], [(0, 4, 5), (1, 4, 5)], src=[0, 1]
+        )
+        merged, rows_merged = _merge(engine, state)
+        assert merged.rows == 2
+        assert rows_merged == 0
 
 
 class TestRowMerging:
     @pytest.mark.parametrize("name", ["Q11", "Q12"])
-    def test_q11_style_chain_merges_rows(self, name):
+    def test_q11_style_chain_merges_rows(self, kernel_steps, name):
         graph = _midsize_contact_graph()
         text = PAPER_QUERIES[name].text
         engine = DataflowEngine(graph)
-        object_id = engine.index.object_id
-        for step, rows in _stepwise_frontiers(engine, text):
-            signatures = [row_signature(row, object_id) for row in rows]
-            assert len(signatures) == len(set(signatures)), type(step).__name__
-            for row in rows:
-                _assert_fc_invariant(row.last.times)
+        for op, state in kernel_steps(engine, text):
+            signatures = _signatures(state)
+            assert len(signatures) == len(set(signatures)), op[0]
+            _assert_fc_invariant(state)
         result = engine.match_with_stats(text)
         assert result.rows_merged > 0
         reference = ReferenceEngine(graph).match(text)
@@ -179,106 +184,78 @@ def _midsize_contact_graph():
     return generate_contact_tracing_graph(config)
 
 
-class TestIntervalMaterializer:
-    def _random_row(self, rng: random.Random, graph) -> Row:
-        """A multi-group row over real graph objects with random times/links."""
-        domain = graph.domain
-        objects = sorted(graph.objects(), key=repr)
-        num_groups = rng.randint(2, 3)
-        groups = []
-        links = []
-        obj = rng.choice(objects)
-        for g in range(num_groups):
-            pieces = []
-            for _ in range(rng.randint(1, 2)):
-                start = rng.randint(domain.start, domain.end)
-                end = min(domain.end, start + rng.randint(0, 4))
-                pieces.append((start, end))
-            bindings = ()
-            if rng.random() < 0.7:
-                bindings = ((f"g{g}", obj),)
-            groups.append(Group(bindings, obj, IntervalSet(pieces)))
-            if g < num_groups - 1:
-                lower = rng.randint(0, 2)
-                upper = None if rng.random() < 0.3 else lower + rng.randint(0, 4)
-                links.append(
-                    TemporalLink(
-                        obj,
-                        forward=rng.random() < 0.5,
-                        lower=lower,
-                        upper=upper,
-                        contiguous=rng.random() < 0.5,
-                    )
-                )
-        return Row(tuple(groups), tuple(links))
+def _run(engine, query, mode, variables=None):
+    """``run_query`` in ``mode``, seeded with every object so that even a
+    condition-only chain runs through ``_Kernel.project``."""
+    prepared = engine.prepare(query)
+    data, _rows, _merged = columnar.run_query(
+        engine.index.columnar_context(),
+        columnar.plan_query(prepared.chain),
+        prepared.variables if variables is None else variables,
+        mode,
+        seeds=engine.index.objects,
+    )
+    return data
 
-    def test_row_points_matches_pointwise_enumeration(self, figure1):
-        """The alive/reach passes agree with enumerate_times + admits."""
-        materializer = IntervalMaterializer(graph_index_for(figure1))
-        rng = random.Random(20240615)
+
+class TestIntervalMaterializer:
+    """The kernel's Step 3, ``_Kernel.project``."""
+
+    def test_row_points_matches_pointwise_enumeration(self):
+        """Group-spanning point output equals the reference engine's
+        point-wise semantics."""
+        from repro.lang import ast
+        from repro.lang.parser import MatchQuery, NodePattern, PathPattern
+
+        paths = {
+            "n": ast.N,
+            "p-n": ast.concat(ast.P, ast.N),
+            "n[1,3]": ast.repeat(ast.N, 1, 3),
+            "f-n-b": ast.concat(ast.F, ast.N, ast.B),
+            "(n/exists)[0,2]": ast.repeat(ast.concat(ast.N, ast.test(ast.exists())), 0, 2),
+        }
         checked = 0
-        for _ in range(120):
-            row = self._random_row(rng, figure1)
-            variables = tuple(name for g in row.groups for name, _obj in g.bindings)
-            if not variables:
-                continue
-            positions = row.variable_positions()
-            pointwise = {
-                tuple((positions[v][1], times[positions[v][0]]) for v in variables)
-                for times in row.enumerate_times(figure1)
-            }
-            interval_native = set(materializer.row_points(row, variables))
-            assert interval_native == pointwise, f"row={row}"
-            checked += 1
-        assert checked >= 60
+        for seed in range(4):
+            graph = random_itpg(seed)
+            engine = DataflowEngine(graph)
+            for name, path in paths.items():
+                query = MatchQuery(
+                    elements=(NodePattern(variable="x"), NodePattern(variable="y")),
+                    connectors=(PathPattern(path=path, source_text=name),),
+                    graph_name="g",
+                    text=f"<{name}>",
+                )
+                assert engine.prepare(query).mode == "points", name
+                expected = ReferenceEngine(graph).match(query).as_set()
+                assert set(_run(engine, query, "points").rows) == expected, (seed, name)
+                checked += bool(expected)
+        assert checked >= 10
 
     def test_row_family_matches_row_points(self, figure1):
-        """Families expand to exactly the point output on single-bound rows."""
-        materializer = IntervalMaterializer(graph_index_for(figure1))
-        rng = random.Random(77)
+        """Families expand to exactly the point output on single-group chains."""
+        engine = DataflowEngine(figure1)
         checked = 0
-        for _ in range(200):
-            row = self._random_row(rng, figure1)
-            bound = [
-                (g_index, name)
-                for g_index, g in enumerate(row.groups)
-                for name, _obj in g.bindings
-            ]
-            if len({g_index for g_index, _ in bound}) != 1:
+        for name, query in PAPER_QUERIES.items():
+            prepared = engine.prepare(query.text)
+            if prepared.mode != "families":
                 continue
-            variables = tuple(name for _g, name in bound)
-            family = materializer.row_family(row, variables)
-            points = set(materializer.row_points(row, variables))
-            if family is None:
-                assert points == set()
-                continue
-            bindings, times = family
-            objects = tuple(obj for _name, obj in bindings)
-            expanded = {
-                tuple((obj, t) for obj in objects) for t in times.points()
-            }
-            assert expanded == points
-            checked += 1
-        assert checked >= 20
+            families = _run(engine, query.text, "families")
+            points = _run(engine, query.text, "points")
+            assert expand_match_families(families, prepared.variables) == set(
+                points.rows
+            ), name
+            checked += bool(families)
+        assert checked >= 5
 
     def test_row_family_rejects_variables_across_groups(self, figure1):
-        materializer = IntervalMaterializer(graph_index_for(figure1))
-        link = TemporalLink("n2", forward=True, lower=0, upper=2, contiguous=False)
-        row = Row(
-            (
-                Group((("x", "n2"),), "n2", IntervalSet([(1, 4)])),
-                Group((("y", "n2"),), "n2", IntervalSet([(2, 6)])),
-            ),
-            (link,),
-        )
-        with pytest.raises(EvaluationError):
-            materializer.row_family(row, ("x", "y"))
+        engine = DataflowEngine(figure1)
+        with pytest.raises(EvaluationError, match="single temporal group"):
+            _run(engine, PAPER_QUERIES["Q6"].text, "families")
 
     def test_unbound_variable_raises(self, figure1):
-        materializer = IntervalMaterializer(graph_index_for(figure1))
-        row = Row((Group((), "n1", IntervalSet([(0, 2)])),), ())
-        with pytest.raises(EvaluationError):
-            list(materializer.row_points(row, ("x",)))
+        engine = DataflowEngine(figure1)
+        with pytest.raises(EvaluationError, match="never bound"):
+            _run(engine, PAPER_QUERIES["Q5"].text, "families", variables=("nope",))
 
 
 def _has_hop(chain) -> bool:
@@ -298,16 +275,6 @@ class TestHopFusion:
             text = PAPER_QUERIES[name].text
             assert _has_hop(engine.prepare(text).chain), name
             assert engine.match(text).as_set() == reference.match(text).as_set(), name
-
-    def test_hop_entries_memoized_per_graph(self, figure1):
-        engine_a = DataflowEngine(figure1)
-        engine_b = DataflowEngine(figure1)
-        assert engine_a.index is engine_b.index
-        engine_a.match(PAPER_QUERIES["Q11"].text)
-        cache_size = len(engine_a.index._hop_cache)
-        assert cache_size > 0
-        engine_b.match(PAPER_QUERIES["Q11"].text)
-        assert len(engine_b.index._hop_cache) == cache_size
 
 
 class TestIntervalSetPrimitives:

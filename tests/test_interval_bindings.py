@@ -37,6 +37,22 @@ class TestLazyContract:
         assert table.num_intervals() == 3
         assert table._table is None  # nothing expanded yet
 
+    def test_len_is_the_row_count_summed_once(self, monkeypatch):
+        # The table is immutable, so a served read's two ``len`` calls
+        # (the result's output size and the payload's) sum it once.
+        calls = []
+        total_points = IntervalSet.total_points
+
+        def counted(times):
+            calls.append(times)
+            return total_points(times)
+
+        monkeypatch.setattr(IntervalSet, "total_points", counted)
+        table = IntervalBindingTable(("x", "y"), families_fixture())
+        assert len(table) == len(table) == 9
+        assert len(calls) == 2  # one per family, on the first len only
+        assert len(table) == len(table.rows)
+
     def test_limited_pretty_does_not_materialize(self):
         table = IntervalBindingTable(("x", "y"), families_fixture())
         rendered = table.pretty(limit=3)

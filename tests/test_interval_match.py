@@ -26,7 +26,6 @@ from repro.datagen.random_graphs import (
     random_path_expression,
 )
 from repro.dataflow import DataflowEngine
-from repro.dataflow.interpreted import ChainWalk, seed_rows
 from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
@@ -50,26 +49,27 @@ def pc_query(path, bind_second=True, text="<pc>"):
     )
 
 
-def dataflow_frontier(graph, query):
-    """The interpreted kernel's frontier after Steps 1–2 (before Step 3)."""
-    engine = DataflowEngine(graph)
-    seeds, rest = seed_rows(engine.index, engine.prepare(query).chain)
-    return ChainWalk(engine.index).run(seeds, rest)
+def dataflow_frontier(kernel_steps, graph, query):
+    """The kernel's frontier after Steps 1–2 (before Step 3)."""
+    state = None
+    for _op, state in kernel_steps(DataflowEngine(graph), query):
+        pass
+    return state
 
 
-def group_of(row, variable):
-    return next(
-        index
-        for index, group in enumerate(row.groups)
-        for name, _obj in group.bindings
-        if name == variable
-    )
+def links(state) -> list:
+    """The temporal steps linking the frontier's groups, first to last."""
+    steps = []
+    while state.link is not None:
+        state, step = state.link
+        steps.append(step)
+    return steps[::-1]
 
 
 class TestOffsetFrontier:
     """Temporal navigation relates binding times by fixed offsets."""
 
-    def test_temporal_axis_shifts_offsets(self):
+    def test_temporal_axis_shifts_offsets(self, kernel_steps):
         graph = random_itpg(0)
         query = pc_query(ast.N, text="<n>")
         table = ReferenceEngine(graph).match(query)
@@ -77,42 +77,43 @@ class TestOffsetFrontier:
         for (x, x_time), (y, y_time) in table:
             # x was bound one N-move before y, on the same object.
             assert x == y and x_time == y_time - 1
-        frontier = dataflow_frontier(graph, query)
-        assert frontier
-        for row in frontier:
-            assert (group_of(row, "x"), group_of(row, "y")) == (0, 1)
-            (link,) = row.links
-            assert (link.forward, link.lower, link.upper) == (True, 1, 1)
-            for x_time, y_time in row.enumerate_times(graph):
-                assert y_time - x_time == 1
+        frontier = dataflow_frontier(kernel_steps, graph, query)
+        assert frontier.rows
+        (link,) = links(frontier)
+        assert (link.forward, link.lower, link.upper) == (True, 1, 1)
+        # x lives in the frozen group, y in the live one.
+        frozen, _step = frontier.link
+        assert frozen.names == ("x",) and frontier.names == ("x", "y")
+        assert DataflowEngine(graph).match(query).as_set() == table.as_set()
 
-    def test_cancelling_moves_return_to_zero_offset(self):
+    def test_cancelling_moves_return_to_zero_offset(self, kernel_steps):
         graph = random_itpg(0)
         query = pc_query(ast.concat(ast.N, ast.P), text="<np>")
         table = ReferenceEngine(graph).match(query)
         assert table
         for (_x, x_time), (_y, y_time) in table:
             assert x_time == y_time
-        frontier = dataflow_frontier(graph, query)
-        assert frontier
-        for row in frontier:
-            assert [link.forward for link in row.links] == [True, False]
-            first, last = group_of(row, "x"), group_of(row, "y")
-            for times in row.enumerate_times(graph):
-                assert times[first] == times[last]
+        frontier = dataflow_frontier(kernel_steps, graph, query)
+        assert frontier.rows
+        assert [link.forward for link in links(frontier)] == [True, False]
+        for (_x, x_time), (_y, y_time) in DataflowEngine(graph).match(query):
+            assert x_time == y_time
 
-    def test_frontier_families_are_coalesced(self):
+    def test_frontier_families_are_coalesced(self, kernel_steps):
         checked = 0
         for graph_seed in range(6):
             graph = random_itpg(graph_seed)
             for query_seed in range(40, 46):
-                for row in dataflow_frontier(graph, random_match_query(query_seed)):
-                    checked += 1
-                    assert row.is_alive()
-                    for group in row.groups:
-                        intervals = group.times.intervals
-                        for left, right in zip(intervals, intervals[1:]):
-                            assert right.start - left.end > 1
+                state = dataflow_frontier(
+                    kernel_steps, graph, random_match_query(query_seed)
+                )
+                while state is not None:  # the live group, then the frozen ones
+                    owner, start, end = state.family
+                    checked += state.rows
+                    assert set(owner.tolist()) == set(range(state.rows))
+                    same = owner[1:] == owner[:-1]
+                    assert (start[1:][same] - end[:-1][same] > 1).all()
+                    state = None if state.link is None else state.link[0]
         assert checked, "every sampled frontier was empty"
 
 

@@ -339,7 +339,9 @@ class TestGraphHost:
         host = state.host("default")
         host.register("Q5", name="q5")
         before = host.table("q5")["result"]["families"]
-        host.apply_delta(example_batch(1).to_json_dict())
+        applied = host.apply_delta(example_batch(1).to_json_dict())["result"]
+        # A write re-derives nothing, so it reports no per-query work.
+        assert "queries" not in applied
         after = host.table("q5")["result"]["families"]
         assert after != before
         assert after == serial_wire_answer(host.graph, "Q5")
@@ -413,6 +415,25 @@ class TestService:
                 assert err.value.kind == "DeadlineExceeded"
                 assert time.monotonic() - start < 1.0
                 assert client.query("Q1")["result"]["num_families"] > 0
+
+    def test_table_read_honours_its_deadline(self):
+        # Registering only prepares the plan, so even a chain of 2**22
+        # leaf chains registers at once; the first table read runs it
+        # under the request's deadline and answers the structured error.
+        factors = "/".join(["(NEXT + PREV)"] * 22)
+        state = ServerState()
+        state.add_graph("default")
+        with BackgroundServer(state) as server:
+            with ServerClient(server.host, server.port) as client:
+                start = time.monotonic()
+                client.register(f"MATCH (x)-/{factors}/-(y) ON default", name="wide")
+                assert time.monotonic() - start < 1.0
+                start = time.monotonic()
+                with pytest.raises(ServerError) as err:
+                    client.request("table", graph="default", name="wide", deadline=0.2)
+                assert err.value.kind == "DeadlineExceeded"
+                assert time.monotonic() - start < 1.0
+                assert client.ping()["protocol"]
 
     def test_malformed_requests_answer_instead_of_disconnecting(self):
         state = ServerState()
@@ -563,10 +584,12 @@ class TestService:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_concurrent_queries_with_delta_writer_are_serial_identical(self, workers):
         """Readers racing a delta writer — ad-hoc light and heavy queries
-        and a registered-table read — see per-epoch answers."""
+        and registered-table reads, whose first read after each write
+        runs the kernel — see per-epoch answers."""
         state = ServerState(workers=workers)
         state.add_graph("default")
         state.host("default").register("Q5", name="q5")
+        state.host("default").register("Q11", name="q11")
         num_batches = 4
         # Reference answers per epoch, each computed on a fresh twin graph
         # (a fresh graph gets a fresh shared index — the raw apply_delta
@@ -582,6 +605,7 @@ class TestService:
                 q: serial_wire_answer(twin, q) for q in ("Q1", "Q5", "Q11")
             }
             reference[epoch]["table q5"] = reference[epoch]["Q5"]
+            reference[epoch]["table q11"] = reference[epoch]["Q11"]
 
         errors = []
         observations = []
@@ -601,11 +625,11 @@ class TestService:
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 
-        with BackgroundServer(state, max_concurrency=5) as server:
+        with BackgroundServer(state, max_concurrency=6) as server:
             stop = threading.Event()
             readers = [
                 threading.Thread(target=reader, args=(what, stop), daemon=True)
-                for what in ("Q1", "Q5", "Q11", "table q5")
+                for what in ("Q1", "Q5", "Q11", "table q5", "table q11")
             ]
             for thread in readers:
                 thread.start()
@@ -626,7 +650,7 @@ class TestService:
             seen_epochs.setdefault(what, set()).add(epoch)
         # Every reader answered, and the race spanned multiple epochs
         # (not all pre/post).
-        assert set(seen_epochs) == {"Q1", "Q5", "Q11", "table q5"}
+        assert set(seen_epochs) == {"Q1", "Q5", "Q11", "table q5", "table q11"}
         assert len(set().union(*seen_epochs.values())) > 1
 
     def test_readers_overlap_and_a_waiting_writer_holds_back_new_readers(self):

@@ -33,6 +33,22 @@ from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Every ``columnar.run_query`` call, recorded as it happens."""
+    from repro.perf import columnar
+
+    calls = []
+    run_query = columnar.run_query
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_query(*args, **kwargs)
+
+    monkeypatch.setattr(columnar, "run_query", counted)
+    return calls
+
+
 def small_graph() -> IntervalTPG:
     graph = IntervalTPG((0, 9))
     graph.add_node("a", "Person", [(0, 4)])
@@ -59,7 +75,6 @@ class TestDeltaBatchEdgeCases:
         # [0,4] + [5,7] coalesce into one maximal interval.
         assert graph.existence("a") == IntervalSet(((0, 7),))
         assert effects.touched == frozenset({"a"})
-        assert effects.dirty_times == IntervalSet(((5, 7),))
 
     def test_adjacent_merge_maintains_index(self):
         graph = small_graph()
@@ -108,7 +123,7 @@ class TestDeltaBatchEdgeCases:
         name = session.register("MATCH (x:Person) ON g")
         rows = session.table(name).as_set()
         result = session.apply(batch)
-        assert result.affected_seeds == 0
+        assert (result.new_nodes, result.new_edges, result.touched_objects) == (0, 0, 0)
         assert snapshot(graph) == before
         assert session.table(name).as_set() == rows
         # The empty batch still advances the stream position.
@@ -266,21 +281,6 @@ class TestIndexMaintenance:
         )
         assert not_low["a"] == IntervalSet(((7, 9),))
 
-    def test_hop_tables_invalidate_within_two_moves(self):
-        graph = small_graph()
-        index = graph_index_for(graph)
-        entries = index.hop_entries("a", True, (), True, ())
-        targets = {target for target, _times in entries}
-        assert targets == {"b", "r"}
-        apply_delta_and_maintain(
-            graph,
-            DeltaBatch()
-            .add_node("c", "Person", [(0, 9)])
-            .add_edge("e9", "knows", "a", "c", [(0, 4)]),
-        )
-        entries_after = index.hop_entries("a", True, (), True, ())
-        assert {target for target, _times in entries_after} == {"b", "r", "c"}
-
     def test_horizon_advance_clears_domain_clamped_tables(self):
         graph = small_graph()
         index = graph_index_for(graph)
@@ -290,14 +290,6 @@ class TestIndexMaintenance:
         fresh = index.condition_table(ast.not_(ast.exists()))
         assert fresh["a"] == IntervalSet(((5, 12),))
         assert index.domain == Interval(0, 12)
-
-    def test_structural_closure_radii(self):
-        graph = small_graph()
-        index = graph_index_for(graph)
-        assert index.structural_closure({"a"}, 0) == {"a"}
-        assert index.structural_closure({"a"}, 1) == {"a", "e0", "v0"}
-        assert index.structural_closure({"a"}, 2) == {"a", "e0", "v0", "b", "r"}
-        assert index.structural_closure({"missing"}, 3) == set()
 
     def test_index_epoch_counts_maintained_batches(self):
         graph = small_graph()
@@ -407,23 +399,41 @@ class TestStreamingEngine:
             )
             assert inc_families == cold_families
 
-    def test_unaffected_seeds_are_not_rederived(self):
+    def test_apply_runs_no_kernel(self, kernel_runs):
         session = StreamingEngine(small_graph())
-        session.register("MATCH (x:Person) ON g")
-        # Touch only the Room node: no Person seed is within radius 0.
-        result = session.apply(DeltaBatch(sequence=1).add_existence("r", 0, 9))
-        (update,) = result.queries
-        assert update.total_seeds == 2
-        assert update.affected_seeds == 0
-        assert not update.recomputed_all
+        name = session.register(self.QUERY)
+        assert kernel_runs == []  # registration only prepares the plan
+        session.table(name)
+        kernel_runs.clear()
+        result = session.apply(
+            DeltaBatch(sequence=1).add_existence("b", 0, 1).extend_domain(11)
+        )
+        assert result.horizon_advanced and result.touched_objects == 1
+        assert kernel_runs == []
+        assert session.epoch == 1
 
     def test_horizon_advance_recomputes_everything(self):
-        session = StreamingEngine(small_graph())
-        session.register("MATCH (x:Person) ON g")
-        result = session.apply(DeltaBatch(sequence=1).extend_domain(11))
-        (update,) = result.queries
-        assert update.recomputed_all
-        assert update.affected_seeds == update.total_seeds
+        # Domain-clamped conditions (label tests, negation) shift for every
+        # object when the horizon moves: the next read must answer like a
+        # cold rebuild of the grown graph.
+        graph = small_graph()
+        session = StreamingEngine(graph)
+        queries = [self.QUERY, "MATCH (x:Person {NOT risk = 'low'}) ON g"]
+        for query in queries:
+            session.register(query)
+            session.table(query)
+        session.apply(
+            DeltaBatch(sequence=1)
+            .extend_domain(12)
+            .add_existence("a", 5, 12)
+            .set_property("a", "risk", "low", 5, 8)
+        )
+        cold = DataflowEngine(from_json_dict(to_json_dict(graph)))
+        for query in queries:
+            assert session.table(query).as_set() == cold.match(query).as_set()
+            assert sorted(session.results(query), key=repr) == sorted(
+                cold.match_intervals(query), key=repr
+            )
 
     def test_streaming_engine_standalone_registration(self):
         graph = small_graph()
@@ -436,38 +446,33 @@ class TestStreamingEngine:
         with pytest.raises(EvaluationError, match="not registered"):
             session.table("MATCH (q) ON g")
 
-    def test_temporal_window_filter_skips_far_seeds(self):
-        # Chain with bounded temporal radius: a delta far in time from a
-        # seed's satisfaction times must not re-derive it.
-        graph = IntervalTPG((0, 30))
-        graph.add_node("early", "Person", [(0, 2)])
-        graph.add_node("late", "Person", [(25, 30)])
-        graph.add_node("mid", "Room", [(0, 30)])
-        graph.add_edge("ve", "visits", "early", "mid", [(0, 2)])
-        graph.add_edge("vl", "visits", "late", "mid", [(25, 28)])
-        session = StreamingEngine(graph)
-        query = "MATCH (x:Person)-/FWD/:visits/FWD/NEXT[0,2]/-(r:Room) ON g"
-        session.register(query)
-        # Dirty the shared room node late in time: 'early' seed times
-        # [0,2] are outside the dilated window [23,30] despite being in
-        # the structural closure.
-        result = session.apply(
-            DeltaBatch(sequence=1)
-            .add_node("p9", "Person", [(27, 29)])
-            .add_edge("v9", "visits", "p9", "mid", [(27, 28)])
-        )
-        (update,) = result.queries
-        assert update.affected_seeds >= 1
-        cold = DataflowEngine(from_json_dict(to_json_dict(graph)))
-        assert session.table(query).as_set() == cold.match(query).as_set()
-        # 'early' was skipped by the time filter.
-        state = session._state(query)
-        assert "early" in state.seed_times
+    def test_first_read_after_write_runs_kernel_once(self, kernel_runs):
+        session = StreamingEngine(small_graph())
+        name = session.register(self.QUERY)
+        session.apply(DeltaBatch(sequence=1).add_existence("b", 0, 1))
+        session.table(name)
+        assert len(kernel_runs) == 1
+        session.table(name)
+        session.results(name)
+        assert len(kernel_runs) == 1
+        session.apply(DeltaBatch(sequence=2))  # even an empty batch is a new epoch
+        session.results(name)
+        assert len(kernel_runs) == 2
+
+    def test_second_read_at_same_epoch_returns_same_object(self):
+        session = StreamingEngine(small_graph())
+        name = session.register(self.QUERY)
+        first = session.table(name)
+        assert session.table(name) is first
+        session.apply(DeltaBatch(sequence=1).add_existence("b", 0, 1))
+        second = session.table(name)
+        assert second is not first
+        assert session.table(name) is second
 
     def test_kernel_sessions_agree(self):
         # The query kernel, reading the session's delta-maintained index
-        # ad hoc, agrees with the session's own per-seed answer (the
-        # streaming walk) and with the reference engine.
+        # ad hoc, agrees with the session's registered answer and with
+        # the reference engine.
         query = "MATCH (x:Person {risk = 'high'}) ON g"
         session = StreamingEngine(small_graph())
         name = session.register(query)
@@ -565,7 +570,7 @@ class TestCliStream:
         assert "# stream: initial graph" in out
         assert "# batch 1 (seq 1):" in out
         assert "# batch 3 (seq 3):" in out
-        assert "seeds re-derived" in out
+        assert "| output " in out
 
     def test_stream_requires_dataflow_engine(self, tmp_path, capsys):
         deltas_path = tmp_path / "d.jsonl"

@@ -26,7 +26,6 @@ from repro.datagen import (
 )
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.dataflow.interpreted import seed_rows
 from repro.errors import EvaluationError, ReproError, RetryBudgetExceeded
 from repro.eval import ReferenceEngine
 from repro.parallel import plan_for, weighted_chunks
@@ -291,10 +290,8 @@ class TestProcessBackend:
         # heaviest chunk can exceed the lightest by at most one seed's
         # weight (the LPT guarantee when no single seed dominates).
         assert max(weights) < sum(weights)
-        seeds, _rest = seed_rows(
-            engine.index, engine.prepare(PAPER_QUERIES["Q1"].text).chain
-        )
-        heaviest_seed = max(engine.index.seed_weight(row.last.current) for row in seeds)
+        seeds, _rest = engine._seed_objects(engine.prepare(PAPER_QUERIES["Q1"].text).chain)
+        heaviest_seed = max(engine.index.seed_weight(obj) for obj in seeds)
         assert max(weights) - min(weights) <= heaviest_seed
         assert all(chunk["seeds"] > 0 for chunk in plan["chunks"])
 
