@@ -13,7 +13,7 @@ definition are enforced by :meth:`IntervalTPG.validate`:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import GraphIntegrityError, UnknownObjectError
 from repro.temporal.interval import Interval
@@ -152,6 +152,22 @@ class IntervalTPG:
         props[name] = current.merge(
             ValuedIntervalSet((ValuedInterval(value, interval),))
         )
+
+    def install_families(
+        self,
+        existence: Mapping[ObjectId, IntervalSet],
+        properties: Mapping[tuple[ObjectId, PropertyName], ValuedIntervalSet],
+    ) -> None:
+        """Replace whole existence and property families of known objects.
+
+        The bulk form of :meth:`add_existence` and :meth:`set_property`
+        for families already merged and validated elsewhere (a delta
+        batch's commit, :func:`repro.streaming.delta.apply_delta`): no
+        re-merge and no domain or containment check.
+        """
+        self._existence.update(existence)
+        for (object_id, name), family in properties.items():
+            self._properties[object_id][name] = family
 
     def _normalize_existence(
         self, existence: IntervalSet | Iterable[tuple[int, int]]

@@ -267,7 +267,16 @@ class ColumnarContext:
             self.in_indptr,
             self.in_ids,
         ) = decoded or (origin, empty, empty, origin, empty, origin, empty)
-        self._derive(range(len(index.objects)), graph_tables=decoded is None)
+        if decoded is None:
+            objects = index.objects
+            self._derive(
+                objects,
+                {obj: index.out_adjacency.get(obj) or () for obj in objects},
+                {obj: index.in_adjacency.get(obj) or () for obj in objects},
+                {},
+            )
+        else:
+            self._derive((), {}, {}, {})
 
     def _set_domain(self) -> None:
         domain = self._index.domain
@@ -315,13 +324,19 @@ class ColumnarContext:
         in_ids = words[_ranges(rec_start + 1 + out_count, in_count)]
         return ex_indptr, ex_start, ex_end, out_indptr, out_ids, in_indptr, in_ids
 
-    def _derive(self, ids, graph_tables: bool = True) -> None:
-        """(Re-)derive rows ``ids`` of every per-object table from the index.
+    def _derive(self, existence, out_edges: dict, in_edges: dict, conditions: dict) -> None:
+        """(Re-)derive the named objects' rows of the image from the index.
 
-        The one Python walk behind both the initial build (every id) and
-        a delta patch (the dirty ids): objects past the current tails
-        append their ``is_node``/``succ_*`` slots, and the named rows of
-        the existence, adjacency and cached condition CSRs are re-spliced.
+        The one Python walk behind both the initial build (every object)
+        and a delta patch: objects past the current tails append their
+        ``is_node``/``succ_*`` slots and every CSR grows to the new
+        object count; then exactly the named rows change — the
+        ``existence`` objects' rows are re-spliced, each ``out_edges`` /
+        ``in_edges`` key's adjacency row gains the edges it maps to
+        (adjacency only grows), and per cached condition the objects
+        ``conditions`` lists for it are re-spliced.  The condition CSRs
+        are walked over a snapshot: a reader may cache a new one
+        meanwhile, already current.
         """
         index = self._index
         objects = self.objects = index.objects
@@ -341,46 +356,52 @@ class ColumnarContext:
             self.is_node = np.concatenate((self.is_node, node))
             self.succ_fwd = np.concatenate((self.succ_fwd, successors(index.edge_target)))
             self.succ_bwd = np.concatenate((self.succ_bwd, successors(index.edge_source)))
-        touched = [objects[position] for position in ids]
-        if graph_tables:
 
-            def edge_rows(adjacency):
-                edges = [adjacency.get(obj) or () for obj in touched]
-                return (
-                    [len(row) for row in edges],
-                    [object_id[edge] for row in edges for edge in row],
-                )
+        def rows(objs):
+            return [object_id[obj] for obj in objs]
 
-            self.ex_indptr, self.ex_start, self.ex_end = _splice(
-                (self.ex_indptr, self.ex_start, self.ex_end),
+        def grow(csr, additions):
+            edges = additions.values()
+            return _splice(
+                csr,
                 n,
-                ids,
-                *_family_rows(index.existence[obj] for obj in touched),
-            )
-            self.out_indptr, self.out_ids = _splice(
-                (self.out_indptr, self.out_ids), n, ids, *edge_rows(index.out_adjacency)
-            )
-            self.in_indptr, self.in_ids = _splice(
-                (self.in_indptr, self.in_ids), n, ids, *edge_rows(index.in_adjacency)
-            )
-        for condition, arrays in self._conditions.items():
-            table = index.condition_table(condition)
-            self._conditions[condition] = _splice(
-                arrays, n, ids, *_family_rows(table.get(obj) for obj in touched)
+                rows(additions),
+                [len(row) for row in edges],
+                [object_id[edge] for row in edges for edge in row],
+                append=True,
             )
 
-    def apply_delta(self, effects) -> None:
-        """Patch the image; :meth:`GraphIndex.apply_delta` calls this last.
+        self.ex_indptr, self.ex_start, self.ex_end = _splice(
+            (self.ex_indptr, self.ex_start, self.ex_end),
+            n,
+            rows(existence),
+            *_family_rows(index.existence[obj] for obj in existence),
+        )
+        self.out_indptr, self.out_ids = grow((self.out_indptr, self.out_ids), out_edges)
+        self.in_indptr, self.in_ids = grow((self.in_indptr, self.in_ids), in_edges)
+        for condition, arrays in list(self._conditions.items()):
+            table = index.condition_table(condition)
+            changed = conditions.get(condition, ())
+            self._conditions[condition] = _splice(
+                arrays, n, rows(changed), *_family_rows(table.get(obj) for obj in changed)
+            )
+
+    def patch(
+        self, horizon_advanced: bool, existence, out_edges, in_edges, conditions: dict
+    ) -> None:
+        """Patch the image; :meth:`GraphIndex.apply_delta` calls this last
+        with the objects whose rows changed and the edges new to each
+        endpoint (see :meth:`_derive`).
 
         A horizon advance re-clamps every condition family to the new
         domain, so the condition arrays (and ``stride``) drop and rebuild
         on next use; existence and adjacency are never clamped.
         """
-        if effects.horizon_advanced:
+        if horizon_advanced:
             self._set_domain()
             self._conditions.clear()
         self._hulls.clear()
-        self._derive([self.object_id[obj] for obj in effects.dirty])
+        self._derive(existence, out_edges, in_edges, conditions)
 
     # -- condition tables ------------------------------------------------- #
     def condition_arrays(self, condition: Test) -> tuple:
@@ -451,33 +472,43 @@ def _family_rows(families) -> tuple[list, list, list]:
     return counts, starts, ends
 
 
-def _splice(csr: tuple, n: int, rows, counts, *fresh) -> tuple:
+def _splice(csr: tuple, n: int, rows, counts, *fresh, append: bool = False) -> tuple:
     """Replace ``rows`` of a CSR ``(indptr, *columns)`` and grow it to ``n``.
 
-    ``rows`` are distinct dense ids (ids past the old tail append);
-    row ``rows[i]`` gets ``counts[i]`` new entries, taken in order from
-    the flat ``fresh`` sequences (one per column).  Every other row is
-    copied over with one gather.
+    ``rows`` are distinct dense ids in any order (ids past the old tail
+    append; rows between the old tail and ``n`` that are not named come
+    out empty); row ``rows[i]`` gets ``counts[i]`` new entries, taken in
+    order from the flat ``fresh`` sequences (one per column) — after its
+    old entries with ``append``, instead of them otherwise.  Ranges are
+    only expanded for the named rows: every other entry moves over in
+    one masked copy, and with no named rows only ``indptr`` grows.
     """
     indptr, *columns = csr
-    rows = np.asarray(rows, dtype=np.int64)
     old_n = indptr.size - 1
-    kept = np.zeros(n, dtype=np.int64)
-    kept[:old_n] = np.diff(indptr)
-    kept[rows] = 0
-    sizes = kept.copy()
-    sizes[rows] = counts
+    if not len(rows):
+        if n == old_n:
+            return csr
+        return (np.concatenate((indptr, np.full(n - old_n, indptr[-1]))), *columns)
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = np.zeros(n, dtype=np.int64)
+    sizes[:old_n] = np.diff(indptr)
+    keep = np.ones(int(indptr[-1]), dtype=bool)
+    if append:
+        sizes[rows] += counts
+    else:
+        replaced = rows[rows < old_n]
+        keep[_ranges(indptr[replaced], sizes[replaced])] = False
+        sizes[rows] = counts
     out_indptr = np.concatenate(([0], np.cumsum(sizes)))
-    old_at = np.zeros(n, dtype=np.int64)
-    old_at[:old_n] = indptr[:-1]
-    source = _ranges(old_at, kept)
-    target = _ranges(out_indptr[:-1], kept)
-    fresh_target = _ranges(out_indptr[rows], sizes[rows])
+    placed = _ranges(out_indptr[rows + 1] - counts, counts)
+    moved = np.ones(int(out_indptr[-1]), dtype=bool)
+    moved[placed] = False
     out = [out_indptr]
     for column, values in zip(columns, fresh):
-        merged = np.empty(int(out_indptr[-1]), dtype=np.int64)
-        merged[target] = column[source]
-        merged[fresh_target] = values
+        merged = np.empty(moved.size, dtype=np.int64)
+        merged[moved] = column[keep]
+        merged[placed] = values
         out.append(merged)
     return tuple(out)
 

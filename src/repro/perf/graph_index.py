@@ -285,17 +285,33 @@ class GraphIndex:
         self._table_cache[condition] = table
         return table
 
-    def _times(self, obj: ObjectId, condition: Test) -> IntervalSet:
+    def _times(
+        self, obj: ObjectId, condition: Test, leaves: Optional[dict] = None
+    ) -> IntervalSet:
+        """``obj``'s satisfaction times; ``leaves`` memoizes its property
+        leaves across the conditions of one repair."""
         if isinstance(condition, AndTest):
+            # Every part's times lie inside the domain, so the
+            # conjunction starts from its first non-full part rather
+            # than intersecting with the full domain.
             result = self._full
             for part in condition.parts:
-                result = result.intersect(self._times(obj, part))
+                times = self._times(obj, part, leaves)
+                if result is self._full:
+                    result = times
+                elif times is not self._full:
+                    result = result.intersect(times)
                 if result.is_empty():
                     return self._empty
             return result
         if isinstance(condition, LabelTest):
             return self._full if self.labels.get(obj) == condition.label else self._empty
         if isinstance(condition, PropEq):
+            if leaves is not None:
+                times = leaves.get(condition)
+                if times is None:
+                    times = leaves[condition] = self._times(obj, condition)
+                return times
             family = self._properties[obj].get(condition.prop)
             if family is None:
                 return self._empty
@@ -340,27 +356,30 @@ class GraphIndex:
 
         * new objects are appended — their dense ``object_id`` slots
           extend the table, so every existing id stays valid;
-        * touched objects get their existence/property families and
-          label/property buckets refreshed from the graph; new edges are
-          appended to their endpoints' adjacency tuples;
-        * memoized *per-object* results (condition-table entries, the
-          dirty rows of the columnar array image) are recomputed for
-          exactly the dirty objects.
+        * touched objects whose existence or property families changed
+          get them refreshed from the graph; the label and property
+          buckets gain only the keys that are new to an object, one
+          tuple extension per key; new edges extend their endpoints'
+          adjacency tuples, once per endpoint;
+        * memoized condition tables are repaired for exactly the objects
+          whose families changed, and the columnar array image re-splices
+          only the rows whose existence, edges or satisfaction times
+          changed.
 
         Advancing the horizon invalidates every memoized family instead:
         condition satisfaction (``¬φ``, label tests, ``time < c``) is
         clamped to the domain, so no per-object surgery is sound there.
 
         Soundness: a condition table entry is a function of one
-        object's own families (object-local — repairing the dirty
-        objects suffices).  ``tests/test_columnar_context.py`` compares
-        the patched image with a rebuild after every delta.  The stale
-        caches that *do* outlive an in-place mutation — the pickled
-        parallel plan payload and the worker-side graphs keyed by its
-        token — are invalidated at delta-commit time by
+        object's own label, existence and property families
+        (object-local — an object only touched through a new incident
+        edge keeps its entries).  ``tests/test_columnar_context.py``
+        compares the patched index and image with rebuilds after every
+        delta.  The stale caches that *do* outlive an in-place mutation
+        — the pickled parallel plan payload and the worker-side graphs
+        keyed by its token — are invalidated at delta-commit time by
         :func:`repro.parallel.plan.invalidate_plans`.
         """
-        dirty = set(effects.dirty)
         self._epoch += 1
         if effects.horizon_advanced:
             self._domain = self._graph.domain
@@ -368,61 +387,95 @@ class GraphIndex:
             self._table_cache.clear()
 
         graph = self._graph
-        appended: list[ObjectId] = []
-        self._nodes = self._nodes.union(effects.new_nodes)
-        self._edges = self._edges.union(effects.new_edges)
+        appended = effects.new_nodes + effects.new_edges
+        if effects.new_nodes:
+            self._nodes = self._nodes.union(effects.new_nodes)
+        if effects.new_edges:
+            self._edges = self._edges.union(effects.new_edges)
+        node_labels: dict[str, list[ObjectId]] = {}
+        edge_labels: dict[str, list[ObjectId]] = {}
+        out_edges: dict[ObjectId, list[ObjectId]] = {}
+        in_edges: dict[ObjectId, list[ObjectId]] = {}
         for node in effects.new_nodes:
-            self.labels[node] = graph.label(node)
-            self.existence[node] = graph.existence(node)
+            label = self.labels[node] = graph.label(node)
             self.out_adjacency[node] = ()
             self.in_adjacency[node] = ()
-            self._properties[node] = graph.properties(node)
-            bucket = self.node_label_buckets.get(graph.label(node), ())
-            self.node_label_buckets[graph.label(node)] = bucket + (node,)
-            appended.append(node)
+            node_labels.setdefault(label, []).append(node)
         for edge in effects.new_edges:
-            self.labels[edge] = graph.label(edge)
-            self.existence[edge] = graph.existence(edge)
+            label = self.labels[edge] = graph.label(edge)
             src, tgt = graph.endpoints(edge)
             self.edge_source[edge] = src
             self.edge_target[edge] = tgt
-            self.out_adjacency[src] = self.out_adjacency[src] + (edge,)
-            self.in_adjacency[tgt] = self.in_adjacency[tgt] + (edge,)
-            self._properties[edge] = graph.properties(edge)
-            bucket = self.edge_label_buckets.get(graph.label(edge), ())
-            self.edge_label_buckets[graph.label(edge)] = bucket + (edge,)
-            appended.append(edge)
+            out_edges.setdefault(src, []).append(edge)
+            in_edges.setdefault(tgt, []).append(edge)
+            edge_labels.setdefault(label, []).append(edge)
+        _extend(self.out_adjacency, out_edges)
+        _extend(self.in_adjacency, in_edges)
+        _extend(self.node_label_buckets, node_labels)
+        _extend(self.edge_label_buckets, edge_labels)
         if appended:
             position = len(self.objects)
-            self.objects = self.objects + tuple(appended)
+            self.objects = self.objects + appended
             for obj in appended:
                 self.object_id[obj] = position
                 position += 1
 
-        for obj in effects.touched:
+        # Only objects whose own families changed need condition repair:
+        # one touched just through a new incident edge keeps its entries.
+        existence_changed: list[ObjectId] = []
+        families_changed: list[ObjectId] = []
+        prop_keys: dict[tuple[str, Hashable], list[ObjectId]] = {}
+        for obj in sorted(effects.touched, key=self.object_id.__getitem__):
+            existence = graph.existence(obj)
+            families = graph.properties(obj)
+            old_families = self._properties[obj]
+            existence_moved = existence != self.existence[obj]
+            families_moved = families != old_families
+            if existence_moved:
+                self.existence[obj] = existence
+                existence_changed.append(obj)
+            if families_moved:
+                self._properties[obj] = families
+                for key in _value_keys(families) - _value_keys(old_families):
+                    prop_keys.setdefault(key, []).append(obj)
+            if existence_moved or families_moved:
+                families_changed.append(obj)
+        for obj in appended:
             self.existence[obj] = graph.existence(obj)
-            self._properties[obj] = graph.properties(obj)
-        for obj in sorted(dirty, key=lambda o: self.object_id[o]):
-            for name, family in self._properties[obj].items():
-                for entry in family:
-                    key = (name, entry.value)
-                    bucket = self.prop_value_buckets.get(key, ())
-                    if obj not in bucket:
-                        self.prop_value_buckets[key] = bucket + (obj,)
+            families = self._properties[obj] = graph.properties(obj)
+            for key in _value_keys(families):
+                prop_keys.setdefault(key, []).append(obj)
+        existence_changed.extend(appended)
+        families_changed.extend(appended)
+        _extend(self.prop_value_buckets, prop_keys)
 
-        if not effects.horizon_advanced and dirty:
-            # Condition tables are shared with callers by reference, so
-            # they are repaired in place: recompute exactly the dirty
-            # objects' satisfaction times.
-            for condition, table in self._table_cache.items():
-                for obj in dirty:
-                    times = self._times(obj, condition)
-                    if times.is_empty():
-                        table.pop(obj, None)
-                    else:
-                        table[obj] = times
+        # Condition tables are shared with callers by reference, so they
+        # are repaired in place, and each reports the objects whose
+        # times actually changed — the only rows the image re-splices.
+        changed: dict[Test, list[ObjectId]] = {}
+        tables = list(self._table_cache.items())
+        for obj in families_changed:
+            leaves: dict[Test, IntervalSet] = {}
+            for condition, table in tables:
+                times = self._times(obj, condition, leaves)
+                old = table.get(obj)
+                if times.is_empty():
+                    if old is None:
+                        continue
+                    del table[obj]
+                elif times == old:
+                    continue
+                else:
+                    table[obj] = times
+                changed.setdefault(condition, []).append(obj)
         if self._columnar is not None:
-            self._columnar.apply_delta(effects)
+            self._columnar.patch(
+                effects.horizon_advanced,
+                existence_changed,
+                out_edges,
+                in_edges,
+                changed,
+            )
 
     def snapshot_core(self) -> CompiledCore:
         """A plain-dict snapshot of the compiled tables *as maintained now*.
@@ -520,6 +573,17 @@ class GraphIndex:
                 union |= part_candidates
             return union
         return None
+
+
+def _extend(buckets: dict, additions: dict) -> None:
+    """Append each key's new members to its tuple, one copy per key."""
+    for key, members in additions.items():
+        buckets[key] = buckets.get(key, ()) + tuple(members)
+
+
+def _value_keys(families: dict) -> set:
+    """The ``(property, value)`` bucket keys an object's families hold."""
+    return {(name, entry.value) for name, family in families.items() for entry in family}
 
 
 def _is_static(condition: Test) -> bool:

@@ -650,6 +650,12 @@ class AttachedGraph:
             return self._real.num_edges()
         return len(self._core.edges)
 
+    # -- write surface --------------------------------------------------- #
+    def install_families(self, existence, properties) -> None:
+        """:meth:`IntervalTPG.install_families` on the materialized graph
+        (the core's families are read-only)."""
+        self._materialize().install_families(existence, properties)
+
 
 # --------------------------------------------------------------------- #
 # Attach

@@ -429,13 +429,18 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
     if horizon_advanced:
         graph.extend_domain(new_end)
     for node in batch.nodes:
-        graph.add_node(node.node_id, node.label, node.existence)
+        graph.add_node(node.node_id, node.label, prospective_existence[node.node_id])
     for edge in batch.edges:
-        graph.add_edge(edge.edge_id, edge.label, edge.source, edge.target, edge.existence)
-    for extend in batch.existence:
-        graph.add_existence(extend.object_id, extend.start, extend.end)
-    for prop in batch.properties:
-        graph.set_property(prop.object_id, prop.name, prop.value, prop.start, prop.end)
+        graph.add_edge(
+            edge.edge_id, edge.label, edge.source, edge.target,
+            prospective_existence[edge.edge_id],
+        )
+    # Validation already merged every extended existence and every set
+    # property family: install those instead of merging them again.
+    graph.install_families(
+        {extend.object_id: prospective_existence[extend.object_id] for extend in batch.existence},
+        prospective_props,
+    )
 
     touched: set[ObjectId] = set()
     for extend in batch.existence:

@@ -1,19 +1,26 @@
-"""The index-owned ``ColumnarContext`` is patched, never rebuilt.
+"""The ``GraphIndex`` and its ``ColumnarContext`` are patched, never rebuilt.
 
-``GraphIndex.apply_delta`` maintains the columnar kernel's array image
-in place (appended tails, re-spliced dirty rows).  These tests hold the
-patch to the only standard that matters: after every delta, every array
+``GraphIndex.apply_delta`` maintains the index (buckets, families,
+memoized condition tables) and the columnar kernel's array image in
+place (appended tails, re-spliced changed rows).  These tests hold the
+patch to the only standard that matters: after every delta the
+maintained index equals a fresh ``GraphIndex(graph)`` and every array
 of the maintained image equals a freshly constructed
 ``ColumnarContext(index)`` element for element — over randomized delta
 streams (new nodes, new edges, touched existence/properties, horizon
 advances), over the contact-tracing stream, and for a store-attached
 index whose image was decoded from the artifact's sections at epoch 0.
+``REPRO_FUZZ_SEED_OFFSET`` shifts the random streams' seed window (the
+CI fuzz matrix runs three more windows); 0 is the fixed tier-1 window.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datagen import ContactTracingConfig, TrajectoryConfig
 from repro.datagen.random_graphs import (
@@ -24,9 +31,10 @@ from repro.datagen.random_graphs import (
 from repro.datagen.streaming import contact_tracing_stream
 from repro.dataflow import PAPER_QUERIES, DataflowEngine
 from repro.eval import ReferenceEngine
+from repro.lang.ast import AndTest, ExistsTest, LabelTest
 from repro.model import contact_tracing_example
-from repro.perf.columnar import ColumnarContext
-from repro.perf.graph_index import graph_index_for
+from repro.perf.columnar import ColumnarContext, _splice
+from repro.perf.graph_index import GraphIndex, graph_index_for
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 
 GRAPH_ARRAYS = (
@@ -42,6 +50,8 @@ GRAPH_ARRAYS = (
     "succ_bwd",
 )
 SCALARS = ("domain_start", "domain_end", "stride", "num_objects", "objects")
+BUCKETS = ("node_label_buckets", "edge_label_buckets", "prop_value_buckets")
+SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
 
 
 def assert_same_arrays(got, expected, what: str) -> None:
@@ -71,12 +81,42 @@ def assert_equals_rebuild(index, context: str) -> int:
     return len(live._conditions)
 
 
+def assert_index_equals_rebuild(index, context: str) -> None:
+    """The maintained index vs a fresh ``GraphIndex(graph)``: condition
+    tables, buckets (same members, no duplicates), the object table,
+    node/edge sets, and every object's families and adjacency."""
+    fresh = GraphIndex(index.graph)
+    assert index.nodes() == fresh.nodes(), f"nodes ({context})"
+    assert index.edges() == fresh.edges(), f"edges ({context})"
+    assert len(index.objects) == len(fresh.objects), f"objects ({context})"
+    assert set(index.objects) == set(fresh.objects), f"objects ({context})"
+    assert index.object_id == {obj: i for i, obj in enumerate(index.objects)}, context
+    for condition, table in index._table_cache.items():
+        assert table == fresh.condition_table(condition), f"{condition!r} ({context})"
+    for name in BUCKETS:
+        live = dict(getattr(index, name).items())
+        rebuilt = dict(getattr(fresh, name).items())
+        assert live.keys() == rebuilt.keys(), f"{name} keys ({context})"
+        for key, members in live.items():
+            assert len(set(members)) == len(members), f"{name}[{key!r}] dup ({context})"
+            assert set(members) == set(rebuilt[key]), f"{name}[{key!r}] ({context})"
+    for obj in index.objects:
+        assert index.existence[obj] == fresh.existence[obj], f"{obj!r} ({context})"
+        assert index._properties[obj] == fresh._properties[obj], f"{obj!r} ({context})"
+        if obj in fresh.nodes():
+            for side in ("out_adjacency", "in_adjacency"):
+                live_edges = getattr(index, side)[obj]
+                assert len(set(live_edges)) == len(live_edges), f"{side} ({context})"
+                assert set(live_edges) == set(getattr(fresh, side)[obj]), context
+
+
 def maintain(graph, batch) -> None:
     graph_index_for(graph).apply_delta(apply_delta(graph, batch))
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_random_delta_streams_patch_equals_rebuild(seed):
+@pytest.mark.parametrize("case", range(24))
+def test_random_delta_streams_patch_equals_rebuild(case):
+    seed = SEED_OFFSET + case
     graph = random_itpg(seed)
     queries = [random_match_query(seed * 31 + 7 + k) for k in range(3)]
     engine = DataflowEngine(graph)
@@ -87,6 +127,7 @@ def test_random_delta_streams_patch_equals_rebuild(seed):
     assert_equals_rebuild(index, f"seed={seed}, cold")
     for number, batch in enumerate(random_delta_batches(graph, seed * 17 + 3), 1):
         maintain(graph, batch)
+        assert_index_equals_rebuild(index, f"seed={seed}, batch={number}")
         assert_equals_rebuild(index, f"seed={seed}, batch={number}")
         for query in queries:
             # Repopulates conditions dropped by a horizon advance.
@@ -98,7 +139,7 @@ def test_streams_cover_every_delta_kind():
     touch existing objects, advance the horizon, and patch cached
     condition tables."""
     kinds = {"nodes": 0, "edges": 0, "touched": 0, "horizon": 0, "conditions": 0}
-    for seed in range(24):
+    for seed in range(SEED_OFFSET, SEED_OFFSET + 24):
         graph = random_itpg(seed)
         engine = DataflowEngine(graph)
         for k in range(3):
@@ -132,6 +173,7 @@ def test_contact_tracing_stream_with_horizon_advance():
     compared = 0
     for number, batch in enumerate(stream.batches, 1):
         maintain(graph, batch)
+        assert_index_equals_rebuild(engine.index, f"contact batch {number}")
         compared += assert_equals_rebuild(engine.index, f"contact batch {number}")
         DataflowEngine(graph).match(PAPER_QUERIES["Q11"].text)
     assert compared > 0
@@ -159,6 +201,7 @@ def test_store_attached_image_stays_equal_after_first_delta(tmp_path):
         batch.add_edge("zz2", "meets", "zz1", person, [(span.start, span.start)])
         maintain(graph, batch)
         assert index.epoch == 1
+        assert_index_equals_rebuild(index, "attached, first delta")
         assert assert_equals_rebuild(index, "attached, first delta") > 0
         assert (
             DataflowEngine(graph).match(PAPER_QUERIES["Q5"].text).as_set()
@@ -195,3 +238,130 @@ def test_no_read_pays_a_rebuild(monkeypatch):
             assert engine.match(query).as_set() == expected
             assert fresh.match(query).as_set() == expected
     assert len(built) == 1 and built[0] is engine.index
+
+
+def test_attached_store_writes_like_the_in_memory_graph(tmp_path):
+    """One contact-tracing stream applied to an in-memory graph and to
+    the attachment of its compiled store: every dirty object ends with
+    equal families on both graphs and both indexes, and the registered
+    paper queries answer alike after every batch."""
+    from repro.store import attach, compile_graph
+
+    config = ContactTracingConfig(
+        trajectory=TrajectoryConfig(
+            num_persons=25, num_locations=20, num_rooms=6, num_windows=24, seed=7
+        ),
+        seed=7,
+    )
+    stream = contact_tracing_stream(config, num_batches=5, initial_fraction=0.3)
+    memory = stream.initial
+    path = str(tmp_path / "graph.rix")
+    compile_graph(memory, path)
+    attachment = attach(path)
+    names = ("Q5", "Q9", "Q11")
+    try:
+        attached = attachment.graph
+        graphs = (memory, attached)
+        engines = [DataflowEngine(graph) for graph in graphs]
+        for engine in engines:
+            for name in names:
+                engine.match(PAPER_QUERIES[name].text)
+        for number, batch in enumerate(stream.batches, 1):
+            dirty = set()
+            for graph, engine in zip(graphs, engines):
+                effects = apply_delta(graph, batch)
+                engine.index.apply_delta(effects)
+                dirty |= effects.dirty
+            assert dirty, f"batch {number} changed nothing"
+            for obj in dirty:
+                assert memory.existence(obj) == attached.existence(obj), obj
+                assert memory.properties(obj) == attached.properties(obj), obj
+                mine, theirs = (engine.index for engine in engines)
+                assert mine.existence[obj] == theirs.existence[obj], obj
+                assert mine._properties[obj] == theirs._properties[obj], obj
+            for name in names:
+                text = PAPER_QUERIES[name].text
+                assert (
+                    engines[0].match(text).as_set() == engines[1].match(text).as_set()
+                ), f"{name} after batch {number}"
+        assert_index_equals_rebuild(engines[1].index, "attached, end of stream")
+    finally:
+        attachment.close()
+
+
+@st.composite
+def splice_cases(draw):
+    """A random int64 CSR with two columns, plus distinct rows in any
+    order (some past the old tail), their counts and fresh values, a
+    target row count at least one past the last named row, and a mode."""
+    old_sizes = draw(st.lists(st.integers(0, 4), max_size=12))
+    old_n = len(old_sizes)
+    n = draw(st.integers(old_n, old_n + 4))
+    rows = draw(st.lists(st.integers(0, n + 3), unique=True, max_size=n + 4))
+    n = max([n, *(row + 1 for row in rows)])
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    values = st.integers(-50, 50)
+    old = [draw(st.lists(values, min_size=size, max_size=size)) for size in old_sizes]
+    fresh = [draw(st.lists(values, min_size=count, max_size=count)) for count in counts]
+    return old, n, rows, fresh, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(splice_cases())
+def test_splice_equals_a_naive_per_row_rebuild(case):
+    old, n, rows, fresh, append = case
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in old]))).astype(np.int64)
+    flat = np.array([value for row in old for value in row], dtype=np.int64)
+    values = [value for row in fresh for value in row]
+    got = _splice(
+        (indptr, flat, flat * 2),
+        n,
+        rows,
+        [len(row) for row in fresh],
+        values,
+        [2 * value for value in values],
+        append=append,
+    )
+    expected_rows = [list(row) for row in old] + [[] for _ in range(n - len(old))]
+    for row, entries in zip(rows, fresh):
+        expected_rows[row] = (expected_rows[row] if append else []) + entries
+    expected_indptr = np.concatenate(([0], np.cumsum([len(r) for r in expected_rows])))
+    expected = np.array([value for row in expected_rows for value in row], dtype=np.int64)
+    assert len(got) == 3
+    assert_same_arrays(got[0], expected_indptr.astype(np.int64), "indptr")
+    assert_same_arrays(got[1], expected, "first column")
+    assert_same_arrays(got[2], expected * 2, "second column")
+
+
+def test_a_condition_cached_during_a_patch_is_safe(monkeypatch):
+    """A reader may cache a new condition CSR while a write re-splices
+    the image (``condition_arrays`` runs under the shared lock): the
+    patch walks a snapshot of the cached conditions, and the image still
+    equals a rebuild afterwards."""
+    graph = contact_tracing_example()
+    index = graph_index_for(graph)
+    context = index.columnar_context()
+    first = AndTest((LabelTest("Person"), ExistsTest()))
+    second = AndTest((LabelTest("meets"), ExistsTest()))
+    context.condition_arrays(first)
+    original = index.condition_table
+    inserted = []
+
+    def reader_meanwhile(condition):
+        if not inserted:
+            inserted.append(condition)
+            context.condition_arrays(second)
+        return original(condition)
+
+    monkeypatch.setattr(index, "condition_table", reader_meanwhile)
+    person = next(obj for obj in index.objects if index.labels[obj] == "Person")
+    span = next(iter(graph.existence(person)))
+    batch = DeltaBatch()
+    batch.add_node("zz1", "Person", [(span.start, span.end)])
+    batch.add_edge("zz2", "meets", "zz1", person, [(span.start, span.start)])
+    maintain(graph, batch)
+    monkeypatch.undo()
+    assert inserted == [first]
+    assert set(context._conditions) == {first, second}
+    assert_index_equals_rebuild(index, "condition cached mid-patch")
+    assert assert_equals_rebuild(index, "condition cached mid-patch") == 2
