@@ -19,9 +19,10 @@ steps with occurrence indicators (all of Q1–Q12).  Structural Kleene
 stars and path conditions fall back to the reference engine.
 """
 
-from repro.dataflow.steps import compile_chain, ChainStep, condition_times
+from repro.dataflow.steps import compile_chain, ChainStep
 from repro.dataflow.executor import DataflowEngine, MatchResult
 from repro.dataflow.queries import PAPER_QUERIES, PaperQuery, get_query
+from repro.perf.graph_index import condition_times
 
 __all__ = [
     "compile_chain",

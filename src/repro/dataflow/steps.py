@@ -17,9 +17,9 @@ outside the implemented fragment (path conditions, repetition over
 structural navigation) — those queries are handled by the reference
 engine instead.
 
-:func:`condition_times` evaluates a static test for a fixed object as a
-set of validity intervals, which is what lets the engine stay in the
-interval representation during Steps 1 and 2.
+:func:`~repro.perf.graph_index.condition_times` evaluates a static test
+for a fixed object as a set of validity intervals, which is what lets
+the engine stay in the interval representation during Steps 1 and 2.
 """
 
 from __future__ import annotations
@@ -32,25 +32,16 @@ from repro.lang.ast import (
     AndTest,
     Axis,
     Concat,
-    EdgeTest,
     ExistsTest,
-    LabelTest,
-    NodeTest,
     NotTest,
     OrTest,
     PathExpr,
     PathTest,
-    PropEq,
     Repeat,
     Test,
     TestPath,
-    TimeLt,
-    TrueTest,
     Union,
 )
-from repro.model.itpg import IntervalTPG
-from repro.temporal.interval import Interval
-from repro.temporal.intervalset import IntervalSet
 
 ObjectId = Hashable
 
@@ -367,53 +358,3 @@ def bind_group_indices(steps: tuple[ChainStep, ...]) -> Optional[set[int]]:
         elif isinstance(step, BindStep):
             groups.add(group)
     return groups
-
-
-# --------------------------------------------------------------------- #
-# Static tests as interval sets
-# --------------------------------------------------------------------- #
-def condition_times(graph: IntervalTPG, obj: ObjectId, condition: Test) -> IntervalSet:
-    """The set of time points at which ``(obj, t)`` satisfies ``condition``.
-
-    The result is a coalesced interval family, computed without ever
-    expanding the graph to time points — this is the primitive that keeps
-    Steps 1 and 2 of the evaluation interval-based.
-    """
-    domain = graph.domain
-    full = IntervalSet((domain,))
-    empty = IntervalSet.empty()
-    if isinstance(condition, NodeTest):
-        return full if graph.is_node(obj) else empty
-    if isinstance(condition, EdgeTest):
-        return full if graph.is_edge(obj) else empty
-    if isinstance(condition, LabelTest):
-        return full if graph.label(obj) == condition.label else empty
-    if isinstance(condition, PropEq):
-        return graph.property_family(obj, condition.prop).when_equals(condition.value)
-    if isinstance(condition, TimeLt):
-        if condition.bound <= domain.start:
-            return empty
-        return IntervalSet((Interval(domain.start, min(domain.end, condition.bound - 1)),))
-    if isinstance(condition, ExistsTest):
-        return graph.existence(obj)
-    if isinstance(condition, TrueTest):
-        return full
-    if isinstance(condition, AndTest):
-        result = full
-        for part in condition.parts:
-            result = result.intersect(condition_times(graph, obj, part))
-            if result.is_empty():
-                return result
-        return result
-    if isinstance(condition, OrTest):
-        result = empty
-        for part in condition.parts:
-            result = result.union(condition_times(graph, obj, part))
-        return result
-    if isinstance(condition, NotTest):
-        return condition_times(graph, obj, condition.inner).complement(domain)
-    if isinstance(condition, PathTest):
-        raise UnsupportedFragmentError(
-            "path conditions (?path) are outside the dataflow fragment"
-        )
-    raise TypeError(f"unknown test {condition!r}")

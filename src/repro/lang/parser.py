@@ -26,7 +26,7 @@ Two entry points:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from repro.errors import QuerySyntaxError

@@ -11,7 +11,7 @@ each snapshot (Section II of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping, Optional, Union
+from typing import Hashable, Iterator, Optional, Union
 
 from repro.model.itpg import IntervalTPG
 from repro.model.tpg import TemporalPropertyGraph

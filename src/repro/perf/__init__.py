@@ -3,9 +3,9 @@
 This package holds the structures that make the hot paths fast without
 changing any semantics:
 
-* :class:`~repro.perf.graph_index.GraphIndex` — a per-graph compilation
-  of adjacency, label / property buckets, existence families and
-  memoized condition tables, shared across queries and engines via
+* :class:`~repro.perf.graph_index.GraphIndex` — what the graph cannot
+  answer itself: the dense-id object table, label / property buckets
+  and memoized condition tables, shared across queries and engines via
   :func:`~repro.perf.graph_index.graph_index_for`;
 * :mod:`repro.perf.columnar` — the dataflow engine's kernel: every
   chain as vectorized NumPy sweeps over the index-owned array image of
@@ -16,10 +16,9 @@ the test suite; see docs/ARCHITECTURE.md for the architecture and
 PERFORMANCE.md for the measured costs.
 """
 
-from repro.perf.graph_index import CompiledCore, GraphIndex, graph_index_for
+from repro.perf.graph_index import GraphIndex, graph_index_for
 
 __all__ = [
-    "CompiledCore",
     "GraphIndex",
     "graph_index_for",
 ]

@@ -14,11 +14,11 @@ pool alike.  This module compiles a fused chain into sequences of
 * the graph image is a :class:`ColumnarContext`, owned by the
   :class:`~repro.perf.graph_index.GraphIndex` (one per graph) and
   patched in place by its delta maintenance: CSR adjacency and
-  existence over the dense ids, per-condition CSR tables decoded from
-  the index's memoized condition tables, and — when the graph is
-  attached from a ``repro-index/1`` store at epoch 0 —
-  existence/adjacency decoded straight out of the artifact's
-  struct-packed sections;
+  existence over the dense ids, read from the graph's own accessors —
+  or, when the graph is attached from a ``repro-index/1`` store at
+  epoch 0, decoded straight out of the artifact's struct-packed
+  sections — and per-condition CSR tables decoded from the index's
+  memoized condition tables;
 * interval algebra happens on a *global axis*: an interval ``[s, e]``
   of row ``r`` maps to ``r * stride + (s - domain.start)`` with
   ``stride = domain span + 2``.  The two-point guard gap means
@@ -234,15 +234,16 @@ def plan_query(chain: tuple[ChainStep, ...]) -> ColumnarPlan:
 # Context: one GraphIndex as flat arrays
 # --------------------------------------------------------------------- #
 class ColumnarContext:
-    """Dense-array image of one :class:`GraphIndex`, maintained in place.
+    """Dense-array image of one indexed graph, maintained in place.
 
     One image per graph: the index owns it
     (:meth:`GraphIndex.columnar_context`), so every engine and worker on
-    the graph shares it — adjacency and existence as int64 CSR over
-    dense object ids, edge endpoints as flat successor arrays, and
+    the graph shares it — the graph's adjacency (rows ascending by dense
+    id) and existence as int64 CSR over dense object ids, edge
+    endpoints as flat successor arrays, and
     per-condition CSR tables materialized on first use from the index's
     memoized condition tables.  Delta maintenance patches it
-    (:meth:`apply_delta`) instead of rebuilding: dense ids are
+    (:meth:`patch`) instead of rebuilding: dense ids are
     append-only, so new objects extend the tails and only the dirty
     rows are re-derived in Python and re-spliced.
     """
@@ -268,11 +269,12 @@ class ColumnarContext:
             self.in_ids,
         ) = decoded or (origin, empty, empty, origin, empty, origin, empty)
         if decoded is None:
-            objects = index.objects
+            graph = index.graph
+            nodes = list(graph.nodes())
             self._derive(
-                objects,
-                {obj: index.out_adjacency.get(obj) or () for obj in objects},
-                {obj: index.in_adjacency.get(obj) or () for obj in objects},
+                index.objects,
+                {node: graph.out_edges(node) for node in nodes},
+                {node: graph.in_edges(node) for node in nodes},
                 {},
             )
         else:
@@ -290,18 +292,15 @@ class ColumnarContext:
     # -- graph tables ---------------------------------------------------- #
     @staticmethod
     def _decode_store_sections(index):
-        """Zero-copy-decode existence/adjacency from an attached store.
+        """Decode existence/adjacency straight from an attached store.
 
         Only valid for a pristine attachment (epoch 0): after delta
-        maintenance the lazy-map overlays shadow the on-disk records, so
-        the index's maps are the source of truth instead.
+        maintenance the on-disk records are stale, so the graph's own
+        accessors are the source of truth instead.
         """
-        if index.epoch != 0:
+        if index.epoch != 0 or index.columnar_sections is None:
             return None
-        sections = getattr(index.core, "columnar_sections", None)
-        if sections is None:
-            return None
-        exist_idx, exist_dat, adj_idx, adj_dat = sections()
+        exist_idx, exist_dat, adj_idx, adj_dat = index.columnar_sections()
         # Copies, deliberately: frombuffer views would pin the store's
         # mmap open (attachment.close() raises on exported buffers).
         ex_offsets = np.frombuffer(exist_idx, dtype="<u8").astype(np.int64)
@@ -325,49 +324,52 @@ class ColumnarContext:
         return ex_indptr, ex_start, ex_end, out_indptr, out_ids, in_indptr, in_ids
 
     def _derive(self, existence, out_edges: dict, in_edges: dict, conditions: dict) -> None:
-        """(Re-)derive the named objects' rows of the image from the index.
+        """(Re-)derive the named objects' rows of the image from the graph.
 
         The one Python walk behind both the initial build (every object)
         and a delta patch: objects past the current tails append their
         ``is_node``/``succ_*`` slots and every CSR grows to the new
         object count; then exactly the named rows change — the
         ``existence`` objects' rows are re-spliced, each ``out_edges`` /
-        ``in_edges`` key's adjacency row gains the edges it maps to
-        (adjacency only grows), and per cached condition the objects
-        ``conditions`` lists for it are re-spliced.  The condition CSRs
-        are walked over a snapshot: a reader may cache a new one
-        meanwhile, already current.
+        ``in_edges`` key's adjacency row gains the edges it maps to, in
+        ascending dense id (adjacency only grows, and new edges have the
+        highest ids, so every row stays ascending), and per cached
+        condition the objects ``conditions`` lists for it are re-spliced.
+        The condition CSRs are walked over a snapshot: a reader may cache
+        a new one meanwhile, already current.
         """
         index = self._index
+        graph = index.graph
         objects = self.objects = index.objects
         n = self.num_objects = len(objects)
         object_id = self.object_id
         nodes = index.nodes()
         appended = objects[self.is_node.size :]
         if appended:
+            ends = [None if o in nodes else graph.endpoints(o) for o in appended]
 
-            def successors(endpoint):
+            def successors(side):
                 return np.array(
-                    [-1 if o in nodes else object_id[endpoint[o]] for o in appended],
+                    [-1 if pair is None else object_id[pair[side]] for pair in ends],
                     dtype=np.int64,
                 )
 
-            node = np.array([obj in nodes for obj in appended], dtype=bool)
+            node = np.array([pair is None for pair in ends], dtype=bool)
             self.is_node = np.concatenate((self.is_node, node))
-            self.succ_fwd = np.concatenate((self.succ_fwd, successors(index.edge_target)))
-            self.succ_bwd = np.concatenate((self.succ_bwd, successors(index.edge_source)))
+            self.succ_fwd = np.concatenate((self.succ_fwd, successors(1)))
+            self.succ_bwd = np.concatenate((self.succ_bwd, successors(0)))
 
         def rows(objs):
             return [object_id[obj] for obj in objs]
 
         def grow(csr, additions):
-            edges = additions.values()
+            ids = [sorted(object_id[edge] for edge in row) for row in additions.values()]
             return _splice(
                 csr,
                 n,
                 rows(additions),
-                [len(row) for row in edges],
-                [object_id[edge] for row in edges for edge in row],
+                [len(row) for row in ids],
+                [i for row in ids for i in row],
                 append=True,
             )
 
@@ -375,7 +377,7 @@ class ColumnarContext:
             (self.ex_indptr, self.ex_start, self.ex_end),
             n,
             rows(existence),
-            *_family_rows(index.existence[obj] for obj in existence),
+            *_family_rows(graph.existence(obj) for obj in existence),
         )
         self.out_indptr, self.out_ids = grow((self.out_indptr, self.out_ids), out_edges)
         self.in_indptr, self.in_ids = grow((self.in_indptr, self.in_ids), in_edges)

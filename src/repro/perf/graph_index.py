@@ -1,19 +1,19 @@
-"""One-time compilation of a temporal graph into query-ready indexes.
+"""What a temporal graph cannot answer itself, compiled once per graph.
 
-The evaluation hot paths repeatedly ask the same questions of the graph:
-which edges leave this node, which objects carry this label, at which
-times does this object satisfy a static condition.  The seed engines
-answered them by walking the graph per frontier row — rebuilding
-``frozenset`` adjacency copies and re-walking condition ASTs for every
-row of every step.  A :class:`GraphIndex` answers them from structures
-compiled once per graph and shared across queries and engines:
+The graph already answers every per-object question — label, existence
+family, property families, adjacency, endpoints — through its own
+accessors (:class:`~repro.model.itpg.IntervalTPG`, or the store's
+:class:`~repro.store.artifact.AttachedGraph` reading an artifact).  A
+:class:`GraphIndex` keeps only what those accessors cannot give:
 
-* adjacency as immutable tuples (no per-call copies);
+* the dense-id object table (the columnar kernel's array positions) and
+  the node / edge sets;
 * ``label → objects`` and ``(property, value) → objects`` buckets, used
   to seed frontiers with only the objects that can match a condition;
-* per-object existence families (the coalesced ``IntervalSet``\\ s);
 * memoized *condition tables*: for a static condition, the mapping from
-  every satisfying object to its coalesced satisfaction times.
+  every satisfying object to its coalesced satisfaction times, computed
+  by :func:`condition_times`;
+* the kernel's array image (:meth:`GraphIndex.columnar_context`).
 
 Use :func:`graph_index_for` to obtain the shared per-graph instance.
 """
@@ -21,7 +21,7 @@ Use :func:`graph_index_for` to obtain the shared per-graph instance.
 from __future__ import annotations
 
 import threading
-from typing import Hashable, Iterable, Optional, Union as TypingUnion
+from typing import Callable, Hashable, Iterable, Optional, Union as TypingUnion
 
 from repro.errors import UnsupportedFragmentError
 from repro.lang.ast import (
@@ -43,149 +43,124 @@ from repro.model.itpg import IntervalTPG
 from repro.model.tpg import TemporalPropertyGraph
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
-from repro.temporal.valued import ValuedIntervalSet
 
 ObjectId = Hashable
 TemporalGraph = TypingUnion[TemporalPropertyGraph, IntervalTPG]
+#: ``(node label, edge label, (property, value))`` candidate buckets.
+Buckets = tuple[dict, dict, dict]
 
 
-class CompiledCore:
-    """The immutable compiled tables of one graph (the flat half of the index).
+def condition_times(
+    graph: IntervalTPG,
+    obj: ObjectId,
+    condition: Test,
+    full: Optional[IntervalSet] = None,
+    leaves: Optional[dict] = None,
+) -> IntervalSet:
+    """The set of time points at which ``(obj, t)`` satisfies ``condition``.
 
-    A core is everything :class:`GraphIndex` derives from a graph that
-    never changes *in place*: the dense-id object table, per-object
-    existence/adjacency/property families, endpoint maps and the
-    label / property candidate buckets.  It comes from one of two
-    builders with the same attribute surface:
-
-    * :meth:`from_graph` — the eager in-memory build (this class);
-    * :class:`repro.store.artifact.AttachedCore` — the same attributes
-      as mmap-backed lazy sections, attached zero-copy from a persistent
-      ``repro-index/1`` artifact.
-
-    :class:`GraphIndex` binds these attributes once and then treats them
-    as its mutable working set: delta maintenance rebinds or writes
-    through them (attached cores route writes to a per-map overlay, so
-    the read-only artifact is never touched).
+    The result is a coalesced interval family read from the graph's own
+    accessors, computed without ever expanding the graph to time points
+    — the primitive that keeps Steps 1 and 2 of the evaluation
+    interval-based.  ``full`` is the graph's full-domain family (a caller
+    evaluating many objects passes one instead of having it rebuilt per
+    call); ``leaves`` memoizes the object's property leaves across the
+    conditions of one repair.
     """
-
-    __slots__ = (
-        "domain",
-        "nodes",
-        "edges",
-        "objects",
-        "object_id",
-        "labels",
-        "existence",
-        "out_adjacency",
-        "in_adjacency",
-        "edge_source",
-        "edge_target",
-        "node_label_buckets",
-        "edge_label_buckets",
-        "prop_value_buckets",
-        "properties",
-    )
-
-    @classmethod
-    def from_graph(cls, graph: IntervalTPG) -> "CompiledCore":
-        """Compile a core from an in-memory graph (one pass per object)."""
-        core = cls()
-        core.domain = graph.domain
-        core.nodes = frozenset(graph.nodes())
-        core.edges = frozenset(graph.edges())
-        core.objects = tuple(graph.objects())
-        #: Dense per-object integers in deterministic enumeration order:
-        #: the columnar kernel's array positions for each object.
-        core.object_id = {obj: position for position, obj in enumerate(core.objects)}
-
-        core.labels = {}
-        core.existence = {}
-        core.out_adjacency = {}
-        core.in_adjacency = {}
-        core.edge_source = {}
-        core.edge_target = {}
-
-        node_buckets: dict[str, list[ObjectId]] = {}
-        edge_buckets: dict[str, list[ObjectId]] = {}
-        prop_buckets: dict[tuple[str, Hashable], list[ObjectId]] = {}
-        core.properties = {}
-
-        for node in graph.nodes():
-            core.labels[node] = graph.label(node)
-            core.existence[node] = graph.existence(node)
-            core.out_adjacency[node] = tuple(graph.out_edges(node))
-            core.in_adjacency[node] = tuple(graph.in_edges(node))
-            node_buckets.setdefault(graph.label(node), []).append(node)
-        for edge in graph.edges():
-            core.labels[edge] = graph.label(edge)
-            core.existence[edge] = graph.existence(edge)
-            src, tgt = graph.endpoints(edge)
-            core.edge_source[edge] = src
-            core.edge_target[edge] = tgt
-            edge_buckets.setdefault(graph.label(edge), []).append(edge)
-        for obj in core.objects:
-            families = graph.properties(obj)
-            core.properties[obj] = families
-            for name, family in families.items():
-                for entry in family:
-                    bucket = prop_buckets.setdefault((name, entry.value), [])
-                    if not bucket or bucket[-1] is not obj:
-                        bucket.append(obj)
-
-        core.node_label_buckets = {
-            label: tuple(members) for label, members in node_buckets.items()
-        }
-        core.edge_label_buckets = {
-            label: tuple(members) for label, members in edge_buckets.items()
-        }
-        core.prop_value_buckets = {
-            key: tuple(members) for key, members in prop_buckets.items()
-        }
-        return core
+    if full is None:
+        full = IntervalSet((graph.domain,))
+    if isinstance(condition, AndTest):
+        # Every part's times lie inside the domain, so the conjunction
+        # starts from its first non-full part rather than intersecting
+        # with the full domain.
+        result = full
+        for part in condition.parts:
+            times = condition_times(graph, obj, part, full, leaves)
+            if result is full:
+                result = times
+            elif times is not full:
+                result = result.intersect(times)
+            if result.is_empty():
+                return result
+        return result
+    if isinstance(condition, LabelTest):
+        return full if graph.label(obj) == condition.label else IntervalSet.empty()
+    if isinstance(condition, PropEq):
+        if leaves is not None:
+            times = leaves.get(condition)
+            if times is None:
+                times = leaves[condition] = condition_times(graph, obj, condition, full)
+            return times
+        return graph.property_family(obj, condition.prop).when_equals(condition.value)
+    if isinstance(condition, ExistsTest):
+        return graph.existence(obj)
+    if isinstance(condition, NodeTest):
+        return full if graph.is_node(obj) else IntervalSet.empty()
+    if isinstance(condition, EdgeTest):
+        return full if graph.is_edge(obj) else IntervalSet.empty()
+    if isinstance(condition, TimeLt):
+        domain = graph.domain
+        if condition.bound <= domain.start:
+            return IntervalSet.empty()
+        return IntervalSet((Interval(domain.start, min(domain.end, condition.bound - 1)),))
+    if isinstance(condition, TrueTest):
+        return full
+    if isinstance(condition, OrTest):
+        result = IntervalSet.empty()
+        for part in condition.parts:
+            result = result.union(condition_times(graph, obj, part, full, leaves))
+        return result
+    if isinstance(condition, NotTest):
+        return condition_times(graph, obj, condition.inner, full, leaves).complement(
+            graph.domain
+        )
+    if isinstance(condition, PathTest):
+        raise UnsupportedFragmentError(
+            "path conditions (?path) are outside the dataflow fragment"
+        )
+    raise TypeError(f"unknown test {condition!r}")
 
 
 class GraphIndex:
-    """Compiled, immutable-by-convention indexes over one :class:`IntervalTPG`.
+    """Id interning, candidate buckets and condition tables over one graph.
 
     Build via :func:`graph_index_for` so the compilation cost is paid
     once per graph; the memoized condition tables then accumulate across
-    every query and engine that shares the instance.  The flat compiled
-    tables live in a :class:`CompiledCore` — either built eagerly from
-    the graph here, or passed in pre-attached from a persistent artifact
-    (:func:`repro.store.attach`); on top of the core the index keeps the
-    mutable overlay state delta maintenance writes to, plus the memoized
-    condition tables.
+    every query and engine that shares the instance.  No per-object fact
+    of the graph is copied here: condition evaluation and the array image
+    read the graph's accessors.  The store's :func:`~repro.store.attach`
+    hands over what it must not rebuild by scanning: the artifact's
+    ``objects`` order (its dense ids), a ``buckets`` loader for its
+    bucket section and ``sections``, the raw existence/adjacency
+    sections the image decodes at epoch 0.
     """
 
-    def __init__(self, graph: IntervalTPG, core: CompiledCore | None = None) -> None:
+    def __init__(
+        self,
+        graph: IntervalTPG,
+        objects: Optional[tuple[ObjectId, ...]] = None,
+        buckets: Optional[Callable[[], Buckets]] = None,
+        sections: Optional[Callable[[], tuple]] = None,
+    ) -> None:
         self._graph = graph
-        if core is None:
-            core = CompiledCore.from_graph(graph)
-        self._core = core
-        self._domain = core.domain
-        self._full = IntervalSet((core.domain,))
-        self._empty = IntervalSet.empty()
-
-        # The core's tables become the index's working set.  For the
-        # in-memory build the core is exclusively owned, so writing its
-        # plain dicts in place *is* the overlay; attached cores hand out
-        # lazy maps whose writes land in a per-map overlay instead of
-        # the mmapped artifact.
-        self._nodes: frozenset[ObjectId] = core.nodes
-        self._edges: frozenset[ObjectId] = core.edges
-        self.objects: tuple[ObjectId, ...] = core.objects
-        self.object_id: dict[ObjectId, int] = core.object_id
-        self.labels = core.labels
-        self.existence = core.existence
-        self.out_adjacency = core.out_adjacency
-        self.in_adjacency = core.in_adjacency
-        self.edge_source = core.edge_source
-        self.edge_target = core.edge_target
-        self.node_label_buckets = core.node_label_buckets
-        self.edge_label_buckets = core.edge_label_buckets
-        self.prop_value_buckets = core.prop_value_buckets
-        self._properties = core.properties
+        self._domain = graph.domain
+        self._full = IntervalSet((self._domain,))
+        #: Dense per-object integers in deterministic enumeration order:
+        #: the columnar kernel's array positions for each object.
+        self.objects: tuple[ObjectId, ...] = (
+            tuple(graph.objects()) if objects is None else objects
+        )
+        self.object_id: dict[ObjectId, int] = {
+            obj: position for position, obj in enumerate(self.objects)
+        }
+        self._nodes: frozenset[ObjectId] = frozenset(graph.nodes())
+        self._edges: frozenset[ObjectId] = frozenset(graph.edges())
+        #: The store's raw ``(exist.idx, exist.dat, adj.idx, adj.dat)``
+        #: sections, or ``None`` for an in-memory graph.
+        self.columnar_sections = sections
+        self._load_buckets = buckets or self._scan_buckets
+        self._buckets: Optional[Buckets] = None
+        self._buckets_lock = threading.Lock()
 
         self._table_cache: dict[Test, dict[ObjectId, IntervalSet]] = {}
         self._static_cache: dict[Test, bool] = {}
@@ -200,11 +175,6 @@ class GraphIndex:
     def epoch(self) -> int:
         """How many delta batches this index has been maintained through."""
         return self._epoch
-
-    @property
-    def core(self) -> CompiledCore:
-        """The compiled core the index was built from (or attached to)."""
-        return self._core
 
     def columnar_context(self):
         """The graph's one :class:`~repro.perf.columnar.ColumnarContext`.
@@ -244,6 +214,31 @@ class GraphIndex:
     def edges(self) -> frozenset[ObjectId]:
         return self._edges
 
+    def buckets(self) -> Buckets:
+        """The candidate buckets, loaded on first use (readers share the
+        host lock, so one of them loads and the rest wait)."""
+        if self._buckets is None:
+            with self._buckets_lock:
+                if self._buckets is None:
+                    self._buckets = self._load_buckets()
+        return self._buckets
+
+    def _scan_buckets(self) -> Buckets:
+        graph = self._graph
+        node_buckets: dict[str, list[ObjectId]] = {}
+        edge_buckets: dict[str, list[ObjectId]] = {}
+        prop_buckets: dict[tuple[str, Hashable], list[ObjectId]] = {}
+        for obj in self.objects:
+            labels = node_buckets if obj in self._nodes else edge_buckets
+            labels.setdefault(graph.label(obj), []).append(obj)
+            for name in graph.property_names(obj):
+                for value in graph.property_family(obj, name).values():
+                    prop_buckets.setdefault((name, value), []).append(obj)
+        return tuple(
+            {key: tuple(members) for key, members in buckets.items()}
+            for buckets in (node_buckets, edge_buckets, prop_buckets)
+        )
+
     # ------------------------------------------------------------------ #
     # Condition evaluation
     # ------------------------------------------------------------------ #
@@ -277,90 +272,32 @@ class GraphIndex:
             # set rather than iterating the (hash-ordered) set itself, so
             # frontier seeding stays reproducible across processes.
             pool = (obj for obj in self.objects if obj in candidates)
+        graph, full = self._graph, self._full
         table: dict[ObjectId, IntervalSet] = {}
         for obj in pool:
-            times = self._times(obj, condition)
+            times = condition_times(graph, obj, condition, full)
             if not times.is_empty():
                 table[obj] = times
         self._table_cache[condition] = table
         return table
 
-    def _times(
-        self, obj: ObjectId, condition: Test, leaves: Optional[dict] = None
-    ) -> IntervalSet:
-        """``obj``'s satisfaction times; ``leaves`` memoizes its property
-        leaves across the conditions of one repair."""
-        if isinstance(condition, AndTest):
-            # Every part's times lie inside the domain, so the
-            # conjunction starts from its first non-full part rather
-            # than intersecting with the full domain.
-            result = self._full
-            for part in condition.parts:
-                times = self._times(obj, part, leaves)
-                if result is self._full:
-                    result = times
-                elif times is not self._full:
-                    result = result.intersect(times)
-                if result.is_empty():
-                    return self._empty
-            return result
-        if isinstance(condition, LabelTest):
-            return self._full if self.labels.get(obj) == condition.label else self._empty
-        if isinstance(condition, PropEq):
-            if leaves is not None:
-                times = leaves.get(condition)
-                if times is None:
-                    times = leaves[condition] = self._times(obj, condition)
-                return times
-            family = self._properties[obj].get(condition.prop)
-            if family is None:
-                return self._empty
-            return family.when_equals(condition.value)
-        if isinstance(condition, ExistsTest):
-            return self.existence[obj]
-        if isinstance(condition, NodeTest):
-            return self._full if obj in self._nodes else self._empty
-        if isinstance(condition, EdgeTest):
-            return self._full if obj in self._edges else self._empty
-        if isinstance(condition, TimeLt):
-            if condition.bound <= self._domain.start:
-                return self._empty
-            return IntervalSet(
-                (Interval(self._domain.start, min(self._domain.end, condition.bound - 1)),)
-            )
-        if isinstance(condition, TrueTest):
-            return self._full
-        if isinstance(condition, OrTest):
-            result = self._empty
-            for part in condition.parts:
-                result = result.union(self._times(obj, part))
-            return result
-        if isinstance(condition, NotTest):
-            return self._times(obj, condition.inner).complement(self._domain)
-        if isinstance(condition, PathTest):
-            raise UnsupportedFragmentError(
-                "path conditions (?path) have no condition table"
-            )
-        raise TypeError(f"unknown test {condition!r}")
-
     # ------------------------------------------------------------------ #
     # In-place maintenance (streaming deltas)
     # ------------------------------------------------------------------ #
     def apply_delta(self, effects) -> None:
-        """Maintain the compiled index after an applied delta batch.
+        """Maintain the index after an applied delta batch.
 
         ``effects`` is the :class:`~repro.streaming.delta.DeltaEffects`
         record of a batch already applied to :attr:`graph` (typed
         loosely to keep :mod:`repro.perf` below :mod:`repro.streaming`
-        in the layering).  The compiled structures are updated in place:
+        in the layering); it names what changed, so nothing here
+        compares families:
 
         * new objects are appended — their dense ``object_id`` slots
           extend the table, so every existing id stays valid;
-        * touched objects whose existence or property families changed
-          get them refreshed from the graph; the label and property
-          buckets gain only the keys that are new to an object, one
-          tuple extension per key; new edges extend their endpoints'
-          adjacency tuples, once per endpoint;
+        * the label buckets gain the new objects and the property
+          buckets the ``(property, value)`` keys new to an object, one
+          tuple extension per key;
         * memoized condition tables are repaired for exactly the objects
           whose families changed, and the columnar array image re-splices
           only the rows whose existence, edges or satisfaction times
@@ -381,83 +318,46 @@ class GraphIndex:
         :func:`repro.parallel.plan.invalidate_plans`.
         """
         self._epoch += 1
+        graph = self._graph
         if effects.horizon_advanced:
-            self._domain = self._graph.domain
+            self._domain = graph.domain
             self._full = IntervalSet((self._domain,))
             self._table_cache.clear()
 
-        graph = self._graph
         appended = effects.new_nodes + effects.new_edges
-        if effects.new_nodes:
-            self._nodes = self._nodes.union(effects.new_nodes)
-        if effects.new_edges:
-            self._edges = self._edges.union(effects.new_edges)
-        node_labels: dict[str, list[ObjectId]] = {}
-        edge_labels: dict[str, list[ObjectId]] = {}
-        out_edges: dict[ObjectId, list[ObjectId]] = {}
-        in_edges: dict[ObjectId, list[ObjectId]] = {}
-        for node in effects.new_nodes:
-            label = self.labels[node] = graph.label(node)
-            self.out_adjacency[node] = ()
-            self.in_adjacency[node] = ()
-            node_labels.setdefault(label, []).append(node)
-        for edge in effects.new_edges:
-            label = self.labels[edge] = graph.label(edge)
-            src, tgt = graph.endpoints(edge)
-            self.edge_source[edge] = src
-            self.edge_target[edge] = tgt
-            out_edges.setdefault(src, []).append(edge)
-            in_edges.setdefault(tgt, []).append(edge)
-            edge_labels.setdefault(label, []).append(edge)
-        _extend(self.out_adjacency, out_edges)
-        _extend(self.in_adjacency, in_edges)
-        _extend(self.node_label_buckets, node_labels)
-        _extend(self.edge_label_buckets, edge_labels)
         if appended:
+            self._nodes = self._nodes.union(effects.new_nodes)
+            self._edges = self._edges.union(effects.new_edges)
             position = len(self.objects)
             self.objects = self.objects + appended
             for obj in appended:
                 self.object_id[obj] = position
                 position += 1
-
-        # Only objects whose own families changed need condition repair:
-        # one touched just through a new incident edge keeps its entries.
-        existence_changed: list[ObjectId] = []
-        families_changed: list[ObjectId] = []
-        prop_keys: dict[tuple[str, Hashable], list[ObjectId]] = {}
-        for obj in sorted(effects.touched, key=self.object_id.__getitem__):
-            existence = graph.existence(obj)
-            families = graph.properties(obj)
-            old_families = self._properties[obj]
-            existence_moved = existence != self.existence[obj]
-            families_moved = families != old_families
-            if existence_moved:
-                self.existence[obj] = existence
-                existence_changed.append(obj)
-            if families_moved:
-                self._properties[obj] = families
-                for key in _value_keys(families) - _value_keys(old_families):
-                    prop_keys.setdefault(key, []).append(obj)
-            if existence_moved or families_moved:
-                families_changed.append(obj)
-        for obj in appended:
-            self.existence[obj] = graph.existence(obj)
-            families = self._properties[obj] = graph.properties(obj)
-            for key in _value_keys(families):
-                prop_keys.setdefault(key, []).append(obj)
-        existence_changed.extend(appended)
-        families_changed.extend(appended)
-        _extend(self.prop_value_buckets, prop_keys)
+        if self._buckets is None:
+            # Never loaded: a later scan of the graph sees this batch.
+            self._load_buckets = self._scan_buckets
+        else:
+            node_buckets, edge_buckets, prop_buckets = self._buckets
+            _extend(node_buckets, _by_label(graph, effects.new_nodes))
+            _extend(edge_buckets, _by_label(graph, effects.new_edges))
+            _extend(prop_buckets, effects.new_keys)
+        out_edges: dict[ObjectId, list[ObjectId]] = {}
+        in_edges: dict[ObjectId, list[ObjectId]] = {}
+        for edge in effects.new_edges:
+            src, tgt = graph.endpoints(edge)
+            out_edges.setdefault(src, []).append(edge)
+            in_edges.setdefault(tgt, []).append(edge)
 
         # Condition tables are shared with callers by reference, so they
         # are repaired in place, and each reports the objects whose
         # times actually changed — the only rows the image re-splices.
         changed: dict[Test, list[ObjectId]] = {}
         tables = list(self._table_cache.items())
-        for obj in families_changed:
+        full = self._full
+        for obj in effects.families_changed:
             leaves: dict[Test, IntervalSet] = {}
             for condition, table in tables:
-                times = self._times(obj, condition, leaves)
+                times = condition_times(graph, obj, condition, full, leaves)
                 old = table.get(obj)
                 if times.is_empty():
                     if old is None:
@@ -471,49 +371,11 @@ class GraphIndex:
         if self._columnar is not None:
             self._columnar.patch(
                 effects.horizon_advanced,
-                existence_changed,
+                effects.existence_changed,
                 out_edges,
                 in_edges,
                 changed,
             )
-
-    def snapshot_core(self) -> CompiledCore:
-        """A plain-dict snapshot of the compiled tables *as maintained now*.
-
-        The store writer serializes this rather than :attr:`core` because
-        delta maintenance mutates the index's working maps, not the core
-        it was built from — a snapshot therefore reflects every applied
-        batch.  Per-object entries are pulled through the live maps, so
-        an attached (lazily decoded) index snapshots correctly too.
-        """
-        core = CompiledCore()
-        core.domain = self._domain
-        core.nodes = self._nodes
-        core.edges = self._edges
-        core.objects = self.objects
-        core.object_id = dict(self.object_id)
-        core.labels = {obj: self.labels[obj] for obj in self.objects}
-        core.existence = {obj: self.existence[obj] for obj in self.objects}
-        core.out_adjacency = {
-            obj: self.out_adjacency[obj] for obj in self.objects if obj in self._nodes
-        }
-        core.in_adjacency = {
-            obj: self.in_adjacency[obj] for obj in self.objects if obj in self._nodes
-        }
-        core.edge_source = {
-            obj: self.edge_source[obj] for obj in self.objects if obj in self._edges
-        }
-        core.edge_target = {
-            obj: self.edge_target[obj] for obj in self.objects if obj in self._edges
-        }
-        core.properties = {obj: dict(self._properties[obj]) for obj in self.objects}
-        # Copy via .items(): plain dict(m) on a dict subclass reads the
-        # C-level storage directly, which would skip an attached core's
-        # lazy section fill.
-        core.node_label_buckets = {k: v for k, v in self.node_label_buckets.items()}
-        core.edge_label_buckets = {k: v for k, v in self.edge_label_buckets.items()}
-        core.prop_value_buckets = {k: v for k, v in self.prop_value_buckets.items()}
-        return core
 
     # ------------------------------------------------------------------ #
     # Seed cost model (parallel chunking)
@@ -522,15 +384,18 @@ class GraphIndex:
         """Estimated chain-execution cost of a frontier seeded at ``obj``.
 
         The first structural step fans a node out to its adjacent edges,
-        so a seed's work is roughly proportional to its out-degree;
-        edges step to a single endpoint.  The weighted partitioner uses
-        this to stop one hub-heavy chunk from straggling behind the
-        rest — the imbalance a count-based split cannot see.
+        so a seed's work is roughly proportional to its out-degree (read
+        from the array image); edges step to a single endpoint.  The
+        weighted partitioner uses this to stop one hub-heavy chunk from
+        straggling behind the rest — the imbalance a count-based split
+        cannot see.
         """
-        edges = self.out_adjacency.get(obj)
-        if edges is None:
+        context = self.columnar_context()
+        position = self.object_id[obj]
+        if not context.is_node[position]:
             return 2
-        return 1 + len(edges)
+        indptr = context.out_indptr
+        return 1 + int(indptr[position + 1] - indptr[position])
 
     def _candidates(self, condition: Test) -> Optional[frozenset[ObjectId]]:
         """Objects that can possibly satisfy the condition, or ``None`` for all.
@@ -540,14 +405,13 @@ class GraphIndex:
         ``None``.
         """
         if isinstance(condition, LabelTest):
+            node_buckets, edge_buckets, _ = self.buckets()
             return frozenset(
-                self.node_label_buckets.get(condition.label, ())
-                + self.edge_label_buckets.get(condition.label, ())
+                node_buckets.get(condition.label, ())
+                + edge_buckets.get(condition.label, ())
             )
         if isinstance(condition, PropEq):
-            return frozenset(
-                self.prop_value_buckets.get((condition.prop, condition.value), ())
-            )
+            return frozenset(self.buckets()[2].get((condition.prop, condition.value), ()))
         if isinstance(condition, NodeTest):
             return self._nodes
         if isinstance(condition, EdgeTest):
@@ -581,9 +445,12 @@ def _extend(buckets: dict, additions: dict) -> None:
         buckets[key] = buckets.get(key, ()) + tuple(members)
 
 
-def _value_keys(families: dict) -> set:
-    """The ``(property, value)`` bucket keys an object's families hold."""
-    return {(name, entry.value) for name, family in families.items() for entry in family}
+def _by_label(graph: IntervalTPG, objects: Iterable[ObjectId]) -> dict:
+    """``label → objects`` of ``objects``, in their order."""
+    grouped: dict[str, list[ObjectId]] = {}
+    for obj in objects:
+        grouped.setdefault(graph.label(obj), []).append(obj)
+    return grouped
 
 
 def _is_static(condition: Test) -> bool:
@@ -621,10 +488,9 @@ def graph_index_for(graph: TemporalGraph) -> GraphIndex:
 def install_index(graph: TemporalGraph, index: GraphIndex) -> None:
     """Pre-bind a compiled ``index`` as ``graph``'s shared index.
 
-    The store attach path builds the index from an artifact core rather
-    than from the graph; installing it here makes every subsequent
+    The store attach path builds the index from an artifact's object
+    table and sections; installing it here makes every subsequent
     :func:`graph_index_for` call return the attached index instead of
     recompiling.
     """
     setattr(graph, _CACHE_ATTR, index)
-

@@ -49,9 +49,10 @@ exclusive side:
 * ``plan_for`` (one parallel token per graph state) and ``shared_pool``
   (one pool per key) — locked; ``ExecutionPlan.payload`` — build then
   publish;
-* a compiled store's lazy maps — whole-section fills locked, per-key
-  decodes build then publish — and ``AttachedGraph``'s materialization,
-  locked.
+* a compiled store's decoded records (``AttachedCore``) and the
+  index's candidate buckets — the records build then publish, the
+  buckets load once under a lock — and ``AttachedGraph``'s
+  materialization, locked.
 
 Answer payloads are encoded after the lock is released: a table is
 never patched in place once returned (the kernel builds fresh arrays

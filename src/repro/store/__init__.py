@@ -1,18 +1,19 @@
 """Persistent compiled-graph store: ``repro-index/1`` artifacts.
 
-Compiling a graph's index is the dominant startup cost of every cold
-process — server restarts recompile, every worker of the process
+Loading a graph and indexing it is the dominant startup cost of every
+cold process — server restarts reload, every worker of the process
 backend rebuilds its own copy from a pickled payload.  This package
-makes the compiled index a *persistent, shareable* artifact instead:
+makes the graph a *persistent, shareable* artifact instead:
 
-* :func:`compile_graph` writes the index's flat tables (dense-id object
-  table, adjacency, existence and property interval families, candidate
-  buckets) into one checksummed file atomically
-  (:mod:`repro.store.format`);
+* :func:`compile_graph` writes the graph as flat tables (dense-id object
+  table, labels, endpoints, adjacency, existence and property interval
+  families) plus the index's candidate buckets into one checksummed
+  file atomically (:mod:`repro.store.format`);
 * :func:`attach` mmaps an artifact read-only in O(1) and returns a
-  ready graph + :class:`~repro.perf.graph_index.GraphIndex` whose
-  tables decode lazily from the map, so attaching processes share page
-  cache instead of holding private copies
+  ready :class:`~repro.store.artifact.AttachedGraph`, whose accessors
+  decode records lazily from the map, and its
+  :class:`~repro.perf.graph_index.GraphIndex`, so attaching processes
+  share page cache instead of holding private copies
   (:mod:`repro.store.artifact`);
 * the parallel backend ships a tiny ``(path, token)``
   :class:`~repro.parallel.plan.StoreRef` for attached graphs, so
@@ -49,10 +50,11 @@ writer in this package maintains:
   read, so a damaged field raises
   :class:`~repro.errors.StoreCorruptError` instead of an oversized
   read.
-* **Attachments are read-only.**  Mutation happens in the overlay dicts
-  *above* the mmap (the streaming delta path); consumers that decode
-  sections into private arrays must copy, because ``close()`` refuses
-  to unmap while exported buffers exist.
+* **Attachments are read-only.**  The first mutation (the streaming
+  delta path) materializes the embedded graph and writes go there, never
+  to the mmap; consumers that decode sections into private arrays must
+  copy, because ``close()`` refuses to unmap while exported buffers
+  exist.
 
 See docs/ARCHITECTURE.md (the graph lifecycle), PERFORMANCE.md
 (``store.*`` costs) and RELIABILITY.md for the operational discipline.

@@ -1,16 +1,17 @@
 """Compiling graphs to persistent artifacts and attaching them in O(1).
 
-The writer (:func:`compile_graph`) serializes a graph's compiled index
-— the same tables :class:`~repro.perf.graph_index.CompiledCore` builds
-in memory — into one self-contained artifact in the flat-section
+The writer (:func:`compile_graph`) serializes a graph — its object
+table, labels, endpoints, existence, adjacency and property families,
+read through the graph's own accessors, plus the index's candidate
+buckets — into one self-contained artifact in the flat-section
 container of :mod:`repro.store.format`.
 
 The reader (:func:`attach`) is the point of the exercise: it maps the
 artifact read-only and returns a ready graph + index **without decoding
 the body**.  Attach cost is the header check plus one unpickle of the
-object table; every other table is a :class:`_LazyMap` that decodes
-records straight out of the mmap on first touch, so a worker that runs
-one query over one neighbourhood faults in only those pages — and every
+object table; every per-object record is decoded straight out of the
+mmap on first touch (:class:`AttachedCore`), so a worker that runs one
+query over one neighbourhood faults in only those pages — and every
 process attaching the same artifact shares them through the OS page
 cache instead of each holding a private unpickled copy.
 
@@ -23,7 +24,8 @@ records back to back (record ``i`` spans ``idx[i]..idx[i+1]``):
   already-coalesced existence family — decoded zero-validation via
   :meth:`IntervalSet._from_coalesced`;
 * ``adj`` records are a u32 out-degree followed by the out- then
-  in-edge dense ids as u32 (edges get an empty record);
+  in-edge dense ids as u32, each side ascending (edges get an empty
+  record);
 * ``props`` records are the pickled property mapping (empty record for
   objects without properties).
 
@@ -38,12 +40,12 @@ import pickle
 import struct
 import threading
 import uuid
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Hashable, Iterator, Optional
 
 from repro.errors import StoreCorruptError, StoreFormatError, UnknownObjectError
 from repro.model.itpg import IntervalTPG
 from repro.parallel.plan import StoreRef, bind_store
-from repro.perf.graph_index import CompiledCore, GraphIndex, graph_index_for, install_index
+from repro.perf.graph_index import GraphIndex, graph_index_for, install_index
 from repro.store.format import Artifact, write_artifact
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
@@ -76,58 +78,48 @@ def _adj_record(out_ids: list[int], in_ids: list[int]) -> bytes:
     return struct.pack(f"<I{len(ids)}I", len(out_ids), *ids)
 
 
-def _props_record(families: dict) -> bytes:
-    live = {name: family for name, family in families.items() if family}
-    if not live:
+def _props_record(graph: IntervalTPG, obj: ObjectId) -> bytes:
+    names = graph.property_names(obj)
+    if not names:
         return b""
+    live = {name: graph.property_family(obj, name) for name in sorted(names)}
     return pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _head_sections(core: CompiledCore, graph: object) -> dict[str, bytes]:
+def _head_sections(index: GraphIndex, graph: IntervalTPG) -> dict[str, bytes]:
     """The graph-wide tables: object vocabulary, labels, endpoints, buckets."""
     dumps = lambda obj: pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)  # noqa: E731
-    node_positions = [
-        core.object_id[obj] for obj in core.objects if obj in core.nodes
-    ]
-    edges_in_order = [obj for obj in core.objects if obj in core.edges]
+    objects, nodes = index.objects, index.nodes()
+    node_positions = [position for position, obj in enumerate(objects) if obj in nodes]
     return {
-        "objects": dumps(core.objects),
+        "objects": dumps(objects),
         "nodekind": struct.pack(f"<{len(node_positions)}I", *node_positions),
-        "labels": dumps(tuple(core.labels[obj] for obj in core.objects)),
+        "labels": dumps(tuple(graph.label(obj) for obj in objects)),
         "endpoints": dumps(
-            tuple(
-                (core.edge_source[edge], core.edge_target[edge])
-                for edge in edges_in_order
-            )
+            tuple(graph.endpoints(obj) for obj in objects if obj not in nodes)
         ),
-        "buckets": dumps(
-            (
-                dict(core.node_label_buckets),
-                dict(core.edge_label_buckets),
-                dict(core.prop_value_buckets),
-            )
-        ),
+        "buckets": dumps(tuple(dict(buckets) for buckets in index.buckets())),
         "graph": dumps(graph),
     }
 
 
-def _data_sections(core: CompiledCore) -> dict[str, bytes]:
+def _data_sections(index: GraphIndex, graph: IntervalTPG) -> dict[str, bytes]:
     """Per-object records, one per dense position."""
+    object_id, nodes = index.object_id, index.nodes()
+
+    def ids(edges) -> list[int]:
+        return sorted(object_id[edge] for edge in edges)
+
     exist_records: list[bytes] = []
     adj_records: list[bytes] = []
     props_records: list[bytes] = []
-    for obj in core.objects:
-        exist_records.append(_exist_record(core.existence[obj]))
-        if obj in core.nodes:
-            adj_records.append(
-                _adj_record(
-                    [core.object_id[e] for e in core.out_adjacency[obj]],
-                    [core.object_id[e] for e in core.in_adjacency[obj]],
-                )
-            )
+    for obj in index.objects:
+        exist_records.append(_exist_record(graph.existence(obj)))
+        if obj in nodes:
+            adj_records.append(_adj_record(ids(graph.out_edges(obj)), ids(graph.in_edges(obj))))
         else:
             adj_records.append(b"")
-        props_records.append(_props_record(core.properties[obj]))
+        props_records.append(_props_record(graph, obj))
     sections: dict[str, bytes] = {}
     for name, records in (
         ("exist", exist_records),
@@ -144,143 +136,49 @@ def _data_sections(core: CompiledCore) -> dict[str, bytes]:
 # Compile
 # --------------------------------------------------------------------- #
 def compile_graph(graph: IntervalTPG, path: str) -> dict:
-    """Write ``graph``'s compiled index to the artifact ``path``.
+    """Write ``graph`` and its index's buckets to the artifact ``path``.
 
     Returns a report with the artifact's ``path``, its per-compile
     ``token``, the ``objects`` and ``nodes`` counts and its size in
-    ``bytes``.  The snapshot reflects every delta batch already applied
-    to the graph — compiling is always safe after streaming maintenance.
+    ``bytes``.  Everything is read from the graph as it is now, so the
+    artifact reflects every delta batch already applied — compiling is
+    always safe after streaming maintenance.
     """
     index = graph_index_for(graph)
-    core = index.snapshot_core()
     source = index.graph  # the IntervalTPG (post tpg conversion / materialization)
     token = uuid.uuid4().hex
-    sections = _head_sections(core, source)
-    sections.update(_data_sections(core))
+    sections = _head_sections(index, source)
+    sections.update(_data_sections(index, source))
     meta = {
         "token": token,
-        "domain": [core.domain.start, core.domain.end],
-        "num_objects": len(core.objects),
-        "num_nodes": len(core.nodes),
+        "domain": [source.domain.start, source.domain.end],
+        "num_objects": len(index.objects),
+        "num_nodes": len(index.nodes()),
         "kind": "index",
     }
     report = write_artifact(path, sections, meta)
     return {
         "path": path,
         "token": token,
-        "objects": len(core.objects),
-        "nodes": len(core.nodes),
+        "objects": len(index.objects),
+        "nodes": len(index.nodes()),
         "bytes": report["bytes"],
     }
-
-
-# --------------------------------------------------------------------- #
-# Lazy maps
-# --------------------------------------------------------------------- #
-class _LazyMap(dict):
-    """A dict whose misses decode from the artifact; writes are the overlay.
-
-    Two loading styles:
-
-    * ``load`` — per-key: a miss decodes exactly one record from the
-      mmap and memoizes it (existence, adjacency, properties);
-    * ``fill`` — whole-section: the first miss (or any enumeration)
-      decodes the section once via ``setdefault`` so entries written
-      earlier by delta maintenance are never clobbered (labels,
-      endpoints, candidate buckets).
-
-    Plain ``dict`` assignment *is* the mutable overlay
-    :meth:`GraphIndex.apply_delta` writes to — stored keys always win
-    over the artifact, so maintained entries shadow their stale on-disk
-    records without the artifact ever being touched.
-    """
-
-    __slots__ = ("_load", "_fill", "_filled", "_fill_lock")
-
-    def __init__(
-        self,
-        load: Optional[Callable[[Any], Any]] = None,
-        fill: Optional[Callable[["_LazyMap"], None]] = None,
-    ) -> None:
-        super().__init__()
-        self._load = load
-        self._fill = fill
-        self._filled = fill is None
-        self._fill_lock = threading.Lock()
-
-    def _ensure_filled(self) -> None:
-        # Readers share the host lock: one fills, and only then publishes
-        # ``_filled``, so no reader takes a half-filled map for complete.
-        if not self._filled:
-            with self._fill_lock:
-                if not self._filled:
-                    self._fill(self)
-                    self._filled = True
-
-    def __missing__(self, key: Any) -> Any:
-        if self._load is None:
-            # Look again once filled: this miss may have raced the fill.
-            self._ensure_filled()
-            if dict.__contains__(self, key):
-                return dict.__getitem__(self, key)
-            raise KeyError(key)
-        # A racing reader may decode the same record: both memoize equal
-        # values.
-        value = self._load(key)
-        dict.__setitem__(self, key, value)
-        return value
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: Any) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        try:
-            self[key]
-        except KeyError:
-            return False
-        return True
-
-    # Enumeration is only meaningful for fill-style maps; per-key maps
-    # enumerate their materialized overlay, which callers never rely on
-    # (the object table is the authoritative enumeration).
-    def __iter__(self) -> Iterator:
-        self._ensure_filled()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._ensure_filled()
-        return dict.__len__(self)
-
-    def keys(self):
-        self._ensure_filled()
-        return dict.keys(self)
-
-    def values(self):
-        self._ensure_filled()
-        return dict.values(self)
-
-    def items(self):
-        self._ensure_filled()
-        return dict.items(self)
 
 
 # --------------------------------------------------------------------- #
 # Attached core
 # --------------------------------------------------------------------- #
 class AttachedCore:
-    """:class:`CompiledCore`'s attribute surface, decoded lazily from an artifact.
+    """The read side of one attached artifact, decoded on first touch.
 
     Eager work at attach: the header checks, one unpickle of the object
     table, and the dense-id/node-kind tables derived from it — a few
     C-speed passes over ``objects``.  Everything per-object stays on
-    disk until first touched.  Data-section views are memoized, so
-    record access after the first touch is a bounds-checked slice of
-    the mmap.
+    disk until first touched, then is memoized (readers share the host
+    lock: a racing reader may decode the same record, and both memoize
+    equal values).  Every read of an unknown object raises
+    :class:`~repro.errors.UnknownObjectError`.
     """
 
     def __init__(self, artifact: Artifact) -> None:
@@ -307,30 +205,22 @@ class AttachedCore:
             obj: position for position, obj in enumerate(self.objects)
         }
         node_positions = artifact.section("nodekind").cast("I")
-        self._node_tuple: tuple[ObjectId, ...] = tuple(
+        self.node_tuple: tuple[ObjectId, ...] = tuple(
             self.objects[position] for position in node_positions
         )
-        self.nodes: frozenset = frozenset(self._node_tuple)
-        self._edge_tuple: tuple[ObjectId, ...] = tuple(
+        self.nodes: frozenset = frozenset(self.node_tuple)
+        self.edge_tuple: tuple[ObjectId, ...] = tuple(
             obj for obj in self.objects if obj not in self.nodes
         )
-        self.edges: frozenset = frozenset(self._edge_tuple)
+        self.edges: frozenset = frozenset(self.edge_tuple)
 
         self._artifact = artifact
         self._sections: dict[str, memoryview] = {}
-        self._endpoint_cache: Optional[tuple] = None
-        self._bucket_cache: Optional[tuple] = None
-
-        self.labels = _LazyMap(fill=self._fill_labels)
-        self.existence = _LazyMap(load=self._load_existence)
-        self.out_adjacency = _LazyMap(load=self._load_out_adjacency)
-        self.in_adjacency = _LazyMap(load=self._load_in_adjacency)
-        self.edge_source = _LazyMap(fill=self._fill_edge_source)
-        self.edge_target = _LazyMap(fill=self._fill_edge_target)
-        self.node_label_buckets = _LazyMap(fill=self._fill_node_buckets)
-        self.edge_label_buckets = _LazyMap(fill=self._fill_edge_buckets)
-        self.prop_value_buckets = _LazyMap(fill=self._fill_prop_buckets)
-        self.properties = _LazyMap(load=self._load_properties)
+        self._labels: Optional[dict] = None
+        self._endpoints: Optional[dict] = None
+        self._existence: dict[ObjectId, IntervalSet] = {}
+        self._adjacency: dict[ObjectId, tuple[tuple, tuple]] = {}
+        self._families: dict[ObjectId, dict] = {}
 
     # -- record access --------------------------------------------------- #
     def _section(self, name: str) -> memoryview:
@@ -341,7 +231,9 @@ class AttachedCore:
 
     def _record(self, name: str, key: ObjectId) -> memoryview:
         """``key``'s record of a data section; its dense id is the index."""
-        position = self.object_id[key]
+        position = self.object_id.get(key)
+        if position is None:
+            raise UnknownObjectError(f"unknown object {key!r}")
         idx = self._section(f"{name}.idx").cast("Q")
         start, stop = idx[position], idx[position + 1]
         # If the .dat section then fails its CRC, the traceback keeps
@@ -351,74 +243,60 @@ class AttachedCore:
             return memoryview(b"")
         return self._section(f"{name}.dat")[start:stop]
 
-    # -- per-key loaders ------------------------------------------------ #
-    def _load_existence(self, key: ObjectId) -> IntervalSet:
-        record = self._record("exist", key)
-        return IntervalSet._from_coalesced(
-            Interval(start, end) for start, end in _PAIR.iter_unpack(record)
-        )
+    # -- per-object reads ------------------------------------------------ #
+    def label(self, key: ObjectId) -> str:
+        if self._labels is None:
+            labels = pickle.loads(self._artifact.section("labels"))
+            self._labels = dict(zip(self.objects, labels))
+        try:
+            return self._labels[key]
+        except KeyError as exc:
+            raise UnknownObjectError(f"unknown object {key!r}") from exc
 
-    def _adjacency(self, key: ObjectId) -> tuple[tuple, tuple]:
-        if key not in self.nodes:
-            raise KeyError(key)
-        record = self._record("adj", key)
-        (out_count,) = _U32.unpack_from(record, 0)
-        ids = record[4:].cast("I")
-        out_ids = tuple(self.objects[i] for i in ids[:out_count])
-        in_ids = tuple(self.objects[i] for i in ids[out_count:])
-        return out_ids, in_ids
+    def endpoints(self, key: ObjectId) -> tuple[ObjectId, ObjectId]:
+        if self._endpoints is None:
+            endpoints = pickle.loads(self._artifact.section("endpoints"))
+            self._endpoints = dict(zip(self.edge_tuple, endpoints))
+        try:
+            return self._endpoints[key]
+        except KeyError as exc:
+            raise UnknownObjectError(f"unknown edge {key!r}") from exc
 
-    def _load_out_adjacency(self, key: ObjectId) -> tuple:
-        out_ids, in_ids = self._adjacency(key)
-        dict.__setitem__(self.in_adjacency, key, in_ids)
-        return out_ids
+    def existence(self, key: ObjectId) -> IntervalSet:
+        found = self._existence.get(key)
+        if found is None:
+            record = self._record("exist", key)
+            found = self._existence[key] = IntervalSet._from_coalesced(
+                Interval(start, end) for start, end in _PAIR.iter_unpack(record)
+            )
+        return found
 
-    def _load_in_adjacency(self, key: ObjectId) -> tuple:
-        out_ids, in_ids = self._adjacency(key)
-        dict.__setitem__(self.out_adjacency, key, out_ids)
-        return in_ids
+    def adjacency(self, key: ObjectId) -> tuple[tuple, tuple]:
+        """A node's ``(out-edges, in-edges)``."""
+        found = self._adjacency.get(key)
+        if found is None:
+            if key not in self.nodes:
+                raise UnknownObjectError(f"unknown node {key!r}")
+            record = self._record("adj", key)
+            (out_count,) = _U32.unpack_from(record, 0)
+            ids = record[4:].cast("I")
+            found = self._adjacency[key] = (
+                tuple(self.objects[i] for i in ids[:out_count]),
+                tuple(self.objects[i] for i in ids[out_count:]),
+            )
+        return found
 
-    def _load_properties(self, key: ObjectId) -> dict:
-        record = self._record("props", key)
-        if len(record) == 0:
-            return {}
-        return pickle.loads(record)
+    def families(self, key: ObjectId) -> dict:
+        """The object's property families (treat as read-only)."""
+        found = self._families.get(key)
+        if found is None:
+            record = self._record("props", key)
+            found = self._families[key] = pickle.loads(record) if len(record) else {}
+        return found
 
-    # -- whole-section fills -------------------------------------------- #
-    def _fill_labels(self, target: _LazyMap) -> None:
-        labels = pickle.loads(self._artifact.section("labels"))
-        for obj, label in zip(self.objects, labels):
-            target.setdefault(obj, label)
-
-    def _endpoints(self) -> tuple:
-        if self._endpoint_cache is None:
-            self._endpoint_cache = pickle.loads(self._artifact.section("endpoints"))
-        return self._endpoint_cache
-
-    def _fill_edge_source(self, target: _LazyMap) -> None:
-        for edge, (source, _tgt) in zip(self._edge_tuple, self._endpoints()):
-            target.setdefault(edge, source)
-
-    def _fill_edge_target(self, target: _LazyMap) -> None:
-        for edge, (_src, tgt) in zip(self._edge_tuple, self._endpoints()):
-            target.setdefault(edge, tgt)
-
-    def _buckets(self) -> tuple:
-        if self._bucket_cache is None:
-            self._bucket_cache = pickle.loads(self._artifact.section("buckets"))
-        return self._bucket_cache
-
-    def _fill_node_buckets(self, target: _LazyMap) -> None:
-        for label, bucket in self._buckets()[0].items():
-            target.setdefault(label, bucket)
-
-    def _fill_edge_buckets(self, target: _LazyMap) -> None:
-        for label, bucket in self._buckets()[1].items():
-            target.setdefault(label, bucket)
-
-    def _fill_prop_buckets(self, target: _LazyMap) -> None:
-        for key, bucket in self._buckets()[2].items():
-            target.setdefault(key, bucket)
+    def buckets(self) -> tuple[dict, dict, dict]:
+        """The compiled candidate buckets (the index loads them once)."""
+        return pickle.loads(self._artifact.section("buckets"))
 
     # -- bulk decode ----------------------------------------------------- #
     def columnar_sections(self) -> tuple:
@@ -428,7 +306,7 @@ class AttachedCore:
         four struct-packed sections straight into flat NumPy arrays —
         ``exist.idx`` is u64 byte offsets (16 bytes per ``<qq`` interval
         pair), ``adj.idx``/``adj.dat`` the u32 ``out_count + ids``
-        records — skipping the per-record lazy-map walk entirely.
+        records — skipping the per-record decode entirely.
         Consumers must **copy** out of the views before the attachment
         closes (an exported buffer makes ``mmap.close`` raise).
         """
@@ -440,12 +318,6 @@ class AttachedCore:
         )
 
     # -- housekeeping --------------------------------------------------- #
-    def node_enumeration(self) -> tuple[ObjectId, ...]:
-        return self._node_tuple
-
-    def edge_enumeration(self) -> tuple[ObjectId, ...]:
-        return self._edge_tuple
-
     def graph_bytes(self) -> memoryview:
         return self._artifact.section("graph")
 
@@ -470,7 +342,7 @@ def _identity(graph: IntervalTPG) -> IntervalTPG:
 class AttachedGraph:
     """An :class:`IntervalTPG` look-alike backed by an attached core.
 
-    Read accessors answer from the core's lazy maps, so a query that
+    Read accessors answer from the artifact's records, so a query that
     never leaves its neighbourhood never materializes the full graph.
     The first *mutation* (or any other attribute the proxy does not
     implement) unpickles the embedded graph section once and the proxy
@@ -532,12 +404,12 @@ class AttachedGraph:
     def nodes(self) -> Iterator[ObjectId]:
         if self._real is not None:
             return self._real.nodes()
-        return iter(self._core.node_enumeration())
+        return iter(self._core.node_tuple)
 
     def edges(self) -> Iterator[ObjectId]:
         if self._real is not None:
             return self._real.edges()
-        return iter(self._core.edge_enumeration())
+        return iter(self._core.edge_tuple)
 
     def objects(self) -> Iterator[ObjectId]:
         if self._real is not None:
@@ -562,21 +434,12 @@ class AttachedGraph:
     def label(self, object_id: ObjectId) -> str:
         if self._real is not None:
             return self._real.label(object_id)
-        try:
-            return self._core.labels[object_id]
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown object {object_id!r}") from exc
+        return self._core.label(object_id)
 
     def endpoints(self, edge_id: ObjectId) -> tuple[ObjectId, ObjectId]:
         if self._real is not None:
             return self._real.endpoints(edge_id)
-        try:
-            return (
-                self._core.edge_source[edge_id],
-                self._core.edge_target[edge_id],
-            )
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown edge {edge_id!r}") from exc
+        return self._core.endpoints(edge_id)
 
     def source(self, edge_id: ObjectId) -> ObjectId:
         return self.endpoints(edge_id)[0]
@@ -587,10 +450,7 @@ class AttachedGraph:
     def existence(self, object_id: ObjectId) -> IntervalSet:
         if self._real is not None:
             return self._real.existence(object_id)
-        try:
-            return self._core.existence[object_id]
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown object {object_id!r}") from exc
+        return self._core.existence(object_id)
 
     def exists(self, object_id: ObjectId, t: int) -> bool:
         return self.existence(object_id).contains_point(t)
@@ -598,19 +458,12 @@ class AttachedGraph:
     def properties(self, object_id: ObjectId) -> dict:
         if self._real is not None:
             return self._real.properties(object_id)
-        try:
-            return dict(self._core.properties[object_id])
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown object {object_id!r}") from exc
+        return dict(self._core.families(object_id))
 
     def property_family(self, object_id: ObjectId, name: str) -> ValuedIntervalSet:
         if self._real is not None:
             return self._real.property_family(object_id, name)
-        try:
-            families = self._core.properties[object_id]
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown object {object_id!r}") from exc
-        return families.get(name, ValuedIntervalSet.empty())
+        return self._core.families(object_id).get(name, ValuedIntervalSet.empty())
 
     def property_value(self, object_id: ObjectId, name: str, t: int):
         return self.property_family(object_id, name).value_at(t)
@@ -618,27 +471,18 @@ class AttachedGraph:
     def property_names(self, object_id: ObjectId) -> frozenset:
         if self._real is not None:
             return self._real.property_names(object_id)
-        try:
-            families = self._core.properties[object_id]
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown object {object_id!r}") from exc
+        families = self._core.families(object_id)
         return frozenset(name for name, family in families.items() if family)
 
     def out_edges(self, node_id: ObjectId) -> frozenset:
         if self._real is not None:
             return self._real.out_edges(node_id)
-        try:
-            return frozenset(self._core.out_adjacency[node_id])
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown node {node_id!r}") from exc
+        return frozenset(self._core.adjacency(node_id)[0])
 
     def in_edges(self, node_id: ObjectId) -> frozenset:
         if self._real is not None:
             return self._real.in_edges(node_id)
-        try:
-            return frozenset(self._core.in_adjacency[node_id])
-        except KeyError as exc:
-            raise UnknownObjectError(f"unknown node {node_id!r}") from exc
+        return frozenset(self._core.adjacency(node_id)[1])
 
     def num_nodes(self) -> int:
         if self._real is not None:
@@ -686,11 +530,11 @@ def attach(path: str) -> Attachment:
 
     O(1) in the graph size up to the object-table unpickle: no data
     section is decoded here.  The returned graph is ready for every
-    engine — its compiled index is pre-installed
-    (:func:`graph_index_for` returns it instead of recompiling) and its
-    parallel identity is the artifact's persistent token, so worker
-    processes attach the same file by reference instead of receiving a
-    pickled copy.
+    engine — its index is pre-installed (:func:`graph_index_for`
+    returns it instead of recompiling) with the artifact's object order,
+    bucket section and columnar sections, and its parallel identity is
+    the artifact's persistent token, so worker processes attach the same
+    file by reference instead of receiving a pickled copy.
     """
     artifact = Artifact(path)
     kind = artifact.meta.get("kind")
@@ -707,7 +551,12 @@ def attach(path: str) -> Attachment:
         artifact.close()
         raise
     graph = AttachedGraph(core)
-    index = GraphIndex(graph, core=core)
+    index = GraphIndex(
+        graph,
+        objects=core.objects,
+        buckets=core.buckets,
+        sections=core.columnar_sections,
+    )
     install_index(graph, index)
     bind_store(graph, StoreRef(path=os.path.abspath(path), token=core.token))
     return Attachment(graph, index, core, path)

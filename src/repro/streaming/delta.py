@@ -12,12 +12,13 @@ horizon each touch a bounded set of interval families.  A
 
 :func:`apply_delta` validates the whole batch against the target graph
 *before* mutating anything — a rejected batch leaves the graph
-untouched — and returns a :class:`DeltaEffects` record describing the
-dirty set: which objects changed, which times they changed at, and
+untouched — and returns a :class:`DeltaEffects` record describing what
+changed: the new objects, the objects whose existence or property
+families changed, the ``(property, value)`` keys new to an object, and
 whether the horizon moved.  The effects drive the in-place index
-maintenance (:meth:`repro.perf.graph_index.GraphIndex.apply_delta`) and
-the streaming engine's affected-seed selection
-(:mod:`repro.streaming.engine`).
+maintenance (:meth:`repro.perf.graph_index.GraphIndex.apply_delta`),
+which repairs exactly what they name, and the counts
+:class:`~repro.streaming.engine.StreamingEngine` reports per batch.
 
 Batches carry an optional monotonically increasing ``sequence`` number;
 ordering is enforced by :class:`~repro.streaming.engine.StreamingEngine`,
@@ -26,7 +27,7 @@ not here, because a bare graph has no stream position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.errors import GraphIntegrityError, UnknownObjectError
@@ -262,10 +263,18 @@ class DeltaBatch:
 class DeltaEffects:
     """What a successfully applied batch changed — the *dirty set*.
 
-    ``touched`` holds every object whose existence family, property
-    families or adjacency changed (including the endpoints of new
-    edges); ``dirty`` adds the new objects themselves — the objects
-    whose compiled index entries need repair.
+    ``touched`` holds every existing object the batch wrote to
+    (including the endpoints of new edges); ``dirty`` adds the new
+    objects themselves.  The rest is what the index repairs, found by
+    comparing each written family with the graph's before the commit,
+    new objects first and then in batch order:
+
+    * ``existence_changed`` — new objects, and objects whose existence
+      family changed (their existence rows of the array image);
+    * ``families_changed`` — those plus objects whose property families
+      changed (their condition-table entries);
+    * ``new_keys`` — ``(property, value) → objects`` for values an
+      object holds now and did not before (the property buckets).
     """
 
     new_nodes: tuple[ObjectId, ...]
@@ -273,6 +282,9 @@ class DeltaEffects:
     touched: frozenset[ObjectId]
     dirty: frozenset[ObjectId]
     horizon_advanced: bool
+    existence_changed: tuple[ObjectId, ...]
+    families_changed: tuple[ObjectId, ...]
+    new_keys: dict[tuple[str, Hashable], tuple[ObjectId, ...]]
     sequence: Optional[int] = None
 
     def is_empty(self) -> bool:
@@ -415,6 +427,28 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
                 "its existence"
             )
 
+    # What the commit changes, read against the graph before it: new
+    # objects, then each written family that differs from the graph's.
+    new_objects = tuple(batch_nodes) + tuple(batch_edges)
+    existence_changed = dict.fromkeys(new_objects)
+    for extend in batch.existence:
+        object_id = extend.object_id
+        if object_id not in existence_changed and (
+            prospective_existence[object_id] != graph.existence(object_id)
+        ):
+            existence_changed[object_id] = None
+    families_changed = dict(existence_changed)
+    new_keys: dict[tuple[str, Hashable], list[ObjectId]] = {}
+    for (object_id, name), family in prospective_props.items():
+        if object_id in batch_nodes or object_id in batch_edges:
+            old = ValuedIntervalSet.empty()
+        else:
+            old = graph.property_family(object_id, name)
+        if family != old:
+            families_changed[object_id] = None
+            for value in family.values() - old.values():
+                new_keys.setdefault((name, value), []).append(object_id)
+
     # ---------------------- commit (cannot fail) ---------------------- #
     # The graph is about to change in place: any cached parallel
     # execution plan (pickled payload + worker-cache token) describes the
@@ -455,13 +489,14 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
         for endpoint in (edge.source, edge.target):
             if endpoint not in batch_nodes:
                 touched.add(endpoint)
-    new_nodes = tuple(batch_nodes)
-    new_edges = tuple(batch_edges)
     return DeltaEffects(
-        new_nodes=new_nodes,
-        new_edges=new_edges,
+        new_nodes=tuple(batch_nodes),
+        new_edges=tuple(batch_edges),
         touched=frozenset(touched),
-        dirty=frozenset(touched) | frozenset(new_nodes) | frozenset(new_edges),
+        dirty=frozenset(touched) | frozenset(new_objects),
         horizon_advanced=horizon_advanced,
+        existence_changed=tuple(existence_changed),
+        families_changed=tuple(families_changed),
+        new_keys={key: tuple(members) for key, members in new_keys.items()},
         sequence=batch.sequence,
     )

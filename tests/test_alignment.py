@@ -1,5 +1,17 @@
-"""Unit tests for temporal-alignment join primitives."""
+"""Unit tests for temporal-alignment join primitives.
 
+``reachable_window``/``reachable_sources`` are also the scalar
+reference the columnar kernel's vectorized temporal reach is pinned to
+(:class:`TestKernelReach`).
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.dataflow.steps import TemporalStep
+from repro.model.itpg import IntervalTPG
+from repro.perf.columnar import _Kernel
+from repro.perf.graph_index import GraphIndex
 from repro.temporal import Interval, IntervalSet
 from repro.temporal.alignment import (
     align,
@@ -7,6 +19,7 @@ from repro.temporal.alignment import (
     align_sets,
     interval_product,
     overlap_join,
+    reachable_sources,
     reachable_window,
 )
 
@@ -147,3 +160,81 @@ class TestReachableWindow:
     def test_lower_bound_exceeding_run_gives_nothing(self):
         existence = IntervalSet([(0, 4)])
         assert reachable_window(Interval(3, 4), existence, 5, 9, True, True, self.DOMAIN) == []
+
+
+REACH_DOMAIN = Interval(3, 20)
+
+
+def families(min_size: int = 0):
+    """Coalesced families of intervals inside ``REACH_DOMAIN``."""
+    bound = st.integers(REACH_DOMAIN.start, REACH_DOMAIN.end)
+    pairs = st.tuples(bound, bound).map(lambda p: (min(p), max(p)))
+    return st.lists(pairs, min_size=min_size, max_size=4).map(IntervalSet)
+
+
+@st.composite
+def reach_cases(draw):
+    """Existence families of a few objects; rows, each an object and an
+    anchor family; ``[lower, upper]`` (``upper`` ``None`` = unbounded);
+    direction; and whether visited points must exist."""
+    existence = draw(st.lists(families(), min_size=1, max_size=4))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(existence) - 1), families(min_size=1)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    lower = draw(st.integers(0, 4))
+    upper = draw(st.one_of(st.none(), st.integers(lower, lower + 6)))
+    return existence, rows, lower, upper, draw(st.booleans()), draw(st.booleans())
+
+
+class TestKernelReach:
+    """``_Kernel._targets``/``_sources`` equal the union, over each row's
+    anchor intervals, of the scalar ``reachable_window`` targets and
+    ``reachable_sources`` windows."""
+
+    @staticmethod
+    def run(case, method):
+        existence, rows, lower, upper, forward, require = case
+        graph = IntervalTPG(REACH_DOMAIN)
+        for number, family in enumerate(existence):
+            graph.add_node(f"n{number}", "Node", family)
+        index = GraphIndex(graph)
+        kernel = _Kernel(index.columnar_context())
+        step = TemporalStep(
+            forward=forward, lower=lower, upper=upper, require_existence=require
+        )
+        obj = np.array([index.object_id[f"n{number}"] for number, _ in rows], dtype=np.int64)
+        spans = [(row, iv) for row, (_, family) in enumerate(rows) for iv in family]
+        owner = np.array([row for row, _ in spans], dtype=np.int64)
+        start = np.array([iv.start for _, iv in spans], dtype=np.int64)
+        end = np.array([iv.end for _, iv in spans], dtype=np.int64)
+        got_owner, got_start, got_end = getattr(kernel, method)(step, obj, owner, start, end)
+        got = {}
+        for row, lo, hi in zip(got_owner.tolist(), got_start.tolist(), got_end.tolist()):
+            got.setdefault(row, []).append(Interval(lo, hi))
+        args = (lower, upper, forward, require, REACH_DOMAIN)
+        for row, (number, family) in enumerate(rows):
+            reached = []
+            for anchor in family:
+                if method == "_targets":
+                    pairs = reachable_window(anchor, existence[number], *args)
+                    reached.extend(target for _, target in pairs)
+                else:
+                    reached.extend(reachable_sources(anchor, existence[number], *args))
+            expected = IntervalSet(reached)
+            # The kernel's per-row family is already coalesced.
+            assert got.pop(row, []) == list(expected.intervals), (row, case)
+        assert not got
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_targets_equal_reachable_window(self, case):
+        self.run(case, "_targets")
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_sources_equal_reachable_sources(self, case):
+        self.run(case, "_sources")

@@ -1,11 +1,12 @@
 """The ``GraphIndex`` and its ``ColumnarContext`` are patched, never rebuilt.
 
-``GraphIndex.apply_delta`` maintains the index (buckets, families,
+``GraphIndex.apply_delta`` maintains the index (object table, buckets,
 memoized condition tables) and the columnar kernel's array image in
 place (appended tails, re-spliced changed rows).  These tests hold the
 patch to the only standard that matters: after every delta the
-maintained index equals a fresh ``GraphIndex(graph)`` and every array
-of the maintained image equals a freshly constructed
+maintained index equals a fresh ``GraphIndex(graph)``, the image's
+existence, adjacency and successor arrays agree with the graph itself,
+and every array of the maintained image equals a freshly constructed
 ``ColumnarContext(index)`` element for element — over randomized delta
 streams (new nodes, new edges, touched existence/properties, horizon
 advances), over the contact-tracing stream, and for a store-attached
@@ -50,7 +51,7 @@ GRAPH_ARRAYS = (
     "succ_bwd",
 )
 SCALARS = ("domain_start", "domain_end", "stride", "num_objects", "objects")
-BUCKETS = ("node_label_buckets", "edge_label_buckets", "prop_value_buckets")
+BUCKETS = ("node label buckets", "edge label buckets", "property buckets")
 SEED_OFFSET = int(os.environ.get("REPRO_FUZZ_SEED_OFFSET", "0"))
 
 
@@ -81,10 +82,45 @@ def assert_equals_rebuild(index, context: str) -> int:
     return len(live._conditions)
 
 
+def image_existence(index, obj) -> list:
+    """``obj``'s existence row of the array image, as ``(start, end)`` pairs."""
+    image = index.columnar_context()
+    position = index.object_id[obj]
+    lo, hi = image.ex_indptr[position], image.ex_indptr[position + 1]
+    return list(zip(image.ex_start[lo:hi].tolist(), image.ex_end[lo:hi].tolist()))
+
+
+def image_edges(index, obj, side: str) -> list:
+    """``obj``'s ``out``/``in`` adjacency row of the array image."""
+    image = index.columnar_context()
+    position = index.object_id[obj]
+    indptr, ids = getattr(image, f"{side}_indptr"), getattr(image, f"{side}_ids")
+    return [index.objects[i] for i in ids[indptr[position] : indptr[position + 1]]]
+
+
+def assert_image_matches_graph(index, context: str) -> None:
+    """Every object's existence row, adjacency rows (no duplicates) and
+    successors in the maintained image against the graph itself."""
+    graph = index.graph
+    image = index.columnar_context()
+    for position, obj in enumerate(index.objects):
+        expected = [(iv.start, iv.end) for iv in graph.existence(obj)]
+        assert image_existence(index, obj) == expected, f"{obj!r} existence ({context})"
+        if obj in index.nodes():
+            for side, edges in (("out", graph.out_edges(obj)), ("in", graph.in_edges(obj))):
+                row = image_edges(index, obj, side)
+                assert len(set(row)) == len(row), f"{obj!r} {side} dup ({context})"
+                assert set(row) == edges, f"{obj!r} {side} ({context})"
+        else:
+            source, target = image.succ_bwd[position], image.succ_fwd[position]
+            ends = (index.objects[source], index.objects[target])
+            assert ends == graph.endpoints(obj), f"{obj!r} endpoints ({context})"
+
+
 def assert_index_equals_rebuild(index, context: str) -> None:
     """The maintained index vs a fresh ``GraphIndex(graph)``: condition
-    tables, buckets (same members, no duplicates), the object table,
-    node/edge sets, and every object's families and adjacency."""
+    tables, buckets (same members, no duplicates), the object table and
+    node/edge sets; then the maintained image against the graph."""
     fresh = GraphIndex(index.graph)
     assert index.nodes() == fresh.nodes(), f"nodes ({context})"
     assert index.edges() == fresh.edges(), f"edges ({context})"
@@ -93,21 +129,12 @@ def assert_index_equals_rebuild(index, context: str) -> None:
     assert index.object_id == {obj: i for i, obj in enumerate(index.objects)}, context
     for condition, table in index._table_cache.items():
         assert table == fresh.condition_table(condition), f"{condition!r} ({context})"
-    for name in BUCKETS:
-        live = dict(getattr(index, name).items())
-        rebuilt = dict(getattr(fresh, name).items())
+    for name, live, rebuilt in zip(BUCKETS, index.buckets(), fresh.buckets()):
         assert live.keys() == rebuilt.keys(), f"{name} keys ({context})"
         for key, members in live.items():
             assert len(set(members)) == len(members), f"{name}[{key!r}] dup ({context})"
             assert set(members) == set(rebuilt[key]), f"{name}[{key!r}] ({context})"
-    for obj in index.objects:
-        assert index.existence[obj] == fresh.existence[obj], f"{obj!r} ({context})"
-        assert index._properties[obj] == fresh._properties[obj], f"{obj!r} ({context})"
-        if obj in fresh.nodes():
-            for side in ("out_adjacency", "in_adjacency"):
-                live_edges = getattr(index, side)[obj]
-                assert len(set(live_edges)) == len(live_edges), f"{side} ({context})"
-                assert set(live_edges) == set(getattr(fresh, side)[obj]), context
+    assert_image_matches_graph(index, context)
 
 
 def maintain(graph, batch) -> None:
@@ -188,7 +215,7 @@ def test_store_attached_image_stays_equal_after_first_delta(tmp_path):
     try:
         graph = attachment.graph
         index = graph_index_for(graph)
-        assert attachment.core.columnar_sections() is not None
+        assert index.columnar_sections is not None
         engine = DataflowEngine(graph)
         for name in ("Q5", "Q9", "Q11"):
             engine.match(PAPER_QUERIES[name].text)
@@ -273,12 +300,16 @@ def test_attached_store_writes_like_the_in_memory_graph(tmp_path):
                 engine.index.apply_delta(effects)
                 dirty |= effects.dirty
             assert dirty, f"batch {number} changed nothing"
+            mine, theirs = (engine.index for engine in engines)
             for obj in dirty:
                 assert memory.existence(obj) == attached.existence(obj), obj
                 assert memory.properties(obj) == attached.properties(obj), obj
-                mine, theirs = (engine.index for engine in engines)
-                assert mine.existence[obj] == theirs.existence[obj], obj
-                assert mine._properties[obj] == theirs._properties[obj], obj
+                assert image_existence(mine, obj) == image_existence(theirs, obj), obj
+                if obj in mine.nodes():
+                    for side in ("out", "in"):
+                        assert set(image_edges(mine, obj, side)) == set(
+                            image_edges(theirs, obj, side)
+                        ), obj
             for name in names:
                 text = PAPER_QUERIES[name].text
                 assert (
@@ -354,7 +385,7 @@ def test_a_condition_cached_during_a_patch_is_safe(monkeypatch):
         return original(condition)
 
     monkeypatch.setattr(index, "condition_table", reader_meanwhile)
-    person = next(obj for obj in index.objects if index.labels[obj] == "Person")
+    person = next(obj for obj in index.objects if graph.label(obj) == "Person")
     span = next(iter(graph.existence(person)))
     batch = DeltaBatch()
     batch.add_node("zz1", "Person", [(span.start, span.end)])

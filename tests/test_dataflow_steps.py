@@ -9,8 +9,8 @@ from repro.dataflow.steps import (
     TestStep,
     chain_has_temporal_step,
     compile_chain,
-    condition_times,
 )
+from repro.dataflow import condition_times
 from repro.errors import UnsupportedFragmentError
 from repro.lang import ast, parse_path
 from repro.temporal import IntervalSet

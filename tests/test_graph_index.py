@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datagen.random_graphs import random_itpg
-from repro.dataflow.steps import condition_times
+from repro.dataflow import condition_times
 from repro.errors import UnsupportedFragmentError
 from repro.eval.bottom_up import BottomUpEvaluator
 from repro.lang import ast
@@ -39,48 +39,71 @@ def graphs(request):
     ]
 
 
+def image_row(index, side: str, position: int) -> list:
+    """The ``out``/``in`` adjacency row of the array image, as object ids."""
+    image = index.columnar_context()
+    indptr, ids = getattr(image, f"{side}_indptr"), getattr(image, f"{side}_ids")
+    return [index.objects[i] for i in ids[indptr[position] : indptr[position + 1]]]
+
+
 class TestCompiledStructures:
     def test_adjacency_matches_graph(self, graphs):
+        """The image's out/in rows (ascending dense ids) and successor
+        arrays against the graph's adjacency and endpoints."""
         for graph in graphs:
             index = GraphIndex(graph)
-            for node in graph.nodes():
-                assert frozenset(index.out_adjacency[node]) == graph.out_edges(node)
-                assert frozenset(index.in_adjacency[node]) == graph.in_edges(node)
-            for edge in graph.edges():
-                assert index.edge_source[edge] == graph.source(edge)
-                assert index.edge_target[edge] == graph.target(edge)
+            image = index.columnar_context()
+            for position, obj in enumerate(index.objects):
+                outs, ins = image_row(index, "out", position), image_row(index, "in", position)
+                for row in (outs, ins):
+                    assert row == sorted(row, key=index.object_id.__getitem__)
+                if graph.is_node(obj):
+                    assert image.is_node[position]
+                    assert frozenset(outs) == graph.out_edges(obj)
+                    assert frozenset(ins) == graph.in_edges(obj)
+                    assert image.succ_fwd[position] == image.succ_bwd[position] == -1
+                else:
+                    assert not image.is_node[position] and not outs and not ins
+                    source, target = graph.endpoints(obj)
+                    assert index.objects[image.succ_bwd[position]] == source
+                    assert index.objects[image.succ_fwd[position]] == target
 
     def test_label_buckets_partition_objects(self, graphs):
         for graph in graphs:
-            index = GraphIndex(graph)
+            node_buckets, edge_buckets, _ = GraphIndex(graph).buckets()
             for node in graph.nodes():
-                assert node in index.node_label_buckets[graph.label(node)]
+                assert node in node_buckets[graph.label(node)]
             for edge in graph.edges():
-                assert edge in index.edge_label_buckets[graph.label(edge)]
+                assert edge in edge_buckets[graph.label(edge)]
             bucketed = {
-                obj
-                for members in index.node_label_buckets.values()
-                for obj in members
-            } | {
-                obj
-                for members in index.edge_label_buckets.values()
-                for obj in members
-            }
+                obj for members in node_buckets.values() for obj in members
+            } | {obj for members in edge_buckets.values() for obj in members}
             assert bucketed == set(graph.objects())
 
     def test_prop_buckets_cover_assignments(self, graphs):
         for graph in graphs:
-            index = GraphIndex(graph)
+            prop_buckets = GraphIndex(graph).buckets()[2]
             for obj in graph.objects():
                 for name in graph.property_names(obj):
                     for entry in graph.property_family(obj, name):
-                        assert obj in index.prop_value_buckets[(name, entry.value)]
+                        assert obj in prop_buckets[(name, entry.value)]
 
-    def test_existence_is_shared(self, graphs):
+    def test_existence_matches_graph(self, graphs):
+        """The image's existence CSR against the graph's families."""
+        for graph in graphs:
+            index = GraphIndex(graph)
+            image = index.columnar_context()
+            for position, obj in enumerate(index.objects):
+                lo, hi = image.ex_indptr[position], image.ex_indptr[position + 1]
+                pairs = list(zip(image.ex_start[lo:hi], image.ex_end[lo:hi]))
+                assert pairs == [(iv.start, iv.end) for iv in graph.existence(obj)]
+
+    def test_seed_weight_is_out_degree(self, graphs):
         for graph in graphs:
             index = GraphIndex(graph)
             for obj in graph.objects():
-                assert index.existence[obj] == graph.existence(obj)
+                expected = 1 + len(graph.out_edges(obj)) if graph.is_node(obj) else 2
+                assert index.seed_weight(obj) == expected
 
 
 class TestConditionEvaluation:
@@ -139,7 +162,7 @@ class TestSharedCache:
         assert index is graph_index_for(tpg)
         assert set(index.objects) == set(tpg.objects())
         for obj in tpg.objects():
-            assert index.existence[obj] == tpg.existence_intervals(obj)
+            assert index.graph.existence(obj) == tpg.existence_intervals(obj)
 
     def test_engines_on_one_point_graph_share_the_index(self):
         from repro.dataflow import DataflowEngine

@@ -15,7 +15,9 @@ Covers the store subsystem end to end:
 * writes are atomic (no temp debris, no partially-written artifact ever
   visible under the final name);
 * deltas applied after attach keep answers correct and rotate the
-  graph's :class:`~repro.parallel.plan.StoreRef` out of circulation;
+  graph's :class:`~repro.parallel.plan.StoreRef` out of circulation,
+  and a store compiled again after deltas — from an in-memory graph or
+  from an attached one — holds every write;
 * the CLI ``compile`` / ``query --store`` surface and the server's
   ``from_files(store=...)`` restart path produce the same answers as
   the in-memory route.
@@ -372,6 +374,122 @@ class TestDeltasAfterAttach:
         finally:
             attachment.close()
 
+    def test_buckets_first_read_after_a_delta_hold_it(self, tmp_path):
+        """A write before any query: the artifact's bucket section is
+        stale by then, so the first read scans the graph instead."""
+        from repro.lang import ast
+
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        attachment = attach(path)
+        try:
+            batch = (
+                DeltaBatch()
+                .add_node("zara", "Person", [(2, 9)])
+                .set_property("zara", "risk", "high", 2, 9)
+            )
+            attachment.index.apply_delta(apply_delta(attachment.graph, batch))
+            node_buckets, _, prop_buckets = attachment.index.buckets()
+            assert node_buckets["Person"].count("zara") == 1
+            assert prop_buckets[("risk", "high")].count("zara") == 1
+            condition = ast.and_(ast.label("Person"), ast.prop_eq("risk", "high"))
+            assert "zara" in attachment.index.condition_table(condition)
+        finally:
+            attachment.close()
+
+
+def _contact_stream():
+    from repro.datagen import ContactTracingConfig, TrajectoryConfig
+    from repro.datagen.streaming import contact_tracing_stream
+
+    config = ContactTracingConfig(
+        trajectory=TrajectoryConfig(
+            num_persons=25, num_locations=20, num_rooms=6, num_windows=24, seed=3
+        ),
+        seed=3,
+    )
+    stream = contact_tracing_stream(
+        config, num_batches=5, initial_fraction=0.3, advance_horizon=True
+    )
+    names = ("Q5", "Q9", "Q11")
+    return stream.initial, stream.batches, [PAPER_QUERIES[name].text for name in names]
+
+
+def _random_stream(seed: int):
+    from repro.datagen.random_graphs import random_delta_batches, random_match_query
+
+    graph = random_itpg(seed)
+    batches = random_delta_batches(graph, seed * 17 + 3, num_batches=4)
+    return graph, batches, [random_match_query(seed * 31 + 7 + k) for k in range(3)]
+
+
+class TestRecompileAfterWrites:
+    """``compile_graph`` after deltas writes the graph as it is now.
+
+    The same stream goes to an in-memory graph and to the attachment of
+    its compiled store (through the indexes, as a session applies it);
+    each is compiled again and attached, and the new artifacts must
+    read back every object's label, existence, properties, adjacency
+    and endpoints, hold the maintained buckets, and answer like the
+    reference engine on the in-memory graph.
+    """
+
+    @pytest.mark.parametrize("stream", ["contact"] + [f"random-{seed}" for seed in range(11)])
+    def test_recompiled_artifacts_hold_every_write(self, tmp_path, stream):
+        from repro.eval import ReferenceEngine
+        from repro.perf import GraphIndex
+
+        if stream == "contact":
+            memory, batches, queries = _contact_stream()
+        else:
+            memory, batches, queries = _random_stream(int(stream.split("-")[1]))
+        first = attach(_compile(tmp_path, memory, name="first.rix")[0])
+        artifacts = []
+        try:
+            graphs = (memory, first.graph)
+            engines = [DataflowEngine(graph) for graph in graphs]
+            for engine in engines:
+                for query in queries:
+                    engine.match(query)  # warm tables, buckets and images
+            for batch in batches:
+                for graph, engine in zip(graphs, engines):
+                    engine.index.apply_delta(apply_delta(graph, batch))
+            for number, graph in enumerate(graphs):
+                path, _ = _compile(tmp_path, graph, name=f"again-{number}.rix")
+                artifacts.append(attach(path))
+        finally:
+            first.close()
+        reference = ReferenceEngine(memory)
+        rebuilt = GraphIndex(memory).buckets()
+        try:
+            for attachment in artifacts:
+                got = attachment.graph
+                assert set(got.objects()) == set(memory.objects())
+                assert got.domain == memory.domain
+                for obj in memory.objects():
+                    assert got.label(obj) == memory.label(obj), obj
+                    assert got.existence(obj) == memory.existence(obj), obj
+                    assert got.property_names(obj) == memory.property_names(obj), obj
+                    for name in memory.property_names(obj):
+                        assert got.property_family(obj, name) == memory.property_family(
+                            obj, name
+                        ), (obj, name)
+                    if memory.is_node(obj):
+                        assert got.out_edges(obj) == memory.out_edges(obj), obj
+                        assert got.in_edges(obj) == memory.in_edges(obj), obj
+                    else:
+                        assert got.endpoints(obj) == memory.endpoints(obj), obj
+                for buckets, expected in zip(attachment.index.buckets(), rebuilt):
+                    assert {k: set(v) for k, v in buckets.items()} == {
+                        k: set(v) for k, v in expected.items()
+                    }
+                assert not got.materialized  # every read came off the artifact
+                engine = DataflowEngine(got)
+                for query in queries:
+                    assert engine.match(query).as_set() == reference.match(query).as_set()
+        finally:
+            for attachment in artifacts:
+                attachment.close()
+
 
 class TestCliStore:
     def test_compile_verify_and_query_store(self, tmp_path, capsys):
@@ -450,7 +568,7 @@ class TestConcurrentReaders:
 
                 def reader():
                     barrier.wait()
-                    labels.append([attachment.core.labels.get(o) for o in objects])
+                    labels.append([attachment.graph.label(o) for o in objects])
                     graphs.append(attachment.graph._materialize())
 
                 threads = [threading.Thread(target=reader) for _ in range(6)]
@@ -459,8 +577,9 @@ class TestConcurrentReaders:
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
-                # No reader saw a half-filled label map as complete, and
-                # every reader got the one materialized graph.
+                # Every reader read every label, whether from the artifact
+                # or from the graph another reader materialized, and every
+                # reader got the one materialized graph.
                 assert labels == [expected] * 6
                 assert all(g is graphs[0] for g in graphs)
                 assert attachment.graph._materialize() is graphs[0]

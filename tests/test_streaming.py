@@ -79,12 +79,41 @@ class TestDeltaBatchEdgeCases:
     def test_adjacent_merge_maintains_index(self):
         graph = small_graph()
         index = graph_index_for(graph)
+        image = index.columnar_context()
         exists_table = index.condition_table(ast.exists())
         assert exists_table["a"] == IntervalSet(((0, 4),))
-        apply_delta_and_maintain(graph, DeltaBatch().add_existence("a", 5, 7))
-        assert index.existence["a"] == IntervalSet(((0, 7),))
+        effects = apply_delta_and_maintain(graph, DeltaBatch().add_existence("a", 5, 7))
+        assert effects.existence_changed == effects.families_changed == ("a",)
+        row = index.object_id["a"]
+        lo, hi = image.ex_indptr[row], image.ex_indptr[row + 1]
+        assert list(zip(image.ex_start[lo:hi], image.ex_end[lo:hi])) == [(0, 7)]
         # The shared memoized table was repaired in place.
         assert exists_table["a"] == IntervalSet(((0, 7),))
+
+    def test_effects_name_only_real_changes(self):
+        """Writes that leave a family as it was are touched, not changed;
+        a value an object already held is no new bucket key."""
+        graph = small_graph()
+        effects = apply_delta(
+            graph,
+            DeltaBatch()
+            .add_existence("b", 3, 5)  # inside [2, 9]
+            .set_property("a", "risk", "low", 1, 2),  # already held
+        )
+        assert effects.touched == frozenset({"a", "b"})
+        assert effects.existence_changed == effects.families_changed == ()
+        assert effects.new_keys == {}
+        effects = apply_delta(
+            graph,
+            DeltaBatch()
+            .add_node("c", "Person", [(0, 3)])
+            .set_property("c", "risk", "high", 0, 3)
+            .add_existence("a", 6, 7)
+            .set_property("r", "open", "yes", 0, 9),
+        )
+        assert effects.existence_changed == ("c", "a")
+        assert effects.families_changed == ("c", "a", "r")
+        assert effects.new_keys == {("risk", "high"): ("c",), ("open", "yes"): ("r",)}
 
     def test_delta_outside_domain_rejected_atomically(self):
         graph = small_graph()
@@ -237,6 +266,8 @@ class TestIndexMaintenance:
     def test_new_objects_enter_buckets_and_ids(self):
         graph = small_graph()
         index = graph_index_for(graph)
+        index.buckets()  # loaded: the delta extends them
+        image = index.columnar_context()
         ids_before = dict(index.object_id)
         apply_delta_and_maintain(
             graph,
@@ -249,12 +280,14 @@ class TestIndexMaintenance:
         for obj, dense in ids_before.items():
             assert index.object_id[obj] == dense
         assert index.is_node("c") and index.is_edge("e9")
-        assert "c" in index.node_label_buckets["Person"]
-        assert "e9" in index.edge_label_buckets["meets"]
-        assert "c" in index.prop_value_buckets[("risk", "high")]
-        assert index.edge_source["e9"] == "c"
-        assert "e9" in index.out_adjacency["c"]
-        assert "e9" in index.in_adjacency["b"]
+        node_buckets, edge_buckets, prop_buckets = index.buckets()
+        assert "c" in node_buckets["Person"]
+        assert "e9" in edge_buckets["meets"]
+        assert "c" in prop_buckets[("risk", "high")]
+        c, b, e9 = (index.object_id[obj] for obj in ("c", "b", "e9"))
+        assert image.succ_bwd[e9] == c
+        assert e9 in image.out_ids[image.out_indptr[c] : image.out_indptr[c + 1]]
+        assert e9 in image.in_ids[image.in_indptr[b] : image.in_indptr[b + 1]]
 
     def test_condition_tables_repaired_for_dirty_objects(self):
         graph = small_graph()
