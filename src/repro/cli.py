@@ -483,8 +483,10 @@ def _print_explain(plan: dict) -> None:
     print(f"# plan: kernel={plan['effective_kernel']}")
     print(
         f"# plan: {plan['seed_rows']} seed rows, {plan['chain_steps']} chain steps, "
-        f"{len(plan['chunks'])} chunk(s)"
+        f"{plan['leaves']} leaf chain(s), {len(plan['chunks'])} chunk(s)"
     )
+    for op in plan["ops"]:
+        print(f"# plan: op {op}")
     for position, chunk in enumerate(plan["chunks"]):
         print(
             f"# plan: chunk {position}: {chunk['seeds']} seeds, "

@@ -341,8 +341,10 @@ class DataflowEngine:
 
         Returns a dictionary with the effective backend, the kernel
         (always ``"columnar"``), the output mode (``families`` =
-        interval-native, ``points``), and the degree-weighted chunk plan
-        the partitioner would produce.
+        interval-native, ``points``), the kernel plan — ``leaves``, how
+        many leaf chains it runs, and ``ops``, the first leaf's ops as
+        short strings — and the degree-weighted chunk plan the
+        partitioner would produce.
         Backend and chunks come from the same :meth:`_route` decision a
         match call makes — ``"sequential"`` when the process pool does
         not engage — and the chunks are the very seed-object chunks a
@@ -353,6 +355,7 @@ class DataflowEngine:
         backend, _seeds = self._route(chain)
         seeds, rest = self._seed_objects(chain)
         chunks = [seeds] if backend == "serial" else self._chunks(seeds)
+        leaves = columnar_kernel.plan_query(chain).leaves
         return {
             "effective_backend": "sequential" if backend == "serial" else backend,
             "workers": self._workers,
@@ -361,6 +364,8 @@ class DataflowEngine:
             "seed_rows": len(seeds),
             "chain_steps": len(rest),
             "output_mode": self._output_mode(chain),
+            "leaves": leaves.count,
+            "ops": columnar_kernel.describe_ops(next(iter(leaves))),
             "chunks": [
                 {"seeds": len(chunk), "weight": chunk_weight(chunk, self._index.seed_weight)}
                 for chunk in chunks

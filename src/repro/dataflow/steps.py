@@ -110,10 +110,13 @@ class HopStep(ChainStep):
     The coalescing engine rewrites a structural move, the static tests
     on the object it lands on, and the following structural move into a
     single set-at-a-time hop (:func:`fuse_hops`).  The columnar kernel
-    runs a hop as struct/test passes with a signature merge after each
-    struct, so parallel edges between the same endpoints collapse into
-    one coalesced interval family per ``(source, target)`` pair — what
-    stops Q11/Q12-style room joins from multiplying rows.
+    runs each leg of a hop as one struct op that also meets the tests on
+    the object it lands on, then merges signature-equal rows — so
+    parallel edges between the same endpoints collapse into one
+    coalesced interval family per ``(source, target)`` pair, what stops
+    Q11/Q12-style room joins from multiplying rows.  A node → edge leg
+    skips the merge: an edge has one endpoint on each side, so it has
+    nothing to collapse.
     """
 
     forward_in: bool

@@ -30,10 +30,11 @@ pool alike.  This module compiles a fused chain into sequences of
 
 The kernel covers every dataflow chain.  An op sequence holds Test /
 Struct / fused-Hop / Bind / temporal-free Alt steps, with TemporalSteps
-anywhere on its outer chain.  A TemporalStep *freezes* the frontier: the
-state it navigated from stays behind as a closed temporal group
-(bindings + family + the step as link), each surviving row keeps an
-index into it, and the reached times become the row's current family.
+anywhere on its outer chain; each structural move is one op together
+with the tests on the object it lands on.  A TemporalStep *freezes* the
+frontier: the state it navigated from stays behind as a closed temporal
+group (bindings + family + the step as link), each surviving row keeps
+an index into it, and the reached times become the row's current family.
 An alternation whose branches navigate through time would make that
 group structure branch-dependent, so :func:`compile_ops` distributes it
 at compile time — ``X·(A|B)·Y`` becomes the *leaves* ``X·A·Y`` and
@@ -64,7 +65,7 @@ from repro.dataflow.steps import (
 )
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable
-from repro.lang.ast import Test
+from repro.lang.ast import AndTest, Test
 from repro.parallel.merge import merge_family_chunks
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
@@ -103,19 +104,20 @@ class Leaves:
     def __init__(self, parts: tuple) -> None:
         self._parts = parts
         self.count = _count(parts)
-        self.single = _push_bounds(next(_expand(parts)), ()) if self.count == 1 else None
+        self.single = _leaf(next(_expand(parts))) if self.count == 1 else None
 
     def __iter__(self):
         if self.single is not None:
             return iter((self.single,))
-        return (_push_bounds(ops, ()) for ops in _expand(self._parts))
+        return (_leaf(ops) for ops in _expand(self._parts))
 
 
 def compile_ops(chain: Sequence[ChainStep]) -> Leaves:
     """Compile a chain into its :class:`Leaves`.
 
-    Fused hops decompose into struct/test passes (signature-merged after
-    each struct), which is relation-equal to the fused hop's relation.
+    Fused hops decompose into struct/test ops, and each struct then takes
+    the tests on the object it lands on into its own op (:func:`_fold`),
+    which is relation-equal to the fused hop's relation.
     A TemporalStep closes the current temporal group (see
     :meth:`_Kernel._op_temporal`), which only the outer chain of an op
     sequence can do: an alternation whose branches navigate through time
@@ -192,14 +194,78 @@ def _expand(parts: tuple, prefix: tuple = ()):
             yield from _expand(rest, head)
 
 
+def _leaf(ops: Sequence) -> tuple:
+    """One leaf's op sequence as the kernel runs it: folded, then bounded."""
+    return _push_bounds(_fold(ops), ())
+
+
+def _fold(ops: Sequence) -> tuple:
+    """Fold every run of tests into the struct it directly follows.
+
+    A struct becomes ``("struct", forward, tests)`` (``tests`` empty when
+    no test follows it), so the kernel meets the landing conditions
+    before it merges (see :meth:`_Kernel._op_struct`); a run of tests
+    first drops each test another one implies (:func:`_absorb`).  Runs
+    of tests after any other op stay ``("test", condition)`` ops.
+    """
+    out: list = []
+    run: list = []
+    for op in (*ops, None):
+        if op is not None and op[0] == "test":
+            run.append(op[1])
+            continue
+        if run:
+            tests = _absorb(run)
+            if out and out[-1][0] == "struct":
+                out[-1] = ("struct", out[-1][1], tests)
+            else:
+                out.extend(("test", condition) for condition in tests)
+            run = []
+        if op is None:
+            break
+        if op[0] == "struct":
+            op = ("struct", op[1], ())
+        elif op[0] == "alt":
+            op = ("alt", tuple(_fold(branch) for branch in op[1]))
+        out.append(op)
+    return tuple(out)
+
+
+def _absorb(conditions: Sequence[Test]) -> tuple:
+    """``conditions`` without each one another of them implies.
+
+    A condition implies another when the other's conjuncts are a subset
+    of its own, so it holds on a subset of the other's times and the
+    run's intersection does not change; of equal conditions the first
+    stays.
+    """
+    parts = [_conjuncts(condition) for condition in conditions]
+    return tuple(
+        condition
+        for i, condition in enumerate(conditions)
+        if not any(
+            parts[i] < parts[j] or (parts[i] == parts[j] and j < i)
+            for j in range(len(conditions))
+        )
+    )
+
+
+def _conjuncts(condition: Test) -> frozenset:
+    if isinstance(condition, AndTest):
+        return frozenset(condition.parts)
+    return frozenset((condition,))
+
+
 def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
     """Hand every struct the time bounds its targets are about to face.
 
-    Walking backwards, ``bounds`` collects ``(condition, low shift, high
-    shift)`` for the tests — and the final temporal step's fused
-    conditions, shifted by its reach — that apply to the object a struct
-    (or an alternation branch) lands on, so ``_op_struct`` never
-    replicates families to targets those ops are about to reject.
+    Walking backwards over folded ops (:func:`_fold`), ``bounds``
+    collects ``(condition, low shift, high shift)`` for the tests — a
+    struct's own, and the final temporal step's fused conditions, shifted
+    by its reach — that apply to the object a struct (or an alternation
+    branch) lands on, so ``_op_struct`` never replicates families to
+    targets those ops are about to reject.  A struct comes out as
+    ``("struct", forward, bounds, tests)``.
     """
     out = list(ops)
     for position in range(len(out) - 1, -1, -1):
@@ -213,12 +279,42 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
             bounds = tuple((c, low, high) for c in payload.target_conditions)
             out[position] = ("temporal", payload, bounds)
         elif tag == "struct":
-            out[position] = ("struct", payload, bounds)
+            tests = out[position][2]
+            bounds = tuple((c, 0, 0) for c in tests) + bounds
+            out[position] = ("struct", payload, bounds, tests)
             bounds = ()
         elif tag == "alt":
             out[position] = ("alt", tuple(_push_bounds(b, bounds) for b in payload))
             bounds = ()
     return tuple(out)
+
+
+def describe_ops(ops: Sequence) -> list[str]:
+    """A planned leaf's ops as short strings, e.g. ``struct B
+    [(:visits AND EXISTS)]`` (what ``explain()["ops"]`` reports)."""
+    return [_describe(op) for op in ops]
+
+
+def _describe(op: tuple) -> str:
+    tag = op[0]
+    if tag == "struct":
+        tests = f" [{', '.join(map(repr, op[3]))}]" if op[3] else ""
+        return f"struct {'F' if op[1] else 'B'}{tests}"
+    if tag == "test":
+        return f"test {op[1]!r}"
+    if tag == "bind":
+        return f"bind {op[1]}"
+    if tag == "alt":
+        branches = (" · ".join(describe_ops(branch)) for branch in op[1])
+        return f"alt ({' | '.join(branches)})"
+    step = op[1]
+    upper = "_" if step.upper is None else step.upper
+    conditions = step.target_conditions
+    return (
+        f"temporal {'N' if step.forward else 'P'}[{step.lower},{upper}]"
+        + ("" if step.require_existence else " unchecked")
+        + (f" [{', '.join(map(repr, conditions))}]" if conditions else "")
+    )
 
 
 @lru_cache(maxsize=256)
@@ -693,14 +789,23 @@ def _empty_state(names: tuple[str, ...]) -> _State:
     return _State(empty, names, [empty] * len(names), empty, empty, empty)
 
 
-def _compact(state: _State, owner, start, end) -> _State:
-    """Re-pack after an op dropped intervals: owners renumber densely."""
-    alive = np.zeros(state.rows, dtype=bool)
+def _survivors(owner, count: int) -> tuple:
+    """``(alive, owner)``: the mask of the ``count`` rows that still own
+    an interval (``None`` when all do) and ``owner`` renumbered densely
+    over them."""
+    alive = np.zeros(count, dtype=bool)
     alive[owner] = True
     if alive.all():
+        return None, owner
+    return alive, (np.cumsum(alive) - 1)[owner]
+
+
+def _compact(state: _State, owner, start, end) -> _State:
+    """Re-pack after an op dropped intervals: owners renumber densely."""
+    alive, owner = _survivors(owner, state.rows)
+    if alive is None:
         return state.with_family(owner, start, end)
-    remap = np.cumsum(alive) - 1
-    return state.gather(alive, state.cur[alive], remap[owner], start, end)
+    return state.gather(alive, state.cur[alive], owner, start, end)
 
 
 # --------------------------------------------------------------------- #
@@ -713,6 +818,8 @@ class _Kernel:
         self.ctx = ctx
         self.deadline = deadline
         self.rows_merged = 0
+        #: Structural moves that skipped :meth:`_merge` (node → edge).
+        self.merges_skipped = 0
 
     # -- helpers --------------------------------------------------------- #
     def _globals(self, owner, start, end):
@@ -767,7 +874,7 @@ class _Kernel:
             if tag == "test":
                 state = self._op_test(state, op[1])
             elif tag == "struct":
-                state = self._op_struct(state, op[1], op[2])
+                state = self._op_struct(state, *op[1:])
             elif tag == "bind":
                 state = _State(
                     state.cur,
@@ -791,9 +898,12 @@ class _Kernel:
             return _empty_state(state.names)
         return _compact(state, owner, start, end)
 
-    def _op_struct(self, state: _State, forward: bool, bounds: tuple) -> _State:
+    def _op_struct(
+        self, state: _State, forward: bool, bounds: tuple, tests: tuple
+    ) -> _State:
         """One structural move, keeping only the targets within ``bounds``
-        (see :func:`_push_bounds`)."""
+        (see :func:`_push_bounds`) and their times under every landing
+        condition in ``tests`` (see :func:`_fold`)."""
         ctx = self.ctx
         cur = state.cur
         rows = state.rows
@@ -824,8 +934,28 @@ class _Kernel:
             src_row = src_row[keep]
         if new_cur.size == 0:
             return _empty_state(state.names)
-        # Replicate each source row's interval family to its fan-out.
-        fanned = state.gather(src_row, new_cur, *_take(state.family, rows, src_row))
+        # Replicate each source row's interval family to its fan-out and
+        # meet the landing conditions there: a test reads only ``cur``,
+        # which the merge signature holds, so ∩ distributes over the
+        # merge's union and the merge only sees surviving rows.
+        family = _take(state.family, rows, src_row)
+        for condition in tests:
+            family = self._meet(family, self._gather_condition(condition, new_cur))
+        if family[0].size == 0:
+            return _empty_state(state.names)
+        if tests:
+            alive, owner = _survivors(family[0], new_cur.size)
+            family = (owner, family[1], family[2])
+            if alive is not None:
+                new_cur, src_row = new_cur[alive], src_row[alive]
+        fanned = state.gather(src_row, new_cur, *family)
+        if node.all():
+            # Node → edge: the frontier is signature-unique at every op
+            # boundary, and an edge has one endpoint on this side, so no
+            # two of these rows share a signature — there is nothing to
+            # merge.
+            self.merges_skipped += 1
+            return fanned
         return self._merge(fanned)
 
     def _op_alt(self, state: _State, branches: tuple) -> _State:

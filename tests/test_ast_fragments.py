@@ -27,7 +27,6 @@ from repro.lang import (
     star,
     test,
     time_eq,
-    time_lt,
     union,
 )
 from repro.lang.ast import (

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.model import (
-    IntervalTPG,
     TemporalPropertyGraph,
     itpg_to_tpg,
     snapshot_at,
     snapshot_sequence,
     tpg_to_itpg,
 )
-from repro.temporal import Interval, IntervalSet
+from repro.temporal import IntervalSet
 
 
 class TestConversionRoundTrip:

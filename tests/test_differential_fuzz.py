@@ -11,7 +11,8 @@ randomized graphs and queries:
   reference engine (the ground truth).  The
   oracle only protects the shapes it actually reaches, so a seed window
   fails unless the kernel ran mid-chain temporal navigation, two-group
-  point output and distributed temporal alternations in it
+  point output, distributed temporal alternations, structs with fused
+  landing tests, absorbed tests and unmerged node → edge moves in it
   (:func:`kernel_shapes`).
 * **Interval-vs-point output oracle** — for *every* engine that defines
   ``match_intervals`` on the case, the coalesced families must (a) be
@@ -124,7 +125,11 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
     ``"mid-chain"`` when a temporal step is followed by further steps,
     ``"points"`` when the output spans temporal groups, and
     ``"distributed"`` when the chain holds an alternation that navigates
-    through time, so the kernel runs it as several leaf chains.
+    through time, so the kernel runs it as several leaf chains.  Of the
+    hop legs: ``"fused"`` when a struct carries the tests on the object
+    it lands on, ``"absorbed"`` when planning dropped a test another one
+    implies, and ``"unmerged"`` when a node → edge move skipped the
+    merge (this one runs the leaves, without projecting them).
     """
     plan = engine.explain(query)
     assert plan["effective_kernel"] == "columnar"
@@ -134,9 +139,34 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
         shapes.add("mid-chain")
     if plan["output_mode"] == "points":
         shapes.add("points")
-    if columnar.plan_query(chain).leaves.count > 1:
+    kernel_plan = columnar.plan_query(chain)
+    leaves = kernel_plan.leaves
+    if leaves.count > 1:
         shapes.add("distributed")
+    for raw, planned in zip(columnar._expand(leaves._parts), leaves):
+        fused = [len(op[3]) for op in _flat_ops(planned) if op[0] == "struct"]
+        if any(fused):
+            shapes.add("fused")
+        kept = sum(fused) + sum(op[0] == "test" for op in _flat_ops(planned))
+        if kept < sum(op[0] == "test" for op in _flat_ops(raw)):
+            shapes.add("absorbed")
+    ctx = engine.index.columnar_context()
+    kernel = columnar._Kernel(ctx)
+    state = columnar.seed_state(ctx, kernel_plan)
+    for ops in leaves:
+        kernel.run(state, ops)
+    if kernel.merges_skipped:
+        shapes.add("unmerged")
     return frozenset(shapes)
+
+
+def _flat_ops(ops):
+    """Every op of a leaf, alternation branches included."""
+    for op in ops:
+        yield op
+        if op[0] == "alt":
+            for branch in op[1]:
+                yield from _flat_ops(branch)
 
 
 def run_match_case(seed: int) -> frozenset[str]:
@@ -208,13 +238,14 @@ class TestMatchLevelDifferential:
         print(
             f"fuzz batch {batch}: {ran['mid-chain']} mid-chain navigation, "
             f"{ran['points']} point output, {ran['distributed']} distributed "
-            f"alternations in {BATCH_SIZE} cases"
+            f"alternations, {ran['fused']} fused, {ran['absorbed']} absorbed, "
+            f"{ran['unmerged']} unmerged in {BATCH_SIZE} cases"
         )
 
     def test_seed_window_reaches_navigation_and_point_shapes(self):
         # The batches above evaluate every case of the window; this
         # proves the window holds the shapes the kernel learned last
-        # (planning only — no evaluation).
+        # (planning, plus one unprojected kernel run for the merge skip).
         ran = Counter()
         for seed in range(SEED_OFFSET, SEED_OFFSET + BATCHES * BATCH_SIZE):
             engine = DataflowEngine(random_itpg(seed))
@@ -223,11 +254,16 @@ class TestMatchLevelDifferential:
             ran["mid-chain"] >= BATCHES
             and ran["points"] >= BATCHES
             and ran["distributed"] >= 9
+            and ran["fused"] >= BATCHES
+            and ran["absorbed"] >= BATCHES
+            and ran["unmerged"] >= BATCHES
         ), (
             f"seed window {SEED_OFFSET}: the kernel ran mid-chain navigation "
-            f"{ran['mid-chain']}×, point output {ran['points']}× and distributed "
-            f"alternations {ran['distributed']}× in {BATCHES * BATCH_SIZE} cases "
-            "— too few for the oracle to protect those shapes"
+            f"{ran['mid-chain']}×, point output {ran['points']}×, distributed "
+            f"alternations {ran['distributed']}×, structs with fused tests "
+            f"{ran['fused']}×, absorbed tests {ran['absorbed']}× and unmerged "
+            f"node → edge moves {ran['unmerged']}× in {BATCHES * BATCH_SIZE} "
+            "cases — too few for the oracle to protect those shapes"
         )
 
     def test_paper_queries_on_random_contact_graphs(self):

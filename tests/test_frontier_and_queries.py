@@ -12,9 +12,10 @@ from repro.temporal import IntervalSet
 
 
 def _run_ops(graph, state, *ops):
-    """``state`` after the kernel runs ``ops`` (bounds-free, as planned)."""
+    """``state`` after the kernel runs ``ops`` planned as a leaf is (tests
+    folded into the struct before them, bounds pushed)."""
     ctx = DataflowEngine(graph).index.columnar_context()
-    return columnar._Kernel(ctx).run(state, columnar._push_bounds(ops, ()))
+    return columnar._Kernel(ctx).run(state, columnar._leaf(ops))
 
 
 def _seed(graph, *objects):

@@ -6,7 +6,6 @@ from repro.errors import QuerySyntaxError, QueryTranslationError
 from repro.lang import ast, parse_match, parse_path
 from repro.lang.ast import (
     AndTest,
-    Axis,
     Concat,
     ExistsTest,
     LabelTest,

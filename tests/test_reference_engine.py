@@ -1,7 +1,5 @@
 """Tests for the ReferenceEngine facade (path evaluation + MATCH evaluation)."""
 
-import pytest
-
 from repro.eval import ReferenceEngine
 from repro.lang import ast
 

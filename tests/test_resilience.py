@@ -31,7 +31,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.dataflow import DataflowEngine
-from repro.model.io import from_json_dict, save_json, to_json_dict
+from repro.model.io import from_json_dict, save_json
 from repro.model.itpg import IntervalTPG
 from repro.parallel import shutdown_all
 from repro.parallel.pool import WorkerPool, shutdown_pools

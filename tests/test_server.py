@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.dataflow import DataflowEngine
-from repro.errors import ConnectionClosed, NotPrimary, Overloaded, ReproError, ServerError
+from repro.errors import ConnectionClosed, Overloaded, ReproError, ServerError
 from repro.model import contact_tracing_example
 from repro.model.io import save_json
 from repro.resilience import failpoints

@@ -1,7 +1,5 @@
 """Focused tests for MATCH compilation details (segments, edge translation)."""
 
-import pytest
-
 from repro.lang import ast
 from repro.lang.parser import EdgePattern, parse_match
 from repro.lang.translate import (
