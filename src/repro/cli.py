@@ -52,7 +52,7 @@ def _positive_float(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (``--retries``, ``--workers``)."""
+    """argparse type: an integer >= 0 (``--limit``, ``--port``, ``--max-queue``)."""
     try:
         value = int(text)
     except ValueError:
@@ -133,21 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation engine to use (reference: the bottom-up ground truth)",
     )
     query.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        help="dataflow worker processes (0 = one per CPU core; 1 = evaluate "
-        "in this process)",
-    )
-    query.add_argument(
         "--limit", type=_nonnegative_int, default=25, help="rows to print (0 = all)"
     )
     query.add_argument("--stats", action="store_true", help="print timing and output size")
     query.add_argument(
         "--explain",
         action="store_true",
-        help="print the execution plan (backend, kernel, workers, weighted "
-        "chunk plan) before the results",
+        help="print the execution plan (kernel, output mode, seed rows, "
+        "leaf chains and ops) before the results",
     )
     query.add_argument(
         "--intervals",
@@ -170,15 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-query wall-clock budget; on expiry the query is cancelled "
         "with a structured DeadlineExceeded error (dataflow engine only)",
-    )
-    query.add_argument(
-        "--retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="retry crash-shaped worker-process failures up to N times with "
-        "exponential backoff, then degrade process -> serial "
-        "(dataflow engine only; default: fail fast)",
     )
     query.add_argument(
         "--wal",
@@ -263,13 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--name",
         default="default",
         help="name the resident graph is addressed by (default: 'default')",
-    )
-    serve.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        help="dataflow worker processes per query (0 = one per CPU core; "
-        "1 = evaluate in the server process)",
     )
     serve.add_argument(
         "--max-concurrency",
@@ -476,22 +453,13 @@ def _print_families(families, limit: Optional[int]) -> None:
 
 def _print_explain(plan: dict) -> None:
     """Render :meth:`DataflowEngine.explain` output, one ``#`` line each."""
-    print(
-        f"# plan: backend={plan['effective_backend']}, "
-        f"workers={plan['workers']}, output={plan['output_mode']}"
-    )
     print(f"# plan: kernel={plan['effective_kernel']}")
     print(
-        f"# plan: {plan['seed_rows']} seed rows, {plan['chain_steps']} chain steps, "
-        f"{plan['leaves']} leaf chain(s), {len(plan['chunks'])} chunk(s)"
+        f"# plan: output={plan['output_mode']}, {plan['seed_rows']} seed rows, "
+        f"{plan['chain_steps']} chain steps, {plan['leaves']} leaf chain(s)"
     )
     for op in plan["ops"]:
         print(f"# plan: op {op}")
-    for position, chunk in enumerate(plan["chunks"]):
-        print(
-            f"# plan: chunk {position}: {chunk['seeds']} seeds, "
-            f"weight {chunk['weight']}"
-        )
 
 
 def _run_stream(
@@ -567,11 +535,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         args.explain
         or args.stream
         or args.deadline is not None
-        or args.retries is not None
         or args.store is not None
     ):
         print(
-            "error: --explain, --stream, --deadline, --retries and --store "
+            "error: --explain, --stream, --deadline and --store "
             "apply to the dataflow engine only "
             f"(got --engine {args.engine})",
             file=sys.stderr,
@@ -603,17 +570,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     text = _resolve_query(args.match)
     limit = None if args.limit == 0 else args.limit
     if args.engine == "dataflow":
-        retry = None
-        if args.retries is not None:
-            from repro.resilience import RetryPolicy
-
-            retry = RetryPolicy(retries=args.retries)
-        engine = DataflowEngine(
-            graph,
-            workers=args.workers,
-            deadline_seconds=args.deadline,
-            retry=retry,
-        )
+        engine = DataflowEngine(graph, deadline_seconds=args.deadline)
         if args.explain:
             _print_explain(engine.explain(text))
         if args.stream:
@@ -645,23 +602,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.engine == "dataflow":
         result = engine.match_with_stats(text)
         table = result.table
-        if result.degradation is not None:
-            # A retry policy had to step in: surface the audit trail so
-            # operators know the answer is real but the backend wasn't
-            # the configured one.
-            report = result.degradation
-            print(
-                f"# resilience: {report['retries']} failed attempt(s), "
-                f"backend {report['configured_backend']} -> "
-                f"{report['final_backend']}"
-                + (" (degraded)" if report["degraded"] else " (recovered)")
-            )
-            for record in report["failures"]:
-                print(
-                    f"# resilience: attempt {record['attempt']} on "
-                    f"{record['backend']}: {record['error_type']} "
-                    f"(backoff {record['delay']}s)"
-                )
         if args.stats:
             print(
                 f"# interval time {result.interval_seconds:.4f}s, "
@@ -744,7 +684,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import ServerState
     from repro.server.service import serve as run_service
 
-    state = ServerState(workers=args.workers, plan_capacity=args.plan_cache)
+    state = ServerState(plan_capacity=args.plan_cache)
     recovery = state.add_graph(
         args.name,
         args.graph,

@@ -40,17 +40,6 @@ class EvaluationError(ReproError, RuntimeError):
     """An evaluation engine failed while processing a well-formed query."""
 
 
-class WorkerCrashError(EvaluationError):
-    """A worker process of the parallel backend died mid-query.
-
-    Subclasses :class:`EvaluationError` so existing callers that treat a
-    crash as an evaluation failure keep working; the resilience runtime
-    (:mod:`repro.resilience.retry`) additionally recognizes it as a
-    *retryable* failure — the crashed pool has been retired, so a retry
-    transparently gets a fresh one.
-    """
-
-
 class DeadlineExceeded(ReproError, TimeoutError):
     """A query ran past its configured deadline and was cancelled.
 
@@ -59,7 +48,7 @@ class DeadlineExceeded(ReproError, TimeoutError):
     * ``deadline_seconds`` — the configured budget;
     * ``elapsed`` — wall-clock seconds when the deadline fired;
     * ``partial`` — a dictionary of progress counters recorded at the
-      cancellation point (steps completed, rows merged, backend, …).
+      cancellation point (steps completed, frontier rows, …).
     """
 
     def __init__(
@@ -74,18 +63,6 @@ class DeadlineExceeded(ReproError, TimeoutError):
         self.deadline_seconds = deadline_seconds
         self.elapsed = elapsed
         self.partial = dict(partial or {})
-
-
-class RetryBudgetExceeded(EvaluationError):
-    """Every retry (and, if enabled, every degraded backend) failed.
-
-    ``attempts`` carries the per-attempt failure records so operators can
-    see the whole escalation path in one place.
-    """
-
-    def __init__(self, message: str, attempts: tuple = ()) -> None:
-        super().__init__(message)
-        self.attempts = tuple(attempts)
 
 
 class WALError(ReproError, RuntimeError):
@@ -134,8 +111,7 @@ class InjectedFault(ReproError, RuntimeError):
     """A deterministic fault raised by an armed failpoint (tests only).
 
     Never raised in production paths: it exists so the chaos suite can
-    tell injected failures apart from real ones, while the retry policy
-    still treats it as retryable.
+    tell injected failures apart from real ones.
     """
 
 

@@ -401,42 +401,3 @@ def expand_match_families(
 
 def _row_sort_key(row: Row) -> tuple:
     return tuple((repr(obj), t) for obj, t in row)
-
-
-# --------------------------------------------------------------------- #
-# Compact wire format for coalesced families (process backend)
-# --------------------------------------------------------------------- #
-#: Wire form of one family: bindings plus ``(start, end)`` endpoint pairs.
-PackedFamily = tuple[tuple[tuple[str, ObjectId], ...], tuple[tuple[int, int], ...]]
-
-
-def pack_interval_set(times: IntervalSet) -> tuple[tuple[int, int], ...]:
-    """An :class:`IntervalSet` as plain ``(start, end)`` endpoint pairs.
-
-    The pairs inherit the FC (coalesced, sorted) invariant from the
-    source family, so :func:`unpack_interval_set` can rebuild without
-    re-coalescing.  This is the wire format worker processes use to
-    return interval families: endpoint tuples pickle to a fraction of
-    the bytes of the interval objects themselves.
-    """
-    return tuple((iv.start, iv.end) for iv in times.intervals)
-
-
-def unpack_interval_set(packed: Iterable[tuple[int, int]]) -> IntervalSet:
-    """Rebuild an :class:`IntervalSet` from :func:`pack_interval_set` output."""
-    return IntervalSet._from_coalesced(Interval(start, end) for start, end in packed)
-
-
-def pack_families(families: Iterable[Family]) -> list[PackedFamily]:
-    """Coalesced output families in compact picklable form."""
-    return [
-        (tuple(bindings), pack_interval_set(times)) for bindings, times in families
-    ]
-
-
-def unpack_families(packed: Iterable[PackedFamily]) -> list[Family]:
-    """Inverse of :func:`pack_families`."""
-    return [
-        (tuple(bindings), unpack_interval_set(endpoints))
-        for bindings, endpoints in packed
-    ]

@@ -356,13 +356,12 @@ class IntervalTPG:
     def __getstate__(self) -> dict:
         """Pickle only the graph itself, never per-process caches.
 
-        The perf layer memoizes derived structures on the graph instance
-        under ``_repro_``-prefixed attributes (the compiled
-        :class:`~repro.perf.graph_index.GraphIndex`, parallel execution
-        plans).  Those caches are process-local — the process backend
-        ships graphs to worker processes exactly so each worker can
-        rebuild and memoize its own index — so they are stripped here
-        rather than serialized along.
+        The perf layer memoizes the compiled
+        :class:`~repro.perf.graph_index.GraphIndex` on the graph instance
+        under a ``_repro_``-prefixed attribute.  That cache is
+        process-local — the store pickles the graph into an artifact's
+        graph section, and whoever unpickles it builds its own index —
+        so it is stripped here rather than serialized along.
         """
         return {
             key: value

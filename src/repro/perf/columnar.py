@@ -1,9 +1,9 @@
 """Columnar (vectorized) evaluation kernel for fused step chains.
 
 This is the one kernel ``DataflowEngine(graph)`` runs a query on — ad
-hoc, for a streaming session's registered queries and in the worker
-pool alike.  This module compiles a fused chain into sequences of
-*columnar ops* executed as NumPy sweeps over flat arrays:
+hoc and for a streaming session's registered queries alike.  This
+module compiles a fused chain into sequences of *columnar ops* executed
+as NumPy sweeps over flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
   per row), one int64 column per bound variable, and the per-row
@@ -66,7 +66,6 @@ from repro.dataflow.steps import (
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable
 from repro.lang.ast import AndTest, Test
-from repro.parallel.merge import merge_family_chunks
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
@@ -333,8 +332,8 @@ class ColumnarContext:
     """Dense-array image of one indexed graph, maintained in place.
 
     One image per graph: the index owns it
-    (:meth:`GraphIndex.columnar_context`), so every engine and worker on
-    the graph shares it — the graph's adjacency (rows ascending by dense
+    (:meth:`GraphIndex.columnar_context`), so every engine on the graph
+    shares it — the graph's adjacency (rows ascending by dense
     id) and existence as int64 CSR over dense object ids, edge
     endpoints as flat successor arrays, and
     per-condition CSR tables materialized on first use from the index's
@@ -1320,7 +1319,6 @@ def run_query(
     variables: tuple[str, ...],
     mode: str,
     deadline=None,
-    seeds: Optional[Sequence[ObjectId]] = None,
 ) -> tuple[object, int, int]:
     """Evaluate a planned full query: ``(output, frontier_rows, merged)``
     with ``output`` a family list (``mode="families"``) or a
@@ -1328,16 +1326,11 @@ def run_query(
 
     Seeds come straight from the context's condition CSR (or the object
     range under domain times), never materializing per-row Python
-    objects — which keeps even cheap full-scan queries cheap.  ``seeds`` restricts the run to one chunk of
-    seed objects, in their order (the worker pool's unit of work); the
-    answers of any split of the seed objects union to the unrestricted
-    answer.  They are objects, not dense ids: a worker numbers the
-    objects of its own freshly built index.
+    objects — which keeps even cheap full-scan queries cheap.
     """
     single = plan.leaves.single
     if (
-        seeds is None
-        and plan.seed_condition is not None
+        plan.seed_condition is not None
         and single is not None
         and all(op[0] == "bind" for op in single)
     ):
@@ -1358,29 +1351,23 @@ def run_query(
                 for obj, times in table.items()
             ]
             return families, len(families), 0
-    state = seed_state(ctx, plan, seeds)
+    state = seed_state(ctx, plan)
     return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
 
 
-def seed_state(
-    ctx: ColumnarContext, plan: ColumnarPlan, seeds: Optional[Sequence[ObjectId]] = None
-) -> _State:
-    """The frontier a plan's leaves start from: one row per seed object
-    (all objects, or ``seeds`` in their order) that meets the seed
-    condition, under its satisfaction times (domain times without one)."""
-    ids = None
-    if seeds is not None:
-        object_id = ctx.object_id
-        ids = np.array([object_id[obj] for obj in seeds], dtype=np.int64)
+def seed_state(ctx: ColumnarContext, plan: ColumnarPlan) -> _State:
+    """The frontier a plan's leaves start from: one row per object that
+    meets the seed condition, under its satisfaction times (every
+    object under domain times without one)."""
     if plan.seed_condition is not None:
         indptr, starts, ends = ctx.condition_arrays(plan.seed_condition)
         counts = np.diff(indptr)
-        cur = np.flatnonzero(counts).astype(np.int64) if ids is None else ids[counts[ids] > 0]
+        cur = np.flatnonzero(counts).astype(np.int64)
         counts = counts[cur]
         owner = np.repeat(np.arange(cur.size, dtype=np.int64), counts)
         pos = _ranges(indptr[cur], counts)
         return _State(cur, (), [], owner, starts[pos], ends[pos])
-    cur = np.arange(ctx.num_objects, dtype=np.int64) if ids is None else ids
+    cur = np.arange(ctx.num_objects, dtype=np.int64)
     return _State(
         cur,
         (),
@@ -1398,7 +1385,7 @@ def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):
     Each leaf projects on its own (its frozen groups are its own); a
     points answer is a :class:`PointTable` union deduplicated with
     :func:`_group_rows`, a families answer the per-binding union of
-    ``repro.parallel.merge``.  Building a leaf is linear in the chain and
+    :func:`_union_families`.  Building a leaf is linear in the chain and
     the deadline is checked before each one runs, so it bounds a chain
     of exponentially many leaves even when they run dry at once.
     """
@@ -1414,10 +1401,23 @@ def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):
     if len(outputs) == 1:
         union = outputs[0]
     elif mode == "families":
-        union = merge_family_chunks(outputs)
+        union = _union_families(outputs)
     else:
         union = _union_points(ctx, outputs, variables)
     return union, frontier_rows, kernel.rows_merged
+
+
+def _union_families(outputs: list) -> list:
+    """One canonical family list from several: a binding tuple reached
+    by several leaves gets the coalesced union of their times."""
+    gathered: dict[tuple, list[IntervalSet]] = {}
+    for families in outputs:
+        for bindings, times in families:
+            gathered.setdefault(tuple(bindings), []).append(times)
+    return [
+        (bindings, times[0] if len(times) == 1 else IntervalSet.union_many(times))
+        for bindings, times in gathered.items()
+    ]
 
 
 def _union_points(ctx, tables: list, variables) -> "PointTable":

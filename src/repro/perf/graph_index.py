@@ -312,10 +312,7 @@ class GraphIndex:
         (object-local — an object only touched through a new incident
         edge keeps its entries).  ``tests/test_columnar_context.py``
         compares the patched index and image with rebuilds after every
-        delta.  The stale caches that *do* outlive an in-place mutation
-        — the pickled parallel plan payload and the worker-side graphs
-        keyed by its token — are invalidated at delta-commit time by
-        :func:`repro.parallel.plan.invalidate_plans`.
+        delta.
         """
         self._epoch += 1
         graph = self._graph
@@ -376,26 +373,6 @@ class GraphIndex:
                 in_edges,
                 changed,
             )
-
-    # ------------------------------------------------------------------ #
-    # Seed cost model (parallel chunking)
-    # ------------------------------------------------------------------ #
-    def seed_weight(self, obj: ObjectId) -> int:
-        """Estimated chain-execution cost of a frontier seeded at ``obj``.
-
-        The first structural step fans a node out to its adjacent edges,
-        so a seed's work is roughly proportional to its out-degree (read
-        from the array image); edges step to a single endpoint.  The
-        weighted partitioner uses this to stop one hub-heavy chunk from
-        straggling behind the rest — the imbalance a count-based split
-        cannot see.
-        """
-        context = self.columnar_context()
-        position = self.object_id[obj]
-        if not context.is_node[position]:
-            return 2
-        indptr = context.out_indptr
-        return 1 + int(indptr[position + 1] - indptr[position])
 
     def _candidates(self, condition: Test) -> Optional[frozenset[ObjectId]]:
         """Objects that can possibly satisfy the condition, or ``None`` for all.

@@ -6,18 +6,18 @@ pillar is woven through the existing subsystems rather than bolted on:
 * :mod:`repro.resilience.deadline` — cooperative per-query deadlines
   (``DataflowEngine(deadline_seconds=…)``), raising a structured
   :class:`~repro.errors.DeadlineExceeded` with partial-progress stats;
-* :mod:`repro.resilience.retry` — capped-exponential-backoff retry of
-  crash-shaped failures under a per-query budget, then automatic
-  backend demotion ``process → serial`` recorded as a
-  :class:`DegradationReport` (``DataflowEngine(retry=RetryPolicy(…))``);
+* :mod:`repro.resilience.retry` — the capped-exponential-backoff
+  schedule :class:`RetryPolicy` that the failover client
+  (:class:`~repro.server.client.ServerClient`) re-sends under;
 * :mod:`repro.resilience.wal` / :mod:`repro.resilience.snapshot` —
   durable streaming state: a checksummed JSONL delta WAL plus atomic
   engine snapshots, with ``recover()`` = snapshot + idempotent WAL-tail
   replay (CLI: ``query --stream --wal/--snapshot-every``, ``repro
   recover``);
 * :mod:`repro.resilience.failpoints` — the deterministic, cross-process
-  fault-injection registry the chaos suite drives (worker kills, slow
-  steps, torn WAL writes, malformed deltas).
+  fault-injection registry the chaos suite drives (slow or failing
+  kernel steps, torn WAL writes, malformed deltas, a primary killed
+  mid-ship).
 
 See ``RELIABILITY.md`` for the operational semantics.
 """
@@ -31,14 +31,7 @@ from repro.resilience.failpoints import (
     fire,
     hits,
 )
-from repro.resilience.retry import (
-    AttemptRecord,
-    BACKEND_LADDER,
-    DegradationReport,
-    RETRYABLE_EXCEPTIONS,
-    RetryPolicy,
-    is_retryable,
-)
+from repro.resilience.retry import RetryPolicy
 from repro.resilience.snapshot import (
     RecoveryReport,
     load_snapshot,
@@ -55,13 +48,9 @@ from repro.resilience.wal import (
 )
 
 __all__ = [
-    "AttemptRecord",
-    "BACKEND_LADDER",
     "Deadline",
-    "DegradationReport",
     "DeltaWAL",
     "Failpoint",
-    "RETRYABLE_EXCEPTIONS",
     "RecoveryReport",
     "RetryPolicy",
     "WALRecord",
@@ -71,7 +60,6 @@ __all__ = [
     "disarm_all",
     "fire",
     "hits",
-    "is_retryable",
     "load_snapshot",
     "record_frame",
     "recover",

@@ -8,11 +8,6 @@ the clock each time costs nothing measurable.  When the budget is
 exhausted a structured :class:`~repro.errors.DeadlineExceeded` is
 raised, carrying the progress counters recorded on
 :attr:`Deadline.progress` so callers see how far the query got.
-
-The process backend cannot check inside worker processes; there the
-parent bounds each future wait by :meth:`remaining` and cancels
-undispatched chunks on expiry (see
-:meth:`repro.parallel.pool.WorkerPool.run_chunks`).
 """
 
 from __future__ import annotations
@@ -39,10 +34,6 @@ class Deadline:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def remaining(self) -> float:
-        """Seconds left in the budget (never negative)."""
-        return max(0.0, self._expires_at - time.monotonic())
-
     def expired(self) -> bool:
         return time.monotonic() >= self._expires_at
 
@@ -51,10 +42,9 @@ class Deadline:
         if time.monotonic() >= self._expires_at:
             raise self.exceeded()
 
-    def exceeded(self, **extra) -> DeadlineExceeded:
+    def exceeded(self) -> DeadlineExceeded:
         """Build the structured cancellation error (with partial progress)."""
         partial = dict(self.progress)
-        partial.update(extra)
         elapsed = self.elapsed()
         return DeadlineExceeded(
             f"query exceeded its {self.seconds:g}s deadline after "

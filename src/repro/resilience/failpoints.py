@@ -1,28 +1,26 @@
 """Deterministic fault-injection registry (failpoints).
 
 A *failpoint* is a named site in the runtime where the chaos test suite
-can inject a failure: the worker chunk runner, the plan-install path,
-WAL appends, the delta-stream reader, the engine's step loop.  Arming is
-explicit and test-only; an unarmed site costs one environment-dictionary
-lookup per :func:`fire` call.
+can inject a failure: the kernel's step loop (``engine.step``), WAL
+appends (``wal.append``), the delta-stream reader (``stream.delta``)
+and the replication ship/apply path (``replicate.ship``,
+``replicate.apply``).  Arming is explicit and test-only; an unarmed
+site costs one environment-dictionary lookup per :func:`fire` call.
 
 The registry is **cross-process**: arming writes a spec file into a
 directory published through the ``REPRO_FAILPOINT_DIR`` environment
-variable, which worker processes inherit regardless of start method
-(fork *and* spawn).  Hit accounting is shared the same way — each firing
+variable, which child processes — a ``repro serve`` primary started by
+a test — inherit.  Hit accounting is shared the same way — each firing
 appends one byte to a per-site ``.hits`` file with ``O_APPEND`` (atomic
 on POSIX), and the post-write file offset is the firing's ordinal — so
-``times=N`` means "the first N calls across *all* processes fire", even
-when a killed worker is replaced by a fresh one that re-reads the same
-spec.
+``times=N`` means "the first N calls across *all* processes fire".
 
 Supported kinds:
 
 * ``"raise"`` — raise :class:`~repro.errors.InjectedFault`;
 * ``"kill"``  — ``os._exit`` the calling process (a SIGKILL-equivalent
   death the interpreter cannot intercept: no cleanup, no exception);
-* ``"sleep"`` — delay ``seconds`` then continue (slow worker / slow
-  step);
+* ``"sleep"`` — delay ``seconds`` then continue (a slow step);
 * any other kind (``"torn"``, ``"malformed"``, …) — *cooperative*: the
   armed spec is returned to the call site, which implements the
   site-specific corruption (e.g. the WAL writes half a record).
@@ -101,9 +99,8 @@ def arm(
     """Arm ``site`` with a failure spec, creating the registry if needed.
 
     The registry directory is published via :data:`ENV_VAR` so that
-    worker processes started *after* arming (including replacement
-    workers forked or spawned mid-test) observe the same spec and the
-    same shared hit counter.
+    child processes started *after* arming observe the same spec and
+    the same shared hit counter.
     """
     spec = Failpoint(
         site=site,
@@ -180,8 +177,8 @@ def _record_hit(base: str, site: str) -> int:
 
     ``O_APPEND`` makes the single-byte write atomic, and the file offset
     immediately after an appending write is the end of *our* byte — so
-    the ordinal is exact even under concurrent firings from multiple
-    worker processes.
+    the ordinal is exact even under concurrent firings from several
+    threads or processes.
     """
     path = os.path.join(base, _site_filename(site) + ".hits")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)

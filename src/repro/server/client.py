@@ -268,7 +268,6 @@ class ServerClient:
         *,
         graph: str = "default",
         deadline: Optional[float] = None,
-        retries: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> dict:
         """Evaluate ``text`` (a MATCH clause or paper-query name).
@@ -282,7 +281,6 @@ class ServerClient:
             graph=graph,
             query=text,
             deadline=deadline,
-            retries=retries,
             limit=limit,
         )
 

@@ -7,10 +7,7 @@ read through the engine's :class:`~repro.perf.graph_index.GraphIndex`
 when the plan *runs*), so the server memoizes it as a
 :class:`~repro.dataflow.executor.QueryPlan` keyed by the normalized
 MATCH text alone.  A plan therefore survives a write: the read after an
-``apply_delta`` is a hit that evaluates on the patched index.  (What a
-delta *does* invalidate — the pickled parallel-execution payload and the
-worker-side graphs — is keyed by the graph token in
-:mod:`repro.parallel.plan`, not here.)
+``apply_delta`` is a hit that evaluates on the patched index.
 
 The cache is bounded (LRU eviction) and thread-safe; hit/miss/eviction
 counters feed the ``stats`` op.

@@ -8,9 +8,8 @@ lines, see :mod:`repro.server.protocol`).  Cheap control ops (``ping``,
 ``graphs``, ``stats``, ``health``, ``shutdown``) answer inline on the
 loop.  Heavy ops (``query``, ``register``, ``table``, ``apply_delta``)
 are pushed to a thread-pool executor sized to ``max_concurrency`` — the
-engines are synchronous and (with ``workers > 1``) dispatch onto
-the shared warm :class:`~repro.parallel.pool.WorkerPool`, so the loop
-never blocks on evaluation — nor on encoding an answer, which arrives as
+engines are synchronous, so the loop never blocks on evaluation — nor
+on encoding an answer, which arrives as
 :class:`~repro.server.protocol.Encoded` bytes to splice into an envelope.
 
 Backpressure is admission control, not queueing: when
@@ -239,11 +238,6 @@ class QueryServer:
             self._server = None
         self._executor.shutdown(wait=True)
         self.state.close()
-        # Drain the warm worker pools so a clean shutdown leaves no
-        # orphaned processes behind.
-        from repro.parallel.pool import shutdown_all
-
-        shutdown_all()
 
     def _final_snapshots(self) -> None:
         for host in self.state.hosts.values():
@@ -453,12 +447,12 @@ class QueryServer:
         """Run one heavy op on an executor thread (blocking is fine here)."""
         host = self.state.host(request.get("graph", "default"))
         if op in ("query", "table"):
-            limit, deadline, retries = _answer_options(request)
+            limit, deadline = _answer_options(request)
         if op == "query":
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
                 raise ServerError("query op requires a non-empty 'query' string")
-            return host.query(text, deadline=deadline, retries=retries, limit=limit)
+            return host.query(text, deadline=deadline, limit=limit)
         if op == "register":
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
@@ -468,7 +462,7 @@ class QueryServer:
             name = request.get("name")
             if not isinstance(name, str):
                 raise ServerError("table op requires a 'name' string")
-            return host.table(name, deadline=deadline, retries=retries, limit=limit)
+            return host.table(name, deadline=deadline, limit=limit)
         # op == "apply_delta"
         batch = request.get("batch")
         if not isinstance(batch, dict):
@@ -477,15 +471,14 @@ class QueryServer:
 
 
 def _answer_options(request: dict) -> tuple:
-    """The request's ``(limit, deadline, retries)``, each ``None`` when absent.
+    """The request's ``(limit, deadline)``, each ``None`` when absent.
 
-    Rejects, as a :class:`ServerError`, a ``limit`` or ``retries`` that is
-    not an integer >= 0 and a ``deadline`` that is not a finite positive
-    number — before any of them reaches a slice or a retry loop.
+    Rejects, as a :class:`ServerError`, a ``limit`` that is not an
+    integer >= 0 and a ``deadline`` that is not a finite positive
+    number — before either reaches a slice or the kernel.  Unknown
+    fields (such as the ``retries`` older clients send) are ignored.
     """
-    limit, deadline, retries = (
-        request.get(field) for field in ("limit", "deadline", "retries")
-    )
+    limit, deadline = request.get("limit"), request.get("deadline")
     if limit is not None and not is_count(limit):
         raise ServerError(f"limit must be an integer >= 0 or null, got {limit!r}")
     if deadline is not None and not (
@@ -494,9 +487,7 @@ def _answer_options(request: dict) -> tuple:
         and 0 < deadline < math.inf
     ):
         raise ServerError(f"deadline must be a positive number, got {deadline!r}")
-    if retries is not None and not is_count(retries):
-        raise ServerError(f"retries must be an integer >= 0, got {retries!r}")
-    return limit, None if deadline is None else float(deadline), retries
+    return limit, None if deadline is None else float(deadline)
 
 
 def serve(

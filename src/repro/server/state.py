@@ -7,9 +7,8 @@ graph:
   :class:`~repro.perf.graph_index.GraphIndex` (shared via
   :func:`~repro.perf.graph_index.graph_index_for`, so condition tables
   amortize across the whole query mix);
-* one :class:`~repro.dataflow.executor.DataflowEngine` configured with
-  the server's worker count — with ``workers > 1`` its dispatches land
-  on the warm shared :class:`~repro.parallel.pool.WorkerPool`;
+* one :class:`~repro.dataflow.executor.DataflowEngine`, which runs
+  every query as one columnar pass on the calling thread;
 * a :class:`~repro.streaming.engine.StreamingEngine` session driving the
   same engine: it applies deltas, answers registered queries from their
   cached plans (one kernel run per query per epoch, on the first read),
@@ -44,11 +43,6 @@ exclusive side:
 * ``StreamingEngine._answers`` — a registered query's ``(table,
   epoch)``, build then publish (racing first readers after a write each
   run the kernel once and store equal tables);
-* ``WorkerPool._warm`` — single ``setdefault``/``add`` calls; a stale
-  read costs at most a payload resend;
-* ``plan_for`` (one parallel token per graph state) and ``shared_pool``
-  (one pool per key) — locked; ``ExecutionPlan.payload`` — build then
-  publish;
 * a compiled store's decoded records (``AttachedCore``) and the
   index's candidate buckets — the records build then publish, the
   buckets load once under a lock — and ``AttachedGraph``'s
@@ -70,7 +64,6 @@ from repro.errors import EvaluationError, ServerError
 from repro.eval.bindings import IntervalBindingTable
 from repro.model import contact_tracing_example, graph_statistics
 from repro.model.io import from_json_dict, load_json
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.snapshot import load_snapshot, replay_wal, restore
 from repro.server.plans import PlanCache
 from repro.server.protocol import encode_families, encode_rows, normalize_query
@@ -86,7 +79,6 @@ class GraphHost:
         name: str,
         graph,
         *,
-        workers: int = 1,
         plans: Optional[PlanCache] = None,
         wal: Optional[str] = None,
         snapshot: Optional[str] = None,
@@ -94,7 +86,7 @@ class GraphHost:
         wal_fsync: bool = True,
     ) -> None:
         self.name = name
-        self.engine = DataflowEngine(graph, workers=workers)
+        self.engine = DataflowEngine(graph)
         self.graph = self.engine.graph
         self.index = self.engine.index
         self.session = StreamingEngine(engine=self.engine)
@@ -177,12 +169,10 @@ class GraphHost:
         text: str,
         *,
         deadline: Optional[float] = None,
-        retries: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> dict:
         """Evaluate one ad-hoc query through the compiled-plan cache."""
         normalized = normalize_query(text)
-        retry = None if retries is None else RetryPolicy(retries=retries)
         start = time.perf_counter()
         with self.lock.shared():
             plan = self.plans.get(normalized)
@@ -191,13 +181,12 @@ class GraphHost:
                 plan = self.engine.prepare(normalized)
                 self.plans.put(normalized, plan)
             result: MatchResult = self.engine.match_with_stats(
-                plan, deadline_seconds=deadline, retry=retry
+                plan, deadline_seconds=deadline
             )
             epoch = self.session.epoch
         payload = self._table_payload(result.table, limit)
         payload["interval_seconds"] = result.interval_seconds
         payload["total_seconds"] = result.total_seconds
-        payload["degradation"] = result.degradation
         return {
             "result": payload,
             "server": {
@@ -233,15 +222,12 @@ class GraphHost:
         name: str,
         *,
         deadline: Optional[float] = None,
-        retries: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> dict:
         """Read a registered query's answer at the current epoch (the
-        first read after a write runs its plan under ``deadline`` /
-        ``retries``)."""
-        retry = None if retries is None else RetryPolicy(retries=retries)
+        first read after a write runs its plan under ``deadline``)."""
         with self.lock.shared():
-            table = self.session.table(name, deadline_seconds=deadline, retry=retry)
+            table = self.session.table(name, deadline_seconds=deadline)
             epoch = self.session.epoch
         payload = self._table_payload(table, limit)
         return {
@@ -323,7 +309,6 @@ class GraphHost:
                 "queries": list(self.session.query_names()),
                 "plan_cache": self.plans.stats(),
                 "plans": [text for text, _plan in self.plans.entries()],
-                "workers": self.engine.workers,
                 "wal": None if self.session.wal is None else self.session.wal.path,
                 "wal_seq": self.session.wal_seq,
                 "last_sequence": self.session.last_sequence,
@@ -356,13 +341,7 @@ class GraphHost:
 class ServerState:
     """The named-graph registry plus server-wide configuration."""
 
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        plan_capacity: int = 128,
-    ) -> None:
-        self.workers = workers
+    def __init__(self, *, plan_capacity: int = 128) -> None:
         self.plan_capacity = plan_capacity
         self.hosts: dict[str, GraphHost] = {}
         self.started = time.time()
@@ -389,7 +368,6 @@ class ServerState:
             snapshot=snapshot,
             snapshot_every=snapshot_every,
             store=store,
-            workers=self.workers,
             plans=PlanCache(self.plan_capacity),
         )
         self.hosts[name] = host
@@ -407,7 +385,6 @@ class ServerState:
     def stats(self) -> dict:
         return {
             "uptime_seconds": time.time() - self.started,
-            "workers": self.workers,
             "graphs": {name: host.stats() for name, host in self.hosts.items()},
         }
 

@@ -1,9 +1,8 @@
 """Persistent compiled-graph store: ``repro-index/1`` artifacts.
 
 Loading a graph and indexing it is the dominant startup cost of every
-cold process — server restarts reload, every worker of the process
-backend rebuilds its own copy from a pickled payload.  This package
-makes the graph a *persistent, shareable* artifact instead:
+cold process — a server restart reloads and re-indexes it.  This
+package makes the graph a *persistent, shareable* artifact instead:
 
 * :func:`compile_graph` writes the graph as flat tables (dense-id object
   table, labels, endpoints, adjacency, existence and property interval
@@ -15,10 +14,6 @@ makes the graph a *persistent, shareable* artifact instead:
   :class:`~repro.perf.graph_index.GraphIndex`, so attaching processes
   share page cache instead of holding private copies
   (:mod:`repro.store.artifact`);
-* the parallel backend ships a tiny ``(path, token)``
-  :class:`~repro.parallel.plan.StoreRef` for attached graphs, so
-  workers attach the same artifact themselves — with the pickled
-  payload kept as the self-healing fallback;
 * :func:`repro.server.state.GraphHost.from_files` accepts a store and
   attaches on restart instead of recompiling.
 

@@ -10,8 +10,8 @@ The reader (:func:`attach`) is the point of the exercise: it maps the
 artifact read-only and returns a ready graph + index **without decoding
 the body**.  Attach cost is the header check plus one unpickle of the
 object table; every per-object record is decoded straight out of the
-mmap on first touch (:class:`AttachedCore`), so a worker that runs one
-query over one neighbourhood faults in only those pages — and every
+mmap on first touch (:class:`AttachedCore`), so a process that runs
+one query over one neighbourhood faults in only those pages — and every
 process attaching the same artifact shares them through the OS page
 cache instead of each holding a private unpickled copy.
 
@@ -35,7 +35,6 @@ Dense ids (``objects`` positions) are the on-disk vocabulary; the
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import threading
@@ -44,7 +43,6 @@ from typing import Hashable, Iterator, Optional
 
 from repro.errors import StoreCorruptError, StoreFormatError, UnknownObjectError
 from repro.model.itpg import IntervalTPG
-from repro.parallel.plan import StoreRef, bind_store
 from repro.perf.graph_index import GraphIndex, graph_index_for, install_index
 from repro.store.format import Artifact, write_artifact
 from repro.temporal.interval import Interval
@@ -349,9 +347,9 @@ class AttachedGraph:
     becomes a thin delegate to that real graph — reads included, so
     post-delta state is always coherent.
 
-    Underscore attributes never materialize: the perf and parallel
-    layers probe ``_repro_``-prefixed cache slots with ``getattr``
-    defaults, and those probes must stay free.
+    Underscore attributes never materialize: the perf layer probes the
+    ``_repro_``-prefixed index slot with a ``getattr`` default, and that
+    probe must stay free.
     """
 
     def __init__(self, core: AttachedCore) -> None:
@@ -379,9 +377,9 @@ class AttachedGraph:
         return getattr(self._materialize(), name)
 
     def __reduce__(self):
-        # Pickling the proxy (the parallel backend's payload fallback)
-        # yields the real graph: workers must receive something whose
-        # caches IntervalTPG.__getstate__ knows how to strip.
+        # Pickling the proxy (``compile_graph`` of an attached graph
+        # writes the graph section) yields the real graph, whose caches
+        # IntervalTPG.__getstate__ knows how to strip.
         return (_identity, (self._materialize(),))
 
     def __repr__(self) -> str:
@@ -532,9 +530,7 @@ def attach(path: str) -> Attachment:
     section is decoded here.  The returned graph is ready for every
     engine — its index is pre-installed (:func:`graph_index_for`
     returns it instead of recompiling) with the artifact's object order,
-    bucket section and columnar sections, and its parallel identity is
-    the artifact's persistent token, so worker processes attach the same
-    file by reference instead of receiving a pickled copy.
+    bucket section and columnar sections.
     """
     artifact = Artifact(path)
     kind = artifact.meta.get("kind")
@@ -558,5 +554,4 @@ def attach(path: str) -> Attachment:
         sections=core.columnar_sections,
     )
     install_index(graph, index)
-    bind_store(graph, StoreRef(path=os.path.abspath(path), token=core.token))
     return Attachment(graph, index, core, path)

@@ -27,7 +27,7 @@ eagerly for tools that want the full scan.
 
 Writes are atomic: the artifact is assembled in a same-directory
 temporary file, fsynced, and renamed over the destination (followed by
-a directory fsync), so readers — including workers attaching mid-write
+a directory fsync), so readers — including processes attaching mid-write
 — only ever see either the old complete artifact or the new one.
 """
 

@@ -450,15 +450,6 @@ def apply_delta(graph: IntervalTPG, batch: DeltaBatch) -> DeltaEffects:
                 new_keys.setdefault((name, value), []).append(object_id)
 
     # ---------------------- commit (cannot fail) ---------------------- #
-    # The graph is about to change in place: any cached parallel
-    # execution plan (pickled payload + worker-cache token) describes the
-    # pre-delta graph and must not survive the commit, or warm process
-    # workers would keep answering from the stale graph.  (Local import:
-    # repro.parallel pulls in the dataflow machinery, which plain delta
-    # application should not depend on at import time.)
-    from repro.parallel.plan import invalidate_plans
-
-    invalidate_plans(graph)
     horizon_advanced = new_end > domain.end
     if horizon_advanced:
         graph.extend_domain(new_end)

@@ -41,7 +41,6 @@ from repro.streaming.lock import SharedLock
 
 if TYPE_CHECKING:  # dataflow -> resilience -> wal -> streaming at import time
     from repro.dataflow.executor import QueryPlan
-    from repro.resilience.retry import RetryPolicy
 
 QueryLike = TypingUnion[str, MatchQuery, CompiledMatch]
 Table = TypingUnion[BindingTable, IntervalBindingTable]
@@ -223,13 +222,11 @@ class StreamingEngine:
         name: str,
         *,
         deadline_seconds: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> Table:
         """The binding table of a registered query at the current epoch.
 
         The first read after a write runs the plan under
-        ``deadline_seconds`` / ``retry`` (as ``match_with_stats`` takes
-        them); later reads at that epoch return the same table object.
+        ``deadline_seconds`` (as ``match_with_stats`` takes it); later reads at that epoch return the same table object.
         The shared lock keeps the epoch still meanwhile; racing first
         readers build equal tables, and the last published tuple wins.
         """
@@ -240,7 +237,7 @@ class StreamingEngine:
             if cached is not None and cached[1] == epoch:
                 return cached[0]
             table = self._engine.match_with_stats(
-                plan, deadline_seconds=deadline_seconds, retry=retry
+                plan, deadline_seconds=deadline_seconds
             ).table
             self._answers[name] = (table, epoch)
             return table

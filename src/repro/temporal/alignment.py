@@ -120,6 +120,11 @@ def reachable_window(
     contribute.  Point-level filtering (Step 3 of the paper's
     evaluation) is still applied afterwards when bindings are
     materialized.
+
+    No engine calls this: it is the scalar reference the columnar
+    kernel's vectorized temporal step is checked against
+    (``tests/test_alignment.py::TestKernelReach``), kept beside the
+    algebra it is written in.
     """
     results: list[tuple[Interval, Interval]] = []
     if require_contiguous:
@@ -190,6 +195,10 @@ def reachable_sources(
     and *excludes* the source's own position.  Concretely, a source may
     sit one point outside the existence run that carries the walk, and
     the target itself must exist whenever at least one move is taken.
+
+    Like :func:`reachable_window`, it is the scalar reference for the
+    kernel's backward temporal step (``TestKernelReach``), not an engine
+    path.
     """
     results: list[Interval] = []
     if require_contiguous:

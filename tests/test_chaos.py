@@ -1,23 +1,22 @@
 """Chaos suite: the resilience runtime under injected faults.
 
-Every test here drives a *real* execution path — pool workers, the
-dataflow step loop, the WAL appender, the CLI stream reader — through
-the deterministic failpoint registry (:mod:`repro.resilience.failpoints`)
+Every test here drives a *real* execution path — the columnar kernel's
+step loop and its degenerate-chain shortcut, the WAL appender, the CLI
+stream reader, served primaries and standbys — through the
+deterministic failpoint registry (:mod:`repro.resilience.failpoints`)
 and checks the acceptance bar of the PR-6 charter:
 
-* a configured deadline fires within **2x** its budget on the serial
-  and process backends (slow steps / slow workers injected);
-* a deadline expiry is a hard stop: it is never retried, even when a
-  retry policy is armed;
+* a configured deadline fires within **2x** its budget, mid-chain and
+  on the degenerate-chain shortcut (slow steps injected), and every
+  paper query expires at its first step once a stall outruns the budget;
+* an injected step fault surfaces from the call it hit, unretried, on
+  every paper query, and the engine answers the next call;
 * a crash mid-WAL-append (torn write) loses exactly the torn record:
   recovery lands on the longest durable prefix;
 * a malformed delta surfaces through the real CLI as a structured error
   (exit code 2 with file/line context), leaving engine state untouched.
 
-Worker-SIGKILL recovery and backend degradation live with the other
-process-backend tests in ``test_workers_parallelism.py``
-(``TestFailpointCrashRecovery``); primitive-level unit tests live in
-``test_resilience.py``.
+Primitive-level unit tests live in ``test_resilience.py``.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ from repro.errors import DeadlineExceeded, InjectedFault
 from repro.eval import ReferenceEngine
 from repro.model.io import save_json
 from repro.model.itpg import IntervalTPG
-from repro.parallel.pool import shutdown_pools
-from repro.resilience import RetryPolicy, failpoints, recover, scan_wal, write_snapshot
+from repro.resilience import failpoints, recover, scan_wal, write_snapshot
 from repro.streaming import DeltaBatch, StreamingEngine
 
 
 @pytest.fixture(scope="module")
 def contact_graph():
-    """Large enough that worker pools actually engage (mirrors the PR-4 suite)."""
+    """Large enough that Q5's injected per-op stalls outrun a budget."""
     config = ContactTracingConfig(
         trajectory=TrajectoryConfig(
             num_persons=30, num_locations=10, num_rooms=5, num_windows=16, seed=7
@@ -57,13 +55,26 @@ def contact_graph():
     return generate_contact_tracing_graph(config)
 
 
+@pytest.fixture(scope="module")
+def reference_answer(contact_graph):
+    """The reference engine's answer to a paper query on the contact
+    graph, computed once per query."""
+    reference = ReferenceEngine(contact_graph)
+    answers = {}
+
+    def answer(name):
+        if name not in answers:
+            answers[name] = reference.match(PAPER_QUERIES[name].text).as_set()
+        return answers[name]
+
+    return answer
+
+
 @pytest.fixture(autouse=True)
 def _clean_slate():
     failpoints.disarm_all()
-    shutdown_pools()
     yield
     failpoints.disarm_all()
-    shutdown_pools()
 
 
 def small_graph() -> IntervalTPG:
@@ -80,11 +91,11 @@ QUERY = "MATCH (x:Person) ON g"
 
 
 # --------------------------------------------------------------------- #
-# Deadlines fire within 2x the configured budget on every backend
+# Deadlines fire within 2x the configured budget
 # --------------------------------------------------------------------- #
 class TestDeadlineUnderSlowExecution:
     #: The acceptance bound: expiry must surface within twice the budget
-    #: (the injected stall per step/worker is sized so one stall cannot
+    #: (the injected stall per step is sized so one stall cannot
     #: overshoot it).
     def _assert_within_bound(self, error: DeadlineExceeded, budget: float):
         assert error.deadline_seconds == budget
@@ -105,30 +116,38 @@ class TestDeadlineUnderSlowExecution:
         self._assert_within_bound(excinfo.value, budget)
         assert "steps_completed" in excinfo.value.partial
 
-    def test_process_backend_cancels_slow_workers(self, contact_graph):
-        budget = 0.5
-        failpoints.arm("worker.chunk", "sleep", seconds=5.0, times=0)
-        engine = DataflowEngine(contact_graph, workers=2, deadline_seconds=budget)
+    def test_shortcut_cancels_a_slow_step(self, contact_graph):
+        """Q1 is one absorbed condition plus a bind: the kernel answers it
+        from the condition table without running an op, after one step
+        hook and one deadline check."""
+        budget = 0.25
+        failpoints.arm("engine.step", "sleep", seconds=0.3, times=0)
+        engine = DataflowEngine(contact_graph, deadline_seconds=budget)
         with pytest.raises(DeadlineExceeded) as excinfo:
             engine.match(PAPER_QUERIES["Q1"].text)
         self._assert_within_bound(excinfo.value, budget)
-        assert excinfo.value.partial.get("backend") == "process"
+        # No op ran, so no op recorded its progress.
+        assert excinfo.value.partial == {}
+        assert failpoints.hits("engine.step") == 1
 
-    def test_deadline_is_never_retried(self, contact_graph):
-        """A spent budget is a hard stop even with a generous retry policy."""
-        budget = 0.5
-        failpoints.arm("worker.chunk", "sleep", seconds=5.0, times=0)
-        engine = DataflowEngine(
-            contact_graph,
-            workers=2,
-            deadline_seconds=budget,
-            retry=RetryPolicy(retries=3, base_delay=0.01, seed=5),
-        )
+    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
+    def test_every_paper_query_expires_then_answers(
+        self, contact_graph, reference_answer, name
+    ):
+        """Every query shape — condition-table shortcut, chain, point
+        output, alternation leaves — checks its deadline after its first
+        step: one stall longer than the budget expires the call there,
+        and the same engine answers the next call in full."""
+        budget = 0.02
+        query = PAPER_QUERIES[name].text
+        engine = DataflowEngine(contact_graph)
+        failpoints.arm("engine.step", "sleep", seconds=0.03, times=1)
         with pytest.raises(DeadlineExceeded) as excinfo:
-            engine.match(PAPER_QUERIES["Q1"].text)
-        # Retrying would have stacked more worker waits on top; staying
-        # inside the 2x bound proves the expiry propagated immediately.
-        self._assert_within_bound(excinfo.value, budget)
+            engine.match_with_stats(query, deadline_seconds=budget)
+        assert excinfo.value.deadline_seconds == budget
+        assert excinfo.value.elapsed >= budget
+        assert failpoints.hits("engine.step") == 1
+        assert engine.match(query).as_set() == reference_answer(name)
 
     def test_within_budget_query_is_unaffected(self, contact_graph):
         engine = DataflowEngine(contact_graph, deadline_seconds=60.0)
@@ -138,15 +157,50 @@ class TestDeadlineUnderSlowExecution:
 
 
 # --------------------------------------------------------------------- #
-# Per-call state: a call's deadline and retry never leak into another call
+# A failing step fails its query, once, and leaves the engine intact
+# --------------------------------------------------------------------- #
+class TestInjectedStepFault:
+    def test_raising_step_propagates_and_the_next_call_answers(self, contact_graph):
+        """Nothing retries a query: an injected step fault surfaces from
+        the call it hit — mid-chain (Q5) and on the condition-table
+        shortcut (Q1) — and the same engine answers the next calls."""
+        engine = DataflowEngine(contact_graph)
+        reference = ReferenceEngine(contact_graph)
+        failpoints.arm("engine.step", "raise", times=2, message="step blew up")
+        for name in ("Q5", "Q1"):
+            with pytest.raises(InjectedFault, match="step blew up"):
+                engine.match(PAPER_QUERIES[name].text)
+        assert failpoints.hits("engine.step") == 2
+        for name in ("Q5", "Q1"):
+            query = PAPER_QUERIES[name].text
+            assert engine.match(query).as_set() == reference.match(query).as_set()
+
+
+    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
+    def test_every_paper_query_surfaces_a_step_fault(
+        self, contact_graph, reference_answer, name
+    ):
+        """Every query shape fires the step hook: a fault there fails
+        that one call, unretried, and the next call answers in full."""
+        query = PAPER_QUERIES[name].text
+        engine = DataflowEngine(contact_graph)
+        failpoints.arm("engine.step", "raise", times=1, message="step blew up")
+        with pytest.raises(InjectedFault, match="step blew up"):
+            engine.match(query)
+        assert failpoints.hits("engine.step") == 1
+        assert engine.match(query).as_set() == reference_answer(name)
+
+
+# --------------------------------------------------------------------- #
+# Per-call state: a call's deadline never leaks into another call
 # --------------------------------------------------------------------- #
 class TestPerCallIsolation:
     def test_concurrent_calls_on_one_engine_are_isolated(self, contact_graph):
         """Without any lock, a call's deadline stays with that call.
 
-        A starts with a tight per-call deadline and a retry policy; once
-        it is inside the kernel run, B runs the same query on the same
-        engine with neither.  A must expire, B must answer in full, and
+        A starts with a tight per-call deadline; once it is inside the
+        kernel run, B runs the same query on the same engine without
+        one.  A must expire, B must answer in full, and
         the engine must look the same throughout as before either call.
         """
         query = PAPER_QUERIES["Q5"].text
@@ -167,7 +221,7 @@ class TestPerCallIsolation:
         first = threading.Thread(
             target=run,
             args=("a",),
-            kwargs={"deadline_seconds": 0.15, "retry": RetryPolicy(retries=1)},
+            kwargs={"deadline_seconds": 0.15},
         )
         first.start()
         deadline = time.monotonic() + 10

@@ -23,7 +23,7 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 0
-        assert args.workers == 1 and args.max_concurrency == 4
+        assert args.max_concurrency == 4
 
     def test_negative_deadline_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -36,17 +36,6 @@ class TestParser:
             build_parser().parse_args(["query", "Q1", "--deadline", "0"])
         assert exit_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
-
-    def test_negative_retries_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["query", "Q1", "--retries", "-2"])
-        assert exit_info.value.code == 2
-        assert "must be >= 0" in capsys.readouterr().err
-
-    def test_negative_workers_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["query", "Q1", "--workers", "-1"])
-        assert exit_info.value.code == 2
 
     def test_snapshot_every_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -76,10 +65,13 @@ class TestParser:
             ["query", "Q1", "--kernel", "interpreted"],
             ["query", "Q1", "--backend", "process"],
             ["serve", "--backend", "serial"],
+            ["query", "Q1", "--workers", "2"],
+            ["query", "Q1", "--retries", "1"],
+            ["serve", "--workers", "2"],
         ],
     )
     def test_engine_mode_flags_are_gone(self, argv, capsys):
-        # The engine picks its kernel and pool itself: nothing to select.
+        # One kernel, run in this process: nothing to select.
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
@@ -88,11 +80,6 @@ class TestParser:
 
 class TestFlagContradictions:
     """Contradictory flag combinations fail fast with actionable errors."""
-
-    def test_serial_backend_with_one_worker_is_fine(self, capsys):
-        assert main(["query", "Q1", "--workers", "1", "--explain"]) == 0
-        out = capsys.readouterr().out
-        assert "# plan: backend=sequential" in out and "n1" in out
 
     def test_snapshot_every_requires_snapshot(self, capsys):
         assert main(["query", "Q1", "--stream", "x.jsonl", "--snapshot-every", "3"]) == 2
@@ -175,42 +162,13 @@ class TestQuery:
         assert main(["query", "Q2", "--graph", str(path), "--limit", "5"]) == 0
         assert "x_time" in capsys.readouterr().out
 
-    def test_query_process_backend_matches_serial(self, tmp_path, capsys):
-        path = tmp_path / "campus.json"
-        main(
-            ["generate", "--persons", "20", "--locations", "10", "--rooms", "3",
-             "--windows", "16", "--positivity", "0.2", "-o", str(path)]
-        )
-        capsys.readouterr()
-        assert main(["query", "Q1", "--graph", str(path), "--limit", "0"]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(
-                ["query", "Q1", "--graph", str(path), "--limit", "0",
-                 "--workers", "2"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == serial_out
-
-    def test_query_backend_requires_dataflow_engine(self, capsys):
-        # --retries configures the process -> serial ladder, which only
-        # the dataflow engine has.
-        assert (
-            main(["query", "Q6", "--engine", "reference", "--retries", "1"])
-            == 2
-        )
-        assert "dataflow engine only" in capsys.readouterr().err
-
     def test_query_explain_prints_plan(self, capsys):
-        assert main(["query", "Q1", "--explain", "--workers", "2"]) == 0
+        assert main(["query", "Q11", "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "# plan: backend=process" in out
-        assert "chunk" in out and "weight" in out
-
-    def test_query_workers_zero_resolves_to_cpu_count(self, capsys):
-        assert main(["query", "Q1", "--workers", "0", "--stats"]) == 0
-        assert "output size" in capsys.readouterr().out
+        assert "# plan: kernel=columnar\n" in out
+        assert "# plan: output=families, " in out and "leaf chain(s)" in out
+        assert "# plan: op bind x" in out
+        assert "backend" not in out and "chunk" not in out
 
     def test_query_backend_rejects_unknown_value(self, capsys):
         with pytest.raises(SystemExit):

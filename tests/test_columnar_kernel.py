@@ -7,14 +7,12 @@ Four layers:
   every entry point.
 * **Fallback identity** — the shapes added last (mid-chain temporal
   navigation, point-mode output, temporal alternations distributed into
-  leaf chains) answer identically to the reference engine, through
-  ``run_query`` on every seed and on worker-sized chunks of seed
-  objects.
+  leaf chains) answer identically to the reference engine, through the
+  engine and through ``run_query``.
 * **Kernel seam** — ``columnar.run_query`` on the full chain returns
   the reference engine's answer on every paper query (canonical
-  families, or point rows); on any split of the seed objects each
-  chunk returns the reference answer restricted to its seeds, and the
-  chunks union to the unchunked answer.
+  families, or point rows), and so do the leaf chains run from the seed
+  frontier when the degenerate-chain shortcut answers instead.
 * **Array primitives + store fast path** — the sweep building blocks
   against hand-computed expectations, and attached-artifact parity
   (exercising :meth:`AttachedCore.columnar_sections` decoding).
@@ -58,14 +56,29 @@ def _example_engines():
     return DataflowEngine(graph), ReferenceEngine(graph)
 
 
-def _run(engine, prepared, seeds=None):
+def _run(engine, prepared):
     """``run_query`` on a prepared plan; point answers as row tuples."""
     data, _frontier_rows, _merged = columnar.run_query(
         engine.index.columnar_context(),
         columnar.plan_query(prepared.chain),
         prepared.variables,
         prepared.mode,
-        seeds=seeds,
+    )
+    return list(data.rows) if prepared.mode == "points" else data
+
+
+def _run_leaves(engine, prepared):
+    """The leaf chains run from the seed frontier, past the shortcut that
+    answers a condition-only chain from its condition table."""
+    ctx = engine.index.columnar_context()
+    plan = columnar.plan_query(prepared.chain)
+    data, _frontier_rows, _merged = columnar._run_leaves(
+        ctx,
+        plan.leaves,
+        columnar.seed_state(ctx, plan),
+        prepared.variables,
+        prepared.mode,
+        None,
     )
     return list(data.rows) if prepared.mode == "points" else data
 
@@ -76,17 +89,6 @@ def _canonical(families) -> list:
         ((tuple(bindings), tuple(times.intervals)) for bindings, times in families),
         key=repr,
     )
-
-
-def _seeded_by(answer, variables, mode, chunk) -> list:
-    """The part of a canonical family list (or sorted point rows) whose
-    ``x`` — the seed variable of every query these tests chunk — is in
-    ``chunk``."""
-    keep = set(chunk)
-    if mode == "families":
-        return [family for family in answer if dict(family[0])["x"] in keep]
-    at = variables.index("x")
-    return [row for row in answer if row[at][0] in keep]
 
 
 def _reference_families(graph, query) -> list:
@@ -112,10 +114,7 @@ class TestKernelSelection:
 
         assert list(inspect.signature(DataflowEngine).parameters) == [
             "graph",
-            "workers",
-            "start_method",
             "deadline_seconds",
-            "retry",
         ]
 
 
@@ -148,7 +147,6 @@ class TestExplainReporting:
         graph = contact_tracing_example()
         engines = {
             "engine": DataflowEngine(graph),
-            "pool": DataflowEngine(graph, workers=2),
             "host": GraphHost("g", graph).engine,
             "session": StreamingEngine(graph).engine,
         }
@@ -317,8 +315,7 @@ class TestPaperQueryParity:
         self, contact_graph, shape, bind_target
     ):
         """Every navigation shape, in both output modes, answers like the
-        reference engine through ``run_query`` on every seed and on
-        worker-sized chunks of seed objects."""
+        reference engine through the engine and through ``run_query``."""
         query = _path_query(
             _navigation_shapes()[shape], bind_target=bind_target, name=shape
         )
@@ -332,20 +329,11 @@ class TestPaperQueryParity:
         assert isinstance(table, columnar.PointTable) == bind_target
         assert len(table) == len(expected)
         assert table.as_set() == expected
-        # Worker chunks: seed objects in, families / point tuples out.
-        # Each chunk answers for its own seeds (``x``) only.
         prepared = engine.prepare(query)
-        objects = engine.index.objects
-        reference = sorted(expected)
-        gathered = set()
-        for chunk in (objects[::2], objects[1::2], []):
-            data = _run(engine, prepared, seeds=chunk)
-            if not bind_target:
-                data = expand_match_families(data, prepared.variables)
-            own = _seeded_by(reference, prepared.variables, "points", chunk)
-            assert sorted(data) == own
-            gathered.update(data)
-        assert gathered == expected
+        data = _run(engine, prepared)
+        if not bind_target:
+            data = expand_match_families(data, prepared.variables)
+        assert sorted(data) == sorted(expected)
 
     def test_streaming_delta_invalidates_columnar_context(self):
         # A delta patches the index-owned context in place; ad-hoc reads
@@ -374,9 +362,9 @@ class TestPaperQueryParity:
 class TestKernelSeam:
     """The kernel is pinned to the reference engine: ``run_query`` on the
     full chain returns the reference answer (canonical families, or
-    point rows), and on any split of the seed objects each chunk
-    answers for its own seeds only and the chunks union to the
-    unchunked answer (what the worker pool relies on)."""
+    point rows), and so do the leaf chains run from the seed frontier —
+    which is how ``run_query`` answers every chain but a condition-only
+    one (Q1–Q4), whose condition table is the answer."""
 
     @pytest.fixture(scope="class")
     def dense_graph(self):
@@ -399,10 +387,6 @@ class TestKernelSeam:
 
     @pytest.mark.parametrize("name", list(PAPER_QUERIES))
     def test_run_rows_agree_on_paper_query(self, dense_graph, name):
-        import random
-
-        from repro.parallel.merge import merge_family_chunks
-
         engine = DataflowEngine(dense_graph)
         text = PAPER_QUERIES[name].text
         prepared = engine.prepare(text)
@@ -414,29 +398,11 @@ class TestKernelSeam:
         else:
             reference = _reference_families(dense_graph, text)
             assert _canonical(got) == reference, name
-        # Any split of the seed objects into chunks (singletons, two
-        # seeded shuffles, an empty chunk): each chunk answers like the
-        # reference restricted to that chunk's seeds (every paper query
-        # seeds ``x``), and the chunks union to the unchunked answer.
-        objects = list(engine._seed_objects(prepared.chain)[0])
-        splits = [[[obj] for obj in objects]]
-        for parts in (2, 5):
-            shuffled = random.Random(f"{name}/{parts}").sample(objects, len(objects))
-            splits.append([shuffled[i::parts] for i in range(parts)] + [[]])
-        for chunks in splits:
-            outputs = [_run(engine, prepared, seeds=chunk) for chunk in chunks]
-            for chunk, output in zip(chunks, outputs):
-                own = _seeded_by(reference, prepared.variables, prepared.mode, chunk)
-                if prepared.mode == "points":
-                    assert sorted(output) == own, (name, chunk)
-                else:
-                    assert _canonical(output) == own, (name, chunk)
-            if prepared.mode == "points":
-                union = sorted({row for output in outputs for row in output})
-                assert union == sorted(set(got)), (name, len(chunks))
-            else:
-                union = merge_family_chunks(outputs)
-                assert _canonical(union) == _canonical(got), (name, len(chunks))
+        leaves = _run_leaves(engine, prepared)
+        if prepared.mode == "points":
+            assert sorted(leaves) == reference, name
+        else:
+            assert _canonical(leaves) == reference, name
 
 
 class TestPrimitives:

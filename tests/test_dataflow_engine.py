@@ -1,12 +1,13 @@
-"""Tests for the dataflow engine: correctness, stats, coalesced output, parallelism."""
+"""Tests for the dataflow engine: correctness, stats, coalesced output."""
 
-import os
+import threading
 
 import pytest
 
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
 from repro.errors import EvaluationError, UnsupportedFragmentError
 from repro.eval import ReferenceEngine
+from repro.model import contact_tracing_example
 from repro.temporal import IntervalSet
 
 
@@ -132,23 +133,38 @@ class TestUnsupportedFragment:
         assert len(table) > 0
 
 
-class TestParallelism:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_do_not_change_results(self, figure1, workers):
-        engine = DataflowEngine(figure1, workers=workers)
-        single = DataflowEngine(figure1, workers=1)
-        for name in ("Q5", "Q9", "Q11"):
-            assert engine.match(PAPER_QUERIES[name].text).as_set() == single.match(
-                PAPER_QUERIES[name].text
-            ).as_set()
-
-    def test_workers_property(self, figure1):
-        assert DataflowEngine(figure1, workers=3).workers == 3
-        assert DataflowEngine(figure1, workers=0).workers == (os.cpu_count() or 1)
-
+class TestInputs:
     def test_accepts_tpg_input(self, figure1_tpg):
         engine = DataflowEngine(figure1_tpg)
         assert len(engine.match(PAPER_QUERIES["Q3"].text)) == 2
+
+
+class TestConcurrentCalls:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_threads_do_not_change_results(self, figure1, threads):
+        """Threads released together on one new engine build its index's
+        condition tables and array image under concurrent first use and
+        answer like a single call on an already built index."""
+        graph = contact_tracing_example()
+        engine = DataflowEngine(graph)
+        single = DataflowEngine(figure1)
+        names = ("Q5", "Q9", "Q11")
+        barrier = threading.Barrier(threads)
+        answers = [None] * threads
+
+        def run(slot):
+            barrier.wait(timeout=30)
+            answers[slot] = {
+                name: engine.match(PAPER_QUERIES[name].text).as_set() for name in names
+            }
+
+        workers = [threading.Thread(target=run, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+        expected = {name: single.match(PAPER_QUERIES[name].text).as_set() for name in names}
+        assert answers == [expected] * threads
 
 
 class TestGeneratedGraphAgreement:

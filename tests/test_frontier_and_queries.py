@@ -20,8 +20,17 @@ def _run_ops(graph, state, *ops):
 
 def _seed(graph, *objects):
     """A one-group frontier: one row per object, under the domain times."""
-    ctx = DataflowEngine(graph).index.columnar_context()
-    return columnar.seed_state(ctx, columnar.plan_query(()), objects)
+    index = DataflowEngine(graph).index
+    ctx = index.columnar_context()
+    cur = np.array([index.object_id[obj] for obj in objects], dtype=np.int64)
+    return columnar._State(
+        cur,
+        (),
+        [],
+        np.arange(cur.size, dtype=np.int64),
+        np.full(cur.size, ctx.domain_start, dtype=np.int64),
+        np.full(cur.size, ctx.domain_end, dtype=np.int64),
+    )
 
 
 def _objects(graph, ids) -> list:

@@ -29,6 +29,7 @@ from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.perf import columnar
 from repro.temporal import IntervalSet, IntervalSetAccumulator
+from repro.temporal.coalesce import is_coalesced
 
 
 def _signatures(state) -> list[tuple]:
@@ -184,16 +185,67 @@ def _midsize_contact_graph():
     return generate_contact_tracing_graph(config)
 
 
+def _canonical(families) -> list:
+    return sorted(
+        ((bindings, tuple(times.intervals)) for bindings, times in families),
+        key=repr,
+    )
+
+
+class TestOutputFamilies:
+    """The engine's interval output for every single-group paper query
+    (Q6–Q8 bind across temporal groups and answer as points) on a
+    generated contact graph: one family per binding tuple, each nonempty
+    and coalesced, equal to the reference engine's families."""
+
+    @pytest.fixture(scope="class")
+    def contact_graph(self):
+        from repro.datagen import (
+            ContactTracingConfig,
+            TrajectoryConfig,
+            generate_contact_tracing_graph,
+        )
+
+        # 24 windows: long enough for Q9/Q10's temporal legs to answer.
+        config = ContactTracingConfig(
+            trajectory=TrajectoryConfig(
+                num_persons=25, num_locations=10, num_rooms=4, num_windows=24, seed=7
+            ),
+            positivity_rate=0.2,
+            seed=7,
+        )
+        return generate_contact_tracing_graph(config)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in PAPER_QUERIES if name not in ("Q6", "Q7", "Q8")]
+    )
+    def test_merged_frontier_has_unique_coalesced_signatures(self, contact_graph, name):
+        text = PAPER_QUERIES[name].text
+        families = DataflowEngine(contact_graph).match_intervals(text)
+        assert families, f"{name}: the contact graph answers nothing"
+        bindings = [binding for binding, _times in families]
+        assert len(bindings) == len(set(bindings)), f"{name}: duplicate bindings"
+        for _binding, times in families:
+            assert not times.is_empty()
+            assert is_coalesced(list(times.intervals))
+        assert _canonical(families) == _canonical(
+            ReferenceEngine(contact_graph).match_intervals(text)
+        )
+
+
 def _run(engine, query, mode, variables=None):
-    """``run_query`` in ``mode``, seeded with every object so that even a
-    condition-only chain runs through ``_Kernel.project``."""
+    """The leaf chains run from the seed frontier in ``mode``, so that even
+    a condition-only chain runs through ``_Kernel.project``."""
     prepared = engine.prepare(query)
-    data, _rows, _merged = columnar.run_query(
-        engine.index.columnar_context(),
-        columnar.plan_query(prepared.chain),
+    ctx = engine.index.columnar_context()
+    plan = columnar.plan_query(prepared.chain)
+    data, _rows, _merged = columnar._run_leaves(
+        ctx,
+        plan.leaves,
+        columnar.seed_state(ctx, plan),
         prepared.variables if variables is None else variables,
         mode,
-        seeds=engine.index.objects,
+        None,
     )
     return data
 

@@ -98,13 +98,6 @@ class TestCompiledStructures:
                 pairs = list(zip(image.ex_start[lo:hi], image.ex_end[lo:hi]))
                 assert pairs == [(iv.start, iv.end) for iv in graph.existence(obj)]
 
-    def test_seed_weight_is_out_degree(self, graphs):
-        for graph in graphs:
-            index = GraphIndex(graph)
-            for obj in graph.objects():
-                expected = 1 + len(graph.out_edges(obj)) if graph.is_node(obj) else 2
-                assert index.seed_weight(obj) == expected
-
 
 class TestConditionEvaluation:
     @pytest.mark.parametrize("condition", CONDITIONS, ids=repr)

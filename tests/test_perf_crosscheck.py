@@ -8,6 +8,7 @@ appendix on random paths and on the hardness gadgets.
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -49,12 +50,6 @@ class TestDataflowIndexedVsReference:
             indexed = DataflowEngine(graph).match(query)
             reference = ReferenceEngine(graph).match(query)
             assert indexed.as_set() == reference.as_set()
-
-    def test_workers_with_index(self, figure1):
-        query = PAPER_QUERIES["Q5"].text
-        serial = DataflowEngine(figure1, workers=1).match(query)
-        parallel = DataflowEngine(figure1, workers=4).match(query)
-        assert serial.as_set() == parallel.as_set()
 
 
 class TestTableOneSweep:
@@ -98,11 +93,15 @@ class TestTableOneSweep:
 
     @pytest.mark.parametrize("name", ["Q3", "Q5", "Q10", "Q11"])
     def test_threaded_agrees_with_serial(self, table1_graphs, name):
+        """Four threads matching on one engine at once each get the
+        answer of a call made alone."""
         text = PAPER_QUERIES[name].text
         _scale, graph = table1_graphs[0]
-        serial = DataflowEngine(graph).match(text)
-        threaded = DataflowEngine(graph, workers=4).match(text)
-        assert serial.as_set() == threaded.as_set()
+        engine = DataflowEngine(graph)
+        serial = engine.match(text).as_set()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(lambda _: engine.match(text).as_set(), range(8)))
+        assert all(answer == serial for answer in answers)
 
 
 def assert_agrees_with_pc_checker(graph, seeds):

