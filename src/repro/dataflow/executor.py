@@ -1,9 +1,11 @@
 """The dataflow engine: compile a MATCH clause, run it on the columnar kernel.
 
 :class:`DataflowEngine` compiles a MATCH clause into a chain of dataflow
-steps (:mod:`repro.dataflow.steps`) and runs it on the columnar kernel
-(:mod:`repro.perf.columnar`): vectorized sweeps over the index-owned,
-delta-maintained array image of the graph.  Every chain runs there — an
+steps (:mod:`repro.dataflow.steps`), plans it once per
+:class:`QueryPlan` (:meth:`DataflowEngine.prepare`) and runs it on the
+columnar kernel (:mod:`repro.perf.columnar`): vectorized sweeps over
+the index-owned, delta-maintained array image of the graph.  Every
+chain runs there — an
 alternation that navigates through time is distributed into leaf
 chains at compile time — so there is no kernel to choose.
 
@@ -29,12 +31,11 @@ from dataclasses import dataclass
 from typing import Hashable, Union as TypingUnion
 
 from repro.dataflow.steps import (
+    FAMILIES_UNDEFINED,
     BindStep,
     ChainStep,
-    TestStep,
-    bind_group_indices,
+    binds_share_group,
     compile_chain,
-    fuse_hops,
 )
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable, IntervalBindingTable
@@ -90,26 +91,39 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A compiled, immediately-executable plan for one query on one engine.
+    """A compiled, immediately-executable plan for one query.
 
     Produced by :meth:`DataflowEngine.prepare` and accepted anywhere a
     query is (:meth:`match`, :meth:`match_with_stats`,
-    :meth:`match_intervals`), skipping parse + translate + chain
-    compilation on every reuse.  A plan is a pure function of the query
-    text — hop fusion consults only the syntactic ``is_static`` — and
-    reads the graph at execution time through the engine's index, so it
-    stays valid across deltas: the server keys its plan cache by
-    normalized query text alone.
+    :meth:`match_intervals`, :meth:`explain`), skipping parse, translate,
+    chain compilation and kernel planning on every reuse.  A plan is a
+    pure function of the query text and reads the graph only when it
+    runs, through the engine's index, so it stays valid across deltas:
+    the server keys its plan cache by normalized query text alone, and a
+    streaming session keeps one plan per registered query.
     """
 
     text: str | None
     compiled: CompiledMatch
     chain: tuple[ChainStep, ...]
+    #: The chain planned for the columnar kernel (seed condition + leaves).
+    kernel_plan: columnar_kernel.ColumnarPlan
+    #: ``"families"`` (interval-native) when every variable is bound
+    #: within one temporal group (:func:`binds_share_group`), else
+    #: ``"points"``.
     mode: str
 
     @property
     def variables(self) -> tuple[str, ...]:
         return self.compiled.variables
+
+    def require_families(self) -> None:
+        """Raise :class:`EvaluationError` unless the plan has interval
+        (coalesced) output — the one definedness check of
+        :meth:`DataflowEngine.match_intervals` and of a streaming
+        session's ``results``."""
+        if self.mode != "families":
+            raise EvaluationError(FAMILIES_UNDEFINED)
 
 
 class DataflowEngine:
@@ -163,10 +177,10 @@ class DataflowEngine:
     ) -> QueryPlan:
         """Compile ``query`` into a reusable :class:`QueryPlan`.
 
-        The expensive front half of a match call — parse, translate,
-        chain compilation, hop fusion against the index — done once; the
-        plan replays through :meth:`match_with_stats` /
-        :meth:`match_intervals` until the graph changes.
+        The front half of a match call — parse, translate, chain
+        compilation, kernel planning — done once; the plan replays
+        through :meth:`match_with_stats` / :meth:`match_intervals` for as
+        long as it is kept, across writes to the graph too.
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
@@ -175,7 +189,11 @@ class DataflowEngine:
         else:
             text = getattr(query, "text", None)
         return QueryPlan(
-            text=text, compiled=compiled, chain=chain, mode=self._output_mode(chain)
+            text=text,
+            compiled=compiled,
+            chain=chain,
+            kernel_plan=columnar_kernel.plan_query(chain),
+            mode="families" if binds_share_group(chain) else "points",
         )
 
     def match_with_stats(
@@ -200,10 +218,10 @@ class DataflowEngine:
         engine, so concurrent calls on one engine stay isolated.
         """
         deadline = self._deadline(deadline_seconds)
-        plan = query if isinstance(query, QueryPlan) else self.prepare(query)
+        plan = self._plan(query)
         start = time.perf_counter()
         data, frontier_rows, rows_merged, interval_seconds = self._execute(
-            plan.chain, plan.variables, plan.mode, deadline
+            plan, plan.mode, deadline
         )
         if plan.mode == "families":
             table = IntervalBindingTable(plan.variables, data)
@@ -229,27 +247,24 @@ class DataflowEngine:
         This is the engine's primary output path: each
         entry pairs the variable bindings with the coalesced family of
         times at which they all hold (:meth:`match` derives the point
-        table from the same per-row families).  Defined whenever every
-        variable is bound within a single temporal group — all of
-        Q1–Q5, and temporal-navigation queries such as Q9–Q12 whose
-        output variables precede the navigation.  Raises
-        :class:`EvaluationError` when variables span temporal groups
-        (their binding times are linked, not shared, as discussed in
-        Section VI).
+        table from the same per-row families).  Defined exactly when the
+        plan's output mode is ``"families"``: every variable is bound
+        within a single temporal group — all of Q1–Q5, and
+        temporal-navigation queries such as Q9–Q12 whose output variables
+        precede the navigation.  Raises :class:`EvaluationError` when
+        variables span temporal groups (their binding times are linked,
+        not shared, as discussed in Section VI).
         """
-        plan = query if isinstance(query, QueryPlan) else self.prepare(query)
-        spread = bind_group_indices(plan.chain)
-        if spread is not None and len(spread) > 1:
-            raise EvaluationError(
-                "interval (coalesced) output is only defined when every "
-                "variable is bound within a single temporal group"
-            )
+        plan = self._plan(query)
+        plan.require_families()
         families, _rows, _merged, _seconds = self._execute(
-            plan.chain, plan.variables, "families", self._deadline()
+            plan, "families", self._deadline()
         )
         return families
 
-    def explain(self, query: TypingUnion[str, MatchQuery, CompiledMatch]) -> dict:
+    def explain(
+        self, query: TypingUnion[str, MatchQuery, CompiledMatch, QueryPlan]
+    ) -> dict:
         """The execution plan a :meth:`match` call would use, without running it.
 
         Returns a dictionary with the kernel (always ``"columnar"``), the
@@ -259,19 +274,18 @@ class DataflowEngine:
         ``ops``, the first leaf's ops as short strings.  ``repro query …
         --explain`` prints this.
         """
-        compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
-        chain = self._compile(compiled)
-        if chain and isinstance(chain[0], TestStep):
-            seed_rows = len(self._index.condition_table(chain[0].condition))
-            rest = chain[1:]
+        plan = self._plan(query)
+        seed = plan.kernel_plan.seed_condition
+        if seed is None:
+            seed_rows = len(self._index.objects)
         else:
-            seed_rows, rest = len(self._index.objects), chain
-        leaves = columnar_kernel.plan_query(chain).leaves
+            seed_rows = len(self._index.condition_table(seed))
+        leaves = plan.kernel_plan.leaves
         return {
             "effective_kernel": "columnar",
             "seed_rows": seed_rows,
-            "chain_steps": len(rest),
-            "output_mode": self._output_mode(chain),
+            "chain_steps": len(plan.chain) - (seed is not None),
+            "output_mode": plan.mode,
             "leaves": leaves.count,
             "ops": columnar_kernel.describe_ops(next(iter(leaves))),
             "deadline_seconds": self._deadline_seconds,
@@ -280,31 +294,20 @@ class DataflowEngine:
     # ------------------------------------------------------------------ #
     # Chain compilation
     # ------------------------------------------------------------------ #
-    def _compile(self, compiled: CompiledMatch) -> tuple[ChainStep, ...]:
+    @staticmethod
+    def _compile(compiled: CompiledMatch) -> tuple[ChainStep, ...]:
+        """The MATCH clause as one chain: each segment's steps, then its bind."""
         steps: list[ChainStep] = []
         for segment in compiled.segments:
             steps.extend(compile_chain(segment.path))
             if segment.variable:
                 steps.append(BindStep(segment.variable))
-        # Set-at-a-time traversal core: structural hops run through the
-        # index's memoized (source → target → times) tables instead of
-        # materializing one frontier row per traversed edge.
-        return fuse_hops(tuple(steps), self._index.is_static)
+        return tuple(steps)
 
-    @staticmethod
-    def _output_mode(chain: tuple[ChainStep, ...]) -> str:
-        """``"families"`` when the output can stay interval-native, else ``"points"``.
-
-        Interval-native exactly when the chain statically binds every
-        variable within one temporal group (``bind_group_indices``):
-        the output is then one coalesced family per binding tuple.  All
-        other shapes (group-spanning or branch-dependent binds) produce
-        point rows.
-        """
-        spread = bind_group_indices(chain)
-        if spread is not None and len(spread) <= 1:
-            return "families"
-        return "points"
+    def _plan(
+        self, query: TypingUnion[str, MatchQuery, CompiledMatch, QueryPlan]
+    ) -> QueryPlan:
+        return query if isinstance(query, QueryPlan) else self.prepare(query)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -315,13 +318,10 @@ class DataflowEngine:
         return None if seconds is None else Deadline(seconds)
 
     def _execute(
-        self,
-        chain: tuple[ChainStep, ...],
-        variables: tuple[str, ...],
-        mode: str,
-        deadline: Deadline | None,
+        self, plan: QueryPlan, mode: str, deadline: Deadline | None
     ) -> tuple[object, int, int, float]:
-        """One columnar pass: ``(data, frontier_rows, rows_merged, seconds)``.
+        """One columnar pass of ``plan``'s kernel plan: ``(data,
+        frontier_rows, rows_merged, seconds)``.
 
         ``data`` is a family list (``mode="families"``), or a lazy
         :class:`~repro.perf.columnar.PointTable` of point tuples.
@@ -329,8 +329,8 @@ class DataflowEngine:
         start = time.perf_counter()
         data, frontier_rows, rows_merged = columnar_kernel.run_query(
             self._index.columnar_context(),
-            columnar_kernel.plan_query(chain),
-            variables,
+            plan.kernel_plan,
+            plan.variables,
             mode,
             deadline,
         )

@@ -8,7 +8,12 @@ The dataflow engine evaluates *chains*: linear sequences of steps where
 * a :class:`TemporalStep` moves the same object through time by a
   bounded or unbounded number of steps (``N``/``P`` with occurrence
   indicators, every visited point required to exist),
-* an :class:`AltStep` evaluates alternative sub-chains (union).
+* an :class:`AltStep` evaluates alternative sub-chains (union),
+* a :class:`BindStep` binds the current object to a variable.
+
+A chain is the query as written: which tests travel with which move is
+decided once, by the columnar planner
+(:func:`repro.perf.columnar.plan_query`).
 
 :func:`compile_chain` turns a NavL[PC,NOI] expression produced by the
 practical-syntax parser into such a chain, or raises
@@ -25,7 +30,7 @@ the engine stay in the interval representation during Steps 1 and 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.errors import UnsupportedFragmentError
 from repro.lang.ast import (
@@ -80,20 +85,12 @@ class TemporalStep(ChainStep):
     ``None`` means unbounded).  ``require_existence`` records whether
     every visited time point (excluding the anchor) must exist — true for
     every expression produced by the practical syntax.
-
-    ``target_conditions`` holds static tests fused into the step by
-    :func:`fuse_hops` (coalesced engine only): the reached times are
-    intersected with their satisfaction times, and — because the tests
-    are evaluated from memoized condition tables keyed by object — rows
-    whose object cannot satisfy them skip the window arithmetic
-    entirely.
     """
 
     forward: bool
     lower: int
     upper: Optional[int]
     require_existence: bool = True
-    target_conditions: tuple[Test, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -101,28 +98,6 @@ class AltStep(ChainStep):
     """Union: evaluate each alternative sub-chain and merge the results."""
 
     alternatives: tuple[tuple[ChainStep, ...], ...]
-
-
-@dataclass(frozen=True)
-class HopStep(ChainStep):
-    """A fused ``Struct · Test* · Struct · Test*`` traversal.
-
-    The coalescing engine rewrites a structural move, the static tests
-    on the object it lands on, and the following structural move into a
-    single set-at-a-time hop (:func:`fuse_hops`).  The columnar kernel
-    runs each leg of a hop as one struct op that also meets the tests on
-    the object it lands on, then merges signature-equal rows — so
-    parallel edges between the same endpoints collapse into one
-    coalesced interval family per ``(source, target)`` pair, what stops
-    Q11/Q12-style room joins from multiplying rows.  A node → edge leg
-    skips the merge: an edge has one endpoint on each side, so it has
-    nothing to collapse.
-    """
-
-    forward_in: bool
-    mid_conditions: tuple[Test, ...]
-    forward_out: bool
-    target_conditions: tuple[Test, ...]
 
 
 @dataclass(frozen=True)
@@ -245,119 +220,27 @@ def chain_has_temporal_step(steps: tuple[ChainStep, ...]) -> bool:
     return False
 
 
-def fuse_hops(
-    steps: tuple[ChainStep, ...], is_static: Callable[[Test], bool]
-) -> tuple[ChainStep, ...]:
-    """Rewrite ``Struct · Test* · Struct [· Test*]`` runs into :class:`HopStep`\\ s.
+#: Why a chain has no interval (coalesced) output (see :func:`binds_share_group`).
+FAMILIES_UNDEFINED = (
+    "interval (coalesced) output is only defined when every variable is "
+    "bound within a single temporal group"
+)
 
-    Only static tests (decided by ``is_static``) may be folded into a
-    hop, and the trailing target tests are left unconsumed when another
-    structural step follows them: they are re-emitted as ordinary
-    :class:`TestStep`\\ s between the two hops (evaluated on the
-    already-coalesced node-level frontier, which is cheap), so chains
-    of hops fuse pairwise without overlap.
-    Alternatives are fused recursively; every other step is preserved,
-    and the rewrite is a pure execution-strategy change (hops evaluate
-    to exactly the relation of the steps they replace).
+
+def binds_share_group(steps: tuple[ChainStep, ...]) -> bool:
+    """True when every leaf of the chain binds all its variables within
+    one temporal group — the one rule under which the output stays
+    interval-native (one coalesced family per binding tuple).
+
+    Each :class:`TemporalStep` closes the current group and opens the
+    next, and an :class:`AltStep` whose alternatives navigate through
+    time is distributed into leaves, one per branch, so some leaf
+    crosses a group boundary between two binds exactly when a step
+    between the first and the last :class:`BindStep` navigates through
+    time.  A temporal alternation before the first bind or after the
+    last one does not matter.  :class:`BindStep`\\ s never occur inside
+    alternatives (alternatives come from path unions, bindings from
+    segments).
     """
-    out: list[ChainStep] = []
-    i = 0
-    n = len(steps)
-    while i < n:
-        step = steps[i]
-        if isinstance(step, AltStep):
-            out.append(
-                AltStep(
-                    tuple(fuse_hops(alt, is_static) for alt in step.alternatives)
-                )
-            )
-            i += 1
-            continue
-        if isinstance(step, TemporalStep):
-            j = i + 1
-            conditions: list[Test] = []
-            while (
-                j < n
-                and isinstance(steps[j], TestStep)
-                and is_static(steps[j].condition)
-            ):
-                conditions.append(steps[j].condition)
-                j += 1
-            if conditions:
-                out.append(
-                    TemporalStep(
-                        forward=step.forward,
-                        lower=step.lower,
-                        upper=step.upper,
-                        require_existence=step.require_existence,
-                        target_conditions=step.target_conditions + tuple(conditions),
-                    )
-                )
-                i = j
-                continue
-            out.append(step)
-            i += 1
-            continue
-        if isinstance(step, StructStep):
-            j = i + 1
-            mids: list[Test] = []
-            while (
-                j < n
-                and isinstance(steps[j], TestStep)
-                and is_static(steps[j].condition)
-            ):
-                mids.append(steps[j].condition)
-                j += 1
-            if j < n and isinstance(steps[j], StructStep):
-                second = steps[j]
-                j += 1
-                targets: list[Test] = []
-                while (
-                    j < n
-                    and isinstance(steps[j], TestStep)
-                    and is_static(steps[j].condition)
-                ):
-                    targets.append(steps[j].condition)
-                    j += 1
-                if j < n and isinstance(steps[j], StructStep):
-                    # Leave the target tests to seed the next hop's mids.
-                    j -= len(targets)
-                    targets = []
-                out.append(
-                    HopStep(
-                        forward_in=step.forward,
-                        mid_conditions=tuple(mids),
-                        forward_out=second.forward,
-                        target_conditions=tuple(targets),
-                    )
-                )
-                i = j
-                continue
-        out.append(step)
-        i += 1
-    return tuple(out)
-
-
-def bind_group_indices(steps: tuple[ChainStep, ...]) -> Optional[set[int]]:
-    """The temporal-group indices at which the chain binds variables.
-
-    Each top-level :class:`TemporalStep` closes the current group and
-    opens the next one, so the returned set tells whether all variables
-    share one matching time (``len(result) <= 1``) — the condition under
-    which the output can stay coalesced.  Returns ``None`` when the
-    group index becomes branch-dependent (an :class:`AltStep` whose
-    alternatives navigate through time); callers must then decide per
-    frontier row.  :class:`BindStep`\\ s never occur inside alternatives
-    (alternatives come from path unions, bindings from segments).
-    """
-    group = 0
-    groups: set[int] = set()
-    for step in steps:
-        if isinstance(step, TemporalStep):
-            group += 1
-        elif isinstance(step, AltStep):
-            if any(chain_has_temporal_step(alt) for alt in step.alternatives):
-                return None
-        elif isinstance(step, BindStep):
-            groups.add(group)
-    return groups
+    binds = [i for i, step in enumerate(steps) if isinstance(step, BindStep)]
+    return not binds or not chain_has_temporal_step(steps[binds[0] : binds[-1]])

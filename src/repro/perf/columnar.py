@@ -1,8 +1,8 @@
-"""Columnar (vectorized) evaluation kernel for fused step chains.
+"""Columnar (vectorized) evaluation kernel for dataflow step chains.
 
 This is the one kernel ``DataflowEngine(graph)`` runs a query on — ad
 hoc and for a streaming session's registered queries alike.  This
-module compiles a fused chain into sequences of *columnar ops* executed
+module plans a chain into sequences of *columnar ops* executed
 as NumPy sweeps over flat arrays:
 
 * the frontier is a struct-of-arrays: ``cur`` (dense object ids, one
@@ -29,9 +29,10 @@ as NumPy sweeps over flat arrays:
   argsort plus ``maximum.reduceat``.
 
 The kernel covers every dataflow chain.  An op sequence holds Test /
-Struct / fused-Hop / Bind / temporal-free Alt steps, with TemporalSteps
-anywhere on its outer chain; each structural move is one op together
-with the tests on the object it lands on.  A TemporalStep *freezes* the
+Struct / Bind / temporal-free Alt steps, with TemporalSteps anywhere on
+its outer chain; each structural or temporal move is one op together
+with the tests on what it lands on (:func:`_fold`, the one place where
+tests fuse into moves).  A TemporalStep *freezes* the
 frontier: the state it navigated from stays behind as a closed temporal
 group (bindings + family + the step as link), each surviving row keeps
 an index into it, and the reached times become the row's current family.
@@ -48,16 +49,15 @@ the point-based :class:`~repro.eval.engine.ReferenceEngine`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.dataflow.steps import (
+    FAMILIES_UNDEFINED,
     AltStep,
     BindStep,
     ChainStep,
-    HopStep,
     StructStep,
     TemporalStep,
     TestStep,
@@ -114,15 +114,14 @@ class Leaves:
 def compile_ops(chain: Sequence[ChainStep]) -> Leaves:
     """Compile a chain into its :class:`Leaves`.
 
-    Fused hops decompose into struct/test ops, and each struct then takes
-    the tests on the object it lands on into its own op (:func:`_fold`),
-    which is relation-equal to the fused hop's relation.
-    A TemporalStep closes the current temporal group (see
-    :meth:`_Kernel._op_temporal`), which only the outer chain of an op
-    sequence can do: an alternation whose branches navigate through time
-    is distributed instead, ``X·(A|B)·Y`` into the leaves ``X·A·Y`` and
-    ``X·B·Y`` (recursively; equal branches run once).  A temporal-free
-    alternation stays one ``alt`` op, so most chains are a single leaf.
+    Each struct or temporal op takes the tests on what it lands on into
+    its own op (:func:`_fold`).  A TemporalStep closes the current
+    temporal group (see :meth:`_Kernel._op_temporal`), which only the
+    outer chain of an op sequence can do: an alternation whose branches
+    navigate through time is distributed instead, ``X·(A|B)·Y`` into the
+    leaves ``X·A·Y`` and ``X·B·Y`` (recursively; equal branches run
+    once).  A temporal-free alternation stays one ``alt`` op, so most
+    chains are a single leaf.
     """
     return Leaves(_parts(chain))
 
@@ -152,13 +151,6 @@ def _ops(step: ChainStep) -> list:
         return [("test", step.condition)]
     if isinstance(step, StructStep):
         return [("struct", step.forward)]
-    if isinstance(step, HopStep):
-        return [
-            ("struct", step.forward_in),
-            *(("test", condition) for condition in step.mid_conditions),
-            ("struct", step.forward_out),
-            *(("test", condition) for condition in step.target_conditions),
-        ]
     if isinstance(step, BindStep):
         return [("bind", step.variable)]
     if isinstance(step, TemporalStep):
@@ -199,13 +191,15 @@ def _leaf(ops: Sequence) -> tuple:
 
 
 def _fold(ops: Sequence) -> tuple:
-    """Fold every run of tests into the struct it directly follows.
+    """Fold every run of tests into the move it directly follows.
 
-    A struct becomes ``("struct", forward, tests)`` (``tests`` empty when
-    no test follows it), so the kernel meets the landing conditions
-    before it merges (see :meth:`_Kernel._op_struct`); a run of tests
-    first drops each test another one implies (:func:`_absorb`).  Runs
-    of tests after any other op stay ``("test", condition)`` ops.
+    A run of tests first drops each test another one implies
+    (:func:`_absorb`).  A struct or temporal op then takes the run as
+    ``(tag, move, tests)`` (``tests`` empty when no test follows it), so
+    the kernel meets the landing conditions before it merges (see
+    :meth:`_Kernel._op_struct`) or opens the next temporal group (see
+    :meth:`_Kernel._op_temporal`).  Runs of tests after any other op
+    stay ``("test", condition)`` ops.
     """
     out: list = []
     run: list = []
@@ -215,19 +209,23 @@ def _fold(ops: Sequence) -> tuple:
             continue
         if run:
             tests = _absorb(run)
-            if out and out[-1][0] == "struct":
-                out[-1] = ("struct", out[-1][1], tests)
+            if out and out[-1][0] in _MOVES:
+                out[-1] = (*out[-1][:2], tests)
             else:
                 out.extend(("test", condition) for condition in tests)
             run = []
         if op is None:
             break
-        if op[0] == "struct":
-            op = ("struct", op[1], ())
+        if op[0] in _MOVES:
+            op = (*op, ())
         elif op[0] == "alt":
             op = ("alt", tuple(_fold(branch) for branch in op[1]))
         out.append(op)
     return tuple(out)
+
+
+#: The ops that fold the tests after them (:func:`_fold`).
+_MOVES = ("struct", "temporal")
 
 
 def _absorb(conditions: Sequence[Test]) -> tuple:
@@ -256,15 +254,16 @@ def _conjuncts(condition: Test) -> frozenset:
 
 
 def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
-    """Hand every struct the time bounds its targets are about to face.
+    """Hand every move the time bounds its targets are about to face.
 
     Walking backwards over folded ops (:func:`_fold`), ``bounds``
     collects ``(condition, low shift, high shift)`` for the tests — a
-    struct's own, and the final temporal step's fused conditions, shifted
-    by its reach — that apply to the object a struct (or an alternation
-    branch) lands on, so ``_op_struct`` never replicates families to
-    targets those ops are about to reject.  A struct comes out as
-    ``("struct", forward, bounds, tests)``.
+    struct's own, and a temporal op's own, shifted by its reach — that
+    apply to the object a move (or an alternation branch) lands on, so
+    ``_op_struct`` never replicates families to targets those ops are
+    about to reject, and ``_op_temporal`` drops the rows whose object
+    its tests rule out before any window arithmetic.  A move comes out
+    as ``(tag, move, tests, bounds)``.
     """
     out = list(ops)
     for position in range(len(out) - 1, -1, -1):
@@ -275,12 +274,13 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
             low, high = payload.lower, payload.upper
             if not payload.forward:
                 low, high = None if high is None else -high, -low
-            bounds = tuple((c, low, high) for c in payload.target_conditions)
-            out[position] = ("temporal", payload, bounds)
+            tests = out[position][2]
+            bounds = tuple((c, low, high) for c in tests)
+            out[position] = ("temporal", payload, tests, bounds)
         elif tag == "struct":
             tests = out[position][2]
             bounds = tuple((c, 0, 0) for c in tests) + bounds
-            out[position] = ("struct", payload, bounds, tests)
+            out[position] = ("struct", payload, tests, bounds)
             bounds = ()
         elif tag == "alt":
             out[position] = ("alt", tuple(_push_bounds(b, bounds) for b in payload))
@@ -296,30 +296,33 @@ def describe_ops(ops: Sequence) -> list[str]:
 
 def _describe(op: tuple) -> str:
     tag = op[0]
-    if tag == "struct":
-        tests = f" [{', '.join(map(repr, op[3]))}]" if op[3] else ""
-        return f"struct {'F' if op[1] else 'B'}{tests}"
+    if tag in _MOVES:
+        tests = f" [{', '.join(map(repr, op[2]))}]" if op[2] else ""
+        if tag == "struct":
+            return f"struct {'F' if op[1] else 'B'}{tests}"
+        step = op[1]
+        upper = "_" if step.upper is None else step.upper
+        return (
+            f"temporal {'N' if step.forward else 'P'}[{step.lower},{upper}]"
+            + ("" if step.require_existence else " unchecked")
+            + tests
+        )
     if tag == "test":
         return f"test {op[1]!r}"
     if tag == "bind":
         return f"bind {op[1]}"
-    if tag == "alt":
-        branches = (" · ".join(describe_ops(branch)) for branch in op[1])
-        return f"alt ({' | '.join(branches)})"
-    step = op[1]
-    upper = "_" if step.upper is None else step.upper
-    conditions = step.target_conditions
-    return (
-        f"temporal {'N' if step.forward else 'P'}[{step.lower},{upper}]"
-        + ("" if step.require_existence else " unchecked")
-        + (f" [{', '.join(map(repr, conditions))}]" if conditions else "")
-    )
+    branches = (" · ".join(describe_ops(branch)) for branch in op[1])
+    return f"alt ({' | '.join(branches)})"
 
 
-@lru_cache(maxsize=256)
 def plan_query(chain: tuple[ChainStep, ...]) -> ColumnarPlan:
     """Plan a full compiled chain, absorbing a leading TestStep as the
-    seed condition: :func:`run_query` seeds from its condition table."""
+    seed condition: :func:`run_query` seeds from its condition table.
+
+    Nothing caches the result here: the
+    :class:`~repro.dataflow.executor.QueryPlan` that
+    :meth:`~repro.dataflow.executor.DataflowEngine.prepare` builds holds
+    it."""
     if chain and isinstance(chain[0], TestStep):
         return ColumnarPlan(chain[0].condition, compile_ops(chain[1:]))
     return ColumnarPlan(None, compile_ops(chain))
@@ -874,6 +877,8 @@ class _Kernel:
                 state = self._op_test(state, op[1])
             elif tag == "struct":
                 state = self._op_struct(state, *op[1:])
+            elif tag == "temporal":
+                state = self._op_temporal(state, *op[1:])
             elif tag == "bind":
                 state = _State(
                     state.cur,
@@ -883,10 +888,8 @@ class _Kernel:
                     state.link,
                     state.src,
                 )
-            elif tag == "alt":
+            else:  # "alt"
                 state = self._op_alt(state, op[1])
-            else:  # "temporal"
-                state = self._op_temporal(state, op[1], op[2])
         return state
 
     def _op_test(self, state: _State, condition: Test) -> _State:
@@ -898,7 +901,7 @@ class _Kernel:
         return _compact(state, owner, start, end)
 
     def _op_struct(
-        self, state: _State, forward: bool, bounds: tuple, tests: tuple
+        self, state: _State, forward: bool, tests: tuple, bounds: tuple
     ) -> _State:
         """One structural move, keeping only the targets within ``bounds``
         (see :func:`_push_bounds`) and their times under every landing
@@ -1099,11 +1102,14 @@ class _Kernel:
             pieces.append((owner[ai], lo, hi))
         return self._windows(pieces)
 
-    def _op_temporal(self, state: _State, step: TemporalStep, bounds: tuple) -> _State:
+    def _op_temporal(
+        self, state: _State, step: TemporalStep, tests: tuple, bounds: tuple
+    ) -> _State:
         """Temporal navigation: close the current group, open the next.
 
         Per row with validity ``T`` the new family is ``targets(T) ∩
-        fused conditions`` — the vectorized ``_apply_temporal``.  The
+        tests`` (the landing conditions :func:`_fold` gave the op), after
+        dropping the rows whose object ``bounds`` rules out.  The
         state navigated from is frozen behind the survivors (``link`` +
         ``src``) with ``T`` untouched: which of its times can complete
         the chain is the projection's backward pass to decide.
@@ -1115,7 +1121,7 @@ class _Kernel:
                 return _empty_state(state.names)
             state = _compact(state, state.owner[keep], state.start[keep], state.end[keep])
         reached = self._targets(step, state.cur, *state.family)
-        for condition in step.target_conditions:
+        for condition in tests:
             if reached[0].size == 0:
                 break
             reached = self._meet(reached, self._gather_condition(condition, state.cur))
@@ -1170,10 +1176,7 @@ class _Kernel:
         }
         bound = sorted(set(group_of.values()))
         if mode == "families" and len(bound) > 1:
-            raise EvaluationError(
-                "interval (coalesced) output is only defined when every variable "
-                "is bound within a single temporal group"
-            )
+            raise EvaluationError(FAMILIES_UNDEFINED)
         deadline = self.deadline
         rows = state.rows
         alive = [state.family] * (len(levels) + 1)

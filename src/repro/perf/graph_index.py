@@ -163,7 +163,6 @@ class GraphIndex:
         self._buckets_lock = threading.Lock()
 
         self._table_cache: dict[Test, dict[ObjectId, IntervalSet]] = {}
-        self._static_cache: dict[Test, bool] = {}
         #: Maintenance counter: +1 per :meth:`apply_delta` (server stats).
         self._epoch = 0
         #: The columnar kernel's array image (:meth:`columnar_context`),
@@ -242,14 +241,6 @@ class GraphIndex:
     # ------------------------------------------------------------------ #
     # Condition evaluation
     # ------------------------------------------------------------------ #
-    def is_static(self, condition: Test) -> bool:
-        """True when the condition contains no path condition ``(?path)``."""
-        cached = self._static_cache.get(condition)
-        if cached is None:
-            cached = _is_static(condition)
-            self._static_cache[condition] = cached
-        return cached
-
     def condition_table(self, condition: Test) -> dict[ObjectId, IntervalSet]:
         """``object → satisfaction times`` for every object with nonempty times.
 
@@ -428,16 +419,6 @@ def _by_label(graph: IntervalTPG, objects: Iterable[ObjectId]) -> dict:
     for obj in objects:
         grouped.setdefault(graph.label(obj), []).append(obj)
     return grouped
-
-
-def _is_static(condition: Test) -> bool:
-    if isinstance(condition, PathTest):
-        return False
-    if isinstance(condition, (AndTest, OrTest)):
-        return all(_is_static(part) for part in condition.parts)
-    if isinstance(condition, NotTest):
-        return _is_static(condition.inner)
-    return True
 
 
 # --------------------------------------------------------------------- #

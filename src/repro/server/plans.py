@@ -1,10 +1,10 @@
 """The compiled-plan cache: normalized query text → plan.
 
-The expensive front half of a query — parse, translate, chain
-compilation, hop fusion — is a pure function of the query text (fusion
-consults only the syntactic ``is_static``; everything graph-dependent is
-read through the engine's :class:`~repro.perf.graph_index.GraphIndex`
-when the plan *runs*), so the server memoizes it as a
+The front half of a query — parse, translate, chain compilation, kernel
+planning — is a pure function of the query text (everything
+graph-dependent is read through the engine's
+:class:`~repro.perf.graph_index.GraphIndex` when the plan *runs*), so
+the server memoizes it as a
 :class:`~repro.dataflow.executor.QueryPlan` keyed by the normalized
 MATCH text alone.  A plan therefore survives a write: the read after an
 ``apply_delta`` is a hit that evaluates on the patched index.

@@ -34,8 +34,7 @@ equal value, and the last assignment wins) or guarded by a lock of its
 own.  Only a writer iterates or patches these structures, under the
 exclusive side:
 
-* ``GraphIndex._table_cache`` and ``_static_cache`` entries — build
-  then publish;
+* ``GraphIndex._table_cache`` entries — build then publish;
 * ``ColumnarContext._conditions`` and ``_hulls`` — build then publish;
 * the lazy ``GraphIndex.columnar_context()`` — locked, built once;
 * :class:`~repro.server.plans.PlanCache` — locked (a racing miss

@@ -208,13 +208,10 @@ class StreamingEngine:
             return name
 
     def results(self, name: str, **options) -> list:
-        """The coalesced families of a registered ``families`` query
-        (``options`` as for :meth:`table`)."""
-        if self._plan(name).mode != "families":
-            raise EvaluationError(
-                "interval (coalesced) output is only defined when every "
-                "variable is bound within a single temporal group"
-            )
+        """The coalesced families of a registered query (``options`` as
+        for :meth:`table`): what the engine's ``match_intervals`` answers
+        for the same plan — the same families, or the same error."""
+        self._plan(name).require_families()
         return list(self.table(name, **options).families)
 
     def table(

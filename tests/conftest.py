@@ -54,7 +54,7 @@ def _kernel_steps(engine, query):
     the kernel's struct-of-arrays ``_State``."""
     from repro.perf import columnar
 
-    plan = columnar.plan_query(engine.prepare(query).chain)
+    plan = engine.prepare(query).kernel_plan
     ctx = engine.index.columnar_context()
     kernel = columnar._Kernel(ctx)
     for ops in plan.leaves:

@@ -60,7 +60,7 @@ def _run(engine, prepared):
     """``run_query`` on a prepared plan; point answers as row tuples."""
     data, _frontier_rows, _merged = columnar.run_query(
         engine.index.columnar_context(),
-        columnar.plan_query(prepared.chain),
+        prepared.kernel_plan,
         prepared.variables,
         prepared.mode,
     )
@@ -71,7 +71,7 @@ def _run_leaves(engine, prepared):
     """The leaf chains run from the seed frontier, past the shortcut that
     answers a condition-only chain from its condition table."""
     ctx = engine.index.columnar_context()
-    plan = columnar.plan_query(prepared.chain)
+    plan = prepared.kernel_plan
     data, _frontier_rows, _merged = columnar._run_leaves(
         ctx,
         plan.leaves,
@@ -237,7 +237,7 @@ class TestFallbackIdentity:
         engine = DataflowEngine(graph)
         plan = engine.explain(query)
         assert (plan["effective_kernel"], plan["output_mode"]) == ("columnar", "points")
-        assert columnar.plan_query(engine.prepare(query).chain).leaves.count == 2
+        assert engine.prepare(query).kernel_plan.leaves.count == 2
         expected = ReferenceEngine(graph).match(query).as_set()
         assert expected
         assert engine.match(query).as_set() == expected
@@ -250,10 +250,12 @@ class TestFallbackIdentity:
 
     def test_temporal_alternation_without_variables_matches_once(self):
         # No variables: the answer is one empty row when any leaf matches.
+        # No bind is split by the alternation, so the output stays
+        # interval-native.
         graph = contact_tracing_example()
         query = "MATCH (:Person)-/NEXT + PREV/-() ON g"
         engine = DataflowEngine(graph)
-        assert engine.explain(query)["output_mode"] == "points"
+        assert engine.explain(query)["output_mode"] == "families"
         table = engine.match(query)
         assert len(table) == 1 and table.rows == ((),)
         assert table.as_set() == ReferenceEngine(graph).match(query).as_set()
@@ -270,7 +272,7 @@ class TestFallbackIdentity:
         query = f"MATCH (x)-/{factors}/-(y) ON g"
         engine = DataflowEngine(contact_tracing_example())
         start = time.monotonic()
-        leaves = columnar.plan_query(engine.prepare(query).chain).leaves
+        leaves = engine.prepare(query).kernel_plan.leaves
         assert leaves.count == 2**22
         with pytest.raises(DeadlineExceeded):
             engine.match_with_stats(query, deadline_seconds=0.5)

@@ -11,9 +11,10 @@ randomized graphs and queries:
   reference engine (the ground truth).  The
   oracle only protects the shapes it actually reaches, so a seed window
   fails unless the kernel ran mid-chain temporal navigation, two-group
-  point output, distributed temporal alternations, structs with fused
-  landing tests, absorbed tests and unmerged node → edge moves in it
-  (:func:`kernel_shapes`).
+  point output, distributed temporal alternations, structs and temporal
+  moves with fused landing tests, absorbed tests and unmerged node →
+  edge moves in it (:func:`kernel_shapes`), and every planned leaf of
+  the window has each test folded into the move before it.
 * **Interval-vs-point output oracle** — for *every* engine that defines
   ``match_intervals`` on the case, the coalesced families must (a) be
   canonical — one entry per distinct binding tuple, each with nonempty
@@ -53,7 +54,6 @@ from repro.datagen.random_graphs import (
     random_path_expression,
 )
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.dataflow.steps import TemporalStep
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.eval.bottom_up import BottomUpEvaluator
@@ -120,34 +120,45 @@ def check_families(name, families, variables, reference_rows, context) -> None:
 
 
 def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
-    """Which of the kernel's harder shapes ``query`` runs.
+    """Which of the kernel's harder shapes ``query`` runs, read off its
+    planned leaves.
 
-    ``"mid-chain"`` when a temporal step is followed by further steps,
-    ``"points"`` when the output spans temporal groups, and
+    ``"mid-chain"`` when a temporal op is followed by another op in its
+    leaf, ``"points"`` when the output spans temporal groups, and
     ``"distributed"`` when the chain holds an alternation that navigates
     through time, so the kernel runs it as several leaf chains.  Of the
-    hop legs: ``"fused"`` when a struct carries the tests on the object
-    it lands on, ``"absorbed"`` when planning dropped a test another one
-    implies, and ``"unmerged"`` when a node → edge move skipped the
-    merge (this one runs the leaves, without projecting them).
+    moves: ``"fused"`` when a struct carries the tests on the object it
+    lands on, ``"temporal-fused"`` when a temporal op does,
+    ``"absorbed"`` when planning dropped a test another one implies, and
+    ``"unmerged"`` when a node → edge move skipped the merge (this one
+    runs the leaves, without projecting them).  Every planned leaf must
+    have each test folded into the move before it
+    (:func:`assert_folded`).
     """
-    plan = engine.explain(query)
+    prepared = engine.prepare(query)
+    plan = engine.explain(prepared)
     assert plan["effective_kernel"] == "columnar"
-    chain = engine.prepare(query).chain
     shapes = set()
-    if any(isinstance(step, TemporalStep) for step in chain[:-1]):
-        shapes.add("mid-chain")
     if plan["output_mode"] == "points":
         shapes.add("points")
-    kernel_plan = columnar.plan_query(chain)
+    kernel_plan = prepared.kernel_plan
     leaves = kernel_plan.leaves
     if leaves.count > 1:
         shapes.add("distributed")
     for raw, planned in zip(columnar._expand(leaves._parts), leaves):
-        fused = [len(op[3]) for op in _flat_ops(planned) if op[0] == "struct"]
-        if any(fused):
+        assert_folded(planned, query)
+        if any(op[0] == "temporal" for op in planned[:-1]):
+            shapes.add("mid-chain")
+        fused = {"struct": [], "temporal": []}
+        for op in _flat_ops(planned):
+            if op[0] in fused:
+                fused[op[0]].append(len(op[2]))
+        if any(fused["struct"]):
             shapes.add("fused")
-        kept = sum(fused) + sum(op[0] == "test" for op in _flat_ops(planned))
+        if any(fused["temporal"]):
+            shapes.add("temporal-fused")
+        kept = sum(map(sum, fused.values()))
+        kept += sum(op[0] == "test" for op in _flat_ops(planned))
         if kept < sum(op[0] == "test" for op in _flat_ops(raw)):
             shapes.add("absorbed")
     ctx = engine.index.columnar_context()
@@ -158,6 +169,20 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
     if kernel.merges_skipped:
         shapes.add("unmerged")
     return frozenset(shapes)
+
+
+def assert_folded(ops, context) -> None:
+    """The planner invariant: no test op of a planned leaf (alternation
+    branches included) directly follows a struct or temporal op — the
+    planner folded it into that move."""
+    for previous, op in zip((None, *ops), ops):
+        assert op[0] != "test" or previous is None or previous[0] not in (
+            "struct",
+            "temporal",
+        ), (context, ops)
+        if op[0] == "alt":
+            for branch in op[1]:
+                assert_folded(branch, context)
 
 
 def _flat_ops(ops):
@@ -238,7 +263,8 @@ class TestMatchLevelDifferential:
         print(
             f"fuzz batch {batch}: {ran['mid-chain']} mid-chain navigation, "
             f"{ran['points']} point output, {ran['distributed']} distributed "
-            f"alternations, {ran['fused']} fused, {ran['absorbed']} absorbed, "
+            f"alternations, {ran['fused']} fused, {ran['temporal-fused']} "
+            f"temporal-fused, {ran['absorbed']} absorbed, "
             f"{ran['unmerged']} unmerged in {BATCH_SIZE} cases"
         )
 
@@ -255,13 +281,15 @@ class TestMatchLevelDifferential:
             and ran["points"] >= BATCHES
             and ran["distributed"] >= 9
             and ran["fused"] >= BATCHES
+            and ran["temporal-fused"] >= BATCHES
             and ran["absorbed"] >= BATCHES
             and ran["unmerged"] >= BATCHES
         ), (
             f"seed window {SEED_OFFSET}: the kernel ran mid-chain navigation "
             f"{ran['mid-chain']}×, point output {ran['points']}×, distributed "
             f"alternations {ran['distributed']}×, structs with fused tests "
-            f"{ran['fused']}×, absorbed tests {ran['absorbed']}× and unmerged "
+            f"{ran['fused']}×, temporal moves with fused tests "
+            f"{ran['temporal-fused']}×, absorbed tests {ran['absorbed']}× and unmerged "
             f"node → edge moves {ran['unmerged']}× in {BATCHES * BATCH_SIZE} "
             "cases — too few for the oracle to protect those shapes"
         )

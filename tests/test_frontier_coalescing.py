@@ -13,7 +13,8 @@ struct-of-arrays frontier:
   keeping both invariants and the reference answer;
 * the interval-native Step 3 (``_Kernel.project``) agrees with the
   point-wise semantics of the reference engine, its families expand to
-  exactly its point rows, and fused hops agree with the reference engine.
+  exactly its point rows, and planned room joins — structs carrying
+  their landing tests — agree with the reference engine.
 """
 
 import random
@@ -23,7 +24,6 @@ import pytest
 
 from repro.datagen.random_graphs import random_itpg, random_match_query
 from repro.dataflow import DataflowEngine, PAPER_QUERIES
-from repro.dataflow.steps import AltStep, HopStep
 from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
@@ -238,7 +238,7 @@ def _run(engine, query, mode, variables=None):
     a condition-only chain runs through ``_Kernel.project``."""
     prepared = engine.prepare(query)
     ctx = engine.index.columnar_context()
-    plan = columnar.plan_query(prepared.chain)
+    plan = prepared.kernel_plan
     data, _rows, _merged = columnar._run_leaves(
         ctx,
         plan.leaves,
@@ -310,23 +310,27 @@ class TestIntervalMaterializer:
             _run(engine, PAPER_QUERIES["Q5"].text, "families", variables=("nope",))
 
 
-def _has_hop(chain) -> bool:
+def _folds_landing_tests(ops) -> bool:
+    """True when some struct op of a planned leaf, alternation branches
+    included, carries the tests on the object it lands on."""
     return any(
-        isinstance(step, HopStep)
-        or (isinstance(step, AltStep) and any(map(_has_hop, step.alternatives)))
-        for step in chain
+        (op[0] == "struct" and op[2])
+        or (op[0] == "alt" and any(map(_folds_landing_tests, op[1])))
+        for op in ops
     )
 
 
-class TestHopFusion:
-    def test_fused_hops_agree_with_reference(self, figure1):
-        """Chains compiled to HopSteps answer like the reference engine."""
+class TestPlannedHops:
+    def test_room_joins_fold_landing_tests_and_agree_with_reference(self, figure1):
+        """Q7, Q11 and Q12 plan structs carrying their landing tests, and
+        answer like the reference engine."""
         engine = DataflowEngine(figure1)
         reference = ReferenceEngine(figure1)
         for name in ("Q7", "Q11", "Q12"):
             text = PAPER_QUERIES[name].text
-            assert _has_hop(engine.prepare(text).chain), name
-            assert engine.match(text).as_set() == reference.match(text).as_set(), name
+            plan = engine.prepare(text)
+            assert all(map(_folds_landing_tests, plan.kernel_plan.leaves)), name
+            assert engine.match(plan).as_set() == reference.match(text).as_set(), name
 
 
 class TestIntervalSetPrimitives:

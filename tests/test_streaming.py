@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.dataflow import DataflowEngine
+from repro.dataflow import PAPER_QUERIES, DataflowEngine
 from repro.datagen.streaming import contact_tracing_stream
 from repro.datagen import ContactTracingConfig, TrajectoryConfig
 from repro.eval import ReferenceEngine
@@ -471,6 +471,33 @@ class TestStreamingEngine:
         assert families
         with pytest.raises(EvaluationError, match="not registered"):
             session.table("MATCH (q) ON g")
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "MATCH (x:Person)-/NEXT + PREV/-(:Person) ON g",
+            "MATCH (x:Person)-/(NEXT[0,2] + PREV[0,2])/-(:Person) ON g",
+            PAPER_QUERIES["Q6"].text,
+        ],
+    )
+    def test_results_answer_like_match_intervals(self, query):
+        # One definedness rule: a temporal alternation after the only
+        # bind keeps the output interval-native on both paths, and a
+        # group-spanning query is refused on both with the same error.
+        from repro.model import contact_tracing_example
+
+        engine = DataflowEngine(contact_tracing_example())
+        session = StreamingEngine(engine=engine)
+        name = session.register(query)
+        try:
+            expected = engine.match_intervals(query)
+        except EvaluationError as error:
+            with pytest.raises(EvaluationError) as refused:
+                session.results(name)
+            assert str(refused.value) == str(error)
+            return
+        assert expected
+        assert sorted(session.results(name), key=repr) == sorted(expected, key=repr)
 
     def test_first_read_after_write_runs_kernel_once(self, kernel_runs):
         session = StreamingEngine(small_graph())

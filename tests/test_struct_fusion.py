@@ -1,13 +1,15 @@
 """A hop leg is one kernel op.
 
-When a leaf is planned, the tests that directly follow a struct move into
-that struct's op, and a test another one in the run implies is dropped
-(``columnar._fold``).  The kernel meets the landing conditions before it
-merges, and skips the merge of a node → edge move.  Three layers pin it:
+When a leaf is planned, the tests that directly follow a struct or
+temporal move go into that move's op, and a test another one in the run
+implies is dropped (``columnar._fold``, the one place where tests fuse
+into moves).  The kernel meets the landing conditions before it merges,
+and skips the merge of a node → edge move.  Three layers pin it:
 
-* **Plan shape** — on every paper query no test op follows a struct and
-  no struct carries an implied condition; ``explain()`` and ``repro
-  query --explain`` show the fused ops.
+* **Plan shape** — on every paper query no test op follows a move and
+  no move carries an implied condition; ``explain()`` prints for Q1–Q12
+  the strings pinned below, and ``repro query --explain`` shows the
+  fused ops.
 * **Fused op = old sequence** — on random graphs and random
   signature-unique frontiers, ``_op_struct`` with landing tests equals
   the bare move followed by one ``_op_test`` per condition.
@@ -36,12 +38,15 @@ def _conjuncts(condition) -> frozenset:
 
 
 def _check_leaf(ops, name) -> None:
-    """No test op directly after a struct; no implied struct condition."""
+    """No test op directly after a move; no implied condition in a move."""
     for previous, op in zip((None, *ops), ops):
         if op[0] == "test":
-            assert previous is None or previous[0] != "struct", (name, ops)
-        elif op[0] == "struct":
-            parts = [_conjuncts(condition) for condition in op[3]]
+            assert previous is None or previous[0] not in ("struct", "temporal"), (
+                name,
+                ops,
+            )
+        elif op[0] in ("struct", "temporal"):
+            parts = [_conjuncts(condition) for condition in op[2]]
             for i, mine in enumerate(parts):
                 for j, other in enumerate(parts):
                     assert i == j or not mine <= other, (name, op)
@@ -50,36 +55,108 @@ def _check_leaf(ops, name) -> None:
                 _check_leaf(branch, name)
 
 
-class TestPlanShape:
-    def test_paper_queries_fold_their_landing_tests(self):
-        engine = DataflowEngine(contact_tracing_example())
-        for name, query in PAPER_QUERIES.items():
-            leaves = columnar.plan_query(engine.prepare(query.text).chain).leaves
-            for ops in leaves:
-                _check_leaf(ops, name)
-
-    def test_q11_room_leg_is_one_op(self):
-        plan = DataflowEngine(contact_tracing_example()).explain(PAPER_QUERIES["Q11"].text)
-        assert plan["leaves"] == 1
-        assert plan["ops"] == [
+#: ``explain()``'s ``(leaves, ops)`` for each paper query.
+PINNED_PLANS = {
+    **{name: (1, ["bind x"]) for name in ("Q1", "Q2", "Q3", "Q4")},
+    "Q5": (
+        1,
+        [
+            "bind x",
+            "struct F [(Edge AND :meets AND EXISTS)]",
+            "bind z",
+            "struct F [(Node AND :Person AND risk->'high' AND EXISTS)]",
+            "bind y",
+        ],
+    ),
+    "Q6": (1, ["bind x", "temporal P[1,1] [(Node AND :Person AND EXISTS)]", "bind y"]),
+    "Q7": (
+        1,
+        [
+            "bind x",
+            "temporal P[1,1]",
+            "struct F [(:visits AND EXISTS)]",
+            "struct F [(Node AND :Room AND EXISTS)]",
+            "bind z",
+        ],
+    ),
+    "Q8": (
+        1,
+        [
+            "bind x",
+            "temporal P[0,_]",
+            "struct F [(:visits AND EXISTS)]",
+            "struct F [(Node AND :Room AND EXISTS)]",
+            "bind z",
+        ],
+    ),
+    "Q9": (
+        1,
+        [
+            "bind x",
+            "struct F [(:meets AND EXISTS)]",
+            "struct F [EXISTS]",
+            "temporal N[0,_] [(Node AND test->'pos' AND EXISTS)]",
+        ],
+    ),
+    "Q10": (
+        1,
+        [
+            "bind x",
+            "struct F [(:meets AND EXISTS)]",
+            "struct F [EXISTS]",
+            "temporal P[0,12] [(Node AND test->'pos' AND EXISTS)]",
+        ],
+    ),
+    "Q11": (
+        1,
+        [
             "bind x",
             "struct F [(:visits AND EXISTS)]",
             "struct F [(:Room AND EXISTS)]",
             "struct B [(:visits AND EXISTS)]",
             "struct B [EXISTS]",
             "temporal N[0,12] [(Node AND test->'pos' AND EXISTS)]",
-        ]
+        ],
+    ),
+    "Q12": (
+        1,
+        [
+            "bind x",
+            "alt (struct F [(:meets AND EXISTS)] · struct F [EXISTS] | "
+            "struct F [(:visits AND EXISTS)] · struct F [(:Room AND EXISTS)] · "
+            "struct B [(:visits AND EXISTS)] · struct B [EXISTS])",
+            "temporal N[0,12] [(Node AND test->'pos' AND EXISTS)]",
+        ],
+    ),
+}
+
+
+class TestPlanShape:
+    def test_paper_queries_fold_their_landing_tests(self):
+        engine = DataflowEngine(contact_tracing_example())
+        for name, query in PAPER_QUERIES.items():
+            leaves = engine.prepare(query.text).kernel_plan.leaves
+            for ops in leaves:
+                _check_leaf(ops, name)
 
     def test_explain_reports_every_leaf(self):
         # A temporal alternation is distributed into two leaf chains;
-        # ``ops`` shows the first.
+        # ``ops`` shows the first, whose temporal op ends its branch and
+        # takes the node test that follows the alternation.
         query = (
             "MATCH (x:Person)-/FWD/:visits/FWD/:Room/(NEXT[0,2] + PREV[0,2])/-(y) "
             "ON contact_tracing"
         )
         plan = DataflowEngine(contact_tracing_example()).explain(query)
         assert plan["leaves"] == 2
-        assert "temporal N[0,2]" in plan["ops"] and plan["ops"][-1] == "bind y"
+        assert "temporal N[0,2] [(Node AND EXISTS)]" in plan["ops"]
+        assert plan["ops"][-1] == "bind y"
+
+    def test_paper_query_plans_are_pinned(self):
+        engine = DataflowEngine(contact_tracing_example())
+        for name, (leaves, ops) in PINNED_PLANS.items():
+            plan = engine.explain(PAPER_QUERIES[name].text)
+            assert (plan["leaves"], plan["ops"]) == (leaves, ops), name
 
     def test_cli_prints_one_line_per_op(self, capsys):
         from repro.cli import main
@@ -196,7 +273,7 @@ class TestFusedStruct:
         assert _unique(state)
         fused_tests = columnar._absorb(tests)
         bounds = tuple((condition, 0, 0) for condition in fused_tests)
-        fused = columnar._Kernel(ctx)._op_struct(state, forward, bounds, fused_tests)
+        fused = columnar._Kernel(ctx)._op_struct(state, forward, fused_tests, bounds)
         kernel = columnar._Kernel(ctx)
         # The old sequence: move, merge, then one test pass per condition.
         old = kernel._merge(kernel._op_struct(state, forward, (), ()))
