@@ -454,6 +454,13 @@ def _print_families(families, limit: Optional[int]) -> None:
 def _print_explain(plan: dict) -> None:
     """Render :meth:`DataflowEngine.explain` output, one ``#`` line each."""
     print(f"# plan: kernel={plan['effective_kernel']}")
+    points = plan["seed_points"]
+    direction = plan["direction"]
+    other = "converse" if direction == "forward" else "forward"
+    print(
+        f"# plan: direction={direction}, seed points {points[direction]}"
+        + ("" if points[other] is None else f" ({other} {points[other]})")
+    )
     print(
         f"# plan: output={plan['output_mode']}, {plan['seed_rows']} seed rows, "
         f"{plan['chain_steps']} chain steps, {plan['leaves']} leaf chain(s)"

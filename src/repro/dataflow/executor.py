@@ -100,13 +100,17 @@ class QueryPlan:
     pure function of the query text and reads the graph only when it
     runs, through the engine's index, so it stays valid across deltas:
     the server keys its plan cache by normalized query text alone, and a
-    streaming session keeps one plan per registered query.
+    streaming session keeps one plan per registered query.  The kernel
+    plan holds the chain's converse too, and each run seeds from the
+    end with fewer points on the graph as it is then: direction is a
+    cost choice and never changes an answer.
     """
 
     text: str | None
     compiled: CompiledMatch
     chain: tuple[ChainStep, ...]
-    #: The chain planned for the columnar kernel (seed condition + leaves).
+    #: The chain planned for the columnar kernel (seed condition +
+    #: leaves), with its converse.
     kernel_plan: columnar_kernel.ColumnarPlan
     #: ``"families"`` (interval-native) when every variable is bound
     #: within one temporal group (:func:`binds_share_group`), else
@@ -268,23 +272,38 @@ class DataflowEngine:
         """The execution plan a :meth:`match` call would use, without running it.
 
         Returns a dictionary with the kernel (always ``"columnar"``), the
-        seed rows and the chain steps after an absorbed leading test, the
-        output mode (``families`` = interval-native, ``points``) and the
-        kernel plan — ``leaves``, how many leaf chains it runs, and
-        ``ops``, the first leaf's ops as short strings.  ``repro query …
-        --explain`` prints this.
+        ``direction`` the run would take on the graph as it is now
+        (``forward`` or ``converse``, see
+        :func:`~repro.perf.columnar.choose`) and both directions'
+        ``seed_points`` (``converse`` is ``None`` without one), then for
+        the direction that runs: the seed rows and the chain steps after
+        the seed's tests, the output mode (``families`` =
+        interval-native, ``points``) and the kernel plan — ``leaves``,
+        how many leaf chains it runs, and ``ops``, the first leaf's ops
+        as short strings.  ``repro query … --explain`` prints this.
         """
         plan = self._plan(query)
-        seed = plan.kernel_plan.seed_condition
+        ctx = self._index.columnar_context()
+        written = plan.kernel_plan
+        chosen = columnar_kernel.choose(ctx, written)
+        seed = chosen.seed_condition
         if seed is None:
             seed_rows = len(self._index.objects)
         else:
             seed_rows = len(self._index.condition_table(seed))
-        leaves = plan.kernel_plan.leaves
+        leaves = chosen.leaves
+        converse = written.converse
         return {
             "effective_kernel": "columnar",
+            "direction": "forward" if chosen is written else "converse",
+            "seed_points": {
+                "forward": ctx.seed_points(written.seed_condition),
+                "converse": None
+                if converse is None
+                else ctx.seed_points(converse.seed_condition),
+            },
             "seed_rows": seed_rows,
-            "chain_steps": len(plan.chain) - (seed is not None),
+            "chain_steps": chosen.chain_steps,
             "output_mode": plan.mode,
             "leaves": leaves.count,
             "ops": columnar_kernel.describe_ops(next(iter(leaves))),

@@ -7,13 +7,16 @@ The dataflow engine evaluates *chains*: linear sequences of steps where
   same snapshot,
 * a :class:`TemporalStep` moves the same object through time by a
   bounded or unbounded number of steps (``N``/``P`` with occurrence
-  indicators, every visited point required to exist),
+  indicators, every visited point required to exist), or back along
+  such a move (its converse),
 * an :class:`AltStep` evaluates alternative sub-chains (union),
 * a :class:`BindStep` binds the current object to a variable.
 
 A chain is the query as written: which tests travel with which move is
 decided once, by the columnar planner
-(:func:`repro.perf.columnar.plan_query`).
+(:func:`repro.perf.columnar.plan_query`).  :func:`converse_chain` reads
+a chain from its far end; NavL is closed under converse, so both
+denote the same answers and the planner may seed from either end.
 
 :func:`compile_chain` turns a NavL[PC,NOI] expression produced by the
 practical-syntax parser into such a chain, or raises
@@ -29,8 +32,8 @@ the engine stay in the interval representation during Steps 1 and 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Optional
+from dataclasses import dataclass, replace
+from typing import Hashable, Optional, Sequence
 
 from repro.errors import UnsupportedFragmentError
 from repro.lang.ast import (
@@ -85,12 +88,18 @@ class TemporalStep(ChainStep):
     ``None`` means unbounded).  ``require_existence`` records whether
     every visited time point (excluding the anchor) must exist — true for
     every expression produced by the practical syntax.
+
+    ``converse=True`` marks the inverse move, from each point the
+    unmarked step reaches back to the anchors it reaches it from: the
+    converse of ``(N/∃)[n,m]`` is ``(∃/P)[n,m]``, which checks the
+    anchor and every point in between but not the one it lands on.
     """
 
     forward: bool
     lower: int
     upper: Optional[int]
     require_existence: bool = True
+    converse: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,6 +216,46 @@ def _reject_path_conditions(condition: Test) -> None:
             _reject_path_conditions(part)
     elif isinstance(condition, NotTest):
         _reject_path_conditions(condition.inner)
+
+
+def converse_chain(chain: Sequence[ChainStep]) -> tuple[ChainStep, ...]:
+    """``chain`` read from its far end, with the same answers.
+
+    The chain splits into *object slots* — the maximal runs of tests and
+    binds between moves — and the moves between them.  The converse
+    lists the slots and the moves in reverse order, flips each
+    structural move (``F``↔``B``), marks (or unmarks) each temporal move
+    as its converse and converses every alternative.  Each test and bind
+    stays on its object: inside a slot the tests come first, so the
+    planner still folds them into the move the slot follows (the slot's
+    times are shared, so a bind's place in its slot changes nothing).
+    Applied twice it returns the chain with every slot so ordered.
+    """
+    slots: list[list[ChainStep]] = [[]]
+    moves: list[ChainStep] = []
+    for step in chain:
+        if isinstance(step, (TestStep, BindStep)):
+            slots[-1].append(step)
+        else:
+            moves.append(_converse_move(step))
+            slots.append([])
+    out: list[ChainStep] = []
+    for slot, move in zip(reversed(slots), (*reversed(moves), None)):
+        out.extend(step for step in slot if isinstance(step, TestStep))
+        out.extend(step for step in slot if isinstance(step, BindStep))
+        if move is not None:
+            out.append(move)
+    return tuple(out)
+
+
+def _converse_move(step: ChainStep) -> ChainStep:
+    if isinstance(step, StructStep):
+        return StructStep(forward=not step.forward)
+    if isinstance(step, TemporalStep):
+        return replace(step, converse=not step.converse)
+    if isinstance(step, AltStep):
+        return AltStep(tuple(converse_chain(alt) for alt in step.alternatives))
+    raise TypeError(f"unknown chain step {step!r}")
 
 
 def chain_has_temporal_step(steps: tuple[ChainStep, ...]) -> bool:

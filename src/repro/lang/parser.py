@@ -36,17 +36,19 @@ from repro.lang.ast import PathExpr, Test
 # --------------------------------------------------------------------- #
 # Tokenizer
 # --------------------------------------------------------------------- #
+#: A quoted string literal (a backslash escapes the next character).
+STRING_PATTERN = r"'(?:[^'\\]|\\.)*'"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<WS>\s+)
-  | (?P<STRING>'(?:[^'\\]|\\.)*')
+  | (?P<STRING>{STRING_PATTERN})
   | (?P<NUMBER>\d+)
   | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<ARROW_IN><-)
   | (?P<NEQ><>|!=)
   | (?P<LE><=)
   | (?P<GE>>=)
-  | (?P<SYMBOL>[()\[\]{}\-+*/:,=<>_?])
+  | (?P<SYMBOL>[()\[\]{{}}\-+*/:,=<>_?])
     """,
     re.VERBOSE,
 )

@@ -43,12 +43,15 @@ at compile time — ``X·(A|B)·Y`` becomes the *leaves* ``X·A·Y`` and
 mode is a property of the projection, not of an op: variables bound in
 one group come out as interval-native ``families``, variables spanning
 groups as a :class:`PointTable` whose linked ``(t, t')`` pairs are
-expanded in array form.  Every answer is differential-fuzzed against
-the point-based :class:`~repro.eval.engine.ReferenceEngine`.
+expanded in array form.  A plan also holds the chain's converse, and
+each run seeds from whichever end holds fewer points (:func:`choose`).
+Every answer is differential-fuzzed against the point-based
+:class:`~repro.eval.engine.ReferenceEngine`, in both directions.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -62,10 +65,11 @@ from repro.dataflow.steps import (
     TemporalStep,
     TestStep,
     chain_has_temporal_step,
+    converse_chain,
 )
 from repro.errors import EvaluationError
 from repro.eval.bindings import BindingTable
-from repro.lang.ast import AndTest, Test
+from repro.lang.ast import AndTest, Test, and_
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
@@ -77,13 +81,26 @@ ObjectId = Hashable
 # Plan: chain -> columnar ops
 # --------------------------------------------------------------------- #
 class ColumnarPlan:
-    """A full-query columnar plan: seed spec + the compiled leaves."""
+    """A full-query columnar plan: seed spec + the compiled leaves.
 
-    __slots__ = ("seed_condition", "leaves")
+    ``chain_steps`` counts the chain steps after the seed's tests, and
+    ``converse`` is the plan of the chain read from its far end (see
+    :func:`plan_query`), or ``None``.
+    """
 
-    def __init__(self, seed_condition: Optional[Test], leaves: "Leaves") -> None:
+    __slots__ = ("seed_condition", "leaves", "chain_steps", "converse")
+
+    def __init__(
+        self,
+        seed_condition: Optional[Test],
+        leaves: "Leaves",
+        chain_steps: int = 0,
+        converse: Optional["ColumnarPlan"] = None,
+    ) -> None:
         self.seed_condition = seed_condition
         self.leaves = leaves
+        self.chain_steps = chain_steps
+        self.converse = converse
 
 
 class Leaves:
@@ -272,7 +289,7 @@ def _push_bounds(ops: Sequence, bounds: tuple) -> tuple:
             bounds = ((payload, 0, 0),) + bounds
         elif tag == "temporal":
             low, high = payload.lower, payload.upper
-            if not payload.forward:
+            if payload.forward == payload.converse:  # back in time
                 low, high = None if high is None else -high, -low
             tests = out[position][2]
             bounds = tuple((c, low, high) for c in tests)
@@ -305,6 +322,7 @@ def _describe(op: tuple) -> str:
         return (
             f"temporal {'N' if step.forward else 'P'}[{step.lower},{upper}]"
             + ("" if step.require_existence else " unchecked")
+            + (" converse" if step.converse else "")
             + tests
         )
     if tag == "test":
@@ -316,16 +334,34 @@ def _describe(op: tuple) -> str:
 
 
 def plan_query(chain: tuple[ChainStep, ...]) -> ColumnarPlan:
-    """Plan a full compiled chain, absorbing a leading TestStep as the
-    seed condition: :func:`run_query` seeds from its condition table.
+    """Plan a full compiled chain and, when it has one, its converse.
+
+    Each direction seeds from the conjunction of its leading tests,
+    those another one implies dropped (:func:`_absorb`):
+    :func:`run_query` seeds from its condition table.  The converse
+    (:func:`~repro.dataflow.steps.converse_chain`) denotes the same
+    answers, so which one runs is a cost choice made per run
+    (:func:`choose`); a chain without a move, or whose far end has no
+    test to seed from, has none.
 
     Nothing caches the result here: the
     :class:`~repro.dataflow.executor.QueryPlan` that
     :meth:`~repro.dataflow.executor.DataflowEngine.prepare` builds holds
     it."""
-    if chain and isinstance(chain[0], TestStep):
-        return ColumnarPlan(chain[0].condition, compile_ops(chain[1:]))
-    return ColumnarPlan(None, compile_ops(chain))
+    plan = _plan_direction(chain)
+    if any(not isinstance(step, (TestStep, BindStep)) for step in chain):
+        far = converse_chain(chain)
+        if isinstance(far[0], TestStep):
+            plan.converse = _plan_direction(far)
+    return plan
+
+
+def _plan_direction(chain: Sequence[ChainStep]) -> ColumnarPlan:
+    lead = 0
+    while lead < len(chain) and isinstance(chain[lead], TestStep):
+        lead += 1
+    seed = and_(*_absorb([step.condition for step in chain[:lead]])) if lead else None
+    return ColumnarPlan(seed, compile_ops(chain[lead:]), len(chain) - lead)
 
 
 # --------------------------------------------------------------------- #
@@ -355,6 +391,7 @@ class ColumnarContext:
         self.succ_fwd = self.succ_bwd = empty
         self._conditions: dict[Test, tuple] = {}
         self._hulls: dict[Test, tuple] = {}
+        self._points: dict[Test, int] = {}
         origin = np.zeros(1, dtype=np.int64)
         decoded = self._decode_store_sections(index)
         (
@@ -501,6 +538,7 @@ class ColumnarContext:
             self._set_domain()
             self._conditions.clear()
         self._hulls.clear()
+        self._points.clear()
         self._derive(existence, out_edges, in_edges, conditions)
 
     # -- condition tables ------------------------------------------------- #
@@ -524,6 +562,18 @@ class ColumnarContext:
                 *_family_rows(table.values()),
             )
         return cached
+
+    def seed_points(self, condition: Optional[Test]) -> int:
+        """How many ``(object, time)`` points a frontier seeded from
+        ``condition`` holds (every object under domain times for
+        ``None``): the size :func:`choose` compares."""
+        if condition is None:
+            return self.num_objects * (self.domain_end - self.domain_start + 1)
+        points = self._points.get(condition)
+        if points is None:
+            _indptr, starts, ends = self.condition_arrays(condition)
+            points = self._points[condition] = int((ends - starts).sum()) + starts.size
+        return points
 
     def condition_hull(self, condition: Test) -> tuple:
         """Per-object ``(first start, last end)`` of a condition's family.
@@ -1034,7 +1084,10 @@ class _Kernel:
     def _targets(self, step: TemporalStep, obj, owner, s, e) -> tuple:
         """Per owner, every time reachable from its family through ``step``
         on object ``obj[owner]`` — the vectorized union of
-        :func:`~repro.temporal.alignment.reachable_window`."""
+        :func:`~repro.temporal.alignment.reachable_window`.  A converse
+        step reaches what the unmarked step's :meth:`_sources` are."""
+        if step.converse:
+            return self._sources(replace(step, converse=False), obj, owner, s, e)
         lower, upper, forward = step.lower, step.upper, step.forward
         if not step.require_existence:
             ctx = self.ctx
@@ -1072,7 +1125,10 @@ class _Kernel:
         """Per owner, every time from which ``step`` reaches its family —
         the vectorized ``reachable_sources`` (for contiguous steps not a
         direction flip: visited points exclude the anchor, include the
-        endpoint)."""
+        endpoint).  A converse step's sources are the unmarked step's
+        :meth:`_targets`."""
+        if step.converse:
+            return self._targets(replace(step, converse=False), obj, owner, s, e)
         lower, upper, forward = step.lower, step.upper, step.forward
         if not step.require_existence:
             ctx = self.ctx
@@ -1147,12 +1203,16 @@ class _Kernel:
         list, one entry per binding tuple (variables bound in at most
         one temporal group); ``mode="points"`` a :class:`PointTable`.
         Both run two passes per live row over its chain of frozen
-        groups: backward, ``alive[j] = T_j ∩ sources(alive[j+1])`` prunes
-        every time that cannot complete the chain; forward, ``targets(·)
-        ∩ alive[j+1]`` carries the admissible times up to the last bound
-        group — expanded to points (``np.repeat``/``arange``) at each
-        group that binds a variable, kept as aggregated intervals at
-        those that bind none.
+        groups, from the first group that binds a variable on: backward,
+        ``alive[j] = T_j ∩ sources(alive[j+1])`` prunes every time that
+        cannot complete the chain; forward, ``targets(·) ∩ alive[j+1]``
+        carries the admissible times up to the last bound group —
+        expanded to points (``np.repeat``/``arange``) at each group that
+        binds a variable, kept as aggregated intervals at those that
+        bind none.  The groups before the first bound one need neither
+        pass: every time the run reached in a group it reached from the
+        group before it, so they would prune nothing there.  (A chain
+        read from its far end binds late, so its passes are short.)
         """
         if state.rows == 0:
             return [] if mode == "families" else PointTable(variables, (), [], [])
@@ -1179,8 +1239,9 @@ class _Kernel:
             raise EvaluationError(FAMILIES_UNDEFINED)
         deadline = self.deadline
         rows = state.rows
+        first = bound[0] if bound else 0
         alive = [state.family] * (len(levels) + 1)
-        for j in range(len(levels) - 1, -1, -1):
+        for j in range(len(levels) - 1, first - 1, -1):
             if deadline is not None:
                 deadline.check()
             frozen, step, anc = levels[j]
@@ -1189,10 +1250,10 @@ class _Kernel:
                 self._sources(step, frozen.cur[anc], *alive[j + 1]),
             )
         row = np.arange(rows, dtype=np.int64)  # entry -> live row
-        family = alive[0]  # owned by entry
+        family = alive[first]  # owned by entry
         chosen: dict[int, object] = {}  # bound group -> time per entry
         last = bound[-1] if bound else 0
-        for j in range(last + 1):
+        for j in range(first, last + 1):
             if deadline is not None:
                 deadline.check()
             if mode == "points" and j in bound:
@@ -1327,10 +1388,29 @@ def run_query(
     with ``output`` a family list (``mode="families"``) or a
     :class:`PointTable` (``mode="points"``).
 
+    The plan or its converse runs, whichever seeds from fewer points on
+    the current image (:func:`choose`): the direction is a cost choice
+    and never changes an answer, only the order of a family list.
     Seeds come straight from the context's condition CSR (or the object
     range under domain times), never materializing per-row Python
     objects — which keeps even cheap full-scan queries cheap.
     """
+    return _run(ctx, choose(ctx, plan), variables, mode, deadline)
+
+
+def choose(ctx: ColumnarContext, plan: ColumnarPlan) -> ColumnarPlan:
+    """The direction of ``plan`` that :func:`run_query` runs on ``ctx``:
+    its converse when that seeds from strictly fewer points
+    (:meth:`ColumnarContext.seed_points`), else the plan as written."""
+    converse = plan.converse
+    if converse is None:
+        return plan
+    fewer = ctx.seed_points(converse.seed_condition) < ctx.seed_points(plan.seed_condition)
+    return converse if fewer else plan
+
+
+def _run(ctx, plan: ColumnarPlan, variables, mode, deadline):
+    """:func:`run_query` in the direction ``plan`` is written."""
     single = plan.leaves.single
     if (
         plan.seed_condition is not None

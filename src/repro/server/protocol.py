@@ -38,6 +38,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
 
 from repro.errors import ReproError
+from repro.lang.parser import STRING_PATTERN
 
 #: Protocol revision, reported by ``ping``.
 PROTOCOL_VERSION = "repro-server/1"
@@ -61,23 +62,26 @@ OPS = (
 #: ``NotPrimary`` (reads and control ops stay available everywhere).
 WRITE_OPS = frozenset({"apply_delta", "register"})
 
-_WHITESPACE = re.compile(r"\s+")
+#: A string literal (kept as written) or a run of whitespace (collapsed).
+_SPACING = re.compile(rf"({STRING_PATTERN})|\s+")
 
 
 def normalize_query(text: str) -> str:
     """The plan-cache form of a MATCH clause: trimmed, whitespace-collapsed.
 
-    Paper-query names (``Q1`` … ``Q12``) are resolved to their MATCH
-    text first, so ``"Q5"`` and the spelled-out clause share one cache
-    entry.  Normalization is purely lexical — it never changes query
-    semantics, only collapses formatting noise so equivalent requests
-    hit the same compiled plan.
+    Paper-query names (``Q1`` … ``Q12``, surrounding whitespace aside)
+    are resolved to their MATCH text first, so ``"Q5"`` and the
+    spelled-out clause share one cache entry.  Normalization is purely
+    lexical — it never changes query semantics, only collapses
+    formatting noise so equivalent requests hit the same compiled plan:
+    whitespace inside a quoted literal is part of the literal and stays.
     """
     from repro.dataflow import PAPER_QUERIES
 
+    text = text.strip()
     if text in PAPER_QUERIES:
         text = PAPER_QUERIES[text].text
-    return _WHITESPACE.sub(" ", text).strip()
+    return _SPACING.sub(lambda match: match.group(1) or " ", text)
 
 
 class Encoded:

@@ -203,8 +203,9 @@ class GraphHost:
 
             # "register Q5" should be readable back as table("Q5"), not
             # under the spelled-out MATCH text the alias resolves to.
-            if text in PAPER_QUERIES:
-                name = text
+            alias = text.strip()
+            if alias in PAPER_QUERIES:
+                name = alias
         with self.lock:
             normalized = normalize_query(text)
             registered = self.session.register(normalized, name=name)

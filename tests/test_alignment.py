@@ -193,10 +193,11 @@ def reach_cases(draw):
 class TestKernelReach:
     """``_Kernel._targets``/``_sources`` equal the union, over each row's
     anchor intervals, of the scalar ``reachable_window`` targets and
-    ``reachable_sources`` windows."""
+    ``reachable_sources`` windows — and for a converse step the other
+    way round."""
 
     @staticmethod
-    def run(case, method):
+    def run(case, method, converse=False):
         existence, rows, lower, upper, forward, require = case
         graph = IntervalTPG(REACH_DOMAIN)
         for number, family in enumerate(existence):
@@ -204,7 +205,11 @@ class TestKernelReach:
         index = GraphIndex(graph)
         kernel = _Kernel(index.columnar_context())
         step = TemporalStep(
-            forward=forward, lower=lower, upper=upper, require_existence=require
+            forward=forward,
+            lower=lower,
+            upper=upper,
+            require_existence=require,
+            converse=converse,
         )
         obj = np.array([index.object_id[f"n{number}"] for number, _ in rows], dtype=np.int64)
         spans = [(row, iv) for row, (_, family) in enumerate(rows) for iv in family]
@@ -219,7 +224,7 @@ class TestKernelReach:
         for row, (number, family) in enumerate(rows):
             reached = []
             for anchor in family:
-                if method == "_targets":
+                if (method == "_targets") != converse:
                     pairs = reachable_window(anchor, existence[number], *args)
                     reached.extend(target for _, target in pairs)
                 else:
@@ -238,3 +243,13 @@ class TestKernelReach:
     @given(reach_cases())
     def test_sources_equal_reachable_sources(self, case):
         self.run(case, "_sources")
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_converse_targets_equal_reachable_sources(self, case):
+        self.run(case, "_targets", converse=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_converse_sources_equal_reachable_window(self, case):
+        self.run(case, "_sources", converse=True)

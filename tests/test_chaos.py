@@ -44,7 +44,7 @@ from repro.streaming import DeltaBatch, StreamingEngine
 
 @pytest.fixture(scope="module")
 def contact_graph():
-    """Large enough that Q5's injected per-op stalls outrun a budget."""
+    """Large enough that Q11's injected per-op stalls outrun a budget."""
     config = ContactTracingConfig(
         trajectory=TrajectoryConfig(
             num_persons=30, num_locations=10, num_rooms=5, num_windows=16, seed=7
@@ -110,9 +110,10 @@ class TestDeadlineUnderSlowExecution:
         failpoints.arm("engine.step", "sleep", seconds=0.1, times=0)
         engine = DataflowEngine(contact_graph, deadline_seconds=budget)
         with pytest.raises(DeadlineExceeded) as excinfo:
-            # Q5's chain is 8 steps deep: the injected 0.1s stalls blow
-            # the budget a couple of steps in.
-            engine.match(PAPER_QUERIES["Q5"].text)
+            # Q11 runs six ops on this graph (Q5's converse runs dry
+            # after two): the injected 0.1s stalls blow the budget a
+            # couple of ops in.
+            engine.match(PAPER_QUERIES["Q11"].text)
         self._assert_within_bound(excinfo.value, budget)
         assert "steps_completed" in excinfo.value.partial
 
@@ -203,7 +204,7 @@ class TestPerCallIsolation:
         one.  A must expire, B must answer in full, and
         the engine must look the same throughout as before either call.
         """
-        query = PAPER_QUERIES["Q5"].text
+        query = PAPER_QUERIES["Q11"].text
         expected = ReferenceEngine(contact_graph).match(query).as_set()
         engine = DataflowEngine(contact_graph)
         before = dict(vars(engine))
@@ -215,7 +216,7 @@ class TestPerCallIsolation:
             except Exception as error:
                 outcome[name] = error
 
-        # Every kernel op stalls 0.05s: Q5's nine ops take ~0.45s, so
+        # Every kernel op stalls 0.05s: Q11's six ops take ~0.3s, so
         # A's 0.15s budget expires mid-run while B is still running.
         failpoints.arm("engine.step", "sleep", seconds=0.05, times=0)
         first = threading.Thread(

@@ -1,18 +1,25 @@
 """Tests for dataflow chain compilation and interval-based static tests."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.datagen.random_graphs import _random_dataflow_path
 from repro.dataflow.steps import (
     AltStep,
+    BindStep,
     StructStep,
     TemporalStep,
     TestStep,
     chain_has_temporal_step,
     compile_chain,
+    converse_chain,
 )
 from repro.dataflow import condition_times
 from repro.errors import UnsupportedFragmentError
 from repro.lang import ast, parse_path
+from repro.perf import columnar
 from repro.temporal import IntervalSet
 
 
@@ -89,6 +96,70 @@ class TestChainCompilation:
     def test_chain_has_temporal_step_inside_alternative(self):
         expr = parse_path("(FWD + NEXT)/BWD", implicit_existence=False)
         assert chain_has_temporal_step(compile_chain(expr))
+
+
+class TestConverseChain:
+    def test_slots_reverse_and_moves_flip(self):
+        person, meets = TestStep(ast.label("Person")), TestStep(ast.label("meets"))
+        exists = TestStep(ast.exists())
+        chain = (
+            person,
+            BindStep("x"),
+            StructStep(forward=True),
+            exists,
+            meets,
+            BindStep("z"),
+            TemporalStep(forward=True, lower=0, upper=12),
+            exists,
+        )
+        assert converse_chain(chain) == (
+            exists,
+            TemporalStep(forward=True, lower=0, upper=12, converse=True),
+            exists,
+            meets,
+            BindStep("z"),
+            StructStep(forward=False),
+            person,
+            BindStep("x"),
+        )
+
+    def test_tests_come_before_binds_in_a_slot(self):
+        # As written the bind splits the move from a test on its target;
+        # the converse keeps both on the object, the test first, so the
+        # planner folds it into the move.
+        chain = (BindStep("x"), StructStep(True), BindStep("y"), TestStep(ast.exists()))
+        far = converse_chain(chain)
+        assert far == (TestStep(ast.exists()), BindStep("y"), StructStep(False), BindStep("x"))
+        assert converse_chain(far) == (
+            BindStep("x"),
+            StructStep(True),
+            TestStep(ast.exists()),
+            BindStep("y"),
+        )
+
+    def test_alternatives_converse_recursively(self):
+        chain = compile_chain(parse_path("(FWD + NEXT[0,2])/BWD", implicit_existence=False))
+        assert converse_chain(chain) == (
+            StructStep(forward=True),
+            AltStep(
+                (
+                    (StructStep(forward=False),),
+                    (TemporalStep(True, 0, 2, require_existence=False, converse=True),),
+                )
+            ),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_converse_twice_plans_to_the_same_ops(self, seed):
+        chain = compile_chain(_random_dataflow_path(random.Random(seed), depth=2))
+        planned = columnar.plan_query(chain)
+        replanned = columnar.plan_query(converse_chain(converse_chain(chain)))
+        assert planned.seed_condition == replanned.seed_condition
+        assert list(planned.leaves) == list(replanned.leaves), chain
+        assert (planned.converse is None) == (replanned.converse is None)
+        if planned.converse is not None:
+            assert list(planned.converse.leaves) == list(replanned.converse.leaves)
 
 
 class TestConditionTimes:

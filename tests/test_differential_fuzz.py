@@ -12,9 +12,11 @@ randomized graphs and queries:
   oracle only protects the shapes it actually reaches, so a seed window
   fails unless the kernel ran mid-chain temporal navigation, two-group
   point output, distributed temporal alternations, structs and temporal
-  moves with fused landing tests, absorbed tests and unmerged node →
-  edge moves in it (:func:`kernel_shapes`), and every planned leaf of
-  the window has each test folded into the move before it.
+  moves with fused landing tests, absorbed tests, unmerged node → edge
+  moves and runs seeded from the chain's far end in it
+  (:func:`kernel_shapes`), and every planned leaf of the window has each
+  test folded into the move before it.  Every case also runs the plan
+  as written and its converse, each forced, against the ground truth.
 * **Interval-vs-point output oracle** — for *every* engine that defines
   ``match_intervals`` on the case, the coalesced families must (a) be
   canonical — one entry per distinct binding tuple, each with nonempty
@@ -126,13 +128,14 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
     ``"mid-chain"`` when a temporal op is followed by another op in its
     leaf, ``"points"`` when the output spans temporal groups, and
     ``"distributed"`` when the chain holds an alternation that navigates
-    through time, so the kernel runs it as several leaf chains.  Of the
+    through time, so the kernel runs it as several leaf chains, and
+    ``"converse"`` when the run seeds from the chain's far end.  Of the
     moves: ``"fused"`` when a struct carries the tests on the object it
     lands on, ``"temporal-fused"`` when a temporal op does,
     ``"absorbed"`` when planning dropped a test another one implies, and
     ``"unmerged"`` when a node → edge move skipped the merge (this one
-    runs the leaves, without projecting them).  Every planned leaf must
-    have each test folded into the move before it
+    runs the leaves, without projecting them).  Every planned leaf, of
+    either direction, must have each test folded into the move before it
     (:func:`assert_folded`).
     """
     prepared = engine.prepare(query)
@@ -141,7 +144,11 @@ def kernel_shapes(engine: DataflowEngine, query) -> frozenset[str]:
     shapes = set()
     if plan["output_mode"] == "points":
         shapes.add("points")
+    if plan["direction"] == "converse":
+        shapes.add("converse")
     kernel_plan = prepared.kernel_plan
+    for ops in kernel_plan.converse.leaves if kernel_plan.converse else ():
+        assert_folded(ops, query)
     leaves = kernel_plan.leaves
     if leaves.count > 1:
         shapes.add("distributed")
@@ -246,7 +253,35 @@ def run_match_case(seed: int) -> frozenset[str]:
             f"the reference engine rejected coalesced output the dataflow "
             f"engine defines ({context})"
         )
+    check_both_directions(engine, query, reference_rows, context)
     return kernel_shapes(engine, query)
+
+
+def check_both_directions(engine, query, reference_rows, context) -> None:
+    """The plan as written and its converse, each run on its own, answer
+    like the ground truth: ``run_query`` picks one per run by seed size."""
+    prepared = engine.prepare(query)
+    ctx = engine.index.columnar_context()
+    written = prepared.kernel_plan
+    for direction, planned in (
+        ("forward", columnar.ColumnarPlan(written.seed_condition, written.leaves)),
+        ("converse", written.converse),
+    ):
+        if planned is None:
+            continue
+        output, _rows, _merged = columnar._run(
+            ctx, planned, prepared.variables, prepared.mode, None
+        )
+        name = f"dataflow ({direction})"
+        if prepared.mode == "families":
+            check_families(name, output, prepared.variables, reference_rows, context)
+        else:
+            rows = output.as_set()
+            assert rows == reference_rows, (
+                f"{name} diverged from reference-point ({context}): "
+                f"only-in-{direction}={sorted(rows - reference_rows, key=repr)[:5]}, "
+                f"missing={sorted(reference_rows - rows, key=repr)[:5]}"
+            )
 
 
 class TestMatchLevelDifferential:
@@ -265,7 +300,8 @@ class TestMatchLevelDifferential:
             f"{ran['points']} point output, {ran['distributed']} distributed "
             f"alternations, {ran['fused']} fused, {ran['temporal-fused']} "
             f"temporal-fused, {ran['absorbed']} absorbed, "
-            f"{ran['unmerged']} unmerged in {BATCH_SIZE} cases"
+            f"{ran['unmerged']} unmerged, {ran['converse']} converse "
+            f"in {BATCH_SIZE} cases"
         )
 
     def test_seed_window_reaches_navigation_and_point_shapes(self):
@@ -284,13 +320,15 @@ class TestMatchLevelDifferential:
             and ran["temporal-fused"] >= BATCHES
             and ran["absorbed"] >= BATCHES
             and ran["unmerged"] >= BATCHES
+            and ran["converse"] >= BATCHES
         ), (
             f"seed window {SEED_OFFSET}: the kernel ran mid-chain navigation "
             f"{ran['mid-chain']}×, point output {ran['points']}×, distributed "
             f"alternations {ran['distributed']}×, structs with fused tests "
             f"{ran['fused']}×, temporal moves with fused tests "
-            f"{ran['temporal-fused']}×, absorbed tests {ran['absorbed']}× and unmerged "
-            f"node → edge moves {ran['unmerged']}× in {BATCHES * BATCH_SIZE} "
+            f"{ran['temporal-fused']}×, absorbed tests {ran['absorbed']}×, unmerged "
+            f"node → edge moves {ran['unmerged']}× and converse runs "
+            f"{ran['converse']}× in {BATCHES * BATCH_SIZE} "
             "cases — too few for the oracle to protect those shapes"
         )
 

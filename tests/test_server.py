@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dataflow import DataflowEngine
+from repro.dataflow import PAPER_QUERIES, DataflowEngine
 from repro.errors import ConnectionClosed, Overloaded, ReproError, ServerError
 from repro.model import contact_tracing_example
 from repro.model.io import save_json
@@ -132,6 +132,12 @@ class TestProtocol:
         spelled = normalize_query("MATCH   (x:Person)\n  ON contact_tracing")
         assert spelled == "MATCH (x:Person) ON contact_tracing"
         assert normalize_query("Q1") == spelled
+
+    def test_normalize_keeps_string_literals_and_trims_names(self):
+        two = normalize_query("MATCH (x {name = 'Ann  Lee'})   ON g")
+        assert two == "MATCH (x {name = 'Ann  Lee'}) ON g"
+        assert two != normalize_query("MATCH (x {name = 'Ann Lee'}) ON g")
+        assert normalize_query(" Q5 \n") == normalize_query("Q5")
 
     def test_encode_decode_roundtrip(self):
         message = {"op": "query", "id": 7, "query": "Q1"}
@@ -296,6 +302,38 @@ class TestGraphHost:
         assert first["server"]["plan"] == "miss"
         assert again["server"]["plan"] == "hit"
         assert again["result"]["families"] == first["result"]["families"]
+
+    def test_served_answers_keep_whitespace_in_literals(self):
+        # Two persons whose names differ only in inner whitespace: the
+        # served path must answer the literal as written.
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        batch = DeltaBatch(sequence=1)
+        for node, name in (("ann_two", "Ann  Lee"), ("ann_one", "Ann Lee")):
+            batch.add_node(node, "Person", [(2, 8)])
+            batch.set_property(node, "name", name, 2, 8)
+        host.apply_delta(batch.to_json_dict())
+        text = "MATCH (x:Person {name = 'Ann  Lee'}) ON contact_tracing"
+        expected = families_to_wire(DataflowEngine(host.graph).match_intervals(text))
+        assert "ann_two" in json.dumps(expected) and "ann_one" not in json.dumps(expected)
+        assert host.query(text)["result"]["families"] == expected
+        host.register(text, name="ann")
+        assert host.table("ann")["result"]["families"] == expected
+        other = text.replace("'Ann  Lee'", "'Ann Lee'")
+        assert host.query(other)["server"]["plan"] == "miss"
+
+    def test_padded_paper_query_names_resolve(self):
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        expected = families_to_wire(
+            DataflowEngine(host.graph).match_intervals(PAPER_QUERIES["Q5"].text)
+        )
+        assert host.query(" Q5 ")["result"]["families"] == expected
+        assert host.query("Q5")["server"]["plan"] == "hit"
+        assert host.register(" Q5 ")["result"]["name"] == "Q5"
+        assert host.table("Q5")["result"]["families"] == expected
 
     def test_plans_survive_a_delta_and_answer_the_mutated_graph(self):
         state = ServerState()

@@ -522,6 +522,28 @@ class TestStreamingEngine:
         assert second is not first
         assert session.table(name) is second
 
+    def test_direction_follows_the_graph(self):
+        """A plan registered once picks its direction per read: a delta
+        that makes Q11's far end common sends it back to the chain as
+        written, and the answer still equals a cold engine's."""
+        from repro.model import contact_tracing_example
+
+        graph = contact_tracing_example()
+        query = PAPER_QUERIES["Q11"].text
+        session = StreamingEngine(graph)
+        name = session.register(query)
+        plan = session._plan(name)
+        assert session.engine.explain(plan)["direction"] == "converse"
+        batch = DeltaBatch(sequence=1)
+        for node, end in (("n1", 9), ("n2", 9), ("n3", 7)):
+            batch.set_property(node, "test", "pos", 1, end)
+        session.apply(batch)
+        explained = session.engine.explain(plan)
+        assert explained["direction"] == "forward"
+        assert explained["seed_points"] == {"forward": 20, "converse": 26}
+        cold = DataflowEngine(from_json_dict(to_json_dict(graph)))
+        assert session.table(name).as_set() == cold.match(query).as_set()
+
     def test_kernel_sessions_agree(self):
         # The query kernel, reading the session's delta-maintained index
         # ad hoc, agrees with the session's registered answer and with

@@ -17,6 +17,9 @@ For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
   read *ad hoc*: after every batch the query runs unregistered on the
   maintained index, through the delta-patched ``ColumnarContext``, and
   must answer the same;
+* the registered plan also runs in each direction on its own — as
+  written and its converse (the kernel seeds from the end with fewer
+  points, which deltas may change) — and both must answer the same;
 * where the coalesced output is defined, the maintained families must
   also be canonical (one entry per binding tuple, nonempty coalesced
   times) and expand exactly to the cold rows — the interval-vs-point
@@ -46,6 +49,7 @@ from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
+from repro.perf import columnar
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 
 #: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches).
@@ -78,6 +82,31 @@ def check_intervals(name, session, query_name, variables, cold_rows, context) ->
         f"extra={sorted(expanded - cold_rows, key=repr)[:5]}, "
         f"missing={sorted(cold_rows - expanded, key=repr)[:5]}"
     )
+
+
+def check_directions(session, query_name, cold_rows, context) -> None:
+    """The registered plan as written and its converse, each run alone on
+    the session's delta-patched image, answer the cold rows."""
+    plan = session._plan(query_name)
+    ctx = session.engine.index.columnar_context()
+    written = plan.kernel_plan
+    for direction, planned in (
+        ("forward", columnar.ColumnarPlan(written.seed_condition, written.leaves)),
+        ("converse", written.converse),
+    ):
+        if planned is None:
+            continue
+        output, _rows, _merged = columnar._run(
+            ctx, planned, plan.variables, plan.mode, None
+        )
+        if plan.mode == "families":
+            rows = expand_match_families(output, plan.variables)
+        else:
+            rows = output.as_set()
+        assert rows == cold_rows, (
+            f"the registered plan's {direction} run diverged from cold "
+            f"evaluation ({context}): {len(rows)} vs {len(cold_rows)} rows"
+        )
 
 
 def check_durability(payload, query, batches, cold_rows, context, tmpdir) -> None:
@@ -158,6 +187,7 @@ def run_streaming_case(seed: int) -> None:
         check_intervals(
             "the session", session, name, cold_table.variables, cold_rows, context
         )
+        check_directions(session, name, cold_rows, context)
         assert adhoc.match(query).as_set() == cold_rows, (
             f"the ad-hoc read diverged from cold evaluation ({context})"
         )

@@ -7,9 +7,10 @@ into moves).  The kernel meets the landing conditions before it merges,
 and skips the merge of a node → edge move.  Three layers pin it:
 
 * **Plan shape** — on every paper query no test op follows a move and
-  no move carries an implied condition; ``explain()`` prints for Q1–Q12
-  the strings pinned below, and ``repro query --explain`` shows the
-  fused ops.
+  no move carries an implied condition; the planned ops of Q1–Q12, and
+  of the converses of Q5 and Q9–Q12, describe as the strings pinned
+  below, ``explain()`` describes the direction that runs, and ``repro
+  query --explain`` shows the fused ops.
 * **Fused op = old sequence** — on random graphs and random
   signature-unique frontiers, ``_op_struct`` with landing tests equals
   the bare move followed by one ``_op_test`` per condition.
@@ -131,13 +132,72 @@ PINNED_PLANS = {
 }
 
 
+#: The seed condition and ops of the converse the planner builds for
+#: the paper queries that run it on the benchmark graphs.
+_HIGH = "(Node AND :Person AND risk->'high' AND EXISTS)"
+_POS = "(Node AND test->'pos' AND EXISTS)"
+PINNED_CONVERSES = {
+    "Q5": (
+        _HIGH,
+        [
+            "bind y",
+            "struct B [(Edge AND :meets AND EXISTS)]",
+            "bind z",
+            "struct B [(Node AND :Person AND risk->'low' AND EXISTS)]",
+            "bind x",
+        ],
+    ),
+    "Q9": (
+        _POS,
+        [
+            "temporal N[0,_] converse [EXISTS]",
+            "struct B [(:meets AND EXISTS)]",
+            f"struct B [{_HIGH}]",
+            "bind x",
+        ],
+    ),
+    "Q10": (
+        _POS,
+        [
+            "temporal P[0,12] converse [EXISTS]",
+            "struct B [(:meets AND EXISTS)]",
+            f"struct B [{_HIGH}]",
+            "bind x",
+        ],
+    ),
+    "Q11": (
+        _POS,
+        [
+            "temporal N[0,12] converse [EXISTS]",
+            "struct F [(:visits AND EXISTS)]",
+            "struct F [(:Room AND EXISTS)]",
+            "struct B [(:visits AND EXISTS)]",
+            f"struct B [{_HIGH}]",
+            "bind x",
+        ],
+    ),
+    "Q12": (
+        _POS,
+        [
+            "temporal N[0,12] converse",
+            "alt (test EXISTS · struct B [(:meets AND EXISTS)] · struct B | "
+            "test EXISTS · struct F [(:visits AND EXISTS)] · struct F [(:Room AND EXISTS)] · "
+            "struct B [(:visits AND EXISTS)] · struct B)",
+            f"test {_HIGH}",
+            "bind x",
+        ],
+    ),
+}
+
+
 class TestPlanShape:
     def test_paper_queries_fold_their_landing_tests(self):
         engine = DataflowEngine(contact_tracing_example())
         for name, query in PAPER_QUERIES.items():
-            leaves = engine.prepare(query.text).kernel_plan.leaves
-            for ops in leaves:
-                _check_leaf(ops, name)
+            kernel_plan = engine.prepare(query.text).kernel_plan
+            for direction in (kernel_plan, kernel_plan.converse):
+                for ops in direction.leaves if direction is not None else ():
+                    _check_leaf(ops, name)
 
     def test_explain_reports_every_leaf(self):
         # A temporal alternation is distributed into two leaf chains;
@@ -155,8 +215,37 @@ class TestPlanShape:
     def test_paper_query_plans_are_pinned(self):
         engine = DataflowEngine(contact_tracing_example())
         for name, (leaves, ops) in PINNED_PLANS.items():
-            plan = engine.explain(PAPER_QUERIES[name].text)
-            assert (plan["leaves"], plan["ops"]) == (leaves, ops), name
+            planned = engine.prepare(PAPER_QUERIES[name].text).kernel_plan.leaves
+            described = columnar.describe_ops(next(iter(planned)))
+            assert (planned.count, described) == (leaves, ops), name
+
+    def test_paper_query_converses_are_pinned(self):
+        # Q1–Q4 have no move to reverse; Q6–Q8 have a converse that the
+        # benchmark graphs never pick (their forward seed is rarer).
+        engine = DataflowEngine(contact_tracing_example())
+        for name, query in PAPER_QUERIES.items():
+            converse = engine.prepare(query.text).kernel_plan.converse
+            if name in ("Q1", "Q2", "Q3", "Q4"):
+                assert converse is None, name
+                continue
+            assert converse is not None, name
+            if name in PINNED_CONVERSES:
+                described = columnar.describe_ops(next(iter(converse.leaves)))
+                assert (repr(converse.seed_condition), described) == (
+                    PINNED_CONVERSES[name]
+                ), name
+
+    def test_explain_describes_the_direction_that_runs(self):
+        engine = DataflowEngine(contact_tracing_example())
+        for name in ("Q5", "Q6", "Q11"):
+            query = PAPER_QUERIES[name].text
+            plan = engine.explain(query)
+            kernel_plan = engine.prepare(query).kernel_plan
+            points = plan["seed_points"]
+            converse = points["converse"] < points["forward"]
+            assert plan["direction"] == ("converse" if converse else "forward")
+            ran = kernel_plan.converse if converse else kernel_plan
+            assert plan["ops"] == columnar.describe_ops(next(iter(ran.leaves))), name
 
     def test_cli_prints_one_line_per_op(self, capsys):
         from repro.cli import main
@@ -164,6 +253,9 @@ class TestPlanShape:
         assert main(["query", "Q11", "--explain"]) == 0
         out = capsys.readouterr().out
         assert "# plan: op struct B [(:visits AND EXISTS)]\n" in out
+        # One test-positive point on the Figure-1 graph against 20
+        # high-risk ones: Q11 seeds from its far end.
+        assert "# plan: direction=converse, seed points 1 (forward 20)\n" in out
         assert "1 leaf chain(s)" in out
 
     def test_absorb_keeps_the_strongest_of_a_run(self):
