@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,7 +64,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (``--snapshot-every``)."""
+    """argparse type: an integer >= 1 (``--max-concurrency``, ``--plan-cache``)."""
     try:
         value = int(text)
     except ValueError:
@@ -175,29 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot",
         default=None,
         metavar="PATH",
-        help="with --stream: periodically write an atomic engine snapshot "
-        "to PATH (see --snapshot-every)",
-    )
-    query.add_argument(
-        "--snapshot-every",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="snapshot after every N applied batches (default 1; "
-        "requires --snapshot)",
+        help="with --stream and --wal: write a checkpoint (a repro-index "
+        "artifact plus the session) to PATH before the first batch and "
+        "after the last; 'repro recover' restarts from it plus the WAL tail",
     )
 
     recover = sub.add_parser(
         "recover",
-        help="rebuild a streaming session from a snapshot plus WAL tail",
+        help="rebuild a streaming session from a checkpoint plus WAL tail",
     )
-    recover.add_argument("--snapshot", required=True, help="snapshot JSON path")
+    recover.add_argument(
+        "--snapshot", required=True, help="checkpoint (repro-index artifact) path"
+    )
     recover.add_argument(
         "--wal",
         default=None,
         metavar="PATH",
-        help="delta WAL to replay on top of the snapshot (records already "
-        "captured by the snapshot are skipped; a torn final record is "
+        help="delta WAL to replay on top of the checkpoint (records already "
+        "captured by the checkpoint are skipped; a torn final record is "
         "dropped and reported)",
     )
     recover.add_argument(
@@ -241,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="attach a compiled repro-index artifact as the resident graph "
         "instead of loading --graph; restarts skip index compilation "
-        "(an existing --snapshot still wins)",
+        "(an existing --snapshot checkpoint still wins)",
     )
     serve.add_argument(
         "--name",
@@ -279,17 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot",
         default=None,
         metavar="PATH",
-        help="periodically write an atomic session snapshot; on restart "
-        "an existing snapshot (plus the WAL tail) is recovered instead of "
-        "re-loading --graph",
-    )
-    serve.add_argument(
-        "--snapshot-every",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="snapshot after every N applied batches (default 1; "
-        "requires --snapshot)",
+        help="with --wal: write a checkpoint (a repro-index artifact plus "
+        "the session) to PATH on shutdown; on restart an existing "
+        "checkpoint plus the WAL tail is recovered instead of re-loading "
+        "--graph",
     )
     serve.add_argument(
         "--register",
@@ -475,7 +464,6 @@ def _run_stream(
     path: str,
     wal: Optional[str] = None,
     snapshot: Optional[str] = None,
-    snapshot_every: int = 1,
 ) -> None:
     """The --stream loop: apply each batch, report the output drift.
 
@@ -484,11 +472,13 @@ def _run_stream(
     out-of-order sequence) are re-raised as
     :class:`~repro.errors.StreamFormatError` with the file/line/sequence
     context attached — the engine state stays exactly as the last good
-    batch left it.  With ``wal`` / ``snapshot``, applied batches are
-    durably logged and the session periodically checkpointed, so a crash
-    mid-stream is recoverable via ``repro recover``.
+    batch left it.  With ``wal``, applied batches are durably logged;
+    ``snapshot`` checkpoints the session after registration and after the
+    last batch, so a crash mid-stream recovers (``repro recover``) as that
+    first checkpoint plus the WAL.
     """
     from repro.errors import StreamFormatError
+    from repro.resilience import write_snapshot
     from repro.streaming import StreamingEngine
     from repro.streaming.reader import read_delta_stream
 
@@ -499,10 +489,10 @@ def _run_stream(
         session.attach_wal(wal)
     try:
         if snapshot is not None:
-            session.configure_snapshots(snapshot, every=snapshot_every)
-        durability = (
-            f", wal {wal}" if wal else ""
-        ) + (f", snapshots {snapshot} (every {snapshot_every})" if snapshot else "")
+            write_snapshot(session, snapshot)
+        durability = (f", wal {wal}" if wal else "") + (
+            f", checkpoint {snapshot}" if snapshot else ""
+        )
         print(f"# stream: initial graph {engine.graph}, output size {size}{durability}")
         batch_number = 0
         for number, batch in read_delta_stream(path):
@@ -531,9 +521,17 @@ def _run_stream(
             size = new_size
         if session.wal is not None:
             session.wal.sync()
+        if snapshot is not None:
+            write_snapshot(session, snapshot)
     finally:  # a rejected batch included
         if session.wal is not None:
             session.wal.close()
+
+
+_SNAPSHOT_NEEDS_WAL = (
+    "error: --snapshot requires --wal (the WAL holds every applied batch; "
+    "a checkpoint only shortens the restart)"
+)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -565,8 +563,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.snapshot_every is not None and not args.snapshot:
-        print("error: --snapshot-every requires --snapshot", file=sys.stderr)
+    if args.snapshot and not args.wal:
+        print(_SNAPSHOT_NEEDS_WAL, file=sys.stderr)
         return 2
     if args.store is not None:
         from repro.store import attach
@@ -588,7 +586,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     args.stream,
                     wal=args.wal,
                     snapshot=args.snapshot,
-                    snapshot_every=args.snapshot_every or 1,
                 )
             except ValueError as error:
                 print(f"error: {error}", file=sys.stderr)
@@ -634,7 +631,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    """Rebuild a streaming session from snapshot + WAL and report on it."""
+    """Rebuild a streaming session from a checkpoint + WAL and report on it."""
     from repro.resilience import recover
 
     session, report = recover(args.snapshot, args.wal)
@@ -657,8 +654,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the always-on query service until a shutdown request."""
     # The same flag contract as 'query': contradictory combinations are
     # rejected up front with an actionable message.
-    if args.snapshot_every is not None and not args.snapshot:
-        print("error: --snapshot-every requires --snapshot", file=sys.stderr)
+    if args.snapshot is not None and args.wal is None:
+        print(_SNAPSHOT_NEEDS_WAL, file=sys.stderr)
         return 2
     if args.store is not None and args.graph is not None:
         print(
@@ -697,7 +694,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.graph,
         wal=args.wal,
         snapshot=args.snapshot,
-        snapshot_every=args.snapshot_every or 1,
         store=args.store,
     )
     if recovery is not None:
@@ -785,13 +781,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``repro query … | head``).  Python's
+        # recipe: point stdout at devnull, so the flush at exit cannot
+        # fail again, and exit 1 quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

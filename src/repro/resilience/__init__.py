@@ -10,10 +10,11 @@ pillar is woven through the existing subsystems rather than bolted on:
   schedule :class:`RetryPolicy` that the failover client
   (:class:`~repro.server.client.ServerClient`) re-sends under;
 * :mod:`repro.resilience.wal` / :mod:`repro.resilience.snapshot` —
-  durable streaming state: a checksummed JSONL delta WAL plus atomic
-  engine snapshots, with ``recover()`` = snapshot + idempotent WAL-tail
-  replay (CLI: ``query --stream --wal/--snapshot-every``, ``repro
-  recover``);
+  durable streaming state: a checksummed, fsynced JSONL delta WAL (the
+  durability) plus checkpoints — ``repro-index/1`` store artifacts with
+  a ``session`` header record (the restart speed) — with ``recover()`` =
+  attach + idempotent WAL-tail replay (CLI: ``query --stream --wal
+  --snapshot``, ``repro recover``);
 * :mod:`repro.resilience.failpoints` — the deterministic, cross-process
   fault-injection registry the chaos suite drives (slow or failing
   kernel steps, torn WAL writes, malformed deltas, a primary killed
@@ -34,7 +35,6 @@ from repro.resilience.failpoints import (
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.snapshot import (
     RecoveryReport,
-    load_snapshot,
     recover,
     write_snapshot,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "disarm_all",
     "fire",
     "hits",
-    "load_snapshot",
     "record_frame",
     "recover",
     "scan_wal",

@@ -1,52 +1,53 @@
-"""Streaming-state snapshots and crash recovery.
+"""Checkpoints and crash recovery.
 
-A snapshot is a self-contained JSON document capturing everything a
-:class:`~repro.streaming.engine.StreamingEngine` needs to resume:
+Durability lives in the fsynced delta WAL (:mod:`repro.resilience.wal`):
+every applied batch is on disk before its apply returns.  A checkpoint
+only makes a restart short.  It is a ``repro-index/1`` store artifact
+(:func:`repro.store.compile_graph`) whose header carries a ``session``
+record:
 
-* the materialized graph (the :mod:`repro.model.io` JSON format);
 * the stream position (last applied batch ``sequence``), the WAL
-  position (last applied WAL record ``seq``) and the session ``epoch``;
+  position (last applied WAL record ``wal_seq``) and the session
+  ``epoch``;
 * the registered queries (name + MATCH text).
 
-Recovery composes the two durability halves::
+Recovery is one boot path — attach, then the WAL tail::
 
-    session, report = recover("snap.json", "deltas.wal")
+    session, report = recover("state.rix", "deltas.wal")
 
-loads the snapshot, re-registers its queries (plans only: answers are
-*not* serialized — they are a pure function of graph + query, computed
-on the first read), then **idempotently replays the WAL tail** (:func:`replay_wal`,
-also the WAL-only restart of a server host): records at or below the
-session's WAL position are skipped, the rest are re-applied in order.
-A torn final WAL record — the signature of a crash mid-append — is
-tolerated and reported; corruption before the tail refuses recovery
+attaches the artifact (:func:`repro.store.attach`, no body decoded),
+restores the positions, re-registers its queries (plans only: answers
+are a pure function of graph + query, computed on the first read), then
+**idempotently replays the WAL tail** (:func:`replay_wal`, also the
+WAL-only restart of a server host): records at or below the session's
+WAL position are skipped, the rest are re-applied in order.  An artifact
+without a ``session`` record (a plain ``repro compile`` output) restores
+as epoch 0 at WAL position 0 with no queries.  A torn final WAL record —
+the signature of a crash mid-append — is tolerated and reported;
+corruption before the tail refuses recovery
 (:class:`~repro.errors.WALCorruptError`).  :func:`restore` does the same
-into a session the caller built (a server host keeps its own engine).
+into a session the caller built over the attached graph (a server host
+keeps its own engine).
 
-Snapshots are written atomically (temp file + ``os.replace``) and
-durably (the temp file is fsync'd before the rename, the containing
-directory after it), so a crash during a snapshot — process death *or*
-power loss — leaves the previous snapshot intact and readable.
+A checkpoint is written like every artifact: temp file, fsync,
+``os.replace``, directory fsync — so a crash mid-checkpoint leaves the
+previous checkpoint intact and readable.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.errors import WALError
-from repro.model.io import from_json_dict, to_json_dict
-from repro.resilience.wal import fsync_dir, scan_wal
+from repro.errors import StoreFormatError, WALError
+from repro.resilience.wal import scan_wal
 
 if TYPE_CHECKING:  # import cycle: streaming.engine reaches back here
+    from repro.store import Attachment
     from repro.streaming.engine import StreamingEngine
 
 PathLike = Union[str, Path]
-
-#: Format marker embedded in (and required of) every snapshot document.
-SNAPSHOT_FORMAT = "repro-snapshot/1"
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,12 @@ class RecoveryReport:
 
     snapshot_path: str
     wal_path: Optional[str]
-    #: Stream position restored from the snapshot.
+    #: Stream position restored from the checkpoint.
     snapshot_sequence: Optional[int]
     snapshot_wal_seq: int
-    #: WAL records skipped as already captured by the snapshot.
+    #: WAL records skipped as already captured by the checkpoint.
     skipped: int
-    #: WAL records replayed on top of the snapshot.
+    #: WAL records replayed on top of the checkpoint.
     replayed: int
     torn_tail: bool
     queries: tuple[str, ...]
@@ -83,57 +84,58 @@ class RecoveryReport:
             f"recovered from {self.snapshot_path} "
             f"(wal position {self.snapshot_wal_seq}): "
             f"{self.replayed} WAL record(s) replayed, {self.skipped} already "
-            f"in the snapshot{torn}; {len(self.queries)} quer(y/ies) registered"
+            f"in the checkpoint{torn}; {len(self.queries)} quer(y/ies) registered"
         )
 
 
 def write_snapshot(session: StreamingEngine, path: PathLike) -> dict:
-    """Atomically write a snapshot of ``session`` to ``path``.
+    """Atomically write a checkpoint of ``session`` to ``path``.
 
-    Returns the document's metadata (everything but the graph payload).
+    Returns the ``session`` record stored in the artifact's header.
     """
-    path = str(path)
+    from repro.store import compile_graph
+
     queries = []
     for name in session.query_names():
         text = session.query_text(name)
         if text is None:
             raise WALError(
                 f"query {name!r} was registered from a compiled object whose "
-                "MATCH text is unknown; snapshots need the text to re-register "
-                "it on recovery"
+                "MATCH text is unknown; checkpoints need the text to "
+                "re-register it on recovery"
             )
         queries.append({"name": name, "text": text})
-    document = {
-        "format": SNAPSHOT_FORMAT,
+    record = {
         "sequence": session.last_sequence,
         "wal_seq": session.wal_seq,
         "epoch": session.epoch,
         "queries": queries,
-        "graph": to_json_dict(session.graph),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    # The rename is atomic but not durable until the directory entry
-    # reaches the disk: without this a power cut can resurrect the old
-    # snapshot — or leave none at all if it was the first.
-    fsync_dir(path)
-    return {key: value for key, value in document.items() if key != "graph"}
+    compile_graph(session.graph, str(path), session=record)
+    return record
 
 
-def load_snapshot(path: PathLike) -> dict:
-    """Read and validate a snapshot document (raises on format mismatch)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != SNAPSHOT_FORMAT:
-        raise WALError(
-            f"{path}: not a streaming snapshot "
-            f"(format {document.get('format')!r}, expected {SNAPSHOT_FORMAT!r})"
-        )
-    return document
+def attach_checkpoint(path: PathLike) -> Attachment:
+    """:func:`repro.store.attach`, naming the fix for a legacy JSON snapshot."""
+    from repro.store import attach
+
+    path = str(path)
+    try:
+        return attach(path)
+    except StoreFormatError as error:
+        try:
+            with open(path, "rb") as handle:
+                legacy = b"repro-snapshot/1" in handle.read(256)
+        except OSError:
+            legacy = False
+        if not legacy:
+            raise error
+        raise StoreFormatError(
+            f"{path}: a legacy JSON snapshot (repro-snapshot/1); checkpoints "
+            "are repro-index artifacts now. Delete the file: the host then "
+            "restarts from --graph/--store plus the full WAL",
+            path=path,
+        ) from None
 
 
 def recover(
@@ -142,50 +144,49 @@ def recover(
     *,
     queries: Optional[dict] = None,
 ) -> tuple[StreamingEngine, RecoveryReport]:
-    """Rebuild a streaming session: load snapshot, replay the WAL tail.
+    """Rebuild a streaming session: attach the checkpoint, replay the WAL tail.
 
     Replay is idempotent by WAL position: records with ``seq`` at or
-    below the snapshot's recorded position are skipped (the snapshot
-    already contains their effects), so recovering from any snapshot
+    below the checkpoint's recorded position are skipped (the checkpoint
+    already contains their effects), so recovering from any checkpoint
     along the stream converges to the same state.  The recovered
     session's WAL position advances past the replayed records, so a
     subsequent :func:`write_snapshot` + WAL reattachment resumes cleanly.
 
     ``queries`` optionally maps a registered name to the query object to
-    re-register under that name, overriding the snapshot's stored MATCH
+    re-register under that name, overriding the checkpoint's stored MATCH
     text — the escape hatch for sessions whose queries were constructed
     programmatically (a :class:`~repro.lang.parser.MatchQuery` built by
     hand has no parseable text to replay).
     """
     from repro.streaming.engine import StreamingEngine
 
-    document = load_snapshot(snapshot_path)
-    session = StreamingEngine(from_json_dict(document["graph"]))
-    report = restore(session, document, snapshot_path, wal_path, queries=queries)
+    attachment = attach_checkpoint(snapshot_path)
+    session = StreamingEngine(attachment.graph)
+    report = restore(session, attachment, wal_path, queries=queries)
     return session, report
 
 
 def restore(
     session: StreamingEngine,
-    document: dict,
-    snapshot_path: PathLike,
+    attachment: Attachment,
     wal_path: Optional[PathLike] = None,
     *,
     queries: Optional[dict] = None,
 ) -> RecoveryReport:
     """The body of :func:`recover`, into a fresh ``session`` over the
-    document's graph: restore the positions and the epoch (a document
-    without ``epoch`` resumes at its WAL position), register the queries
-    once, replay the WAL tail."""
-    wal_seq = int(document.get("wal_seq", 0))
+    attached graph: restore the positions and the epoch from the header's
+    ``session`` record, register the queries once, replay the WAL tail."""
+    record = attachment.meta.get("session") or {}
+    wal_seq = int(record.get("wal_seq", 0))
     session.restore_positions(
-        last_sequence=document.get("sequence"),
+        last_sequence=record.get("sequence"),
         wal_seq=wal_seq,
-        epoch=int(document.get("epoch", wal_seq)),
+        epoch=int(record.get("epoch", 0)),
     )
     names = []
     overrides = queries or {}
-    for entry in document.get("queries", ()):
+    for entry in record.get("queries", ()):
         name = entry["name"]
         session.register(overrides.get(name, entry["text"]), name=name)
         names.append(name)
@@ -194,9 +195,9 @@ def restore(
     if wal_path is not None:
         skipped, replayed, torn = replay_wal(session, wal_path)
     return RecoveryReport(
-        snapshot_path=str(snapshot_path),
+        snapshot_path=attachment.path,
         wal_path=None if wal_path is None else str(wal_path),
-        snapshot_sequence=document.get("sequence"),
+        snapshot_sequence=record.get("sequence"),
         snapshot_wal_seq=wal_seq,
         skipped=skipped,
         replayed=replayed,

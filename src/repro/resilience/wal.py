@@ -1,7 +1,7 @@
 """Append-only delta write-ahead log (WAL): checksummed JSONL batches.
 
-Durability half one of the streaming runtime (snapshots are the other —
-:mod:`repro.resilience.snapshot`).  Every applied
+The durability of the streaming runtime (checkpoints,
+:mod:`repro.resilience.snapshot`, only make restarts short).  Every applied
 :class:`~repro.streaming.delta.DeltaBatch` is appended as one JSON line::
 
     {"seq": 7, "crc": 2839103841, "batch": {...}}
@@ -41,26 +41,6 @@ from repro.resilience import failpoints
 from repro.streaming.delta import DeltaBatch
 
 PathLike = Union[str, Path]
-
-
-def fsync_dir(path: PathLike) -> None:
-    """fsync the directory containing ``path`` (durability of renames/creates).
-
-    An fsync'd file whose *directory entry* never reached the disk is
-    still lost on power cut; POSIX requires syncing the parent directory
-    to persist a create, truncate or ``os.replace``.  Platforms without
-    directory file descriptors (Windows) silently skip — there the
-    rename itself is the strongest primitive available.
-    """
-    parent = os.path.dirname(os.path.abspath(str(path)))
-    try:
-        fd = os.open(parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _encode_batch(payload: dict) -> str:
@@ -242,7 +222,10 @@ class DeltaWAL:
         self._handle = open(self._path, "a", encoding="utf-8")
         if self._fsync and not existed:
             # The log file itself must survive a power cut, not just its
-            # records: persist the directory entry of a fresh WAL.
+            # records: persist the directory entry of a fresh WAL.  (Imported
+            # here so that booting with a WAL does not load the store.)
+            from repro.store.format import fsync_dir
+
             fsync_dir(self._path)
 
     @property

@@ -42,9 +42,10 @@ Shutdown is a *drain*, whatever triggers it (``shutdown`` op, SIGTERM,
 SIGINT, :meth:`QueryServer.request_drain`): the listener closes first,
 in-flight requests finish and their responses reach the socket within
 ``drain_timeout``, subscribed standbys get a ``close`` frame (their cue
-to promote immediately), a final snapshot is written for every host
-configured with one, and only then do connections, executor and pools
-tear down.  Status reads ``draining`` throughout, and the cheap
+to promote immediately), and only then do connections and the executor
+tear down; closing the state last writes every host's checkpoint
+(:meth:`~repro.server.state.GraphHost.close`).  Status reads
+``draining`` throughout, and the cheap
 ``health`` op reports ``recovering | ready | draining | standby`` for
 orchestrators and failover clients.
 """
@@ -227,10 +228,8 @@ class QueryServer:
         await self.replication.close_all(self._drain_reason or "shutdown")
         if self._standby is not None:
             await self._standby.stop()
-        # 4. Final snapshot: the drained state restarts in O(snapshot)
-        #    instead of O(WAL replay).
-        await loop.run_in_executor(None, self._final_snapshots)
-        # 5. Now the sockets can go.
+        # 4. Now the sockets can go; closing the state writes each host's
+        #    checkpoint, so the drained state restarts as attach + tail.
         for writer in list(self._connections):
             writer.close()
         if self._server is not None:
@@ -238,14 +237,6 @@ class QueryServer:
             self._server = None
         self._executor.shutdown(wait=True)
         self.state.close()
-
-    def _final_snapshots(self) -> None:
-        for host in self.state.hosts.values():
-            if getattr(host.session, "_snapshot_path", None) is not None:
-                try:
-                    host.session.snapshot()
-                except Exception:  # noqa: BLE001 — drain must not hang on disk
-                    pass
 
     # ------------------------------------------------------------------ #
     # Connection handling

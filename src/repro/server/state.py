@@ -12,8 +12,9 @@ graph:
 * a :class:`~repro.streaming.engine.StreamingEngine` session driving the
   same engine: it applies deltas, answers registered queries from their
   cached plans (one kernel run per query per epoch, on the first read),
-  and (with an attached WAL / snapshot path) makes the resident state
-  recoverable across restarts.
+  and (with an attached WAL) makes the resident state recoverable across
+  restarts; a checkpoint path (:meth:`GraphHost.checkpoint`, written on
+  :meth:`GraphHost.close`) makes the restart short.
 
 Consistency model: the host lock is the session's
 :class:`~repro.streaming.lock.SharedLock`.  Reads — :meth:`GraphHost.query`,
@@ -54,6 +55,7 @@ and lists; a registered query's next epoch gets a new table).
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from typing import Optional
@@ -62,12 +64,19 @@ from repro.dataflow.executor import DataflowEngine, MatchResult
 from repro.errors import EvaluationError, ServerError
 from repro.eval.bindings import IntervalBindingTable
 from repro.model import contact_tracing_example, graph_statistics
-from repro.model.io import from_json_dict, load_json
-from repro.resilience.snapshot import load_snapshot, replay_wal, restore
+from repro.model.io import load_json
+from repro.resilience.snapshot import (
+    attach_checkpoint,
+    replay_wal,
+    restore,
+    write_snapshot,
+)
 from repro.server.plans import PlanCache
 from repro.server.protocol import encode_families, encode_rows, normalize_query
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.engine import StreamingEngine
+
+_log = logging.getLogger("repro.server")
 
 
 class GraphHost:
@@ -80,8 +89,6 @@ class GraphHost:
         *,
         plans: Optional[PlanCache] = None,
         wal: Optional[str] = None,
-        snapshot: Optional[str] = None,
-        snapshot_every: int = 1,
         wal_fsync: bool = True,
     ) -> None:
         self.name = name
@@ -100,10 +107,10 @@ class GraphHost:
         #: when a continuously-answered query is registered, so standbys
         #: mirror the registered set (registrations are not WAL records).
         self.on_registered: list = []
+        #: Where :meth:`checkpoint` writes (``from_files``'s ``snapshot``).
+        self.checkpoint_path: Optional[str] = None
         if wal is not None:
             self.session.attach_wal(wal, fsync=wal_fsync)
-        if snapshot is not None:
-            self.session.configure_snapshots(snapshot, every=snapshot_every)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -116,48 +123,44 @@ class GraphHost:
         *,
         wal: Optional[str] = None,
         snapshot: Optional[str] = None,
-        snapshot_every: int = 1,
         store: Optional[str] = None,
         **config,
     ) -> tuple["GraphHost", Optional[dict]]:
         """Build a host, recovering from ``snapshot`` + ``wal`` when present.
 
-        Recovery-on-restart semantics: an existing snapshot wins over
-        both ``store`` and ``graph_path`` — the snapshot graph plus the
-        WAL tail *is* the state the previous process durably reached,
-        and the host's own session is the one recovery restores: its
-        queries registered once, its epoch where the previous process
-        left it, so continuous answers resume where they left off.
-        Otherwise a ``store`` (compiled ``repro-index`` artifact, see
-        :func:`repro.store.attach`) is attached in O(1) instead of
-        loading + recompiling ``graph_path`` — the restart skips index
-        compilation entirely, and a WAL tail still replays on top
-        (materializing the attached graph and patching the index in
-        place).  Either way the WAL and snapshot attach only after the
-        replay, so replayed batches are not logged a second time.
-        Returns ``(host, recovery_report_dict | None)``.
+        Recovery-on-restart semantics: the boot source is the checkpoint
+        ``snapshot`` if it exists, else the compiled ``store``, and either
+        boots the same way (:func:`~repro.resilience.snapshot.restore`):
+        attach the artifact in O(1), restore the positions, epoch and
+        registered queries of its ``session`` record (a plain compiled
+        store has none: epoch 0, WAL position 0), then replay the WAL
+        tail (materializing the attached graph and patching the index in
+        place).  The checkpoint plus the WAL tail *is* the state the
+        previous process durably reached, so continuous answers resume
+        where they left off.  Without either, ``graph_path`` (or the
+        Figure-1 example) is loaded and the whole WAL replayed.  The WAL
+        attaches only after the replay, so replayed batches are not
+        logged a second time; :meth:`checkpoint` and :meth:`close` write
+        to ``snapshot``.  Returns ``(host, recovery_report_dict | None)``,
+        the report only when a checkpoint was the source.
         """
         recovery = None
-        if snapshot is not None and os.path.exists(snapshot):
-            document = load_snapshot(snapshot)
-            host = cls(name, from_json_dict(document["graph"]), **config)
-            recovery = restore(host.session, document, snapshot, wal).to_dict()
+        resumed = snapshot is not None and os.path.exists(snapshot)
+        source = snapshot if resumed else store
+        if source is not None:
+            attachment = attach_checkpoint(source)
+            host = cls(name, attachment.graph, **config)
+            report = restore(host.session, attachment, wal)
+            if resumed:
+                recovery = report.to_dict()
         else:
-            if store is not None:
-                from repro.store import attach
-
-                graph = attach(store).graph
-            elif graph_path is None:
-                graph = contact_tracing_example()
-            else:
-                graph = load_json(graph_path)
+            graph = contact_tracing_example() if graph_path is None else load_json(graph_path)
             host = cls(name, graph, **config)
             if wal is not None:
                 replay_wal(host.session, wal)
         if wal is not None:
             host.session.attach_wal(wal)
-        if snapshot is not None:
-            host.session.configure_snapshots(snapshot, every=snapshot_every)
+        host.checkpoint_path = snapshot
         return host, recovery
 
     # ------------------------------------------------------------------ #
@@ -314,10 +317,29 @@ class GraphHost:
                 "last_sequence": self.session.last_sequence,
             }
 
+    def checkpoint(self) -> Optional[dict]:
+        """Write the checkpoint (an artifact with the session record) to
+        :attr:`checkpoint_path`; returns that record, ``None`` without a
+        path.  Writers wait meanwhile; readers do not."""
+        if self.checkpoint_path is None:
+            return None
+        with self.lock.shared():
+            return write_snapshot(self.session, self.checkpoint_path)
+
     def close(self) -> None:
-        wal = self.session.wal
-        if wal is not None:
-            wal.close()
+        """Write the checkpoint, then close the WAL.  A failed checkpoint
+        is logged, not raised: the WAL still holds every batch, and the
+        other hosts must close too."""
+        try:
+            self.checkpoint()
+        except Exception:  # noqa: BLE001 — the WAL is the durability
+            _log.exception(
+                "graph %r: checkpoint to %s failed", self.name, self.checkpoint_path
+            )
+        finally:
+            wal = self.session.wal
+            if wal is not None:
+                wal.close()
 
     @staticmethod
     def _table_payload(table, limit: Optional[int]) -> dict:
@@ -353,12 +375,12 @@ class ServerState:
         *,
         wal: Optional[str] = None,
         snapshot: Optional[str] = None,
-        snapshot_every: int = 1,
         store: Optional[str] = None,
     ) -> Optional[dict]:
         """Load (or recover) a graph under ``name``; returns the recovery
-        report when a snapshot/WAL restart path was taken.  ``store``
-        attaches a compiled artifact instead of loading ``graph_path``."""
+        report when the checkpoint ``snapshot`` was the boot source.
+        ``store`` attaches a compiled artifact instead of loading
+        ``graph_path``."""
         if name in self.hosts:
             raise ServerError(f"graph {name!r} is already resident", kind="ServerError")
         host, recovery = GraphHost.from_files(
@@ -366,7 +388,6 @@ class ServerState:
             graph_path,
             wal=wal,
             snapshot=snapshot,
-            snapshot_every=snapshot_every,
             store=store,
             plans=PlanCache(self.plan_capacity),
         )

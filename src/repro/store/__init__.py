@@ -15,7 +15,11 @@ package makes the graph a *persistent, shareable* artifact instead:
   share page cache instead of holding private copies
   (:mod:`repro.store.artifact`);
 * :func:`repro.server.state.GraphHost.from_files` accepts a store and
-  attaches on restart instead of recompiling.
+  attaches on restart instead of recompiling;
+* a checkpoint (:func:`repro.resilience.write_snapshot`) is such an
+  artifact whose header ``meta`` carries a ``session`` record (stream
+  and WAL positions, epoch, registered queries): the one persistent
+  graph format, and every restart is attach + the WAL tail.
 
 Format invariants (``repro-index/1``) — the contract every reader and
 writer in this package maintains:

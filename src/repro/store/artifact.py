@@ -133,14 +133,19 @@ def _data_sections(index: GraphIndex, graph: IntervalTPG) -> dict[str, bytes]:
 # --------------------------------------------------------------------- #
 # Compile
 # --------------------------------------------------------------------- #
-def compile_graph(graph: IntervalTPG, path: str) -> dict:
+def compile_graph(
+    graph: IntervalTPG, path: str, *, session: Optional[dict] = None
+) -> dict:
     """Write ``graph`` and its index's buckets to the artifact ``path``.
 
     Returns a report with the artifact's ``path``, its per-compile
     ``token``, the ``objects`` and ``nodes`` counts and its size in
     ``bytes``.  Everything is read from the graph as it is now, so the
     artifact reflects every delta batch already applied — compiling is
-    always safe after streaming maintenance.
+    always safe after streaming maintenance.  ``session`` (a checkpoint's
+    ``{sequence, wal_seq, epoch, queries}``, see
+    :func:`repro.resilience.write_snapshot`) is stored as the header's
+    ``meta["session"]``.
     """
     index = graph_index_for(graph)
     source = index.graph  # the IntervalTPG (post tpg conversion / materialization)
@@ -154,6 +159,8 @@ def compile_graph(graph: IntervalTPG, path: str) -> dict:
         "num_nodes": len(index.nodes()),
         "kind": "index",
     }
+    if session is not None:
+        meta["session"] = session
     report = write_artifact(path, sections, meta)
     return {
         "path": path,
@@ -190,6 +197,7 @@ class AttachedCore:
                 f"{artifact.path}: artifact metadata is missing required keys",
                 path=artifact.path,
             ) from exc
+        self.meta: dict = meta
         self.domain = Interval(int(domain[0]), int(domain[1]))
         self.objects: tuple[ObjectId, ...] = pickle.loads(artifact.section("objects"))
         if len(self.objects) != declared:
@@ -503,9 +511,10 @@ class AttachedGraph:
 # Attach
 # --------------------------------------------------------------------- #
 class Attachment:
-    """One attached artifact: the proxy graph, its index, and the handles."""
+    """One attached artifact: the proxy graph, its index, the handles and
+    the header ``meta`` (a checkpoint's ``session`` record lives there)."""
 
-    __slots__ = ("graph", "index", "core", "token", "path")
+    __slots__ = ("graph", "index", "core", "token", "path", "meta")
 
     def __init__(
         self, graph: AttachedGraph, index: GraphIndex, core: AttachedCore, path: str
@@ -515,6 +524,7 @@ class Attachment:
         self.core = core
         self.token = core.token
         self.path = path
+        self.meta = core.meta
 
     def verify(self) -> None:
         self.core.verify()

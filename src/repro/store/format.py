@@ -83,7 +83,7 @@ def write_artifact(
         except OSError:
             pass
         raise
-    _fsync_dir(os.path.dirname(os.path.abspath(path)))
+    fsync_dir(path)
     return {
         "path": path,
         "bytes": _FIXED.size + len(header) + offset,
@@ -91,11 +91,19 @@ def write_artifact(
     }
 
 
-def _fsync_dir(directory: str) -> None:
-    """Make the rename durable (same discipline as the snapshot writer)."""
+def fsync_dir(path) -> None:
+    """fsync the directory containing ``path`` (durability of renames/creates).
+
+    An fsync'd file whose *directory entry* never reached the disk is
+    still lost on power cut; POSIX requires syncing the parent directory
+    to persist a create, truncate or ``os.replace``.  Platforms without
+    directory file descriptors (Windows) silently skip — there the
+    rename itself is the strongest primitive available.
+    """
+    parent = os.path.dirname(os.path.abspath(str(path)))
     try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
+        fd = os.open(parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
         os.fsync(fd)

@@ -94,12 +94,9 @@ class StreamingEngine:
         #: +1 per applied batch: labels which graph state an answer
         #: belongs to; a cached answer is valid for one epoch.
         self._epoch = 0
-        #: Durability state (``attach_wal`` / ``configure_snapshots``).
+        #: Durability state (``attach_wal``).
         self._wal = None
         self._wal_seq = 0
-        self._snapshot_path: Optional[str] = None
-        self._snapshot_every: Optional[int] = None
-        self._applies_since_snapshot = 0
 
     @property
     def graph(self) -> IntervalTPG:
@@ -157,32 +154,13 @@ class StreamingEngine:
         self._wal = wal
         self._wal_seq = max(self._wal_seq, wal.last_seq)
 
-    def configure_snapshots(self, path: str, every: int = 1) -> None:
-        """Write a snapshot to ``path`` after every ``every`` applied batches."""
-        if every < 1:
-            raise ValueError(f"snapshot interval must be >= 1, got {every}")
-        self._snapshot_path = str(path)
-        self._snapshot_every = int(every)
-        self._applies_since_snapshot = 0
-
-    def snapshot(self, path: Optional[str] = None) -> dict:
-        """Write a snapshot now; returns its metadata (see resilience.snapshot)."""
-        from repro.resilience.snapshot import write_snapshot
-
-        target = path or self._snapshot_path
-        if target is None:
-            raise EvaluationError(
-                "no snapshot path: pass one or call configure_snapshots first"
-            )
-        return write_snapshot(self, target)
-
     def restore_positions(
         self,
         last_sequence: Optional[int] = None,
         wal_seq: Optional[int] = None,
         epoch: Optional[int] = None,
     ) -> None:
-        """Set the stream/WAL positions and the epoch (snapshot recovery)."""
+        """Set the stream/WAL positions and the epoch (checkpoint recovery)."""
         if last_sequence is not None:
             self._last_sequence = last_sequence
         if wal_seq is not None:
@@ -270,9 +248,11 @@ class StreamingEngine:
                 self._engine.index.apply_delta(effects)
             if batch.sequence is not None:
                 self._last_sequence = batch.sequence
-            # Epoch first: a snapshot the log takes records this batch.
             self._epoch += 1
-            self._log_applied(batch)
+            if self._wal is not None:
+                # WAL-after, not ahead: the log is the applied prefix
+                # (see :meth:`attach_wal`).
+                self._wal_seq = self._wal.append(batch)
             return ApplyResult(
                 sequence=batch.sequence,
                 new_nodes=0 if effects is None else len(effects.new_nodes),
@@ -281,14 +261,3 @@ class StreamingEngine:
                 horizon_advanced=effects is not None and effects.horizon_advanced,
                 seconds=time.perf_counter() - start,
             )
-
-    def _log_applied(self, batch: DeltaBatch) -> None:
-        """Record a successfully applied batch durably (WAL-after, not
-        ahead: the log is the applied prefix — see :meth:`attach_wal`)."""
-        if self._wal is not None:
-            self._wal_seq = self._wal.append(batch)
-        if self._snapshot_every is not None:
-            self._applies_since_snapshot += 1
-            if self._applies_since_snapshot >= self._snapshot_every:
-                self.snapshot()
-                self._applies_since_snapshot = 0

@@ -250,7 +250,7 @@ class TestTornWALWrites:
         session = StreamingEngine(small_graph())
         name = session.register(QUERY)
         session.attach_wal(str(wal_path))
-        write_snapshot(session, snap_path)  # pre-stream snapshot
+        write_snapshot(session, snap_path)  # pre-stream checkpoint
 
         session.apply(DeltaBatch(sequence=1).add_existence("a", 5, 7))
         failpoints.arm("wal.append", "torn", times=1)
@@ -602,18 +602,17 @@ class TestReplicatedServingChaos:
                     proc.wait(timeout=30)
 
     def test_sigterm_drains_finishes_in_flight_and_snapshots(self, tmp_path):
-        """Satellite 1+5: SIGTERM triggers the graceful drain — the
-        in-flight request answers, the final snapshot lands on disk, and
-        the exit code is 0."""
+        """SIGTERM triggers the graceful drain — the in-flight request
+        answers, the host's checkpoint lands on disk, and the exit code
+        is 0."""
         from repro.server import ServerClient
 
-        snapshot = tmp_path / "drain.snapshot"
+        snapshot = tmp_path / "drain.rix"
         proc, port = _spawn_serve(
             [
                 "--wal", str(tmp_path / "drain.wal"),
+                # Only closing the host (the drain) writes the checkpoint.
                 "--snapshot", str(snapshot),
-                # Periodic snapshots never fire: only the drain writes one.
-                "--snapshot-every", "100",
                 "--drain-timeout", "15",
             ],
             _subprocess_env(),
@@ -621,7 +620,7 @@ class TestReplicatedServingChaos:
         try:
             with ServerClient("127.0.0.1", port) as client:
                 client.apply_delta(_chaos_batch(1))
-                assert not snapshot.exists()  # pre-drain: nothing periodic
+                assert not snapshot.exists()  # pre-drain: no checkpoint
                 proc.send_signal(signal.SIGTERM)
                 # The draining server still answers the request already
                 # on the wire (satellite 5 at the process level): either
@@ -630,9 +629,13 @@ class TestReplicatedServingChaos:
                 while time.time() < deadline and proc.poll() is None:
                     time.sleep(0.05)
             assert proc.wait(timeout=30) == 0
-            assert snapshot.exists(), "drain did not write the final snapshot"
+            assert snapshot.exists(), "drain did not write the checkpoint"
             output = proc.stdout.read()
             assert "# server stopped" in output
+            # The checkpoint holds the applied batch: a restart replays
+            # nothing of the WAL.
+            _session, report = recover(snapshot, tmp_path / "drain.wal")
+            assert (report.skipped, report.replayed) == (1, 0)
         finally:
             if proc.poll() is None:
                 proc.kill()

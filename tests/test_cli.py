@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,12 +40,6 @@ class TestParser:
             build_parser().parse_args(["query", "Q1", "--deadline", "0"])
         assert exit_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
-
-    def test_snapshot_every_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["query", "Q1", "--snapshot-every", "0"])
-        assert exit_info.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
 
     def test_non_numeric_deadline_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -81,13 +79,13 @@ class TestParser:
 class TestFlagContradictions:
     """Contradictory flag combinations fail fast with actionable errors."""
 
-    def test_snapshot_every_requires_snapshot(self, capsys):
-        assert main(["query", "Q1", "--stream", "x.jsonl", "--snapshot-every", "3"]) == 2
-        assert "--snapshot-every requires --snapshot" in capsys.readouterr().err
+    def test_snapshot_requires_wal(self, capsys):
+        assert main(["query", "Q1", "--stream", "x.jsonl", "--snapshot", "c.rix"]) == 2
+        assert "--snapshot requires --wal" in capsys.readouterr().err
 
-    def test_serve_snapshot_every_requires_snapshot(self, capsys):
-        assert main(["serve", "--snapshot-every", "3"]) == 2
-        assert "--snapshot-every requires --snapshot" in capsys.readouterr().err
+    def test_serve_snapshot_requires_wal(self, capsys):
+        assert main(["serve", "--snapshot", "c.rix"]) == 2
+        assert "--snapshot requires --wal" in capsys.readouterr().err
 
 
 class TestExampleAndStats:
@@ -182,3 +180,33 @@ class TestQuery:
     def test_query_unsupported_fragment_reports_error(self, capsys):
         assert main(["query", "MATCH (x)-/(FWD/FWD)*/-(y) ON g"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_ends_quietly(self, tmp_path):
+        """``repro query … | head``: the reader leaves after 3 lines while
+        the table is still being written (it is larger than a pipe buffer)."""
+        graph = tmp_path / "graph.json"
+        assert main(["generate", "--persons", "600", "-o", str(graph)]) == 0
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query", "Q1", "--graph", str(graph),
+             "--limit", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert lines[0].split() == [b"x", b"x_time"]
+        assert "Traceback" not in stderr and stderr == ""
+        assert code == 1

@@ -3,7 +3,7 @@
 The end-to-end fault behaviour (deadline expiry in the kernel, torn WAL
 writes, failover) lives in ``test_chaos.py``; this module pins the
 building blocks in isolation: the failpoint registry, ``Deadline``,
-``RetryPolicy``, the checksummed delta WAL, snapshots + ``recover``, the
+``RetryPolicy``, the checksummed delta WAL, checkpoints + ``recover``, the
 structured stream reader, and the CLI surface (flag validation and the
 ``recover`` verb).
 """
@@ -22,6 +22,7 @@ from repro.errors import (
     DeadlineExceeded,
     InjectedFault,
     ReproError,
+    StoreFormatError,
     StreamFormatError,
     WALCorruptError,
     WALError,
@@ -34,7 +35,6 @@ from repro.resilience import (
     DeltaWAL,
     RetryPolicy,
     failpoints,
-    load_snapshot,
     recover,
     scan_wal,
     write_snapshot,
@@ -391,11 +391,11 @@ class TestDurableWrites:
         wal.close()
 
     def test_fresh_wal_persists_its_directory_entry(self, tmp_path, monkeypatch):
-        from repro.resilience import wal as wal_module
+        from repro.store import format as format_module
 
         synced = []
         monkeypatch.setattr(
-            wal_module, "fsync_dir", lambda path: synced.append(str(path))
+            format_module, "fsync_dir", lambda path: synced.append(str(path))
         )
         DeltaWAL(str(tmp_path / "fresh.wal")).close()
         assert synced == [str(tmp_path / "fresh.wal")]
@@ -405,7 +405,8 @@ class TestDurableWrites:
         assert synced == []
 
     def test_snapshot_fsyncs_file_then_directory(self, tmp_path, monkeypatch):
-        from repro.resilience import snapshot as snapshot_module
+        # A checkpoint is written by the artifact writer.
+        from repro.store import format as format_module
 
         events = []
         real_fsync = os.fsync
@@ -419,7 +420,7 @@ class TestDurableWrites:
             lambda a, b: (events.append("replace"), real_replace(a, b))[1],
         )
         monkeypatch.setattr(
-            snapshot_module, "fsync_dir", lambda path: events.append("fsync-dir")
+            format_module, "fsync_dir", lambda path: events.append("fsync-dir")
         )
         session = StreamingEngine(small_graph())
         session.register(QUERY, name="people")
@@ -427,7 +428,7 @@ class TestDurableWrites:
         assert events == ["fsync-file", "replace", "fsync-dir"]
 
     def test_fsync_dir_syncs_the_parent_directory(self, tmp_path, monkeypatch):
-        from repro.resilience.wal import fsync_dir
+        from repro.store.format import fsync_dir
 
         target = tmp_path / "some.file"
         target.write_text("x")
@@ -453,18 +454,49 @@ class TestSnapshotRecovery:
         return session
 
     def test_snapshot_roundtrip(self, tmp_path):
-        path = tmp_path / "state.snap"
+        from repro.store import attach
+
+        path = tmp_path / "state.rix"
         meta = write_snapshot(self._session(), path)
         assert meta["queries"] == [{"name": "people", "text": QUERY}]
-        document = load_snapshot(path)
-        assert document["wal_seq"] == 0
-        assert from_json_dict(document["graph"]).domain == Interval(0, 9)
+        attachment = attach(str(path))
+        try:
+            assert attachment.meta["session"] == meta
+            assert meta["wal_seq"] == 0 and meta["epoch"] == 0
+            assert attachment.graph.domain == Interval(0, 9)
+        finally:
+            attachment.close()
 
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "not-a-snapshot.json"
-        path.write_text(json.dumps({"format": "something/else"}))
-        with pytest.raises(WALError, match="not a streaming snapshot"):
-            load_snapshot(path)
+    def test_legacy_json_snapshot_names_the_fix(self, tmp_path):
+        path = tmp_path / "state.snap"
+        legacy = {"format": "repro-snapshot/1", "epoch": 1, "wal_seq": 1,
+                  "sequence": 1, "queries": [], "graph": {}}
+        path.write_text(json.dumps(legacy, sort_keys=True))
+        with pytest.raises(StoreFormatError, match="legacy JSON snapshot") as info:
+            recover(path)
+        assert "Delete the file" in str(info.value)
+        assert "full WAL" in str(info.value)
+
+    def test_foreign_file_keeps_the_store_error(self, tmp_path):
+        path = tmp_path / "not-a-checkpoint.json"
+        path.write_text(json.dumps({"format": "something/else", "pad": "x" * 64}))
+        with pytest.raises(StoreFormatError, match="bad magic"):
+            recover(path)
+
+    def test_compiled_store_recovers_as_a_fresh_session(self, tmp_path):
+        from repro.store import compile_graph
+
+        wal_path = tmp_path / "deltas.wal"
+        path = str(tmp_path / "plain.rix")
+        compile_graph(small_graph(), path)  # no session record
+        session = self._session()
+        session.attach_wal(str(wal_path))
+        session.apply(DeltaBatch(sequence=1).add_existence("a", 5, 7))
+        session.wal.close()
+        recovered, report = recover(path, wal_path)
+        assert report.queries == () and report.snapshot_wal_seq == 0
+        assert (report.skipped, report.replayed) == (0, 1)
+        assert recovered.epoch == 1 and recovered.wal_seq == 1
 
     def test_snapshot_requires_query_text(self, tmp_path):
         from dataclasses import replace
@@ -508,17 +540,10 @@ class TestSnapshotRecovery:
         write_snapshot(session, snap_path)  # epoch 2, WAL position 1
         session.apply(DeltaBatch(sequence=3).add_existence("a", 8, 9))
         session.wal.close()
-        document = load_snapshot(snap_path)
-        assert (document["epoch"], document["wal_seq"]) == (2, 1)
         recovered, report = recover(snap_path, wal_path)
+        assert (report.snapshot_sequence, report.snapshot_wal_seq) == (2, 1)
         assert report.replayed == 1
         assert recovered.epoch == session.epoch == 3
-        # A document written before snapshots recorded the epoch resumes
-        # at its WAL position.
-        del document["epoch"]
-        snap_path.write_text(json.dumps(document))
-        recovered, _report = recover(snap_path, wal_path)
-        assert recovered.epoch == 1 + 1
 
     def test_recover_without_wal_is_snapshot_only(self, tmp_path):
         snap_path = tmp_path / "state.snap"
@@ -612,25 +637,18 @@ class TestCliResilience:
         assert code == 2
         assert "--wal and --snapshot require --stream" in capsys.readouterr().err
 
-    def test_snapshot_every_requires_snapshot(self, tmp_path, capsys):
+    def test_snapshot_requires_wal(self, tmp_path, capsys):
+        # Without a WAL a checkpoint covers no crash: refused before any
+        # file is touched.
         code = cli_main(
-            ["query", QUERY, "--graph", self._graph(tmp_path), "--snapshot-every", "3"]
+            [
+                "query", QUERY, "--graph", self._graph(tmp_path),
+                "--stream", "d.jsonl", "--snapshot", "s.rix",
+            ]
         )
         assert code == 2
-        assert "--snapshot-every requires --snapshot" in capsys.readouterr().err
-
-    def test_snapshot_every_must_be_positive(self, tmp_path, capsys):
-        # Validated by argparse itself now, before any file is touched.
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(
-                [
-                    "query", QUERY, "--graph", self._graph(tmp_path),
-                    "--stream", "d.jsonl", "--snapshot", "s.snap",
-                    "--snapshot-every", "0",
-                ]
-            )
-        assert exit_info.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "--snapshot requires --wal" in capsys.readouterr().err
+        assert not (tmp_path / "s.rix").exists()
 
     def test_deadline_requires_dataflow_engine(self, tmp_path, capsys):
         code = cli_main(
@@ -679,7 +697,7 @@ class TestCliResilience:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert f"wal {wal}" in out and "snapshots" in out
+        assert f"wal {wal}" in out and f"checkpoint {snap}" in out
         assert wal.exists() and snap.exists()
 
         recovered_graph = tmp_path / "recovered.json"
@@ -692,7 +710,8 @@ class TestCliResilience:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "recovered from" in out
+        # The end-of-stream checkpoint holds both batches.
+        assert "0 WAL record(s) replayed, 2 already in the checkpoint" in out
         assert "output size" in out
         assert recovered_graph.exists()
         assert from_json_dict(
@@ -703,6 +722,16 @@ class TestCliResilience:
         code = cli_main(["recover", "--snapshot", str(tmp_path / "absent.snap")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_recover_verb_names_the_fix_for_a_legacy_snapshot(self, tmp_path, capsys):
+        snap = tmp_path / "state.snap"
+        snap.write_text(
+            json.dumps({"format": "repro-snapshot/1", "graph": {}}, sort_keys=True)
+        )
+        code = cli_main(["recover", "--snapshot", str(snap)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "legacy JSON snapshot" in err and "Delete the file" in err
 
 
 # --------------------------------------------------------------------- #

@@ -867,23 +867,27 @@ class TestServerDurability:
         assert resumed.table("q5")["result"]["families"] == answer
         second.close()
 
+    @pytest.mark.parametrize("query", [f"Q{number}" for number in range(1, 13)])
     def test_snapshot_restart_keeps_the_epoch_and_registers_once(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, query
     ):
         from repro.streaming import StreamingEngine
 
         wal = str(tmp_path / "server.wal")
-        snapshot = str(tmp_path / "server.snapshot")
-        config = dict(wal=wal, snapshot=snapshot, snapshot_every=2)
+        snapshot = str(tmp_path / "server.rix")
+        config = dict(wal=wal, snapshot=snapshot)
         first = ServerState()
         first.add_graph("default", **config)
         host = first.host("default")
-        host.register("Q5")
+        host.register(query)
         for sequence in range(1, 6):
             host.apply_delta(example_batch(sequence).to_json_dict())
-        answer = host.table("Q5")["result"]["families"]
-        assert host.session.epoch == 5
-        first.close()
+            if sequence == 4:
+                host.checkpoint()
+        expected = host.table(query)
+        assert expected["server"]["epoch"] == host.session.epoch == 5
+        # A crash: the state is dropped without close() (the WAL is
+        # fsynced per batch), so only the batch-4 checkpoint is on disk.
 
         registered = []
         real_register = StreamingEngine.register
@@ -902,10 +906,34 @@ class TestServerDurability:
             restarts[label] = resumed.query("Q1")["server"]["epoch"]
             if label == "snapshot":
                 assert recovery["snapshot_wal_seq"] == 4 and recovery["replayed"] == 1
-                assert registered == ["Q5"]  # cold-registered once
-                assert resumed.table("Q5")["result"]["families"] == answer
+                assert registered == [query]  # cold-registered once
+                answer = resumed.table(query)
+                # Byte-identical wire answers (Encoded compares its bytes).
+                assert answer["result"] == expected["result"]
+                assert answer["server"]["epoch"] == expected["server"]["epoch"]
             state.close()
         assert restarts == {"wal": 5, "snapshot": 5}
+
+    def test_failed_checkpoint_is_logged_and_the_hosts_still_close(
+        self, tmp_path, caplog
+    ):
+        state = ServerState()
+        state.add_graph("broken", wal=str(tmp_path / "b.wal"))
+        state.add_graph(
+            "fine", wal=str(tmp_path / "f.wal"), snapshot=str(tmp_path / "f.rix")
+        )
+        broken = state.host("broken")
+        broken.checkpoint_path = str(tmp_path)  # a directory: the write fails
+        with caplog.at_level(logging.ERROR, logger="repro.server"):
+            state.close()
+        (record,) = [r for r in caplog.records if r.name == "repro.server"]
+        message = record.getMessage()
+        assert "'broken'" in message and str(tmp_path) in message
+        assert record.exc_info is not None  # the traceback is logged
+        assert broken.session.wal._handle.closed
+        assert not list(tmp_path.glob("*.tmp.*"))  # the temp file is gone
+        assert (tmp_path / "f.rix").exists()  # the next host still closed
+        assert state.host("fine").session.wal._handle.closed
 
 
 # --------------------------------------------------------------------- #
@@ -973,13 +1001,13 @@ class TestServeSubprocess:
         assert backend.returncode == 2
         assert "unrecognized arguments: --backend" in backend.stderr
         snap = subprocess.run(
-            env_cmd + ["--snapshot-every", "3"],
+            env_cmd + ["--snapshot", "c.rix"],
             capture_output=True,
             text=True,
             env=subprocess_env(),
         )
         assert snap.returncode == 2
-        assert "--snapshot" in snap.stderr
+        assert "--snapshot requires --wal" in snap.stderr
         standby = subprocess.run(
             env_cmd + ["--standby-of", "not-an-endpoint"],
             capture_output=True,

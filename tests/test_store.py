@@ -574,7 +574,7 @@ class TestServerStore:
         batch = DeltaBatch().add_node("Zara", "Person", [(2, 9)])
         session = StreamingEngine(engine=DataflowEngine(graph))
         session.apply(batch)
-        snapshot = str(tmp_path / "snap.pkl")
+        snapshot = str(tmp_path / "snap.rix")
         write_snapshot(session, snapshot)
 
         stale = contact_tracing_example()
@@ -582,6 +582,45 @@ class TestServerStore:
         host, recovery = GraphHost.from_files("g", None, store=path, snapshot=snapshot)
         assert recovery is not None
         assert host.graph.has_object("Zara")
+        assert host.session.epoch == 1
+        host.close()
+
+    def test_legacy_json_snapshot_names_the_fix(self, tmp_path):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(
+            json.dumps({"format": "repro-snapshot/1", "graph": {}}, sort_keys=True)
+        )
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        with pytest.raises(StoreFormatError, match="legacy JSON snapshot") as info:
+            GraphHost.from_files("g", None, store=path, snapshot=str(snapshot))
+        assert "Delete the file" in str(info.value)
+
+    def test_boots_attach_only_a_store_or_an_existing_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``--graph`` (+ ``--wal``) boot attaches nothing; a ``--store``
+        boot attaches once, its artifact."""
+        import repro.store
+
+        attached = []
+        real_attach = repro.store.attach
+
+        def counting_attach(path):
+            attached.append(path)
+            return real_attach(path)
+
+        monkeypatch.setattr(repro.store, "attach", counting_attach)
+        wal = str(tmp_path / "boot.wal")
+        missing = str(tmp_path / "absent.rix")
+        host, recovery = GraphHost.from_files("g", None, wal=wal, snapshot=missing)
+        host.session.apply(DeltaBatch(sequence=1).add_node("Zara", "Person", [(2, 9)]))
+        host.checkpoint_path = None  # keep this boot from writing one
+        host.close()
+        assert recovery is None and attached == []
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        host, recovery = GraphHost.from_files("g", None, store=path, wal=wal)
+        assert recovery is None and attached == [path]
+        assert host.graph.has_object("Zara") and host.session.epoch == 1
         host.close()
 
 

@@ -110,36 +110,41 @@ def check_directions(session, query_name, cold_rows, context) -> None:
 
 
 def check_durability(payload, query, batches, cold_rows, context, tmpdir) -> None:
-    """The WAL + snapshot differential: restart-from-disk == continuous.
+    """The WAL + checkpoint differential: restart-from-disk == continuous.
 
-    A durable session (delta WAL + a snapshot every second batch) applies
-    the same stream; the state recovered from its snapshot + WAL tail —
-    a cold process that never saw the live stream — must answer exactly
-    like the continuous run (= the cold oracle).
+    A durable session (delta WAL + one checkpoint after the middle batch)
+    applies the same stream; the state recovered from its checkpoint +
+    WAL tail — a cold process that never saw the live stream — must
+    answer exactly like the continuous run (= the cold oracle).
     """
-    from repro.resilience import recover
+    from repro.resilience import recover, write_snapshot
 
     wal_path = os.path.join(tmpdir, "deltas.wal")
-    snap_path = os.path.join(tmpdir, "state.snap")
+    snap_path = os.path.join(tmpdir, "state.rix")
     session = StreamingEngine(from_json_dict(payload))
     name = session.register(query)
     session.attach_wal(wal_path)
-    session.configure_snapshots(snap_path, every=2)
-    for batch in batches:
+    middle = len(batches) // 2
+    for batch in batches[:middle]:
+        session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
+    write_snapshot(session, snap_path)
+    for batch in batches[middle:]:
         session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
     session.wal.close()
-    assert os.path.exists(snap_path), f"no snapshot written ({context})"
     # ``queries=`` because the fuzzed MatchQuery objects carry no
     # parseable text for recovery to re-register from.
     recovered, report = recover(snap_path, wal_path, queries={name: query})
     assert not report.torn_tail, f"clean WAL reported torn ({context})"
-    assert report.skipped + report.replayed == len(batches), (
+    assert (report.skipped, report.replayed) == (middle, len(batches) - middle), (
         f"recovery covered {report.skipped}+{report.replayed} WAL records, "
-        f"expected {len(batches)} ({context})"
+        f"expected {middle}+{len(batches) - middle} ({context})"
     )
+    if len(batches) >= 2:
+        assert report.skipped > 0 and report.replayed > 0, context
+    assert recovered.epoch == session.epoch, context
     recovered_rows = recovered.table(name).as_set()
     assert recovered_rows == cold_rows, (
-        f"snapshot+WAL recovery diverged from the continuous run ({context}): "
+        f"checkpoint+WAL recovery diverged from the continuous run ({context}): "
         f"{len(recovered_rows)} vs {len(cold_rows)} rows; "
         f"extra={sorted(recovered_rows - cold_rows, key=repr)[:5]}, "
         f"missing={sorted(cold_rows - recovered_rows, key=repr)[:5]}"
@@ -224,7 +229,7 @@ def test_recovery_with_torn_final_wal_record_matches_prefix_run() -> None:
     state of the stream *prefix* — identical to a continuous run that
     never saw the final batch.
     """
-    from repro.resilience import recover
+    from repro.resilience import recover, write_snapshot
 
     seed = 1
     base = random_itpg(seed)
@@ -237,7 +242,7 @@ def test_recovery_with_torn_final_wal_record_matches_prefix_run() -> None:
         session = StreamingEngine(from_json_dict(payload))
         name = session.register(query)
         session.attach_wal(wal_path)
-        session.snapshot(snap_path)  # snapshot of the pre-stream state
+        write_snapshot(session, snap_path)  # checkpoint of the pre-stream state
         for batch in batches:
             session.apply(DeltaBatch.from_json_dict(batch.to_json_dict()))
         session.wal.close()
