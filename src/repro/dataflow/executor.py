@@ -60,9 +60,9 @@ class MatchResult:
 
     For single-temporal-group queries (all of Q1–Q5 and the
     Q9–Q12 shapes) ``table`` is an
-    :class:`~repro.eval.bindings.IntervalBindingTable`: ``total_seconds``
-    then covers Steps 1–3 in the interval representation only, and the
-    point rows expand lazily when the table is actually read; the
+    :class:`~repro.perf.columnar.FamilyTable` (an ``IntervalBindingTable``):
+    ``total_seconds`` then covers Steps 1–3 in the interval representation
+    only, and families and point rows are built when the table is read; the
     columnar kernel's group-spanning outputs (Q6–Q8) are an equally lazy
     :class:`~repro.perf.columnar.PointTable`.  ``output_size`` is always
     the point-row count (computed without building the rows).
@@ -224,13 +224,9 @@ class DataflowEngine:
         deadline = self._deadline(deadline_seconds)
         plan = self._plan(query)
         start = time.perf_counter()
-        data, frontier_rows, rows_merged, interval_seconds = self._execute(
+        table, frontier_rows, rows_merged, interval_seconds = self._execute(
             plan, plan.mode, deadline
         )
-        if plan.mode == "families":
-            table = IntervalBindingTable(plan.variables, data)
-        else:
-            table = data  # the columnar kernel's lazy PointTable
         if expand_output:
             _ = table.rows
         total_seconds = time.perf_counter() - start
@@ -261,10 +257,10 @@ class DataflowEngine:
         """
         plan = self._plan(query)
         plan.require_families()
-        families, _rows, _merged, _seconds = self._execute(
+        table, _rows, _merged, _seconds = self._execute(
             plan, "families", self._deadline()
         )
-        return families
+        return list(table.families)
 
     def explain(
         self, query: TypingUnion[str, MatchQuery, CompiledMatch, QueryPlan]
@@ -342,8 +338,9 @@ class DataflowEngine:
         """One columnar pass of ``plan``'s kernel plan: ``(data,
         frontier_rows, rows_merged, seconds)``.
 
-        ``data`` is a family list (``mode="families"``), or a lazy
-        :class:`~repro.perf.columnar.PointTable` of point tuples.
+        ``data`` is the kernel's lazy answer table: a
+        :class:`~repro.perf.columnar.FamilyTable` (``mode="families"``) or
+        a :class:`~repro.perf.columnar.PointTable`.
         """
         start = time.perf_counter()
         data, frontier_rows, rows_merged = columnar_kernel.run_query(

@@ -200,35 +200,35 @@ class IntervalBindingTable:
 
     def num_families(self) -> int:
         """Number of distinct binding tuples (the compact row count)."""
-        return len(self._families)
+        return len(self.families)
 
     def num_intervals(self) -> int:
         """Number of stored maximal intervals across all families."""
-        return sum(len(times) for _bindings, times in self._families)
+        return sum(len(times) for _bindings, times in self.families)
 
     def __len__(self) -> int:
         if self._size is None:
             if not self.variables:
                 # A variable-free MATCH yields a single empty row when it
                 # holds anywhere (mirrors the eager tables).
-                self._size = 1 if self._families else 0
+                self._size = 1 if self.families else 0
             else:
                 self._size = sum(
-                    times.total_points() for _bindings, times in self._families
+                    times.total_points() for _bindings, times in self.families
                 )
         return self._size
 
     def is_empty(self) -> bool:
-        return not self._families
+        return self.num_families() == 0
 
     def __bool__(self) -> bool:
-        return bool(self._families)
+        return not self.is_empty()
 
     # ------------------------------------------------------------------ #
     # Point-row protocol (expands on demand, cached)
     # ------------------------------------------------------------------ #
     def _expand(self) -> Iterator[Row]:
-        for bindings, times in self._families:
+        for bindings, times in self.families:
             if not bindings:
                 yield ()
                 continue
@@ -273,7 +273,7 @@ class IntervalBindingTable:
                     tuple((mapping.get(name, name), obj) for name, obj in bindings),
                     times,
                 )
-                for bindings, times in self._families
+                for bindings, times in self.families
             ),
         )
         return renamed
@@ -318,7 +318,7 @@ class IntervalBindingTable:
                 )
 
         merged = heapq.merge(
-            *(stream(family) for family in self._families),
+            *(stream(family) for family in self.families),
             key=lambda keyed: keyed[0],
         )
         return (row for _key, row in merged)
@@ -333,7 +333,7 @@ class IntervalBindingTable:
 
     def __repr__(self) -> str:
         return (
-            f"IntervalBindingTable({len(self._families)} families, "
+            f"{type(self).__name__}({self.num_families()} families, "
             f"{self.num_intervals()} intervals)"
         )
 

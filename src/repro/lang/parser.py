@@ -243,7 +243,7 @@ def _parse_comparison(stream: _TokenStream) -> Test:
 def _parse_value(stream: _TokenStream) -> Hashable:
     token = stream.next()
     if token.kind == "STRING":
-        return token.text[1:-1].replace("\\'", "'")
+        return re.sub(r"\\(.)", r"\1", token.text[1:-1])
     if token.kind == "NUMBER":
         return int(token.text)
     if token.kind == "IDENT":

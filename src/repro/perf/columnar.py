@@ -41,7 +41,7 @@ group structure branch-dependent, so :func:`compile_ops` distributes it
 at compile time — ``X·(A|B)·Y`` becomes the *leaves* ``X·A·Y`` and
 ``X·B·Y`` — and the entry points union the leaves' answers.  Output
 mode is a property of the projection, not of an op: variables bound in
-one group come out as interval-native ``families``, variables spanning
+one group come out as :class:`FamilyTable` families, variables spanning
 groups as a :class:`PointTable` whose linked ``(t, t')`` pairs are
 expanded in array form.  A plan also holds the chain's converse, and
 each run seeds from whichever end holds fewer points (:func:`choose`).
@@ -68,7 +68,7 @@ from repro.dataflow.steps import (
     converse_chain,
 )
 from repro.errors import EvaluationError
-from repro.eval.bindings import BindingTable
+from repro.eval.bindings import BindingTable, IntervalBindingTable
 from repro.lang.ast import AndTest, Test, and_
 from repro.resilience import failpoints
 from repro.temporal.interval import Interval
@@ -738,7 +738,7 @@ def _group_rows(keys: list, count: int):
         )
     order = np.lexsort(tuple(keys))
     fresh = np.zeros(count, dtype=bool)
-    fresh[0] = True
+    fresh[:1] = True
     for key in keys:
         sorted_key = key[order]
         fresh[1:] |= sorted_key[1:] != sorted_key[:-1]
@@ -1199,9 +1199,9 @@ class _Kernel:
     def project(self, state: _State, variables: tuple[str, ...], mode: str):
         """Step 3 in array form: the interval-native materializer.
 
-        ``mode="families"`` returns the canonical ``(bindings, family)``
-        list, one entry per binding tuple (variables bound in at most
-        one temporal group); ``mode="points"`` a :class:`PointTable`.
+        ``mode="families"`` returns a :class:`FamilyTable`, one family per
+        binding tuple (variables bound in at most one temporal group);
+        ``mode="points"`` a :class:`PointTable`.
         Both run two passes per live row over its chain of frozen
         groups, from the first group that binds a variable on: backward,
         ``alive[j] = T_j ∩ sources(alive[j+1])`` prunes every time that
@@ -1215,7 +1215,10 @@ class _Kernel:
         read from its far end binds late, so its passes are short.)
         """
         if state.rows == 0:
-            return [] if mode == "families" else PointTable(variables, (), [], [])
+            if mode == "points":
+                return PointTable(variables, (), [], [])
+            empty = [state.cur] * len(variables)  # an empty id column per variable
+            return _family_table(self.ctx, variables, empty, 0, *state.family)
         missing = [v for v in variables if v not in state.names]
         if missing:
             raise EvaluationError(f"variables {missing} were never bound")
@@ -1282,32 +1285,9 @@ class _Kernel:
                 [chosen[group_of[v]][keep] for v in variables],
                 keep.size,
             )
-        columns = [state.cols[position[v]] for v in variables]
-        group, reps = _group_rows(columns, rows)
-        groups = reps.size
-        ctx = self.ctx
-        owner, start, end = _coalesce(
-            ctx.stride, ctx.domain_start, group[family[0]], family[1], family[2]
+        return _family_table(
+            self.ctx, variables, [state.cols[position[v]] for v in variables], rows, *family
         )
-        indptr = _indptr(owner, groups).tolist()
-        start, end = start.tolist(), end.tolist()
-        objects = ctx.objects
-        named = [
-            [(v, objects[i]) for i in column[reps].tolist()]
-            for v, column in zip(variables, columns)
-        ]
-        return [
-            (
-                bindings,
-                IntervalSet._from_coalesced(
-                    tuple(Interval(start[k], end[k]) for k in range(lo, hi))
-                ),
-            )
-            for bindings, lo, hi in zip(
-                zip(*named) if named else [()] * groups, indptr, indptr[1:]
-            )
-            if lo < hi  # rows whose times cannot complete the chain
-        ]
 
 
 class PointTable(BindingTable):
@@ -1319,7 +1299,7 @@ class PointTable(BindingTable):
     deduplicated.  ``len`` is the array length; the sorted Python
     ``rows`` — and with them every inherited read method — are built,
     once, only when something actually reads them, so neither the engine
-    nor the served path (:meth:`columns` feeds the wire emitter) pays
+    nor the served path (:meth:`arrays` feeds the wire writer) pays
     the per-point object detour.  Without variables there are no
     columns, and ``size`` (0 or 1: the chain matched or not) is the
     answer.
@@ -1339,18 +1319,18 @@ class PointTable(BindingTable):
     def __len__(self) -> int:
         return self._size
 
-    def columns(self) -> list[tuple[list, list]]:
-        """Per variable, parallel ``(objects, times)`` lists in array order."""
-        objects = self._objects
-        return [
-            ([objects[i] for i in ids.tolist()], times.tolist())
-            for ids, times in zip(self._ids, self._times)
-        ]
+    def arrays(self) -> tuple:
+        """``(objects, ids, times)``: the answer as arrays."""
+        return self._objects, self._ids, self._times
 
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            cells = [zip(objs, times) for objs, times in self.columns()]
+            objects = self._objects
+            cells = [
+                zip([objects[i] for i in ids.tolist()], times.tolist())
+                for ids, times in zip(self._ids, self._times)
+            ]
             points = zip(*cells) if cells else [()] * self._size
             built = BindingTable.build(self.variables, points).rows
             object.__setattr__(self, "_rows", built)
@@ -1374,6 +1354,73 @@ class PointTable(BindingTable):
         return f"PointTable({len(self)} rows)"
 
 
+class FamilyTable(IntervalBindingTable):
+    """A families answer as the kernel produces it: per family a dense
+    object id per variable, its coalesced times as CSR ``indptr`` over
+    flat ``start``/``end``.  Counts read the arrays; :attr:`families`
+    (and every point-row read) is built once, on first read, so the
+    served path (:meth:`arrays` feeds the wire writer) never builds it.
+    """
+
+    __slots__ = ("_objects", "_ids", "_indptr", "_start", "_end")
+
+    def __init__(self, variables, objects, ids: list, indptr, start, end) -> None:
+        super().__init__(variables, ())
+        self._families = None
+        self._objects, self._ids, self._indptr = objects, ids, indptr
+        self._start, self._end = start, end
+
+    def arrays(self) -> tuple:
+        """``(objects, ids, indptr, start, end)``: the answer as arrays."""
+        return self._objects, self._ids, self._indptr, self._start, self._end
+
+    @property
+    def families(self) -> tuple:
+        if self._families is None:
+            objects, start, end = self._objects, self._start.tolist(), self._end.tolist()
+            indptr = self._indptr.tolist()
+            named = [
+                [(v, objects[i]) for i in ids.tolist()]
+                for v, ids in zip(self.variables, self._ids)
+            ]
+            family = IntervalSet._from_coalesced
+            self._families = tuple(
+                (bindings, family(tuple(map(Interval, start[lo:hi], end[lo:hi]))))
+                for bindings, lo, hi in zip(
+                    zip(*named) if named else [()] * self.num_families(), indptr, indptr[1:]
+                )
+            )
+        return self._families
+
+    def num_families(self) -> int:
+        return self._indptr.size - 1
+
+    def num_intervals(self) -> int:
+        return int(self._start.size)
+
+    def __len__(self) -> int:
+        if not self.variables:
+            return min(self.num_families(), 1)
+        return int((self._end - self._start).sum()) + self.num_intervals()
+
+
+def _family_table(ctx, variables, columns: list, count: int, owner, start, end):
+    """The :class:`FamilyTable` of ``count`` rows: rows with equal id
+    ``columns`` form one family with the coalesced union of their
+    ``(owner, start, end)`` intervals, dropped if it has none."""
+    group, reps = _group_rows(columns, count)
+    owner, start, end = _coalesce(ctx.stride, ctx.domain_start, group[owner], start, end)
+    present, sizes = np.unique(owner, return_counts=True)
+    return FamilyTable(
+        variables,
+        ctx.objects,
+        [column[reps[present]] for column in columns],
+        np.concatenate(([0], np.cumsum(sizes))),
+        start,
+        end,
+    )
+
+
 # --------------------------------------------------------------------- #
 # Entry points
 # --------------------------------------------------------------------- #
@@ -1385,12 +1432,12 @@ def run_query(
     deadline=None,
 ) -> tuple[object, int, int]:
     """Evaluate a planned full query: ``(output, frontier_rows, merged)``
-    with ``output`` a family list (``mode="families"``) or a
+    with ``output`` a :class:`FamilyTable` (``mode="families"``) or a
     :class:`PointTable` (``mode="points"``).
 
     The plan or its converse runs, whichever seeds from fewer points on
     the current image (:func:`choose`): the direction is a cost choice
-    and never changes an answer, only the order of a family list.
+    and never changes an answer, only the order of its families.
     Seeds come straight from the context's condition CSR (or the object
     range under domain times), never materializing per-row Python
     objects — which keeps even cheap full-scan queries cheap.
@@ -1418,9 +1465,8 @@ def _run(ctx, plan: ColumnarPlan, variables, mode, deadline):
         and all(op[0] == "bind" for op in single)
     ):
         # Degenerate chain (Q1–Q4 shapes): the whole query is one
-        # absorbed condition plus binds, so the memoized condition table
-        # IS the answer — reuse its IntervalSet instances directly, no
-        # arrays, no per-row objects.
+        # absorbed condition plus binds: its rows ARE the answer.  A
+        # cached CSR is read, but none is cached here (patch splices each).
         names = tuple(op[1] for op in single)
         if variables and all(v in names for v in variables):
             # One chaos-hook fire + deadline check, like the one bind op
@@ -1428,12 +1474,22 @@ def _run(ctx, plan: ColumnarPlan, variables, mode, deadline):
             failpoints.fire("engine.step")
             if deadline is not None:
                 deadline.check()
-            table = ctx._index.condition_table(plan.seed_condition)
-            families = [
-                (tuple((v, obj) for v in variables), times)
-                for obj, times in table.items()
-            ]
-            return families, len(families), 0
+            cached = ctx._conditions.get(plan.seed_condition)
+            if cached is not None:
+                indptr, starts, ends = cached
+                cur = np.flatnonzero(np.diff(indptr))
+                indptr = np.concatenate(([0], indptr[cur + 1]))
+            else:
+                held = ctx._index.condition_table(plan.seed_condition)
+                intervals = [times.intervals for times in held.values()]
+                flat = [interval for each in intervals for interval in each]
+                starts = np.array([interval.start for interval in flat], np.int64)
+                ends = np.array([interval.end for interval in flat], np.int64)
+                indptr = np.cumsum([0, *map(len, intervals)], dtype=np.int64)
+                cur = np.fromiter(map(ctx.object_id.__getitem__, held), np.int64, len(held))
+            columns = [cur] * len(variables)
+            table = FamilyTable(variables, ctx.objects, columns, indptr, starts, ends)
+            return table, int(cur.size), 0
     state = seed_state(ctx, plan)
     return _run_leaves(ctx, plan.leaves, state, variables, mode, deadline)
 
@@ -1484,23 +1540,21 @@ def _run_leaves(ctx, leaves, state: _State, variables, mode, deadline):
     if len(outputs) == 1:
         union = outputs[0]
     elif mode == "families":
-        union = _union_families(outputs)
+        union = _union_families(ctx, outputs, variables)
     else:
         union = _union_points(ctx, outputs, variables)
     return union, frontier_rows, kernel.rows_merged
 
 
-def _union_families(outputs: list) -> list:
-    """One canonical family list from several: a binding tuple reached
-    by several leaves gets the coalesced union of their times."""
-    gathered: dict[tuple, list[IntervalSet]] = {}
-    for families in outputs:
-        for bindings, times in families:
-            gathered.setdefault(tuple(bindings), []).append(times)
-    return [
-        (bindings, times[0] if len(times) == 1 else IntervalSet.union_many(times))
-        for bindings, times in gathered.items()
-    ]
+def _union_families(ctx, tables: list, variables) -> FamilyTable:
+    """One :class:`FamilyTable` from several: a binding tuple reached by
+    several leaves gets the coalesced union of their times."""
+    ids = [np.concatenate(column) for column in zip(*(t._ids for t in tables))]
+    sizes = np.concatenate([np.diff(t._indptr) for t in tables])
+    owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    start = np.concatenate([t._start for t in tables])
+    end = np.concatenate([t._end for t in tables])
+    return _family_table(ctx, variables, ids, sizes.size, owner, start, end)
 
 
 def _union_points(ctx, tables: list, variables) -> "PointTable":

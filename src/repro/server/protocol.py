@@ -20,9 +20,10 @@ blocking client, so the two cannot drift.  See RELIABILITY.md for the
 full request/response reference and the backpressure semantics.
 
 An answer is turned into JSON once: :func:`encode_families` /
-:func:`encode_rows` write its canonical text directly (sorted on the
-text itself) as an :class:`Encoded` fragment, and :func:`encode` splices
-that fragment into the envelope instead of walking it again.
+:func:`encode_rows` write its canonical text from the answer's arrays,
+sorted on the text itself, as an :class:`Encoded` fragment, and
+:func:`encode` splices that fragment into the envelope instead of
+walking it again.
 :func:`families_to_wire` / :func:`rows_to_wire` are the *reference form*
 — what tests, replication divergence checks and the benchmark's oracle
 compare against — and the fragment's bytes equal ``json.dumps(<reference
@@ -36,6 +37,8 @@ import math
 import re
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.lang.parser import STRING_PATTERN
@@ -274,69 +277,75 @@ def rows_to_wire(rows) -> list:
 # --------------------------------------------------------------------- #
 # Canonical answer text, written once
 # --------------------------------------------------------------------- #
-def _texts(values, memo: dict) -> list[str]:
-    """The JSON text of each value; string ids (all of them, in practice)
-    are escaped once per distinct id."""
-    out = []
-    for value in values:
-        if value.__class__ is str:
-            text = memo.get(value)
-            if text is None:
-                text = memo[value] = _escape(value)
-        else:
-            text = json.dumps(value, separators=(",", ":"), default=str)
-        out.append(text)
-    return out
+def _column_texts(ids, objects) -> list[str]:
+    """The JSON text of ``objects[i]`` for each dense id ``i`` in ``ids``:
+    written once per distinct id, then one take gives each row its text."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    texts = [objects[i] for i in distinct.tolist()]
+    texts = [
+        _escape(obj) if obj.__class__ is str else json.dumps(obj, separators=(",", ":"), default=str)
+        for obj in texts
+    ]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _interval_texts(start, end) -> list[str]:
+    """``[start,end]`` per interval, written once per distinct pair."""
+    order = np.lexsort((end, start))
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = (np.diff(start[order]) != 0) | (np.diff(end[order]) != 0)
+    pairs = zip(start[order[fresh]].tolist(), end[order[fresh]].tolist())
+    texts = np.array(["[%d,%d]" % pair for pair in pairs], dtype=object)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(fresh) - 1
+    return texts[inverse].tolist()
 
 
 def _array(entries: list[str]) -> Encoded:
     return Encoded(("[" + ",".join(entries) + "]").encode("ascii"))
 
 
-def encode_families(families, limit=None) -> Encoded:
-    """``families_to_wire(families)[:limit]`` as wire bytes, in one pass.
+def encode_families(table, limit=None) -> Encoded:
+    """``families_to_wire(table.families)[:limit]`` as wire bytes, written
+    from the arrays of a :class:`~repro.perf.columnar.FamilyTable`.
 
     Each entry's compact bindings text is both its sort key and its
     output: it orders entries exactly as the reference key does (the
     reference's ``", "`` separators add the same space at the same
     structural positions of every key, never at a first difference).
+    Interval text is written once per distinct ``(start, end)`` pair.
     """
-    families = list(families)
-    memo: dict = {}
+    objects, ids, indptr, start, end = table.arrays()
+    count = indptr.size - 1
     cells = []
-    for column in zip(*(bindings for bindings, _times in families)):
-        names, objects = zip(*column)  # one variable's bindings, down the answer
-        cells += (_texts(names, memo), _texts(objects, memo))
+    for name, column in zip(table.variables, ids):
+        cells += ([_escape(name)] * count, _column_texts(column, objects))
     if cells:
         template = "[" + ",".join(["[%s,%s]"] * (len(cells) // 2)) + "]"
         keys = [template % row for row in zip(*cells)]
-    else:  # no variables (or no families): every bindings list is empty
-        keys = ["[]"] * len(families)
-    entries = []
-    for i in sorted(range(len(keys)), key=keys.__getitem__)[:limit]:
-        intervals = ["[%d,%d]" % (iv.start, iv.end) for iv in families[i][1].intervals]
-        entries.append("[%s,[%s]]" % (keys[i], ",".join(intervals)))
-    return _array(entries)
+    else:  # no variables: every bindings list is empty
+        keys = ["[]"] * count
+    texts = _interval_texts(start, end)
+    indptr = indptr.tolist()
+    return _array(
+        [
+            "[%s,[%s]]" % (keys[i], ",".join(texts[indptr[i] : indptr[i + 1]]))
+            for i in sorted(range(count), key=keys.__getitem__)[:limit]
+        ]
+    )
 
 
 def encode_rows(table, limit=None) -> Encoded:
-    """``rows_to_wire(table.rows)[:limit]`` as wire bytes, in one pass.
-
-    Reads the kernel's columns when the table still holds its answer as
-    arrays (:class:`~repro.perf.columnar.PointTable`) — no row tuples
-    are ever built — and the row tuples otherwise.  A row's compact text
-    is its sort key and its output, as in :func:`encode_families`.
+    """``rows_to_wire(table.rows)[:limit]`` as wire bytes, written from
+    the arrays of a :class:`~repro.perf.columnar.PointTable` — no row
+    tuples are built.  A row's compact text is its sort key and its
+    output, as in :func:`encode_families`.
     """
-    columns = getattr(table, "columns", None)
-    if columns is not None:
-        columns = columns()
-    else:
-        columns = [tuple(zip(*cells)) for cells in zip(*table.rows)]
-    if not columns:  # no variables: a row is the empty list
+    objects, ids, times = table.arrays()
+    if not ids:  # no variables: a row is the empty list
         return _array((["[]"] * len(table))[:limit])
-    memo: dict = {}
-    template = "[" + ",".join(["[%s,%d]"] * len(columns)) + "]"
+    template = "[" + ",".join(["[%s,%d]"] * len(ids)) + "]"
     cells = []
-    for objects, times in columns:
-        cells += (_texts(objects, memo), times)
+    for column, at in zip(ids, times):
+        cells += (_column_texts(column, objects), at.tolist())
     return _array(sorted([template % row for row in zip(*cells)])[:limit])

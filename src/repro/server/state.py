@@ -348,7 +348,7 @@ class GraphHost:
         if isinstance(table, IntervalBindingTable):
             return {
                 "kind": "families",
-                "families": encode_families(table.families, limit),
+                "families": encode_families(table, limit),
                 "num_families": table.num_families(),
                 "output_size": len(table),
             }

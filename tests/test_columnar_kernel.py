@@ -57,14 +57,15 @@ def _example_engines():
 
 
 def _run(engine, prepared):
-    """``run_query`` on a prepared plan; point answers as row tuples."""
+    """``run_query`` on a prepared plan; point answers as row tuples,
+    families answers as their family tuple."""
     data, _frontier_rows, _merged = columnar.run_query(
         engine.index.columnar_context(),
         prepared.kernel_plan,
         prepared.variables,
         prepared.mode,
     )
-    return list(data.rows) if prepared.mode == "points" else data
+    return list(data.rows) if prepared.mode == "points" else data.families
 
 
 def _run_leaves(engine, prepared):
@@ -80,7 +81,7 @@ def _run_leaves(engine, prepared):
         prepared.mode,
         None,
     )
-    return list(data.rows) if prepared.mode == "points" else data
+    return list(data.rows) if prepared.mode == "points" else data.families
 
 
 def _canonical(families) -> list:

@@ -274,7 +274,9 @@ def check_both_directions(engine, query, reference_rows, context) -> None:
         )
         name = f"dataflow ({direction})"
         if prepared.mode == "families":
-            check_families(name, output, prepared.variables, reference_rows, context)
+            check_families(
+                name, output.families, prepared.variables, reference_rows, context
+            )
         else:
             rows = output.as_set()
             assert rows == reference_rows, (

@@ -291,7 +291,7 @@ class TestIntervalMaterializer:
             prepared = engine.prepare(query.text)
             if prepared.mode != "families":
                 continue
-            families = _run(engine, query.text, "families")
+            families = _run(engine, query.text, "families").families
             points = _run(engine, query.text, "points")
             assert expand_match_families(families, prepared.variables) == set(
                 points.rows

@@ -175,6 +175,20 @@ class TestMatchParsing:
         assert element.variable is None and element.label is None
         assert element.condition == PropEq("test", "pos")
 
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            (r"'a\\'", "a\\"),  # an escaped backslash may end the literal
+            (r"'a\\b'", r"a\b"),
+            (r"'it\'s'", "it's"),
+            (r"'\\\''", "\\'"),
+            (r"'a\b'", "ab"),  # any other escaped character stands for itself
+        ],
+    )
+    def test_string_literal_escapes(self, literal, value):
+        query = parse_match(f"MATCH ({{name = {literal}}}) ON g")
+        assert query.elements[0].condition == PropEq("name", value)
+
     def test_label_only_element(self):
         query = parse_match("MATCH (:Room) ON g")
         assert query.elements[0] == NodePattern(None, "Room", None)

@@ -188,10 +188,15 @@ class TestProtocol:
 if st is not None:
     #: Few symbols, so ids share prefixes and differ in length; the
     #: symbols are the ones that sort differently as JSON text than as
-    #: Python strings (``!`` and space sort before the closing quote) or
-    #: that JSON escapes (quote, backslash, control, non-ASCII).
-    _ID_TEXT = st.text(alphabet='p1!" \\\x00\x1f\u00e9\u4e2d', max_size=4)
-    _IDS = st.one_of(_ID_TEXT, st.integers(min_value=-3, max_value=120))
+    #: Python strings (``!``, space and tab sort before the closing
+    #: quote) or that JSON escapes (quote, backslash, control,
+    #: non-ASCII).  Int ids include texts that prefix one another.
+    _ID_TEXT = st.text(alphabet='p1!" \t\\\x00\x1f\u00e9\u4e2d', max_size=4)
+    _IDS = st.one_of(
+        _ID_TEXT,
+        st.sampled_from((1, 12, 123, 1234)),
+        st.integers(min_value=-3, max_value=120),
+    )
     _LIMITS = st.one_of(st.none(), st.integers(min_value=-3, max_value=6))
 
     @st.composite
@@ -234,40 +239,89 @@ if st is not None:
         @given(answer=_answers(), limit=_LIMITS)
         def test_emitted_bytes_equal_the_reference_encoding(self, answer, limit):
             from repro.eval.bindings import IntervalBindingTable
-            from repro.perf import columnar
 
             variables, families = answer
             table = IntervalBindingTable(variables, families)
-            emitted = protocol.encode_families(table.families, limit)
-            assert emitted.data == self.reference(
-                families_to_wire(table.families), limit
+            # The plain list turned into arrays once, and the same answer
+            # as the kernel could hold it (families in another order,
+            # dense ids shifted by objects no family binds), write the
+            # reference bytes at every limit.
+            forms = (
+                self.family_table(variables, families),
+                self.family_table(variables, families[::-1], spare=("p", 1, "\t")),
             )
-            # The same answer as point rows: from row tuples, and from the
-            # kernel's array form.
-            rows = table.materialized()
-            expected = self.reference(rows_to_wire(rows.rows), limit)
-            assert protocol.encode_rows(rows, limit).data == expected
-            if variables and rows.rows:  # the kernel's form
-                import numpy as np
-
-                objects = tuple({obj for row in rows.rows for obj, _t in row})
-                dense = {(type(obj), obj): i for i, obj in enumerate(objects)}
-                columns = list(zip(*rows.rows))
-                point_table = columnar.PointTable(
-                    variables,
-                    objects,
-                    [
-                        np.array([dense[type(obj), obj] for obj, _t in column])
-                        for column in columns
-                    ],
-                    [np.array([t for _obj, t in column]) for column in columns],
-                )
-                assert protocol.encode_rows(point_table, limit).data == expected
+            for each in (None, *range(-3, len(families) + 2)):
+                expected = self.reference(families_to_wire(families), each)
+                for form in forms:
+                    assert protocol.encode_families(form, each).data == expected
+            for form in forms:
+                assert set(form.families) == set(families)
+                assert form.num_families() == len(families)
+                assert form.num_intervals() == table.num_intervals()
+                assert len(form) == len(table)
+            # The same answer as point rows, in the kernel's array form.
+            rows = table.materialized().rows
+            expected = self.reference(rows_to_wire(rows), limit)
+            point_table = self.point_table(variables, rows)
+            assert protocol.encode_rows(point_table, limit).data == expected
             # And through the envelope: spliced, then decoded by a client.
-            payload = GraphHost._table_payload(table, limit)
-            frame = decode(encode(protocol.ok_response(payload, request={"id": 1})))
-            assert frame["result"]["families"] == json.loads(emitted.data)
-            assert frame["result"]["num_families"] == len(families)
+            wire = {"families": families_to_wire(families), "rows": rows_to_wire(rows)}
+            for served, kind in ((forms[1], "families"), (point_table, "rows")):
+                payload = GraphHost._table_payload(served, limit)
+                message = protocol.ok_response(payload, request={"id": 1})
+                result = decode(encode(message))["result"]
+                assert result[kind] == json.loads(self.reference(wire[kind], limit))
+                assert result["output_size"] == len(table)
+
+        @staticmethod
+        def _dense(objects: list, spare) -> tuple:
+            objects = (*spare, *dict.fromkeys(objects))
+            return objects, {(type(obj), obj): i for i, obj in enumerate(objects)}
+
+        @classmethod
+        def family_table(cls, variables, families, spare=()):
+            """``families`` as the kernel holds them: a FamilyTable over an
+            object table that starts with ``spare``."""
+            import numpy as np
+
+            from repro.perf import columnar
+
+            bound = [obj for bindings, _times in families for _v, obj in bindings]
+            objects, dense = cls._dense(bound, spare)
+            ids = [
+                np.array([dense[type(obj), obj] for obj in column], dtype=np.int64)
+                for column in zip(*(dict(b).values() for b, _times in families))
+            ] or [np.empty(0, dtype=np.int64)] * len(variables)
+            sizes = [len(times) for _bindings, times in families]
+            intervals = [iv for _bindings, times in families for iv in times]
+            return columnar.FamilyTable(
+                variables,
+                objects,
+                ids,
+                np.cumsum([0] + sizes),
+                np.array([iv.start for iv in intervals], dtype=np.int64),
+                np.array([iv.end for iv in intervals], dtype=np.int64),
+            )
+
+        @classmethod
+        def point_table(cls, variables, rows):
+            """Point ``rows`` as the kernel holds them: a PointTable."""
+            import numpy as np
+
+            from repro.perf import columnar
+
+            objects, dense = cls._dense([obj for row in rows for obj, _t in row], ())
+            columns = list(zip(*rows)) or [()] * len(variables)
+            return columnar.PointTable(
+                variables,
+                objects,
+                [
+                    np.array([dense[type(obj), obj] for obj, _t in column], dtype=np.int64)
+                    for column in columns
+                ],
+                [np.array([t for _obj, t in column], dtype=np.int64) for column in columns],
+                size=len(rows),
+            )
 
 
 class TestPlanCache:
@@ -322,6 +376,34 @@ class TestGraphHost:
         assert host.table("ann")["result"]["families"] == expected
         other = text.replace("'Ann  Lee'", "'Ann Lee'")
         assert host.query(other)["server"]["plan"] == "miss"
+
+    def test_backslash_escapes_in_literals_select_on_every_engine(self):
+        # ``\\`` in a literal is one backslash, so a value that ends in a
+        # backslash can be written, on both engines and served alike.
+        from repro.eval.engine import ReferenceEngine
+
+        state = ServerState()
+        state.add_graph("default")
+        host = state.host("default")
+        batch = DeltaBatch(sequence=1)
+        names = {"p_end": "a\\", "p_mid": "a\\b", "p_plain": "ab", "p_quote": "it's"}
+        for node, name in names.items():
+            batch.add_node(node, "Person", [(2, 8)])
+            batch.set_property(node, "name", name, 2, 8)
+        host.apply_delta(batch.to_json_dict())
+        for literal, node in (
+            (r"'a\\'", "p_end"),
+            (r"'a\\b'", "p_mid"),
+            (r"'a\b'", "p_plain"),
+            (r"'it\'s'", "p_quote"),
+        ):
+            text = f"MATCH (x:Person {{name = {literal}}}) ON contact_tracing"
+            expected = [[[["x", node]], [[2, 8]]]]
+            for engine in (DataflowEngine(host.graph), ReferenceEngine(host.graph)):
+                assert families_to_wire(engine.match_intervals(text)) == expected, literal
+            assert host.query(text)["result"]["families"] == expected, literal
+            host.register(text, name=node)
+            assert host.table(node)["result"]["families"] == expected, literal
 
     def test_padded_paper_query_names_resolve(self):
         state = ServerState()
@@ -394,6 +476,77 @@ class TestGraphHost:
         state.add_graph("default")
         with pytest.raises(ServerError, match="already resident"):
             state.add_graph("default")
+
+
+# --------------------------------------------------------------------- #
+# Served differential: the wire against the reference engine
+# --------------------------------------------------------------------- #
+#: Every paper query, plus a temporal alternation (distributed leaf
+#: chains whose families are unioned), as CI diffs it.
+SERVED_QUERIES = {
+    **{name: query.text for name, query in PAPER_QUERIES.items()},
+    "alt": "MATCH (x:Person {risk = 'high'})-/FWD/:visits/FWD/:Room/BWD/:visits/BWD/"
+    "(NEXT[0,12] + PREV[0,12])/-({test = 'pos'}) ON contact_tracing",
+}
+
+
+@pytest.fixture(scope="module")
+def s1_files(tmp_path_factory):
+    """The S1 contact-tracing graph as JSON and as a compiled store, with
+    a memo of the reference engine's answers in wire form."""
+    from repro.datagen import generate_contact_tracing_graph
+    from repro.datagen.scale import SCALE_FACTORS
+    from repro.eval.engine import ReferenceEngine
+    from repro.store import compile_graph
+
+    graph = generate_contact_tracing_graph(SCALE_FACTORS["S1"].config())
+    directory = tmp_path_factory.mktemp("served-s1")
+    save_json(graph, directory / "graph.json")
+    compile_graph(graph, str(directory / "graph.rix"))
+    reference = ReferenceEngine(graph)
+    memo: dict = {}
+
+    def expected(name: str, kind: str) -> list:
+        if name not in memo:
+            text = SERVED_QUERIES[name]
+            if kind == "families":
+                wire = families_to_wire(reference.match_intervals(text))
+            else:
+                wire = rows_to_wire(reference.match(text).rows)
+            memo[name] = json.loads(json.dumps(wire, default=str))
+        return memo[name]
+
+    return directory, expected
+
+
+@pytest.fixture(scope="module", params=["graph", "store"])
+def s1_host(request, s1_files):
+    """A host booted like ``repro serve --graph`` or ``--store``."""
+    directory, _expected = s1_files
+    state = ServerState()
+    if request.param == "graph":
+        state.add_graph("default", str(directory / "graph.json"))
+    else:
+        state.add_graph("default", store=str(directory / "graph.rix"))
+    return state.host("default")
+
+
+class TestServedDifferential:
+    """Every served answer, decoded off the wire, equals the reference
+    form of :class:`ReferenceEngine`'s answer — ad hoc and registered, on
+    a graph-booted and on a store-attached host."""
+
+    @pytest.mark.parametrize("name", list(SERVED_QUERIES))
+    def test_served_answer_equals_the_reference(self, s1_files, s1_host, name):
+        _directory, expected = s1_files
+        text = SERVED_QUERIES[name]
+        s1_host.register(text, name=name)
+        for read in (s1_host.query(text), s1_host.table(name)):
+            result = decode(encode(protocol.ok_response(read["result"])))["result"]
+            kind = result["kind"]
+            answer = expected(name, kind)
+            assert result[kind] == answer, (name, kind)
+            assert result[f"num_{kind}"] == len(answer), name
 
 
 # --------------------------------------------------------------------- #

@@ -20,6 +20,8 @@ For ≥ 200 fuzzed ``(graph, query, delta-sequence)`` cases:
 * the registered plan also runs in each direction on its own — as
   written and its converse (the kernel seeds from the end with fewer
   points, which deltas may change) — and both must answer the same;
+* the maintained table's served wire bytes must equal the reference
+  form (``families_to_wire``/``rows_to_wire``) of the cold answer;
 * where the coalesced output is defined, the maintained families must
   also be canonical (one entry per binding tuple, nonempty coalesced
   times) and expand exactly to the cold rows — the interval-vs-point
@@ -34,6 +36,7 @@ window, so the CI fuzz matrix exercises disjoint cases.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
@@ -47,9 +50,10 @@ from repro.datagen.random_graphs import (
 from repro.dataflow import DataflowEngine
 from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
-from repro.eval.bindings import expand_match_families
+from repro.eval.bindings import IntervalBindingTable, expand_match_families
 from repro.model.io import from_json_dict, to_json_dict
 from repro.perf import columnar
+from repro.server import protocol
 from repro.streaming import DeltaBatch, StreamingEngine, apply_delta
 
 #: Sweep size: ``BATCHES x BATCH_SIZE`` cases (each with 3 delta batches).
@@ -84,6 +88,19 @@ def check_intervals(name, session, query_name, variables, cold_rows, context) ->
     )
 
 
+def check_wire(table, cold_table, context) -> None:
+    """The maintained table's served bytes equal the reference form of
+    the cold answer."""
+    if isinstance(table, IntervalBindingTable):
+        written = protocol.encode_families(table)
+        wire = protocol.families_to_wire(cold_table.families)
+    else:
+        written = protocol.encode_rows(table)
+        wire = protocol.rows_to_wire(cold_table.rows)
+    expected = json.dumps(wire, separators=(",", ":"), default=str).encode()
+    assert written.data == expected, f"the served bytes diverged ({context})"
+
+
 def check_directions(session, query_name, cold_rows, context) -> None:
     """The registered plan as written and its converse, each run alone on
     the session's delta-patched image, answer the cold rows."""
@@ -100,7 +117,7 @@ def check_directions(session, query_name, cold_rows, context) -> None:
             ctx, planned, plan.variables, plan.mode, None
         )
         if plan.mode == "families":
-            rows = expand_match_families(output, plan.variables)
+            rows = expand_match_families(output.families, plan.variables)
         else:
             rows = output.as_set()
         assert rows == cold_rows, (
@@ -189,6 +206,7 @@ def run_streaming_case(seed: int) -> None:
             f"extra={sorted(maintained_rows - cold_rows, key=repr)[:5]}, "
             f"missing={sorted(cold_rows - maintained_rows, key=repr)[:5]}"
         )
+        check_wire(session.table(name), cold_table, context)
         check_intervals(
             "the session", session, name, cold_table.variables, cold_rows, context
         )
