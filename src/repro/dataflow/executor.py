@@ -2,7 +2,8 @@
 
 :class:`DataflowEngine` compiles a MATCH clause into a chain of dataflow
 steps (:mod:`repro.dataflow.steps`), plans it once per
-:class:`QueryPlan` (:meth:`DataflowEngine.prepare`) and runs it on the
+:class:`QueryPlan` (:meth:`DataflowEngine.prepare`; a query text is
+prepared once per engine, through its plan cache) and runs it on the
 columnar kernel (:mod:`repro.perf.columnar`): vectorized sweeps over
 the index-owned, delta-maintained array image of the graph.  Every
 chain runs there — an
@@ -30,6 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, Union as TypingUnion
 
+from repro.dataflow.plans import PlanCache
 from repro.dataflow.steps import (
     FAMILIES_UNDEFINED,
     BindStep,
@@ -99,11 +101,11 @@ class QueryPlan:
     chain compilation and kernel planning on every reuse.  A plan is a
     pure function of the query text and reads the graph only when it
     runs, through the engine's index, so it stays valid across deltas:
-    the server keys its plan cache by normalized query text alone, and a
-    streaming session keeps one plan per registered query.  The kernel
-    plan holds the chain's converse too, and each run seeds from the
-    end with fewer points on the graph as it is then: direction is a
-    cost choice and never changes an answer.
+    the engine's plan cache (:attr:`DataflowEngine.plans`) is keyed by
+    query text alone, and a streaming session keeps one plan per
+    registered query.  The kernel plan holds the chain's converse too,
+    and each run seeds from the end with fewer points on the graph as it
+    is then: direction is a cost choice and never changes an answer.
     """
 
     text: str | None
@@ -134,7 +136,11 @@ class DataflowEngine:
     """Interval-based dataflow evaluation of MATCH queries (Section VI)."""
 
     def __init__(
-        self, graph: TemporalGraph, deadline_seconds: float | None = None
+        self,
+        graph: TemporalGraph,
+        deadline_seconds: float | None = None,
+        *,
+        plans: PlanCache | None = None,
     ) -> None:
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(
@@ -149,6 +155,9 @@ class DataflowEngine:
         #: passes its own (each call arms a fresh
         #: :class:`~repro.resilience.Deadline` from it).
         self._deadline_seconds = deadline_seconds
+        #: Query text → :class:`QueryPlan`: a ``str`` query is prepared
+        #: once per text (the server looks its normalized text up here).
+        self.plans = plans if plans is not None else PlanCache()
 
     @property
     def graph(self) -> IntervalTPG:
@@ -184,7 +193,9 @@ class DataflowEngine:
         The front half of a match call — parse, translate, chain
         compilation, kernel planning — done once; the plan replays
         through :meth:`match_with_stats` / :meth:`match_intervals` for as
-        long as it is kept, across writes to the graph too.
+        long as it is kept, across writes to the graph too.  Always
+        compiles afresh: a ``str`` passed to the other methods is
+        looked up in :attr:`plans` first.
         """
         compiled = query if isinstance(query, CompiledMatch) else compile_match(query)
         chain = self._compile(compiled)
@@ -322,7 +333,14 @@ class DataflowEngine:
     def _plan(
         self, query: TypingUnion[str, MatchQuery, CompiledMatch, QueryPlan]
     ) -> QueryPlan:
-        return query if isinstance(query, QueryPlan) else self.prepare(query)
+        """``query``'s plan: a text through :attr:`plans`; an AST or a
+        compiled query is prepared afresh (an AST's ``text`` may be a
+        placeholder, so it is no key)."""
+        if isinstance(query, QueryPlan):
+            return query
+        if isinstance(query, str):
+            return self.plans.lookup(query, self.prepare)[0]
+        return self.prepare(query)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -1,27 +1,30 @@
-"""The compiled-plan cache: normalized query text → plan.
+"""The one plan cache: query text → compiled plan.
 
 The front half of a query — parse, translate, chain compilation, kernel
 planning — is a pure function of the query text (everything
 graph-dependent is read through the engine's
 :class:`~repro.perf.graph_index.GraphIndex` when the plan *runs*), so
-the server memoizes it as a
-:class:`~repro.dataflow.executor.QueryPlan` keyed by the normalized
-MATCH text alone.  A plan therefore survives a write: the read after an
-``apply_delta`` is a hit that evaluates on the patched index.
+each :class:`~repro.dataflow.executor.DataflowEngine` memoizes it as a
+:class:`~repro.dataflow.executor.QueryPlan` keyed by the text alone: a
+repeated ``match(text)`` skips straight to the kernel, and a plan
+survives a write — the read after a delta is a hit that evaluates on
+the patched index.  The server looks up its normalized query text in
+the same cache (its engine's), so there is one cache per engine.
 
 The cache is bounded (LRU eviction) and thread-safe; hit/miss/eviction
-counters feed the ``stats`` op.
+counters feed the server's ``stats`` op.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.dataflow.executor import QueryPlan
+if TYPE_CHECKING:
+    from repro.dataflow.executor import QueryPlan
 
-PlanKey = str  # normalized query text
+PlanKey = str  # query text (the server's is normalized)
 
 
 class PlanCache:
@@ -54,6 +57,22 @@ class PlanCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return plan
+
+    def lookup(
+        self, key: PlanKey, prepare: Callable[[PlanKey], QueryPlan]
+    ) -> tuple[QueryPlan, bool]:
+        """``(plan, hit)`` for ``key``, preparing and storing it on a miss.
+
+        ``prepare`` runs outside the lock, so a racing miss prepares
+        twice and stores one of two equal plans; a ``prepare`` that
+        raises (a parse error) stores nothing and counts its miss.
+        """
+        plan = self.get(key)
+        if plan is not None:
+            return plan, True
+        plan = prepare(key)
+        self.put(key, plan)
+        return plan, False
 
     def put(self, key: PlanKey, plan: QueryPlan) -> None:
         with self._lock:

@@ -267,9 +267,9 @@ def _comparison_test(name: str, op: str, value: Hashable) -> Test:
         if op == "!=":
             return ast.not_(ast.time_eq(bound))
     if op == "=":
-        return ast.prop_eq(name, _normalize_value(value))
+        return _property_test(name, value)
     if op == "!=":
-        return ast.not_(ast.prop_eq(name, _normalize_value(value)))
+        return ast.not_(_property_test(name, value))
     raise QuerySyntaxError(
         f"operator {op!r} is only supported on the reserved word 'time', "
         f"not on property {name!r}"
@@ -283,18 +283,19 @@ def _as_int(value: Hashable) -> int:
         raise QuerySyntaxError(f"time bound {value!r} is not an integer") from exc
 
 
-def _normalize_value(value: Hashable) -> Hashable:
-    """Quoted numbers are kept as written in the query: '750' matches 750 too.
+def _property_test(name: str, value: Hashable) -> Test:
+    """``name = value``; a quoted digit string matches the int and the string.
 
     Property values in the model may be stored as ints (e.g. room
-    numbers); queries typically quote every literal.  We normalize purely
-    numeric strings to ints so that ``{num = '750'}`` matches a stored
-    integer 750, mirroring the loosely-typed behaviour of the paper's
-    experimental implementation.
+    numbers) while queries typically quote every literal, so
+    ``{num = '750'}`` matches a stored integer 750 (the loosely-typed
+    behaviour of the paper's experimental implementation) *and* a stored
+    string ``'750'``.  An unquoted number is an int only.
     """
-    if isinstance(value, str) and value.isdigit():
-        return int(value)
-    return value
+    test = ast.prop_eq(name, value)
+    if isinstance(value, str) and value.isdecimal():
+        return ast.or_(ast.prop_eq(name, int(value)), test)
+    return test
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""The always-on query service: resident graphs, compiled-plan cache.
+"""The always-on query service: resident graphs and their warm engines.
 
 Public surface::
 
@@ -10,8 +10,8 @@ stays resident, and RELIABILITY.md for the wire protocol and
 operational semantics.
 """
 
+from repro.dataflow.plans import PlanCache
 from repro.server.client import IDEMPOTENT_OPS, ServerClient
-from repro.server.plans import PlanCache
 from repro.server.protocol import OPS, PROTOCOL_VERSION, WRITE_OPS, normalize_query
 from repro.server.replication import ReplicationHub, StandbyRunner
 from repro.server.service import BackgroundServer, QueryServer, serve

@@ -1,4 +1,4 @@
-"""Resident server state: graphs, compiled indexes, sessions, plan cache.
+"""Resident server state: graphs, compiled indexes, sessions.
 
 A :class:`GraphHost` is everything the service keeps warm for one named
 graph:
@@ -8,7 +8,8 @@ graph:
   :func:`~repro.perf.graph_index.graph_index_for`, so condition tables
   amortize across the whole query mix);
 * one :class:`~repro.dataflow.executor.DataflowEngine`, which runs
-  every query as one columnar pass on the calling thread;
+  every query as one columnar pass on the calling thread and owns the
+  host's plan cache (normalized query text → compiled plan);
 * a :class:`~repro.streaming.engine.StreamingEngine` session driving the
   same engine: it applies deltas, answers registered queries from their
   cached plans (one kernel run per query per epoch, on the first read),
@@ -38,8 +39,8 @@ exclusive side:
 * ``GraphIndex._table_cache`` entries — build then publish;
 * ``ColumnarContext._conditions`` and ``_hulls`` — build then publish;
 * the lazy ``GraphIndex.columnar_context()`` — locked, built once;
-* :class:`~repro.server.plans.PlanCache` — locked (a racing miss
-  prepares twice and stores one of two equal plans);
+* the engine's :class:`~repro.dataflow.plans.PlanCache` — locked (a
+  racing miss prepares twice and stores one of two equal plans);
 * ``StreamingEngine._answers`` — a registered query's ``(table,
   epoch)``, build then publish (racing first readers after a write each
   run the kernel once and store equal tables);
@@ -61,6 +62,7 @@ import time
 from typing import Optional
 
 from repro.dataflow.executor import DataflowEngine, MatchResult
+from repro.dataflow.plans import PlanCache
 from repro.errors import EvaluationError, ServerError
 from repro.eval.bindings import IntervalBindingTable
 from repro.model import contact_tracing_example, graph_statistics
@@ -71,7 +73,6 @@ from repro.resilience.snapshot import (
     restore,
     write_snapshot,
 )
-from repro.server.plans import PlanCache
 from repro.server.protocol import encode_families, encode_rows, normalize_query
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.engine import StreamingEngine
@@ -92,11 +93,11 @@ class GraphHost:
         wal_fsync: bool = True,
     ) -> None:
         self.name = name
-        self.engine = DataflowEngine(graph)
+        #: The engine owns the plan cache that :meth:`query` looks up.
+        self.engine = DataflowEngine(graph, plans=plans)
         self.graph = self.engine.graph
         self.index = self.engine.index
         self.session = StreamingEngine(engine=self.engine)
-        self.plans = plans if plans is not None else PlanCache()
         #: The session lock doubles as the host lock (see module docstring).
         self.lock = self.session.lock
         #: Replication taps: callables invoked (under the exclusive host
@@ -173,15 +174,11 @@ class GraphHost:
         deadline: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> dict:
-        """Evaluate one ad-hoc query through the compiled-plan cache."""
+        """Evaluate one ad-hoc query through the engine's plan cache."""
         normalized = normalize_query(text)
         start = time.perf_counter()
         with self.lock.shared():
-            plan = self.plans.get(normalized)
-            outcome = "hit" if plan is not None else "miss"
-            if plan is None:
-                plan = self.engine.prepare(normalized)
-                self.plans.put(normalized, plan)
+            plan, hit = self.engine.plans.lookup(normalized, self.engine.prepare)
             result: MatchResult = self.engine.match_with_stats(
                 plan, deadline_seconds=deadline
             )
@@ -194,7 +191,7 @@ class GraphHost:
             "server": {
                 "graph": self.name,
                 "epoch": epoch,
-                "plan": outcome,
+                "plan": "hit" if hit else "miss",
                 "seconds": time.perf_counter() - start,
             },
         }
@@ -310,8 +307,8 @@ class GraphHost:
                 "epoch": self.session.epoch,
                 "index_epoch": self.index.epoch,
                 "queries": list(self.session.query_names()),
-                "plan_cache": self.plans.stats(),
-                "plans": [text for text, _plan in self.plans.entries()],
+                "plan_cache": self.engine.plans.stats(),
+                "plans": [text for text, _plan in self.engine.plans.entries()],
                 "wal": None if self.session.wal is None else self.session.wal.path,
                 "wal_seq": self.session.wal_seq,
                 "last_sequence": self.session.last_sequence,

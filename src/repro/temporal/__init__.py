@@ -18,7 +18,7 @@ interval-timestamped temporal property graphs (ITPGs) are built on:
 """
 
 from repro.temporal.interval import Interval
-from repro.temporal.intervalset import IntervalSet, IntervalSetAccumulator
+from repro.temporal.intervalset import IntervalSet
 from repro.temporal.valued import ValuedInterval, ValuedIntervalSet
 from repro.temporal.coalesce import (
     coalesce_intervals,
@@ -30,7 +30,6 @@ from repro.temporal.alignment import align, align_many, overlap_join
 __all__ = [
     "Interval",
     "IntervalSet",
-    "IntervalSetAccumulator",
     "ValuedInterval",
     "ValuedIntervalSet",
     "coalesce_intervals",

@@ -181,32 +181,6 @@ class IntervalSet:
             return self
         return IntervalSet(self._intervals + other._intervals)
 
-    @staticmethod
-    def union_many(families: Iterable["IntervalSet"]) -> "IntervalSet":
-        """Union of arbitrarily many families with a single coalesce pass.
-
-        Folding ``union`` pairwise re-sorts and re-coalesces after every
-        operand (``O(k² log k)`` over ``k`` total intervals); this
-        primitive concatenates all operands first and coalesces once.
-        Use it when all operands are already in hand (e.g. merging the
-        per-row output families of the dataflow materializer); for
-        step-by-step accumulation use :class:`IntervalSetAccumulator`,
-        its mutable counterpart that the coalescing frontier builds on.
-        """
-        pieces: list[Interval] = []
-        count = 0
-        last: Optional[IntervalSet] = None
-        for family in families:
-            if family._intervals:
-                pieces.extend(family._intervals)
-                count += 1
-                last = family
-        if count == 0:
-            return IntervalSet.empty()
-        if count == 1:
-            return last  # type: ignore[return-value]  # count == 1 implies last is set
-        return IntervalSet(pieces)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Pointwise intersection, computed by a linear merge of both families."""
         result: list[Interval] = []
@@ -315,39 +289,6 @@ class IntervalSet:
     def __repr__(self) -> str:
         body = ", ".join(str(iv) for iv in self._intervals)
         return f"IntervalSet({{{body}}})"
-
-
-class IntervalSetAccumulator:
-    """A mutable accumulator of intervals, coalesced once on :meth:`build`.
-
-    :class:`IntervalSet` is immutable, so code that merges many families
-    into one (the coalescing frontier, temporal-navigation windows) would
-    otherwise allocate a fresh family per ``union``.  The accumulator is
-    the in-place counterpart: ``add``/``add_interval`` are amortized
-    O(1) appends and the FC invariant is established exactly once.
-    """
-
-    __slots__ = ("_pieces",)
-
-    def __init__(self) -> None:
-        self._pieces: list[Interval] = []
-
-    def add(self, family: IntervalSet) -> None:
-        """Merge a whole family into the accumulator."""
-        self._pieces.extend(family.intervals)
-
-    def add_interval(self, interval: Interval) -> None:
-        """Merge a single interval into the accumulator."""
-        self._pieces.append(interval)
-
-    def __bool__(self) -> bool:
-        return bool(self._pieces)
-
-    def build(self) -> IntervalSet:
-        """The coalesced union of everything added so far."""
-        if not self._pieces:
-            return IntervalSet.empty()
-        return IntervalSet(self._pieces)
 
 
 def _coalesce(intervals: Sequence[Interval]) -> list[Interval]:

@@ -113,9 +113,12 @@ class TestKernelSelection:
     def test_engine_takes_no_mode_option(self):
         import inspect
 
+        # ``plans`` is the engine's plan cache (a server host passes one
+        # sized by ``--plan-cache``), not a mode: it changes no answer.
         assert list(inspect.signature(DataflowEngine).parameters) == [
             "graph",
             "deadline_seconds",
+            "plans",
         ]
 
 

@@ -17,8 +17,6 @@ struct-of-arrays frontier:
   their landing tests — agree with the reference engine.
 """
 
-import random
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from repro.errors import EvaluationError
 from repro.eval import ReferenceEngine
 from repro.eval.bindings import expand_match_families
 from repro.perf import columnar
-from repro.temporal import IntervalSet, IntervalSetAccumulator
+from repro.temporal import IntervalSet
 from repro.temporal.coalesce import is_coalesced
 
 
@@ -331,30 +329,3 @@ class TestPlannedHops:
             plan = engine.prepare(text)
             assert all(map(_folds_landing_tests, plan.kernel_plan.leaves)), name
             assert engine.match(plan).as_set() == reference.match(text).as_set(), name
-
-
-class TestIntervalSetPrimitives:
-    def test_union_many_matches_pairwise_union(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            families = []
-            for _ in range(rng.randint(0, 5)):
-                pieces = [
-                    (s, s + rng.randint(0, 3))
-                    for s in (rng.randint(0, 30) for _ in range(rng.randint(1, 3)))
-                ]
-                families.append(IntervalSet(pieces))
-            expected = IntervalSet.empty()
-            for family in families:
-                expected = expected.union(family)
-            assert IntervalSet.union_many(families) == expected
-
-    def test_accumulator_matches_union(self):
-        accumulator = IntervalSetAccumulator()
-        assert not accumulator
-        assert accumulator.build() == IntervalSet.empty()
-        accumulator.add(IntervalSet([(0, 2)]))
-        accumulator.add_interval(IntervalSet([(3, 5)]).intervals[0])
-        accumulator.add(IntervalSet([(10, 12)]))
-        assert accumulator
-        assert accumulator.build() == IntervalSet([(0, 5), (10, 12)])

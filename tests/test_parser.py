@@ -10,6 +10,7 @@ from repro.lang.ast import (
     ExistsTest,
     LabelTest,
     NotTest,
+    OrTest,
     PropEq,
     Repeat,
     TestPath,
@@ -133,8 +134,14 @@ class TestPathParsing:
         assert isinstance(expr.condition, NotTest)
 
     def test_numeric_string_normalized(self):
+        # A quoted digit string matches a stored int and a stored string.
         expr = parse_path("{num = '750'}", implicit_existence=False)
-        assert expr.condition == PropEq("num", 750)
+        assert expr.condition == OrTest((PropEq("num", 750), PropEq("num", "750")))
+        expr = parse_path("{num != '750'}", implicit_existence=False)
+        assert expr.condition == NotTest(OrTest((PropEq("num", 750), PropEq("num", "750"))))
+        assert parse_path("{num = 750}", implicit_existence=False).condition == PropEq("num", 750)
+        # A digit that int() cannot read stays a string.
+        assert parse_path("{num = '²'}", implicit_existence=False).condition == PropEq("num", "²")
 
     def test_inequality_on_property_rejected(self):
         with pytest.raises(QuerySyntaxError):

@@ -7,6 +7,8 @@ label tests inside path expressions) that the numbered queries do not
 cover.  Every scenario is checked on both engines.
 """
 
+import json
+
 import pytest
 
 from repro.dataflow import DataflowEngine
@@ -131,3 +133,54 @@ class TestTemporalScenarios:
             "({test = 'pos'}) ON g",
         )
         assert {p for _r, (p, _pt) in table.rows} == {"n6"}
+
+
+class TestQuotedDigitLiterals:
+    """A quoted digit string matches a stored int *and* a stored string:
+    ``'1'`` selects both ``name = 1`` and ``name = "1"``, unquoted ``1``
+    only the int, and ``!=`` is the negation of the quoted match."""
+
+    @staticmethod
+    def _batch():
+        from repro.streaming.delta import DeltaBatch
+
+        batch = DeltaBatch(sequence=1)
+        for node, name in (("n_str", "1"), ("n_int", 1)):
+            batch.add_node(node, "Person", [(2, 4)])
+            batch.set_property(node, "name", name, 2, 4)
+        return batch
+
+    @pytest.fixture(scope="class")
+    def digits(self):
+        from repro.model.examples import contact_tracing_example
+        from repro.streaming.delta import apply_delta
+
+        graph = contact_tracing_example()
+        apply_delta(graph, self._batch())
+        return ReferenceEngine(graph), DataflowEngine(graph)
+
+    CASES = {
+        "MATCH (x:Person {name = '1'}) ON g": {"n_str", "n_int"},
+        "MATCH (x:Person {name = 1}) ON g": {"n_int"},
+        "MATCH (x:Person {name = 'Ann' OR name = '1'}) ON g": {"n1", "n_str", "n_int"},
+        "MATCH (x:Person {name != '1'}) ON g": {"n1", "n2", "n3", "n6", "n7"},
+    }
+
+    @pytest.mark.parametrize("query", sorted(CASES))
+    def test_both_engines(self, digits, query):
+        table = both(digits, query)
+        assert {x for ((x, _t),) in table.rows} == self.CASES[query]
+
+    def test_served_query_and_registered_table(self):
+        from repro.model.examples import contact_tracing_example
+        from repro.server import GraphHost
+
+        host = GraphHost("g", contact_tracing_example())
+        host.register("MATCH (x:Person {name = '1'}) ON g", name="digits")
+        host.apply_delta(self._batch().to_json_dict())
+        for payload in (
+            host.query("MATCH (x:Person {name = '1'}) ON g")["result"],
+            host.table("digits")["result"],
+        ):
+            families = json.loads(payload["families"].data)
+            assert sorted(dict(bindings)["x"] for bindings, _times in families) == ["n_int", "n_str"]

@@ -423,7 +423,7 @@ class TestGraphHost:
         host = state.host("default")
         host.query("Q1")
         before = host.query("Q5")["result"]["families"]
-        plan = dict(host.plans.entries())[normalize_query("Q5")]
+        plan = dict(host.engine.plans.entries())[normalize_query("Q5")]
         applied = host.apply_delta(example_batch(1).to_json_dict())
         assert "plans_invalidated" not in applied["result"]
         assert applied["server"]["epoch"] == 1
@@ -435,9 +435,9 @@ class TestGraphHost:
             # ...and the surviving plan answers like a cold one-shot
             # engine over the mutated graph.
             assert after["result"]["families"] == serial_wire_answer(host.graph, name)
-        assert dict(host.plans.entries())[normalize_query("Q5")] is plan
+        assert dict(host.engine.plans.entries())[normalize_query("Q5")] is plan
         assert host.query("Q5")["result"]["families"] != before
-        assert host.plans.stats()["misses"] == 2
+        assert host.engine.plans.stats()["misses"] == 2
 
     def test_stats_lists_the_cached_plans(self):
         state = ServerState()
