@@ -11,7 +11,9 @@ The CLI exposes the most common workflows without writing Python:
   query answered while delta batches are applied, re-reporting after each;
 * ``python -m repro serve`` — run the always-on query service: graphs
   and their compiled indexes stay resident, execution plans are cached,
-  and clients speak JSON lines over TCP (see RELIABILITY.md);
+  and clients speak JSON lines over TCP (see RELIABILITY.md); with
+  ``--wal`` and ``--snapshot`` its writes are durable and a restart is
+  the checkpoint plus the WAL tail;
 * ``python -m repro compile`` — compile a graph's index into a
   persistent ``repro-index`` artifact; ``query --store`` and
   ``serve --store`` then attach it in O(1) instead of loading JSON and
@@ -53,7 +55,7 @@ def _positive_float(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (``--limit``, ``--port``, ``--max-queue``)."""
+    """argparse type: an integer >= 0 (``--limit``, ``--port``, ``--rooms``)."""
     try:
         value = int(text)
     except ValueError:
@@ -64,13 +66,24 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (``--max-concurrency``, ``--plan-cache``)."""
+    """argparse type: an integer >= 1 (``--persons``, ``--max-concurrency``)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in ``[0, 1]`` (``--positivity``, ``--stream-initial``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -83,16 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate a synthetic contact-tracing graph")
-    generate.add_argument("--persons", type=int, default=200, help="number of Person nodes")
-    generate.add_argument("--locations", type=int, default=80, help="number of campus locations")
-    generate.add_argument("--rooms", type=int, default=20, help="number of Room nodes")
-    generate.add_argument("--windows", type=int, default=48, help="number of time windows")
-    generate.add_argument("--positivity", type=float, default=0.05, help="positivity rate (0..1)")
+    generate.add_argument("--persons", type=_positive_int, default=200, help="number of Person nodes")
+    generate.add_argument("--locations", type=_positive_int, default=80, help="number of campus locations")
+    generate.add_argument("--rooms", type=_nonnegative_int, default=20, help="number of Room nodes")
+    generate.add_argument("--windows", type=_positive_int, default=48, help="number of time windows (>= 2)")
+    generate.add_argument("--positivity", type=_fraction, default=0.05, help="positivity rate (0..1)")
     generate.add_argument("--seed", type=int, default=11, help="random seed")
     generate.add_argument("--output", "-o", required=True, help="output JSON path")
     generate.add_argument(
         "--stream-batches",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="emit a streaming workload instead of one graph: write the "
@@ -107,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument(
         "--stream-initial",
-        type=float,
+        type=_fraction,
         default=0.5,
         metavar="FRACTION",
         help="share of events in the initial prefix graph (default 0.5)",
@@ -165,54 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query wall-clock budget; on expiry the query is cancelled "
         "with a structured DeadlineExceeded error (dataflow engine only)",
     )
-    query.add_argument(
-        "--wal",
-        default=None,
-        metavar="PATH",
-        help="with --stream: append every applied batch to a checksummed "
-        "write-ahead log at PATH (replayable via 'repro recover')",
-    )
-    query.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="PATH",
-        help="with --stream and --wal: write a checkpoint (a repro-index "
-        "artifact plus the session) to PATH before the first batch and "
-        "after the last; 'repro recover' restarts from it plus the WAL tail",
-    )
-
-    recover = sub.add_parser(
-        "recover",
-        help="rebuild a streaming session from a checkpoint plus WAL tail",
-    )
-    recover.add_argument(
-        "--snapshot", required=True, help="checkpoint (repro-index artifact) path"
-    )
-    recover.add_argument(
-        "--wal",
-        default=None,
-        metavar="PATH",
-        help="delta WAL to replay on top of the checkpoint (records already "
-        "captured by the checkpoint are skipped; a torn final record is "
-        "dropped and reported)",
-    )
-    recover.add_argument(
-        "--match",
-        default=None,
-        help="after recovery, print this registered query's table (defaults "
-        "to reporting the recovered queries without printing tables)",
-    )
-    recover.add_argument(
-        "--limit", type=_nonnegative_int, default=25, help="rows to print (0 = all)"
-    )
-    recover.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        metavar="PATH",
-        help="save the recovered graph as JSON",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the always-on query service (JSON lines over TCP)",
@@ -367,16 +332,19 @@ def _resolve_query(text: str) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = ContactTracingConfig(
-        trajectory=TrajectoryConfig(
+    try:  # the sizes argparse cannot check alone (rooms <= locations, windows >= 2)
+        trajectory = TrajectoryConfig(
             num_persons=args.persons,
             num_locations=args.locations,
             num_rooms=args.rooms,
             num_windows=args.windows,
             seed=args.seed,
-        ),
-        positivity_rate=args.positivity,
-        seed=args.seed,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    config = ContactTracingConfig(
+        trajectory=trajectory, positivity_rate=args.positivity, seed=args.seed
     )
     if args.stream_batches is not None:
         if args.stream_output is None:
@@ -458,13 +426,7 @@ def _print_explain(plan: dict) -> None:
         print(f"# plan: op {op}")
 
 
-def _run_stream(
-    engine: DataflowEngine,
-    text: str,
-    path: str,
-    wal: Optional[str] = None,
-    snapshot: Optional[str] = None,
-) -> None:
+def _run_stream(engine: DataflowEngine, text: str, path: str) -> None:
     """The --stream loop: apply each batch, report the output drift.
 
     Every line is validated by :func:`repro.streaming.read_delta_stream`
@@ -472,66 +434,41 @@ def _run_stream(
     out-of-order sequence) are re-raised as
     :class:`~repro.errors.StreamFormatError` with the file/line/sequence
     context attached — the engine state stays exactly as the last good
-    batch left it.  With ``wal``, applied batches are durably logged;
-    ``snapshot`` checkpoints the session after registration and after the
-    last batch, so a crash mid-stream recovers (``repro recover``) as that
-    first checkpoint plus the WAL.
+    batch left it.  A durable stream is ``repro serve --wal --snapshot``.
     """
     from repro.errors import StreamFormatError
-    from repro.resilience import write_snapshot
     from repro.streaming import StreamingEngine
     from repro.streaming.reader import read_delta_stream
 
     session = StreamingEngine(engine=engine)
     name = session.register(text)
     size = len(session.table(name))
-    if wal is not None:
-        session.attach_wal(wal)
-    try:
-        if snapshot is not None:
-            write_snapshot(session, snapshot)
-        durability = (f", wal {wal}" if wal else "") + (
-            f", checkpoint {snapshot}" if snapshot else ""
+    print(f"# stream: initial graph {engine.graph}, output size {size}")
+    batch_number = 0
+    for number, batch in read_delta_stream(path):
+        batch_number += 1
+        try:
+            applied = session.apply(batch)
+        except ReproError as error:
+            raise StreamFormatError(
+                f"{path}:{number}: {error}",
+                path=path,
+                line=number,
+                sequence=batch.sequence,
+            ) from error
+        new_size = len(session.table(name))
+        sequence = "-" if applied.sequence is None else str(applied.sequence)
+        horizon = (
+            f", horizon -> {engine.graph.domain.end}"
+            if applied.horizon_advanced
+            else ""
         )
-        print(f"# stream: initial graph {engine.graph}, output size {size}{durability}")
-        batch_number = 0
-        for number, batch in read_delta_stream(path):
-            batch_number += 1
-            try:
-                applied = session.apply(batch)
-            except ReproError as error:
-                raise StreamFormatError(
-                    f"{path}:{number}: {error}",
-                    path=path,
-                    line=number,
-                    sequence=batch.sequence,
-                ) from error
-            new_size = len(session.table(name))
-            sequence = "-" if applied.sequence is None else str(applied.sequence)
-            horizon = (
-                f", horizon -> {engine.graph.domain.end}"
-                if applied.horizon_advanced
-                else ""
-            )
-            print(
-                f"# batch {batch_number} (seq {sequence}): +{applied.new_nodes} nodes "
-                f"+{applied.new_edges} edges ~{applied.touched_objects} touched"
-                f"{horizon} | output {new_size} ({new_size - size:+d})"
-            )
-            size = new_size
-        if session.wal is not None:
-            session.wal.sync()
-        if snapshot is not None:
-            write_snapshot(session, snapshot)
-    finally:  # a rejected batch included
-        if session.wal is not None:
-            session.wal.close()
-
-
-_SNAPSHOT_NEEDS_WAL = (
-    "error: --snapshot requires --wal (the WAL holds every applied batch; "
-    "a checkpoint only shortens the restart)"
-)
+        print(
+            f"# batch {batch_number} (seq {sequence}): +{applied.new_nodes} nodes "
+            f"+{applied.new_edges} edges ~{applied.touched_objects} touched"
+            f"{horizon} | output {new_size} ({new_size - size:+d})"
+        )
+        size = new_size
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -556,16 +493,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if (args.wal or args.snapshot) and not args.stream:
-        print(
-            "error: --wal and --snapshot require --stream (they make the "
-            "streaming session durable)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.snapshot and not args.wal:
-        print(_SNAPSHOT_NEEDS_WAL, file=sys.stderr)
-        return 2
     if args.store is not None:
         from repro.store import attach
 
@@ -580,13 +507,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             _print_explain(engine.explain(text))
         if args.stream:
             try:
-                _run_stream(
-                    engine,
-                    text,
-                    args.stream,
-                    wal=args.wal,
-                    snapshot=args.snapshot,
-                )
+                _run_stream(engine, text, args.stream)
             except ValueError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
@@ -630,32 +551,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
-    """Rebuild a streaming session from a checkpoint + WAL and report on it."""
-    from repro.resilience import recover
-
-    session, report = recover(args.snapshot, args.wal)
-    print(f"# {report.summary()}")
-    for name in report.queries:
-        table = session.table(name)
-        print(f"# query {name!r}: output size {len(table)}")
-    if args.output is not None:
-        save_json(session.graph, args.output)
-        print(f"# recovered graph saved to {args.output}")
-    if args.match is not None:
-        text = _resolve_query(args.match)
-        name = text if text in session.query_names() else session.register(text)
-        limit = None if args.limit == 0 else args.limit
-        print(session.table(name).pretty(limit=limit))
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the always-on query service until a shutdown request."""
-    # The same flag contract as 'query': contradictory combinations are
-    # rejected up front with an actionable message.
+    # Contradictory flag combinations are rejected up front with an
+    # actionable message.
     if args.snapshot is not None and args.wal is None:
-        print(_SNAPSHOT_NEEDS_WAL, file=sys.stderr)
+        print(
+            "error: --snapshot requires --wal (the WAL holds every applied "
+            "batch; a checkpoint only shortens the restart)",
+            file=sys.stderr,
+        )
         return 2
     if args.store is not None and args.graph is not None:
         print(
@@ -769,7 +674,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "stats": _cmd_stats,
     "query": _cmd_query,
-    "recover": _cmd_recover,
     "serve": _cmd_serve,
     "compile": _cmd_compile,
     "example": _cmd_example,

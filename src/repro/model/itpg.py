@@ -353,22 +353,6 @@ class IntervalTPG:
     # ------------------------------------------------------------------ #
     # Dunder plumbing
     # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Pickle only the graph itself, never per-process caches.
-
-        The perf layer memoizes the compiled
-        :class:`~repro.perf.graph_index.GraphIndex` on the graph instance
-        under a ``_repro_``-prefixed attribute.  That cache is
-        process-local — the store pickles the graph into an artifact's
-        graph section, and whoever unpickles it builds its own index —
-        so it is stripped here rather than serialized along.
-        """
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if not key.startswith("_repro_")
-        }
-
     def __repr__(self) -> str:
         return (
             f"IntervalTPG(domain={self._domain}, nodes={self.num_nodes()}, "

@@ -13,8 +13,8 @@ pillar is woven through the existing subsystems rather than bolted on:
   durable streaming state: a checksummed, fsynced JSONL delta WAL (the
   durability) plus checkpoints — ``repro-index/1`` store artifacts with
   a ``session`` header record (the restart speed) — with ``recover()`` =
-  attach + idempotent WAL-tail replay (CLI: ``query --stream --wal
-  --snapshot``, ``repro recover``);
+  attach + idempotent WAL-tail replay (CLI: ``repro serve --wal
+  --snapshot``, whose every boot is that recovery);
 * :mod:`repro.resilience.failpoints` — the deterministic, cross-process
   fault-injection registry the chaos suite drives (slow or failing
   kernel steps, torn WAL writes, malformed deltas, a primary killed

@@ -52,7 +52,7 @@ PathLike = Union[str, Path]
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What :func:`recover` did, for operators and the CLI verb."""
+    """What :func:`recover` did (a server boot reports :meth:`to_dict`)."""
 
     snapshot_path: str
     wal_path: Optional[str]
@@ -77,15 +77,6 @@ class RecoveryReport:
             "torn_tail": self.torn_tail,
             "queries": list(self.queries),
         }
-
-    def summary(self) -> str:
-        torn = ", torn final WAL record dropped" if self.torn_tail else ""
-        return (
-            f"recovered from {self.snapshot_path} "
-            f"(wal position {self.snapshot_wal_seq}): "
-            f"{self.replayed} WAL record(s) replayed, {self.skipped} already "
-            f"in the checkpoint{torn}; {len(self.queries)} quer(y/ies) registered"
-        )
 
 
 def write_snapshot(session: StreamingEngine, path: PathLike) -> dict:

@@ -49,11 +49,16 @@ writer in this package maintains:
   read, so a damaged field raises
   :class:`~repro.errors.StoreCorruptError` instead of an oversized
   read.
+* **The graph is stored once.**  The per-object ``exist`` / ``adj`` /
+  ``props`` records and the head tables are the whole graph; there is
+  no second, pickled copy (an older ``/1`` artifact's ``graph`` section
+  is ignored).
 * **Attachments are read-only.**  The first mutation (the streaming
-  delta path) materializes the embedded graph and writes go there, never
-  to the mmap; consumers that decode sections into private arrays must
-  copy, because ``close()`` refuses to unmap while exported buffers
-  exist.
+  delta path) builds an in-memory graph from the records
+  (:meth:`~repro.store.artifact.AttachedCore.to_graph`) and writes go
+  there, never to the mmap; consumers that decode sections into
+  private arrays must copy, because ``close()`` refuses to unmap while
+  exported buffers exist.
 
 See docs/ARCHITECTURE.md (the graph lifecycle), PERFORMANCE.md
 (``store.*`` costs) and RELIABILITY.md for the operational discipline.

@@ -84,6 +84,16 @@ def _props_record(graph: IntervalTPG, obj: ObjectId) -> bytes:
     return pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _exist_family(record: memoryview) -> IntervalSet:
+    return IntervalSet._from_coalesced(
+        Interval(start, end) for start, end in _PAIR.iter_unpack(record)
+    )
+
+
+def _props_families(record: memoryview) -> dict:
+    return pickle.loads(record) if len(record) else {}
+
+
 def _head_sections(index: GraphIndex, graph: IntervalTPG) -> dict[str, bytes]:
     """The graph-wide tables: object vocabulary, labels, endpoints, buckets."""
     dumps = lambda obj: pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)  # noqa: E731
@@ -97,7 +107,6 @@ def _head_sections(index: GraphIndex, graph: IntervalTPG) -> dict[str, bytes]:
             tuple(graph.endpoints(obj) for obj in objects if obj not in nodes)
         ),
         "buckets": dumps(tuple(dict(buckets) for buckets in index.buckets())),
-        "graph": dumps(graph),
     }
 
 
@@ -271,10 +280,7 @@ class AttachedCore:
     def existence(self, key: ObjectId) -> IntervalSet:
         found = self._existence.get(key)
         if found is None:
-            record = self._record("exist", key)
-            found = self._existence[key] = IntervalSet._from_coalesced(
-                Interval(start, end) for start, end in _PAIR.iter_unpack(record)
-            )
+            found = self._existence[key] = _exist_family(self._record("exist", key))
         return found
 
     def adjacency(self, key: ObjectId) -> tuple[tuple, tuple]:
@@ -296,8 +302,7 @@ class AttachedCore:
         """The object's property families (treat as read-only)."""
         found = self._families.get(key)
         if found is None:
-            record = self._record("props", key)
-            found = self._families[key] = pickle.loads(record) if len(record) else {}
+            found = self._families[key] = _props_families(self._record("props", key))
         return found
 
     def buckets(self) -> tuple[dict, dict, dict]:
@@ -323,10 +328,52 @@ class AttachedCore:
             self._section("adj.dat"),
         )
 
-    # -- housekeeping --------------------------------------------------- #
-    def graph_bytes(self) -> memoryview:
-        return self._artifact.section("graph")
+    def _all_records(self, name: str) -> Iterator[memoryview]:
+        """Every record of a data section, in dense-id order, unmemoized."""
+        idx = self._section(f"{name}.idx").cast("Q")
+        bounds = idx.tolist()
+        idx.release()
+        dat = self._section(f"{name}.dat")
+        for start, stop in zip(bounds, bounds[1:]):
+            yield dat[start:stop]
 
+    def to_graph(self) -> IntervalTPG:
+        """A new :class:`IntervalTPG` holding every record, built in bulk.
+
+        The records were validated when they were written, so the
+        graph's tables are filled directly, without ``add_node`` /
+        ``add_edge``'s checks, and nothing decoded here is memoized.
+        Every per-object container (property dict, adjacency set) is
+        new: a write to the graph never reaches this core's memo.
+        """
+        objects, nodes = self.objects, self.nodes
+        labels = pickle.loads(self._artifact.section("labels"))
+        graph = IntervalTPG(self.domain)
+        graph._node_labels = {
+            obj: label for obj, label in zip(objects, labels) if obj in nodes
+        }
+        graph._edge_labels = {
+            obj: label for obj, label in zip(objects, labels) if obj not in nodes
+        }
+        graph._edge_endpoints = dict(
+            zip(self.edge_tuple, pickle.loads(self._artifact.section("endpoints")))
+        )
+        graph._existence = {
+            obj: _exist_family(record)
+            for obj, record in zip(objects, self._all_records("exist"))
+        }
+        graph._properties = {
+            obj: _props_families(record)
+            for obj, record in zip(objects, self._all_records("props"))
+        }
+        out_edges = graph._out_edges = {node: set() for node in self.node_tuple}
+        in_edges = graph._in_edges = {node: set() for node in self.node_tuple}
+        for edge, (source, target) in graph._edge_endpoints.items():
+            out_edges[source].add(edge)
+            in_edges[target].add(edge)
+        return graph
+
+    # -- housekeeping --------------------------------------------------- #
     def verify(self) -> None:
         """CRC-check every section of the artifact."""
         self._artifact.verify()
@@ -341,19 +388,16 @@ class AttachedCore:
 # --------------------------------------------------------------------- #
 # The attached graph proxy
 # --------------------------------------------------------------------- #
-def _identity(graph: IntervalTPG) -> IntervalTPG:
-    return graph
-
-
 class AttachedGraph:
     """An :class:`IntervalTPG` look-alike backed by an attached core.
 
     Read accessors answer from the artifact's records, so a query that
     never leaves its neighbourhood never materializes the full graph.
     The first *mutation* (or any other attribute the proxy does not
-    implement) unpickles the embedded graph section once and the proxy
-    becomes a thin delegate to that real graph — reads included, so
-    post-delta state is always coherent.
+    implement) builds the real graph once from the artifact's records
+    (:meth:`AttachedCore.to_graph`) and the proxy becomes a thin
+    delegate to it — reads included, so post-delta state is always
+    coherent.
 
     Underscore attributes never materialize: the perf layer probes the
     ``_repro_``-prefixed index slot with a ``getattr`` default, and that
@@ -367,12 +411,12 @@ class AttachedGraph:
 
     # -- materialization ------------------------------------------------ #
     def _materialize(self) -> IntervalTPG:
-        # Locked: two readers must not each unpickle a graph, or one of
+        # Locked: two readers must not each build a graph, or one of
         # them would keep reading a copy later writes never reach.
         if self._real is None:
             with self._materialize_lock:
                 if self._real is None:
-                    self._real = pickle.loads(self._core.graph_bytes())
+                    self._real = self._core.to_graph()
         return self._real
 
     @property
@@ -383,12 +427,6 @@ class AttachedGraph:
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._materialize(), name)
-
-    def __reduce__(self):
-        # Pickling the proxy (``compile_graph`` of an attached graph
-        # writes the graph section) yields the real graph, whose caches
-        # IntervalTPG.__getstate__ knows how to strip.
-        return (_identity, (self._materialize(),))
 
     def __repr__(self) -> str:
         state = "materialized" if self._real is not None else "attached"

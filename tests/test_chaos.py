@@ -337,52 +337,14 @@ class TestMalformedDeltaViaCli:
             + json.dumps({"sequence": 2, "nodes": [{"bogus": True}]})
             + "\n"
         )
-        wal_path = tmp_path / "deltas.wal"
         code = cli_main(
-            [
-                "query", QUERY, "--graph", graph_path,
-                "--stream", str(deltas_path), "--wal", str(wal_path),
-            ]
+            ["query", QUERY, "--graph", graph_path, "--stream", str(deltas_path)]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert f"{deltas_path}:2:" in captured.err
         assert "# batch 1 (seq 1):" in captured.out
-        # Engine state stopped exactly at the last good batch: the WAL
-        # (written only after successful applies) holds batch 1 alone.
-        scan = scan_wal(wal_path)
-        assert [record.seq for record in scan.records] == [1]
-
-    def test_stream_closes_its_wal_on_success_and_failure(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Regression: ``query --stream … --wal`` left the log's file open
-        (``ResourceWarning: unclosed file``), after a clean stream and
-        after a rejected batch alike."""
-        import gc
-        import sys
-        import warnings
-
-        graph_path, deltas_path = self._stream_files(tmp_path)
-        bad_path = tmp_path / "bad.jsonl"
-        bad_path.write_text(json.dumps({"sequence": 1, "nodes": [{"bogus": True}]}) + "\n")
-        gc.collect()  # what earlier tests left behind is not this test's
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            for stream, code in ((deltas_path, 0), (str(bad_path), 2)):
-                wal_path = tmp_path / f"{code}.wal"
-                assert cli_main(
-                    [
-                        "query", QUERY, "--graph", graph_path,
-                        "--stream", stream, "--wal", str(wal_path),
-                    ]
-                ) == code
-                gc.collect()
-        capsys.readouterr()
-        leaks = [str(hook.exc_value) for hook in unraisable]
-        assert [leak for leak in leaks if str(tmp_path) in leak] == []
+        assert "# batch 2" not in captured.out
 
     def test_clean_stream_is_unaffected_by_unarmed_registry(self, tmp_path, capsys):
         graph_path, deltas_path = self._stream_files(tmp_path)

@@ -28,7 +28,7 @@ from repro.errors import (
     WALError,
 )
 from repro.dataflow import DataflowEngine
-from repro.model.io import from_json_dict, save_json
+from repro.model.io import save_json
 from repro.model.itpg import IntervalTPG
 from repro.resilience import (
     Deadline,
@@ -198,6 +198,22 @@ class TestDeltaWAL:
         assert [record.seq for record in scan.records] == [1, 2, 3]
         assert scan.records[0].batch.sequence == 1
         assert scan.last_seq == 3
+
+    def test_rejected_batch_never_reaches_the_wal(self, tmp_path):
+        """The WAL is the applied prefix: a batch the graph rejects stops
+        the log at the last good batch."""
+        path = tmp_path / "deltas.wal"
+        session = StreamingEngine(small_graph())
+        session.register(QUERY, name="people")
+        session.attach_wal(str(path))
+        session.apply(DeltaBatch(sequence=1).add_existence("a", 5, 7))
+        before = session.table("people").as_set()
+        with pytest.raises(ReproError):
+            session.apply(DeltaBatch(sequence=2).add_existence("ghost", 0, 1))
+        session.wal.close()
+        assert [record.seq for record in scan_wal(path).records] == [1]
+        assert session.last_sequence == 1 and session.wal_seq == 1
+        assert session.table("people").as_set() == before
 
     def test_missing_file_scans_empty(self, tmp_path):
         scan = scan_wal(tmp_path / "absent.wal")
@@ -528,7 +544,6 @@ class TestSnapshotRecovery:
         assert recovered.wal_seq == 2
         assert recovered.graph.domain == Interval(0, 14)
         assert recovered.table("people").as_set() == session.table("people").as_set()
-        assert "1 WAL record(s) replayed" in report.summary()
 
     def test_recover_restores_the_epoch(self, tmp_path):
         wal_path = tmp_path / "deltas.wal"
@@ -630,25 +645,16 @@ class TestCliResilience:
         save_json(small_graph(), path)
         return str(path)
 
-    def test_wal_requires_stream(self, tmp_path, capsys):
-        code = cli_main(
-            ["query", QUERY, "--graph", self._graph(tmp_path), "--wal", "w.wal"]
-        )
-        assert code == 2
-        assert "--wal and --snapshot require --stream" in capsys.readouterr().err
-
     def test_snapshot_requires_wal(self, tmp_path, capsys):
         # Without a WAL a checkpoint covers no crash: refused before any
         # file is touched.
+        snapshot = tmp_path / "s.rix"
         code = cli_main(
-            [
-                "query", QUERY, "--graph", self._graph(tmp_path),
-                "--stream", "d.jsonl", "--snapshot", "s.rix",
-            ]
+            ["serve", "--graph", self._graph(tmp_path), "--snapshot", str(snapshot)]
         )
         assert code == 2
         assert "--snapshot requires --wal" in capsys.readouterr().err
-        assert not (tmp_path / "s.rix").exists()
+        assert not snapshot.exists()
 
     def test_deadline_requires_dataflow_engine(self, tmp_path, capsys):
         code = cli_main(
@@ -670,68 +676,6 @@ class TestCliResilience:
         )
         assert code == 2
         assert "deadline" in capsys.readouterr().err
-
-    def test_stream_wal_snapshot_then_recover_verb(self, tmp_path, capsys):
-        graph = self._graph(tmp_path)
-        deltas = tmp_path / "deltas.jsonl"
-        deltas.write_text(
-            "\n".join(
-                json.dumps(batch.to_json_dict())
-                for batch in (
-                    DeltaBatch(sequence=1).add_existence("a", 5, 7),
-                    DeltaBatch(sequence=2)
-                    .extend_domain(14)
-                    .add_node("c", "Person", [(10, 12)]),
-                )
-            )
-            + "\n"
-        )
-        wal = tmp_path / "deltas.wal"
-        snap = tmp_path / "state.snap"
-        code = cli_main(
-            [
-                "query", QUERY, "--graph", graph,
-                "--stream", str(deltas),
-                "--wal", str(wal), "--snapshot", str(snap),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"wal {wal}" in out and f"checkpoint {snap}" in out
-        assert wal.exists() and snap.exists()
-
-        recovered_graph = tmp_path / "recovered.json"
-        code = cli_main(
-            [
-                "recover", "--snapshot", str(snap), "--wal", str(wal),
-                "--match", QUERY, "--limit", "2",
-                "--output", str(recovered_graph),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # The end-of-stream checkpoint holds both batches.
-        assert "0 WAL record(s) replayed, 2 already in the checkpoint" in out
-        assert "output size" in out
-        assert recovered_graph.exists()
-        assert from_json_dict(
-            json.loads(recovered_graph.read_text())
-        ).domain == Interval(0, 14)
-
-    def test_recover_missing_snapshot_is_a_clean_error(self, tmp_path, capsys):
-        code = cli_main(["recover", "--snapshot", str(tmp_path / "absent.snap")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_recover_verb_names_the_fix_for_a_legacy_snapshot(self, tmp_path, capsys):
-        snap = tmp_path / "state.snap"
-        snap.write_text(
-            json.dumps({"format": "repro-snapshot/1", "graph": {}}, sort_keys=True)
-        )
-        code = cli_main(["recover", "--snapshot", str(snap)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "legacy JSON snapshot" in err and "Delete the file" in err
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,10 @@ Covers the store subsystem end to end:
   property checks over random overwrites and truncations;
 * writes are atomic (no temp debris, no partially-written artifact ever
   visible under the final name);
+* the first write builds the graph from the artifact's records, equal
+  to the graph it was compiled from and sharing nothing with the read
+  side's memo; an older artifact's pickled ``graph`` section is never
+  read;
 * deltas applied after attach keep answers correct, and a store
   compiled again after deltas — from an in-memory graph or from an
   attached one — holds every write;
@@ -44,6 +48,7 @@ from repro.errors import (
 )
 from repro.model import contact_tracing_example
 from repro.model.itpg import IntervalTPG
+from repro.perf import graph_index_for
 from repro.server.state import GraphHost
 from repro.store import Artifact, VERSION, attach, compile_graph, write_artifact
 from repro.store.format import MAGIC
@@ -129,7 +134,7 @@ class TestRoundTrip:
             attachment.close()
 
     def test_attach_is_lazy(self, tmp_path):
-        """Queries run off the map; the pickled graph is never loaded."""
+        """Queries run off the map; the graph is never built."""
         graph = contact_tracing_example()
         path, _ = _compile(tmp_path, graph)
         attachment = attach(path)
@@ -167,46 +172,159 @@ class TestRoundTrip:
             attachment.close()
 
 
-class TestPickledGraphs:
-    """The store pickles the graph into an artifact's graph section.
+#: The seven tables an IntervalTPG holds besides its domain.
+_GRAPH_TABLES = (
+    "_node_labels",
+    "_edge_labels",
+    "_edge_endpoints",
+    "_existence",
+    "_properties",
+    "_out_edges",
+    "_in_edges",
+)
 
-    ``IntervalTPG.__getstate__`` leaves the per-process index behind,
-    and an attached graph pickles as its real graph
-    (``AttachedGraph.__reduce__``); either copy, unpickled, builds its
-    own index and answers every paper query like the graph it came from.
-    """
 
-    @pytest.fixture(scope="class")
-    def store(self, tmp_path_factory):
-        graph = contact_tracing_example()
-        path = str(tmp_path_factory.mktemp("pickled") / "graph.rix")
-        compile_graph(graph, path)
-        return graph, path
+def _assert_same_graph(got: IntervalTPG, expected: IntervalTPG) -> None:
+    """Domain, labels, endpoints, existence, properties and both
+    adjacency maps are equal, table for table."""
+    assert type(got) is IntervalTPG
+    assert got.domain == expected.domain
+    for table in _GRAPH_TABLES:
+        assert getattr(got, table) == getattr(expected, table), table
+
+
+def _s1_graph() -> IntervalTPG:
+    from repro.datagen import generate_contact_tracing_graph
+    from repro.datagen.scale import scale_factor
+
+    return generate_contact_tracing_graph(scale_factor("S1").config())
+
+
+def _touching_delta(graph) -> tuple:
+    """A delta that changes the first node's properties and adjacency."""
+    node = next(iter(graph.nodes()))
+    first = graph.existence(node).intervals[0]
+    span = (first.start, first.end)
+    batch = (
+        DeltaBatch()
+        .set_property(node, "note", "checked", *span)
+        .add_node("zara", "Person", [span])
+        .add_edge("e_zara", "meets", node, "zara", [span])
+    )
+    return node, batch
+
+
+def _write(graph, index, batch) -> None:
+    """A delta as a session applies it: graph, then the index."""
+    index.apply_delta(apply_delta(graph, batch))
+
+
+_SOURCES = {"figure1": contact_tracing_example, "S1": _s1_graph}
+
+
+class TestMaterializedGraph:
+    """The first write builds the graph from the artifact's records; the
+    built graph is the graph the artifact was compiled from."""
+
+    @pytest.fixture(scope="class", params=sorted(_SOURCES))
+    def materialized(self, request, tmp_path_factory):
+        source = _SOURCES[request.param]()
+        path = str(tmp_path_factory.mktemp("materialized") / "graph.rix")
+        compile_graph(source, path)
+        attachment = attach(path)
+        real = attachment.graph._materialize()
+        yield source, attachment, real
+        attachment.close()
+
+    def test_equals_the_source_graph(self, materialized):
+        source, attachment, real = materialized
+        _assert_same_graph(real, source)
+        assert attachment.graph.materialized
 
     @pytest.mark.parametrize("name", list(PAPER_QUERIES))
-    def test_unpickled_graph_answers_like_the_original(self, store, name):
-        graph, _path = store
+    def test_answers_like_the_source_graph(self, materialized, name):
+        source, attachment, real = materialized
         text = PAPER_QUERIES[name].text
-        expected = DataflowEngine(graph).match(text).as_set()
-        assert any(key.startswith("_repro_") for key in vars(graph))
-        clone = pickle.loads(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
-        assert not [key for key in vars(clone) if key.startswith("_repro_")]
-        assert DataflowEngine(clone).match(text).as_set() == expected
+        expected = DataflowEngine(source).match(text).as_set()
+        assert DataflowEngine(real).match(text).as_set() == expected
+        assert DataflowEngine(attachment.graph).match(text).as_set() == expected
 
-    @pytest.mark.parametrize("name", list(PAPER_QUERIES))
-    def test_unpickled_attached_graph_answers_like_the_store(self, store, name):
-        graph, path = store
-        text = PAPER_QUERIES[name].text
+    @pytest.mark.parametrize("source", sorted(_SOURCES))
+    def test_a_write_never_reaches_the_core(self, tmp_path, source):
+        memory = _SOURCES[source]()
+        path, _ = _compile(tmp_path, memory)
         attachment = attach(path)
         try:
-            expected = DataflowEngine(attachment.graph).match(text).as_set()
-            clone = pickle.loads(pickle.dumps(attachment.graph))
-            assert type(clone) is IntervalTPG
-            assert not [key for key in vars(clone) if key.startswith("_repro_")]
-            answer = DataflowEngine(clone).match(text).as_set()
+            core = attachment.core
+            node, batch = _touching_delta(memory)
+            families, adjacency = dict(core.families(node)), core.adjacency(node)
+            _write(attachment.graph, attachment.index, batch)
+            _write(memory, graph_index_for(memory), batch)
+            assert attachment.graph.materialized
+            _assert_same_graph(attachment.graph._materialize(), memory)
+            assert "note" in attachment.graph.property_names(node)
+            assert core.families(node) == families
+            assert core.adjacency(node) == adjacency
         finally:
             attachment.close()
-        assert answer == expected == DataflowEngine(graph).match(text).as_set()
+
+
+class TestOldArtifacts:
+    """An artifact written before the graph was stored once still
+    carries a pickled ``graph`` section: it attaches, and the reader
+    never opens that section."""
+
+    @pytest.fixture()
+    def old_artifact(self, tmp_path, monkeypatch):
+        from repro.store.artifact import _data_sections, _head_sections
+
+        graph = contact_tracing_example()
+        sections = {"graph": pickle.dumps(contact_tracing_example())}
+        index = graph_index_for(graph)
+        sections.update(_head_sections(index, graph))
+        sections.update(_data_sections(index, graph))
+        path = str(tmp_path / "old.rix")
+        write_artifact(
+            path,
+            sections,
+            {
+                "token": "old",
+                "domain": [graph.domain.start, graph.domain.end],
+                "num_objects": len(index.objects),
+                "num_nodes": len(index.nodes()),
+                "kind": "index",
+            },
+        )
+        opened = []
+        real_section = Artifact.section
+
+        def recording_section(self, name):
+            opened.append(name)
+            return real_section(self, name)
+
+        monkeypatch.setattr(Artifact, "section", recording_section)
+        attachment = attach(path)
+        yield attachment, opened
+        attachment.close()
+
+    def test_attaches_and_answers_every_paper_query(self, old_artifact):
+        attachment, opened = old_artifact
+        graph = contact_tracing_example()
+        engine = DataflowEngine(attachment.graph)
+        for name, query in PAPER_QUERIES.items():
+            expected = DataflowEngine(graph).match(query.text).as_set()
+            assert engine.match(query.text).as_set() == expected, name
+        assert not attachment.graph.materialized
+        assert "graph" not in opened
+
+    def test_first_write_rebuilds_from_the_records(self, old_artifact):
+        attachment, opened = old_artifact
+        memory = contact_tracing_example()
+        _node, batch = _touching_delta(memory)
+        _write(attachment.graph, attachment.index, batch)
+        _write(memory, graph_index_for(memory), batch)
+        _assert_same_graph(attachment.graph._materialize(), memory)
+        assert "graph" not in opened
 
 
 class TestAtomicWrite:
