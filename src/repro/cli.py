@@ -16,7 +16,7 @@ The CLI exposes the most common workflows without writing Python:
   the checkpoint plus the WAL tail;
 * ``python -m repro compile`` — compile a graph's index into a
   persistent ``repro-index`` artifact; ``query --store`` and
-  ``serve --store`` then attach it in O(1) instead of loading JSON and
+  ``serve --store`` then attach it instead of loading JSON and
   recompiling;
 * ``python -m repro example`` — dump the Figure-1 running example as
   JSON, as a starting point for experimentation.

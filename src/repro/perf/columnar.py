@@ -14,11 +14,9 @@ as NumPy sweeps over flat arrays:
 * the graph image is a :class:`ColumnarContext`, owned by the
   :class:`~repro.perf.graph_index.GraphIndex` (one per graph) and
   patched in place by its delta maintenance: CSR adjacency and
-  existence over the dense ids, read from the graph's own accessors —
-  or, when the graph is attached from a ``repro-index/1`` store at
-  epoch 0, decoded straight out of the artifact's struct-packed
-  sections — and per-condition CSR tables decoded from the index's
-  memoized condition tables;
+  existence over the dense ids, read from the graph's own accessors,
+  and per-condition CSR tables decoded from the index's memoized
+  condition tables;
 * interval algebra happens on a *global axis*: an interval ``[s, e]``
   of row ``r`` maps to ``r * stride + (s - domain.start)`` with
   ``stride = domain span + 2``.  The two-point guard gap means
@@ -393,27 +391,17 @@ class ColumnarContext:
         self._hulls: dict[Test, tuple] = {}
         self._points: dict[Test, int] = {}
         origin = np.zeros(1, dtype=np.int64)
-        decoded = self._decode_store_sections(index)
-        (
-            self.ex_indptr,
-            self.ex_start,
-            self.ex_end,
-            self.out_indptr,
-            self.out_ids,
-            self.in_indptr,
-            self.in_ids,
-        ) = decoded or (origin, empty, empty, origin, empty, origin, empty)
-        if decoded is None:
-            graph = index.graph
-            nodes = list(graph.nodes())
-            self._derive(
-                index.objects,
-                {node: graph.out_edges(node) for node in nodes},
-                {node: graph.in_edges(node) for node in nodes},
-                {},
-            )
-        else:
-            self._derive((), {}, {}, {})
+        self.ex_indptr, self.ex_start, self.ex_end = origin, empty, empty
+        self.out_indptr, self.out_ids = origin, empty
+        self.in_indptr, self.in_ids = origin, empty
+        graph = index.graph
+        nodes = list(graph.nodes())
+        self._derive(
+            index.objects,
+            {node: graph.out_edges(node) for node in nodes},
+            {node: graph.in_edges(node) for node in nodes},
+            {},
+        )
 
     def _set_domain(self) -> None:
         domain = self._index.domain
@@ -425,39 +413,6 @@ class ColumnarContext:
         self.stride = self.domain_end - self.domain_start + 2
 
     # -- graph tables ---------------------------------------------------- #
-    @staticmethod
-    def _decode_store_sections(index):
-        """Decode existence/adjacency straight from an attached store.
-
-        Only valid for a pristine attachment (epoch 0): after delta
-        maintenance the on-disk records are stale, so the graph's own
-        accessors are the source of truth instead.
-        """
-        if index.epoch != 0 or index.columnar_sections is None:
-            return None
-        exist_idx, exist_dat, adj_idx, adj_dat = index.columnar_sections()
-        # Copies, deliberately: frombuffer views would pin the store's
-        # mmap open (attachment.close() raises on exported buffers).
-        ex_offsets = np.frombuffer(exist_idx, dtype="<u8").astype(np.int64)
-        ex_pairs = np.frombuffer(exist_dat, dtype="<i8").astype(np.int64)
-        ex_indptr = ex_offsets // 16
-        ex_start = ex_pairs[0::2].copy()
-        ex_end = ex_pairs[1::2].copy()
-
-        offsets = np.frombuffer(adj_idx, dtype="<u8").astype(np.int64)
-        words = np.frombuffer(adj_dat, dtype="<u4").astype(np.int64)
-        rec_start = offsets[:-1] // 4
-        rec_len = (offsets[1:] - offsets[:-1]) // 4
-        filled = rec_len > 0
-        out_count = np.zeros(rec_len.size, dtype=np.int64)
-        out_count[filled] = words[rec_start[filled]]
-        in_count = np.where(filled, rec_len - 1 - out_count, 0)
-        out_indptr = np.concatenate(([0], np.cumsum(out_count)))
-        in_indptr = np.concatenate(([0], np.cumsum(in_count)))
-        out_ids = words[_ranges(rec_start + 1, out_count)]
-        in_ids = words[_ranges(rec_start + 1 + out_count, in_count)]
-        return ex_indptr, ex_start, ex_end, out_indptr, out_ids, in_indptr, in_ids
-
     def _derive(self, existence, out_edges: dict, in_edges: dict, conditions: dict) -> None:
         """(Re-)derive the named objects' rows of the image from the graph.
 
@@ -1481,11 +1436,10 @@ def _run(ctx, plan: ColumnarPlan, variables, mode, deadline):
                 indptr = np.concatenate(([0], indptr[cur + 1]))
             else:
                 held = ctx._index.condition_table(plan.seed_condition)
-                intervals = [times.intervals for times in held.values()]
-                flat = [interval for each in intervals for interval in each]
-                starts = np.array([interval.start for interval in flat], np.int64)
-                ends = np.array([interval.end for interval in flat], np.int64)
-                indptr = np.cumsum([0, *map(len, intervals)], dtype=np.int64)
+                counts, starts, ends = _family_rows(held.values())
+                starts = np.array(starts, np.int64)
+                ends = np.array(ends, np.int64)
+                indptr = np.cumsum([0, *counts], dtype=np.int64)
                 cur = np.fromiter(map(ctx.object_id.__getitem__, held), np.int64, len(held))
             columns = [cur] * len(variables)
             table = FamilyTable(variables, ctx.objects, columns, indptr, starts, ends)

@@ -2,8 +2,7 @@
 
 The graph already answers every per-object question — label, existence
 family, property families, adjacency, endpoints — through its own
-accessors (:class:`~repro.model.itpg.IntervalTPG`, or the store's
-:class:`~repro.store.artifact.AttachedGraph` reading an artifact).  A
+accessors (:class:`~repro.model.itpg.IntervalTPG`).  A
 :class:`GraphIndex` keeps only what those accessors cannot give:
 
 * the dense-id object table (the columnar kernel's array positions) and
@@ -130,9 +129,8 @@ class GraphIndex:
     of the graph is copied here: condition evaluation and the array image
     read the graph's accessors.  The store's :func:`~repro.store.attach`
     hands over what it must not rebuild by scanning: the artifact's
-    ``objects`` order (its dense ids), a ``buckets`` loader for its
-    bucket section and ``sections``, the raw existence/adjacency
-    sections the image decodes at epoch 0.
+    ``objects`` order (its dense ids) and a ``buckets`` loader for its
+    bucket section.
     """
 
     def __init__(
@@ -140,7 +138,6 @@ class GraphIndex:
         graph: IntervalTPG,
         objects: Optional[tuple[ObjectId, ...]] = None,
         buckets: Optional[Callable[[], Buckets]] = None,
-        sections: Optional[Callable[[], tuple]] = None,
     ) -> None:
         self._graph = graph
         self._domain = graph.domain
@@ -155,9 +152,6 @@ class GraphIndex:
         }
         self._nodes: frozenset[ObjectId] = frozenset(graph.nodes())
         self._edges: frozenset[ObjectId] = frozenset(graph.edges())
-        #: The store's raw ``(exist.idx, exist.dat, adj.idx, adj.dat)``
-        #: sections, or ``None`` for an in-memory graph.
-        self.columnar_sections = sections
         self._load_buckets = buckets or self._scan_buckets
         self._buckets: Optional[Buckets] = None
         self._buckets_lock = threading.Lock()
@@ -447,7 +441,7 @@ def install_index(graph: TemporalGraph, index: GraphIndex) -> None:
     """Pre-bind a compiled ``index`` as ``graph``'s shared index.
 
     The store attach path builds the index from an artifact's object
-    table and sections; installing it here makes every subsequent
+    table and bucket section; installing it here makes every subsequent
     :func:`graph_index_for` call return the attached index instead of
     recompiling.
     """

@@ -15,7 +15,7 @@ Recovery is one boot path — attach, then the WAL tail::
 
     session, report = recover("state.rix", "deltas.wal")
 
-attaches the artifact (:func:`repro.store.attach`, no body decoded),
+attaches the artifact (:func:`repro.store.attach` builds the graph),
 restores the positions, re-registers its queries (plans only: answers
 are a pure function of graph + query, computed on the first read), then
 **idempotently replays the WAL tail** (:func:`replay_wal`, also the

@@ -44,10 +44,8 @@ exclusive side:
 * ``StreamingEngine._answers`` — a registered query's ``(table,
   epoch)``, build then publish (racing first readers after a write each
   run the kernel once and store equal tables);
-* a compiled store's decoded records (``AttachedCore``) and the
-  index's candidate buckets — the records build then publish, the
-  buckets load once under a lock — and ``AttachedGraph``'s
-  materialization, locked.
+* the index's candidate buckets — loaded once under a lock (an
+  attached store's graph is built whole at attach, before any reader).
 
 Answer payloads are encoded after the lock is released: a table is
 never patched in place once returned (the kernel builds fresh arrays
@@ -132,11 +130,11 @@ class GraphHost:
         Recovery-on-restart semantics: the boot source is the checkpoint
         ``snapshot`` if it exists, else the compiled ``store``, and either
         boots the same way (:func:`~repro.resilience.snapshot.restore`):
-        attach the artifact in O(1), restore the positions, epoch and
-        registered queries of its ``session`` record (a plain compiled
-        store has none: epoch 0, WAL position 0), then replay the WAL
-        tail (materializing the attached graph and patching the index in
-        place).  The checkpoint plus the WAL tail *is* the state the
+        attach the artifact (building its graph from the records),
+        restore the positions, epoch and registered queries of its
+        ``session`` record (a plain compiled store has none: epoch 0, WAL
+        position 0), then replay the WAL tail (patching the graph and the
+        index in place).  The checkpoint plus the WAL tail *is* the state the
         previous process durably reached, so continuous answers resume
         where they left off.  Without either, ``graph_path`` (or the
         Figure-1 example) is loaded and the whole WAL replayed.  The WAL

@@ -2,17 +2,16 @@
 
 Loading a graph and indexing it is the dominant startup cost of every
 cold process — a server restart reloads and re-indexes it.  This
-package makes the graph a *persistent, shareable* artifact instead:
+package makes the graph a *persistent* artifact instead:
 
 * :func:`compile_graph` writes the graph as flat tables (dense-id object
   table, labels, endpoints, adjacency, existence and property interval
   families) plus the index's candidate buckets into one checksummed
   file atomically (:mod:`repro.store.format`);
-* :func:`attach` mmaps an artifact read-only in O(1) and returns a
-  ready :class:`~repro.store.artifact.AttachedGraph`, whose accessors
-  decode records lazily from the map, and its
-  :class:`~repro.perf.graph_index.GraphIndex`, so attaching processes
-  share page cache instead of holding private copies
+* :func:`attach` mmaps an artifact read-only, builds the graph from its
+  records once (a plain :class:`~repro.model.itpg.IntervalTPG`) and
+  installs its :class:`~repro.perf.graph_index.GraphIndex` with the
+  artifact's object order and buckets, so nothing is re-indexed
   (:mod:`repro.store.artifact`);
 * :func:`repro.server.state.GraphHost.from_files` accepts a store and
   attaches on restart instead of recompiling;
@@ -30,20 +29,18 @@ writer in this package maintains:
   not-an-artifact/malformed, :class:`~repro.errors.StoreVersionError`
   for an incompatible version).
 * **Checksummed sections.**  The body is named flat sections, each
-  carrying a CRC-32 verified lazily on first access (eagerly under
-  ``--verify``); interval data is struct-packed little-endian ``<qq``
-  pairs behind ``u64`` offset indexes, adjacency is dense-``u32`` id
-  lists (``out_count`` prefix, then out- then in-edge ids).  Any
-  checksum or truncation failure raises
-  :class:`~repro.errors.StoreCorruptError` — corruption is never
+  carrying a CRC-32 verified on first access (attach reads every
+  section but ``adj``; ``--verify`` checks them all); interval data is
+  struct-packed little-endian ``<qq`` pairs behind ``u64`` offset
+  indexes, adjacency is dense-``u32`` id lists (``out_count`` prefix,
+  then out- then in-edge ids).  Any checksum or truncation failure
+  raises :class:`~repro.errors.StoreCorruptError` — corruption is never
   silently decoded.
 * **Atomic visibility.**  Writes go to a temp file, fsync, then
   ``os.replace`` + directory fsync: a crashed compile never leaves a
   partial artifact under the final name.
 * **Interval families are canonical on disk** — sorted, disjoint,
-  gap-coalesced — so readers (including the columnar kernel's
-  section-to-array decode, :meth:`AttachedCore.columnar_sections`)
-  consume them without re-normalizing.
+  gap-coalesced — so the reader consumes them without re-normalizing.
 * **Header length is bounded by the file size.**  The fixed header's
   u64 length field is checked against the file before the header is
   read, so a damaged field raises
@@ -53,12 +50,9 @@ writer in this package maintains:
   ``props`` records and the head tables are the whole graph; there is
   no second, pickled copy (an older ``/1`` artifact's ``graph`` section
   is ignored).
-* **Attachments are read-only.**  The first mutation (the streaming
-  delta path) builds an in-memory graph from the records
-  (:meth:`~repro.store.artifact.AttachedCore.to_graph`) and writes go
-  there, never to the mmap; consumers that decode sections into
-  private arrays must copy, because ``close()`` refuses to unmap while
-  exported buffers exist.
+* **Attachments are read-only.**  The attached graph is built in
+  memory from the records (:meth:`~repro.store.artifact.AttachedCore.to_graph`),
+  so writes (the streaming delta path) go there, never to the mmap.
 
 See docs/ARCHITECTURE.md (the graph lifecycle), PERFORMANCE.md
 (``store.*`` costs) and RELIABILITY.md for the operational discipline.
@@ -66,7 +60,6 @@ See docs/ARCHITECTURE.md (the graph lifecycle), PERFORMANCE.md
 
 from repro.store.artifact import (
     AttachedCore,
-    AttachedGraph,
     Attachment,
     attach,
     compile_graph,
@@ -76,7 +69,6 @@ from repro.store.format import FORMAT, VERSION, Artifact, write_artifact
 __all__ = [
     "Artifact",
     "AttachedCore",
-    "AttachedGraph",
     "Attachment",
     "FORMAT",
     "VERSION",

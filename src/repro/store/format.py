@@ -14,14 +14,13 @@ offset 52  header JSON    {"format", "meta", "sections"}
 
 The header JSON's ``sections`` table maps each section name to
 ``[offset, length, crc32]`` with offsets relative to the body start.
-Integrity is layered for O(1) attach: the fixed header's SHA-256 guards
-the section table and metadata eagerly (a flipped header byte is caught
-before anything is trusted), the header length and section extents are
+Integrity is layered: the fixed header's SHA-256 guards the section
+table and metadata eagerly (a flipped header byte is caught before
+anything is trusted), the header length and section extents are
 bounds-checked against the file size eagerly (truncation is caught at
-attach, and a damaged length field is never read as one), and each
-section's CRC-32 is verified *lazily* on first access — so attaching a
-multi-gigabyte artifact never reads its body, while a corrupted section
-still fails closed with a structured :class:`StoreCorruptError` the
+open, and a damaged length field is never read as one), and each
+section's CRC-32 is verified on its first access — so a corrupted
+section fails closed with a structured :class:`StoreCorruptError` the
 moment it is used.  :func:`Artifact.verify` checks every section
 eagerly for tools that want the full scan.
 

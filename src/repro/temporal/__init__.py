@@ -12,9 +12,8 @@ interval-timestamped temporal property graphs (ITPGs) are built on:
   time-stamp property values.
 * :mod:`~repro.temporal.coalesce` — coalescing algorithms for intervals,
   valued intervals and arbitrary tagged rows.
-* :mod:`~repro.temporal.alignment` — temporal-alignment join primitives
-  (intersection of validity intervals), the building block of the
-  dataflow engine's interval hash-joins.
+* :mod:`~repro.temporal.alignment` — interval-level reachability of a
+  temporal step, the scalar reference for the columnar kernel.
 """
 
 from repro.temporal.interval import Interval
@@ -25,7 +24,6 @@ from repro.temporal.coalesce import (
     coalesce_valued_intervals,
     coalesce_rows,
 )
-from repro.temporal.alignment import align, align_many, overlap_join
 
 __all__ = [
     "Interval",
@@ -35,7 +33,4 @@ __all__ = [
     "coalesce_intervals",
     "coalesce_valued_intervals",
     "coalesce_rows",
-    "align",
-    "align_many",
-    "overlap_join",
 ]

@@ -1,86 +1,20 @@
-"""Temporal-alignment primitives for interval joins.
+"""Interval-level reachability of temporal navigation.
 
 The paper's dataflow implementation (Section VI) uses "interval-based
-reasoning to identify temporally-aligned matches" — i.e. two interval-
-timestamped rows join only on the portion of time during which both are
-valid, and the joined row carries the intersection of the two validity
-intervals (Dignös et al., *Temporal Alignment*).  These helpers implement
-that primitive for pairs, for many-way alignment and as a generic
-overlap join over keyed relations.
+reasoning to identify temporally-aligned matches": a temporal step maps
+an anchor's validity interval to the interval of time points it can
+reach.  :func:`reachable_window` and its inverse
+:func:`reachable_sources` state that mapping for one interval at a time;
+they are the scalar reference the columnar kernel's vectorized temporal
+step is checked against.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar
+from typing import Optional
 
 from repro.temporal.interval import Interval
 from repro.temporal.intervalset import IntervalSet
-
-Row = TypeVar("Row")
-OtherRow = TypeVar("OtherRow")
-
-
-def align(left: Interval, right: Interval) -> Optional[Interval]:
-    """Intersection of two validity intervals, or ``None`` when disjoint."""
-    return left.intersect(right)
-
-
-def align_many(intervals: Iterable[Interval]) -> Optional[Interval]:
-    """Intersection of an arbitrary number of validity intervals."""
-    result: Optional[Interval] = None
-    for interval in intervals:
-        if result is None:
-            result = interval
-        else:
-            result = result.intersect(interval)
-        if result is None:
-            return None
-    return result
-
-
-def align_sets(left: IntervalSet, right: IntervalSet) -> IntervalSet:
-    """Intersection of two coalesced families of validity intervals."""
-    return left.intersect(right)
-
-
-def overlap_join(
-    left: Iterable[Row],
-    right: Iterable[OtherRow],
-    left_key: Callable[[Row], Hashable],
-    right_key: Callable[[OtherRow], Hashable],
-    left_interval: Callable[[Row], Interval],
-    right_interval: Callable[[OtherRow], Interval],
-) -> Iterator[tuple[Row, OtherRow, Interval]]:
-    """Hash-join two keyed interval relations on key equality + interval overlap.
-
-    Yields ``(left_row, right_row, aligned_interval)`` for every pair of
-    rows whose keys are equal and whose validity intervals intersect; the
-    yielded interval is the intersection.  The right side is materialized
-    into a hash table indexed by key (in-memory hash join, as in the
-    paper's implementation); the left side is streamed.
-    """
-    index: dict[Hashable, list[OtherRow]] = defaultdict(list)
-    for row in right:
-        index[right_key(row)].append(row)
-    for lrow in left:
-        for rrow in index.get(left_key(lrow), ()):
-            overlap = left_interval(lrow).intersect(right_interval(rrow))
-            if overlap is not None:
-                yield lrow, rrow, overlap
-
-
-def interval_product(
-    left: Iterable[tuple[Hashable, Interval]],
-    right: Iterable[tuple[Hashable, Interval]],
-) -> Iterator[tuple[Hashable, Hashable, Interval]]:
-    """Cartesian alignment of two small interval relations (used in tests)."""
-    right_rows = list(right)
-    for lkey, liv in left:
-        for rkey, riv in right_rows:
-            overlap = liv.intersect(riv)
-            if overlap is not None:
-                yield lkey, rkey, overlap
 
 
 def reachable_window(

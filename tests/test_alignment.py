@@ -1,4 +1,4 @@
-"""Unit tests for temporal-alignment join primitives.
+"""Unit tests for interval-level temporal reachability.
 
 ``reachable_window``/``reachable_sources`` are also the scalar
 reference the columnar kernel's vectorized temporal reach is pinned to
@@ -13,76 +13,7 @@ from repro.model.itpg import IntervalTPG
 from repro.perf.columnar import _Kernel
 from repro.perf.graph_index import GraphIndex
 from repro.temporal import Interval, IntervalSet
-from repro.temporal.alignment import (
-    align,
-    align_many,
-    align_sets,
-    interval_product,
-    overlap_join,
-    reachable_sources,
-    reachable_window,
-)
-
-
-class TestAlign:
-    def test_align_overlap(self):
-        assert align(Interval(1, 5), Interval(3, 9)) == Interval(3, 5)
-
-    def test_align_disjoint(self):
-        assert align(Interval(1, 2), Interval(5, 6)) is None
-
-    def test_align_many(self):
-        assert align_many([Interval(1, 9), Interval(3, 7), Interval(5, 11)]) == Interval(5, 7)
-
-    def test_align_many_empty_intersection(self):
-        assert align_many([Interval(1, 3), Interval(5, 7)]) is None
-
-    def test_align_many_no_input(self):
-        assert align_many([]) is None
-
-    def test_align_sets(self):
-        a = IntervalSet([(1, 4), (8, 10)])
-        b = IntervalSet([(3, 9)])
-        assert align_sets(a, b) == IntervalSet([(3, 4), (8, 9)])
-
-
-class TestJoins:
-    def test_overlap_join_matches_on_key_and_time(self):
-        left = [("k1", Interval(1, 5)), ("k2", Interval(1, 5))]
-        right = [("k1", Interval(4, 9)), ("k1", Interval(7, 8))]
-        out = list(
-            overlap_join(
-                left,
-                right,
-                left_key=lambda r: r[0],
-                right_key=lambda r: r[0],
-                left_interval=lambda r: r[1],
-                right_interval=lambda r: r[1],
-            )
-        )
-        assert len(out) == 1
-        lrow, rrow, overlap = out[0]
-        assert lrow[0] == "k1" and rrow[1] == Interval(4, 9)
-        assert overlap == Interval(4, 5)
-
-    def test_overlap_join_no_matches(self):
-        left = [("k", Interval(1, 2))]
-        right = [("k", Interval(5, 6)), ("other", Interval(1, 2))]
-        assert list(
-            overlap_join(
-                left,
-                right,
-                left_key=lambda r: r[0],
-                right_key=lambda r: r[0],
-                left_interval=lambda r: r[1],
-                right_interval=lambda r: r[1],
-            )
-        ) == []
-
-    def test_interval_product(self):
-        left = [("a", Interval(1, 4))]
-        right = [("b", Interval(3, 6)), ("c", Interval(9, 9))]
-        assert list(interval_product(left, right)) == [("a", "b", Interval(3, 4))]
+from repro.temporal.alignment import reachable_sources, reachable_window
 
 
 class TestReachableWindow:

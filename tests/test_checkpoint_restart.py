@@ -3,9 +3,9 @@
 A ``repro serve --graph --wal --snapshot`` process applies delta
 batches, drains on SIGTERM (the drain writes the checkpoint), restarts
 from that checkpoint, applies more batches, is SIGKILLed and restarts
-again.  Every boot after the first attaches the checkpoint; the second
-restart replays the WAL tail onto it, so its first write builds the
-attached graph from the artifact's records.  The served answers to a
+again.  Every boot after the first attaches the checkpoint, building
+the graph from the artifact's records; the second restart replays the
+WAL tail onto that graph.  The served answers to a
 families query (Q1) and a points query (Q8) must then equal the wire
 form (``families_to_wire`` / ``rows_to_wire``) of an in-process engine
 that applied the same batches, and the epoch must count every batch.

@@ -13,9 +13,8 @@ Four layers:
   the reference engine's answer on every paper query (canonical
   families, or point rows), and so do the leaf chains run from the seed
   frontier when the degenerate-chain shortcut answers instead.
-* **Array primitives + store fast path** — the sweep building blocks
-  against hand-computed expectations, and attached-artifact parity
-  (exercising :meth:`AttachedCore.columnar_sections` decoding).
+* **Array primitives + store parity** — the sweep building blocks
+  against hand-computed expectations, and attached-artifact parity.
 """
 
 from __future__ import annotations
@@ -485,7 +484,6 @@ class TestStoreFastPath:
         compile_graph(graph, path)
         attachment = attach(path)
         try:
-            assert attachment.core.columnar_sections() is not None
             engine = DataflowEngine(attachment.graph)
             oracle = DataflowEngine(graph)
             for name, query in PAPER_QUERIES.items():
@@ -493,8 +491,7 @@ class TestStoreFastPath:
                     oracle.match(query.text).as_set()
                 ), f"{name} diverged on the attached store"
         finally:
-            # Decoding must copy: close() raises BufferError if any
-            # numpy view still pins the mmap.
+            # close() raises BufferError if any view still pins the mmap.
             attachment.close()
 
 

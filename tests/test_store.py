@@ -14,10 +14,10 @@ Covers the store subsystem end to end:
   property checks over random overwrites and truncations;
 * writes are atomic (no temp debris, no partially-written artifact ever
   visible under the final name);
-* the first write builds the graph from the artifact's records, equal
-  to the graph it was compiled from and sharing nothing with the read
-  side's memo; an older artifact's pickled ``graph`` section is never
-  read;
+* attach builds the graph from the artifact's records, equal to the
+  graph it was compiled from; a damaged section fails the attach with
+  the map closed, a write never reaches the artifact, and an older
+  artifact's pickled ``graph`` section is never read;
 * deltas applied after attach keep answers correct, and a store
   compiled again after deltas — from an in-memory graph or from an
   attached one — holds every write;
@@ -32,8 +32,6 @@ import json
 import os
 import pickle
 import struct
-import sys
-import threading
 
 import pytest
 
@@ -133,17 +131,6 @@ class TestRoundTrip:
         finally:
             attachment.close()
 
-    def test_attach_is_lazy(self, tmp_path):
-        """Queries run off the map; the graph is never built."""
-        graph = contact_tracing_example()
-        path, _ = _compile(tmp_path, graph)
-        attachment = attach(path)
-        try:
-            DataflowEngine(attachment.graph).match(PAPER_QUERIES["Q1"].text)
-            assert attachment.graph.materialized is False
-        finally:
-            attachment.close()
-
     def test_token_is_per_compile_and_stable_per_artifact(self, tmp_path):
         graph = contact_tracing_example()
         path_a, report_a = _compile(tmp_path, graph, name="a.rix")
@@ -223,8 +210,8 @@ _SOURCES = {"figure1": contact_tracing_example, "S1": _s1_graph}
 
 
 class TestMaterializedGraph:
-    """The first write builds the graph from the artifact's records; the
-    built graph is the graph the artifact was compiled from."""
+    """Attach builds the graph from the artifact's records: the attached
+    graph is the graph the artifact was compiled from."""
 
     @pytest.fixture(scope="class", params=sorted(_SOURCES))
     def materialized(self, request, tmp_path_factory):
@@ -232,41 +219,42 @@ class TestMaterializedGraph:
         path = str(tmp_path_factory.mktemp("materialized") / "graph.rix")
         compile_graph(source, path)
         attachment = attach(path)
-        real = attachment.graph._materialize()
-        yield source, attachment, real
+        yield source, attachment
         attachment.close()
 
     def test_equals_the_source_graph(self, materialized):
-        source, attachment, real = materialized
-        _assert_same_graph(real, source)
-        assert attachment.graph.materialized
+        source, attachment = materialized
+        _assert_same_graph(attachment.graph, source)
 
     @pytest.mark.parametrize("name", list(PAPER_QUERIES))
     def test_answers_like_the_source_graph(self, materialized, name):
-        source, attachment, real = materialized
+        source, attachment = materialized
         text = PAPER_QUERIES[name].text
         expected = DataflowEngine(source).match(text).as_set()
-        assert DataflowEngine(real).match(text).as_set() == expected
         assert DataflowEngine(attachment.graph).match(text).as_set() == expected
 
     @pytest.mark.parametrize("source", sorted(_SOURCES))
-    def test_a_write_never_reaches_the_core(self, tmp_path, source):
+    def test_a_write_never_reaches_the_artifact(self, tmp_path, source):
         memory = _SOURCES[source]()
         path, _ = _compile(tmp_path, memory)
+        with open(path, "rb") as handle:
+            intact = handle.read()
         attachment = attach(path)
         try:
-            core = attachment.core
             node, batch = _touching_delta(memory)
-            families, adjacency = dict(core.families(node)), core.adjacency(node)
             _write(attachment.graph, attachment.index, batch)
             _write(memory, graph_index_for(memory), batch)
-            assert attachment.graph.materialized
-            _assert_same_graph(attachment.graph._materialize(), memory)
+            _assert_same_graph(attachment.graph, memory)
             assert "note" in attachment.graph.property_names(node)
-            assert core.families(node) == families
-            assert core.adjacency(node) == adjacency
         finally:
             attachment.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == intact
+        fresh = attach(path)
+        try:
+            _assert_same_graph(fresh.graph, _SOURCES[source]())
+        finally:
+            fresh.close()
 
 
 class TestOldArtifacts:
@@ -314,7 +302,6 @@ class TestOldArtifacts:
         for name, query in PAPER_QUERIES.items():
             expected = DataflowEngine(graph).match(query.text).as_set()
             assert engine.match(query.text).as_set() == expected, name
-        assert not attachment.graph.materialized
         assert "graph" not in opened
 
     def test_first_write_rebuilds_from_the_records(self, old_artifact):
@@ -323,7 +310,7 @@ class TestOldArtifacts:
         _node, batch = _touching_delta(memory)
         _write(attachment.graph, attachment.index, batch)
         _write(memory, graph_index_for(memory), batch)
-        _assert_same_graph(attachment.graph._materialize(), memory)
+        _assert_same_graph(attachment.graph, memory)
         assert "graph" not in opened
 
 
@@ -383,23 +370,76 @@ class TestRejection:
     def test_section_bitflip_fails_crc(self, tmp_path):
         path, _ = _compile(tmp_path, contact_tracing_example())
         _flip_section_byte(path, "exist.dat")
-        attachment = attach(path)  # head sections are intact
+        with pytest.raises(StoreCorruptError) as info:
+            attach(path)
+        assert info.value.section == "exist.dat"
+
+    def test_adjacency_bitflip_fails_verify(self, tmp_path):
+        """Attach builds adjacency from the endpoints table; the ``adj``
+        records are checked by the full scan."""
+        path, _ = _compile(tmp_path, contact_tracing_example())
+        _flip_section_byte(path, "adj.dat")
+        attachment = attach(path)
         try:
             with pytest.raises(StoreCorruptError) as info:
                 attachment.verify()
-            assert info.value.section == "exist.dat"
+            assert info.value.section == "adj.dat"
         finally:
             attachment.close()
 
-    def test_close_after_a_section_fails_mid_query(self, tmp_path):
-        """A CRC failure raised inside a query leaves no view pinning the map."""
+    @pytest.fixture()
+    def closed(self, monkeypatch):
+        """Every :class:`Artifact` closed from here on, in order."""
+        closed = []
+        real_close = Artifact.close
+
+        def recording_close(self):
+            real_close(self)  # a view left pinning the map raises BufferError
+            closed.append(self)
+
+        monkeypatch.setattr(Artifact, "close", recording_close)
+        return closed
+
+    @pytest.mark.parametrize("section", ["exist.dat", "props.dat", "labels", "endpoints"])
+    def test_damage_fails_the_attach_and_closes_the_map(self, tmp_path, closed, section):
         path, _ = _compile(tmp_path, contact_tracing_example())
-        _flip_section_byte(path, "props.dat")
-        attachment = attach(path)
+        _flip_section_byte(path, section)
+        closed.clear()  # the probe that found the section
         with pytest.raises(StoreCorruptError) as info:
-            DataflowEngine(attachment.graph).match(PAPER_QUERIES["Q2"].text)
-        assert info.value.section == "props.dat"
-        attachment.close()  # must not raise BufferError while the traceback lives
+            attach(path)
+        assert info.value.section == section
+        assert len(closed) == 1 and closed[0]._map is None
+
+    def test_undecodable_record_fails_the_attach_and_closes_the_map(
+        self, tmp_path, closed
+    ):
+        """A record that passes its CRC but does not decode: the build
+        stops mid-section, and the map still closes."""
+        from repro.store.artifact import _data_sections, _head_sections, _pack_records
+
+        graph = contact_tracing_example()
+        index = graph_index_for(graph)
+        sections = _head_sections(index, graph)
+        sections.update(_data_sections(index, graph))
+        sections["props.idx"], sections["props.dat"] = _pack_records(
+            [b"not a pickle"] * len(index.objects)
+        )
+        path = str(tmp_path / "undecodable.rix")
+        write_artifact(
+            path,
+            sections,
+            {
+                "token": "t",
+                "domain": [graph.domain.start, graph.domain.end],
+                "num_objects": len(index.objects),
+                "num_nodes": len(index.nodes()),
+                "kind": "index",
+            },
+        )
+        with pytest.raises(Exception) as info:
+            attach(path)
+        assert not isinstance(info.value, BufferError)
+        assert len(closed) == 1 and closed[0]._map is None
 
     @pytest.mark.parametrize("kind", ["head", "shard"])
     def test_non_index_artifact_rejected(self, tmp_path, kind):
@@ -636,7 +676,6 @@ class TestRecompileAfterWrites:
                     assert {k: set(v) for k, v in buckets.items()} == {
                         k: set(v) for k, v in expected.items()
                     }
-                assert not got.materialized  # every read came off the artifact
                 engine = DataflowEngine(got)
                 for query in queries:
                     assert engine.match(query).as_set() == reference.match(query).as_set()
@@ -740,42 +779,3 @@ class TestServerStore:
         assert recovery is None and attached == [path]
         assert host.graph.has_object("Zara") and host.session.epoch == 1
         host.close()
-
-
-class TestConcurrentReaders:
-    """Readers share the host lock, so several may be first to touch an
-    attached store's lazy state at once."""
-
-    def test_racing_first_touches_agree(self, tmp_path):
-        graph = random_itpg(5, num_nodes=1500, num_edges=3000)
-        path, _ = _compile(tmp_path, graph)
-        objects = list(graph.objects())[::-1]  # filled last, read first
-        expected = [graph.label(obj) for obj in objects]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _round in range(3):
-                attachment = attach(path)
-                barrier = threading.Barrier(6, timeout=30)
-                labels, graphs = [], []
-
-                def reader():
-                    barrier.wait()
-                    labels.append([attachment.graph.label(o) for o in objects])
-                    graphs.append(attachment.graph._materialize())
-
-                threads = [threading.Thread(target=reader) for _ in range(6)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                # Every reader read every label, whether from the artifact
-                # or from the graph another reader materialized, and every
-                # reader got the one materialized graph.
-                assert labels == [expected] * 6
-                assert all(g is graphs[0] for g in graphs)
-                assert attachment.graph._materialize() is graphs[0]
-                attachment.close()
-        finally:
-            sys.setswitchinterval(interval)
