@@ -233,6 +233,36 @@ class TestMaterializedGraph:
         expected = DataflowEngine(source).match(text).as_set()
         assert DataflowEngine(attachment.graph).match(text).as_set() == expected
 
+    def test_index_keeps_the_artifacts_order_and_buckets(self, materialized):
+        """The installed index is the compiled one: same dense-id order,
+        same candidate buckets, and no engine builds a second index."""
+        source, attachment = materialized
+        compiled = graph_index_for(source)
+        assert graph_index_for(attachment.graph) is attachment.index
+        assert attachment.index.objects == compiled.objects
+        assert attachment.index.buckets() == tuple(
+            dict(buckets) for buckets in compiled.buckets()
+        )
+
+    @pytest.mark.parametrize("source", sorted(_SOURCES))
+    def test_recompiling_the_attached_graph_is_byte_identical(self, tmp_path, source):
+        """Every section of an artifact compiled from the attached graph
+        holds the same bytes as the artifact it was attached from."""
+        first, _ = _compile(tmp_path, _SOURCES[source](), "first.rix")
+        attachment = attach(first)
+        try:
+            second, _ = _compile(tmp_path, attachment.graph, "second.rix")
+        finally:
+            attachment.close()
+        original, again = Artifact(first), Artifact(second)
+        try:
+            assert sorted(again._table) == sorted(original._table)
+            for name in original._table:
+                assert bytes(again.section(name)) == bytes(original.section(name)), name
+        finally:
+            original.close()
+            again.close()
+
     @pytest.mark.parametrize("source", sorted(_SOURCES))
     def test_a_write_never_reaches_the_artifact(self, tmp_path, source):
         memory = _SOURCES[source]()
@@ -400,7 +430,19 @@ class TestRejection:
         monkeypatch.setattr(Artifact, "close", recording_close)
         return closed
 
-    @pytest.mark.parametrize("section", ["exist.dat", "props.dat", "labels", "endpoints"])
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "exist.dat",
+            "props.dat",
+            "labels",
+            "endpoints",
+            "objects",
+            "nodekind",
+            "exist.idx",
+            "props.idx",
+        ],
+    )
     def test_damage_fails_the_attach_and_closes_the_map(self, tmp_path, closed, section):
         path, _ = _compile(tmp_path, contact_tracing_example())
         _flip_section_byte(path, section)
